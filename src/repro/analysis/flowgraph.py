@@ -18,14 +18,20 @@ structured IL can map results both ways.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowNode:
+    """Compared and hashed by identity (``eq=False`` keeps ``object``'s
+    C-level ``__hash__``).  ``index`` is the node's position in
+    ``FlowGraph.nodes``: the analyses keep their per-node facts in
+    lists indexed by it."""
+
     kind: str
     stmt: Optional[N.Stmt] = None
     index: int = -1
@@ -34,12 +40,6 @@ class FlowNode:
     # For cond/do_cond nodes: semantic successors by branch outcome.
     true_succ: Optional["FlowNode"] = None
     false_succ: Optional["FlowNode"] = None
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __repr__(self) -> str:
         sid = self.stmt.sid if self.stmt is not None else "-"
@@ -66,7 +66,31 @@ class FlowGraph:
             if target is None:
                 raise KeyError(f"goto to unknown label {label!r}")
             self._edge(node, target)
-        self._renumber()
+        for index, node in enumerate(self.nodes):
+            node.index = index
+
+    # -- per-node facts, computed once per graph ---------------------------
+
+    @cached_property
+    def aliased(self) -> Set[Symbol]:
+        return aliased_symbols(self.fn)
+
+    @cached_property
+    def defs_uses(self) -> Tuple[List[Set[object]], List[Set[object]]]:
+        """``(defs, uses)``: the locations each node may define / may
+        read, as lists indexed by ``FlowNode.index``.  Liveness and
+        use-def chains built on one graph share these."""
+        aliased = self.aliased
+        return ([node_defs(node, self.fn, aliased) for node in self.nodes],
+                [node_uses(node, aliased) for node in self.nodes])
+
+    def close(self) -> None:
+        """Unlink the nodes.  Edges make every graph a reference cycle;
+        a holder that is done with one breaks it here so the memory
+        goes back on the spot, not at the next collector run."""
+        for node in self.nodes:
+            node.succs = node.preds = ()
+            node.true_succ = node.false_succ = None
 
     # -- construction -----------------------------------------------------
 
@@ -197,10 +221,6 @@ class FlowGraph:
             return init, after
         raise TypeError(f"cannot build CFG for {stmt!r}")
 
-    def _renumber(self) -> None:
-        for index, node in enumerate(self.nodes):
-            node.index = index
-
     # -- queries -----------------------------------------------------------
 
     def reachable(self) -> Set[FlowNode]:
@@ -224,6 +244,47 @@ class FlowGraph:
                     and node not in reachable:
                 dead.append(node.stmt)
         return dead
+
+
+# ---------------------------------------------------------------------------
+# The dataflow solver both analyses run on
+# ---------------------------------------------------------------------------
+
+
+def solve_bitmasks(nodes: Sequence[FlowNode], gen: Sequence[int],
+                   keep: Sequence[int], backward: bool = False,
+                   boundary: Optional[Dict[int, int]] = None
+                   ) -> Tuple[List[int], List[int]]:
+    """Worklist solve of ``after[n] = gen[n] | (before[n] & keep[n])``
+    with ``before[n]`` the union of ``after`` over the nodes flow
+    arrives from — predecessors, or successors when ``backward`` — plus
+    ``boundary[n]`` where given.  Facts are integer bitmasks, in lists
+    indexed by ``FlowNode.index``.  Returns ``(before, after)``: the
+    least fixed point, whatever order the worklist happens to take."""
+    count = len(nodes)
+    before = [0] * count
+    after = [0] * count
+    start = boundary or {}
+    # Seeded so nodes pop in flow order (last-to-first when backward).
+    worklist = list(range(count)) if backward \
+        else list(range(count - 1, -1, -1))
+    queued = [True] * count
+    while worklist:
+        index = worklist.pop()
+        queued[index] = False
+        node = nodes[index]
+        value = start.get(index, 0)
+        for source in (node.succs if backward else node.preds):
+            value |= after[source.index]
+        before[index] = value
+        result = gen[index] | (value & keep[index])
+        if result != after[index]:
+            after[index] = result
+            for sink in (node.preds if backward else node.succs):
+                if not queued[sink.index]:
+                    queued[sink.index] = True
+                    worklist.append(sink.index)
+    return before, after
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +402,11 @@ def aliased_symbols(fn: N.ILFunction,
     """Symbols a store-through-pointer or a call might modify: anything
     address-taken plus every global (section 1's problems 5 and 7)."""
     out: Set[Symbol] = set()
-    seen_syms: Set[Symbol] = set()
     for stmt in fn.all_statements():
         for expr in N.stmt_exprs(stmt):
             for sub in N.walk_expr(expr):
-                if isinstance(sub, (N.VarRef, N.AddrOf)):
-                    seen_syms.add(sub.sym)
-    for sym in seen_syms:
-        if sym.address_taken or sym.storage in ("global", "static",
-                                                "extern"):
-            out.add(sym)
+                if isinstance(sub, (N.VarRef, N.AddrOf)) and (
+                        sub.sym.address_taken or sub.sym.storage
+                        in ("global", "static", "extern")):
+                    out.add(sub.sym)
     return out

@@ -3,87 +3,68 @@
 Dead-code elimination (section 8: "Dead code is common" after inlining)
 deletes assignments whose scalar target is dead, so long as the value
 expression has no observable effect (no call, no volatile access).
+
+Locations are numbered and the dataflow runs on integer bitmasks held
+in lists indexed by ``FlowNode.index`` — the representation the
+reaching-definitions solve uses (:mod:`repro.analysis.usedef`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Set
+from typing import Dict, Iterable, Sequence
 
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
-from .flowgraph import (FlowGraph, FlowNode, MEMORY, aliased_symbols,
-                        node_defs, node_uses)
+from .flowgraph import FlowGraph, FlowNode, MEMORY, solve_bitmasks
 
 
 class Liveness:
     def __init__(self, graph: FlowGraph,
                  globals_: Sequence[N.GlobalVar] = ()):
         self.graph = graph
-        self.aliased = aliased_symbols(graph.fn, globals_)
-        self.live_out: Dict[FlowNode, FrozenSet[object]] = {}
-        self.live_in: Dict[FlowNode, FrozenSet[object]] = {}
+        self.aliased = graph.aliased
+        self._bit: Dict[object, int] = {}
         self._solve()
+
+    def _mask(self, locations: Iterable[object]) -> int:
+        bits = self._bit
+        mask = 0
+        for loc in locations:
+            bit = bits.get(loc)
+            if bit is None:
+                bit = bits[loc] = 1 << len(bits)
+            mask |= bit
+        return mask
 
     def _solve(self) -> None:
         nodes = self.graph.nodes
-        uses: Dict[FlowNode, Set[object]] = {}
-        defs: Dict[FlowNode, Set[object]] = {}
-        for node in nodes:
-            uses[node] = node_uses(node, self.aliased)
-            defs[node] = node_defs(node, self.graph.fn, self.aliased)
+        _, uses = self.graph.defs_uses
+        use = [self._mask(u) for u in uses]
+        # Only *must*-defs kill liveness.  A call's may-defs (every
+        # aliased symbol) are in the graph's def sets so DCE knows the
+        # call can write them, but a may-def must not make an earlier
+        # store look dead — the callee might not write the symbol at
+        # all (fuzz find: `g = g - 6; r = h(x); use g` lost the store
+        # to g).
+        keep = [~self._mask(_must_defs(node)) for node in nodes]
         # At exit, globals, aliased locals, params of pointer type (the
         # caller can see what they point at) and MEMORY remain live.
-        exit_live: Set[object] = {MEMORY}
-        exit_live.update(self.aliased)
-        live_out: Dict[FlowNode, FrozenSet[object]] = {
-            node: frozenset() for node in nodes}
-        live_in: Dict[FlowNode, FrozenSet[object]] = {
-            node: frozenset() for node in nodes}
-        live_out[self.graph.exit] = frozenset(exit_live)
-        changed = True
-        while changed:
-            changed = False
-            for node in reversed(nodes):
-                if node is self.graph.exit:
-                    out: FrozenSet[object] = live_out[node]
-                else:
-                    out = frozenset().union(
-                        *(live_in[s] for s in node.succs)) \
-                        if node.succs else frozenset()
-                # Only *must*-defs kill liveness.  A call's may-defs
-                # (every aliased symbol) are in defs[] so DCE knows the
-                # call can write them, but a may-def must not make an
-                # earlier store look dead — the callee might not write
-                # the symbol at all (fuzz find: `g = g - 6; r = h(x);
-                # use g` lost the store to g).
-                strong = _must_defs(node) if _strong(node) else set()
-                new_in = frozenset(uses[node]) | (out - frozenset(strong))
-                if out != live_out[node] or new_in != live_in[node]:
-                    live_out[node] = out
-                    live_in[node] = new_in
-                    changed = True
-        self.live_out = live_out
-        self.live_in = live_in
+        exit_live = self._mask([MEMORY, *self.aliased])
+        #: Per-node masks of the locations live after / before it.
+        self.live_out, self.live_in = solve_bitmasks(
+            nodes, use, keep, backward=True,
+            boundary={self.graph.exit.index: exit_live})
 
     def is_live_after(self, node: FlowNode, sym: Symbol) -> bool:
-        return sym in self.live_out.get(node, frozenset())
+        return bool(self.live_out[node.index] & self._bit.get(sym, 0))
 
 
-def _strong(node: FlowNode) -> bool:
-    stmt = node.stmt
-    if node.kind in ("do_init", "do_step"):
-        return True
-    if node.kind == "assign" and isinstance(stmt, N.Assign):
-        return isinstance(stmt.target, N.VarRef)
-    return False
-
-
-def _must_defs(node: FlowNode) -> Set[Symbol]:
+def _must_defs(node: FlowNode) -> tuple:
     """Symbols ``node`` definitely writes (the kill set)."""
     stmt = node.stmt
     if node.kind in ("do_init", "do_step"):
-        return {stmt.var}
+        return (stmt.var,)
     if node.kind == "assign" and isinstance(stmt, N.Assign) \
             and isinstance(stmt.target, N.VarRef):
-        return {stmt.target.sym}
-    return set()
+        return (stmt.target.sym,)
+    return ()

@@ -11,26 +11,17 @@ the paper's own argument for pragmatism over asymptotics, section 5.3).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from ..frontend.symtab import Symbol
 from ..il import nodes as N
-from .flowgraph import (FlowGraph, FlowNode, MEMORY, aliased_symbols,
-                        node_defs, node_uses)
+from .flowgraph import FlowGraph, FlowNode, MEMORY, solve_bitmasks
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     """One definition point: ``node`` defines ``location``."""
 
     node: FlowNode
     location: object  # Symbol or MEMORY
-
-    def __repr__(self) -> str:
-        name = self.location.name if isinstance(self.location, Symbol) \
-            else str(self.location)
-        return f"Def({name}@{self.node})"
 
 
 class UseDefChains:
@@ -39,17 +30,8 @@ class UseDefChains:
     def __init__(self, graph: FlowGraph,
                  globals_: Sequence[N.GlobalVar] = ()):
         self.graph = graph
-        self.fn = graph.fn
-        self.aliased = aliased_symbols(graph.fn, globals_)
-        self._defs_at: Dict[FlowNode, Set[object]] = {}
-        self._uses_at: Dict[FlowNode, Set[object]] = {}
-        for node in graph.nodes:
-            self._defs_at[node] = node_defs(node, graph.fn, self.aliased)
-            self._uses_at[node] = node_uses(node, self.aliased)
-        self._reaching_in: Optional[Dict[FlowNode, FrozenSet[Definition]]] \
-            = None
-        self._reaching_out: Optional[Dict[FlowNode, FrozenSet[Definition]]] \
-            = None
+        self.aliased = graph.aliased
+        self._defs_at, self._uses_at = graph.defs_uses
         self._solve()
 
     # -- dataflow ----------------------------------------------------------
@@ -60,74 +42,38 @@ class UseDefChains:
         # MEMORY plus each aliased symbol, none of which is ever killed,
         # so frozenset-of-Definition sets grow with call count and the
         # solve goes quadratic.  Bit operations keep each transfer O(1)
-        # in practice.
+        # in practice.  Masks live in lists indexed by FlowNode.index.
         nodes = self.graph.nodes
         all_defs: List[Definition] = []
-        gen_mask: Dict[FlowNode, int] = {}
+        gen: List[int] = []
         defs_by_loc: Dict[object, int] = defaultdict(int)
-        for node in nodes:
+        for node, locs in zip(nodes, self._defs_at):
             mask = 0
-            for loc in self._defs_at[node]:
+            for loc in locs:
                 bit = 1 << len(all_defs)
                 all_defs.append(Definition(node, loc))
                 defs_by_loc[loc] |= bit
                 mask |= bit
-            gen_mask[node] = mask
-        kill_mask: Dict[FlowNode, int] = {}
-        for node in nodes:
+            gen.append(mask)
+        keep: List[int] = []
+        for node, locs in zip(nodes, self._defs_at):
             kill = 0
             if _is_strong_def(node):
                 # A definite scalar assignment kills prior defs of that
                 # scalar; MEMORY and aliased defs accumulate (may-defs).
-                for loc in self._defs_at[node]:
+                for loc in locs:
                     if loc is not MEMORY and loc not in self.aliased:
                         kill |= defs_by_loc[loc]
-            kill_mask[node] = kill
-        out: Dict[FlowNode, int] = {node: 0 for node in nodes}
-        in_: Dict[FlowNode, int] = {node: 0 for node in nodes}
-        worklist = list(nodes)
-        while worklist:
-            node = worklist.pop()
-            new_in = 0
-            for p in node.preds:
-                new_in |= out[p]
-            new_out = gen_mask[node] | (new_in & ~kill_mask[node])
-            if new_in != in_[node] or new_out != out[node]:
-                in_[node] = new_in
-                out[node] = new_out
-                worklist.extend(node.succs)
+            keep.append(~kill)
+        self._in_mask, _ = solve_bitmasks(nodes, gen, keep)
         self._all_defs = all_defs
         self._defs_by_loc = defs_by_loc
-        self._in_mask = in_
-        self._out_mask = out
-
-    def _expand(self, mask: int) -> FrozenSet[Definition]:
-        defs = []
-        while mask:
-            low = mask & -mask
-            defs.append(self._all_defs[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(defs)
-
-    @property
-    def reaching_in(self) -> Dict[FlowNode, FrozenSet[Definition]]:
-        if self._reaching_in is None:
-            self._reaching_in = {node: self._expand(mask)
-                                 for node, mask in self._in_mask.items()}
-        return self._reaching_in
-
-    @property
-    def reaching_out(self) -> Dict[FlowNode, FrozenSet[Definition]]:
-        if self._reaching_out is None:
-            self._reaching_out = {node: self._expand(mask)
-                                  for node, mask in self._out_mask.items()}
-        return self._reaching_out
 
     # -- queries -----------------------------------------------------------
 
     def defs_reaching(self, node: FlowNode,
                       location: object) -> List[Definition]:
-        mask = self._in_mask.get(node, 0) \
+        mask = self._in_mask[node.index] \
             & self._defs_by_loc.get(location, 0)
         defs = []
         while mask:
@@ -136,31 +82,8 @@ class UseDefChains:
             mask ^= low
         return defs
 
-    def unique_def(self, node: FlowNode,
-                   sym: Symbol) -> Optional[Definition]:
-        """The single definition of ``sym`` reaching ``node``, or None
-        if zero or several reach."""
-        defs = self.defs_reaching(node, sym)
-        if len(defs) == 1:
-            return defs[0]
-        return None
-
     def uses_of(self, node: FlowNode) -> Set[object]:
-        return self._uses_at[node]
-
-    def defs_of(self, node: FlowNode) -> Set[object]:
-        return self._defs_at[node]
-
-    def def_use_map(self) -> Dict[FlowNode, List[FlowNode]]:
-        """Invert the chains: for each defining node, the nodes that may
-        use one of its definitions."""
-        result: Dict[FlowNode, List[FlowNode]] = defaultdict(list)
-        for node in self.graph.nodes:
-            for loc in self._uses_at[node]:
-                for d in self.defs_reaching(node, loc):
-                    if node not in result[d.node]:
-                        result[d.node].append(node)
-        return result
+        return self._uses_at[node.index]
 
 
 def _is_strong_def(node: FlowNode) -> bool:

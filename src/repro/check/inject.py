@@ -58,6 +58,11 @@ class InjectedBug(PipelineHook):
     list so the checker's snapshot of that pass sees the damage.
     """
 
+    #: Tells the driver to drop the function's cached analyses after
+    #: this hook ran: later passes must analyse the corrupted IL, as
+    #: they would a real miscompile's output.
+    mutates_il = True
+
     def __init__(self, after: str, function: Optional[str] = None,
                  round_no: Optional[int] = None,
                  mutate: Callable[[N.ILProgram, Optional[str]], bool]

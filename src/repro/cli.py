@@ -31,6 +31,8 @@ from .il.printer import format_program
 from .inline.database import InlineDatabase
 from .interp import ENGINES
 from .obs import schemas, telemetry
+from .obs.counters import (format_analysis_solves,
+                           record_analysis_solves)
 from .obs.log import Logger
 from .obs.metrics import MetricsRegistry, SpanMetricsConsumer
 from .obs.report import CompilationReport, metrics_from_result
@@ -404,6 +406,8 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                                            checker=checker)
     if args.stats:
         print("\n" + report.format_stats(), file=sys.stderr)
+        print(format_analysis_solves(result.analysis_solves),
+              file=sys.stderr)
 
     if args.report_json:
         report.write(args.report_json)
@@ -424,6 +428,8 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
         metrics_from_result(result, report.counters, report.loops,
                             registry=session_registry,
                             trace_spans=False)
+        record_analysis_solves(session_registry,
+                               result.analysis_solves)
         if event_writer is not None:
             event_writer.write_metrics(session_registry)
         if args.metrics_prom:

@@ -262,7 +262,14 @@ class Iota(Expr):
 # Statements
 # ---------------------------------------------------------------------------
 
-_sid_counter = itertools.count(1)
+_next_sid = 1
+
+
+def _draw_sid() -> int:
+    global _next_sid
+    sid = _next_sid
+    _next_sid += 1
+    return sid
 
 
 def reset_sids(start: int = 1) -> None:
@@ -277,9 +284,15 @@ def reset_sids(start: int = 1) -> None:
     source always yields the same sids, exactly as in a fresh
     process.  Statements cloned afterwards (e.g. database imports
     during inlining) draw fresh sids from the reset sequence, which is
-    equally deterministic."""
-    global _sid_counter
-    _sid_counter = itertools.count(start)
+    equally deterministic.  ``start`` resumes a sequence at a position
+    :func:`sid_position` reported earlier."""
+    global _next_sid
+    _next_sid = start
+
+
+def sid_position() -> int:
+    """The sid the next statement will draw."""
+    return _next_sid
 
 
 @dataclass(eq=False)
@@ -287,8 +300,7 @@ class Stmt:
     """Base class of IL statements.  ``sid`` is a stable identity used
     by use-def chains and the dependence graph."""
 
-    sid: int = field(default_factory=lambda: next(_sid_counter),
-                     kw_only=True)
+    sid: int = field(default_factory=_draw_sid, kw_only=True)
     # 1-based source line the statement was lowered from (0 = synthetic
     # or unknown).  Carried through transformations so optimization
     # remarks and the hot-loop profiler can point at the C source.
@@ -513,18 +525,34 @@ class ILProgram:
 
 
 def walk_statements(stmts: Sequence[Stmt]) -> Iterator[Stmt]:
-    """Preorder traversal of a statement list and all nested lists."""
-    for stmt in stmts:
-        yield stmt
-        for sub in stmt.substatements():
-            yield from walk_statements(sub)
+    """Preorder traversal of a statement list and all nested lists.
+
+    Iterative (an explicit stack of list iterators): one generator
+    resume per statement whatever the nesting depth, and no recursion
+    limit on adversarially nested input."""
+    stack = [iter(stmts)]
+    while stack:
+        for stmt in stack[-1]:
+            yield stmt
+            subs = stmt.substatements()
+            if subs:
+                stack.append(itertools.chain.from_iterable(subs))
+                break
+        else:
+            stack.pop()
 
 
 def walk_expr(expr: Expr) -> Iterator[Expr]:
-    """Preorder traversal of an expression tree."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expr(child)
+    """Preorder traversal of an expression tree (iterative, like
+    :func:`walk_statements`)."""
+    stack = [expr]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        yield node
+        kids = node.children()
+        if kids:
+            stack.extend(kids[::-1])
 
 
 def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
@@ -552,10 +580,17 @@ def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
 
 
 def map_expr(expr: Expr, fn) -> Expr:
-    """Rebuild ``expr`` bottom-up, applying ``fn`` to each node."""
-    children = [map_expr(c, fn) for c in expr.children()]
-    if children:
-        expr = expr.replace_children(children)
+    """Apply ``fn`` to each node bottom-up.  A node whose children all
+    came back unchanged is passed to ``fn`` as is, not rebuilt — so
+    ``map_expr(e, fn) is e`` exactly when ``fn`` changed nothing, and
+    callers can tell "did this rewrite do anything" by identity."""
+    kids = expr.children()
+    if kids:
+        new = [map_expr(c, fn) for c in kids]
+        for old_kid, new_kid in zip(kids, new):
+            if new_kid is not old_kid:
+                expr = expr.replace_children(new)
+                break
     return fn(expr)
 
 
@@ -590,8 +625,12 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 
 
 def clone_expr(expr: Expr) -> Expr:
-    """Deep-copy an expression tree (symbols are shared, nodes are not)."""
-    return map_expr(expr, lambda e: e)
+    """Copy an expression tree: interior nodes are fresh, leaves and
+    symbols are shared (expressions are never mutated in place)."""
+    kids = expr.children()
+    if not kids:
+        return expr
+    return expr.replace_children([clone_expr(c) for c in kids])
 
 
 def int_const(value: int) -> Const:

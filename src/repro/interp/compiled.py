@@ -305,12 +305,22 @@ def _make_storer(memory: Memory,
 
 
 class _CompiledFunction:
-    __slots__ = ("fn", "invoke")
+    __slots__ = ("fn", "invoke", "cells")
 
     def __init__(self, fn: N.ILFunction,
-                 invoke: Callable[[List[Value]], Optional[Value]]):
+                 invoke: Callable[[List[Value]], Optional[Value]],
+                 cells: Sequence[List] = ()):
         self.fn = fn
         self.invoke = invoke
+        #: The step network's successor cells (``[step]`` each).  A
+        #: loop makes the steps a reference cycle through them.
+        self.cells = cells
+
+    def close(self) -> None:
+        """Unlink the step network so it is freed with its engine."""
+        for cell in self.cells:
+            cell[0] = None
+        self.invoke = None
 
 
 class _FunctionCompiler:
@@ -1838,6 +1848,7 @@ class _FunctionCompiler:
                 compiled[node] = self._compile_node(node, cell)
         for node, fn in compiled.items():
             cell(node)[0] = fn
+        self._cells = tuple(cells.values())
         return compiled[graph.entry]
 
     def _compile_node(self, node: FlowNode, cell: Callable) -> Callable:
@@ -2033,7 +2044,7 @@ class _FunctionCompiler:
                     return frame[0]
                 finally:
                     memory.release(mark)
-            return _CompiledFunction(fn, invoke)
+            return _CompiledFunction(fn, invoke, self._cells)
 
         def invoke(args):
             if len(args) != nparams:
@@ -2061,7 +2072,7 @@ class _FunctionCompiler:
             finally:
                 memory.release(mark)
                 hook("fn_exit", name)
-        return _CompiledFunction(fn, invoke)
+        return _CompiledFunction(fn, invoke, self._cells)
 
 
 # ---------------------------------------------------------------------------
@@ -2104,9 +2115,15 @@ class CompiledInterpreter(Interpreter):
         self._step_cell[0] = count
         _raise_limit(self.max_steps)
 
-    def invalidate_graphs(self) -> None:
-        super().invalidate_graphs()
+    def _drop_graphs(self) -> None:
+        super()._drop_graphs()
+        for compiled in self._compiled.values():
+            compiled.close()
         self._compiled.clear()
+
+    def close(self) -> None:
+        super().close()
+        self._compiled_hook = self._tick_compiled = None
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:

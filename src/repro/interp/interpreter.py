@@ -216,7 +216,35 @@ class Interpreter:
 
     def invalidate_graphs(self) -> None:
         """Call after transforming the program in place."""
+        self._drop_graphs()
+
+    def _drop_graphs(self) -> None:
+        """Forget (and unlink: they are reference cycles) the flow
+        graphs and whatever an engine compiled from them — this
+        engine's own state only, which is why ``close`` calls it and
+        not ``invalidate_graphs`` (the bytecode tier's also drops the
+        code cache it shares across engines)."""
+        for graph in self._graphs.values():
+            graph.close()
         self._graphs.clear()
+
+    def close(self) -> None:
+        """Release what a finished run no longer needs: the memory
+        image, the flow graphs and functions compiled from them, the
+        hook and device references.  An engine and the closures
+        compiled for it point at each other, so a dropped engine would
+        otherwise keep its image until the cycle collector next runs.
+        ``stdout`` and ``steps`` stay readable."""
+        self._drop_graphs()
+        self.cost_hook = None
+        self.devices.clear()
+        self.memory.data = bytearray()
+
+    def __enter__(self) -> "Interpreter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:

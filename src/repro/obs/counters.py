@@ -122,3 +122,37 @@ def counters_from_result(result) -> CounterStore:
                 store.add_stats(pass_name, stats, function=name)
     store.bump("schedule", "loops_scheduled", len(result.schedules))
     return store
+
+
+# ---------------------------------------------------------------------------
+# Analysis reuse (the per-function holder's built/reused tallies)
+# ---------------------------------------------------------------------------
+
+ANALYSIS_SOLVES_FAMILY = "titancc_analysis_solves_total"
+
+
+def _solve_tallies(solves):
+    """Every (analysis, outcome, count) in a fixed order, zeros
+    included — "reused=0" is the regression these exist to show."""
+    for analysis in ("flowgraph", "liveness", "usedef"):
+        for outcome in ("built", "reused"):
+            yield analysis, outcome, solves.get((analysis, outcome), 0)
+
+
+def format_analysis_solves(solves) -> str:
+    """The ``--stats`` line for ``CompilationResult.analysis_solves``."""
+    return "analysis: " + " ".join(
+        f"{analysis}.{outcome}={count}"
+        for analysis, outcome, count in _solve_tallies(solves))
+
+
+def record_analysis_solves(registry, solves) -> None:
+    """Add the tallies to a registry as
+    ``titancc_analysis_solves_total{analysis, outcome}``.  They stay
+    out of the compilation report on purpose: the report's bytes are
+    cached and compared across versions, and how often an analysis was
+    re-solved is a property of the compiler, not of the compiled
+    program."""
+    for analysis, outcome, count in _solve_tallies(solves):
+        registry.counter(ANALYSIS_SOLVES_FAMILY, {
+            "analysis": analysis, "outcome": outcome}).inc(count)

@@ -59,6 +59,10 @@ class CondSplitStats:
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
+    @property
+    def changed(self) -> bool:
+        return self.split > 0
+
 
 class TerminationSplitter:
     def __init__(self, symtab: SymbolTable):

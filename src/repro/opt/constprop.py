@@ -31,7 +31,8 @@ PASS_DESCRIPTION = "constant propagation + unreachable pruning (section 8)"
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Union
 
-from ..analysis.flowgraph import FlowGraph, FlowNode, MEMORY
+from ..analysis.flowgraph import FlowGraph, FlowNode
+from ..analysis.manager import FunctionAnalyses
 from ..analysis.usedef import UseDefChains
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
@@ -50,20 +51,28 @@ class ConstPropStats:
 
 def propagate_constants(fn: N.ILFunction,
                         globals_: Sequence[N.GlobalVar] = (),
-                        max_rounds: int = 50) -> ConstPropStats:
+                        max_rounds: int = 50,
+                        analyses: Optional[FunctionAnalyses] = None
+                        ) -> ConstPropStats:
+    """``analyses`` is the caller's holder for ``fn``; each round that
+    changes the function invalidates it, so the final (no-change)
+    round's flow graph and chains stay valid for the passes behind."""
     stats = ConstPropStats()
+    if analyses is None:
+        analyses = FunctionAnalyses(fn, globals_)
     while stats.rounds < max_rounds:
         stats.rounds += 1
-        changed = _one_round(fn, globals_, stats)
+        changed = _one_round(fn, analyses, stats)
+        analyses.invalidate(changed)
         if not changed:
             break
     return stats
 
 
-def _one_round(fn: N.ILFunction, globals_: Sequence[N.GlobalVar],
+def _one_round(fn: N.ILFunction, analyses: FunctionAnalyses,
                stats: ConstPropStats) -> bool:
-    graph = FlowGraph(fn)
-    chains = UseDefChains(graph, globals_)
+    graph = analyses.graph
+    chains = analyses.chains
     consts = _constant_defs(graph, chains)
     changed = _rewrite_uses(graph, chains, consts, stats)
     changed |= _simplify_all(fn.body)
@@ -122,33 +131,23 @@ def _single_constant(chains: UseDefChains, node: FlowNode, sym: Symbol,
         values.add(const.value)
     if len(values) != 1:
         return None
-    for d in defs:
-        return consts[d.node]
-    return None
+    return consts[defs[0].node]
 
 
 def _substitute_use(node: FlowNode, stmt: N.Stmt, sym: Symbol,
                     replacement: N.Const) -> bool:
-    """Substitute sym in the parts of ``stmt`` this flow node models."""
-    before = _stmt_signature(stmt)
+    """Substitute sym in the parts of ``stmt`` this flow node models;
+    report whether a read was actually replaced."""
     if node.kind in ("assign", "call", "return", "cond"):
-        utils.substitute_in_stmt(stmt, sym, replacement)
-    elif node.kind == "do_init":
+        return utils.substitute_in_stmt(stmt, sym, replacement)
+    if node.kind == "do_init":
         assert isinstance(stmt, N.DoLoop)
-        stmt.lo = utils.substitute_var(stmt.lo, sym, replacement)
+        lo, hi = stmt.lo, stmt.hi
+        stmt.lo = utils.substitute_var(lo, sym, replacement)
         if sym != stmt.var:
-            stmt.hi = utils.substitute_var(stmt.hi, sym, replacement)
-    else:
-        return False
-    return _stmt_signature(stmt) != before
-
-
-def _stmt_signature(stmt: N.Stmt) -> str:
-    from ..il.printer import format_stmt
-    try:
-        return "\n".join(format_stmt(stmt))
-    except TypeError:
-        return repr(stmt)
+            stmt.hi = utils.substitute_var(hi, sym, replacement)
+        return stmt.lo is not lo or stmt.hi is not hi
+    return False
 
 
 def _simplify_all(stmts: List[N.Stmt]) -> bool:
@@ -157,7 +156,7 @@ def _simplify_all(stmts: List[N.Stmt]) -> bool:
     def update(expr: N.Expr) -> N.Expr:
         nonlocal changed
         new = simplify(expr)
-        if not N.expr_equal(new, expr):
+        if new is not expr and not N.expr_equal(new, expr):
             changed = True
             return new
         return expr

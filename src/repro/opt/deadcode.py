@@ -21,10 +21,9 @@ PASS_NAME = "deadcode"
 PASS_DESCRIPTION = "dead-code elimination (section 8)"
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from ..analysis.flowgraph import FlowGraph
-from ..analysis.liveness import Liveness
+from ..analysis.manager import FunctionAnalyses
 from ..il import nodes as N
 from . import utils
 
@@ -39,24 +38,36 @@ class DCEStats:
 
 
 def eliminate_dead_code(fn: N.ILFunction,
-                        globals_: Sequence[N.GlobalVar] = ()) -> DCEStats:
+                        globals_: Sequence[N.GlobalVar] = (),
+                        analyses: Optional[FunctionAnalyses] = None
+                        ) -> DCEStats:
+    """``analyses`` is the caller's holder for ``fn``: every sub-step
+    that changes the function invalidates it, so the two liveness
+    consumers share one solve whenever nothing moved between them and
+    the last (no-change) iteration leaves a valid set behind."""
     stats = DCEStats()
+    if analyses is None:
+        analyses = FunctionAnalyses(fn, globals_)
+
+    def did(step_changed: bool) -> bool:
+        analyses.invalidate(step_changed)
+        return step_changed
+
     while True:
         stats.iterations += 1
-        changed = _prune_unreachable_tails(fn.body, stats)
-        changed |= _remove_dead_assigns(fn, globals_, stats)
-        changed |= _remove_dead_labels(fn, stats)
-        changed |= _remove_empty_ifs(fn.body, stats)
-        changed |= _remove_empty_do_loops(fn, globals_, stats)
+        changed = did(_prune_unreachable_tails(fn.body, stats))
+        changed |= did(_remove_dead_assigns(fn, analyses, stats))
+        changed |= did(_remove_dead_labels(fn, stats))
+        changed |= did(_remove_empty_ifs(fn.body, stats))
+        changed |= did(_remove_empty_do_loops(fn, analyses, stats))
         if not changed or stats.iterations > 50:
             return stats
 
 
-def _remove_dead_assigns(fn: N.ILFunction,
-                         globals_: Sequence[N.GlobalVar],
+def _remove_dead_assigns(fn: N.ILFunction, analyses: FunctionAnalyses,
                          stats: DCEStats) -> bool:
-    graph = FlowGraph(fn)
-    liveness = Liveness(graph, globals_)
+    graph = analyses.graph
+    liveness = analyses.liveness
     owners = _owner_map(fn.body)
     changed = False
     for node in graph.nodes:
@@ -111,13 +122,15 @@ def _remove_empty_ifs(stmts: List[N.Stmt], stats: DCEStats) -> bool:
     return changed
 
 
-def _remove_empty_do_loops(fn: N.ILFunction,
-                           globals_: Sequence[N.GlobalVar],
+def _remove_empty_do_loops(fn: N.ILFunction, analyses: FunctionAnalyses,
                            stats: DCEStats) -> bool:
     """An empty DO loop only sets its variable; if that value is dead,
     the loop goes (bounds are pure by IL construction)."""
-    graph = FlowGraph(fn)
-    liveness = Liveness(graph, globals_)
+    if not any(isinstance(stmt, N.DoLoop) and not stmt.body
+               for stmt in fn.all_statements()):
+        return False  # nothing to ask liveness about
+    graph = analyses.graph
+    liveness = analyses.liveness
     owners = _owner_map(fn.body)
     changed = False
     for node in graph.nodes:

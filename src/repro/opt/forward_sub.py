@@ -44,6 +44,12 @@ class SubstitutionStats:
     # paper's blocking lists).
     blocking: Dict[int, Set[int]] = field(default_factory=dict)
 
+    @property
+    def changed(self) -> bool:
+        """Did the pass edit the IL?  (The driver invalidates the
+        function's cached analyses on it.)"""
+        return self.substitutions > 0
+
 
 def _substitutable_rhs(expr: N.Expr, aggressive: bool) -> bool:
     """May this RHS be duplicated into its use sites?

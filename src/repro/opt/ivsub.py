@@ -49,6 +49,10 @@ class IVSubStats:
     backtracks: int = 0
     substitutions: int = 0
 
+    @property
+    def changed(self) -> bool:
+        return self.ivs_substituted > 0 or self.substitutions > 0
+
 
 class InductionVariableSubstitution:
     def __init__(self, symtab: SymbolTable,

@@ -106,34 +106,42 @@ def substitute_var(expr: N.Expr, sym: Symbol,
 
 
 def substitute_in_stmt(stmt: N.Stmt, sym: Symbol,
-                       replacement: N.Expr) -> None:
+                       replacement: N.Expr) -> bool:
     """In-place substitution of ``sym`` in the statement's own
-    expressions (rvalues and address parts of the target)."""
+    expressions (rvalues and address parts of the target).  Returns
+    whether any read was replaced (``map_expr`` hands back the same
+    node when nothing below it changed)."""
+    changed = False
+
+    def sub(expr: N.Expr) -> N.Expr:
+        nonlocal changed
+        new = substitute_var(expr, sym, replacement)
+        changed |= new is not expr
+        return new
+
     if isinstance(stmt, N.Assign):
-        stmt.value = substitute_var(stmt.value, sym, replacement)
+        stmt.value = sub(stmt.value)
         if isinstance(stmt.target, N.Mem):
-            stmt.target = N.Mem(
-                addr=substitute_var(stmt.target.addr, sym, replacement),
-                ctype=stmt.target.ctype)
+            stmt.target = N.Mem(addr=sub(stmt.target.addr),
+                                ctype=stmt.target.ctype)
     elif isinstance(stmt, N.VectorAssign):
-        stmt.value = substitute_var(stmt.value, sym, replacement)
-        stmt.target = substitute_var(stmt.target, sym, replacement)
+        stmt.value = sub(stmt.value)
+        stmt.target = sub(stmt.target)
         if stmt.mask is not None:
-            stmt.mask = substitute_var(stmt.mask, sym, replacement)
+            stmt.mask = sub(stmt.mask)
     elif isinstance(stmt, N.VectorReduce):
-        stmt.value = substitute_var(stmt.value, sym, replacement)
-        stmt.length = substitute_var(stmt.length, sym, replacement)
+        stmt.value = sub(stmt.value)
+        stmt.length = sub(stmt.length)
     elif isinstance(stmt, N.CallStmt):
-        stmt.call = substitute_var(stmt.call, sym, replacement)
-    elif isinstance(stmt, N.IfStmt):
-        stmt.cond = substitute_var(stmt.cond, sym, replacement)
-    elif isinstance(stmt, N.WhileLoop):
-        stmt.cond = substitute_var(stmt.cond, sym, replacement)
+        stmt.call = sub(stmt.call)
+    elif isinstance(stmt, (N.IfStmt, N.WhileLoop)):
+        stmt.cond = sub(stmt.cond)
     elif isinstance(stmt, N.DoLoop):
-        stmt.lo = substitute_var(stmt.lo, sym, replacement)
-        stmt.hi = substitute_var(stmt.hi, sym, replacement)
+        stmt.lo = sub(stmt.lo)
+        stmt.hi = sub(stmt.hi)
     elif isinstance(stmt, N.Return) and stmt.value is not None:
-        stmt.value = substitute_var(stmt.value, sym, replacement)
+        stmt.value = sub(stmt.value)
+    return changed
 
 
 def stmt_reads(stmt: N.Stmt) -> Set[Symbol]:
@@ -149,8 +157,6 @@ def stmt_reads(stmt: N.Stmt) -> Set[Symbol]:
                 out.update(N.vars_read(expr.length))
             continue
         out.update(N.vars_read(expr))
-    if isinstance(stmt, N.DoLoop):
-        pass  # lo/hi covered by stmt_exprs
     return out
 
 

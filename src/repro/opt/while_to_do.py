@@ -63,6 +63,10 @@ class WhileToDoStats:
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
+    @property
+    def changed(self) -> bool:
+        return self.converted > 0
+
 
 class WhileToDo:
     """Converts eligible while loops in one function, innermost first."""

@@ -21,10 +21,12 @@ the dumps against the transcripts printed in the paper.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .analysis.manager import FunctionAnalyses
 from .frontend.lower import compile_to_il
 from .il import nodes as N
 from .il.printer import format_function, format_program
@@ -95,10 +97,16 @@ class PipelineHook:
     checker (:mod:`repro.check.checker`) and the miscompile bisector
     (:mod:`repro.check.bisect`) — but a hook *may* mutate the program
     (that is how :class:`repro.check.inject.InjectedBug` plants
-    deliberate miscompiles for testing the bisector).  With no hooks
-    installed the pipeline takes the exact pre-hook code path: the
-    default compile is observation-free.
+    deliberate miscompiles for testing the bisector) provided it says
+    so: after a hook with ``mutates_il = True`` the driver drops the
+    function's cached analyses.  Observing hooks therefore see exactly
+    the compile an unhooked run performs — same cached analyses, same
+    solve counts — and with no hooks installed the pipeline takes the
+    exact pre-hook code path: the default compile is observation-free.
     """
+
+    #: Set on hooks whose ``after_pass`` edits the program.
+    mutates_il = False
 
     def before_pass(self, name: str, function: str = "",
                     round_no: int = 0) -> None:
@@ -146,6 +154,10 @@ class CompilationResult:
     # Pre-vectorization dependence-graph exports (LoopDepExport), one
     # per innermost DO loop; populated when options.collect_deps.
     dep_graphs: List[object] = field(default_factory=list)
+    # (analysis, "built" | "reused") -> requests the passes made of
+    # the per-function analysis holders: the
+    # ``titancc_analysis_solves_total`` family.
+    analysis_solves: Counter = field(default_factory=Counter)
 
     def stage_text(self, stage: str) -> str:
         for dump in self.stages:
@@ -167,6 +179,11 @@ class TitanCompiler:
         self.options = options or CompilerOptions()
         self.database = database
         self.hooks: tuple = tuple(hooks)
+        self._hooks_mutate = any(getattr(hook, "mutates_il", False)
+                                 for hook in self.hooks)
+        #: Holder for the function the driver is working on (None
+        #: outside the scalar rounds and the final DCE).
+        self._analyses: Optional[FunctionAnalyses] = None
 
     # ------------------------------------------------------------------
 
@@ -183,6 +200,8 @@ class TitanCompiler:
         yield
         for hook in self.hooks:
             hook.after_pass(name, program, function, round_no)
+        if self._hooks_mutate and self._analyses is not None:
+            self._analyses.invalidate()
 
     # ------------------------------------------------------------------
 
@@ -336,8 +355,10 @@ class TitanCompiler:
         if opts.scalar_opt:
             with trace.span("final-dce") as args:
                 for name, fn in program.functions.items():
-                    with self._pass("deadcode", program, name):
-                        eliminate_dead_code(fn, program.globals)
+                    with self._holding(fn, program, result) as analyses, \
+                            self._pass("deadcode", program, name):
+                        eliminate_dead_code(fn, program.globals,
+                                            analyses)
                 args["statements"] = _program_statements(program)
             self._dump(result, "final")
         with trace.span("validate"):
@@ -346,56 +367,86 @@ class TitanCompiler:
 
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def _holding(self, fn: N.ILFunction, program: N.ILProgram,
+                 result: CompilationResult):
+        """The analysis holder for ``fn`` while the driver works on it;
+        its graphs are unlinked on the way out."""
+        with FunctionAnalyses(fn, program.globals,
+                              result.analysis_solves) as analyses:
+            self._analyses = analyses
+            try:
+                yield analyses
+            finally:
+                self._analyses = None
+
     def _scalar_round(self, program: N.ILProgram,
                       result: CompilationResult,
                       remarks: Optional[RemarkCollector] = None,
                       round_no: int = 0) -> None:
+        """One round over every function.  Constprop and DCE work off
+        the function's analysis holder and keep it valid themselves;
+        every other pass reports ``changed`` and the holder is
+        invalidated here on its behalf (section 5.2: build once, and
+        rebuild only after a transformation that disturbed something)."""
         opts = self.options
         for name, fn in program.functions.items():
-            # Copy propagation first, so while conditions that test a
-            # front-end temp (`while (temp != 0)`) expose the variable.
-            with self._pass("forward-sub", program, name, round_no):
-                for lst in utils.each_stmt_list(fn.body):
-                    forward_substitute(lst, aggressive=False)
-            with self._pass("while-to-do", program, name, round_no):
-                wstats = WhileToDo(program.symtab,
-                                   strict=opts.strict_while_conversion,
-                                   remarks=remarks).run(fn)
-            _merge(result.while_to_do_stats, name, wstats,
-                   ("examined", "converted"))
-            if opts.split_termination:
-                from .opt.cond_split import TerminationSplitter
-                with self._pass("cond-split", program, name, round_no):
-                    splitter = TerminationSplitter(program.symtab)
-                    sstats = splitter.run(fn)
-                _merge(result.cond_split_stats, name, sstats,
-                       ("examined", "split"))
-            with self._pass("ivsub", program, name, round_no):
-                istats = InductionVariableSubstitution(
-                    program.symtab, remarks=remarks).run(fn)
-            _merge(result.ivsub_stats, name, istats,
-                   ("loops", "ivs_substituted", "sweeps", "backtracks",
-                    "substitutions"))
-            with self._pass("constprop", program, name, round_no):
-                cstats = propagate_constants(fn, program.globals)
-            _merge(result.constprop_stats, name, cstats,
-                   ("rounds", "constants_propagated", "branches_folded",
-                    "loops_deleted", "statements_deleted"))
-            with self._pass("forward-sub", program, name, round_no):
-                for lst in utils.each_stmt_list(fn.body):
-                    forward_substitute(lst, aggressive=False)
-            with self._pass("deadcode", program, name, round_no):
-                dstats = eliminate_dead_code(fn, program.globals)
-            _merge(result.dce_stats, name, dstats,
-                   ("assignments_removed", "labels_removed",
-                    "empty_ifs_removed", "unreachable_removed",
-                    "iterations"))
+            with self._holding(fn, program, result) as analyses:
+                # Copy propagation first, so while conditions that test a
+                # front-end temp (`while (temp != 0)`) expose the variable.
+                with self._pass("forward-sub", program, name, round_no):
+                    analyses.invalidate(_copy_propagate(fn))
+                with self._pass("while-to-do", program, name, round_no):
+                    wstats = WhileToDo(program.symtab,
+                                       strict=opts.strict_while_conversion,
+                                       remarks=remarks).run(fn)
+                    analyses.invalidate(wstats.changed)
+                _merge(result.while_to_do_stats, name, wstats,
+                       ("examined", "converted"))
+                if opts.split_termination:
+                    from .opt.cond_split import TerminationSplitter
+                    with self._pass("cond-split", program, name, round_no):
+                        splitter = TerminationSplitter(program.symtab)
+                        sstats = splitter.run(fn)
+                        analyses.invalidate(sstats.changed)
+                    _merge(result.cond_split_stats, name, sstats,
+                           ("examined", "split"))
+                with self._pass("ivsub", program, name, round_no):
+                    istats = InductionVariableSubstitution(
+                        program.symtab, remarks=remarks).run(fn)
+                    analyses.invalidate(istats.changed)
+                _merge(result.ivsub_stats, name, istats,
+                       ("loops", "ivs_substituted", "sweeps", "backtracks",
+                        "substitutions"))
+                with self._pass("constprop", program, name, round_no):
+                    cstats = propagate_constants(fn, program.globals,
+                                                 analyses=analyses)
+                _merge(result.constprop_stats, name, cstats,
+                       ("rounds", "constants_propagated", "branches_folded",
+                        "loops_deleted", "statements_deleted"))
+                with self._pass("forward-sub", program, name, round_no):
+                    analyses.invalidate(_copy_propagate(fn))
+                with self._pass("deadcode", program, name, round_no):
+                    dstats = eliminate_dead_code(fn, program.globals, analyses)
+                _merge(result.dce_stats, name, dstats,
+                       ("assignments_removed", "labels_removed",
+                        "empty_ifs_removed", "unreachable_removed",
+                        "iterations"))
 
     def _dump(self, result: CompilationResult, stage: str) -> None:
         if self.options.dump_stages:
             result.stages.append(
                 StageDump(stage=stage,
                           text=format_program(result.program)))
+
+
+def _copy_propagate(fn: N.ILFunction) -> bool:
+    """Conservative forward substitution over every statement list of
+    ``fn``; reports whether anything was substituted."""
+    changed = False
+    for lst in utils.each_stmt_list(fn.body):
+        changed |= forward_substitute(lst, aggressive=False).changed
+    return changed
 
 
 def _program_statements(program: N.ILProgram) -> int:

@@ -142,11 +142,32 @@ class CatalogEntry:
         return InlineDatabase.loads(self.blob)
 
 
-def build_catalog(source: str,
-                  filename: str = "<catalog>") -> CatalogEntry:
-    """Front-end parse + catalog one source (no optimization).  The
-    sid counter is rewound first so identical content always yields
-    an identical catalog blob and IL hash, whatever the process parsed
+@dataclasses.dataclass
+class ParsedSource:
+    """One front-end parse, as both cache levels need it: the program
+    (unoptimized), the hash of its printed IL, and the sid the next
+    statement would draw — what a compile resuming from this parse must
+    pass to ``reset_sids`` to number new statements as a fresh parse
+    would."""
+
+    program: object  # ILProgram
+    il_sha256: str
+    next_sid: int
+
+    def catalog(self, source: str) -> CatalogEntry:
+        """Snapshot the program's procedures (a pickle, so optimizing
+        the program afterwards cannot reach the catalog)."""
+        db = InlineDatabase()
+        db.add_program(self.program)
+        return CatalogEntry(source_sha256=content_hash(source),
+                            il_sha256=self.il_sha256,
+                            blob=db.dumps(), names=db.names())
+
+
+def parse_source(source: str, filename: str) -> ParsedSource:
+    """Run the front end.  The sid counter is rewound first so
+    identical content always yields identical sids (hence an identical
+    catalog blob, IL hash and payload), whatever the process parsed
     before."""
     from ..frontend.lower import compile_to_il
     from ..il import nodes as N
@@ -159,11 +180,14 @@ def build_catalog(source: str,
     # lines.  Hashing lines in keeps level B exactly as strong as the
     # payload it addresses.
     il_text = format_program(program, show_lines=True)
-    db = InlineDatabase()
-    db.add_program(program)
-    return CatalogEntry(source_sha256=content_hash(source),
-                        il_sha256=content_hash(il_text),
-                        blob=db.dumps(), names=db.names())
+    return ParsedSource(program, content_hash(il_text),
+                        N.sid_position())
+
+
+def build_catalog(source: str,
+                  filename: str = "<catalog>") -> CatalogEntry:
+    """Front-end parse + catalog one source (no optimization)."""
+    return parse_source(source, filename).catalog(source)
 
 
 class CatalogCache:

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence
 from ..jobs import TaskOutcome, WorkerPool
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import CompilerOptions
-from .cache import CatalogCache, LRUCache, build_catalog, content_hash
+from .cache import (CatalogCache, LRUCache, build_catalog,
+                    content_hash, parse_source)
 from .protocol import (CompileRequest, ServiceError, error_response,
                        make_response)
 from .worker import pool_task, request_fingerprint
@@ -99,6 +100,7 @@ class CompileService:
                     "request": prepared["request"],
                     "cache": prepared["cache"],
                     "catalogs": prepared["catalogs"],
+                    "parsed": prepared["parsed"],
                     "followers": []}
             inflight[key] = slot
             tasks.append(slot)
@@ -107,7 +109,8 @@ class CompileService:
             outcomes = self.pool.map_ordered(
                 pool_task,
                 [{"request": slot["request"],
-                  "catalogs": slot["catalogs"]} for slot in tasks])
+                  "catalogs": slot["catalogs"],
+                  "parsed": slot.pop("parsed")} for slot in tasks])
             for slot, outcome in zip(tasks, outcomes):
                 self._merge(slot, outcome, responses)
 
@@ -174,11 +177,19 @@ class CompileService:
         cache_meta = {"catalog": None, "artifact": None,
                       "source_sha256": source_sha}
         builds_before = self.catalogs.builds
+        # On a miss, keep the parse for the compile that follows
+        # in-process (a pooled worker parses for itself: shipping IL
+        # costs more than the front end).  Transient by design — it
+        # rides the dispatch descriptor and is never cached.
+        parsed = []
+
+        def build():
+            parsed.append(parse_source(request.source,
+                                       request.filename))
+            return parsed[0].catalog(request.source)
+
         try:
-            catalog = self.catalogs.get_or_build(
-                source_sha,
-                lambda: build_catalog(request.source,
-                                      request.filename))
+            catalog = self.catalogs.get_or_build(source_sha, build)
             cache_meta["catalog"] = \
                 "miss" if self.catalogs.builds > builds_before \
                 else "hit"
@@ -214,7 +225,9 @@ class CompileService:
                 cache=cache_meta)}
         cache_meta["artifact"] = "miss"
         return {"request": request, "key": key, "cache": cache_meta,
-                "catalogs": catalogs}
+                "catalogs": catalogs,
+                "parsed": parsed[0] if parsed
+                and not self.pool.parallel else None}
 
     def _merge(self, slot: dict, outcome: TaskOutcome,
                responses: Dict[int, dict]) -> None:

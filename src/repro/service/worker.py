@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from ..frontend.lower import compile_to_il
 from ..il import nodes as N
 from ..il.printer import format_program
 from ..inline.database import InlineDatabase
@@ -31,8 +30,8 @@ from ..obs.trace import PassTracer
 from ..pipeline import TitanCompiler, _program_statements
 from ..titan.config import TitanConfig
 from ..titan.simulator import TitanSimulator
-from .cache import CatalogEntry, build_catalog, content_hash, \
-    options_fingerprint
+from .cache import (CatalogEntry, ParsedSource, build_catalog,
+                    content_hash, options_fingerprint, parse_source)
 from .protocol import (CompileRequest, ServiceError, canonicalize_report,
                        error_response, make_response)
 
@@ -65,9 +64,9 @@ def _artifact_section(result, request: CompileRequest) -> dict:
     functions: Dict[str, dict] = {}
     program = result.program
     if request.engine == "bytecode":
-        interp = make_interpreter(program, engine="bytecode")
-        for name in sorted(program.functions):
-            functions[name] = interp.generated_code(name)
+        with make_interpreter(program, engine="bytecode") as interp:
+            for name in sorted(program.functions):
+                functions[name] = interp.generated_code(name)
     else:
         for name in sorted(program.functions):
             fn = program.functions[name]
@@ -80,12 +79,15 @@ def _artifact_section(result, request: CompileRequest) -> dict:
 
 
 def compile_payload(request: CompileRequest,
-                    catalogs: Optional[Dict[str, CatalogEntry]] = None
-                    ) -> dict:
+                    catalogs: Optional[Dict[str, CatalogEntry]] = None,
+                    parsed: Optional[ParsedSource] = None) -> dict:
     """Compile one request into its deterministic payload.  Raises on
     failure (callers classify); ``catalogs`` maps content hashes to
     pre-built §7 catalogs for the request's ``db_sources`` — any
-    missing ones are built here."""
+    missing ones are built here.  ``parsed`` is the front end's result
+    for ``request.source`` when the caller has just produced it (the
+    in-process server on a catalog miss): the compile consumes that
+    program instead of parsing the same bytes again."""
     catalogs = catalogs or {}
     database = None
     db_shas = []
@@ -105,14 +107,19 @@ def compile_payload(request: CompileRequest,
 
     # Front end split out of TitanCompiler.compile (same span, same
     # args) so the parsed IL is hashable before optimization.  Sids
-    # rewind first: the payload must not depend on what this process
-    # parsed earlier (catalog builds included), so every compile sees
-    # the counter state a fresh ``titancc`` process would.
-    N.reset_sids()
+    # rewind first (in parse_source): the payload must not depend on
+    # what this process parsed earlier (catalog builds included), so
+    # every compile sees the counter state a fresh ``titancc`` process
+    # would — and a handed-over parse resumes the counter where that
+    # parse left it.
     tracer = PassTracer()
     try:
         with tracer.span("front-end") as args:
-            program = compile_to_il(request.source, request.filename)
+            if parsed is None:
+                parsed = parse_source(request.source, request.filename)
+            else:
+                N.reset_sids(parsed.next_sid)
+            program = parsed.program
             args["statements"] = _program_statements(program)
             args["functions"] = len(program.functions)
     except Exception as exc:
@@ -122,8 +129,7 @@ def compile_payload(request: CompileRequest,
         # battery diffs the two).
         exc._titancc_phase = "frontend"
         raise
-    # Line annotations are part of the hash — see build_catalog.
-    il_sha = content_hash(format_program(program, show_lines=True))
+    il_sha = parsed.il_sha256
 
     compiler = TitanCompiler(request.options, database)
     result = compiler.compile_program(program,
@@ -136,11 +142,11 @@ def compile_payload(request: CompileRequest,
     titan_report = None
     run_section = None
     if request.run:
-        simulator = TitanSimulator(result.program, config,
-                                   schedules=result.schedules or None,
-                                   max_steps=request.max_steps,
-                                   engine=request.engine)
-        titan_report = simulator.run(request.run)
+        with TitanSimulator(result.program, config,
+                            schedules=result.schedules or None,
+                            max_steps=request.max_steps,
+                            engine=request.engine) as simulator:
+            titan_report = simulator.run(request.run)
         run_section = {
             "entry": request.run,
             "engine": request.engine,
@@ -171,7 +177,8 @@ def compile_payload(request: CompileRequest,
     }
 
 
-def execute_request(request, catalogs=None, cache=None) -> dict:
+def execute_request(request, catalogs=None, cache=None,
+                    parsed=None) -> dict:
     """The full per-request contract: request (dict or
     :class:`CompileRequest`) in, response envelope out, exceptions
     never.  This is both the in-process direct path (what the
@@ -187,7 +194,7 @@ def execute_request(request, catalogs=None, cache=None) -> dict:
         {"catalog": None, "artifact": None}
     cache.setdefault("source_sha256", content_hash(request.source))
     try:
-        payload = compile_payload(request, catalogs)
+        payload = compile_payload(request, catalogs, parsed)
     except ServiceError as exc:
         return error_response(request.id, exc, phase="request",
                               kind="invalid", cache=cache)
@@ -201,9 +208,12 @@ def execute_request(request, catalogs=None, cache=None) -> dict:
 
 def pool_task(task: dict) -> dict:
     """Jobs-layer entry point: ``{"request": CompileRequest,
-    "catalogs": {sha: CatalogEntry}}`` in, response plus a private
-    ``_worker`` stamp (stripped by the server) out."""
+    "catalogs": {sha: CatalogEntry}, "parsed": ParsedSource | None}``
+    in, response plus a private ``_worker`` stamp (stripped by the
+    server) out.  ``parsed`` is popped: the program it carries is
+    consumed by the compile and must not outlive it."""
     response = execute_request(task["request"],
-                               catalogs=task.get("catalogs"))
+                               catalogs=task.get("catalogs"),
+                               parsed=task.pop("parsed", None))
     response["_worker"] = {"pid": os.getpid()}
     return response

@@ -77,6 +77,17 @@ class TitanSimulator:
                                             max_steps=max_steps,
                                             cost_hook=self.cost_model)
 
+    def close(self) -> None:
+        """Release the engine's memory image, compiled functions and
+        hook references once the last run's report has been taken."""
+        self.interpreter.close()
+
+    def __enter__(self) -> "TitanSimulator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # Convenience passthroughs for test setup.
 
     def set_global_array(self, name: str, values: Sequence[Value]) -> None:

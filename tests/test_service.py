@@ -245,6 +245,72 @@ class TestDatabaseCatalogs:
         assert response["error"]["kind"] == "reject"
 
 
+class TestParseOnce:
+    """A cold miss hands the catalog build's parse to the compile."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import repro.frontend.lower as lower
+        calls = []
+        real = lower.compile_to_il
+
+        def counted(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(lower, "compile_to_il", counted)
+        return calls
+
+    def test_one_parse_per_cold_miss(self, service, parses):
+        cold = service.submit({"source": DAXPY, "run": "main"})
+        assert (cold["cache"]["catalog"], cold["cache"]["artifact"]) \
+            == ("miss", "miss")
+        assert len(parses) == 1
+        # Catalog hit + artifact miss: the worker half parses.
+        service.submit({"source": DAXPY, "run": "main",
+                        "options": {"vector_length": 16}})
+        assert len(parses) == 2
+        # Catalog miss + artifact hit: the hand-off is just dropped.
+        edited = service.submit({"source": DAXPY + "/* edit */\n",
+                                 "run": "main"})
+        assert (edited["cache"]["catalog"],
+                edited["cache"]["artifact"]) == ("miss", "hit")
+        assert len(parses) == 3
+        assert edited["payload"] == cold["payload"]
+
+    def test_handed_parse_gives_the_direct_path_payload(self, service):
+        """db_sources are parsed between the hand-off and its use, so
+        the compile must resume the sid counter, not inherit it."""
+        request = {"source": blas.library_client(n=32),
+                   "filename": "client.c",
+                   "db_sources": [blas.MATH_LIBRARY_C]}
+        direct = execute_request(request)
+        served = service.submit(request)
+        assert direct["status"] == served["status"] == "ok"
+        assert served["payload"] == direct["payload"]
+
+    def test_catalog_cache_retains_no_programs(self, service):
+        import dataclasses
+        from repro.service.cache import CatalogEntry
+        service.submit({"source": DAXPY})
+        (entry,) = [service.catalogs.lru.get(key, record=False)
+                    for key in service.catalogs.lru.keys()]
+        assert [f.name for f in dataclasses.fields(entry)] == \
+            ["source_sha256", "il_sha256", "blob", "names"]
+        rebuilt = CatalogEntry(source_sha256=entry.source_sha256,
+                               il_sha256=entry.il_sha256,
+                               blob=entry.blob, names=entry.names)
+        assert rebuilt == entry
+
+    def test_pooled_service_parses_in_the_worker(self, parses):
+        with CompileService(workers=2) as pooled:
+            response = pooled.submit({"source": DAXPY})
+        assert response["status"] == "ok"
+        # Single task: runs inline even with a pool configured, and
+        # takes the worker path (its own parse) all the same.
+        assert len(parses) == 2
+
+
 class TestServiceMain:
     def _run(self, tmp_path, lines, *extra):
         requests = tmp_path / "requests.jsonl"
