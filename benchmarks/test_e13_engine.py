@@ -1,17 +1,25 @@
-"""E13 — closure-compiled engine vs the tree-walking oracle.
+"""E13 — the fast engine vs the tree-walking oracle.
 
 Not a paper claim: this experiment gates the repo's own execution
 substrate.  The paper's compiler emitted native Titan code; our
 substitute interprets IL, so the interpreter's dispatch overhead is
-pure substrate tax.  The closure-compiled engine removes most of it —
-E13 measures by how much, on the three heaviest benchmark workloads,
-and proves the fast engine is *bit-identical* to the oracle on each.
+pure substrate tax.  The fast engine removes most of it — E13
+measures by how much, on the three heaviest benchmark workloads, and
+proves the fast engine is *bit-identical* to the oracle on each.
+
+Both halves of the fast engine are measured.  Uninstrumented it runs
+one generated Python function per IL function: that ratio is gated.
+Under the Titan simulator's cost hook it runs event-emitting
+closures: that rate is the one every simulated run pays, recorded as
+an ungated ``host_instrumented_*`` trend (the number ROADMAP item 4 —
+cost accounting in generated code — has to beat by 2x).
 
 Speedup is measured in interpreter steps/sec (the engines execute the
 same dynamic step sequence, so steps/sec ratios equal wall-clock
 ratios with the measurement noise of two short runs divided out).
-Each engine gets one warm-up run — closure compilation is a one-time,
-per-function cost — then the best of several timed runs.
+Each engine gets one warm-up run — lowering a function is a one-time
+cost — then the best of several timed batches, the engines taking
+turns.
 """
 
 import time
@@ -26,6 +34,7 @@ from repro.workloads.graphics import identity_matrix, transform_points
 from repro.workloads.stencils import backsolve
 
 REPS = 5
+MIN_BATCH_SECONDS = 0.05
 
 BACKSOLVE_N = 512
 DAXPY_N = 2048
@@ -64,65 +73,103 @@ def _workloads():
     ]
 
 
-def _run_engine(program, engine, entry, args, setup, out_array):
-    """One engine's steady-state steps/sec plus everything needed for
-    the bit-identity check (result, stdout, step count, output)."""
-    interp = make_interpreter(program, engine=engine,
-                              max_steps=500_000_000)
+def _start_engine(program, engine, entry, args, setup, out_array,
+                  instrumented=False):
+    """Build one engine, warm it up, and take everything needed for
+    the bit-identity check (result, stdout, step counts, output).
+    ``instrumented`` runs it under the Titan simulator's cost hook."""
+    if instrumented:
+        interp = TitanSimulator(program, TitanConfig(),
+                                use_scheduler=False,
+                                max_steps=500_000_000,
+                                engine=engine).interpreter
+    else:
+        interp = make_interpreter(program, engine=engine,
+                                  max_steps=500_000_000)
     setup(interp)
-    result = interp.run(entry, *args)  # warm-up: one-time compile
+    result = interp.run(entry, *args)  # warm-up: one-time lowering
     warm_steps = interp.steps
-    best = 0.0
-    steps = 0
-    for _ in range(REPS):
-        before = interp.steps
-        start = time.perf_counter()
-        interp.run(entry, *args)
-        elapsed = time.perf_counter() - start
-        steps = interp.steps - before
-        if elapsed > 0:
-            best = max(best, steps / elapsed)
     name, count = out_array
+    output = interp.global_array(name, count)
+    # A fast-engine run is a few milliseconds: time batches of runs
+    # long enough for the clock, sized from one calibration run.
+    start = time.perf_counter()
+    interp.run(entry, *args)
+    once = time.perf_counter() - start
     return {
-        "steps_per_sec": best,
+        "interp": interp, "entry": entry, "args": args,
+        "batch": max(1, int(MIN_BATCH_SECONDS / once)) if once else 1,
+        "steps_per_sec": 0.0,
         "result": result,
         "stdout": interp.stdout,
         "warm_steps": warm_steps,
-        "run_steps": steps,
-        "output": interp.global_array(name, count),
+        "run_steps": interp.steps - warm_steps,
+        "output": output,
     }
 
 
+def _time_batch(run):
+    """Time one more batch of runs; keep the engine's best rate."""
+    interp, entry, args = run["interp"], run["entry"], run["args"]
+    before = interp.steps
+    start = time.perf_counter()
+    for _ in range(run["batch"]):
+        interp.run(entry, *args)
+    elapsed = time.perf_counter() - start
+    if elapsed > 0:
+        run["steps_per_sec"] = max(run["steps_per_sec"],
+                                   (interp.steps - before) / elapsed)
+
+
 def test_e13_engine_speedup():
-    # backsolve/daxpy are the ISSUE's named >=10x targets; transform's
-    # big straight-line expressions leave less dispatch to remove.
-    thresholds = {"backsolve": 10.0, "daxpy": 10.0, "transform": 7.0}
+    # backsolve/daxpy are the gated >=20x targets; transform's big
+    # straight-line expressions leave less dispatch to remove.
+    thresholds = {"backsolve": 20.0, "daxpy": 20.0, "transform": 7.0}
     rows = []
     for name, source, entry, args, setup, out in _workloads():
         program = compile_c(source, O0).program
-        compiled = _run_engine(program, "compiled", entry, args,
-                               setup, out)
-        tree = _run_engine(program, "tree", entry, args, setup, out)
+        runs = {(engine, instrumented): _start_engine(
+                    program, engine, entry, args, setup, out,
+                    instrumented)
+                for instrumented in (False, True)
+                for engine in ("compiled", "tree")}
+        # Interleaved, so every engine's best comes from the same
+        # stretch of host time and the ratios divide host noise out.
+        for _ in range(REPS):
+            for run in runs.values():
+                _time_batch(run)
 
         # Bit-identical observables: return value, stdout, dynamic
         # step counts (warm-up and steady-state), and every element of
-        # the workload's output array.
+        # the workload's output array — on both halves.
+        tree = runs["tree", False]
         for key in ("result", "stdout", "warm_steps", "run_steps",
                     "output"):
-            assert compiled[key] == tree[key], \
-                f"{name}: engines disagree on {key}"
+            for which, run in runs.items():
+                assert run[key] == tree[key], \
+                    f"{name}: {which} disagrees with tree on {key}"
 
-        speedup = compiled["steps_per_sec"] / tree["steps_per_sec"]
+        speedup = (runs["compiled", False]["steps_per_sec"]
+                   / tree["steps_per_sec"])
+        hooked = runs["compiled", True]["steps_per_sec"]
+        hooked_tree = runs["tree", True]["steps_per_sec"]
         record_bench("e13_engine", name, metrics={
             "host_tree_steps_per_sec": tree["steps_per_sec"],
-            "host_compiled_steps_per_sec": compiled["steps_per_sec"],
+            "host_compiled_steps_per_sec":
+                runs["compiled", False]["steps_per_sec"],
             "host_engine_speedup_steps": speedup,
+            "host_instrumented_tree_steps_per_sec": hooked_tree,
+            "host_instrumented_compiled_steps_per_sec": hooked,
+            "host_instrumented_x_tree": hooked / hooked_tree,
         })
         rows.append(Row(
             f"{name} engine speedup",
             f">={thresholds[name]:.0f}x", f"{speedup:.1f}x",
             speedup >= thresholds[name]))
-    print_table("E13: compiled engine vs tree-walker", rows)
+        rows.append(Row(
+            f"{name} under the cost hook", "trend",
+            f"{hooked / hooked_tree:.1f}x", True))
+    print_table("E13: fast engine vs tree-walker", rows)
     assert all(r.ok for r in rows)
 
 

@@ -16,7 +16,7 @@ Usage examples::
     titancc file.c --dump-deps deps/      # dependence graphs (DOT+JSON)
     titancc file.c --check-passes         # re-check IL after every pass
     titancc file.c --bisect               # convict a miscompiling pass
-    titancc file.c --dump-code main       # bytecode engine's generated code
+    titancc file.c --dump-code main       # fast engine's generated code
 """
 
 from __future__ import annotations
@@ -84,17 +84,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "report cycles/MFLOPS")
     parser.add_argument("--engine", choices=ENGINES,
                         default="compiled",
-                        help="execution engine for --run: the "
-                             "closure-compiled fast path (default), "
-                             "the whole-function bytecode codegen "
-                             "tier, or the tree-walking semantic "
-                             "oracle")
+                        help="execution engine for --run: the fast "
+                             "engine (default) or the tree-walking "
+                             "semantic oracle")
     parser.add_argument("--dump-code", metavar="FN",
-                        help="print the bytecode engine's generated "
+                        help="print the fast engine's generated "
                              "Python source and CPython disassembly "
                              "for function FN to stderr (no --run "
                              "needed); fallback functions report why "
-                             "they run on the closure tier")
+                             "they run as closures")
     parser.add_argument("--make-db", metavar="PATH",
                         help="save the parsed procedures as an inline "
                              "database instead of compiling")
@@ -366,11 +364,10 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                  f"graph(s) to {args.dump_deps}")
 
     if args.dump_code:
-        # A hook-free bytecode engine over the compiled program: with
-        # no cost hook the engine takes its codegen path, which is
-        # exactly the code --dump-code exists to show.
+        # The code an uninstrumented run executes; --run itself
+        # installs the Titan cost hook and so runs closures.
         from .interp import InterpreterError, make_interpreter
-        interp = make_interpreter(result.program, engine="bytecode")
+        interp = make_interpreter(result.program, engine="compiled")
         try:
             listing = interp.disassemble(args.dump_code)
         except InterpreterError as exc:
@@ -382,11 +379,11 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                          max_vector_length=args.vector_length)
     sim_report = None
     if args.run:
-        simulator = TitanSimulator(result.program, config,
-                                   schedules=result.schedules or None,
-                                   profile=args.profile,
-                                   engine=args.engine)
-        sim_report = simulator.run(args.run)
+        with TitanSimulator(result.program, config,
+                            schedules=result.schedules or None,
+                            profile=args.profile,
+                            engine=args.engine) as simulator:
+            sim_report = simulator.run(args.run)
         if sim_report.stdout:
             out = sys.stderr if stdout_artifact else sys.stdout
             out.write(sim_report.stdout)

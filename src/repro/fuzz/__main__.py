@@ -13,11 +13,12 @@ seed order), so the summary — including its ``metrics`` block — is
 byte-identical to a sequential run; ``summary.json`` additionally
 records per-worker wall times.
 
-By default every variant runs on *all* fast engines — the three-way
-differential (tree oracle vs. closure-compiled vs. bytecode codegen);
-``--engine compiled`` or ``--engine bytecode`` narrows the sweep to
-one engine, and ``summary.json`` carries the aggregate per-engine
-wall times under ``engine_timings``.
+By default (``--engine all``) every variant runs on both halves of
+the fast engine — uninstrumented (generated code) and with a cost
+hook installed (the closures every simulated run uses) — each
+checked against the tree oracle; ``--engine compiled`` narrows the
+sweep to the uninstrumented half, and ``summary.json`` carries the
+aggregate wall times per engine half under ``engine_timings``.
 
 With ``--out DIR`` every failure is minimized and written as
 ``DIR/repro_<name>.c`` (a self-contained one-command reproducer),
@@ -80,8 +81,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="execution engine for the optimized "
                              "variants (the reference always runs on "
                              "the tree-walking oracle); 'all' runs "
-                             "every fast engine over each variant — "
-                             "the three-way differential (default)")
+                             "the fast engine over each variant both "
+                             "uninstrumented and with a cost hook "
+                             "installed (default)")
     parser.add_argument("--check-passes", action="store_true",
                         help="compile every variant with the per-pass "
                              "semantic checker installed: each pass's "

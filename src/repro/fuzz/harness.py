@@ -11,11 +11,12 @@ order (forward / reverse / shuffle).
 
 The harness is also an *engine* differential: the reference runs on
 the tree-walking oracle (``engine="tree"``) while every variant runs
-on the closure-compiled engine by default, so each fuzz program
-cross-checks the execution engines on top of the optimization sweep.
-Pass ``engine="all"`` to run every fast engine (closure-compiled and
-bytecode) over each variant — the three-way differential — or
-``engine="tree"`` to take the fast engines out of the loop when
+on the fast engine by default, so each fuzz program cross-checks the
+execution engines on top of the optimization sweep.  Uninstrumented,
+the fast engine runs generated code and never touches the closures
+that serve every simulated run, so ``engine="all"`` runs each variant
+on both halves — once as is, once with a cost hook installed; pass
+``engine="tree"`` to take the fast engine out of the loop when
 bisecting a failure.
 
 Exception classification is the second half of the oracle.  The
@@ -40,7 +41,7 @@ from ..frontend.lower import LoweringError, compile_to_il
 from ..frontend.parser import ParseError
 from ..frontend.preprocessor import PreprocessorError
 from ..frontend.symtab import SymbolError
-from ..interp.interpreter import ENGINES, make_interpreter
+from ..interp.interpreter import make_interpreter
 from ..jobs import TaskOutcome, run_ordered
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import CompilerOptions, compile_c
@@ -63,11 +64,19 @@ def classify_exception(exc: BaseException) -> str:
     return "reject" if isinstance(exc, CLEAN_REJECTIONS) else "crash"
 
 
+#: Suffix selecting the fast engine's instrumented half: the same
+#: engine with a cost hook installed, i.e. its closures.
+_HOOKED = "+hook"
+
+
 def resolve_engines(engine: str) -> Tuple[str, ...]:
-    """The engines one ``engine`` selector runs variants on:
-    ``"all"`` means every fast engine, anything else is a single
-    engine name (validated by :func:`make_interpreter` at run time)."""
-    return ENGINES[1:] if engine == "all" else (engine,)
+    """The engine runs one ``engine`` selector puts variants through:
+    ``"all"`` means both halves of the fast engine (``compiled`` and
+    ``compiled+hook``), anything else is a single engine name
+    (validated by :func:`make_interpreter` at run time)."""
+    if engine == "all":
+        return ("compiled", "compiled" + _HOOKED)
+    return (engine,)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +197,11 @@ class DifferentialResult:
 def _run_program(program, max_steps: int, order: str = "forward",
                  engine: str = "compiled",
                  timings: Optional[dict] = None) -> int:
-    interp = make_interpreter(program, engine=engine,
-                              max_steps=max_steps,
-                              parallel_order=order, seed=7)
+    name, hooked, _ = engine.partition(_HOOKED)
+    interp = make_interpreter(
+        program, engine=name, max_steps=max_steps,
+        parallel_order=order, seed=7,
+        cost_hook=(lambda *event: None) if hooked else None)
     start = time.perf_counter()
     try:
         value = interp.run("main")
@@ -217,11 +228,12 @@ def run_source(source: str, name: str = "<fuzz>",
     invalid input has no semantics to compare).  ``engine`` selects
     the execution engine(s) for the *variants* only, so the default
     configuration differentially tests both the optimizer and the
-    compiled engine against the oracle; ``engine="all"`` runs every
-    fast engine over each variant (the three-way differential), and a
-    failing run's variant name carries a ``#engine`` suffix naming
-    the engine that disagreed.  Per-engine wall times accumulate in
-    the result's ``engine_seconds``.
+    fast engine against the oracle; ``engine="all"`` runs both halves
+    of the fast engine over each variant (see
+    :func:`resolve_engines`), and a failing run's variant name
+    carries a ``#engine`` suffix naming the half that disagreed.
+    Per-engine wall times accumulate in the result's
+    ``engine_seconds``.
 
     ``check_passes`` compiles every variant with a
     :class:`~repro.check.checker.PassChecker` installed: each pass's
@@ -349,12 +361,12 @@ def _bisect_first_failure(result: DifferentialResult,
         options = by_name.get(point_name)
         if options is None:
             continue
-        # In "all" mode the #engine suffix names the engine that
-        # disagreed; replay the bisection on that one.  A compile-time
-        # failure has no suffix — any concrete engine will do.
-        if not failed_engine:
-            failed_engine = (resolve_engines(engine)[0]
-                             if engine == "all" else engine)
+        # In "all" mode the #engine suffix names the engine half that
+        # disagreed; replay the bisection on that engine.  A
+        # compile-time failure has no suffix — any engine will do.
+        failed_engine = (failed_engine
+                         or resolve_engines(engine)[0]
+                         ).partition(_HOOKED)[0]
         report = bisect_source(result.source, options,
                                name=f"{result.name}:{variant.name}",
                                max_steps=max_steps,

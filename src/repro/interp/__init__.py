@@ -1,26 +1,23 @@
 """Execution engines for the IL.
 
-Three engines share one observable semantics:
+Two engines share one observable semantics:
 
 * :class:`~repro.interp.interpreter.Interpreter` — the tree-walking
   semantic oracle (``engine="tree"``);
-* :class:`~repro.interp.compiled.CompiledInterpreter` — the
-  closure-compiled fast path (``engine="compiled"``);
-* :class:`~repro.interp.bytecode.BytecodeInterpreter` — the
-  whole-function Python-codegen tier (``engine="bytecode"``).
+* :class:`~repro.interp.bytecode.CompiledInterpreter` — the fast
+  engine (``engine="compiled"``): generated Python code when no cost
+  hook is installed, event-emitting closures under a hook.
 
 Use :func:`~repro.interp.interpreter.make_interpreter` to pick one by
 name.
 """
 
-from .bytecode import BytecodeInterpreter
-from .compiled import CompiledInterpreter
+from .bytecode import CompiledInterpreter
 from .interpreter import (ENGINES, Device, Interpreter, InterpreterError,
                           StepLimitExceeded, make_interpreter, run_c)
 from .memory import Memory, MemoryError_
 
 __all__ = [
-    "BytecodeInterpreter",
     "CompiledInterpreter",
     "Device",
     "ENGINES",

@@ -1,12 +1,15 @@
-"""Whole-function Python-codegen execution engine (third tier).
+"""The fast engine: generated code when uninstrumented, closures
+under a cost hook.
 
-The closure engine (:mod:`repro.interp.compiled`) removed tree-walking
-dispatch but still pays one Python call per flow node: every step is a
-closure invoked through a trampoline, every local lives in a
-list-indexed frame, and the shared step cell is reloaded and flushed
-at each fused-chain boundary.  This module removes that layer too:
-each ``ILFunction``'s flow graph is lowered **once** into a single
-generated Python function.
+:class:`CompiledInterpreter` (``engine="compiled"``) materializes each
+function from what it can observe.  With a cost hook installed (the
+Titan simulator always installs one) it runs the event-emitting
+closures of :mod:`repro.interp.compiled`, which reproduce the
+oracle's exact event order — so cycle totals, breakdowns, and the
+profiler's sum-to-total invariant stay bit-identical by construction.
+With no hook, each ``ILFunction``'s flow graph is lowered **once**
+into a single generated Python function, which removes the closures'
+one-Python-call-per-flow-node cost as well:
 
 * Basic blocks become straight-line Python; the computed ``goto``
   structure folds into one ``while True`` dispatch loop over a small
@@ -28,19 +31,16 @@ generated Python function.
   evaluation order, lazy per-lane ``Select``, cached ``Section`` bases
   and ``Iota`` starts, broadcast scalars) lower to list comprehensions
   plus a tight store loop over a preallocated value list.
-* There is **no** instrumentation in generated code.  When a cost hook
-  is installed (the Titan simulator always installs one) the engine
-  delegates to the closure tier, whose hooked closures emit the
-  oracle's exact event order — so cycle totals, breakdowns, and the
-  profiler's sum-to-total invariant stay bit-identical by
-  construction, and the uninstrumented path is observation-free.
+* There is **no** instrumentation in generated code, so the
+  uninstrumented path is observation-free.
 
 Anything the generator cannot prove it can lower exactly — volatile
 symbols (device hooks), aggregate scalar access, lazily-allocated
 address-taken symbols, list-parallel loops, oversized generated
-source — falls back to the closure tier for the *whole function*
-(raising :class:`_Fallback` during generation), which is already
-differentially verified against the oracle.
+source — raises :class:`_Fallback` during generation and the *whole
+function* runs as closures bound to a no-op hook, which are already
+differentially verified against the oracle.  Every tier decision is
+counted in ``titancc_engine_tier_total{tier,reason}``.
 
 Generated code is memoized **across engine instances** on the
 ``ILFunction`` object itself: the code object is instance-independent,
@@ -50,10 +50,10 @@ materializes against its own state.  A cached entry is only reused
 when its baked facts still hold — same memory size, every baked
 global symbol still at its compile-time address — so fresh
 interpreters over the same program (benchmark reps, fuzz variant
-sweeps, repeated ``simulate`` calls) skip re-lowering entirely.
-Hit/miss counts land in the process metrics registry under
+sweeps, repeated runs) skip re-lowering entirely.  Hit/miss counts
+land in the process metrics registry under
 ``titancc_engine_codegen_cache_total``.  Code that mutates a program
-in place must call :meth:`BytecodeInterpreter.invalidate_graphs`,
+in place must call :meth:`CompiledInterpreter.invalidate_graphs`,
 which drops these entries along with the flow-graph caches.
 """
 
@@ -63,19 +63,21 @@ import dis
 import io
 import math
 import struct
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.flowgraph import FlowNode
 from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
-from .compiled import (CompiledInterpreter, _CompiledFunction,
-                       _FunctionCompiler, _UNSET, _binop_impl,
-                       _fast_round_f32, _is_aggregate, _make_loader,
-                       _make_storer, _raise_uninit, _struct_format,
-                       _unop_impl)
-from .interpreter import (InterpreterError, Value, _trip_values)
+from .compiled import (_CompiledFunction, _F32_MAX, _F32_PACK,
+                       _F32_UNPACK, _FrameLayout, _FunctionCompiler,
+                       _UNSET, _binop_impl, _fast_round_f32,
+                       _is_aggregate, _make_loader, _make_storer,
+                       _no_hook, _raise_limit, _raise_uninit,
+                       _struct_format, _unop_impl)
+from .interpreter import (Interpreter, InterpreterError,
+                          StepLimitExceeded, Value, _trip_values)
 
 #: Attribute on ILFunction holding the cross-instance codegen cache.
 _CACHE_ATTR = "_bytecode_cache"
@@ -83,14 +85,13 @@ _CACHE_ATTR = "_bytecode_cache"
 #: Flow-node kinds with no observable effect beyond their tick.
 _PURE_KINDS = frozenset(("entry", "label", "join", "goto"))
 
-#: Cap on generated source size, mirroring the closure tier's
-#: ``_emit_many`` guard.
+#: Cap on generated source size: a larger function runs as closures.
 _SOURCE_LIMIT = 1_000_000
 
 
 class _Fallback(Exception):
-    """Raised during code generation when a construct must run on the
-    closure tier instead; the whole function falls back."""
+    """Raised during code generation when a construct must run as
+    closures instead; the whole function falls back."""
 
 
 class _CodegenEntry:
@@ -174,7 +175,15 @@ def _materialize_recipe(engine, recipe: tuple):
 
 def _cache_counter(outcome: str):
     return REGISTRY.counter("titancc_engine_codegen_cache_total",
-                            {"engine": "bytecode", "outcome": outcome})
+                            {"engine": "compiled", "outcome": outcome})
+
+
+def _tier_counter(tier: str, reason: str):
+    """One increment per function materialization: which tier the
+    engine picked (``generated`` or ``closure``) and why a closure
+    (``hook``, or the generator's :class:`_Fallback` reason)."""
+    return REGISTRY.counter("titancc_engine_tier_total",
+                            {"tier": tier, "reason": reason})
 
 
 def _ind(lines: Sequence[str]) -> List[str]:
@@ -188,18 +197,23 @@ def _ctype_key(ctype: Optional[CType]):
             getattr(ctype, "signed", None))
 
 
-class _BytecodeFunctionCompiler(_FunctionCompiler):
+class _CodeGenerator(_FrameLayout):
     """Lowers one ILFunction into a single generated Python function.
 
-    Reuses the closure compiler's slot assignment, conversion/load/
-    store source generators and expression grammar, overriding the
-    frame-indexed pieces to target plain locals and recording a recipe
-    for every name bound into the generated namespace so the result
-    can be re-materialized on another engine instance.
+    Shares the closure compiler's slot assignment (one Python local
+    per slot here) and records a recipe for every name bound into the
+    generated namespace so the result can be re-materialized on
+    another engine instance.
     """
 
-    def __init__(self, engine: "BytecodeInterpreter", fn: N.ILFunction):
+    #: Comparison operators are plain Python and yield raw 0/1.
+    _CMP_OPS = frozenset(("==", "!=", "<", ">", "<=", ">="))
+    #: Operators inlined with a conversion wrapper.
+    _ARITH_OPS = frozenset(("+", "-", "*", "<<", ">>", "&", "|", "^"))
+
+    def __init__(self, engine: "CompiledInterpreter", fn: N.ILFunction):
         super().__init__(engine, fn)
+        self._tmpn = 0  # unique temp names for generated source
         self._recipes: Dict[str, tuple] = {}
         self._baked: List[Tuple[Symbol, int]] = []
         self._ncalls = 0
@@ -219,25 +233,20 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
 
     # -- environment bindings ----------------------------------------------
 
-    def _bind(self, env: Dict[str, object], obj: object) -> str:
-        # Default recipe: the object is instance-independent (struct
-        # codecs, op kernels, constants, names).  Instance-bound
-        # objects go through _bind_recipe instead.
-        name = super()._bind(env, obj)
-        self._recipes[name] = ("pure", obj)
+    def _bind(self, env: Dict[str, object], obj: object,
+              recipe: Optional[tuple] = None) -> str:
+        """Bind ``obj`` into the generated namespace.  The default
+        recipe says the object is instance-independent (struct codecs,
+        op kernels, constants, names); instance-bound objects pass the
+        recipe that rebuilds them on another engine."""
+        name = f"_g{len(env)}"
+        env[name] = obj
+        self._recipes[name] = recipe or ("pure", obj)
         return name
 
-    def _bind_recipe(self, env: Dict[str, object], obj: object,
-                     recipe: tuple) -> str:
-        name = super()._bind(env, obj)
-        self._recipes[name] = recipe
-        return name
-
-    def _bind_frame_call(self, env: Dict[str, object], fn) -> str:
-        # The closure compiler's escape hatch binds a frame-taking
-        # closure; generated code has no frame, so anything reaching
-        # this point falls back to the closure tier.
-        raise _Fallback("closure-only construct")
+    def _tmp_name(self) -> str:
+        self._tmpn += 1
+        return f"_t{self._tmpn}"
 
     def _binding(self, sym: Symbol) -> Tuple[str, int]:
         kind, where = super()._binding(sym)
@@ -247,24 +256,53 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             self._baked.append((sym, where))
         return kind, where
 
-    # -- loads/stores (recipe-aware copies of the closure tier's) ----------
+    # -- conversions, loads, stores ----------------------------------------
+
+    def _gen_conv(self, raw: str, ctype: CType,
+                  env: Dict[str, object]) -> str:
+        """Wrap ``raw`` source in this type's value conversion."""
+        if isinstance(ctype, FloatType):
+            if ctype.sizeof() == 4:
+                # In-range values round through the pre-bound codecs
+                # inline; NaN and overflow fall back to _f32 (the
+                # chained comparison is False for NaN).
+                pk = self._bind(env, _F32_PACK)
+                up = self._bind(env, _F32_UNPACK)
+                t = self._tmp_name()
+                return (f"({up}({pk}({t}))[0] if "
+                        f"-{_F32_MAX!r} <= ({t} := float({raw})) "
+                        f"<= {_F32_MAX!r} else _f32({t}))")
+            return f"float({raw})"
+        if isinstance(ctype, IntType):
+            bits = ctype.sizeof() * 8
+            mask = (1 << bits) - 1
+            if ctype.signed:
+                half = 1 << (bits - 1)
+                return f"(((int({raw}) & {mask}) ^ {half}) - {half})"
+            return f"(int({raw}) & {mask})"
+        if isinstance(ctype, PointerType):
+            return f"(int({raw}) & 4294967295)"
+        return raw
 
     def _gen_load(self, addr_src: str, ctype: CType,
                   env: Dict[str, object],
                   const_addr: Optional[int] = None) -> str:
+        """Inline memory load: bounds check + pre-bound unpack, with
+        the validated loader closure kept on the fault path so error
+        messages stay exact."""
         memory = self.engine.memory
         fmt = _struct_format(ctype)
         if fmt is None:
-            loader = self._bind_recipe(env, _make_loader(memory, ctype),
-                                       ("loader", ctype))
+            loader = self._bind(env, _make_loader(memory, ctype),
+                                ("loader", ctype))
             return f"{loader}({addr_src})"
         limit = len(memory.data) - ctype.sizeof()
         unpack = self._bind(env, struct.Struct(fmt).unpack_from)
-        data = self._bind_recipe(env, memory.data, ("data",))
+        data = self._bind(env, memory.data, ("data",))
         if const_addr is not None and 8 <= const_addr <= limit:
             return f"{unpack}({data}, {const_addr})[0]"
-        fault = self._bind_recipe(env, _make_loader(memory, ctype),
-                                  ("loader", ctype))
+        fault = self._bind(env, _make_loader(memory, ctype),
+                           ("loader", ctype))
         t = self._tmp_name()
         return (f"({unpack}({data}, {t})[0] "
                 f"if 8 <= ({t} := {addr_src}) <= {limit} "
@@ -274,28 +312,31 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                          ctype: CType, env: Dict[str, object],
                          const_addr: Optional[int] = None,
                          float_value: bool = False) -> List[str]:
-        """``float_value`` asserts the caller proved ``value_src`` is
-        a Python float already (conversion-wrapped sources always
-        are), eliding the store's redundant float() coercion."""
-        from .compiled import _F32_MAX, FloatType, PointerType
+        """Inline memory store: value into a temp first (the oracle's
+        evaluation order), bounds check, conversion, pre-bound pack;
+        the validated storer closure stays on the fault path so the
+        error message stays exact.  ``float_value`` asserts the caller
+        proved ``value_src`` is a Python float already
+        (conversion-wrapped sources always are), eliding the store's
+        redundant float() coercion."""
         memory = self.engine.memory
         fmt = _struct_format(ctype)
         if fmt is None:
-            store = self._bind_recipe(env, _make_storer(memory, ctype),
-                                      ("storer", ctype))
+            store = self._bind(env, _make_storer(memory, ctype),
+                               ("storer", ctype))
             return [f"{store}({addr_src}, {value_src})"]
         size = ctype.sizeof()
         limit = len(memory.data) - size
         pack = self._bind(env, struct.Struct(fmt).pack_into)
-        data = self._bind_recipe(env, memory.data, ("data",))
+        data = self._bind(env, memory.data, ("data",))
         v = self._tmp_name()
         lines = [f"{v} = {value_src}"]
         if const_addr is not None and 8 <= const_addr <= limit:
             a = str(const_addr)
         else:
             a = self._tmp_name()
-            fault = self._bind_recipe(env, _make_storer(memory, ctype),
-                                      ("storer", ctype))
+            fault = self._bind(env, _make_storer(memory, ctype),
+                               ("storer", ctype))
             lines += [f"{a} = {addr_src}",
                       f"if not (8 <= {a} <= {limit}):",
                       f"    {fault}({a}, {v})"]
@@ -533,7 +574,7 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             raise _Fallback("address of lazily-allocated symbol")
         if isinstance(expr, N.CallExpr):
             self._ncalls += 1
-            helper = self._bind_recipe(
+            helper = self._bind(
                 env, _make_call_helper(self.engine, expr.name),
                 ("call", expr.name))
             args = ", ".join(f"({self._gen(a, env)})" for a in expr.args)
@@ -555,7 +596,6 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             raw = f"(({left}) {expr.op} ({right}))"
             if expr.ctype.sizeof() != 4:
                 return raw
-            from .compiled import _F32_MAX, _F32_PACK, _F32_UNPACK
             pk = self._bind(env, _F32_PACK)
             up = self._bind(env, _F32_UNPACK)
             t = self._tmp_name()
@@ -579,14 +619,65 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 half = 1 << (bits - 1)
                 return f"((({raw} & {mask}) ^ {half}) - {half})"
             return f"({raw} & {mask})"
+        if isinstance(expr, N.Const):
+            value = expr.value
+            if isinstance(value, float) and \
+                    (value != value or value in (math.inf, -math.inf)):
+                return self._bind(env, value)
+            return f"({value!r})"
+        if isinstance(expr, N.VarRef):
+            return self._gen_var_read(expr.sym, env)
+        if isinstance(expr, N.BinOp):
+            op = expr.op
+            left = self._gen(expr.left, env)
+            right = self._gen(expr.right, env)
+            if op in self._CMP_OPS:
+                return f"(1 if ({left}) {op} ({right}) else 0)"
+            if op in self._ARITH_OPS:
+                if op in ("<<", ">>"):
+                    raw = f"(int({left}) {op} (int({right}) & 31))"
+                elif op in ("&", "|", "^"):
+                    raw = f"(int({left}) {op} int({right}))"
+                else:
+                    raw = f"(({left}) {op} ({right}))"
+                return self._gen_conv(raw, expr.ctype, env)
+            # Division/modulo fault ordering, min/max, and unknown
+            # operators stay behind a pre-bound kernel; Python's
+            # call-argument order keeps left-then-right evaluation.
+            impl = self._bind(env, _binop_impl(op, expr.ctype))
+            return f"{impl}(({left}), ({right}))"
+        if isinstance(expr, N.UnOp):
+            op = expr.op
+            operand = self._gen(expr.operand, env)
+            if op == "neg":
+                return self._gen_conv(f"(-({operand}))", expr.ctype, env)
+            if op == "not":
+                return f"(0 if ({operand}) else 1)"
+            if op == "bnot":
+                return self._gen_conv(f"(~int({operand}))",
+                                      expr.ctype, env)
+            impl = self._bind(env, _unop_impl(op, expr.ctype))
+            return f"{impl}({operand})"
+        if isinstance(expr, N.Cast):
+            return self._gen_conv(f"({self._gen(expr.operand, env)})",
+                                  expr.ctype, env)
         if isinstance(expr, N.Select):
-            # Select arms evaluate lazily: no CSE inserts inside.
+            # Python's conditional expression is lazy exactly like the
+            # oracle's Select: condition, then only the chosen arm —
+            # so no CSE inserts inside.
             self._cse_lazy += 1
             try:
-                return super()._gen(expr, env)
+                cond = self._gen(expr.cond, env)
+                then = self._gen(expr.then, env)
+                other = self._gen(expr.otherwise, env)
             finally:
                 self._cse_lazy -= 1
-        return super()._gen(expr, env)
+            return self._gen_conv(
+                f"(({then}) if ({cond}) else ({other}))",
+                expr.ctype, env)
+        # Aggregate Mem or an unknown node kind: the closure tier
+        # raises the oracle's exact message lazily.
+        raise _Fallback("closure-only construct")
 
     def _guarded_src(self, expr: N.Expr, env: Dict[str, object],
                      lines: List[str]) -> str:
@@ -1557,22 +1648,61 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
 # ---------------------------------------------------------------------------
 
 
-class BytecodeInterpreter(CompiledInterpreter):
-    """Drop-in :class:`Interpreter` executing generated Python code.
+class CompiledInterpreter(Interpreter):
+    """Drop-in :class:`Interpreter` — the fast engine.
 
     Same constructor, same public API, same observable semantics (the
-    three-way differential tests enforce this against the tree oracle
-    and the closure engine).  Uninstrumented functions run as one
-    generated Python function each; with a cost hook installed
-    (TitanSimulator, profilers) execution delegates to the closure
-    tier, which emits the oracle's exact event order.
+    differential tests enforce this against the tree oracle).  Each
+    function is materialized lazily on first call, from what the
+    engine can observe: with no cost hook installed it runs as one
+    generated Python function (memoized across engine instances);
+    with a hook installed (TitanSimulator, profilers), or when the
+    generator raised :class:`_Fallback`, it runs as event-emitting
+    closures.  Installing a different ``cost_hook`` afterwards
+    re-materializes, because hooks are baked into the closures.
     """
 
-    engine_name = "bytecode"
+    engine_name = "compiled"
+
+    def __init__(self, program: N.ILProgram, **kwargs):
+        super().__init__(program, **kwargs)
+        self._compiled: Dict[str, _CompiledFunction] = {}
+        self._compiled_hook = self.cost_hook
+        self._tick_compiled = self._make_tick()
+
+    def _make_tick(self) -> Callable[[], None]:
+        cell = self._step_cell
+
+        def tick():
+            count = cell[0] + 1
+            cell[0] = count
+            if count > self.max_steps:
+                raise StepLimitExceeded(
+                    f"exceeded {self.max_steps} steps (infinite loop?)")
+        return tick
+
+    def _hit_limit(self, count: int) -> None:
+        """Overflow path for generated code: land the function's local
+        step count in the shared cell, then raise exactly like the
+        oracle."""
+        self._step_cell[0] = count
+        _raise_limit(self.max_steps)
+
+    def _drop_graphs(self) -> None:
+        super()._drop_graphs()
+        for compiled in self._compiled.values():
+            compiled.close()
+        self._compiled.clear()
+
+    def close(self) -> None:
+        super().close()
+        self._compiled_hook = self._tick_compiled = None
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:
         if self.cost_hook is not self._compiled_hook:
+            # Hook swapped after construction: closures have the old
+            # hook baked in, generated code has none.
             self._compiled.clear()
             self._compiled_hook = self.cost_hook
         cached = self._compiled.get(fn.name)
@@ -1582,33 +1712,49 @@ class BytecodeInterpreter(CompiledInterpreter):
         return cached.invoke(args)
 
     def _materialize_function(self, fn: N.ILFunction) -> _CompiledFunction:
+        """Pick the tier for one function and count the decision."""
+        hook = self.cost_hook
+        if hook is not None:
+            # Event order in the closures is bit-identical to the
+            # oracle's, so cycle totals and breakdowns match.
+            return self._compile_closures(fn, hook, "hook")
+        entry = self._codegen_entry(fn)
+        if isinstance(entry, _FallbackEntry):
+            return self._compile_closures(fn, _no_hook, entry.reason)
+        _tier_counter("generated", "").inc()
+        return self._install(entry)
+
+    def _compile_closures(self, fn: N.ILFunction, hook: Callable,
+                          reason: str) -> _CompiledFunction:
         from ..obs import telemetry
-        if self.cost_hook is not None:
-            # Instrumented tier: hooks are baked into the closure
-            # engine's closures; event order is bit-identical to the
-            # oracle there, so cycle totals and breakdowns match.
-            with telemetry.span("engine-compile", cat="engine",
-                                engine=self.engine_name,
-                                function=fn.name):
-                return _FunctionCompiler(self, fn).compile()
+        _tier_counter("closure", reason).inc()
+        with telemetry.span("engine-compile", cat="engine",
+                            engine=self.engine_name, function=fn.name):
+            return _FunctionCompiler(self, fn, hook).compile()
+
+    def _codegen_entry(self, fn: N.ILFunction):
+        """The function's cross-instance codegen entry: the cached one
+        while its baked facts hold, else freshly generated (a
+        :class:`_Fallback` is cached as a decision too)."""
+        from ..obs import telemetry
         entry = getattr(fn, _CACHE_ATTR, None)
         if entry is not None and self._entry_valid(entry):
             outcome = "hit" if isinstance(entry, _CodegenEntry) \
                 else "miss"
             _cache_counter(outcome).inc()
-            return self._install(entry)
+            return entry
         _cache_counter("miss").inc()
         with telemetry.span("engine-codegen", cat="engine",
                             engine=self.engine_name, function=fn.name):
             try:
-                entry = _BytecodeFunctionCompiler(self, fn).generate()
+                entry = _CodeGenerator(self, fn).generate()
             except _Fallback as exc:
                 entry = _FallbackEntry(fn, str(exc))
         try:
             setattr(fn, _CACHE_ATTR, entry)
         except (AttributeError, TypeError):
             pass
-        return self._install(entry)
+        return entry
 
     def _entry_valid(self, entry) -> bool:
         """A cached entry is reusable only while its baked facts hold:
@@ -1627,9 +1773,7 @@ class BytecodeInterpreter(CompiledInterpreter):
                 return False
         return True
 
-    def _install(self, entry) -> _CompiledFunction:
-        if isinstance(entry, _FallbackEntry):
-            return _FunctionCompiler(self, entry.fn).compile()
+    def _install(self, entry: _CodegenEntry) -> _CompiledFunction:
         env: Dict[str, object] = {"_U": _UNSET, "_ui": _raise_uninit,
                                   "_f32": _fast_round_f32}
         for name, recipe in entry.recipes.items():
@@ -1649,42 +1793,14 @@ class BytecodeInterpreter(CompiledInterpreter):
 
     # -- debugging ---------------------------------------------------------
 
-    def _entry_for(self, name: str):
-        """Materialize (and cache) the codegen entry for one function
-        without executing it — the shared path under
-        :meth:`disassemble` and :meth:`generated_code`."""
+    def disassemble(self, name: str) -> str:
+        """Generated source + CPython disassembly for one function
+        (the CLI's ``--dump-code``), without executing it; fallback
+        functions report why they have no generated bytecode."""
         fn = self.program.functions.get(name)
         if fn is None:
             raise InterpreterError(f"no function named {name!r}")
-        entry = getattr(fn, _CACHE_ATTR, None)
-        if entry is None or not self._entry_valid(entry):
-            try:
-                entry = _BytecodeFunctionCompiler(self, fn).generate()
-            except _Fallback as exc:
-                entry = _FallbackEntry(fn, str(exc))
-            try:
-                setattr(fn, _CACHE_ATTR, entry)
-            except (AttributeError, TypeError):
-                pass
-        return entry
-
-    def generated_code(self, name: str) -> Dict[str, object]:
-        """One function's codegen outcome as data (the compilation
-        service's engine-artifact probe): ``{"tier": "bytecode",
-        "source": ...}`` for generated functions, ``{"tier":
-        "closure", "reason": ...}`` for fallbacks.  Deterministic for
-        a given program, so it is safe inside content-addressed cache
-        payloads."""
-        entry = self._entry_for(name)
-        if isinstance(entry, _FallbackEntry):
-            return {"tier": "closure", "reason": entry.reason}
-        return {"tier": "bytecode", "source": entry.source}
-
-    def disassemble(self, name: str) -> str:
-        """Generated source + CPython disassembly for one function
-        (the CLI's ``--dump-code``); fallback functions report why
-        they have no generated bytecode."""
-        entry = self._entry_for(name)
+        entry = self._codegen_entry(fn)
         if isinstance(entry, _FallbackEntry):
             return (f"{name}: no generated bytecode "
                     f"(closure-tier fallback: {entry.reason})\n")

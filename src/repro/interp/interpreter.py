@@ -30,6 +30,7 @@ from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
                                 PointerType, StructType)
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
+from ..titan.vector_ops import vector_instructions
 from .memory import Memory
 
 Value = Union[int, float]
@@ -66,7 +67,7 @@ class _Frame:
 
 class Interpreter:
     #: Engine identifier surfaced in benchmark telemetry; the
-    #: closure-compiled subclass overrides it.
+    #: fast-engine subclass overrides it.
     engine_name = "tree"
 
     def __init__(self, program: N.ILProgram, memory_size: int = 1 << 22,
@@ -222,8 +223,8 @@ class Interpreter:
         """Forget (and unlink: they are reference cycles) the flow
         graphs and whatever an engine compiled from them — this
         engine's own state only, which is why ``close`` calls it and
-        not ``invalidate_graphs`` (the bytecode tier's also drops the
-        code cache it shares across engines)."""
+        not ``invalidate_graphs`` (the fast engine's also drops the
+        code cache it shares across instances)."""
         for graph in self._graphs.values():
             graph.close()
         self._graphs.clear()
@@ -499,37 +500,12 @@ class Interpreter:
         self._vector_cost(stmt, length)
 
     def _vector_cost(self, stmt: N.VectorAssign, length: int) -> None:
-        """One vector instruction per load section, per *dataflow*
-        operator (address arithmetic is free vector addressing), and
-        for the store — each processing ``length`` elements."""
+        """One cost event per vector instruction the statement issues,
+        each processing ``length`` elements."""
         if self.cost_hook is None:
             return
-
-        def walk_value(expr: N.Expr) -> None:
-            if isinstance(expr, N.Section):
-                self._cost("vector", "load", length, expr.stride)
-                return
-            if isinstance(expr, N.Mem):
-                return  # broadcast scalar load, evaluated once
-            if isinstance(expr, N.Iota):
-                # One index-generation instruction; the scalar start
-                # is vector addressing, not dataflow.
-                self._cost("vector", "int_op", length, 1)
-                return
-            if isinstance(expr, (N.BinOp, N.UnOp)):
-                kind = expr.op if expr.ctype.is_float else "int_op"
-                self._cost("vector", kind, length, 1)
-            elif isinstance(expr, N.Select):
-                kind = "select" if expr.ctype.is_float else "int_op"
-                self._cost("vector", kind, length, 1)
-            for child in expr.children():
-                walk_value(child)
-
-        if stmt.mask is not None:
-            walk_value(stmt.mask)
-        walk_value(stmt.value)
-        store_op = "store" if stmt.mask is None else "mask_store"
-        self._cost("vector", store_op, length, stmt.target.stride)
+        for op, stride in vector_instructions(stmt):
+            self._cost("vector", op, length, stride)
 
     def _exec_vector_reduce(self, stmt: N.VectorReduce,
                             frame: _Frame) -> None:
@@ -915,7 +891,7 @@ def _trip_values(lo: Value, hi: Value, step: int) -> List[int]:
 #: Engine names accepted by :func:`make_interpreter` (and everything
 #: layered on it: TitanSimulator, the fuzz harness, the benchmark
 #: harness, the CLI).
-ENGINES = ("tree", "compiled", "bytecode")
+ENGINES = ("tree", "compiled")
 
 
 def make_interpreter(program: N.ILProgram, engine: str = "tree",
@@ -923,22 +899,17 @@ def make_interpreter(program: N.ILProgram, engine: str = "tree",
     """Build an execution engine over one shared semantics.
 
     ``engine="tree"`` is this module's tree-walking evaluator — the
-    semantic oracle.  ``engine="compiled"`` is the closure-compiled
-    engine (:mod:`repro.interp.compiled`): same results, same stdout,
-    same step accounting, same cost-event stream, ~an order of
-    magnitude faster.  ``engine="bytecode"`` is the whole-function
-    codegen engine (:mod:`repro.interp.bytecode`): each flow graph
-    lowers to one source-compiled Python function; same observables
-    again, another ~2×+ on the uninstrumented hot path.
+    semantic oracle.  ``engine="compiled"`` is the fast engine
+    (:mod:`repro.interp.bytecode`): same results, same stdout, same
+    step accounting, same cost-event stream.  It picks a tier per
+    function — one generated Python function when no cost hook is
+    installed, event-emitting closures under a hook.
     """
     if engine == "tree":
         return Interpreter(program, **kwargs)
     if engine == "compiled":
-        from .compiled import CompiledInterpreter
+        from .bytecode import CompiledInterpreter
         return CompiledInterpreter(program, **kwargs)
-    if engine == "bytecode":
-        from .bytecode import BytecodeInterpreter
-        return BytecodeInterpreter(program, **kwargs)
     raise ValueError(
         f"unknown interpreter engine {engine!r} (expected one of "
         f"{', '.join(ENGINES)})")

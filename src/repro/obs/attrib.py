@@ -49,7 +49,7 @@ from ..il import nodes as N
 from ..opt.fold import const_int_value
 from ..titan.config import TitanConfig
 from . import schemas
-from .report import _estimate_vector_cost
+from .report import _estimate_vector_cost, _loop_trips
 
 ATTRIB_SCHEMA = schemas.ATTRIB
 
@@ -137,15 +137,6 @@ class StaticCostEstimator:
 
     # -- statements ----------------------------------------------------
 
-    def _loop_trips(self, loop: N.DoLoop) -> Optional[int]:
-        lo = const_int_value(loop.lo)
-        hi = const_int_value(loop.hi)
-        if lo is None or hi is None or loop.step == 0:
-            return None
-        if loop.step > 0:
-            return max(0, (hi - lo) // loop.step + 1)
-        return max(0, (lo - hi) // (-loop.step) + 1)
-
     def _vector_stmt_cycles(self, stmt, total_elements: int,
                             step: int):
         cost = _estimate_vector_cost(stmt, total_elements,
@@ -222,7 +213,7 @@ class StaticCostEstimator:
 
     def _do_loop_cycles(self, function: str, loop: N.DoLoop,
                         scale, loops: Optional[List[LoopCost]]):
-        known_trips = self._loop_trips(loop)
+        known_trips = _loop_trips(loop)
         trips = known_trips if known_trips is not None \
             else self.assumed_trips
         setup = self.expr_cycles(loop.lo) + self.expr_cycles(loop.hi)

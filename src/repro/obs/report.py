@@ -45,6 +45,7 @@ from typing import Dict, List, Optional
 from ..il import nodes as N
 from ..opt.fold import const_int_value
 from ..titan.config import TitanConfig
+from ..titan.vector_ops import _VECTOR_MEMORY_OPS, vector_instructions
 from . import schemas
 from .counters import CounterStore, counters_from_result
 from .metrics import MetricsRegistry
@@ -102,37 +103,6 @@ def _loop_trips(loop: N.DoLoop) -> Optional[int]:
     return max(0, (lo - hi) // (-loop.step) + 1)
 
 
-def _vector_ops(stmt) -> List[Dict[str, object]]:
-    """The vector instructions one vector statement issues, mirroring
-    the interpreter's ``_vector_cost``: one per load section, one per
-    dataflow operator, one for the store."""
-    ops: List[Dict[str, object]] = []
-
-    def walk_value(expr: N.Expr) -> None:
-        if isinstance(expr, N.Section):
-            ops.append({"op": "load", "stride": expr.stride})
-            return
-        if isinstance(expr, N.Mem):
-            return  # broadcast scalar, evaluated once
-        if isinstance(expr, N.Iota):
-            ops.append({"op": "compute", "stride": 1})
-            return  # the scalar start is addressing, not dataflow
-        if isinstance(expr, (N.BinOp, N.UnOp, N.Select)):
-            ops.append({"op": "compute", "stride": 1})
-        for child in expr.children():
-            walk_value(child)
-
-    if isinstance(stmt, N.VectorAssign):
-        if stmt.mask is not None:
-            walk_value(stmt.mask)
-        walk_value(stmt.value)
-        store_op = "store" if stmt.mask is None else "mask_store"
-        ops.append({"op": store_op, "stride": stmt.target.stride})
-    elif isinstance(stmt, N.VectorReduce):
-        ops.append({"op": "reduce", "stride": 1})
-    return ops
-
-
 def _chunk_lengths(total: int, step: int,
                    mvl: int) -> List[Dict[str, int]]:
     """(count, length) runs of vector-instruction chunks for a strip
@@ -160,15 +130,15 @@ def _estimate_vector_cost(stmt, total: int, step: int,
     chunks = sum(r["count"] for r in runs)
     out = {"vector_compute": 0.0, "vector_memory": 0.0,
            "vector_startup": 0.0, "chunks": chunks}
-    for op in _vector_ops(stmt):
+    for op, stride in vector_instructions(stmt):
         startup = cfg.vector_startup * chunks
         out["vector_startup"] += startup
         per_element = cfg.vector_element_cycles
-        memory_op = op["op"] in ("load", "store", "mask_store")
-        if memory_op and abs(op["stride"]) != 1:
+        memory_op = op in _VECTOR_MEMORY_OPS
+        if memory_op and abs(stride) != 1:
             per_element *= cfg.vector_stride_penalty
         cycles = startup + per_element * total
-        if op["op"] == "reduce":
+        if op == "reduce":
             cycles += sum(r["count"]
                           * max(1, r["length"]).bit_length()
                           * cfg.fp_issue for r in runs)

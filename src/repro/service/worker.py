@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from ..il import nodes as N
 from ..il.printer import format_program
 from ..inline.database import InlineDatabase
-from ..interp import make_interpreter
 from ..obs.report import CompilationReport
 from ..obs.trace import PassTracer
 from ..pipeline import TitanCompiler, _program_statements
@@ -57,24 +56,18 @@ def _classify(exc: BaseException) -> str:
 
 
 def _artifact_section(result, request: CompileRequest) -> dict:
-    """The compiled-engine artifact: for the bytecode tier, each
-    function's generated Python source (or its closure-tier fallback
-    reason); for the other engines, per-function closure metadata.
-    Deterministic — it ships inside the cached payload."""
+    """The compiled-engine artifact: per-function closure metadata (a
+    simulated request always runs under the cost hook, i.e. as
+    closures).  Deterministic — it ships inside the cached payload."""
     functions: Dict[str, dict] = {}
     program = result.program
-    if request.engine == "bytecode":
-        with make_interpreter(program, engine="bytecode") as interp:
-            for name in sorted(program.functions):
-                functions[name] = interp.generated_code(name)
-    else:
-        for name in sorted(program.functions):
-            fn = program.functions[name]
-            functions[name] = {
-                "tier": "closure",
-                "params": len(fn.params),
-                "statements": len(list(fn.all_statements())),
-            }
+    for name in sorted(program.functions):
+        fn = program.functions[name]
+        functions[name] = {
+            "tier": "closure",
+            "params": len(fn.params),
+            "statements": len(list(fn.all_statements())),
+        }
     return {"engine": request.engine, "functions": functions}
 
 

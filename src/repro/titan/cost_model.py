@@ -20,12 +20,7 @@ from typing import Dict, List, Optional
 
 from ..sched.scheduler import LoopSchedule
 from .config import TitanConfig
-
-#: Vector ops that occupy the memory pipe: charged to the
-#: ``vector_memory`` bucket, stride-penalized, and not counted as
-#: flops.  ``mask_store`` is the predicated store of a masked
-#: VectorAssign — same pipe as a plain store.
-_VECTOR_MEMORY_OPS = ("load", "store", "mask_store")
+from .vector_ops import _VECTOR_MEMORY_OPS
 
 
 @dataclass

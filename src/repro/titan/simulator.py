@@ -69,8 +69,9 @@ class TitanSimulator:
             if profile else None
         self.cost_model = TitanCostModel(self.config, schedules,
                                          profiler=self.profiler)
-        # The closure-compiled engine is the default: same event
-        # stream (cycles, profiler attribution), much faster.  Pass
+        # The fast engine is the default; under this cost hook it
+        # runs its event-emitting closures: same event stream (cycles,
+        # profiler attribution) as the oracle, much faster.  Pass
         # engine="tree" to time against the semantic oracle.
         self.interpreter = make_interpreter(program, engine=engine,
                                             memory_size=memory_size,
@@ -125,6 +126,6 @@ def simulate(program: N.ILProgram, entry: str = "main",
              config: Optional[TitanConfig] = None,
              use_scheduler: bool = True, profile: bool = False,
              engine: str = "compiled", *args: Value) -> TitanReport:
-    return TitanSimulator(program, config, use_scheduler=use_scheduler,
-                          profile=profile,
-                          engine=engine).run(entry, *args)
+    with TitanSimulator(program, config, use_scheduler=use_scheduler,
+                        profile=profile, engine=engine) as simulator:
+        return simulator.run(entry, *args)

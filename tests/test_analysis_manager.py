@@ -497,7 +497,7 @@ class TestDeterministicRelease:
         return {"id": str(serial), "filename": "daxpy.c", "run": "main",
                 "source": example("daxpy.c") + f"\nint pad{serial};\n"}
 
-    @pytest.mark.parametrize("engine", ["tree", "compiled", "bytecode"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     def test_run_request_leaves_under_1mb_for_the_collector(self, engine):
         with CompileService(workers=0) as service:
             assert service.submit(

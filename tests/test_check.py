@@ -115,7 +115,7 @@ class TestPassChecker:
         assert "front-end" in table
         assert f"{len(checker.snapshots)} snapshots" in table
 
-    @pytest.mark.parametrize("engine", ("compiled", "bytecode"))
+    @pytest.mark.parametrize("engine", ("compiled",))
     def test_fast_engine_outcomes_match_oracle(self, engine):
         # The checker can replay snapshots on a fast engine; on a
         # clean compile every per-pass outcome must equal the tree

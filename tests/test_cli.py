@@ -128,12 +128,13 @@ void f(float *p, float *q, int n)
 
 
 class TestEngineFlags:
-    def test_run_on_bytecode_engine(self, daxpy_file, capsys):
-        assert main([daxpy_file, "--engine", "bytecode",
-                     "--run", "main"]) == 0
-        out = capsys.readouterr().out
-        assert "a[3]=5.5" in out
-        assert "MFLOPS" in out
+    def test_bytecode_engine_refused(self, daxpy_file, capsys):
+        # The "bytecode" engine value is gone: generated code is what
+        # the default engine runs when uninstrumented.
+        with pytest.raises(SystemExit) as exc:
+            main([daxpy_file, "--engine", "bytecode", "--run", "main"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "invalid choice: 'bytecode'" in capsys.readouterr().err
 
     def test_dump_code_without_run(self, daxpy_file, capsys):
         # --dump-code needs no --run: it disassembles the generated

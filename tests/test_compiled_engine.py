@@ -1,12 +1,17 @@
-"""Unit parity tests for the closure-compiled execution engine.
+"""Unit parity tests for the fast engine: its factory, its closure
+half, and the switch between halves.
 
 ``engine="compiled"`` must be observably indistinguishable from the
 tree-walking oracle: same results, same stdout, same step accounting,
 same cost-event stream, same errors at the same dynamic operation
-counts.  The broad sweeps live in ``test_engine_differential.py``;
-these tests pin the individual mechanisms (factory, step limits,
-uninitialized reads, devices, recursion, hook swapping).
+counts.  With a cost hook installed it runs event-emitting closures —
+that is the half pinned here, so every parity run below installs a
+hook.  The uninstrumented half (generated code, its cache, its
+fallbacks) is ``test_bytecode_engine.py``; the broad sweeps live in
+``test_engine_differential.py``.
 """
+
+import os
 
 import pytest
 
@@ -14,17 +19,47 @@ from repro.frontend.lower import compile_to_il
 from repro.interp import (CompiledInterpreter, ENGINES, Interpreter,
                           InterpreterError, StepLimitExceeded,
                           make_interpreter)
+from repro.obs.metrics import REGISTRY
+from repro.pipeline import CompilerOptions, compile_c
+from repro.titan.simulator import TitanSimulator
+
+with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                       "examples", "daxpy.c")) as _handle:
+    DAXPY_C = _handle.read()
+
+
+def _hooked(program, engine, **kwargs):
+    """An engine with a recording cost hook installed (the fast
+    engine then runs closures), plus the list it records into."""
+    events = []
+    interp = make_interpreter(
+        program, engine=engine,
+        cost_hook=lambda *event: events.append(event), **kwargs)
+    return interp, events
 
 
 def _both(source, entry="main", args=(), **kwargs):
-    """Run a program under both engines, returning the interpreters
-    and their results."""
+    """Run a program under both engines, hooked, returning the
+    interpreters and their results."""
     program = compile_to_il(source, "<test>")
     out = {}
     for engine in ENGINES:
-        interp = make_interpreter(program, engine=engine, **kwargs)
+        interp, _ = _hooked(program, engine, **kwargs)
         out[engine] = (interp, interp.run(entry, *args))
     return out
+
+
+def _tiers():
+    """``(tier, reason) -> count`` of ``titancc_engine_tier_total``."""
+    return {(dict(key)["tier"], dict(key)["reason"]): metric.value
+            for name, key, metric in REGISTRY
+            if name == "titancc_engine_tier_total"}
+
+
+def _tier_delta(before):
+    return {key: value - before.get(key, 0)
+            for key, value in _tiers().items()
+            if value != before.get(key, 0)}
 
 
 class TestFactory:
@@ -43,8 +78,15 @@ class TestFactory:
                                              "engine 'jit'"):
             make_interpreter(program, engine="jit")
 
+    def test_bytecode_engine_refused(self):
+        # The removed engine value is just another unknown engine.
+        program = compile_to_il("int main(void) { return 1; }")
+        with pytest.raises(ValueError, match="unknown interpreter "
+                                             "engine 'bytecode'"):
+            make_interpreter(program, engine="bytecode")
+
     def test_engines_tuple(self):
-        assert ENGINES == ("tree", "compiled", "bytecode")
+        assert ENGINES == ("tree", "compiled")
 
 
 class TestObservableParity:
@@ -82,10 +124,7 @@ class TestObservableParity:
         program = compile_to_il(src, "<test>")
         streams = {}
         for engine in ENGINES:
-            events = []
-            interp = make_interpreter(
-                program, engine=engine,
-                cost_hook=lambda *event: events.append(event))
+            interp, events = _hooked(program, engine)
             interp.run("main")
             streams[engine] = events
         assert streams["tree"] == streams["compiled"]
@@ -98,8 +137,7 @@ class TestErrorsAndLimits:
         program = compile_to_il(src, "<test>")
         outcomes = {}
         for engine in ENGINES:
-            interp = make_interpreter(program, engine=engine,
-                                      max_steps=997)
+            interp, _ = _hooked(program, engine, max_steps=997)
             with pytest.raises(StepLimitExceeded) as exc:
                 interp.run("main")
             outcomes[engine] = (str(exc.value), interp.steps)
@@ -111,7 +149,7 @@ class TestErrorsAndLimits:
         program = compile_to_il(src, "<test>")
         messages = {}
         for engine in ENGINES:
-            interp = make_interpreter(program, engine=engine)
+            interp, _ = _hooked(program, engine)
             with pytest.raises(InterpreterError) as exc:
                 interp.run("main")
             messages[engine] = str(exc.value)
@@ -122,7 +160,7 @@ class TestErrorsAndLimits:
         program = compile_to_il(src, "<test>")
         messages = {}
         for engine in ENGINES:
-            interp = make_interpreter(program, engine=engine)
+            interp, _ = _hooked(program, engine)
             with pytest.raises(Exception) as exc:
                 interp.run("main")
             messages[engine] = (type(exc.value).__name__,
@@ -137,7 +175,7 @@ class TestDevicesAndHooks:
                "while (!status) spins = spins + 1; return spins; }")
         program = compile_to_il(src)
         for engine in ENGINES:
-            interp = make_interpreter(program, engine=engine)
+            interp, _ = _hooked(program, engine)
             values = iter([0, 0, 0, 1])
             interp.add_device("status", on_read=lambda: next(values))
             assert interp.run("main") == 3
@@ -148,7 +186,7 @@ class TestDevicesAndHooks:
                "return 0; }")
         program = compile_to_il(src)
         for engine in ENGINES:
-            interp = make_interpreter(program, engine=engine)
+            interp, _ = _hooked(program, engine)
             written = []
             interp.add_device("port", on_write=written.append)
             interp.run("main")
@@ -156,15 +194,20 @@ class TestDevicesAndHooks:
 
     def test_hook_swap_recompiles(self):
         # Hooks are compiled *into* the closures; installing one after
-        # a hook-free run must still produce the full event stream.
+        # an uninstrumented run (generated code, no events at all)
+        # must still produce the full event stream.
         src = ("int main(void) { int i; int s; s = 0; "
                "for (i = 0; i < 4; i++) s = s + i; return s; }")
         program = compile_to_il(src, "<test>")
         interp = make_interpreter(program, engine="compiled")
-        assert interp.run("main") == 6  # compiled without a hook
+        before = _tiers()
+        assert interp.run("main") == 6  # generated code
+        assert _tier_delta(before) == {("generated", ""): 1}
         events = []
         interp.cost_hook = lambda *event: events.append(event)
-        assert interp.run("main") == 6
+        assert interp.run("main") == 6  # closures
+        assert _tier_delta(before) == {("generated", ""): 1,
+                                       ("closure", "hook"): 1}
         reference = []
         oracle = make_interpreter(
             program, engine="tree",
@@ -176,13 +219,35 @@ class TestDevicesAndHooks:
     def test_hook_removal_recompiles(self):
         src = "int main(void) { return 41 + 1; }"
         program = compile_to_il(src, "<test>")
-        events = []
-        interp = make_interpreter(
-            program, engine="compiled",
-            cost_hook=lambda *event: events.append(event))
+        interp, events = _hooked(program, "compiled")
         assert interp.run("main") == 42
         assert events
         interp.cost_hook = None
         events.clear()
         assert interp.run("main") == 42
         assert events == []
+
+
+class TestTierDecision:
+    """``titancc_engine_tier_total``: one increment per function
+    materialization, labelled with the tier picked and why.  At
+    default options daxpy.c's two callees are inlined, so one run
+    materializes ``main`` only; without inlining, all three."""
+
+    CASES = ((CompilerOptions(), 1), (CompilerOptions(inline=False), 3))
+
+    def test_daxpy_uninstrumented_is_all_generated(self):
+        for options, called in self.CASES:
+            program = compile_c(DAXPY_C, options).program
+            before = _tiers()
+            with make_interpreter(program, engine="compiled") as interp:
+                interp.run("main")
+            assert _tier_delta(before) == {("generated", ""): called}
+
+    def test_daxpy_simulated_is_all_closures(self):
+        for options, called in self.CASES:
+            program = compile_c(DAXPY_C, options).program
+            before = _tiers()
+            with TitanSimulator(program) as simulator:
+                simulator.run("main")
+            assert _tier_delta(before) == {("closure", "hook"): called}

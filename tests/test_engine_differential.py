@@ -1,18 +1,18 @@
-"""Differential sweep: every fast engine vs the tree-walking oracle.
+"""Differential sweep: the fast engine vs the tree-walking oracle.
 
 Replays the entire ``tests/fuzz_corpus/`` plus a fixed-seed generated
-batch under all execution engines and every parallel iteration
+batch under both execution engines and every parallel iteration
 order, asserting identical return values, stdout, dynamic step
 counts, and cost-event streams (the event stream determines the Titan
 cycle breakdown, so stream equality is the strongest cycle check; one
 test also compares end-to-end :class:`TitanSimulator` cycle totals
 directly).
 
-Each engine runs twice per order: once with a cost hook installed
-(the instrumented tier — for the bytecode engine this delegates to
-the closure tier, which the hook-stream assertions pin down) and once
-hook-free, which is the bytecode engine's actual codegen path — a
-hooked-only sweep would never execute a generated function.
+Each engine runs twice per order, once per half of the fast engine:
+with a cost hook installed it runs its event-emitting closures (the
+hook-stream assertions pin them down), hook-free it runs generated
+code — a hooked-only sweep would never execute a generated function,
+a hook-free one would never touch the closures every simulation uses.
 
 Each comparison compiles the program ONCE and runs all engines over
 the same IL object — statement ids are a global counter, so compiling

@@ -305,7 +305,7 @@ class TestCommittedBaselines:
 
     def test_baselines_present_and_versioned(self, regress):
         docs = regress.load_benches(regress.BASELINE_DIR)
-        assert len(docs) == 18
+        assert len(docs) == 17
         for name, doc in docs.items():
             assert doc["schema"] == regress.BENCH_SCHEMA
             assert doc["variants"], name
@@ -320,12 +320,16 @@ class TestCommittedBaselines:
 
     def test_engine_speedups_recorded(self, regress):
         # The E13 acceptance criterion lives in the committed
-        # baselines: >=10x compiled-vs-tree on backsolve and daxpy.
+        # baselines: >=20x fast-vs-tree uninstrumented on backsolve
+        # and daxpy, with the rate under the Titan cost hook riding
+        # along as ungated trend telemetry.
         docs = regress.load_benches(regress.BASELINE_DIR)
         variants = docs["e13_engine"]["variants"]
         for workload in ("backsolve", "daxpy"):
             speedup = variants[workload]["host_engine_speedup_steps"]
-            assert speedup >= 10.0, (workload, speedup)
+            assert speedup >= 20.0, (workload, speedup)
+            assert variants[workload][
+                "host_instrumented_compiled_steps_per_sec"] > 0
         assert variants["transform"]["host_engine_speedup_steps"] > 0
 
     def test_telemetry_overhead_recorded(self, regress):
@@ -347,18 +351,6 @@ class TestCommittedBaselines:
         assert attrib["attrib_steps_daxpy"] > 0
         assert attrib["attrib_steps_backsolve"] > 0
         assert attrib["host_attrib_speedup"] > 0.6
-
-    def test_bytecode_speedups_recorded(self, regress):
-        # The E17 acceptance criterion: >=2x bytecode-vs-closure on
-        # backsolve and daxpy, with the raw per-engine rates riding
-        # along as trend telemetry.
-        docs = regress.load_benches(regress.BASELINE_DIR)
-        variants = docs["e17_bytecode"]["variants"]
-        for workload in ("backsolve", "daxpy"):
-            speedup = variants[workload]["host_bytecode_speedup_steps"]
-            assert speedup >= 2.0, (workload, speedup)
-            assert variants[workload]["host_bytecode_steps_per_sec"] \
-                > variants[workload]["host_compiled_steps_per_sec"]
 
     def test_service_cache_recorded(self, regress):
         # The E18 acceptance criterion: warm-cache throughput >=5x

@@ -105,14 +105,21 @@ class TestClientAPI:
         assert run["engine"] == "compiled"
         assert run["cycles"] > 0
 
-    def test_bytecode_artifact_carries_generated_source(self, service):
-        response = service.compile_source(DAXPY, filename="d.c",
-                                          engine="bytecode")
+    def test_bytecode_engine_refused(self, service):
+        # The removed engine value is refused like any unknown engine.
+        response = service.submit({"source": DAXPY, "filename": "d.c",
+                                   "engine": "bytecode"})
+        assert response["status"] == "error"
+        assert response["error"]["phase"] == "request"
+        assert response["error"]["kind"] == "invalid"
+
+    def test_default_artifact_section(self, service):
+        response = service.compile_source(DAXPY, filename="d.c")
         artifact = response["payload"]["artifact"]
-        assert artifact["engine"] == "bytecode"
+        assert artifact["engine"] == "compiled"
         step = artifact["functions"]["step"]
-        assert step["tier"] == "bytecode"
-        assert "def _bytecode_fn" in step["source"]
+        assert sorted(step) == ["params", "statements", "tier"]
+        assert step["tier"] == "closure"
 
     def test_reject_classified(self, service):
         response = service.submit({"source": "int main( {", "id": 2})
@@ -211,7 +218,7 @@ class TestCacheMetadata:
                 CompileRequest(source=DAXPY, filename="d.c",
                                run="main"),
                 CompileRequest(source=DAXPY, filename="d.c",
-                               engine="bytecode"),
+                               engine="tree"),
                 CompileRequest(source=DAXPY, filename="d.c",
                                max_steps=10),
                 CompileRequest(source=DAXPY, filename="d.c",
