@@ -7,12 +7,15 @@ pure substrate tax.  The fast engine removes most of it — E13
 measures by how much, on the three heaviest benchmark workloads, and
 proves the fast engine is *bit-identical* to the oracle on each.
 
-Both halves of the fast engine are measured.  Uninstrumented it runs
-one generated Python function per IL function: that ratio is gated.
-Under the Titan simulator's cost hook it runs event-emitting
-closures: that rate is the one every simulated run pays, recorded as
-an ungated ``host_instrumented_*`` trend (the number ROADMAP item 4 —
-cost accounting in generated code — has to beat by 2x).
+Both ways a benchmark runs the fast engine are measured.
+Uninstrumented it runs one generated Python function per IL function:
+that ratio is gated.  Under the Titan simulator's cost model it runs
+the same generated code with the model's scalar accounting inline:
+that rate is the one every simulated run pays, and it is gated at 2x
+what the event-emitting closures managed before accounting moved into
+generated code (ROADMAP item 4's gate; the closures still serve
+profiler runs, which ``test_e13_cycle_stream_identical`` keeps
+bit-equal).
 
 Speedup is measured in interpreter steps/sec (the engines execute the
 same dynamic step sequence, so steps/sec ratios equal wall-clock
@@ -35,6 +38,12 @@ from repro.workloads.stencils import backsolve
 
 REPS = 5
 MIN_BATCH_SECONDS = 0.05
+
+#: ``host_instrumented_compiled_steps_per_sec`` as last recorded with
+#: the simulator on closures (PR 13's committed baseline): the floor
+#: the costed generated code is gated against, at 2x.
+CLOSURE_STEPS_PER_SEC = {"backsolve": 121_250.0, "daxpy": 700_175.0}
+INSTRUMENTED_GATE = 2.0
 
 BACKSOLVE_N = 512
 DAXPY_N = 2048
@@ -166,34 +175,47 @@ def test_e13_engine_speedup():
             f"{name} engine speedup",
             f">={thresholds[name]:.0f}x", f"{speedup:.1f}x",
             speedup >= thresholds[name]))
-        rows.append(Row(
-            f"{name} under the cost hook", "trend",
-            f"{hooked / hooked_tree:.1f}x", True))
+        floor = CLOSURE_STEPS_PER_SEC.get(name)
+        if floor is None:
+            rows.append(Row(
+                f"{name} under the cost model", "trend",
+                f"{hooked / hooked_tree:.1f}x tree", True))
+        else:
+            rows.append(Row(
+                f"{name} under the cost model",
+                f">={INSTRUMENTED_GATE:.0f}x closures",
+                f"{hooked / floor:.1f}x",
+                hooked >= INSTRUMENTED_GATE * floor))
     print_table("E13: fast engine vs tree-walker", rows)
     assert all(r.ok for r in rows)
 
 
 def test_e13_cycle_stream_identical():
-    # With the cost hook installed both engines must drive the Titan
-    # model through the same event stream: cycle totals, per-class
-    # breakdown, and profiler attribution all match exactly.
+    # Under the Titan model both engines must report the same cycle
+    # totals, per-class breakdown and counters exactly — whether the
+    # fast engine accounts inline (plain simulation) or emits the
+    # oracle's event stream from closures (a profiler attached) —
+    # and profiler attribution must still sum to the total.
     source = backsolve(BACKSOLVE_N)
     program = compile_c(source, O0).program
     reports = {}
     for engine in ("compiled", "tree"):
-        sim = TitanSimulator(program, TitanConfig(),
-                             use_scheduler=False, profile=True,
-                             engine=engine)
-        sim.set_global_array("x", [1.0] * BACKSOLVE_N)
-        sim.set_global_array("y",
-                             [i + 2.0 for i in range(BACKSOLVE_N)])
-        sim.set_global_array("z", [0.5] * BACKSOLVE_N)
-        sim.set_global_scalar("n", BACKSOLVE_N)
-        reports[engine] = sim.run("backsolve")
-    fast, oracle = reports["compiled"], reports["tree"]
-    assert fast.cycles == oracle.cycles
-    assert fast.counters == oracle.counters
-    assert fast.breakdown == oracle.breakdown
+        for profile in (False, True):
+            sim = TitanSimulator(program, TitanConfig(),
+                                 use_scheduler=False, profile=profile,
+                                 engine=engine)
+            sim.set_global_array("x", [1.0] * BACKSOLVE_N)
+            sim.set_global_array(
+                "y", [i + 2.0 for i in range(BACKSOLVE_N)])
+            sim.set_global_array("z", [0.5] * BACKSOLVE_N)
+            sim.set_global_scalar("n", BACKSOLVE_N)
+            reports[engine, profile] = sim.run("backsolve")
+    oracle = reports["tree", True]
+    for fast in reports.values():
+        assert fast.cycles == oracle.cycles
+        assert fast.counters == oracle.counters
+        assert fast.breakdown == oracle.breakdown
+    fast = reports["compiled", True]
     # Profiler sum-to-total invariant holds on the compiled path too.
     profile = fast.profile
     total = profile.toplevel_cycles + sum(l.cycles

@@ -90,9 +90,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-code", metavar="FN",
                         help="print the fast engine's generated "
                              "Python source and CPython disassembly "
-                             "for function FN to stderr (no --run "
-                             "needed); fallback functions report why "
-                             "they run as closures")
+                             "for function FN to stderr: the code an "
+                             "uninstrumented run executes, or with "
+                             "--run the variant with Titan accounting "
+                             "inline that the simulation executes; "
+                             "functions that run as closures report "
+                             "why")
     parser.add_argument("--make-db", metavar="PATH",
                         help="save the parsed procedures as an inline "
                              "database instead of compiling")
@@ -363,17 +366,23 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
         log.info(f"wrote {len(result.dep_graphs)} dependence "
                  f"graph(s) to {args.dump_deps}")
 
-    if args.dump_code:
-        # The code an uninstrumented run executes; --run itself
-        # installs the Titan cost hook and so runs closures.
-        from .interp import InterpreterError, make_interpreter
-        interp = make_interpreter(result.program, engine="compiled")
+    def dump_code(interp) -> bool:
+        from .interp import InterpreterError
         try:
-            listing = interp.disassemble(args.dump_code)
+            sys.stderr.write(interp.disassemble(args.dump_code))
         except InterpreterError as exc:
             log.error(str(exc))
+            return False
+        return True
+
+    # With --run on the fast engine the dump is what the simulation
+    # executes (below); otherwise what an uninstrumented run would.
+    dump_simulated = args.run and args.engine == "compiled"
+    if args.dump_code and not dump_simulated:
+        from .interp import make_interpreter
+        if not dump_code(make_interpreter(result.program,
+                                          engine="compiled")):
             return 1
-        sys.stderr.write(listing)
 
     config = TitanConfig(processors=args.processors,
                          max_vector_length=args.vector_length)
@@ -383,6 +392,9 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                             schedules=result.schedules or None,
                             profile=args.profile,
                             engine=args.engine) as simulator:
+            if args.dump_code and dump_simulated and \
+                    not dump_code(simulator.interpreter):
+                return 1
             sim_report = simulator.run(args.run)
         if sim_report.stdout:
             out = sys.stderr if stdout_artifact else sys.stdout

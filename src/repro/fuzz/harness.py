@@ -12,12 +12,14 @@ order (forward / reverse / shuffle).
 The harness is also an *engine* differential: the reference runs on
 the tree-walking oracle (``engine="tree"``) while every variant runs
 on the fast engine by default, so each fuzz program cross-checks the
-execution engines on top of the optimization sweep.  Uninstrumented,
-the fast engine runs generated code and never touches the closures
-that serve every simulated run, so ``engine="all"`` runs each variant
-on both halves — once as is, once with a cost hook installed; pass
-``engine="tree"`` to take the fast engine out of the loop when
-bisecting a failure.
+execution engines on top of the optimization sweep.  What the fast
+engine runs depends on the cost hook it observes, so ``engine="all"``
+runs each variant on all three halves — uninstrumented (generated
+code), with a recording hook installed (event-emitting closures), and
+under a :class:`~repro.titan.cost_model.TitanCostModel` (generated
+code with inline accounting, compared field by field with the tree
+oracle under the same model); pass ``engine="tree"`` to take the fast
+engine out of the loop when bisecting a failure.
 
 Exception classification is the second half of the oracle.  The
 diagnostic types in :data:`CLEAN_REJECTIONS` are the front end doing
@@ -45,6 +47,9 @@ from ..interp.interpreter import make_interpreter
 from ..jobs import TaskOutcome, run_ordered
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import CompilerOptions, compile_c
+from ..sched.scheduler import schedule_program
+from ..titan.config import TitanConfig
+from ..titan.cost_model import TitanCostModel
 from .generator import GeneratedProgram, GeneratorOptions, \
     generate_program
 
@@ -65,17 +70,22 @@ def classify_exception(exc: BaseException) -> str:
 
 
 #: Suffix selecting the fast engine's instrumented half: the same
-#: engine with a cost hook installed, i.e. its closures.
+#: engine with a recording cost hook installed, i.e. its closures.
 _HOOKED = "+hook"
+
+#: Suffix selecting its costed half: the engine under the Titan cost
+#: model, i.e. generated code with inline accounting.
+_COSTED = "+cost"
 
 
 def resolve_engines(engine: str) -> Tuple[str, ...]:
     """The engine runs one ``engine`` selector puts variants through:
-    ``"all"`` means both halves of the fast engine (``compiled`` and
-    ``compiled+hook``), anything else is a single engine name
-    (validated by :func:`make_interpreter` at run time)."""
+    ``"all"`` means all three halves of the fast engine (``compiled``,
+    ``compiled+hook`` and ``compiled+cost``), anything else is a
+    single engine name (validated by :func:`make_interpreter` at run
+    time)."""
     if engine == "all":
-        return ("compiled", "compiled" + _HOOKED)
+        return ("compiled", "compiled" + _HOOKED, "compiled" + _COSTED)
     return (engine,)
 
 
@@ -212,6 +222,52 @@ def _run_program(program, max_steps: int, order: str = "forward",
     return 0 if value is None else int(value)
 
 
+def _observe_costed(program, config: TitanConfig, schedules: dict,
+                    max_steps: int, order: str, engine: str,
+                    timings: Optional[dict], label: str) -> tuple:
+    """One run under a fresh Titan cost model: everything the model
+    and the engine let a simulation report."""
+    model = TitanCostModel(config, schedules)
+    interp = make_interpreter(program, engine=engine,
+                              max_steps=max_steps, parallel_order=order,
+                              seed=7, cost_hook=model)
+    start = time.perf_counter()
+    try:
+        value = interp.run("main")
+    finally:
+        if timings is not None:
+            timings[label] = (timings.get(label, 0.0)
+                              + time.perf_counter() - start)
+    return (0 if value is None else int(value), interp.stdout,
+            interp.steps, model.cycles, model.counters,
+            model.breakdown, model.parallel_adjust)
+
+
+_COSTED_FIELDS = ("result", "stdout", "steps", "cycles", "counters",
+                  "breakdown", "parallel_adjust")
+
+
+def run_costed(program, options: CompilerOptions, max_steps: int,
+               order: str = "forward", engine: str = "compiled+cost",
+               timings: Optional[dict] = None) -> Tuple[int, str]:
+    """The costed half: tree and fast engine, each under its own
+    :class:`TitanCostModel` (same configuration, same loop schedules).
+    Returns the fast engine's ``main()`` value and the name of the
+    first field it disagrees with the oracle on — exactly, cycles
+    included — or ``""``."""
+    config = TitanConfig(processors=options.processors,
+                         max_vector_length=options.vector_length)
+    schedules = schedule_program(program, config)
+    name = engine.partition(_COSTED)[0]
+    oracle = _observe_costed(program, config, schedules, max_steps,
+                             order, "tree", timings, "tree")
+    fast = _observe_costed(program, config, schedules, max_steps,
+                           order, name, timings, engine)
+    differs = next((field for field, a, b
+                    in zip(_COSTED_FIELDS, oracle, fast) if a != b), "")
+    return fast[0], differs
+
+
 def run_source(source: str, name: str = "<fuzz>",
                points: Optional[List[Tuple[str, CompilerOptions]]]
                = None,
@@ -228,8 +284,8 @@ def run_source(source: str, name: str = "<fuzz>",
     invalid input has no semantics to compare).  ``engine`` selects
     the execution engine(s) for the *variants* only, so the default
     configuration differentially tests both the optimizer and the
-    fast engine against the oracle; ``engine="all"`` runs both halves
-    of the fast engine over each variant (see
+    fast engine against the oracle; ``engine="all"`` runs all three
+    halves of the fast engine over each variant (see
     :func:`resolve_engines`), and a failing run's variant name
     carries a ``#engine`` suffix naming the half that disagreed.
     Per-engine wall times accumulate in the result's
@@ -330,14 +386,26 @@ def _run_variant(source: str, name: str, point_name: str,
             label = (f"{point_name}@{order}#{eng}"
                      if len(engines) > 1
                      else f"{point_name}@{order}")
+            differs = ""
             try:
-                value = _run_program(compiled.program, max_steps,
-                                     order, eng, timings=timings)
+                if eng.endswith(_COSTED):
+                    value, differs = run_costed(
+                        compiled.program, options, max_steps, order,
+                        eng, timings)
+                else:
+                    value = _run_program(compiled.program, max_steps,
+                                         order, eng, timings=timings)
             except Exception as exc:  # noqa: BLE001
                 return VariantResult(name=label,
                                      status="crash", phase="run",
                                      error_type=type(exc).__name__,
                                      error=str(exc))
+            if differs:
+                return VariantResult(
+                    name=label, status="divergence", value=value,
+                    phase="run",
+                    error=f"cost model {differs} differs from the "
+                          f"tree oracle's")
             if value != ref_value:
                 return VariantResult(name=label,
                                      status="divergence", value=value,
@@ -366,7 +434,7 @@ def _bisect_first_failure(result: DifferentialResult,
         # compile-time failure has no suffix — any engine will do.
         failed_engine = (failed_engine
                          or resolve_engines(engine)[0]
-                         ).partition(_HOOKED)[0]
+                         ).partition("+")[0]
         report = bisect_source(result.source, options,
                                name=f"{result.name}:{variant.name}",
                                max_steps=max_steps,

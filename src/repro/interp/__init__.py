@@ -6,7 +6,9 @@ Two engines share one observable semantics:
   semantic oracle (``engine="tree"``);
 * :class:`~repro.interp.bytecode.CompiledInterpreter` — the fast
   engine (``engine="compiled"``): generated Python code when no cost
-  hook is installed, event-emitting closures under a hook.
+  hook is installed or the hook (the Titan cost model) offers its
+  scalar cost table for inline accounting, event-emitting closures
+  under any other hook.
 
 Use :func:`~repro.interp.interpreter.make_interpreter` to pick one by
 name.

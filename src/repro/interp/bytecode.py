@@ -1,15 +1,11 @@
-"""The fast engine: generated code when uninstrumented, closures
-under a cost hook.
+"""The fast engine: generated code, with the cost model's accounting
+inline when it offers its table; closures under any other hook.
 
 :class:`CompiledInterpreter` (``engine="compiled"``) materializes each
-function from what it can observe.  With a cost hook installed (the
-Titan simulator always installs one) it runs the event-emitting
-closures of :mod:`repro.interp.compiled`, which reproduce the
-oracle's exact event order — so cycle totals, breakdowns, and the
-profiler's sum-to-total invariant stay bit-identical by construction.
-With no hook, each ``ILFunction``'s flow graph is lowered **once**
-into a single generated Python function, which removes the closures'
-one-Python-call-per-flow-node cost as well:
+function from what it can observe.  With no cost hook, each
+``ILFunction``'s flow graph is lowered **once** into a single
+generated Python function, which removes the closures'
+one-Python-call-per-flow-node cost:
 
 * Basic blocks become straight-line Python; the computed ``goto``
   structure folds into one ``while True`` dispatch loop over a small
@@ -31,27 +27,66 @@ one-Python-call-per-flow-node cost as well:
   evaluation order, lazy per-lane ``Select``, cached ``Section`` bases
   and ``Iota`` starts, broadcast scalars) lower to list comprehensions
   plus a tight store loop over a preallocated value list.
-* There is **no** instrumentation in generated code, so the
+* There is **no** instrumentation in this variant, so the
   uninstrumented path is observation-free.
+
+With a hook that advertises ``inline_costs()`` — the Titan cost model
+without a profiler, which is what every simulated run installs — the
+same lowering also emits the model's *scalar accounting* (the costed
+variant).  Scalar cost events are a static function of the IL — one
+``load``/``store``/``flop``/``intop``/``branch``/``call`` per node, in
+evaluation order — so they are not called, they are added up:
+
+* cycles accumulate in a local float ``_cy`` as left-to-right chains
+  (``_cy = _cy + 11.0 + 1.0 + 8.0``), one latency per event in the
+  oracle's event order.  The total is fractional after the first
+  parallel rescale, so regrouping the additions would round
+  differently; the order is part of the contract;
+* operation counts are local ints (``_kN`` charged, ``_uN`` counted
+  only), bumped once per straight-line stretch; the model derives its
+  ``scalar``/``memory`` buckets from the charged counts at exit
+  (exact: the latencies are whole cycles);
+* costs follow the IL tree, not the emitted Python: a CSE temp still
+  charges every occurrence, a lazy ``Select`` replays only the taken
+  arm's events, a lazily filled vector cache charges when the first
+  lane fills it;
+* scheduled loops (their bodies are call-free plain assigns, so which
+  events the model would suppress is lexical) count without charging
+  and pay the model's initiation-interval lump at exit;
+* the running total is *parked* in the model before anything else may
+  charge it — a callee, a builtin, the ``vector``/``vector_reduce``/
+  ``parallel_*`` events, which stay calls into the model — and
+  reloaded after; a ``finally`` hands total and counts back
+  (``absorb``) — the same discipline the step cell follows.
+
+After a fault the model holds what had been settled by then: every
+completed straight-line stretch, never more than the oracle charged.
+
+Under any other hook (recording hooks, a model with a profiler
+attached, one with fractional latencies) the engine runs the
+event-emitting closures of :mod:`repro.interp.compiled`, which
+reproduce the oracle's exact event order.
 
 Anything the generator cannot prove it can lower exactly — volatile
 symbols (device hooks), aggregate scalar access, lazily-allocated
 address-taken symbols, list-parallel loops, oversized generated
-source — raises :class:`_Fallback` during generation and the *whole
-function* runs as closures bound to a no-op hook, which are already
-differentially verified against the oracle.  Every tier decision is
-counted in ``titancc_engine_tier_total{tier,reason}``.
+source, a costed call under a ``Select`` — raises :class:`_Fallback`
+during generation and the *whole function* runs as closures (bound to
+the installed hook, or a no-op), which are already differentially
+verified against the oracle.  Every tier decision is counted in
+``titancc_engine_tier_total{tier,reason}``.
 
 Generated code is memoized **across engine instances** on the
-``ILFunction`` object itself: the code object is instance-independent,
-and every bound global is recorded as a *recipe* (pure constant,
-memory buffer, step cell, call helper, ...) that each engine
-materializes against its own state.  A cached entry is only reused
-when its baked facts still hold — same memory size, every baked
-global symbol still at its compile-time address — so fresh
-interpreters over the same program (benchmark reps, fuzz variant
-sweeps, repeated runs) skip re-lowering entirely.  Hit/miss counts
-land in the process metrics registry under
+``ILFunction`` object itself, one entry per variant: the code object
+is instance-independent, and every bound global is recorded as a
+*recipe* (pure constant, memory buffer, step cell, call helper, the
+hook, ...) that each engine materializes against its own state.  A
+cached entry is only reused when its baked facts still hold — same
+memory size, every baked global symbol still at its compile-time
+address, and for the costed variant the same latencies and the same
+scheduled loops — so fresh interpreters over the same program
+(benchmark reps, fuzz variant sweeps, repeated runs) skip re-lowering
+entirely.  Hit/miss counts land in the process metrics registry under
 ``titancc_engine_codegen_cache_total``.  Code that mutates a program
 in place must call :meth:`CompiledInterpreter.invalidate_graphs`,
 which drops these entries along with the flow-graph caches.
@@ -70,6 +105,7 @@ from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
+from ..titan.vector_ops import vector_instructions
 from .compiled import (_CompiledFunction, _F32_MAX, _F32_PACK,
                        _F32_UNPACK, _FrameLayout, _FunctionCompiler,
                        _UNSET, _binop_impl, _fast_round_f32,
@@ -98,18 +134,22 @@ class _CodegenEntry:
     """One function's generated code plus everything needed to rebind
     it to a different engine instance."""
 
-    __slots__ = ("fn", "source", "code", "recipes", "baked", "mem_limit")
+    __slots__ = ("fn", "source", "code", "recipes", "baked", "mem_limit",
+                 "costs")
 
     def __init__(self, fn: N.ILFunction, source: str, code,
                  recipes: Dict[str, tuple],
                  baked: Tuple[Tuple[Symbol, int], ...],
-                 mem_limit: int):
+                 mem_limit: int, costs: Optional[tuple]):
         self.fn = fn
         self.source = source
         self.code = code
         self.recipes = recipes
         self.baked = baked
         self.mem_limit = mem_limit
+        #: None for the observation-free variant; for the costed one
+        #: the baked accounting facts (see :func:`_baked_costs`).
+        self.costs = costs
 
 
 class _FallbackEntry:
@@ -122,22 +162,27 @@ class _FallbackEntry:
         self.reason = reason
 
 
-def _make_call_helper(engine, name: str):
+def _make_call_helper(engine, name: str, costed: bool = False):
     """Call into another IL function or a builtin from generated code.
 
-    Mirrors the oracle's ``_eval_call`` with no hook: arguments are
-    already evaluated (Python call-argument order keeps left-to-right),
-    a void IL call yields 0."""
+    Mirrors the oracle's ``_eval_call``: arguments are already
+    evaluated (Python call-argument order keeps left-to-right), a void
+    IL call yields 0.  The costed variant's call sites pass one extra
+    trailing argument — evaluating it settled and parked the caller's
+    accounting after the real arguments — which is dropped here."""
     functions_get = engine.program.functions.get
     exec_fn = engine._exec_function
     call_builtin = engine._call_builtin
 
     def call(*args):
+        args = list(args)
+        if costed:
+            del args[-1]
         fn = functions_get(name)
         if fn is not None:
-            result = exec_fn(fn, list(args))
+            result = exec_fn(fn, args)
             return 0 if result is None else result
-        return call_builtin(name, list(args))
+        return call_builtin(name, args)
     return call
 
 
@@ -169,8 +214,42 @@ def _materialize_recipe(engine, recipe: tuple):
     if kind == "storer":
         return _make_storer(engine.memory, recipe[1])
     if kind == "call":
-        return _make_call_helper(engine, recipe[1])
+        return _make_call_helper(engine, *recipe[1:])
+    if kind == "hook":
+        return engine.cost_hook
+    if kind == "hookattr":
+        return getattr(engine.cost_hook, recipe[1])
     raise InterpreterError(f"unknown codegen recipe {recipe!r}")
+
+
+def _baked_costs(fn: N.ILFunction, costs) -> Optional[tuple]:
+    """What a costed entry bakes in, compared like baked addresses
+    before a cached entry is reused: each kind's latency and which of
+    the function's loops are scheduled.  None for no accounting."""
+    if costs is None:
+        return None
+    return (tuple(costs.latency.items()),
+            frozenset(loop.sid for loop
+                      in _scheduled_loops(fn, costs.scheduled)))
+
+
+def _scheduled_loops(fn: N.ILFunction, scheduled) -> List[N.DoLoop]:
+    return [stmt for stmt in fn.all_statements()
+            if isinstance(stmt, N.DoLoop) and stmt.sid in scheduled]
+
+
+def _scheduled_bodies_plain(program: N.ILProgram, scheduled) -> bool:
+    """True when every scheduled loop's body is call-free plain
+    assigns: nothing inside one runs another function, so which events
+    the model would suppress is decided by the IL alone (a call in one
+    would make it depend on the caller)."""
+    return all(isinstance(inner, N.Assign) and not any(
+                   isinstance(e, N.CallExpr)
+                   for top in N.stmt_exprs(inner)
+                   for e in N.walk_expr(top))
+               for fn in program.functions.values()
+               for loop in _scheduled_loops(fn, scheduled)
+               for inner in loop.body)
 
 
 def _cache_counter(outcome: str):
@@ -180,8 +259,11 @@ def _cache_counter(outcome: str):
 
 def _tier_counter(tier: str, reason: str):
     """One increment per function materialization: which tier the
-    engine picked (``generated`` or ``closure``) and why a closure
-    (``hook``, or the generator's :class:`_Fallback` reason)."""
+    engine picked (``generated`` or ``closure``) and why: generated
+    code is ``costed`` when it carries the hook's accounting, a
+    closure's reason is ``hook`` (one the engine must emit events to),
+    the hook's own reason for refusing inline accounting, or the
+    generator's :class:`_Fallback` reason."""
     return REGISTRY.counter("titancc_engine_tier_total",
                             {"tier": tier, "reason": reason})
 
@@ -211,8 +293,30 @@ class _CodeGenerator(_FrameLayout):
     #: Operators inlined with a conversion wrapper.
     _ARITH_OPS = frozenset(("+", "-", "*", "<<", ">>", "&", "|", "^"))
 
-    def __init__(self, engine: "CompiledInterpreter", fn: N.ILFunction):
+    def __init__(self, engine: "CompiledInterpreter", fn: N.ILFunction,
+                 costs=None):
         super().__init__(engine, fn)
+        # Inline accounting (the costed variant): the hook's scalar
+        # cost table, or None for observation-free code.  Events are
+        # noted in oracle order as ``_items`` while source is
+        # generated and rendered into updates of the accounting
+        # locals (``_cy`` cycles, ``_kN``/``_uN`` charged/only-counted
+        # operations of kind N) by :meth:`_cost_sync`.
+        self._costs = costs
+        self._kinds: Tuple[str, ...] = tuple(costs.latency) if costs \
+            else ()
+        self._kind_index = {kind: i for i, kind in enumerate(self._kinds)}
+        self._items: List = []
+        self._quiet = False  # inside a scheduled loop: count, no charge
+        self._in_arm = False  # generating a Select arm
+        self._cost_locals: Set[str] = set()
+        self._iter_locals: Set[str] = set()
+        # Statements of scheduled loop bodies (by identity): plain
+        # call-free assigns — the engine checked — so suppression is
+        # lexical.
+        self._quiet_stmts: Set[int] = set() if costs is None else {
+            id(inner) for loop in _scheduled_loops(fn, costs.scheduled)
+            for inner in loop.body}
         self._tmpn = 0  # unique temp names for generated source
         self._recipes: Dict[str, tuple] = {}
         self._baked: List[Tuple[Symbol, int]] = []
@@ -255,6 +359,136 @@ class _CodeGenerator(_FrameLayout):
             # only reused while the address still holds.
             self._baked.append((sym, where))
         return kind, where
+
+    # -- inline accounting -------------------------------------------------
+
+    def _note(self, kind: str) -> None:
+        """One scalar cost event happened here (oracle order)."""
+        if self._costs is not None:
+            index = self._kind_index[kind]
+            self._items.append(~index if self._quiet else index)
+
+    def _note_op(self, expr: N.Expr) -> None:
+        self._note("flop" if expr.ctype.is_float else "intop")
+
+    def _note_pure(self, expr: N.Expr) -> None:
+        """Events of a CSE-shared subexpression (arithmetic over
+        registers and constants): every occurrence is charged, though
+        only the first is evaluated."""
+        if isinstance(expr, N.BinOp):
+            self._note_pure(expr.left)
+            self._note_pure(expr.right)
+            self._note_op(expr)
+        elif isinstance(expr, (N.UnOp, N.Cast)):
+            self._note_pure(expr.operand)
+            if isinstance(expr, N.UnOp):
+                self._note_op(expr)
+
+    def _captured(self, expr: N.Expr, env: Dict[str, object],
+                  arm: bool = False) -> Tuple[str, List]:
+        """Generate ``expr`` with a fresh event list: (its source, the
+        events its evaluation causes) — for code that runs
+        conditionally (a Select ``arm``, a lazily filled vector
+        cache)."""
+        saved = self._items, self._in_arm
+        self._items, self._in_arm = [], arm
+        try:
+            src = self._gen(expr, env)
+            return src, self._items
+        finally:
+            self._items, self._in_arm = saved
+
+    def _cost_updates(self, items: List) -> List[Tuple[str, str]]:
+        """``(local, new value source)`` pairs applying ``items`` in
+        order; a pair with an empty local is a bare expression (the
+        replay of a Select: only the taken arm's events).  Cycles add
+        up left to right, one latency at a time — the oracle's order,
+        which regrouping would round differently once a parallel
+        rescale has made the total fractional."""
+        latency = self._costs.latency
+        out: List[Tuple[str, str]] = []
+        terms: List[str] = []
+        bumps: Dict[str, int] = {}
+
+        def close_chain() -> None:
+            if terms:
+                out.append(("_cy", "_cy + " + " + ".join(terms)))
+                terms.clear()
+
+        for item in items:
+            if isinstance(item, tuple):
+                close_chain()
+                tmp, then, other = item
+                out.append(("", f"{self._cost_expr(then)} if {tmp} "
+                                f"else {self._cost_expr(other)}"))
+                continue
+            quiet = item < 0
+            index = ~item if quiet else item
+            name = f"_u{index}" if quiet else f"_k{index}"
+            bumps[name] = bumps.get(name, 0) + 1
+            cycles = latency[self._kinds[index]]
+            if not quiet and cycles:
+                terms.append(repr(float(cycles)))
+        close_chain()
+        for name, n in bumps.items():
+            self._cost_locals.add(name)
+            out.append((name, f"{name} + {n}"))
+        return out
+
+    def _cost_exprs(self, items: List) -> List[str]:
+        """The updates applying ``items``, as expressions."""
+        return [f"({name} := {value})" if name else f"({value})"
+                for name, value in self._cost_updates(items)]
+
+    def _cost_expr(self, items: List) -> str:
+        """One expression applying ``items`` (its value is unused)."""
+        parts = self._cost_exprs(items)
+        if not parts:
+            return "0"
+        return parts[0] if len(parts) == 1 \
+            else "(" + ", ".join(parts) + ")"
+
+    def _cost_sync(self, lines: List[str]) -> None:
+        """Apply every pending event: ``lines`` is about to transfer
+        control, or to run code that charges on its own."""
+        if self._items:
+            lines.extend(f"{name} = {value}" if name else value
+                         for name, value in
+                         self._cost_updates(self._items))
+            self._items.clear()
+
+    def _cost_settle(self, src: str, lines: List[str]) -> str:
+        """Sync before ``src`` is consumed by a control transfer:
+        ``src`` is evaluated first, so a fault in it happens before
+        its events are charged (as in the oracle) and a pending
+        Select finds the temp its evaluation binds."""
+        if self._items and not src.isidentifier():
+            t = self._tmp_name()
+            lines.append(f"{t} = {src}")
+            src = t
+        self._cost_sync(lines)
+        return src
+
+    def _hook_lines(self, *events: str) -> List[str]:
+        """Events the model handles itself (vector instructions,
+        parallel regions), from generated code: park the running
+        total first, reload it after."""
+        return (["_park(_cy)"] + [f"_hk({event})" for event in events]
+                + ["_cy = _M.cycles"])
+
+    def _scheduled(self, stmt: N.DoLoop) -> bool:
+        return self._costs is not None and \
+            stmt.sid in self._costs.scheduled
+
+    def _iter_local(self, sid: int) -> str:
+        name = f"_i{self._hi_slot(sid)}"
+        self._iter_locals.add(name)
+        return name
+
+    def _lump_line(self, sid: int, iterations: str) -> str:
+        """A scheduled loop's exit: the initiation-interval lump for
+        its ``iterations`` (their operations were only counted)."""
+        return f"_cy = _sx(_cy, {sid}, {iterations})"
 
     # -- conversions, loads, stores ----------------------------------------
 
@@ -380,6 +614,7 @@ class _CodeGenerator(_FrameLayout):
                     f"else _ui({un}))")
         if _is_aggregate(sym.ctype):
             raise _Fallback("aggregate scalar read")
+        self._note("load")
         if kind == "mem":
             return self._gen_load(f"_m{where}", sym.ctype, env)
         return self._gen_load(str(where), sym.ctype, env,
@@ -441,6 +676,7 @@ class _CodeGenerator(_FrameLayout):
             return [f"_r{where} = {value}"]
         if _is_aggregate(sym.ctype):
             raise _Fallback("aggregate scalar write")
+        self._note("store")
         value = value_src if pre_converted \
             else self._gen_conv(value_src, sym.ctype, env)
         # A conversion-wrapped (or proven pre-converted) value for a
@@ -493,6 +729,8 @@ class _CodeGenerator(_FrameLayout):
                 return None
             return ("t", _ctype_key(expr.ctype), ok)
         if isinstance(expr, N.Select):
+            if self._costs is not None:
+                return None  # which arm's events to charge is dynamic
             ck = self._cse_key(expr.cond)
             tk = self._cse_key(expr.then) if ck is not None else None
             ok = self._cse_key(expr.otherwise) if tk is not None \
@@ -548,8 +786,13 @@ class _CodeGenerator(_FrameLayout):
         if key is not None:
             hit = self._cse.get(key)
             if hit is not None:
+                self._note_pure(expr)
                 return hit
         src = self._gen_inner(expr, env)
+        if isinstance(expr, (N.BinOp, N.UnOp, N.Select)):
+            self._note_op(expr)
+        elif isinstance(expr, N.Mem):
+            self._note("load")
         if key is not None and self._cse_lazy == 0 and \
                 key in self._cse_worthy and \
                 isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select)):
@@ -574,11 +817,29 @@ class _CodeGenerator(_FrameLayout):
             raise _Fallback("address of lazily-allocated symbol")
         if isinstance(expr, N.CallExpr):
             self._ncalls += 1
+            costed = self._costs is not None
             helper = self._bind(
-                env, _make_call_helper(self.engine, expr.name),
-                ("call", expr.name))
-            args = ", ".join(f"({self._gen(a, env)})" for a in expr.args)
-            return f"{helper}({args})"
+                env, _make_call_helper(self.engine, expr.name, costed),
+                ("call", expr.name, costed))
+            args = [f"({self._gen(a, env)})" for a in expr.args]
+            if not costed:
+                return f"{helper}({', '.join(args)})"
+            if self._in_arm:
+                # The events pending outside the arm would have to be
+                # settled before this call, on this arm only.
+                raise _Fallback("costed call under a select")
+            # The callee charges the model itself: after the arguments,
+            # settle everything pending and park the running total
+            # (None until reloaded, so a fault in the callee leaves
+            # the parked total alone); reload once it returns.
+            self._note("call")
+            settle = self._cost_exprs(self._items)
+            self._items.clear()
+            settle.append("(_cy := _park(_cy))")
+            args.append("(" + ", ".join(settle) + ",)")
+            t = self._tmp_name()
+            return (f"(({t} := {helper}({', '.join(args)})), "
+                    f"(_cy := _M.cycles))[0]")
         if isinstance(expr, (N.Section, N.Iota)):
             raise _Fallback("vector expression in scalar context")
         if isinstance(expr, N.Mem) and not _is_aggregate(expr.ctype):
@@ -668,10 +929,18 @@ class _CodeGenerator(_FrameLayout):
             self._cse_lazy += 1
             try:
                 cond = self._gen(expr.cond, env)
-                then = self._gen(expr.then, env)
-                other = self._gen(expr.otherwise, env)
+                then, then_items = self._captured(expr.then, env,
+                                                  arm=True)
+                other, other_items = self._captured(expr.otherwise, env,
+                                                    arm=True)
             finally:
                 self._cse_lazy -= 1
+            if then_items or other_items:
+                # Only the taken arm's events are charged: replayed
+                # at the next sync from the condition's value.
+                t = self._tmp_name()
+                cond = f"{t} := {cond}"
+                self._items.append((t, then_items, other_items))
             return self._gen_conv(
                 f"(({then}) if ({cond}) else ({other}))",
                 expr.ctype, env)
@@ -710,6 +979,7 @@ class _CodeGenerator(_FrameLayout):
         if isinstance(expr, N.BinOp) and expr.op in self._CMP_OPS:
             left = self._gen(expr.left, env)
             right = self._gen(expr.right, env)
+            self._note_op(expr)
             return f"(({left}) {expr.op} ({right}))"
         return self._gen(expr, env)
 
@@ -836,6 +1106,7 @@ class _CodeGenerator(_FrameLayout):
             # (store lines land the value in a temp first).
             value = self._gen(stmt.value, env)
             addr = self._gen_int(target.addr, env)
+            self._note("store")
             return self._gen_store_lines(
                 addr, value, target.ctype, env,
                 float_value=self._float_valued(stmt.value))
@@ -902,9 +1173,7 @@ class _CodeGenerator(_FrameLayout):
         if isinstance(expr, N.Section):
             if _is_aggregate(expr.ctype):
                 raise _Fallback("aggregate section")
-            c = self._cache_name(caches)
-            addr = f"int({self._gen(expr.addr, env)})"
-            base = f"({c} if {c} is not None else ({c} := {addr}))"
+            base = self._gen_cached(expr.addr, env, caches, "int")
             step = expr.stride * expr.ctype.sizeof()
             return self._gen_load(f"({base} + {idx} * {step})",
                                   expr.ctype, env)
@@ -932,14 +1201,22 @@ class _CodeGenerator(_FrameLayout):
                 f"(({then}) if ({cond}) else ({other}))",
                 expr.ctype, env)
         if isinstance(expr, N.Iota):
-            c = self._cache_name(caches)
-            start = f"int({self._gen(expr.start, env)})"
-            return (f"(({c} if {c} is not None else ({c} := {start}))"
-                    f" + {idx})")
+            start = self._gen_cached(expr.start, env, caches, "int")
+            return f"({start} + {idx})"
         # Scalars (including Mem) broadcast: evaluated once, cached.
+        return self._gen_cached(expr, env, caches)
+
+    def _gen_cached(self, expr: N.Expr, env: Dict[str, object],
+                    caches: List[str], conv: str = "") -> str:
+        """A scalar evaluated at most once per vector statement
+        execution, by the first lane that needs it — which is also
+        when its events are charged."""
         c = self._cache_name(caches)
-        scalar = self._gen(expr, env)
-        return f"({c} if {c} is not None else ({c} := ({scalar})))"
+        src, items = self._captured(expr, env)
+        fill = f"({c} := {conv}({src}))"
+        if items:
+            fill = f"({fill}, {self._cost_expr(items)})[0]"
+        return f"({c} if {c} is not None else {fill})"
 
     def _gen_vector_assign_lines(self, stmt: N.VectorAssign,
                                  env: Dict[str, object]) -> List[str]:
@@ -950,6 +1227,8 @@ class _CodeGenerator(_FrameLayout):
         lines: List[str] = []
         tl = self._tmp_name()
         lines.append(f"{tl} = int({self._gen(target.length, env)})")
+        # The lanes' cache fills charge as they run: nothing pending.
+        self._cost_sync(lines)
         caches: List[str] = []
         idx = self._tmp_name()
         # Mask generated (and at runtime evaluated) before the value,
@@ -962,6 +1241,8 @@ class _CodeGenerator(_FrameLayout):
         value_src = self._gen_vector_elem_src(stmt.value, env, caches,
                                               idx)
         addr_src = f"int({self._gen(target.addr, env)})"
+        base_cost: List[str] = []
+        self._cost_sync(base_cost)
         stride_bytes = target.stride * ctype.sizeof()
         body: List[str] = [f"{c} = None" for c in caches]
         tv = self._tmp_name()
@@ -970,6 +1251,7 @@ class _CodeGenerator(_FrameLayout):
             body.append(f"{tv} = [{value_src} for {idx} in "
                         f"range({tl})]")
             body.append(f"{tb} = {addr_src}")
+            body.extend(base_cost)
             tx = self._tmp_name()
             body.append(f"for {tx} in {tv}:")
             body.extend(_ind(self._gen_store_lines(tb, tx, ctype, env)))
@@ -980,12 +1262,18 @@ class _CodeGenerator(_FrameLayout):
             body.append(f"{tv} = [({value_src}) if {tm}[{idx}] "
                         f"else None for {idx} in range({tl})]")
             body.append(f"{tb} = {addr_src}")
+            body.extend(base_cost)
             body.append(f"for {idx} in range({tl}):")
             store = self._gen_store_lines(
                 f"({tb} + {idx} * {stride_bytes})", f"{tv}[{idx}]",
                 ctype, env)
             body.append(f"    if {tm}[{idx}]:")
             body.extend(_ind(_ind(store)))
+        if self._costs is not None:
+            # One event per vector instruction, after the stores.
+            body.extend(self._hook_lines(*(
+                f"'vector', {op!r}, {tl}, {stride}"
+                for op, stride in vector_instructions(stmt))))
         lines.append(f"if {tl} > 0:")
         lines.extend(_ind(body))
         return lines
@@ -999,6 +1287,7 @@ class _CodeGenerator(_FrameLayout):
         lines.append(f"{tl} = int({self._gen(stmt.length, env)})")
         ta = self._tmp_name()
         lines.append(f"{ta} = {self._gen_var_read(sym, env)}")
+        self._cost_sync(lines)
         caches: List[str] = []
         idx = self._tmp_name()
         elem = self._gen_vector_elem_src(stmt.value, env, caches, idx)
@@ -1006,6 +1295,9 @@ class _CodeGenerator(_FrameLayout):
         body = [f"{c} = None" for c in caches]
         body.append(f"for {idx} in range({tl}):")
         body.append(f"    {ta} = {impl}({ta}, ({elem}))")
+        if self._costs is not None:
+            body.extend(self._hook_lines(
+                f"'vector_reduce', {stmt.op!r}, {tl}"))
         lines.append(f"if {tl} > 0:")
         lines.extend(_ind(body))
         # ta is either the (converted) initial read or a kernel
@@ -1035,6 +1327,7 @@ class _CodeGenerator(_FrameLayout):
                 self._emit_call_stmt(stmt, env, lines)
             elif isinstance(stmt, N.IfStmt):
                 src = self._guarded_bool_src(stmt.cond, env, lines)
+                src = self._cost_settle(src, lines)
                 da0 = set(self._da)
                 lines.append(f"if {src}:")
                 then = self._gen_stmt_list_lines(stmt.then, env)
@@ -1048,10 +1341,13 @@ class _CodeGenerator(_FrameLayout):
                     self._da = da_then & self._da
                 else:
                     self._da = da0
+                self._note("branch")  # after the taken arm, like the oracle
             elif isinstance(stmt, N.WhileLoop):
+                self._cost_sync(lines)
                 lines.append("while True:")
                 sub: List[str] = []
                 csrc = self._guarded_bool_src(stmt.cond, env, sub)
+                csrc = self._cost_settle(csrc, sub)
                 sub.append(f"if not ({csrc}): break")
                 sub.append("count += 1")
                 sub.append("if count > _ms: _hit(_ms + 1)")
@@ -1067,19 +1363,33 @@ class _CodeGenerator(_FrameLayout):
                 hi = self._guarded_src(stmt.hi, env, lines)
                 tvs = self._bind(env, _trip_values)
                 it = self._tmp_name()
-                lines.append(f"for {it} in {tvs}({tlo}, ({hi}), "
-                             f"{stmt.step!r}):")
+                trips = f"{tvs}({tlo}, ({hi}), {stmt.step!r})"
+                quiet = self._scheduled(stmt)
+                if quiet:
+                    tr = self._tmp_name()
+                    lines.append(f"{tr} = {trips}")
+                    trips = tr
+                self._cost_sync(lines)
+                lines.append(f"for {it} in {trips}:")
                 sub = ["count += 1", "if count > _ms: _hit(_ms + 1)"]
                 da0 = set(self._da)
+                self._quiet = quiet
                 sub.extend(self._gen_write_lines(stmt.var, it, env))
                 sub.extend(self._gen_stmt_list_lines(stmt.body, env))
+                self._note("branch")
+                self._cost_sync(sub)
+                self._quiet = False  # scheduled loops do not nest
                 self._da = da0  # zero-trip loops write nothing
                 lines.extend(_ind(sub))
+                if quiet:
+                    lines.append(self._lump_line(stmt.sid,
+                                                 f"len({trips})"))
             else:
                 # The oracle rejects these at runtime; let the closure
                 # tier raise its exact message.
                 raise _Fallback(
                     f"{type(stmt).__name__} in structured body")
+        self._cost_sync(lines)
         return lines
 
     def _emit_special_loop(self, stmt: N.DoLoop, env: Dict[str, object],
@@ -1103,12 +1413,24 @@ class _CodeGenerator(_FrameLayout):
                       f"    {tr} = list({tr})",
                       f"    _eng._rng.shuffle({tr})"]
         it = self._tmp_name()
+        costed = self._costs is not None
+        quiet = not stmt.parallel and self._scheduled(stmt)
+        self._cost_sync(lines)
+        if costed and stmt.parallel:
+            lines += ["_park(_cy)", f"_hk('parallel_begin', {stmt.sid})"]
         lines.append(f"for {it} in {tr}:")
         da0 = set(self._da)
+        self._quiet = quiet
         body = self._gen_write_lines(stmt.var, it, env)
         body.extend(self._gen_stmt_list_lines(stmt.body, env))
+        self._quiet = False
         self._da = da0  # per-trip writes are conditional on trips
         lines.extend(_ind(body))
+        if costed and stmt.parallel:
+            lines.extend(self._hook_lines(
+                f"'parallel_end', {stmt.sid}, len({tr})"))
+        elif quiet:
+            lines.append(self._lump_line(stmt.sid, f"len({tr})"))
         # The trailing write is unconditional (so the loop variable IS
         # definitely assigned downstream).
         lines.extend(self._gen_write_lines(
@@ -1376,11 +1698,13 @@ class _CodeGenerator(_FrameLayout):
                      true_succ: Optional[FlowNode],
                      false_succ: Optional[FlowNode],
                      pc_of: Dict[FlowNode, int],
-                     exit_node: FlowNode) -> None:
-        """Two-way branch; either arm may be the function exit."""
+                     exit_node: FlowNode,
+                     on_false: Sequence[str] = ()) -> None:
+        """Two-way branch; either arm may be the function exit.
+        ``on_false`` lines run on the false edge only."""
         t_exit = true_succ is None or true_succ is exit_node
         f_exit = false_succ is None or false_succ is exit_node
-        if not t_exit and not f_exit:
+        if not t_exit and not f_exit and not on_false:
             t, f = pc_of[true_succ], pc_of[false_succ]
             lines.append(f"_pc = {t} if ({cond_src}) else {f}")
             lines.append("continue")
@@ -1388,6 +1712,7 @@ class _CodeGenerator(_FrameLayout):
         lines.append(f"if ({cond_src}):")
         lines.extend(_ind(self._jump_lines(true_succ, pc_of,
                                            exit_node)))
+        lines.extend(on_false)
         lines.extend(self._jump_lines(false_succ, pc_of, exit_node))
 
     def _gen_block(self, head: FlowNode, env: Dict[str, object],
@@ -1420,10 +1745,12 @@ class _CodeGenerator(_FrameLayout):
         while True:
             if node is None or node is exit_node:
                 flush_ticks()
+                self._cost_sync(lines)
                 lines.append("return None")
                 return lines
             if not first and node in head_set:
                 flush_ticks()
+                self._cost_sync(lines)
                 if node is loop_continue:
                     # Back edge of an absorbed loop: fall off the end
                     # of the native while body.
@@ -1443,7 +1770,9 @@ class _CodeGenerator(_FrameLayout):
                 # still lands at max_steps + 1).
                 if not self._is_fusible_assign(node.stmt):
                     flush_ticks()
+                self._quiet = id(node.stmt) in self._quiet_stmts
                 self._emit_leaf(node.stmt, env, lines)
+                self._quiet = False
                 node = node.succs[0] if node.succs else None
                 continue
             if kind == "call":
@@ -1455,6 +1784,8 @@ class _CodeGenerator(_FrameLayout):
                 flush_ticks()
                 src = self._guarded_bool_src(node.stmt.cond, env,
                                              lines)
+                self._note("branch")
+                src = self._cost_settle(src, lines)
                 if loop_break is not None:
                     lines.append(f"if not ({src}): break"
                                  if loop_break[2]
@@ -1476,11 +1807,20 @@ class _CodeGenerator(_FrameLayout):
                 lines.extend(self._gen_write_lines(stmt.var, lo, env))
                 hi = self._guarded_src(stmt.hi, env, lines)
                 lines.append(f"_h{self._hi_slot(stmt.sid)} = {hi}")
+                if self._scheduled(stmt):
+                    lines.append(f"{self._iter_local(stmt.sid)} = 0")
                 node = node.succs[0] if node.succs else None
                 continue
             if kind == "do_cond":
                 stmt = node.stmt
                 flush_ticks()
+                # A scheduled loop's own events are only counted;
+                # leaving it (the false edge) pays its lump.
+                on_false: List[str] = []
+                if self._scheduled(stmt):
+                    self._quiet = True
+                    on_false.append(self._lump_line(
+                        stmt.sid, self._iter_local(stmt.sid)))
                 # Variable read first (its uninitialized fault comes
                 # before any live bound evaluation), then the captured
                 # bound, re-evaluated live when entered by goto.
@@ -1491,26 +1831,38 @@ class _CodeGenerator(_FrameLayout):
                     tv = t
                 th = self._tmp_name()
                 lines.append(f"{th} = _h{self._hi_slot(stmt.sid)}")
+                self._cost_sync(lines)
                 lines.append(f"if {th} is _U:")
                 sub: List[str] = []
                 hi = self._guarded_src(stmt.hi, env, sub)
                 sub.append(f"{th} = {hi}")
+                self._cost_sync(sub)
                 lines.extend(_ind(sub))
+                self._note("branch")
+                self._cost_sync(lines)
+                self._quiet = False
                 cmp = "<=" if stmt.step > 0 else ">="
-                if loop_break is not None:
+                if loop_break is not None and loop_break[2] and on_false:
+                    lines.append(f"if not ({tv} {cmp} {th}):")
+                    lines.extend(_ind(on_false + ["break"]))
+                elif loop_break is not None:
                     lines.append(f"if not ({tv} {cmp} {th}): break"
                                  if loop_break[2]
                                  else f"if ({tv} {cmp} {th}): break")
-                    return lines
-                self._emit_branch(lines, f"{tv} {cmp} {th}",
-                                  node.true_succ, node.false_succ,
-                                  pc_of, exit_node)
+                    lines.extend(on_false)  # false edge stays in the loop
+                else:
+                    self._emit_branch(lines, f"{tv} {cmp} {th}",
+                                      node.true_succ, node.false_succ,
+                                      pc_of, exit_node, on_false)
                 return lines
             if kind == "do_step":
                 stmt = node.stmt
                 sym = stmt.var
                 if sym.is_volatile:
                     raise _Fallback("volatile loop variable")
+                if self._scheduled(stmt):
+                    self._quiet = True
+                    lines.append(f"{self._iter_local(stmt.sid)} += 1")
                 kind2, where = self._binding(sym)
                 if kind2 == "reg":
                     if where in self._da:
@@ -1535,15 +1887,19 @@ class _CodeGenerator(_FrameLayout):
                         f"{t} = {self._gen_var_read(sym, env)}")
                     lines.extend(self._gen_write_lines(
                         sym, f"({t} + {stmt.step!r})", env))
+                self._note("intop")
+                self._quiet = False
                 node = node.succs[0] if node.succs else None
                 continue
             if kind == "return":
                 stmt = node.stmt
                 flush_ticks()
                 if stmt.value is None:
+                    self._cost_sync(lines)
                     lines.append("return None")
                 else:
                     src = self._guarded_src(stmt.value, env, lines)
+                    src = self._cost_settle(src, lines)
                     lines.append(f"return {src}")
                 return lines
             raise _Fallback(f"flow node kind {kind!r}")
@@ -1588,9 +1944,18 @@ class _CodeGenerator(_FrameLayout):
         }
         self._recipes = {"_sc": ("scell",), "_hit": ("hit",),
                          "_eng": ("engine",), "_mem": ("memory",)}
+        costed = self._costs is not None
+        if costed:
+            hook = self.engine.cost_hook
+            env.update(_M=hook, _hk=hook, _park=hook.park,
+                       _sx=hook.scheduled_exit)
+            self._recipes.update(
+                _M=("hook",), _hk=("hook",), _park=("hookattr", "park"),
+                _sx=("hookattr", "scheduled_exit"))
         try:
             body = self._gen_flow(env)
             params = self._gen_param_lines(env)
+            self._cost_sync(params)
         except RecursionError:
             raise _Fallback("function too deep to generate") from None
         check = self._bind(env,
@@ -1609,6 +1974,13 @@ class _CodeGenerator(_FrameLayout):
         ]
         for slot, ctype in self._mem_allocs:
             inner.append(f"_m{slot} = _mem.allocate({ctype.sizeof()})")
+        if costed:
+            # The accounting locals: the model's running total, and
+            # operation counts since entry for absorb() to add.
+            inner.append("_cy = _M.cycles")
+            zeroed = sorted(self._cost_locals | self._iter_locals)
+            if zeroed:
+                inner.append(" = ".join(zeroed) + " = 0")
         inner.extend(params)
         regs = sorted(set(self._reg_slots.values()) - self._param_regs)
         if regs:
@@ -1624,8 +1996,18 @@ class _CodeGenerator(_FrameLayout):
         # the limit path _hit already landed the cell at exactly
         # max_steps + 1; a batched local count may sit past it) —
         # then releases this activation's memory.
-        inner.extend(["finally:",
-                      "    if _sc[0] < count <= _ms:",
+        inner.append("finally:")
+        if costed:
+            counts = ["(" + ", ".join(
+                name if name in self._cost_locals else "0"
+                for name in (f"{prefix}{i}"
+                             for i in range(len(self._kinds)))) + ")"
+                for prefix in ("_k", "_u")]
+            if not any(n.startswith("_u") for n in self._cost_locals):
+                del counts[1]
+            # _cy is None while parked for a callee that faulted.
+            inner.append(f"    _M.absorb(_cy, {', '.join(counts)})")
+        inner.extend(["    if _sc[0] < count <= _ms:",
                       "        _sc[0] = count",
                       "    _mem.release(_mark)"])
         source = ("def _bytecode_fn(args):\n"
@@ -1640,7 +2022,8 @@ class _CodeGenerator(_FrameLayout):
             raise _Fallback(f"compile failed: {exc}") from None
         return _CodegenEntry(fn, source, code, dict(self._recipes),
                              tuple(dict.fromkeys(self._baked)),
-                             len(self.engine.memory.data))
+                             len(self.engine.memory.data),
+                             _baked_costs(fn, self._costs))
 
 
 # ---------------------------------------------------------------------------
@@ -1656,10 +2039,12 @@ class CompiledInterpreter(Interpreter):
     function is materialized lazily on first call, from what the
     engine can observe: with no cost hook installed it runs as one
     generated Python function (memoized across engine instances);
-    with a hook installed (TitanSimulator, profilers), or when the
-    generator raised :class:`_Fallback`, it runs as event-emitting
-    closures.  Installing a different ``cost_hook`` afterwards
-    re-materializes, because hooks are baked into the closures.
+    under a hook that offers its scalar cost table (TitanSimulator's
+    model) as the same function with that accounting inline; under
+    any other hook (recording hooks, a profiler), or when the
+    generator raised :class:`_Fallback`, as event-emitting closures.
+    Installing a different ``cost_hook`` afterwards re-materializes,
+    because hooks are baked into both.
     """
 
     engine_name = "compiled"
@@ -1668,6 +2053,7 @@ class CompiledInterpreter(Interpreter):
         super().__init__(program, **kwargs)
         self._compiled: Dict[str, _CompiledFunction] = {}
         self._compiled_hook = self.cost_hook
+        self._hook_costs_memo = None  # see _hook_costs
         self._tick_compiled = self._make_tick()
 
     def _make_tick(self) -> Callable[[], None]:
@@ -1701,10 +2087,11 @@ class CompiledInterpreter(Interpreter):
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:
         if self.cost_hook is not self._compiled_hook:
-            # Hook swapped after construction: closures have the old
-            # hook baked in, generated code has none.
+            # Hook swapped after construction: closures and costed
+            # code have the old hook baked in, plain code has none.
             self._compiled.clear()
             self._compiled_hook = self.cost_hook
+            self._hook_costs_memo = None
         cached = self._compiled.get(fn.name)
         if cached is None or cached.fn is not fn:
             cached = self._materialize_function(fn)
@@ -1714,15 +2101,36 @@ class CompiledInterpreter(Interpreter):
     def _materialize_function(self, fn: N.ILFunction) -> _CompiledFunction:
         """Pick the tier for one function and count the decision."""
         hook = self.cost_hook
-        if hook is not None:
+        costs = self._hook_costs()
+        if isinstance(costs, str):
             # Event order in the closures is bit-identical to the
             # oracle's, so cycle totals and breakdowns match.
-            return self._compile_closures(fn, hook, "hook")
-        entry = self._codegen_entry(fn)
+            return self._compile_closures(fn, hook, costs)
+        entry = self._codegen_entry(fn, costs)
         if isinstance(entry, _FallbackEntry):
-            return self._compile_closures(fn, _no_hook, entry.reason)
-        _tier_counter("generated", "").inc()
+            return self._compile_closures(fn, hook or _no_hook,
+                                          entry.reason)
+        _tier_counter("generated", "costed" if costs else "").inc()
         return self._install(entry)
+
+    def _hook_costs(self):
+        """What the installed cost hook lets generated code do: None
+        (no hook: observation-free code), the hook's scalar cost table
+        (it advertises ``inline_costs()``: generated code accounts for
+        scalar events itself), or the tier-counter reason every
+        function runs as event-emitting closures instead."""
+        hook = self.cost_hook
+        if hook is None:
+            return None
+        if self._hook_costs_memo is None:
+            advertised = getattr(hook, "inline_costs", None)
+            costs = advertised() if advertised is not None else "hook"
+            if not isinstance(costs, str) and not \
+                    _scheduled_bodies_plain(self.program,
+                                            costs.scheduled):
+                costs = "scheduled-call"
+            self._hook_costs_memo = costs
+        return self._hook_costs_memo
 
     def _compile_closures(self, fn: N.ILFunction, hook: Callable,
                           reason: str) -> _CompiledFunction:
@@ -1732,13 +2140,22 @@ class CompiledInterpreter(Interpreter):
                             engine=self.engine_name, function=fn.name):
             return _FunctionCompiler(self, fn, hook).compile()
 
-    def _codegen_entry(self, fn: N.ILFunction):
-        """The function's cross-instance codegen entry: the cached one
-        while its baked facts hold, else freshly generated (a
+    def _codegen_entry(self, fn: N.ILFunction, costs=None):
+        """The function's cross-instance codegen entry for one variant
+        (with ``costs``' accounting, or observation-free): the cached
+        one while its baked facts hold, else freshly generated (a
         :class:`_Fallback` is cached as a decision too)."""
         from ..obs import telemetry
-        entry = getattr(fn, _CACHE_ATTR, None)
-        if entry is not None and self._entry_valid(entry):
+        cache = getattr(fn, _CACHE_ATTR, None)
+        if cache is None:
+            cache = {}
+            try:
+                setattr(fn, _CACHE_ATTR, cache)
+            except (AttributeError, TypeError):
+                pass
+        costed = costs is not None
+        entry = cache.get(costed)
+        if entry is not None and self._entry_valid(entry, costs):
             outcome = "hit" if isinstance(entry, _CodegenEntry) \
                 else "miss"
             _cache_counter(outcome).inc()
@@ -1747,24 +2164,22 @@ class CompiledInterpreter(Interpreter):
         with telemetry.span("engine-codegen", cat="engine",
                             engine=self.engine_name, function=fn.name):
             try:
-                entry = _CodeGenerator(self, fn).generate()
+                entry = _CodeGenerator(self, fn, costs).generate()
             except _Fallback as exc:
                 entry = _FallbackEntry(fn, str(exc))
-        try:
-            setattr(fn, _CACHE_ATTR, entry)
-        except (AttributeError, TypeError):
-            pass
+        cache[costed] = entry
         return entry
 
-    def _entry_valid(self, entry) -> bool:
+    def _entry_valid(self, entry, costs=None) -> bool:
         """A cached entry is reusable only while its baked facts hold:
-        same memory size and every baked global symbol still at its
-        compile-time address."""
+        same memory size, every baked global symbol still at its
+        compile-time address, same latencies and scheduled loops."""
         if isinstance(entry, _FallbackEntry):
             return True
         if not isinstance(entry, _CodegenEntry):
             return False
-        if entry.mem_limit != len(self.memory.data):
+        if entry.mem_limit != len(self.memory.data) or \
+                entry.costs != _baked_costs(entry.fn, costs):
             return False
         memory = self.memory
         for sym, addr in entry.baked:
@@ -1795,12 +2210,18 @@ class CompiledInterpreter(Interpreter):
 
     def disassemble(self, name: str) -> str:
         """Generated source + CPython disassembly for one function
-        (the CLI's ``--dump-code``), without executing it; fallback
-        functions report why they have no generated bytecode."""
+        (the CLI's ``--dump-code``), without executing it: the variant
+        a run on this engine would execute — observation-free, or with
+        the installed hook's accounting.  Functions that run as
+        closures report why they have no generated bytecode."""
         fn = self.program.functions.get(name)
         if fn is None:
             raise InterpreterError(f"no function named {name!r}")
-        entry = self._codegen_entry(fn)
+        costs = self._hook_costs()
+        if isinstance(costs, str):
+            return (f"{name}: no generated bytecode "
+                    f"(closures under this cost hook: {costs})\n")
+        entry = self._codegen_entry(fn, costs)
         if isinstance(entry, _FallbackEntry):
             return (f"{name}: no generated bytecode "
                     f"(closure-tier fallback: {entry.reason})\n")

@@ -903,7 +903,8 @@ def make_interpreter(program: N.ILProgram, engine: str = "tree",
     (:mod:`repro.interp.bytecode`): same results, same stdout, same
     step accounting, same cost-event stream.  It picks a tier per
     function — one generated Python function when no cost hook is
-    installed, event-emitting closures under a hook.
+    installed or the hook offers its scalar cost table for inline
+    accounting, event-emitting closures under any other hook.
     """
     if engine == "tree":
         return Interpreter(program, **kwargs)

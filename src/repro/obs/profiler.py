@@ -133,6 +133,10 @@ class HotLoopProfiler:
 
     def __init__(self, loop_info: Optional[Dict[int, LoopInfo]] = None):
         self.loop_info = loop_info or {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new run; reports already taken keep their rows."""
         self.loops: Dict[int, LoopProfile] = {}
         self.functions: Dict[str, FunctionProfile] = {}
         self.toplevel_cycles: float = 0.0

@@ -25,6 +25,7 @@ metrics can be compared byte-for-byte across worker counts.
 from __future__ import annotations
 
 import os
+import pickle
 from typing import Dict, List, Optional, Sequence
 
 from ..jobs import TaskOutcome, WorkerPool
@@ -217,11 +218,11 @@ class CompileService:
 
         fingerprint = request_fingerprint(request, db_shas)
         key = (catalog.il_sha256, fingerprint)
-        payload = self.artifacts.get(key)
-        if payload is not None:
+        blob = self.artifacts.get(key)
+        if blob is not None:
             cache_meta["artifact"] = "hit"
             return {"response": make_response(
-                request.id, "ok", payload=payload,
+                request.id, "ok", payload=pickle.loads(blob),
                 cache=cache_meta)}
         cache_meta["artifact"] = "miss"
         return {"request": request, "key": key, "cache": cache_meta,
@@ -256,7 +257,11 @@ class CompileService:
 
         response["cache"] = slot["cache"]
         if response["status"] == "ok":
-            self.artifacts.put(slot["key"], response["payload"])
+            # Kept pickled, like the catalogs: a payload is a tree of
+            # thousands of small objects, several times its own bytes,
+            # and the cache holds every answer ever given.
+            self.artifacts.put(slot["key"], pickle.dumps(
+                response["payload"], pickle.HIGHEST_PROTOCOL))
         responses[slot["index"]] = response
         for index, follower_id, follower_cache in slot["followers"]:
             follower = dict(response)

@@ -82,74 +82,158 @@ class CycleBreakdown:
         }
 
 
+#: The scalar cost table, stated once: event kind -> (OpCounters field,
+#: TitanConfig latency field, CycleBreakdown bucket).  The model's
+#: event handler and the accounting the fast engine emits into
+#: generated code (via :meth:`TitanCostModel.inline_costs`) both read
+#: it; the order is the order :meth:`TitanCostModel.absorb` takes its
+#: counts in.
+SCALAR_COSTS = {
+    "flop": ("flops", "fp_latency", "scalar"),
+    "intop": ("int_ops", "int_latency", "scalar"),
+    "load": ("loads", "load_latency", "memory"),
+    "store": ("stores", "store_latency", "memory"),
+    "branch": ("branches", "branch_cycles", "scalar"),
+    "call": ("calls", "call_overhead", "scalar"),
+}
+
+_NO_OPS = (0,) * len(SCALAR_COSTS)
+
+
+@dataclass(frozen=True)
+class InlineCosts:
+    """What an engine needs to account for scalar events itself:
+    whole cycles per scalar event kind and the sids of the scheduled
+    loops, whose bodies count operations without charging them."""
+
+    latency: Dict[str, int]
+    scheduled: frozenset
+
+
 class TitanCostModel:
-    """A callable usable as the interpreter's ``cost_hook``."""
+    """A callable usable as the interpreter's ``cost_hook``.
+
+    An engine that can account for scalar events itself asks
+    :meth:`inline_costs` for the table and then keeps ``cycles`` and
+    its operation counts in its own locals, handing them back through
+    :meth:`park` (before anything else may charge the model),
+    :meth:`scheduled_exit` and :meth:`absorb`; everything else —
+    vector instructions, parallel regions, list chases — stays an
+    event.
+    """
 
     def __init__(self, config: Optional[TitanConfig] = None,
                  schedules: Optional[Dict[int, LoopSchedule]] = None,
                  profiler=None):
         self.config = config or TitanConfig()
         self.schedules = schedules or {}
+        # Optional HotLoopProfiler: sees every event plus the cycle
+        # delta it was charged, for per-loop/function attribution.
+        self.profiler = profiler
+        cfg = self.config
+        self._scalar = {kind: (field, getattr(cfg, latency), bucket)
+                        for kind, (field, latency, bucket)
+                        in SCALAR_COSTS.items()}
+        self._handlers = {
+            "do_enter": self._on_do_enter, "do_iter": self._on_do_iter,
+            "do_exit": self._on_do_exit, "vector": self._on_vector,
+            "vector_reduce": self._on_vector_reduce,
+            "list_chase": self._on_list_chase,
+            "parallel_begin": self._on_parallel_begin,
+            "parallel_end": self._on_parallel_end,
+        }
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to zero cycles with fresh counter objects, so reports
+        taken from earlier runs keep their numbers."""
         self.cycles: float = 0.0
         self.counters = OpCounters()
         self.breakdown = CycleBreakdown()
+        # The two dataclasses' attribute dicts: table-driven updates
+        # by field name without getattr/setattr.
+        self._count = self.counters.__dict__
+        self._spent = self.breakdown.__dict__
         # Stack of (loop_sid, iterations) for active scheduled loops.
         self._sched_stack: List[List] = []
         # Stack of (sid, cycles_at_entry) for active parallel regions.
         self._parallel_stack: List[List] = []
-        # Optional HotLoopProfiler: sees every event plus the cycle
-        # delta it was charged, for per-loop/function attribution.
-        self.profiler = profiler
+        if self.profiler is not None:
+            self.profiler.reset()
 
     # ------------------------------------------------------------------
 
     def __call__(self, kind: str, *details) -> None:
         if self.profiler is None:
-            handler = getattr(self, "_on_" + kind, None)
-            if handler is not None:
-                handler(*details)
+            self._apply(kind, details)
             return
         before = self.cycles
-        handler = getattr(self, "_on_" + kind, None)
+        self._apply(kind, details)
+        self.profiler.on_event(kind, details, self.cycles - before)
+
+    def _apply(self, kind: str, details: tuple) -> None:
+        row = self._scalar.get(kind)
+        if row is not None:
+            field, latency, bucket = row
+            self._count[field] += 1
+            self._charge(latency, bucket)
+            return
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(*details)
-        self.profiler.on_event(kind, details, self.cycles - before)
 
     @property
     def _suppressed(self) -> bool:
         return bool(self._sched_stack)
 
     def _charge(self, cycles: float, bucket: str = "scalar") -> None:
-        if not self._suppressed:
+        if not self._sched_stack:
             self.cycles += cycles
-            setattr(self.breakdown, bucket,
-                    getattr(self.breakdown, bucket) + cycles)
+            self._spent[bucket] += cycles
 
-    # -- scalar operations ---------------------------------------------------
+    # -- accounting done by the engine ----------------------------------------
 
-    def _on_flop(self, op: str = "") -> None:
-        self.counters.flops += 1
-        self._charge(self.config.fp_latency)
+    def inline_costs(self):
+        """The table for an engine that accounts for scalar events in
+        its own code, or the reason (a tier-counter label) it must
+        emit them instead: a profiler needs every event, and only
+        integer latencies make ``count * latency`` equal the bucket
+        the events would have summed to."""
+        if self.profiler is not None:
+            return "hook"
+        latency = {kind: row[1] for kind, row in self._scalar.items()}
+        if any(v != int(v) for v in latency.values()):
+            return "noninteger-cost"
+        return InlineCosts(latency, frozenset(self.schedules))
 
-    def _on_intop(self, op: str = "") -> None:
-        self.counters.int_ops += 1
-        self._charge(self.config.int_latency)
+    def park(self, cycles: float) -> None:
+        """Land the engine's running total before anything else (a
+        callee, a vector or parallel event) charges the model."""
+        self.cycles = cycles
 
-    def _on_load(self, ctype=None) -> None:
-        self.counters.loads += 1
-        self._charge(self.config.load_latency, "memory")
+    def scheduled_exit(self, cycles: float, sid: int,
+                       iterations: int) -> float:
+        """The lump a scheduled loop pays at exit, added to the
+        engine's running total."""
+        lump = self.schedules[sid].initiation_interval * iterations \
+            + self.config.branch_cycles
+        self._spent["scheduled"] += lump
+        return cycles + lump
 
-    def _on_store(self, ctype=None) -> None:
-        self.counters.stores += 1
-        self._charge(self.config.store_latency, "memory")
-
-    def _on_branch(self) -> None:
-        self.counters.branches += 1
-        self._charge(self.config.branch_cycles)
-
-    def _on_call(self, name: str = "") -> None:
-        self.counters.calls += 1
-        self._charge(self.config.call_overhead)
+    def absorb(self, cycles: Optional[float], charged=_NO_OPS,
+               counted=_NO_OPS) -> None:
+        """Take back what the engine accounted for: its running total
+        (None when already parked) and, per :data:`SCALAR_COSTS` kind,
+        how many operations it charged and how many it only counted
+        (inside scheduled loops)."""
+        if cycles is not None:
+            self.cycles = cycles
+        count, spent = self._count, self._spent
+        for (field, latency, bucket), paid, free in zip(
+                self._scalar.values(), charged, counted):
+            if paid or free:
+                count[field] += paid + free
+                spent[bucket] += paid * latency
 
     # -- scheduled loops -----------------------------------------------------
 

@@ -69,10 +69,12 @@ class TitanSimulator:
             if profile else None
         self.cost_model = TitanCostModel(self.config, schedules,
                                          profiler=self.profiler)
-        # The fast engine is the default; under this cost hook it
-        # runs its event-emitting closures: same event stream (cycles,
-        # profiler attribution) as the oracle, much faster.  Pass
-        # engine="tree" to time against the semantic oracle.
+        # The fast engine is the default; it reads this model's scalar
+        # cost table and accounts for scalar operations inside its
+        # generated code (with a profiler attached it emits every
+        # event from closures instead): same cycles, counters and
+        # breakdown as the oracle either way.  Pass engine="tree" to
+        # time against the semantic oracle.
         self.interpreter = make_interpreter(program, engine=engine,
                                             memory_size=memory_size,
                                             max_steps=max_steps,
@@ -105,6 +107,9 @@ class TitanSimulator:
 
     def run(self, entry: str = "main", *args: Value) -> TitanReport:
         from ..obs import telemetry
+        # Each run is timed from zero (the report owns its counters);
+        # the memory image and the engine's step count carry over.
+        self.cost_model.reset()
         with telemetry.span("simulate", cat="engine",
                             engine=self.engine, entry=entry) as targs:
             result = self.interpreter.run(entry, *args)

@@ -4,10 +4,12 @@ half, and the switch between halves.
 ``engine="compiled"`` must be observably indistinguishable from the
 tree-walking oracle: same results, same stdout, same step accounting,
 same cost-event stream, same errors at the same dynamic operation
-counts.  With a cost hook installed it runs event-emitting closures —
-that is the half pinned here, so every parity run below installs a
-hook.  The uninstrumented half (generated code, its cache, its
-fallbacks) is ``test_bytecode_engine.py``; the broad sweeps live in
+counts.  With a recording cost hook installed it runs event-emitting
+closures — that is the half pinned here, so every parity run below
+installs one.  The uninstrumented half (generated code, its cache,
+its fallbacks) is ``test_bytecode_engine.py``, the costed half
+(generated code with the Titan model's accounting inline) is
+``test_costed_codegen.py``; the broad sweeps live in
 ``test_engine_differential.py``.
 """
 
@@ -244,10 +246,21 @@ class TestTierDecision:
                 interp.run("main")
             assert _tier_delta(before) == {("generated", ""): called}
 
-    def test_daxpy_simulated_is_all_closures(self):
+    def test_daxpy_simulated_is_all_costed_generated(self):
+        # The Titan cost model advertises its scalar cost table, so a
+        # simulated run stays in generated code (with accounting).
         for options, called in self.CASES:
             program = compile_c(DAXPY_C, options).program
             before = _tiers()
             with TitanSimulator(program) as simulator:
+                simulator.run("main")
+            assert _tier_delta(before) == {("generated", "costed"): called}
+
+    def test_daxpy_profiled_is_all_closures(self):
+        # A profiler needs every event: closures, as under any hook.
+        for options, called in self.CASES:
+            program = compile_c(DAXPY_C, options).program
+            before = _tiers()
+            with TitanSimulator(program, profile=True) as simulator:
                 simulator.run("main")
             assert _tier_delta(before) == {("closure", "hook"): called}

@@ -9,10 +9,15 @@ test also compares end-to-end :class:`TitanSimulator` cycle totals
 directly).
 
 Each engine runs twice per order, once per half of the fast engine:
-with a cost hook installed it runs its event-emitting closures (the
-hook-stream assertions pin them down), hook-free it runs generated
-code — a hooked-only sweep would never execute a generated function,
-a hook-free one would never touch the closures every simulation uses.
+with a recording cost hook installed it runs its event-emitting
+closures (the hook-stream assertions pin them down), hook-free it
+runs generated code — a hooked-only sweep would never execute a
+generated function, a hook-free one would never touch the closures.
+The third half — generated code with inline accounting, which is
+what runs under a :class:`TitanCostModel`, i.e. in every simulation —
+has its own sweep at the bottom: examples, corpus and the E19 kernels
+across processors x vector length x parallel order, every reported
+field equal to the oracle's.
 
 Each comparison compiles the program ONCE and runs all engines over
 the same IL object — statement ids are a global counter, so compiling
@@ -25,12 +30,17 @@ import pytest
 
 from repro.frontend.lower import compile_to_il
 from repro.fuzz import generate_program
+from repro.fuzz.harness import run_costed
 from repro.interp import ENGINES, make_interpreter
 from repro.pipeline import CompilerOptions, compile_c
 from repro.titan.config import TitanConfig
 from repro.titan.simulator import TitanSimulator
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
+HERE = os.path.dirname(__file__)
+CORPUS_DIR = os.path.join(HERE, "fuzz_corpus")
+EXAMPLES_DIR = os.path.join(HERE, os.pardir, "examples")
+E19_KERNELS_DIR = os.path.join(HERE, os.pardir, "benchmarks", "e19",
+                               "corpus", "kernels")
 ORDERS = ("forward", "reverse", "shuffle")
 GENERATED_SEEDS = tuple(range(3000, 3008))
 
@@ -126,3 +136,66 @@ def test_titan_cycle_totals_identical():
         assert fast.breakdown == tree.breakdown, engine
         assert fast.result == tree.result, engine
         assert fast.stdout == tree.stdout, engine
+
+
+# ---------------------------------------------------------------------------
+# The costed half: generated code with inline Titan accounting
+# ---------------------------------------------------------------------------
+
+PROCESSORS = (1, 2, 4)
+VECTOR_LENGTHS = (32, 64, 128, 2048)
+
+
+def _c_files(directory):
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".c"):
+            with open(os.path.join(directory, name)) as handle:
+                out.append((name, handle.read()))
+    return out
+
+
+def _costed_sources():
+    """Examples with a ``main``, the runnable corpus, and the E19
+    kernel templates rendered at a length that leaves a short last
+    strip at every vector length."""
+    out = [(f"examples/{name}", source)
+           for name, source in _c_files(EXAMPLES_DIR)
+           if "main(" in source]
+    out += [(f"corpus/{name}", source)
+            for name, source in _runnable_corpus()]
+    out += [(f"e19/{name}",
+             source.replace("{n}", "200").replace("{s}", "3"))
+            for name, source in _c_files(E19_KERNELS_DIR)]
+    return out
+
+
+def _assert_costed_agrees(program, options, label):
+    for order in ORDERS if options.parallelize else ORDERS[:1]:
+        _, differs = run_costed(program, options, 2_000_000, order)
+        assert not differs, (
+            f"{label}@{order}: compiled under TitanCostModel "
+            f"disagrees with tree on {differs}")
+
+
+@pytest.mark.parametrize("name,source", _costed_sources(),
+                         ids=lambda v: v if isinstance(v, str)
+                         and v.endswith(".c") else "")
+def test_costed_sweep_processors_vector_lengths_orders(name, source):
+    _assert_costed_agrees(compile_c(source, O0).program, O0,
+                          f"{name}/O0")
+    for processors in PROCESSORS:
+        for vector_length in VECTOR_LENGTHS:
+            options = CompilerOptions(processors=processors,
+                                      vector_length=vector_length)
+            _assert_costed_agrees(
+                compile_c(source, options).program, options,
+                f"{name}/p{processors}/vl{vector_length}")
+
+
+@pytest.mark.parametrize("seed", GENERATED_SEEDS)
+def test_costed_generated_batch(seed):
+    source = generate_program(seed).source
+    for options in (O0, FULL):
+        _assert_costed_agrees(compile_c(source, options).program,
+                              options, f"seed-{seed}")
