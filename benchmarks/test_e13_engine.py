@@ -45,9 +45,24 @@ MIN_BATCH_SECONDS = 0.05
 CLOSURE_STEPS_PER_SEC = {"backsolve": 121_250.0, "daxpy": 700_175.0}
 INSTRUMENTED_GATE = 2.0
 
+#: ``_vector_rate`` of daxpy under the cost model at the commit before
+#: vector statements ran as whole-vector operations, when each lane
+#: was a trip through a Python comprehension — ``(fast engine, tree
+#: oracle)`` vector elements per host second by vector length, one
+#: session (four interleaved measurements each; the medians).  The
+#: bulk lowering is gated at 3x the fast engine's rate there.  This
+#: host's speed drifts by +-25 % between sessions and the gate has
+#: less headroom than that, so the floor is carried to the session at
+#: hand by the oracle's rate in it: the oracle still runs one lane at
+#: a time, exactly as it did then.
+PER_LANE_ELEMENTS_PER_SEC = {32: (4_782_000.0, 966_000.0),
+                             2048: (7_168_000.0, 1_320_000.0)}
+VECTOR_GATE = 3.0
+
 BACKSOLVE_N = 512
 DAXPY_N = 2048
 POINTS_N = 256
+VECTOR_DAXPY_N = 16384
 
 
 def _workloads():
@@ -221,3 +236,62 @@ def test_e13_cycle_stream_identical():
     total = profile.toplevel_cycles + sum(l.cycles
                                           for l in profile.loops)
     assert total == fast.cycles == oracle.cycles
+
+
+def _vector_rate(program, vector_length, engine):
+    """Vector elements per host second of daxpy under the cost model
+    (one element = one lane of one vector instruction, as the model
+    counts them), best of ``REPS`` batches, plus the last report."""
+    sim = TitanSimulator(
+        program, TitanConfig(max_vector_length=vector_length),
+        engine=engine, max_steps=500_000_000)
+    sim.set_global_array("b", [1.0] * VECTOR_DAXPY_N)
+    sim.set_global_array("c", [2.0] * VECTOR_DAXPY_N)
+    report = sim.run("bench")  # warm-up: one-time lowering
+    start = time.perf_counter()
+    sim.run("bench")
+    once = time.perf_counter() - start
+    batch = max(1, int(MIN_BATCH_SECONDS / once)) if once else 1
+    best = 0.0
+    for _ in range(REPS):
+        start = time.perf_counter()
+        for _ in range(batch):
+            report = sim.run("bench")
+        elapsed = time.perf_counter() - start
+        best = max(best, batch * report.counters.vector_elements
+                   / elapsed)
+    return best, report
+
+
+def test_e13_vector_lane_rate():
+    # A vector statement costs the host per instruction, not per lane:
+    # daxpy's strips, costed, at a short and a long vector length.
+    from repro.pipeline import CompilerOptions
+    rows = []
+    for vector_length, (per_lane, oracle_then) in \
+            PER_LANE_ELEMENTS_PER_SEC.items():
+        program = compile_c(
+            caller_program(n=VECTOR_DAXPY_N),
+            CompilerOptions(vector_length=vector_length)).program
+        rate = oracle_now = 0.0
+        for _ in range(2):  # taking turns, so both see the same host
+            best, fast = _vector_rate(program, vector_length, "compiled")
+            rate = max(rate, best)
+            best, oracle = _vector_rate(program, vector_length, "tree")
+            oracle_now = max(oracle_now, best)
+        assert fast.counters.vector_elements > 0
+        assert fast.cycles == oracle.cycles
+        assert fast.counters == oracle.counters
+        assert fast.breakdown == oracle.breakdown
+        floor = per_lane * oracle_now / oracle_then
+        record_bench("e13_engine", f"daxpy_vl{vector_length}", metrics={
+            "host_vector_elements_per_sec": rate,
+            "host_vector_oracle_elements_per_sec": oracle_now,
+            "host_vector_x_per_lane": rate / floor,
+        })
+        rows.append(Row(
+            f"daxpy vector lanes at VL {vector_length}",
+            f">={VECTOR_GATE:.0f}x per-lane", f"{rate / floor:.1f}x",
+            rate >= VECTOR_GATE * floor))
+    print_table("E13: vector lanes under the cost model", rows)
+    assert all(r.ok for r in rows)

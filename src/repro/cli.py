@@ -34,7 +34,8 @@ from .obs import schemas, telemetry
 from .obs.counters import (format_analysis_solves,
                            record_analysis_solves)
 from .obs.log import Logger
-from .obs.metrics import MetricsRegistry, SpanMetricsConsumer
+from .obs.metrics import (REGISTRY, MetricsRegistry,
+                          SpanMetricsConsumer)
 from .obs.report import CompilationReport, metrics_from_result
 from .obs.telemetry import EventLogWriter, SpanHook
 from .pipeline import CompilerOptions, TitanCompiler
@@ -439,6 +440,10 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                             trace_spans=False)
         record_analysis_solves(session_registry,
                                result.analysis_solves)
+        # What the engines decided — tier per function, form per
+        # vector statement, codegen-cache outcomes — is counted in
+        # the process registry.
+        session_registry.merge(REGISTRY.to_dict())
         if event_writer is not None:
             event_writer.write_metrics(session_registry)
         if args.metrics_prom:

@@ -23,10 +23,14 @@ one-Python-call-per-flow-node cost:
   observably.  The cell is flushed before any re-entrant call and
   reloaded after, and a ``finally`` lands the final count, so nested
   activations and fault paths observe exact step counts.
-* Vector statements (masked ``VectorAssign`` with its mask-first
-  evaluation order, lazy per-lane ``Select``, cached ``Section`` bases
-  and ``Iota`` starts, broadcast scalars) lower to list comprehensions
-  plus a tight store loop over a preallocated value list.
+* Vector statements run per instruction, not per lane: whole-vector
+  loads, operators and stores on the byte image
+  (:mod:`repro.interp.vectorgen`), tried inside a ``try`` because
+  nothing before the first store has a side effect; anything that
+  raises there — and every statement the bulk form cannot express —
+  goes through the oracle's own per-lane routine on a frame built
+  from this activation's locals, so faults, stored prefixes and
+  charges are the oracle's by construction.
 * There is **no** instrumentation in this variant, so the
   uninstrumented path is observation-free.
 
@@ -53,11 +57,15 @@ evaluation order — so they are not called, they are added up:
 * scheduled loops (their bodies are call-free plain assigns, so which
   events the model would suppress is lexical) count without charging
   and pay the model's initiation-interval lump at exit;
+* a vector statement that ran in bulk charges the scalars it
+  evaluated, in the order the oracle's lanes would have reached them,
+  and then its instructions through one call
+  (``vector_statement(cycles, instructions, length) -> cycles``);
 * the running total is *parked* in the model before anything else may
-  charge it — a callee, a builtin, the ``vector``/``vector_reduce``/
-  ``parallel_*`` events, which stay calls into the model — and
-  reloaded after; a ``finally`` hands total and counts back
-  (``absorb``) — the same discipline the step cell follows.
+  charge it — a callee, a builtin, the ``parallel_*`` events, the
+  oracle's routine running a vector statement — and reloaded after;
+  a ``finally`` hands total and counts back (``absorb``) — the same
+  discipline the step cell follows.
 
 After a fault the model holds what had been settled by then: every
 completed straight-line stretch, never more than the oracle charged.
@@ -74,7 +82,8 @@ source, a costed call under a ``Select`` — raises :class:`_Fallback`
 during generation and the *whole function* runs as closures (bound to
 the installed hook, or a no-op), which are already differentially
 verified against the oracle.  Every tier decision is counted in
-``titancc_engine_tier_total{tier,reason}``.
+``titancc_engine_tier_total{tier,reason}``, every vector statement's
+form in ``titancc_vector_lowering_total{form,reason}``.
 
 Generated code is memoized **across engine instances** on the
 ``ILFunction`` object itself, one entry per variant: the code object
@@ -105,7 +114,7 @@ from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
-from ..titan.vector_ops import vector_instructions
+from . import vectorgen
 from .compiled import (_CompiledFunction, _F32_MAX, _F32_PACK,
                        _F32_UNPACK, _FrameLayout, _FunctionCompiler,
                        _UNSET, _binop_impl, _fast_round_f32,
@@ -113,7 +122,7 @@ from .compiled import (_CompiledFunction, _F32_MAX, _F32_PACK,
                        _no_hook, _raise_limit, _raise_uninit,
                        _struct_format, _unop_impl)
 from .interpreter import (Interpreter, InterpreterError,
-                          StepLimitExceeded, Value, _trip_values)
+                          StepLimitExceeded, Value, _Frame, _trip_values)
 
 #: Attribute on ILFunction holding the cross-instance codegen cache.
 _CACHE_ATTR = "_bytecode_cache"
@@ -268,6 +277,15 @@ def _tier_counter(tier: str, reason: str):
                             {"tier": tier, "reason": reason})
 
 
+def _lowering_counter(form: str, reason: str):
+    """One increment per vector statement generated: ``bulk``
+    (whole-vector operations, :mod:`repro.interp.vectorgen`) or
+    ``lane`` (a call to the oracle's per-lane routine) with the reason
+    the bulk form could not express it."""
+    return REGISTRY.counter("titancc_vector_lowering_total",
+                            {"form": form, "reason": reason})
+
+
 def _ind(lines: Sequence[str]) -> List[str]:
     return ["    " + line for line in lines]
 
@@ -319,6 +337,7 @@ class _CodeGenerator(_FrameLayout):
             for inner in loop.body}
         self._tmpn = 0  # unique temp names for generated source
         self._recipes: Dict[str, tuple] = {}
+        self._shared: Dict[object, str] = {}  # see _bind_shared
         self._baked: List[Tuple[Symbol, int]] = []
         self._ncalls = 0
         self._param_regs: Set[int] = set()
@@ -346,6 +365,15 @@ class _CodeGenerator(_FrameLayout):
         name = f"_g{len(env)}"
         env[name] = obj
         self._recipes[name] = recipe or ("pure", obj)
+        return name
+
+    def _bind_shared(self, env: Dict[str, object], key, make,
+                     recipe: Optional[tuple] = None) -> str:
+        """One binding of ``make()`` per ``key`` for the whole
+        function, however many statements ask for it."""
+        name = self._shared.get(key)
+        if name is None:
+            name = self._shared[key] = self._bind(env, make(), recipe)
         return name
 
     def _tmp_name(self) -> str:
@@ -448,13 +476,16 @@ class _CodeGenerator(_FrameLayout):
         return parts[0] if len(parts) == 1 \
             else "(" + ", ".join(parts) + ")"
 
+    def _cost_lines(self, items: List) -> List[str]:
+        """The updates applying ``items``, as statements."""
+        return [f"{name} = {value}" if name else value
+                for name, value in self._cost_updates(items)]
+
     def _cost_sync(self, lines: List[str]) -> None:
         """Apply every pending event: ``lines`` is about to transfer
         control, or to run code that charges on its own."""
         if self._items:
-            lines.extend(f"{name} = {value}" if name else value
-                         for name, value in
-                         self._cost_updates(self._items))
+            lines.extend(self._cost_lines(self._items))
             self._items.clear()
 
     def _cost_settle(self, src: str, lines: List[str]) -> str:
@@ -470,9 +501,9 @@ class _CodeGenerator(_FrameLayout):
         return src
 
     def _hook_lines(self, *events: str) -> List[str]:
-        """Events the model handles itself (vector instructions,
-        parallel regions), from generated code: park the running
-        total first, reload it after."""
+        """Events the model handles itself (parallel regions), from
+        generated code: park the running total first, reload it
+        after."""
         return (["_park(_cy)"] + [f"_hk({event})" for event in events]
                 + ["_cy = _M.cycles"])
 
@@ -1119,18 +1150,15 @@ class _CodeGenerator(_FrameLayout):
             self._cse_reset(stmt.value,
                             target.addr if isinstance(target, N.Mem)
                             else None)
-        elif isinstance(stmt, N.VectorAssign):
-            self._cse_reset(stmt.mask, stmt.value, stmt.target.addr,
-                            stmt.target.length)
-        elif isinstance(stmt, N.VectorReduce):
-            self._cse_reset(stmt.value, stmt.length)
+        else:
+            # A vector statement's scalars may run conditionally (under
+            # a mask or an arm): none of them binds a shared temp.
+            self._cse_reset()
         before = self._ncalls
         if isinstance(stmt, N.Assign):
             sub = self._gen_assign_stmt_lines(stmt, env)
-        elif isinstance(stmt, N.VectorAssign):
-            sub = self._gen_vector_assign_lines(stmt, env)
-        elif isinstance(stmt, N.VectorReduce):
-            sub = self._gen_vector_reduce_lines(stmt, env)
+        elif isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
+            sub = self._gen_vector_lines(stmt, env)
         else:
             raise _Fallback(f"leaf statement {type(stmt).__name__}")
         if self._ncalls != before:
@@ -1148,167 +1176,63 @@ class _CodeGenerator(_FrameLayout):
 
     # -- vector statements -------------------------------------------------
 
-    def _cache_name(self, caches: List[str]) -> str:
-        name = self._tmp_name()
-        caches.append(name)
-        return name
-
-    def _gen_vector_elem_src(self, expr: N.Expr, env: Dict[str, object],
-                             caches: List[str], idx: str) -> str:
-        """Per-lane element source, mirroring the closure tier's
-        ``_compile_vector_elem``: Section bases, Iota starts and
-        broadcast scalars are cached per statement execution (walrus
-        into a ``None``-initialized local); Select stays lazy per
-        lane.  Everything here lands in a comprehension or a lazy
-        cache branch, so CSE inserts are suppressed throughout."""
-        self._cse_lazy += 1
-        try:
-            return self._gen_vector_elem_inner(expr, env, caches, idx)
-        finally:
-            self._cse_lazy -= 1
-
-    def _gen_vector_elem_inner(self, expr: N.Expr,
-                               env: Dict[str, object],
-                               caches: List[str], idx: str) -> str:
-        if isinstance(expr, N.Section):
-            if _is_aggregate(expr.ctype):
-                raise _Fallback("aggregate section")
-            base = self._gen_cached(expr.addr, env, caches, "int")
-            step = expr.stride * expr.ctype.sizeof()
-            return self._gen_load(f"({base} + {idx} * {step})",
-                                  expr.ctype, env)
-        if isinstance(expr, N.BinOp):
-            left = self._gen_vector_elem_src(expr.left, env, caches, idx)
-            right = self._gen_vector_elem_src(expr.right, env, caches,
-                                              idx)
-            impl = self._bind(env, _binop_impl(expr.op, expr.ctype))
-            return f"{impl}(({left}), ({right}))"
-        if isinstance(expr, N.UnOp):
-            operand = self._gen_vector_elem_src(expr.operand, env,
-                                                caches, idx)
-            impl = self._bind(env, _unop_impl(expr.op, expr.ctype))
-            return f"{impl}(({operand}))"
-        if isinstance(expr, N.Cast):
-            operand = self._gen_vector_elem_src(expr.operand, env,
-                                                caches, idx)
-            return self._gen_conv(f"({operand})", expr.ctype, env)
-        if isinstance(expr, N.Select):
-            cond = self._gen_vector_elem_src(expr.cond, env, caches, idx)
-            then = self._gen_vector_elem_src(expr.then, env, caches, idx)
-            other = self._gen_vector_elem_src(expr.otherwise, env,
-                                              caches, idx)
-            return self._gen_conv(
-                f"(({then}) if ({cond}) else ({other}))",
-                expr.ctype, env)
-        if isinstance(expr, N.Iota):
-            start = self._gen_cached(expr.start, env, caches, "int")
-            return f"({start} + {idx})"
-        # Scalars (including Mem) broadcast: evaluated once, cached.
-        return self._gen_cached(expr, env, caches)
-
-    def _gen_cached(self, expr: N.Expr, env: Dict[str, object],
-                    caches: List[str], conv: str = "") -> str:
-        """A scalar evaluated at most once per vector statement
-        execution, by the first lane that needs it — which is also
-        when its events are charged."""
-        c = self._cache_name(caches)
-        src, items = self._captured(expr, env)
-        fill = f"({c} := {conv}({src}))"
-        if items:
-            fill = f"({fill}, {self._cost_expr(items)})[0]"
-        return f"({c} if {c} is not None else {fill})"
-
-    def _gen_vector_assign_lines(self, stmt: N.VectorAssign,
-                                 env: Dict[str, object]) -> List[str]:
-        target = stmt.target
-        ctype = target.ctype
-        if _is_aggregate(ctype):
-            raise _Fallback("aggregate vector target")
-        lines: List[str] = []
-        tl = self._tmp_name()
-        lines.append(f"{tl} = int({self._gen(target.length, env)})")
-        # The lanes' cache fills charge as they run: nothing pending.
+    def _gen_vector_lines(self, stmt: N.Stmt,
+                          env: Dict[str, object]) -> List[str]:
+        """One vector statement: whole-vector operations when the bulk
+        form expresses it (:mod:`repro.interp.vectorgen` — which falls
+        back, at run time, to the same call the lane form is), else
+        the oracle's per-lane routine."""
+        reason = vectorgen.bulk_obstacle(stmt)
+        form = "lane" if reason else "bulk"
+        _lowering_counter(form, reason).inc()
+        lines = [f"# vector statement {stmt.sid}: {form}"
+                 + (f" ({reason})" if reason else "")]
+        # Either form starts from a settled total.
         self._cost_sync(lines)
-        caches: List[str] = []
-        idx = self._tmp_name()
-        # Mask generated (and at runtime evaluated) before the value,
-        # matching the oracle: every lane's mask first, then values
-        # for the active lanes only.
-        mask_src = None
-        if stmt.mask is not None:
-            mask_src = self._gen_vector_elem_src(stmt.mask, env, caches,
-                                                 idx)
-        value_src = self._gen_vector_elem_src(stmt.value, env, caches,
-                                              idx)
-        addr_src = f"int({self._gen(target.addr, env)})"
-        base_cost: List[str] = []
-        self._cost_sync(base_cost)
-        stride_bytes = target.stride * ctype.sizeof()
-        body: List[str] = [f"{c} = None" for c in caches]
-        tv = self._tmp_name()
-        tb = self._tmp_name()
-        if mask_src is None:
-            body.append(f"{tv} = [{value_src} for {idx} in "
-                        f"range({tl})]")
-            body.append(f"{tb} = {addr_src}")
-            body.extend(base_cost)
-            tx = self._tmp_name()
-            body.append(f"for {tx} in {tv}:")
-            body.extend(_ind(self._gen_store_lines(tb, tx, ctype, env)))
-            body.append(f"    {tb} += {stride_bytes}")
-        else:
-            tm = self._tmp_name()
-            body.append(f"{tm} = [{mask_src} for {idx} in range({tl})]")
-            body.append(f"{tv} = [({value_src}) if {tm}[{idx}] "
-                        f"else None for {idx} in range({tl})]")
-            body.append(f"{tb} = {addr_src}")
-            body.extend(base_cost)
-            body.append(f"for {idx} in range({tl}):")
-            store = self._gen_store_lines(
-                f"({tb} + {idx} * {stride_bytes})", f"{tv}[{idx}]",
-                ctype, env)
-            body.append(f"    if {tm}[{idx}]:")
-            body.extend(_ind(_ind(store)))
-        if self._costs is not None:
-            # One event per vector instruction, after the stores.
-            body.extend(self._hook_lines(*(
-                f"'vector', {op!r}, {tl}, {stride}"
-                for op, stride in vector_instructions(stmt))))
-        lines.append(f"if {tl} > 0:")
-        lines.extend(_ind(body))
-        return lines
+        lane = self._vector_lane_lines(stmt, env, bulk=not reason)
+        if reason:
+            if reason == "call":
+                self._ncalls += 1  # the step cell is flushed around it
+            return lines + lane
+        bulk = vectorgen.BulkStatement(self, stmt, env)
+        if isinstance(stmt, N.VectorAssign):
+            return lines + bulk.assign_lines(lane)
+        return lines + bulk.reduce_lines(lane)
 
-    def _gen_vector_reduce_lines(self, stmt: N.VectorReduce,
-                                 env: Dict[str, object]) -> List[str]:
-        sym = stmt.target.sym
-        lines: List[str] = []
-        tl = self._tmp_name()
-        # Length first, then the accumulator read — oracle order.
-        lines.append(f"{tl} = int({self._gen(stmt.length, env)})")
-        ta = self._tmp_name()
-        lines.append(f"{ta} = {self._gen_var_read(sym, env)}")
-        self._cost_sync(lines)
-        caches: List[str] = []
-        idx = self._tmp_name()
-        elem = self._gen_vector_elem_src(stmt.value, env, caches, idx)
-        impl = self._bind(env, _binop_impl(stmt.op, stmt.target.ctype))
-        body = [f"{c} = None" for c in caches]
-        body.append(f"for {idx} in range({tl}):")
-        body.append(f"    {ta} = {impl}({ta}, ({elem}))")
-        if self._costs is not None:
-            body.extend(self._hook_lines(
-                f"'vector_reduce', {stmt.op!r}, {tl}"))
-        lines.append(f"if {tl} > 0:")
-        lines.extend(_ind(body))
-        # ta is either the (converted) initial read or a kernel
-        # result, which also converts — the write conversion is
-        # idempotent when the types line up.
-        lines.extend(self._gen_write_lines(
-            sym, ta, env,
-            pre_converted=self._same_ctype(stmt.target.ctype,
-                                           sym.ctype)
-            and not sym.is_volatile))
-        return lines
+    def _vector_lane_lines(self, stmt: N.Stmt, env: Dict[str, object],
+                           bulk: bool) -> List[str]:
+        """Run ``stmt`` through the oracle's own per-lane routine on a
+        frame built from this activation's locals
+        (:meth:`CompiledInterpreter._run_vector_lanes`); under a cost
+        model the oracle charges it event by event, between park and
+        reload.  ``bulk`` says the call is the bulk form's way out,
+        which the engine counts."""
+        regs: Dict[Symbol, str] = {}
+        mems: Dict[Symbol, str] = {}
+        for top in N.stmt_exprs(stmt):
+            for node in N.walk_expr(top):
+                if not isinstance(node, (N.VarRef, N.AddrOf)):
+                    continue
+                sym = node.sym
+                if sym.is_volatile:
+                    raise _Fallback("volatile read")
+                kind, where = self._binding(sym)
+                if kind == "reg":
+                    regs[sym] = f"_r{where}"
+                elif kind == "mem":
+                    mems[sym] = f"_m{where}"
+        plan = self._bind(env, (stmt, tuple(regs), tuple(mems), bulk))
+        call = (f"_eng._run_vector_lanes({plan}, "
+                f"({''.join(r + ', ' for r in regs.values())}), "
+                f"({''.join(m + ', ' for m in mems.values())}))")
+        if isinstance(stmt, N.VectorReduce):
+            kind, where = self._binding(stmt.target.sym)
+            if kind == "reg":
+                self._da.add(where)
+                call = f"_r{where} = {call}"
+        if self._costs is None:
+            return [call]
+        return ["_cy = _park(_cy)", call, "_cy = _M.cycles"]
 
     # -- structured statements (parallel/vector loop bodies) ---------------
 
@@ -1948,10 +1872,12 @@ class _CodeGenerator(_FrameLayout):
         if costed:
             hook = self.engine.cost_hook
             env.update(_M=hook, _hk=hook, _park=hook.park,
-                       _sx=hook.scheduled_exit)
+                       _sx=hook.scheduled_exit,
+                       _vx=hook.vector_statement)
             self._recipes.update(
                 _M=("hook",), _hk=("hook",), _park=("hookattr", "park"),
-                _sx=("hookattr", "scheduled_exit"))
+                _sx=("hookattr", "scheduled_exit"),
+                _vx=("hookattr", "vector_statement"))
         try:
             body = self._gen_flow(env)
             params = self._gen_param_lines(env)
@@ -2073,6 +1999,30 @@ class CompiledInterpreter(Interpreter):
         oracle."""
         self._step_cell[0] = count
         _raise_limit(self.max_steps)
+
+    def _run_vector_lanes(self, plan: tuple, regs: tuple,
+                          mems: tuple) -> Optional[Value]:
+        """One vector statement by the oracle's per-lane definition,
+        for generated code: the lane form of a statement, and where
+        the bulk form goes when anything before its first store
+        raised (or its length is not positive) — so faults, stored
+        prefixes and charges are the oracle's by construction.
+        ``regs``/``mems`` are the caller's register values and
+        memory-backed local addresses for the symbols in ``plan``.
+        Returns a reduction's new target value (the caller's register,
+        when it lives in one)."""
+        stmt, reg_syms, mem_syms, bulk = plan
+        if bulk:
+            REGISTRY.counter("titancc_vector_bulk_miss_total").inc()
+        frame = _Frame(
+            env={sym: value for sym, value in zip(reg_syms, regs)
+                 if value is not _UNSET},
+            addr_of=dict(zip(mem_syms, mems)))
+        if isinstance(stmt, N.VectorAssign):
+            self._exec_vector_assign(stmt, frame)
+            return None
+        self._exec_vector_reduce(stmt, frame)
+        return frame.env.get(stmt.target.sym)
 
     def _drop_graphs(self) -> None:
         super()._drop_graphs()

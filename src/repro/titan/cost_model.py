@@ -99,6 +99,9 @@ SCALAR_COSTS = {
 
 _NO_OPS = (0,) * len(SCALAR_COSTS)
 
+#: Bound on a model's table of priced vector statements.
+_VECTOR_PRICED_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class InlineCosts:
@@ -117,9 +120,9 @@ class TitanCostModel:
     :meth:`inline_costs` for the table and then keeps ``cycles`` and
     its operation counts in its own locals, handing them back through
     :meth:`park` (before anything else may charge the model),
-    :meth:`scheduled_exit` and :meth:`absorb`; everything else —
-    vector instructions, parallel regions, list chases — stays an
-    event.
+    :meth:`scheduled_exit`, :meth:`vector_statement` and
+    :meth:`absorb`; everything else — parallel regions, list chases —
+    stays an event.
     """
 
     def __init__(self, config: Optional[TitanConfig] = None,
@@ -142,6 +145,8 @@ class TitanCostModel:
             "parallel_begin": self._on_parallel_begin,
             "parallel_end": self._on_parallel_end,
         }
+        # See _vector_prices.
+        self._vector_priced: Dict[tuple, tuple] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -182,10 +187,6 @@ class TitanCostModel:
         if handler is not None:
             handler(*details)
 
-    @property
-    def _suppressed(self) -> bool:
-        return bool(self._sched_stack)
-
     def _charge(self, cycles: float, bucket: str = "scalar") -> None:
         if not self._sched_stack:
             self.cycles += cycles
@@ -219,6 +220,72 @@ class TitanCostModel:
             + self.config.branch_cycles
         self._spent["scheduled"] += lump
         return cycles + lump
+
+    def vector_statement(self, cycles: float, instructions,
+                         length: int) -> float:
+        """A whole vector statement of ``length`` elements: its
+        ``vector_instructions`` tuple — ``(op, stride)`` each, a
+        reduction the single op ``"reduce"`` — charged in issue order
+        on top of the engine's running total.  This is where a vector
+        instruction's cost is stated (:meth:`_vector_prices`); the
+        ``vector`` and ``vector_reduce`` events charge one instruction
+        through it, so a statement costs the same float additions
+        either way."""
+        priced = self._vector_priced.get((instructions, length))
+        if priced is None:
+            priced = self._vector_prices(instructions, length)
+        issued, elements, flops, startup, costs = priced
+        count = self._count
+        count["vector_instructions"] += issued
+        count["vector_elements"] += elements
+        count["flops"] += flops
+        if not self._sched_stack:
+            spent = self._spent
+            compute = spent["vector_compute"]
+            memory = spent["vector_memory"]
+            fill = spent["vector_startup"]
+            for cost, memory_pipe in costs:
+                cycles += cost
+                if memory_pipe:
+                    memory += cost
+                else:
+                    compute += cost
+                fill += startup
+            spent["vector_compute"] = compute
+            spent["vector_memory"] = memory
+            spent["vector_startup"] = fill
+        self.cycles = cycles
+        return cycles
+
+    def _vector_prices(self, instructions, length: int) -> tuple:
+        """What a statement issuing ``instructions`` over ``length``
+        elements counts and costs: ``(instructions issued, elements,
+        flops, startup per instruction, ((cycles, memory pipe?) per
+        instruction))``.  Kept per (statement shape, length) — strips
+        of one loop share both — in a table cleared when it fills."""
+        cfg = self.config
+        chunks = self._chunks(length)
+        startup = cfg.vector_startup * chunks
+        flop_ops, costs = 0, []
+        for op, stride in instructions:
+            per_element = cfg.vector_element_cycles
+            memory_pipe = op in _VECTOR_MEMORY_OPS
+            if memory_pipe and abs(stride) != 1:
+                per_element *= cfg.vector_stride_penalty
+            if not memory_pipe and op != "int_op":
+                flop_ops += 1
+            cost = startup + per_element * max(length, 0)
+            if op == "reduce":
+                # Pipelined, one element per cycle, plus a short tree
+                # tail to collapse the partial sums.
+                cost += max(1, length).bit_length() * cfg.fp_issue
+            costs.append((cost, memory_pipe))
+        priced = (chunks * len(costs), length * len(costs),
+                  length * flop_ops, startup, tuple(costs))
+        if len(self._vector_priced) >= _VECTOR_PRICED_LIMIT:
+            self._vector_priced.clear()
+        self._vector_priced[instructions, length] = priced
+        return priced
 
     def absorb(self, cycles: Optional[float], charged=_NO_OPS,
                counted=_NO_OPS) -> None:
@@ -262,37 +329,10 @@ class TitanCostModel:
         return max(1, -(-max(length, 0) // mvl))
 
     def _on_vector(self, op: str, length: int, stride: int) -> None:
-        cfg = self.config
-        chunks = self._chunks(length)
-        self.counters.vector_instructions += chunks
-        self.counters.vector_elements += length
-        if op not in _VECTOR_MEMORY_OPS and op != "int_op":
-            self.counters.flops += length
-        per_element = cfg.vector_element_cycles
-        if op in _VECTOR_MEMORY_OPS and abs(stride) != 1:
-            per_element *= cfg.vector_stride_penalty
-        bucket = "vector_memory" if op in _VECTOR_MEMORY_OPS \
-            else "vector_compute"
-        startup = cfg.vector_startup * chunks
-        self._charge(startup + per_element * max(length, 0), bucket)
-        if not self._suppressed:
-            self.breakdown.vector_startup += startup
+        self.vector_statement(self.cycles, ((op, stride),), length)
 
     def _on_vector_reduce(self, op: str, length: int) -> None:
-        """A pipelined vector reduction: startup, one element per
-        cycle, plus a short tree tail to collapse the partial sums."""
-        cfg = self.config
-        chunks = self._chunks(length)
-        self.counters.vector_instructions += chunks
-        self.counters.vector_elements += length
-        self.counters.flops += length
-        tail = max(1, length).bit_length() * cfg.fp_issue
-        startup = cfg.vector_startup * chunks
-        self._charge(startup
-                     + cfg.vector_element_cycles * max(length, 0)
-                     + tail, "vector_compute")
-        if not self._suppressed:
-            self.breakdown.vector_startup += startup
+        self.vector_statement(self.cycles, (("reduce", 1),), length)
 
     def _on_list_chase(self, count: int = 1) -> None:
         """Serial pointer chase of a parallelized list loop: one

@@ -518,6 +518,37 @@ class TestDeterministicRelease:
         assert response["payload"]["run"]["result"] is not None
         assert cyclic < 1_000_000, f"{cyclic} bytes waited for the GC"
 
+    def test_vector_kernel_run_leaves_under_1mb_for_the_collector(self):
+        # Masked stores, iota and a reduction through the bulk vector
+        # path: it copies lanes out of the image and keeps no view of
+        # it, so close() still drops the 4 MiB.
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "e19", "corpus", "kernels",
+                            "guarded_diff.c")
+        with open(path) as handle:
+            kernel = handle.read().replace("{n}", "4096") \
+                .replace("{s}", "3")
+        with CompileService(workers=0) as service:
+            assert service.submit(
+                {"id": "0", "filename": "k.c", "run": "main",
+                 "source": kernel})["status"] == "ok"
+            gc.collect()
+            gc.disable()
+            try:
+                tracemalloc.start()
+                response = service.submit(
+                    {"id": "1", "filename": "k.c", "run": "main",
+                     "source": kernel + "\nint pad;\n"})
+                held = tracemalloc.get_traced_memory()[0]
+                gc.collect()
+                cyclic = held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert response["status"] == "ok"
+        assert response["cache"]["artifact"] == "miss"
+        assert cyclic < 1_000_000, f"{cyclic} bytes waited for the GC"
+
     def test_closed_simulator_keeps_its_report_readable(self):
         from repro.titan.simulator import TitanSimulator
         result = compile_c(example("daxpy.c"))

@@ -23,6 +23,7 @@ from repro.interp import (ENGINES, InterpreterError, StepLimitExceeded,
 from repro.interp.bytecode import _CACHE_ATTR, _CodegenEntry
 from repro.obs.metrics import REGISTRY
 from repro.pipeline import CompilerOptions, compile_c
+from tests import vector_cases
 
 
 def _all(source, entry="main", args=(), **kwargs):
@@ -269,6 +270,17 @@ class TestFallbackAndDevices:
         entry = getattr(program.functions["main"], _CACHE_ATTR)[False]
         assert not isinstance(entry, _CodegenEntry)
         assert "volatile" in entry.reason
+
+
+class TestVectorStatements:
+    """Vector statements run as whole-vector operations; the oracle's
+    per-lane loop is the definition.  One construct each
+    (``tests/vector_cases.py``), uninstrumented: outcome or fault,
+    stdout, steps and the final memory image equal the oracle's."""
+
+    @pytest.mark.parametrize("name", sorted(vector_cases.CASES))
+    def test_matches_the_oracle(self, name):
+        vector_cases.CASES[name].run(costed=False)
 
 
 class TestHooks:

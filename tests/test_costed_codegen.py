@@ -25,6 +25,7 @@ from repro.titan.config import TitanConfig
 from repro.titan.cost_model import TitanCostModel
 from repro.titan.simulator import TitanSimulator
 from repro.workloads.stencils import backsolve
+from tests import vector_cases
 
 O0 = CompilerOptions(inline=False, scalar_opt=False, vectorize=False,
                      parallelize=False, reg_pipeline=False,
@@ -206,6 +207,17 @@ class TestConstructs:
                 # Fractional after the rescale: the exact check.
                 assert (fast["cycles"] != int(fast["cycles"])) == \
                     (processors > 1)
+
+
+class TestVectorStatements:
+    """The same constructs as ``test_bytecode_engine.py``'s
+    (``tests/vector_cases.py``), under a cost model whose total starts
+    fractional: cycles ``==``, counters and breakdown too — also after
+    a fault, which the oracle's own routine raises."""
+
+    @pytest.mark.parametrize("name", sorted(vector_cases.CASES))
+    def test_matches_the_oracle(self, name):
+        vector_cases.CASES[name].run(costed=True)
 
 
 class TestFaults:
