@@ -12,10 +12,9 @@ Uninstrumented it runs one generated Python function per IL function:
 that ratio is gated.  Under the Titan simulator's cost model it runs
 the same generated code with the model's scalar accounting inline:
 that rate is the one every simulated run pays, and it is gated at 2x
-what the event-emitting closures managed before accounting moved into
-generated code (ROADMAP item 4's gate; the closures still serve
-profiler runs, which ``test_e13_cycle_stream_identical`` keeps
-bit-equal).
+what the since-deleted event-emitting closures managed before
+accounting moved into generated code (ROADMAP item 4's gate; profiler
+runs are the tree oracle's now).
 
 Speedup is measured in interpreter steps/sec (the engines execute the
 same dynamic step sequence, so steps/sec ratios equal wall-clock
@@ -208,9 +207,9 @@ def test_e13_engine_speedup():
 def test_e13_cycle_stream_identical():
     # Under the Titan model both engines must report the same cycle
     # totals, per-class breakdown and counters exactly — whether the
-    # fast engine accounts inline (plain simulation) or emits the
-    # oracle's event stream from closures (a profiler attached) —
-    # and profiler attribution must still sum to the total.
+    # fast engine accounts inline (plain simulation) or runs the
+    # oracle it inherits (a profiler attached) — and profiler
+    # attribution must still sum to the total.
     source = backsolve(BACKSOLVE_N)
     program = compile_c(source, O0).program
     reports = {}

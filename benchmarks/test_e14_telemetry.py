@@ -50,7 +50,7 @@ def _steps_per_sec(program):
     interp = make_interpreter(program, engine="compiled",
                               max_steps=500_000_000)
     _setup(interp)
-    interp.run("backsolve")  # warm-up: one-time closure compile
+    interp.run("backsolve")  # warm-up: one-time code generation
     best = 0.0
     for _ in range(REPS):
         before = interp.steps

@@ -95,8 +95,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "uninstrumented run executes, or with "
                              "--run the variant with Titan accounting "
                              "inline that the simulation executes; "
-                             "functions that run as closures report "
-                             "why")
+                             "functions that run on the tree oracle "
+                             "report why")
     parser.add_argument("--make-db", metavar="PATH",
                         help="save the parsed procedures as an inline "
                              "database instead of compiling")

@@ -13,15 +13,15 @@ seed order), so the summary — including its ``metrics`` block — is
 byte-identical to a sequential run; ``summary.json`` additionally
 records per-worker wall times.
 
-By default (``--engine all``) every variant runs on all three halves
-of the fast engine — uninstrumented (generated code), with a
-recording cost hook installed (event-emitting closures), and under
-the Titan cost model (generated code with inline accounting, what
-every simulated run executes; cycles, counters and breakdown must
-equal the tree oracle's under the same model) — each checked
-against the tree oracle; ``--engine compiled`` narrows the sweep to
-the uninstrumented half, and ``summary.json`` carries the aggregate
-wall times per engine half under ``engine_timings``.
+By default (``--engine all``) every variant runs on both halves of
+the fast engine — uninstrumented (generated code) and under the Titan
+cost model (generated code with inline accounting, what every
+simulated run executes; cycles, counters and breakdown must equal the
+tree oracle's under the same model) — each checked against the tree
+oracle (under any other cost hook the fast engine runs the tree
+oracle itself); ``--engine compiled`` narrows the sweep to the
+uninstrumented half, and ``summary.json`` carries the aggregate wall
+times per engine half under ``engine_timings``.
 
 With ``--out DIR`` every failure is minimized and written as
 ``DIR/repro_<name>.c`` (a self-contained one-command reproducer),
@@ -85,8 +85,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "variants (the reference always runs on "
                              "the tree-walking oracle); 'all' runs "
                              "the fast engine over each variant "
-                             "uninstrumented, with a recording cost "
-                             "hook installed, and under the Titan "
+                             "uninstrumented and under the Titan "
                              "cost model (default)")
     parser.add_argument("--check-passes", action="store_true",
                         help="compile every variant with the per-pass "

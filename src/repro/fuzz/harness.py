@@ -13,13 +13,15 @@ The harness is also an *engine* differential: the reference runs on
 the tree-walking oracle (``engine="tree"``) while every variant runs
 on the fast engine by default, so each fuzz program cross-checks the
 execution engines on top of the optimization sweep.  What the fast
-engine runs depends on the cost hook it observes, so ``engine="all"``
-runs each variant on all three halves — uninstrumented (generated
-code), with a recording hook installed (event-emitting closures), and
-under a :class:`~repro.titan.cost_model.TitanCostModel` (generated
-code with inline accounting, compared field by field with the tree
-oracle under the same model); pass ``engine="tree"`` to take the fast
-engine out of the loop when bisecting a failure.
+engine generates depends on the cost hook it observes, so
+``engine="all"`` runs each variant on both halves — uninstrumented
+(observation-free generated code) and under a
+:class:`~repro.titan.cost_model.TitanCostModel` (generated code with
+inline accounting, compared field by field with the tree oracle under
+the same model).  Under any other hook the fast engine runs the tree
+oracle itself, so there is nothing further to compare; pass
+``engine="tree"`` to take the fast engine out of the loop when
+bisecting a failure.
 
 Exception classification is the second half of the oracle.  The
 diagnostic types in :data:`CLEAN_REJECTIONS` are the front end doing
@@ -69,23 +71,18 @@ def classify_exception(exc: BaseException) -> str:
     return "reject" if isinstance(exc, CLEAN_REJECTIONS) else "crash"
 
 
-#: Suffix selecting the fast engine's instrumented half: the same
-#: engine with a recording cost hook installed, i.e. its closures.
-_HOOKED = "+hook"
-
-#: Suffix selecting its costed half: the engine under the Titan cost
-#: model, i.e. generated code with inline accounting.
+#: Suffix selecting the fast engine's costed half: the engine under the
+#: Titan cost model, i.e. generated code with inline accounting.
 _COSTED = "+cost"
 
 
 def resolve_engines(engine: str) -> Tuple[str, ...]:
     """The engine runs one ``engine`` selector puts variants through:
-    ``"all"`` means all three halves of the fast engine (``compiled``,
-    ``compiled+hook`` and ``compiled+cost``), anything else is a
-    single engine name (validated by :func:`make_interpreter` at run
-    time)."""
+    ``"all"`` means both halves of the fast engine (``compiled`` and
+    ``compiled+cost``), anything else is a single engine name
+    (validated by :func:`make_interpreter` at run time)."""
     if engine == "all":
-        return ("compiled", "compiled" + _HOOKED, "compiled" + _COSTED)
+        return ("compiled", "compiled" + _COSTED)
     return (engine,)
 
 
@@ -207,11 +204,9 @@ class DifferentialResult:
 def _run_program(program, max_steps: int, order: str = "forward",
                  engine: str = "compiled",
                  timings: Optional[dict] = None) -> int:
-    name, hooked, _ = engine.partition(_HOOKED)
-    interp = make_interpreter(
-        program, engine=name, max_steps=max_steps,
-        parallel_order=order, seed=7,
-        cost_hook=(lambda *event: None) if hooked else None)
+    interp = make_interpreter(program, engine=engine,
+                              max_steps=max_steps, parallel_order=order,
+                              seed=7)
     start = time.perf_counter()
     try:
         value = interp.run("main")
@@ -284,7 +279,7 @@ def run_source(source: str, name: str = "<fuzz>",
     invalid input has no semantics to compare).  ``engine`` selects
     the execution engine(s) for the *variants* only, so the default
     configuration differentially tests both the optimizer and the
-    fast engine against the oracle; ``engine="all"`` runs all three
+    fast engine against the oracle; ``engine="all"`` runs both
     halves of the fast engine over each variant (see
     :func:`resolve_engines`), and a failing run's variant name
     carries a ``#engine`` suffix naming the half that disagreed.

@@ -7,8 +7,9 @@ Two engines share one observable semantics:
 * :class:`~repro.interp.bytecode.CompiledInterpreter` — the fast
   engine (``engine="compiled"``): generated Python code when no cost
   hook is installed or the hook (the Titan cost model) offers its
-  scalar cost table for inline accounting, event-emitting closures
-  under any other hook.
+  scalar cost table for inline accounting; under any other hook, and
+  for the few constructs the generator refuses, the tree oracle it
+  inherits, one function at a time.
 
 Use :func:`~repro.interp.interpreter.make_interpreter` to pick one by
 name.

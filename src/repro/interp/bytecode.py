@@ -1,11 +1,11 @@
 """The fast engine: generated code, with the cost model's accounting
-inline when it offers its table; closures under any other hook.
+inline when it offers its table; the tree oracle for everything else.
 
 :class:`CompiledInterpreter` (``engine="compiled"``) materializes each
 function from what it can observe.  With no cost hook, each
 ``ILFunction``'s flow graph is lowered **once** into a single
-generated Python function, which removes the closures'
-one-Python-call-per-flow-node cost:
+generated Python function, which removes the oracle's per-node
+``isinstance`` dispatch, symbol-dict lookups and hook checks:
 
 * Basic blocks become straight-line Python; the computed ``goto``
   structure folds into one ``while True`` dispatch loop over a small
@@ -70,20 +70,22 @@ evaluation order — so they are not called, they are added up:
 After a fault the model holds what had been settled by then: every
 completed straight-line stretch, never more than the oracle charged.
 
-Under any other hook (recording hooks, a model with a profiler
-attached, one with fractional latencies) the engine runs the
-event-emitting closures of :mod:`repro.interp.compiled`, which
-reproduce the oracle's exact event order.
-
-Anything the generator cannot prove it can lower exactly — volatile
-symbols (device hooks), aggregate scalar access, lazily-allocated
-address-taken symbols, list-parallel loops, oversized generated
-source, a costed call under a ``Select`` — raises :class:`_Fallback`
-during generation and the *whole function* runs as closures (bound to
-the installed hook, or a no-op), which are already differentially
-verified against the oracle.  Every tier decision is counted in
-``titancc_engine_tier_total{tier,reason}``, every vector statement's
-form in ``titancc_vector_lowering_total{form,reason}``.
+The engine *is* an :class:`Interpreter`, so what it will not generate
+runs on the tree oracle it inherits (``Interpreter._exec_function``),
+one whole function at a time: every function under a hook that offers
+no cost table (recording hooks, a model with a profiler attached, one
+with fractional latencies) — the oracle's event stream is the event
+stream's definition — and any function the generator cannot prove it
+can lower exactly (volatile symbols and their device hooks, aggregate
+scalar access, lazily-allocated address-taken symbols, list-parallel
+loops, oversized generated source, a costed call under a ``Select``),
+which raises :class:`_Fallback` during generation.  An oracle-run
+function's calls come back through the engine, so its callees still
+run generated code; under a cost model it charges event by event,
+between its caller's park and reload.  Every tier decision is counted
+in ``titancc_engine_tier_total{tier,reason}`` (``generated`` or
+``oracle``), every vector statement's form in
+``titancc_vector_lowering_total{form,reason}``.
 
 Generated code is memoized **across engine instances** on the
 ``ILFunction`` object itself, one entry per variant: the code object
@@ -104,6 +106,7 @@ which drops these entries along with the flow-graph caches.
 from __future__ import annotations
 
 import dis
+import functools
 import io
 import math
 import struct
@@ -115,14 +118,12 @@ from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
 from . import vectorgen
-from .compiled import (_CompiledFunction, _F32_MAX, _F32_PACK,
-                       _F32_UNPACK, _FrameLayout, _FunctionCompiler,
-                       _UNSET, _binop_impl, _fast_round_f32,
-                       _is_aggregate, _make_loader, _make_storer,
-                       _no_hook, _raise_limit, _raise_uninit,
-                       _struct_format, _unop_impl)
 from .interpreter import (Interpreter, InterpreterError,
-                          StepLimitExceeded, Value, _Frame, _trip_values)
+                          StepLimitExceeded, Value, _Frame,
+                          _memory_locals, _trip_values)
+from .kernels import (KERNEL_OPS, _F32_MAX, _F32_PACK, _F32_UNPACK,
+                      _UNSET, _binop_impl, _fast_round_f32, _is_aggregate,
+                      _raise_uninit, _struct_format)
 
 #: Attribute on ILFunction holding the cross-instance codegen cache.
 _CACHE_ATTR = "_bytecode_cache"
@@ -130,13 +131,16 @@ _CACHE_ATTR = "_bytecode_cache"
 #: Flow-node kinds with no observable effect beyond their tick.
 _PURE_KINDS = frozenset(("entry", "label", "join", "goto"))
 
-#: Cap on generated source size: a larger function runs as closures.
+#: A materialized function: called with the argument list.
+_Invoke = Callable[[List[Value]], Optional[Value]]
+
+#: Cap on generated source size: a larger function runs on the oracle.
 _SOURCE_LIMIT = 1_000_000
 
 
 class _Fallback(Exception):
-    """Raised during code generation when a construct must run as
-    closures instead; the whole function falls back."""
+    """Raised during code generation when a construct must run on the
+    tree oracle instead; the whole function falls back."""
 
 
 class _CodegenEntry:
@@ -218,10 +222,6 @@ def _materialize_recipe(engine, recipe: tuple):
         return engine.memory
     if kind == "hit":
         return engine._hit_limit
-    if kind == "loader":
-        return _make_loader(engine.memory, recipe[1])
-    if kind == "storer":
-        return _make_storer(engine.memory, recipe[1])
     if kind == "call":
         return _make_call_helper(engine, *recipe[1:])
     if kind == "hook":
@@ -247,20 +247,6 @@ def _scheduled_loops(fn: N.ILFunction, scheduled) -> List[N.DoLoop]:
             if isinstance(stmt, N.DoLoop) and stmt.sid in scheduled]
 
 
-def _scheduled_bodies_plain(program: N.ILProgram, scheduled) -> bool:
-    """True when every scheduled loop's body is call-free plain
-    assigns: nothing inside one runs another function, so which events
-    the model would suppress is decided by the IL alone (a call in one
-    would make it depend on the caller)."""
-    return all(isinstance(inner, N.Assign) and not any(
-                   isinstance(e, N.CallExpr)
-                   for top in N.stmt_exprs(inner)
-                   for e in N.walk_expr(top))
-               for fn in program.functions.values()
-               for loop in _scheduled_loops(fn, scheduled)
-               for inner in loop.body)
-
-
 def _cache_counter(outcome: str):
     return REGISTRY.counter("titancc_engine_codegen_cache_total",
                             {"engine": "compiled", "outcome": outcome})
@@ -268,10 +254,10 @@ def _cache_counter(outcome: str):
 
 def _tier_counter(tier: str, reason: str):
     """One increment per function materialization: which tier the
-    engine picked (``generated`` or ``closure``) and why: generated
-    code is ``costed`` when it carries the hook's accounting, a
-    closure's reason is ``hook`` (one the engine must emit events to),
-    the hook's own reason for refusing inline accounting, or the
+    engine picked (``generated`` or ``oracle``) and why: generated
+    code is ``costed`` when it carries the hook's accounting, the
+    oracle's reason is ``hook`` (one that must see every event), the
+    hook's own reason for refusing inline accounting, or the
     generator's :class:`_Fallback` reason."""
     return REGISTRY.counter("titancc_engine_tier_total",
                             {"tier": tier, "reason": reason})
@@ -297,13 +283,15 @@ def _ctype_key(ctype: Optional[CType]):
             getattr(ctype, "signed", None))
 
 
-class _CodeGenerator(_FrameLayout):
+class _CodeGenerator:
     """Lowers one ILFunction into a single generated Python function.
 
-    Shares the closure compiler's slot assignment (one Python local
-    per slot here) and records a recipe for every name bound into the
-    generated namespace so the result can be re-materialized on
-    another engine instance.
+    An activation's slots are assigned here, one Python local each —
+    registers (``_rN``), per-activation addresses of memory-backed
+    locals (``_mN``) and captured DO-loop bounds (``_hN``) — and a
+    recipe is recorded for every name bound into the generated
+    namespace so the result can be re-materialized on another engine
+    instance.
     """
 
     #: Comparison operators are plain Python and yield raw 0/1.
@@ -313,7 +301,20 @@ class _CodeGenerator(_FrameLayout):
 
     def __init__(self, engine: "CompiledInterpreter", fn: N.ILFunction,
                  costs=None):
-        super().__init__(engine, fn)
+        self.engine = engine
+        self.fn = fn
+        self._nslots = 0
+        self._reg_slots: Dict[Symbol, int] = {}
+        self._mem_slots: Dict[Symbol, int] = {}
+        self._hi_slots: Dict[int, int] = {}
+        # Tree-walker allocation order (duplicates preserved: a symbol
+        # listed twice is allocated twice and keeps the last address).
+        self._mem_allocs: List[Tuple[int, CType]] = []
+        for sym in _memory_locals(fn):
+            slot = self._mem_slots.get(sym)
+            if slot is None:
+                slot = self._mem_slots[sym] = self._new_slot()
+            self._mem_allocs.append((slot, sym.ctype))
         # Inline accounting (the costed variant): the hook's scalar
         # cost table, or None for observation-free code.  Events are
         # noted in oracle order as ``_items`` while source is
@@ -330,8 +331,8 @@ class _CodeGenerator(_FrameLayout):
         self._cost_locals: Set[str] = set()
         self._iter_locals: Set[str] = set()
         # Statements of scheduled loop bodies (by identity): plain
-        # call-free assigns — the engine checked — so suppression is
-        # lexical.
+        # call-free assigns — the scheduler schedules nothing else —
+        # so suppression is lexical.
         self._quiet_stmts: Set[int] = set() if costs is None else {
             id(inner) for loop in _scheduled_loops(fn, costs.scheduled)
             for inner in loop.body}
@@ -380,13 +381,34 @@ class _CodeGenerator(_FrameLayout):
         self._tmpn += 1
         return f"_t{self._tmpn}"
 
+    # -- slots -------------------------------------------------------------
+
+    def _new_slot(self) -> int:
+        slot = self._nslots
+        self._nslots += 1
+        return slot
+
     def _binding(self, sym: Symbol) -> Tuple[str, int]:
-        kind, where = super()._binding(sym)
-        if kind == "global":
+        slot = self._mem_slots.get(sym)
+        if slot is not None:
+            return ("mem", slot)
+        memory = self.engine.memory
+        if memory.has_storage(sym):
             # Baked absolute address: recorded so a cached entry is
             # only reused while the address still holds.
-            self._baked.append((sym, where))
-        return kind, where
+            addr = memory.address_of(sym)
+            self._baked.append((sym, addr))
+            return ("global", addr)
+        slot = self._reg_slots.get(sym)
+        if slot is None:
+            slot = self._reg_slots[sym] = self._new_slot()
+        return ("reg", slot)
+
+    def _hi_slot(self, sid: int) -> int:
+        slot = self._hi_slots.get(sid)
+        if slot is None:
+            slot = self._hi_slots[sid] = self._new_slot()
+        return slot
 
     # -- inline accounting -------------------------------------------------
 
@@ -553,25 +575,22 @@ class _CodeGenerator(_FrameLayout):
                   env: Dict[str, object],
                   const_addr: Optional[int] = None) -> str:
         """Inline memory load: bounds check + pre-bound unpack, with
-        the validated loader closure kept on the fault path so error
-        messages stay exact."""
+        the oracle's own ``Memory.load`` on the fault path so error
+        messages are exact."""
         memory = self.engine.memory
         fmt = _struct_format(ctype)
         if fmt is None:
-            loader = self._bind(env, _make_loader(memory, ctype),
-                                ("loader", ctype))
-            return f"{loader}({addr_src})"
+            raise _Fallback(f"load of type {ctype}")
         limit = len(memory.data) - ctype.sizeof()
         unpack = self._bind(env, struct.Struct(fmt).unpack_from)
         data = self._bind(env, memory.data, ("data",))
         if const_addr is not None and 8 <= const_addr <= limit:
             return f"{unpack}({data}, {const_addr})[0]"
-        fault = self._bind(env, _make_loader(memory, ctype),
-                           ("loader", ctype))
+        typ = self._bind(env, ctype)
         t = self._tmp_name()
         return (f"({unpack}({data}, {t})[0] "
                 f"if 8 <= ({t} := {addr_src}) <= {limit} "
-                f"else {fault}({t}))")
+                f"else _mem.load({t}, {typ}))")
 
     def _gen_store_lines(self, addr_src: str, value_src: str,
                          ctype: CType, env: Dict[str, object],
@@ -579,17 +598,15 @@ class _CodeGenerator(_FrameLayout):
                          float_value: bool = False) -> List[str]:
         """Inline memory store: value into a temp first (the oracle's
         evaluation order), bounds check, conversion, pre-bound pack;
-        the validated storer closure stays on the fault path so the
-        error message stays exact.  ``float_value`` asserts the caller
+        the oracle's own ``Memory.store`` is the fault path, so the
+        error message is exact.  ``float_value`` asserts the caller
         proved ``value_src`` is a Python float already
         (conversion-wrapped sources always are), eliding the store's
         redundant float() coercion."""
         memory = self.engine.memory
         fmt = _struct_format(ctype)
         if fmt is None:
-            store = self._bind(env, _make_storer(memory, ctype),
-                               ("storer", ctype))
-            return [f"{store}({addr_src}, {value_src})"]
+            raise _Fallback(f"store of type {ctype}")
         size = ctype.sizeof()
         limit = len(memory.data) - size
         pack = self._bind(env, struct.Struct(fmt).pack_into)
@@ -600,11 +617,10 @@ class _CodeGenerator(_FrameLayout):
             a = str(const_addr)
         else:
             a = self._tmp_name()
-            fault = self._bind(env, _make_storer(memory, ctype),
-                               ("storer", ctype))
+            typ = self._bind(env, ctype)
             lines += [f"{a} = {addr_src}",
                       f"if not (8 <= {a} <= {limit}):",
-                      f"    {fault}({a}, {v})"]
+                      f"    _mem.store({a}, {typ}, {v})"]
         if isinstance(ctype, FloatType):
             if size == 4:
                 inf = self._bind(env, math.inf)
@@ -668,8 +684,7 @@ class _CodeGenerator(_FrameLayout):
                 # Comparisons yield raw 0/1, invariant under any
                 # integer or pointer conversion.
                 return isinstance(ctype, (IntType, PointerType))
-            if expr.op in self._ARITH_OPS or \
-                    expr.op in ("/", "%", "min", "max"):
+            if expr.op in self._ARITH_OPS or expr.op in KERNEL_OPS:
                 return self._same_ctype(expr.ctype, ctype)
             return False
         if isinstance(expr, N.UnOp):
@@ -844,7 +859,7 @@ class _CodeGenerator(_FrameLayout):
                 self._baked.append((sym, addr))
                 return f"({addr})"
             # Lazy allocation of address-taken storage mutates engine
-            # state mid-run: closure tier only.
+            # state mid-run: the oracle's to do.
             raise _Fallback("address of lazily-allocated symbol")
         if isinstance(expr, N.CallExpr):
             self._ncalls += 1
@@ -874,7 +889,7 @@ class _CodeGenerator(_FrameLayout):
         if isinstance(expr, (N.Section, N.Iota)):
             raise _Fallback("vector expression in scalar context")
         if isinstance(expr, N.Mem) and not _is_aggregate(expr.ctype):
-            # Known-int addresses skip the closure tier's int() wrap.
+            # Known-int addresses skip the int() wrap.
             addr = self._gen_int(expr.addr, env)
             return self._gen_load(addr, expr.ctype, env)
         if isinstance(expr, N.BinOp) and expr.op in ("+", "-", "*") \
@@ -933,9 +948,12 @@ class _CodeGenerator(_FrameLayout):
                 else:
                     raw = f"(({left}) {op} ({right}))"
                 return self._gen_conv(raw, expr.ctype, env)
-            # Division/modulo fault ordering, min/max, and unknown
-            # operators stay behind a pre-bound kernel; Python's
-            # call-argument order keeps left-then-right evaluation.
+            if op not in KERNEL_OPS:
+                # The oracle raises its message when it gets there.
+                raise _Fallback(f"operator {op!r}")
+            # Division/modulo fault ordering and min/max stay behind a
+            # pre-bound kernel; Python's call-argument order keeps
+            # left-then-right evaluation.
             impl = self._bind(env, _binop_impl(op, expr.ctype))
             return f"{impl}(({left}), ({right}))"
         if isinstance(expr, N.UnOp):
@@ -948,8 +966,7 @@ class _CodeGenerator(_FrameLayout):
             if op == "bnot":
                 return self._gen_conv(f"(~int({operand}))",
                                       expr.ctype, env)
-            impl = self._bind(env, _unop_impl(op, expr.ctype))
-            return f"{impl}({operand})"
+            raise _Fallback(f"operator {op!r}")
         if isinstance(expr, N.Cast):
             return self._gen_conv(f"({self._gen(expr.operand, env)})",
                                   expr.ctype, env)
@@ -975,9 +992,9 @@ class _CodeGenerator(_FrameLayout):
             return self._gen_conv(
                 f"(({then}) if ({cond}) else ({other}))",
                 expr.ctype, env)
-        # Aggregate Mem or an unknown node kind: the closure tier
-        # raises the oracle's exact message lazily.
-        raise _Fallback("closure-only construct")
+        # Aggregate Mem or an unknown node kind: the oracle raises
+        # its message when it gets there.
+        raise _Fallback("oracle-only construct")
 
     def _guarded_src(self, expr: N.Expr, env: Dict[str, object],
                      lines: List[str]) -> str:
@@ -1309,8 +1326,8 @@ class _CodeGenerator(_FrameLayout):
                     lines.append(self._lump_line(stmt.sid,
                                                  f"len({trips})"))
             else:
-                # The oracle rejects these at runtime; let the closure
-                # tier raise its exact message.
+                # The oracle rejects these at run time, with its own
+                # message.
                 raise _Fallback(
                     f"{type(stmt).__name__} in structured body")
         self._cost_sync(lines)
@@ -1857,7 +1874,7 @@ class _CodeGenerator(_FrameLayout):
 
     def generate(self) -> _CodegenEntry:
         """Lower the whole function to one generated Python function;
-        raises :class:`_Fallback` when the closure tier must run it."""
+        raises :class:`_Fallback` when the oracle must run it."""
         fn = self.fn
         env: Dict[str, object] = {
             "_U": _UNSET, "_ui": _raise_uninit, "_f32": _fast_round_f32,
@@ -1968,37 +1985,27 @@ class CompiledInterpreter(Interpreter):
     under a hook that offers its scalar cost table (TitanSimulator's
     model) as the same function with that accounting inline; under
     any other hook (recording hooks, a profiler), or when the
-    generator raised :class:`_Fallback`, as event-emitting closures.
-    Installing a different ``cost_hook`` afterwards re-materializes,
-    because hooks are baked into both.
+    generator raised :class:`_Fallback`, on the tree oracle this
+    class inherits.  Installing a different ``cost_hook`` afterwards
+    re-materializes, because costed code has its hook baked in.
     """
 
     engine_name = "compiled"
 
     def __init__(self, program: N.ILProgram, **kwargs):
         super().__init__(program, **kwargs)
-        self._compiled: Dict[str, _CompiledFunction] = {}
-        self._compiled_hook = self.cost_hook
-        self._hook_costs_memo = None  # see _hook_costs
-        self._tick_compiled = self._make_tick()
-
-    def _make_tick(self) -> Callable[[], None]:
-        cell = self._step_cell
-
-        def tick():
-            count = cell[0] + 1
-            cell[0] = count
-            if count > self.max_steps:
-                raise StepLimitExceeded(
-                    f"exceeded {self.max_steps} steps (infinite loop?)")
-        return tick
+        # name -> (the ILFunction, what the engine calls for it).
+        self._compiled: Dict[str, Tuple[N.ILFunction, _Invoke]] = {}
+        # (hook, what it lets generated code do): see _hook_costs.
+        self._hook_memo: tuple = (None, None)
 
     def _hit_limit(self, count: int) -> None:
         """Overflow path for generated code: land the function's local
         step count in the shared cell, then raise exactly like the
         oracle."""
         self._step_cell[0] = count
-        _raise_limit(self.max_steps)
+        raise StepLimitExceeded(
+            f"exceeded {self.max_steps} steps (infinite loop?)")
 
     def _run_vector_lanes(self, plan: tuple, regs: tuple,
                           mems: tuple) -> Optional[Value]:
@@ -2026,40 +2033,30 @@ class CompiledInterpreter(Interpreter):
 
     def _drop_graphs(self) -> None:
         super()._drop_graphs()
-        for compiled in self._compiled.values():
-            compiled.close()
         self._compiled.clear()
 
     def close(self) -> None:
         super().close()
-        self._compiled_hook = self._tick_compiled = None
+        self._hook_memo = (None, None)
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:
-        if self.cost_hook is not self._compiled_hook:
-            # Hook swapped after construction: closures and costed
-            # code have the old hook baked in, plain code has none.
-            self._compiled.clear()
-            self._compiled_hook = self.cost_hook
-            self._hook_costs_memo = None
+        if self.cost_hook is not self._hook_memo[0]:
+            self._hook_costs()  # swapped: drops what was materialized
         cached = self._compiled.get(fn.name)
-        if cached is None or cached.fn is not fn:
-            cached = self._materialize_function(fn)
-            self._compiled[fn.name] = cached
-        return cached.invoke(args)
+        if cached is None or cached[0] is not fn:
+            cached = self._compiled[fn.name] = (
+                fn, self._materialize_function(fn))
+        return cached[1](args)
 
-    def _materialize_function(self, fn: N.ILFunction) -> _CompiledFunction:
+    def _materialize_function(self, fn: N.ILFunction) -> _Invoke:
         """Pick the tier for one function and count the decision."""
-        hook = self.cost_hook
         costs = self._hook_costs()
         if isinstance(costs, str):
-            # Event order in the closures is bit-identical to the
-            # oracle's, so cycle totals and breakdowns match.
-            return self._compile_closures(fn, hook, costs)
+            return self._oracle_function(fn, costs)
         entry = self._codegen_entry(fn, costs)
         if isinstance(entry, _FallbackEntry):
-            return self._compile_closures(fn, hook or _no_hook,
-                                          entry.reason)
+            return self._oracle_function(fn, entry.reason)
         _tier_counter("generated", "costed" if costs else "").inc()
         return self._install(entry)
 
@@ -2068,27 +2065,30 @@ class CompiledInterpreter(Interpreter):
         (no hook: observation-free code), the hook's scalar cost table
         (it advertises ``inline_costs()``: generated code accounts for
         scalar events itself), or the tier-counter reason every
-        function runs as event-emitting closures instead."""
+        function runs on the tree oracle instead.  Asked once per
+        hook; this is also where a swapped hook is noticed, and what
+        was materialized for the old one dropped — costed code has its
+        hook baked in, plain code has none."""
         hook = self.cost_hook
-        if hook is None:
-            return None
-        if self._hook_costs_memo is None:
-            advertised = getattr(hook, "inline_costs", None)
-            costs = advertised() if advertised is not None else "hook"
-            if not isinstance(costs, str) and not \
-                    _scheduled_bodies_plain(self.program,
-                                            costs.scheduled):
-                costs = "scheduled-call"
-            self._hook_costs_memo = costs
-        return self._hook_costs_memo
+        if hook is not self._hook_memo[0]:
+            self._compiled.clear()
+            if hook is None:
+                costs = None
+            else:
+                advertised = getattr(hook, "inline_costs", None)
+                costs = advertised() if advertised is not None \
+                    else "hook"
+            self._hook_memo = (hook, costs)
+        return self._hook_memo[1]
 
-    def _compile_closures(self, fn: N.ILFunction, hook: Callable,
-                          reason: str) -> _CompiledFunction:
-        from ..obs import telemetry
-        _tier_counter("closure", reason).inc()
-        with telemetry.span("engine-compile", cat="engine",
-                            engine=self.engine_name, function=fn.name):
-            return _FunctionCompiler(self, fn, hook).compile()
+    def _oracle_function(self, fn: N.ILFunction, reason: str) -> _Invoke:
+        """``fn`` on the tree oracle this engine inherits.  Its calls
+        come back through :meth:`_exec_function`, so its callees still
+        run generated code; it ticks the shared step cell and emits
+        every event to the hook — under a cost model, between its
+        caller's park and reload."""
+        _tier_counter("oracle", reason).inc()
+        return functools.partial(Interpreter._exec_function, self, fn)
 
     def _codegen_entry(self, fn: N.ILFunction, costs=None):
         """The function's cross-instance codegen entry for one variant
@@ -2138,14 +2138,14 @@ class CompiledInterpreter(Interpreter):
                 return False
         return True
 
-    def _install(self, entry: _CodegenEntry) -> _CompiledFunction:
+    def _install(self, entry: _CodegenEntry) -> _Invoke:
         env: Dict[str, object] = {"_U": _UNSET, "_ui": _raise_uninit,
                                   "_f32": _fast_round_f32}
         for name, recipe in entry.recipes.items():
             env[name] = _materialize_recipe(self, recipe)
         namespace: Dict[str, object] = {}
         exec(entry.code, env, namespace)
-        return _CompiledFunction(entry.fn, namespace["_bytecode_fn"])
+        return namespace["_bytecode_fn"]
 
     def invalidate_graphs(self) -> None:
         super().invalidate_graphs()
@@ -2162,23 +2162,22 @@ class CompiledInterpreter(Interpreter):
         """Generated source + CPython disassembly for one function
         (the CLI's ``--dump-code``), without executing it: the variant
         a run on this engine would execute — observation-free, or with
-        the installed hook's accounting.  Functions that run as
-        closures report why they have no generated bytecode."""
+        the installed hook's accounting.  Functions that run on the
+        tree oracle report why they have no generated bytecode."""
         fn = self.program.functions.get(name)
         if fn is None:
             raise InterpreterError(f"no function named {name!r}")
         costs = self._hook_costs()
         if isinstance(costs, str):
             return (f"{name}: no generated bytecode "
-                    f"(closures under this cost hook: {costs})\n")
+                    f"(tree oracle under this cost hook: {costs})\n")
         entry = self._codegen_entry(fn, costs)
         if isinstance(entry, _FallbackEntry):
             return (f"{name}: no generated bytecode "
-                    f"(closure-tier fallback: {entry.reason})\n")
-        compiled = self._install(entry)
+                    f"(tree-oracle fallback: {entry.reason})\n")
         buf = io.StringIO()
         buf.write(f"# generated source for {name}\n")
         buf.write(entry.source)
         buf.write(f"\n# CPython bytecode for {name}\n")
-        dis.dis(compiled.invoke, file=buf)
+        dis.dis(self._install(entry), file=buf)
         return buf.getvalue()

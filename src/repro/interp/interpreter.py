@@ -79,7 +79,7 @@ class Interpreter:
         self.memory = Memory(memory_size)
         self.max_steps = max_steps
         # The one step counter, shared by every engine: a mutable cell
-        # so compiled closures and the tree walker charge the same
+        # so generated code and the tree walker charge the same
         # budget (StepLimitExceeded must fire at the same dynamic op
         # count regardless of engine).
         self._step_cell: List[int] = [0]
@@ -232,9 +232,10 @@ class Interpreter:
     def close(self) -> None:
         """Release what a finished run no longer needs: the memory
         image, the flow graphs and functions compiled from them, the
-        hook and device references.  An engine and the closures
-        compiled for it point at each other, so a dropped engine would
-        otherwise keep its image until the cycle collector next runs.
+        hook and device references.  An engine and the functions
+        materialized for it point at each other, so a dropped engine
+        would otherwise keep its image until the cycle collector next
+        runs.
         ``stdout`` and ``steps`` stay readable."""
         self._drop_graphs()
         self.cost_hook = None
@@ -904,7 +905,8 @@ def make_interpreter(program: N.ILProgram, engine: str = "tree",
     step accounting, same cost-event stream.  It picks a tier per
     function — one generated Python function when no cost hook is
     installed or the hook offers its scalar cost table for inline
-    accounting, event-emitting closures under any other hook.
+    accounting; this module's evaluator, which it inherits, under any
+    other hook and for what the generator refuses.
     """
     if engine == "tree":
         return Interpreter(program, **kwargs)

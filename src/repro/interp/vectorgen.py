@@ -48,8 +48,8 @@ from typing import Dict, List, Optional, Tuple
 from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..il import nodes as N
 from ..titan.vector_ops import vector_instructions
-from .compiled import (_F32_MAX, _F32_PACK, _F32_UNPACK, _fast_round_f32,
-                       _is_aggregate, _struct_format)
+from .kernels import (_F32_MAX, _F32_PACK, _F32_UNPACK, _fast_round_f32,
+                      _is_aggregate, _struct_format)
 
 # ---------------------------------------------------------------------------
 # Run-time helpers bound into generated code

@@ -4,8 +4,8 @@ toolchain.
 A *span* is a named, timed region with open ``args``; spans nest, and
 the current span is context-local (``contextvars``), so a pass span
 opened by the pipeline hook becomes a child of the phase span the
-driver opened, and an ``engine-compile`` span lands under the
-``engine-run`` that triggered the lazy compile.  The same API
+driver opened, and an ``engine-codegen`` span lands under the
+``engine-run`` that triggered the lazy code generation.  The same API
 instruments the front end, every pipeline pass (via
 :class:`SpanHook` on the :class:`~repro.pipeline.PipelineHook` seam),
 dependence-graph construction, the inliner, the loop scheduler, both

@@ -120,8 +120,12 @@ class LoopScheduler:
 
     def schedule_loop(self, loop: N.DoLoop) -> Optional[LoopSchedule]:
         body = loop.body
+        # Plain assigns with no call anywhere in them: a callee's
+        # events inside a scheduled loop would be suppressed or not
+        # depending on its caller.
         if not all(isinstance(s, N.Assign)
-                   and not isinstance(s.value, N.CallExpr)
+                   and not any(utils.expr_has_call(top)
+                               for top in N.stmt_exprs(s))
                    for s in body):
             return None
         if any(utils.expr_has_volatile(s.value)

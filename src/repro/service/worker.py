@@ -57,12 +57,13 @@ def _classify(exc: BaseException) -> str:
 
 def _artifact_section(result, request: CompileRequest) -> dict:
     """The compiled-engine artifact: per-function metadata.  The
-    ``"tier": "closure"`` label is a wire constant, not a description:
-    a simulated request runs generated code with the cost model's
-    accounting inline (closures only where the generator falls back),
-    but E19's replay compares payload bytes, so the label stays until
-    a benchmark-only change moves both sides.  Deterministic — it
-    ships inside the cached payload."""
+    ``"tier": "closure"`` label is a wire constant, not a description
+    (no closure tier exists any more): a simulated request runs
+    generated code with the cost model's accounting inline (the tree
+    oracle only where the generator falls back), but E19's replay
+    compares payload bytes, so the label stays until a benchmark-only
+    change moves both sides.  Deterministic — it ships inside the
+    cached payload."""
     functions: Dict[str, dict] = {}
     program = result.program
     for name in sorted(program.functions):

@@ -196,8 +196,9 @@ class TitanCostModel:
 
     def inline_costs(self):
         """The table for an engine that accounts for scalar events in
-        its own code, or the reason (a tier-counter label) it must
-        emit them instead: a profiler needs every event, and only
+        its own code, or the reason (a tier-counter label) every
+        event must be emitted instead — the fast engine then runs the
+        tree oracle: a profiler needs every event, and only
         integer latencies make ``count * latency`` equal the bucket
         the events would have summed to."""
         if self.profiler is not None:

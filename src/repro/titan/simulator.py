@@ -71,8 +71,8 @@ class TitanSimulator:
                                          profiler=self.profiler)
         # The fast engine is the default; it reads this model's scalar
         # cost table and accounts for scalar operations inside its
-        # generated code (with a profiler attached it emits every
-        # event from closures instead): same cycles, counters and
+        # generated code (with a profiler attached it runs the tree
+        # oracle, which emits every event): same cycles, counters and
         # breakdown as the oracle either way.  Pass engine="tree" to
         # time against the semantic oracle.
         self.interpreter = make_interpreter(program, engine=engine,

@@ -7,7 +7,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.frontend.lower import compile_to_il
 from repro.il.validate import validate_program
 from repro.interp.interpreter import Interpreter
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import CompilerOptions, compile_c
+
+
+def tiers() -> Dict[Tuple[str, str], float]:
+    """``(tier, reason) -> count`` of ``titancc_engine_tier_total``."""
+    return {(dict(key)["tier"], dict(key)["reason"]): metric.value
+            for name, key, metric in REGISTRY
+            if name == "titancc_engine_tier_total"}
+
+
+def tier_delta(before) -> Dict[Tuple[str, str], float]:
+    """What the fast engine materialized since ``before = tiers()``."""
+    return {key: value - before.get(key, 0)
+            for key, value in tiers().items()
+            if value != before.get(key, 0)}
 
 
 def run_reference(source: str, entry: str = "main", args: Sequence = (),

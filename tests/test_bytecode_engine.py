@@ -5,13 +5,13 @@ function to ONE generated Python function (CPython bytecode) and must
 stay observably indistinguishable from the tree-walking oracle: same
 results, same stdout, same step accounting, same errors at the same
 dynamic operation counts.  The broad sweeps live in
-``test_engine_differential.py`` and the closure half (everything
-under a cost hook) in ``test_compiled_engine.py``; these tests pin
-what only the uninstrumented half has — the cross-instance codegen
-cache and its metrics, cache invalidation, the whole-function closure
-fallback for constructs the generator cannot lower, the switch to
-closures when a hook appears, and the ``disassemble`` debugging
-surface.
+``test_engine_differential.py`` and the hooked runs (the tree oracle,
+under any hook without a cost table) in ``test_compiled_engine.py``;
+these tests pin what only the uninstrumented half has — the
+cross-instance codegen cache and its metrics, cache invalidation, the
+whole-function route to the tree oracle for constructs the generator
+cannot lower, the switch to the oracle when a hook appears, and the
+``disassemble`` debugging surface.
 """
 
 import pytest
@@ -23,7 +23,9 @@ from repro.interp import (ENGINES, InterpreterError, StepLimitExceeded,
 from repro.interp.bytecode import _CACHE_ATTR, _CodegenEntry
 from repro.obs.metrics import REGISTRY
 from repro.pipeline import CompilerOptions, compile_c
+from repro.titan.cost_model import TitanCostModel
 from tests import vector_cases
+from tests.helpers import tier_delta, tiers
 
 
 def _all(source, entry="main", args=(), **kwargs):
@@ -40,11 +42,6 @@ def _all(source, entry="main", args=(), **kwargs):
 def _cache_value(outcome):
     return REGISTRY.value("titancc_engine_codegen_cache_total",
                           {"engine": "compiled", "outcome": outcome})
-
-
-def _tier_value(tier, reason):
-    return REGISTRY.value("titancc_engine_tier_total",
-                          {"tier": tier, "reason": reason})
 
 
 def _observe(program, engine, **kwargs):
@@ -107,8 +104,9 @@ class TestObservableParity:
             assert obs["compiled"] == obs["tree"], order
 
     def test_cost_event_stream_identical(self):
-        # With a hook installed the engine runs closures, whose
-        # event order is bit-identical to the oracle's.
+        # The one hooked contract: under a hook that offers no cost
+        # table the engine runs the oracle it inherits, so the event
+        # stream is the oracle's.
         src = ('float a[16], b[16]; '
                'int main(void) { int i; '
                'for (i = 0; i < 16; i++) a[i] = b[i] + 1.0f; '
@@ -215,29 +213,56 @@ def _list_parallel():
     return program
 
 
+#: One construct per :class:`_Fallback` reason.
+FALLBACKS = pytest.mark.parametrize("build,reason", [
+    (_volatile_read, "volatile read"),
+    (_volatile_write, "volatile write"),
+    (_aggregate_scalar, "aggregate scalar read"),
+    (_lazy_address, "address of lazily-allocated symbol"),
+    (_list_parallel, "flow node kind 'list_loop'"),
+], ids=("volatile-read", "volatile-write", "aggregate-scalar",
+        "lazy-address", "list-parallel"))
+
+#: A mixed activation: ``main`` and ``leaf`` touch a volatile, so they
+#: run on the tree oracle; ``mid``, between them, is generated code.
+MIXED_C = (
+    "volatile int port; int total;"
+    "int leaf(int v) { port = v; return port + v; }"
+    "int mid(int n) { int i; int s; s = 0;"
+    " for (i = 0; i < n; i++) s = s + leaf(i);"
+    " total = total + s; return s; }"
+    "int main(void) { int r; port = 7; r = mid(5);"
+    ' printf("%d %d\\n", r, total); return r + port; }')
+
+
 class TestFallbackAndDevices:
-    @pytest.mark.parametrize("build,reason", [
-        (_volatile_read, "volatile read"),
-        (_volatile_write, "volatile write"),
-        (_aggregate_scalar, "aggregate scalar read"),
-        (_lazy_address, "address of lazily-allocated symbol"),
-        (_list_parallel, "flow node kind 'list_loop'"),
-    ], ids=("volatile-read", "volatile-write", "aggregate-scalar",
-            "lazy-address", "list-parallel"))
+    @FALLBACKS
     def test_fallback_reason_matches_oracle(self, build, reason):
-        # Every construct the generator refuses runs uninstrumented
-        # as closures bound to the no-op hook, counted under its
-        # reason, and agrees with the oracle on result (or fault),
-        # stdout and steps.  Each engine gets a freshly built program:
-        # lazy allocation changes what a symbol is bound to.
-        before = _tier_value("closure", reason)
+        # Every construct the generator refuses runs on the tree
+        # oracle the engine inherits, counted once under its reason,
+        # and agrees with a pure tree run on result (or fault), stdout
+        # and steps.  Each engine gets a freshly built program: lazy
+        # allocation changes what a symbol is bound to.
+        before = tiers()
         fast = _observe(build(), "compiled")
-        assert _tier_value("closure", reason) == before + 1
+        assert tier_delta(before) == {("oracle", reason): 1}
+        assert {tier for tier, _ in tiers()} <= {"generated", "oracle"}
         assert fast == _observe(build(), "tree")
 
+    def test_mixed_activation_matches_oracle(self):
+        # Oracle-run main -> generated mid -> oracle-run leaf: the
+        # oracle's calls come back through the engine, generated code
+        # calls back into the oracle, and all of them tick one cell.
+        program = compile_to_il(MIXED_C, "<test>")
+        before = tiers()
+        fast = _observe(program, "compiled")
+        assert tier_delta(before) == {("oracle", "volatile write"): 2,
+                                      ("generated", ""): 1}
+        assert fast == _observe(program, "tree") == (24, "20 20\n", 59)
+
     def test_volatile_device_reads(self):
-        # Volatile accesses force the closure fallback; the device
-        # protocol must still work identically.
+        # Volatile accesses run on the oracle; the device protocol
+        # must still work identically.
         src = ("volatile int status; int spins;"
                "int main(void) { spins = 0; "
                "while (!status) spins = spins + 1; return spins; }")
@@ -284,23 +309,6 @@ class TestVectorStatements:
 
 
 class TestHooks:
-    def test_hook_swap_produces_full_stream(self):
-        src = ("int main(void) { int i; int s; s = 0; "
-               "for (i = 0; i < 4; i++) s = s + i; return s; }")
-        program = compile_to_il(src, "<test>")
-        interp = make_interpreter(program, engine="compiled")
-        assert interp.run("main") == 6  # generated code
-        events = []
-        interp.cost_hook = lambda *event: events.append(event)
-        assert interp.run("main") == 6  # closures
-        reference = []
-        oracle = make_interpreter(
-            program, engine="tree",
-            cost_hook=lambda *event: reference.append(event))
-        oracle.run("main")
-        assert events == reference
-        assert events
-
     def test_hook_removal_returns_to_codegen(self):
         src = "int main(void) { return 41 + 1; }"
         program = compile_to_il(src, "<test>")
@@ -313,7 +321,7 @@ class TestHooks:
         # Removing the hook returns to the generated function — the
         # one this run's first (hooked) call never had to generate.
         misses, hits = _cache_value("miss"), _cache_value("hit")
-        generated = _tier_value("generated", "")
+        before = tiers()
         interp.cost_hook = None
         events.clear()
         assert interp.run("main") == 42
@@ -324,7 +332,8 @@ class TestHooks:
         interp.cost_hook = None
         assert interp.run("main") == 42
         assert _cache_value("hit") == hits + 1  # cached, not regenerated
-        assert _tier_value("generated", "") == generated + 2
+        assert tier_delta(before) == {("generated", ""): 2,
+                                      ("oracle", "hook"): 1}
 
 
 class TestCodegenCache:
@@ -392,8 +401,18 @@ class TestDisassemble:
         program = compile_to_il(src, "<test>")
         interp = make_interpreter(program, engine="compiled")
         text = interp.disassemble("main")
-        assert "closure-tier fallback" in text
+        assert "tree-oracle fallback" in text
         assert "volatile" in text
+
+    def test_hook_swapped_without_a_run_in_between(self):
+        # The hook installed *now* is the one asked, also when no run
+        # noticed the swap (this used to crash on the old answer).
+        interp = make_interpreter(
+            compile_to_il("int main(void) { return 3; }", "<test>"),
+            engine="compiled", cost_hook=TitanCostModel())
+        assert "_M.absorb(" in interp.disassemble("main")
+        interp.cost_hook = lambda *event: None
+        assert "cost hook: hook" in interp.disassemble("main")
 
     def test_unknown_function_rejected(self):
         program = compile_to_il("int main(void) { return 0; }")

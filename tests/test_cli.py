@@ -151,7 +151,7 @@ class TestEngineFlags:
                        "int main(void) { port = 1; return 0; }\n")
         assert main([str(src), "--dump-code", "main"]) == 0
         err = capsys.readouterr().err
-        assert "closure-tier fallback" in err
+        assert "tree-oracle fallback" in err
 
     def test_dump_code_unknown_function(self, daxpy_file, capsys):
         assert main([daxpy_file, "--dump-code", "nope"]) == 1

@@ -1,16 +1,16 @@
-"""Unit parity tests for the fast engine: its factory, its closure
-half, and the switch between halves.
+"""Unit parity tests for the fast engine: its factory, its runs under
+a recording hook, and the switch between tiers.
 
 ``engine="compiled"`` must be observably indistinguishable from the
 tree-walking oracle: same results, same stdout, same step accounting,
 same cost-event stream, same errors at the same dynamic operation
-counts.  With a recording cost hook installed it runs event-emitting
-closures — that is the half pinned here, so every parity run below
-installs one.  The uninstrumented half (generated code, its cache,
-its fallbacks) is ``test_bytecode_engine.py``, the costed half
-(generated code with the Titan model's accounting inline) is
-``test_costed_codegen.py``; the broad sweeps live in
-``test_engine_differential.py``.
+counts.  With a recording cost hook installed (one that offers no
+cost table) it routes every function to the tree oracle it inherits —
+that is what is pinned here, so every parity run below installs one.
+The uninstrumented half (generated code, its cache, its fallbacks) is
+``test_bytecode_engine.py``, the costed half (generated code with the
+Titan model's accounting inline) is ``test_costed_codegen.py``; the
+broad sweeps live in ``test_engine_differential.py``.
 """
 
 import os
@@ -21,9 +21,9 @@ from repro.frontend.lower import compile_to_il
 from repro.interp import (CompiledInterpreter, ENGINES, Interpreter,
                           InterpreterError, StepLimitExceeded,
                           make_interpreter)
-from repro.obs.metrics import REGISTRY
 from repro.pipeline import CompilerOptions, compile_c
 from repro.titan.simulator import TitanSimulator
+from tests.helpers import tier_delta, tiers
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir,
                        "examples", "daxpy.c")) as _handle:
@@ -32,7 +32,7 @@ with open(os.path.join(os.path.dirname(__file__), os.pardir,
 
 def _hooked(program, engine, **kwargs):
     """An engine with a recording cost hook installed (the fast
-    engine then runs closures), plus the list it records into."""
+    engine then runs the oracle), plus the list it records into."""
     events = []
     interp = make_interpreter(
         program, engine=engine,
@@ -49,19 +49,6 @@ def _both(source, entry="main", args=(), **kwargs):
         interp, _ = _hooked(program, engine, **kwargs)
         out[engine] = (interp, interp.run(entry, *args))
     return out
-
-
-def _tiers():
-    """``(tier, reason) -> count`` of ``titancc_engine_tier_total``."""
-    return {(dict(key)["tier"], dict(key)["reason"]): metric.value
-            for name, key, metric in REGISTRY
-            if name == "titancc_engine_tier_total"}
-
-
-def _tier_delta(before):
-    return {key: value - before.get(key, 0)
-            for key, value in _tiers().items()
-            if value != before.get(key, 0)}
 
 
 class TestFactory:
@@ -117,20 +104,6 @@ class TestObservableParity:
                "return (int)(f * 1e9); }")
         out = _both(src)
         assert out["tree"][1] == out["compiled"][1]
-
-    def test_cost_event_stream_identical(self):
-        src = ('float a[64], b[64]; '
-               'int main(void) { int i; '
-               'for (i = 0; i < 64; i++) a[i] = b[i] * 2.0f + 1.0f; '
-               'return 0; }')
-        program = compile_to_il(src, "<test>")
-        streams = {}
-        for engine in ENGINES:
-            interp, events = _hooked(program, engine)
-            interp.run("main")
-            streams[engine] = events
-        assert streams["tree"] == streams["compiled"]
-        assert streams["tree"]  # non-empty: the hook really fired
 
 
 class TestErrorsAndLimits:
@@ -195,21 +168,21 @@ class TestDevicesAndHooks:
             assert written == [1, 2, 3]
 
     def test_hook_swap_recompiles(self):
-        # Hooks are compiled *into* the closures; installing one after
-        # an uninstrumented run (generated code, no events at all)
-        # must still produce the full event stream.
+        # Installing a hook after an uninstrumented run (generated
+        # code, no events at all) must still produce the full event
+        # stream.
         src = ("int main(void) { int i; int s; s = 0; "
                "for (i = 0; i < 4; i++) s = s + i; return s; }")
         program = compile_to_il(src, "<test>")
         interp = make_interpreter(program, engine="compiled")
-        before = _tiers()
+        before = tiers()
         assert interp.run("main") == 6  # generated code
-        assert _tier_delta(before) == {("generated", ""): 1}
+        assert tier_delta(before) == {("generated", ""): 1}
         events = []
         interp.cost_hook = lambda *event: events.append(event)
-        assert interp.run("main") == 6  # closures
-        assert _tier_delta(before) == {("generated", ""): 1,
-                                       ("closure", "hook"): 1}
+        assert interp.run("main") == 6  # the oracle
+        assert tier_delta(before) == {("generated", ""): 1,
+                                      ("oracle", "hook"): 1}
         reference = []
         oracle = make_interpreter(
             program, engine="tree",
@@ -241,26 +214,27 @@ class TestTierDecision:
     def test_daxpy_uninstrumented_is_all_generated(self):
         for options, called in self.CASES:
             program = compile_c(DAXPY_C, options).program
-            before = _tiers()
+            before = tiers()
             with make_interpreter(program, engine="compiled") as interp:
                 interp.run("main")
-            assert _tier_delta(before) == {("generated", ""): called}
+            assert tier_delta(before) == {("generated", ""): called}
 
     def test_daxpy_simulated_is_all_costed_generated(self):
         # The Titan cost model advertises its scalar cost table, so a
         # simulated run stays in generated code (with accounting).
         for options, called in self.CASES:
             program = compile_c(DAXPY_C, options).program
-            before = _tiers()
+            before = tiers()
             with TitanSimulator(program) as simulator:
                 simulator.run("main")
-            assert _tier_delta(before) == {("generated", "costed"): called}
+            assert tier_delta(before) == {("generated", "costed"): called}
 
-    def test_daxpy_profiled_is_all_closures(self):
-        # A profiler needs every event: closures, as under any hook.
+    def test_daxpy_profiled_is_all_oracle(self):
+        # A profiler needs every event: the oracle, as under any hook
+        # without a cost table.
         for options, called in self.CASES:
             program = compile_c(DAXPY_C, options).program
-            before = _tiers()
+            before = tiers()
             with TitanSimulator(program, profile=True) as simulator:
                 simulator.run("main")
-            assert _tier_delta(before) == {("closure", "hook"): called}
+            assert tier_delta(before) == {("oracle", "hook"): called}

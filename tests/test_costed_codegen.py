@@ -26,23 +26,12 @@ from repro.titan.cost_model import TitanCostModel
 from repro.titan.simulator import TitanSimulator
 from repro.workloads.stencils import backsolve
 from tests import vector_cases
+from tests.helpers import tier_delta, tiers
+from tests.test_bytecode_engine import FALLBACKS, MIXED_C
 
 O0 = CompilerOptions(inline=False, scalar_opt=False, vectorize=False,
                      parallelize=False, reg_pipeline=False,
                      strength_reduction=False)
-
-
-def _tiers():
-    """``(tier, reason) -> count`` of ``titancc_engine_tier_total``."""
-    return {(dict(key)["tier"], dict(key)["reason"]): metric.value
-            for name, key, metric in REGISTRY
-            if name == "titancc_engine_tier_total"}
-
-
-def _tier_delta(before):
-    return {key: value - before.get(key, 0)
-            for key, value in _tiers().items()
-            if value != before.get(key, 0)}
 
 
 def _cache(outcome):
@@ -72,13 +61,10 @@ def _agree(program, expect=None, **kwargs):
     generated code (unless ``expect`` names other tiers) and agree
     with the oracle on every field.  Returns the fast observation."""
     oracle = _observe(program, "tree", **kwargs)
-    before = _tiers()
+    before = tiers()
     fast = _observe(program, "compiled", **kwargs)
-    tiers = _tier_delta(before)
-    if expect is None:
-        assert set(tiers) == {("generated", "costed")}, tiers
-    else:
-        assert set(tiers) == expect, tiers
+    picked = set(tier_delta(before))
+    assert picked == (expect or {("generated", "costed")}), picked
     for field, value in oracle.items():
         assert fast[field] == value, field
     return fast
@@ -267,32 +253,32 @@ class TestTierPick:
               " for (i = 0; i < 16; i++) s = s + a[i];"
               " return (int) s; }")
 
-    def test_noninteger_latency_runs_closures(self):
+    def test_noninteger_latency_runs_on_the_oracle(self):
         program = compile_c(self.LOOP_C, O0).program
         config = TitanConfig(fp_latency=8.5)
-        _agree(program, expect={("closure", "noninteger-cost")},
+        _agree(program, expect={("oracle", "noninteger-cost")},
                config=config)
         # A whole number of cycles spelled as a float still inlines.
         _agree(program, config=TitanConfig(fp_latency=8.0))
 
-    def test_profiler_runs_closures_and_sums_to_total(self):
+    def test_profiler_runs_on_the_oracle_and_sums_to_total(self):
         program = compile_c(self.LOOP_C, CompilerOptions()).program
-        before = _tiers()
+        before = tiers()
         with TitanSimulator(program, profile=True) as simulator:
             report = simulator.run("main")
-        assert set(_tier_delta(before)) == {("closure", "hook")}
+        assert tier_delta(before) == {("oracle", "hook"): 1}
         profile = report.profile
         assert profile.toplevel_cycles + sum(
             loop.cycles for loop in profile.loops) == report.cycles
         with TitanSimulator(program, engine="tree") as simulator:
             assert simulator.run("main").cycles == report.cycles
 
-    def test_call_in_a_scheduled_loop_runs_closures(self):
-        # The scheduler accepts a call nested in an assign's value
-        # (lowering hoists calls into their own statements, so it
-        # takes IL surgery to get one); what the model suppresses
-        # then depends on the caller, so nothing under this hook may
-        # account for itself.
+    def test_call_in_a_loop_is_not_scheduled(self):
+        # A call nested in an assign's value (lowering hoists calls
+        # into their own statements, so it takes IL surgery to get
+        # one): what the model suppresses in a scheduled loop would
+        # then depend on the caller, so the scheduler refuses the loop
+        # and the engine has nothing to discover.
         source = ("float a[16];"
                   "float twice(float v) { return v + v; }"
                   "int main(void) { int i;"
@@ -306,10 +292,33 @@ class TestTierPick:
         store.value.left = call.value
         del loop.body[0]
         schedules = schedule_program(program, TitanConfig())
-        assert loop.sid in schedules
-        fast = _agree(program, expect={("closure", "scheduled-call")},
-                      schedules=schedules)
-        assert fast["outcome"] == 31
+        assert loop.sid not in schedules
+        assert _agree(program, schedules=schedules)["outcome"] == 31
+
+    @FALLBACKS
+    def test_fallback_under_the_model_matches_oracle(self, build, reason):
+        # The generator's refusals do not depend on the hook: under
+        # the cost model the function runs on the oracle too, charging
+        # event by event (a fault included: same message, steps and
+        # model total).
+        _agree(build(), expect={("oracle", reason)})
+
+    @pytest.mark.parametrize("ending,kwargs,kind", [
+        ("return r + port;", {}, int),
+        ("while (1) port = port + r; return 0;", {"max_steps": 300},
+         tuple),
+        ("return r / (port - 4);", {}, tuple),
+    ], ids=("returns", "step-limit", "fault"))
+    def test_mixed_activation_matches_oracle(self, ending, kwargs, kind):
+        # Oracle-run main -> costed generated mid -> oracle-run leaf:
+        # the oracle frames charge the model event by event between
+        # mid's park and reload; a step limit or fault in main, after
+        # mid came back, leaves the tree engine's model total exactly.
+        source = MIXED_C.replace("return r + port;", ending)
+        fast = _agree(compile_to_il(source, "<test>"), expect={
+            ("oracle", "volatile write"), ("generated", "costed")},
+            **kwargs)
+        assert type(fast["outcome"]) is kind
 
     def test_call_under_a_select_falls_back_by_name(self):
         source = ("int g;"
@@ -326,17 +335,17 @@ class TestTierPick:
                           args=[N.Const(ctype=ctype, value=5)])
         assign.value = N.Select(ctype=ctype, cond=assign.value.left,
                                 then=call, otherwise=assign.value)
-        # main emits events from closures; its callee still accounts
-        # for itself — the two mix through the model.
+        # main runs on the oracle, event by event; its callee still
+        # accounts for itself — the two mix through the model.
         fast = _agree(program, expect={
-            ("closure", "costed call under a select"),
+            ("oracle", "costed call under a select"),
             ("generated", "costed")})
         assert fast["outcome"] == 6
 
     def test_hook_swapped_mid_life_rematerializes(self):
         program = compile_c(self.LOOP_C, O0).program
         interp = make_interpreter(program, engine="compiled")
-        before = _tiers()
+        before = tiers()
         assert interp.run("main") == 60
         model = TitanCostModel()
         interp.cost_hook = model
@@ -344,9 +353,9 @@ class TestTierPick:
         events = []
         interp.cost_hook = lambda *event: events.append(event)
         assert interp.run("main") == 60
-        assert _tier_delta(before) == {("generated", ""): 1,
-                                       ("generated", "costed"): 1,
-                                       ("closure", "hook"): 1}
+        assert tier_delta(before) == {("generated", ""): 1,
+                                      ("generated", "costed"): 1,
+                                      ("oracle", "hook"): 1}
         oracle = TitanCostModel()
         make_interpreter(program, engine="tree",
                          cost_hook=oracle).run("main")
@@ -391,7 +400,7 @@ class TestTierPick:
         assert "_cy = _cy + " in listing and "_M.absorb(" in listing
         with TitanSimulator(program, profile=True) as simulator:
             listing = simulator.interpreter.disassemble("main")
-        assert "closures under this cost hook: hook" in listing
+        assert "tree oracle under this cost hook: hook" in listing
 
 
 class TestRepeatedRuns:

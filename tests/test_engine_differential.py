@@ -2,22 +2,17 @@
 
 Replays the entire ``tests/fuzz_corpus/`` plus a fixed-seed generated
 batch under both execution engines and every parallel iteration
-order, asserting identical return values, stdout, dynamic step
-counts, and cost-event streams (the event stream determines the Titan
-cycle breakdown, so stream equality is the strongest cycle check; one
-test also compares end-to-end :class:`TitanSimulator` cycle totals
-directly).
-
-Each engine runs twice per order, once per half of the fast engine:
-with a recording cost hook installed it runs its event-emitting
-closures (the hook-stream assertions pin them down), hook-free it
-runs generated code — a hooked-only sweep would never execute a
-generated function, a hook-free one would never touch the closures.
-The third half — generated code with inline accounting, which is
-what runs under a :class:`TitanCostModel`, i.e. in every simulation —
-has its own sweep at the bottom: examples, corpus and the E19 kernels
+order, once per half of the fast engine.  Hook-free it runs
+observation-free generated code: identical return values, stdout and
+dynamic step counts.  Under a :class:`TitanCostModel` — every
+simulation — it runs generated code with inline accounting, which has
+its own sweep at the bottom: examples, corpus and the E19 kernels
 across processors x vector length x parallel order, every reported
-field equal to the oracle's.
+field (cycles exactly) equal to the oracle's; one test also compares
+end-to-end :class:`TitanSimulator` totals directly.  Under any other
+hook the fast engine runs the tree oracle itself, so a recording-hook
+sweep would compare the oracle with itself (the routing is pinned by
+``test_bytecode_engine.py``'s event-stream test).
 
 Each comparison compiles the program ONCE and runs all engines over
 the same IL object — statement ids are a global counter, so compiling
@@ -62,33 +57,24 @@ def _runnable_corpus():
     return out
 
 
-def _observe(program, engine, order, hooked=True):
-    """(result, stdout, steps[, cost events]) of one run."""
-    events = []
-    kwargs = {}
-    if hooked:
-        kwargs["cost_hook"] = lambda *event: events.append(event)
+def _observe(program, engine, order):
+    """(result, stdout, steps) of one hook-free run."""
     interp = make_interpreter(
         program, engine=engine, parallel_order=order, seed=7,
-        max_steps=2_000_000, **kwargs)
-    result = interp.run("main")
-    obs = [result, interp.stdout, interp.steps]
-    if hooked:
-        obs.append(events)
-    return obs
+        max_steps=2_000_000)
+    return interp.run("main"), interp.stdout, interp.steps
 
 
 def _assert_engines_agree(program, label):
     for order in ORDERS:
-        for hooked in (True, False):
-            kinds = ("result", "stdout", "steps", "events")
-            tree = _observe(program, "tree", order, hooked)
-            for engine in ENGINES[1:]:
-                fast = _observe(program, engine, order, hooked)
-                for what, a, b in zip(kinds, tree, fast):
-                    assert a == b, (
-                        f"{label}@{order} hooked={hooked}: {engine} "
-                        f"disagrees with tree on {what}")
+        tree = _observe(program, "tree", order)
+        for engine in ENGINES[1:]:
+            fast = _observe(program, engine, order)
+            for what, a, b in zip(("result", "stdout", "steps"),
+                                  tree, fast):
+                assert a == b, (
+                    f"{label}@{order}: {engine} disagrees with tree "
+                    f"on {what}")
 
 
 @pytest.mark.parametrize("name,source",

@@ -138,24 +138,22 @@ class TestRunSource:
         assert all(v.value == 42 for v in result.variants)
 
     def test_resolve_engines(self):
-        assert resolve_engines("all") == \
-            ("compiled", "compiled+hook", "compiled+cost")
+        assert resolve_engines("all") == ("compiled", "compiled+cost")
         assert resolve_engines("compiled") == ("compiled",)
         assert resolve_engines("tree") == ("tree",)
 
     def test_all_engines_three_way(self):
-        # engine="all" runs all three halves of the fast engine over
-        # each variant — generated code, closures under a recording
-        # hook, costed generated code under the Titan model — and
-        # accounts wall time to each (the reference runs on the tree
-        # oracle).
+        # engine="all" runs both halves of the fast engine over each
+        # variant — generated code, costed generated code under the
+        # Titan model — and accounts wall time to each and to the
+        # tree oracle the reference runs on.
         result = run_source("int main(void) { int i; int s; s = 0; "
                             "for (i = 0; i < 9; i++) s = s + i; "
                             "return s; }\n", engine="all")
         assert result.status == "ok"
         assert all(v.value == 36 for v in result.variants)
         assert set(result.engine_seconds) == \
-            {"tree", "compiled", "compiled+hook", "compiled+cost"}
+            {"tree", "compiled", "compiled+cost"}
         assert all(s > 0 for s in result.engine_seconds.values())
 
 
@@ -191,12 +189,12 @@ class TestCLI:
         assert summary["count"] == 2
         assert summary["divergences"] == 0
         assert summary["crashes"] == 0
-        # The default batch runs all three halves of the fast engine
+        # The default batch runs both halves of the fast engine
         # against the tree reference, and the summary carries the
         # aggregate wall time of each.
         assert summary["engine"] == "all"
         assert set(summary["engine_timings"]) == \
-            {"tree", "compiled", "compiled+hook", "compiled+cost"}
+            {"tree", "compiled", "compiled+cost"}
         assert all(s > 0 for s in summary["engine_timings"].values())
 
     def test_replay_corpus_file(self):
