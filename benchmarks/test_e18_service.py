@@ -16,6 +16,13 @@ content-addressed two-level cache).  Two properties are measured:
   --report-json`` CLI process produces for the same source, proving
   the service's answer bytes are the compiler's answer bytes.
 
+A third, deterministic variant gates the token index: the corpus is
+replayed with a trailing comment appended to every program
+(``comment_edit``).  Every such request must be answered by a token
+hit — ``token_hits`` equals the ok requests and ``catalog_builds``
+does not move — so a regression to re-parsing edited comments fails
+the count gate on any host.
+
 The recorded metrics split on determinism: request/hit/build counts
 are exact across machines and gate at the default tolerance, while
 ``host_*`` wall-clock numbers are informational (the ratio metric is
@@ -97,6 +104,11 @@ def test_e18_service_cache():
             for c in service.metrics_snapshot()["counters"]
             if c["name"] == "titancc_service_requests_total"}
 
+        # The comment-edit replay: same programs, never-seen bytes.
+        edited = service.compile_batch(
+            [dict(r, source=r["source"] + " /* edit */") for r in requests])
+        edit_stats = service.cache_stats()
+
     # Warm responses are the cold responses (cache transparency).
     for c, w in zip(cold, warm):
         assert c["payload"] == w["payload"], c["id"]
@@ -113,6 +125,23 @@ def test_e18_service_cache():
             matches += 1
         else:
             assert doc is None, request["id"]
+
+    # An edited comment is answered from the caches, as the unedited
+    # program was, without a parse.
+    for c, e in zip(cold, edited):
+        assert c["payload"] == e["payload"], c["id"]
+        assert c["status"] == e["status"], c["id"]
+    edited_ok = sum(1 for e in edited if e["status"] == "ok")
+    record_bench("e18_service", "comment_edit", metrics={
+        "requests": len(requests),
+        "ok_responses": edited_ok,
+        "token_hits": edit_stats["tokens"]["hits"],
+        "artifact_hits": edit_stats["artifact"]["hits"]
+        - stats["artifact"]["hits"],
+        "catalog_builds": edit_stats["catalog"]["builds"],
+    })
+    assert edit_stats["tokens"]["hits"] == edited_ok > 0
+    assert edit_stats["catalog"]["builds"] == stats["catalog"]["builds"]
 
     cold_rate = len(requests) / cold_seconds
     warm_rate = len(requests) / warm_seconds

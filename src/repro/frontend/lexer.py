@@ -1,14 +1,25 @@
-"""Hand-written lexer for the C subset.
+"""Lexer for the C subset: one compiled master pattern.
 
 The token stream is the interface between the preprocessor and the parser.
 Tokens carry source coordinates so diagnostics from any later phase (even
 the vectorizer) can point back at the source line.
+
+Every token, comment and run of white space is one alternative of
+:func:`_master`; ``finditer`` walks the text match by match and a table
+of line starts turns a match offset into ``line:col``.  The character
+loop this replaced lives on as ``tests/support/reference_lexer.py``, the
+oracle of ``tests/test_lexer_equivalence.py``: token streams and
+diagnostics are the same, byte for byte.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import List, Tuple
 
 from .c_ast import Coord
 
@@ -73,232 +84,184 @@ class Token:
         return self.kind == KEYWORD and self.value == text
 
 
-class Lexer:
-    """Tokenizes one (already preprocessed) source string."""
+#: Non-ASCII word characters.  The old loop classified characters with
+#: ``str.isdigit`` / ``isalpha`` / ``isalnum``; ``\w`` is exactly
+#: ``isalnum`` plus ``_``, but ``re`` has no class for the other two, so
+#: the few such characters a text holds are classified one by one and
+#: spliced into the pattern.
+_NON_ASCII_WORD = re.compile(r"[^\W\x00-\x7f]")
+#: One escape sequence: what follows the backslash is hex digits, up to
+#: three word characters (an octal escape is the digits leading them),
+#: or any one character -- none at end of input.
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|\w{1,3}|[\s\S]?)")
+_STRING_TEXT = re.compile(r'[^"\\]*')
 
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- low-level character handling -------------------------------------
-
-    def _coord(self) -> Coord:
-        return Coord(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _skip_space_and_comments(self) -> Optional[Token]:
-        """Skip whitespace/comments; may return a PRAGMA token."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                coord = self._coord()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated comment", coord)
-                    self._advance()
-                self._advance(2)
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "#":
-                # Only #pragma survives preprocessing; pass it through as
-                # a token so the parser can attach it to the next loop.
-                coord = self._coord()
-                start = self.pos
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                text = self.source[start:self.pos].strip()
-                if text.startswith("#pragma"):
-                    return Token(PRAGMA, text[len("#pragma"):].strip(), coord)
-                if text.startswith("#"):
-                    raise LexError(f"unexpected directive {text!r} after "
-                                   "preprocessing", coord)
-            else:
-                return None
-        return None
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        coord = self._coord()
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit() or (
-                    self._peek() == "." and self.source[start:self.pos]):
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                    self._peek(1).isdigit()
-                    or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        body = self.source[start:self.pos]
-        suffix_start = self.pos
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        suffix = self.source[suffix_start:self.pos].lower()
-        if "f" in suffix:
-            is_float = True
-        if is_float:
-            return Token(FLOAT_CONST, body + suffix, coord,
-                         float_value=float(body), suffix=suffix)
-        try:
-            if body.startswith("0") and body not in ("0",) \
-                    and not body.lower().startswith("0x"):
-                value = int(body, 8)  # C octal: 017 == 15
-            else:
-                value = int(body, 0)
-        except ValueError as exc:
-            raise LexError(f"malformed number {body!r}", coord) from exc
-        return Token(INT_CONST, body + suffix, coord,
-                     int_value=value, suffix=suffix)
-
-    def _scan_escape(self, coord: Coord) -> int:
-        """Decode one escape sequence (the backslash is consumed).
-
-        Out-of-range sequences are diagnosed rather than silently
-        producing code points a ``char`` cannot hold: ``\\x`` needs at
-        least one hex digit, and both hex and octal escapes must fit in
-        one byte (0..0xFF) — the same constraint-violation diagnostics
-        gcc/clang issue.
-        """
-        esc = self._advance()
-        if esc == "x":
-            digits = ""
-            while self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise LexError("\\x used with no following hex digits",
-                               coord)
-            value = int(digits, 16)
-            if value > 0xFF:
-                raise LexError(f"hex escape \\x{digits} out of range "
-                               f"(max \\xff)", coord)
-            return value
-        if esc.isdigit():
-            digits = esc
-            while self._peek().isdigit() and len(digits) < 3:
-                digits += self._advance()
-            if any(d in "89" for d in digits):
-                raise LexError(f"invalid digit in octal escape "
-                               f"\\{digits}", coord)
-            value = int(digits, 8)
-            if value > 0xFF:
-                raise LexError(f"octal escape \\{digits} out of range "
-                               f"(max \\377)", coord)
-            return value
-        if esc in _ESCAPES:
-            return ord(_ESCAPES[esc])
-        raise LexError(f"unknown escape \\{esc}", coord)
-
-    def _scan_char(self) -> Token:
-        coord = self._coord()
-        self._advance()  # opening '
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            value = self._scan_escape(coord)
-        elif ch == "":
-            raise LexError("unterminated character constant", coord)
-        else:
-            value = ord(self._advance())
-        if self._peek() != "'":
-            raise LexError("unterminated character constant", coord)
-        self._advance()
-        return Token(CHAR_CONST, f"'{chr(value)!r}'", coord, int_value=value)
-
-    def _scan_string(self) -> Token:
-        coord = self._coord()
-        self._advance()  # opening "
-        out = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", coord)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                out.append(chr(self._scan_escape(coord)))
-            else:
-                out.append(self._advance())
-        return Token(STRING, "".join(out), coord)
-
-    def _scan_ident(self) -> Token:
-        coord = self._coord()
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        name = self.source[start:self.pos]
-        kind = KEYWORD if name in KEYWORDS else ID
-        return Token(kind, name, coord)
-
-    # -- driver -------------------------------------------------------------
-
-    def next_token(self) -> Token:
-        pragma = self._skip_space_and_comments()
-        if pragma is not None:
-            return pragma
-        if self.pos >= len(self.source):
-            return Token(EOF, "", self._coord())
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_char()
-        if ch == '"':
-            return self._scan_string()
-        if ch.isalpha() or ch == "_":
-            return self._scan_ident()
-        coord = self._coord()
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(PUNCT, punct, coord)
-        raise LexError(f"stray character {ch!r}", coord)
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind == EOF:
-                return
+@lru_cache(maxsize=16)
+def _master(digits: str, others: str) -> "re.Pattern[str]":
+    """The master pattern for a text whose non-ASCII ``str.isdigit``
+    characters are ``digits`` and whose other non-ASCII alphanumerics
+    that are not letters are ``others`` (both empty for ASCII text).
+    No alternative repeats a group, so matching never stacks up state
+    in proportion to the input."""
+    d = f"[0-9{digits}]"
+    punct = "|".join(map(re.escape, PUNCTUATORS))
+    return re.compile(rf"""
+        [ \t\r\n\f\v]+ | //[^\n]* | /\*[\s\S]*?\*/
+      | (?P<id>[^\W0-9{digits}{others}]\w*)
+      | (?P<number>(?P<body>0[xX][0-9a-fA-F]*
+                     |(?:{d}+(?:\.{d}*)?|\.{d}+)(?:[eE][+-]?{d}+)?)
+                   (?P<suffix>[uUlLfF]*))
+      | (?P<quote>["'])
+      | (?P<directive>\#[^\n]*)
+      | (?P<comment>/\*)
+      | (?P<punct>{punct})
+      | (?P<stray>[\s\S])
+    """, re.VERBOSE)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``source`` fully (including the trailing EOF token)."""
-    return list(Lexer(source, filename).tokens())
+    digits = others = ""
+    if not source.isascii():
+        odd = sorted(set(_NON_ASCII_WORD.findall(source)))
+        digits = "".join(c for c in odd if c.isdigit())
+        others = "".join(c for c in odd
+                         if not c.isdigit() and not c.isalpha())
+    scan = _master(digits, others).finditer
+    # starts[n - 1] is the offset line n starts at; the last entry is
+    # past the end of the text, so every offset has a line.
+    starts = list(accumulate(
+        (len(line) + 1 for line in source.split("\n")), initial=0))
+    line, base, following = 1, 0, starts[1]
+    tokens: List[Token] = []
+    append = tokens.append
+    resume = 0
+    while True:
+        for match in scan(source, resume):
+            kind = match.lastgroup
+            if kind is None:  # white space or a comment
+                continue
+            pos = match.start()
+            if pos >= following:
+                line = bisect_right(starts, pos)
+                base, following = starts[line - 1], starts[line]
+            coord = Coord(filename, line, pos - base + 1)
+            text = match.group()
+            if kind == "punct":
+                append(Token(PUNCT, text, coord))
+            elif kind == "id":
+                append(Token(KEYWORD if text in KEYWORDS else ID, text,
+                             coord))
+            elif kind == "number":
+                append(_number(match.group("body"),
+                               match.group("suffix").lower(), coord))
+            elif kind == "quote":
+                # Only decoding a literal finds its end: the scan
+                # starts again from there.
+                token, resume = _literal(source, pos, coord)
+                append(token)
+                break
+            elif kind == "directive":
+                # Only #pragma survives preprocessing; pass it through
+                # as a token so the parser can attach it to the next
+                # loop.
+                text = text.strip()
+                if not text.startswith("#pragma"):
+                    raise LexError(f"unexpected directive {text!r} after "
+                                   "preprocessing", coord)
+                append(Token(PRAGMA, text[len("#pragma"):].strip(), coord))
+            elif kind == "comment":
+                raise LexError("unterminated comment", coord)
+            else:
+                raise LexError(f"stray character {text!r}", coord)
+        else:
+            break
+    line = bisect_right(starts, len(source))
+    append(Token(EOF, "", Coord(filename, line,
+                                len(source) - starts[line - 1] + 1)))
+    return tokens
+
+
+def _number(body: str, suffix: str, coord: Coord) -> Token:
+    is_hex = body[:2] in ("0x", "0X")
+    try:
+        if "f" in suffix or not is_hex and (
+                "." in body or "e" in body or "E" in body):
+            return Token(FLOAT_CONST, body + suffix, coord,
+                         float_value=float(body), suffix=suffix)
+        if body.startswith("0") and body != "0" and not is_hex:
+            value = int(body, 8)  # C octal: 017 == 15
+        else:
+            value = int(body, 0)
+    except ValueError as exc:
+        raise LexError(f"malformed number {body!r}", coord) from exc
+    return Token(INT_CONST, body + suffix, coord,
+                 int_value=value, suffix=suffix)
+
+
+def _literal(source: str, start: int, coord: Coord) -> Tuple[Token, int]:
+    """The string or character literal that opens at ``start``, and the
+    offset just past it.  Decoded left to right, so what is reported
+    is the first thing wrong with it."""
+    if source[start] == "'":
+        escape = _ESCAPE.match(source, start + 1)
+        if escape is None:
+            value, end = source[start + 1:start + 2], start + 2
+        else:
+            value, end = _unescape(escape.group(1), coord), escape.end()
+        if len(value) != 1 or source[end:end + 1] != "'":
+            raise LexError("unterminated character constant", coord)
+        return Token(CHAR_CONST, f"'{value!r}'", coord,
+                     int_value=ord(value)), end + 1
+    pieces = []
+    pos = start + 1
+    while True:
+        end = _STRING_TEXT.match(source, pos).end()
+        pieces.append(source[pos:end])
+        if source[end:end + 1] == '"':
+            return Token(STRING, "".join(pieces), coord), end + 1
+        escape = _ESCAPE.match(source, end)
+        if escape is None:
+            raise LexError("unterminated string literal", coord)
+        pieces.append(_unescape(escape.group(1), coord))
+        pos = escape.end()
+
+
+def _unescape(run: str, coord: Coord) -> str:
+    """Decode the escape sequence that ``run``, the :data:`_ESCAPE`
+    match past its backslash, starts with; word characters matched
+    beyond the sequence's end come back behind the decoded character.
+
+    Out-of-range sequences are diagnosed rather than silently
+    producing code points a ``char`` cannot hold: ``\\x`` needs at
+    least one hex digit, and both hex and octal escapes must fit in
+    one byte (0..0xFF) — the same constraint-violation diagnostics
+    gcc/clang issue.
+    """
+    if run[:1] == "x":
+        digits = run[1:]
+        if not digits:
+            raise LexError("\\x used with no following hex digits", coord)
+        value = int(digits, 16)
+        if value > 0xFF:
+            raise LexError(f"hex escape \\x{digits} out of range "
+                           f"(max \\xff)", coord)
+        return chr(value)
+    count = 0
+    while count < len(run) and run[count].isdigit():
+        count += 1
+    if count:
+        digits = run[:count]
+        try:
+            value = int(digits, 8)
+        except ValueError as exc:
+            raise LexError(f"invalid digit in octal escape \\{digits}",
+                           coord) from exc
+        if value > 0xFF:
+            raise LexError(f"octal escape \\{digits} out of range "
+                           f"(max \\377)", coord)
+        return chr(value) + run[count:]
+    if run[:1] in _ESCAPES:
+        return _ESCAPES[run[0]] + run[1:]
+    raise LexError(f"unknown escape \\{run[:1]}", coord)

@@ -25,6 +25,28 @@ class PreprocessorError(Exception):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIRECTIVE = re.compile(r"^\s*#\s*(\w+)\s*(.*)$")
+#: What can hide a ``/*`` on one line: a string or character literal
+#: (closed, or running to the end of the line) or a ``//`` comment.
+_COMMENT_OPENER = re.compile(
+    r'''"(?:[^"\\]|\\.)*"?|'(?:[^'\\]|\\.)*'?|//|/\*''')
+
+
+def _ends_in_comment(line: str, inside: bool) -> bool:
+    """Whether the line after ``line`` starts inside a block comment,
+    given whether ``line`` itself does."""
+    if not inside and "/*" not in line:
+        return False
+    pos = 0
+    while True:
+        if inside:
+            pos = line.find("*/", pos) + 2
+            if pos < 2:
+                return True
+        match = _COMMENT_OPENER.search(line, pos)
+        if match is None or match.group() == "//":
+            return False
+        pos = match.end()
+        inside = match.group() == "/*"
 
 
 @dataclass
@@ -81,15 +103,23 @@ class Preprocessor:
                  depth: int) -> None:
         if depth > 32:
             raise PreprocessorError("include depth exceeds 32 (cycle?)")
-        lines = self._splice_lines(source)
         # Conditional stack: each entry is (taken_now, any_branch_taken).
         cond: List[Tuple[bool, bool]] = []
-        for line in lines:
-            match = _DIRECTIVE.match(line)
+        in_comment = False
+        for line in self._splice_lines(source):
+            # Every consumed line leaves one line behind (blank unless
+            # it is live text or a pragma), so a line number after
+            # preprocessing is the line number in the source.
+            out.append("")
+            if line is None:
+                continue
+            match = None if in_comment else _DIRECTIVE.match(line)
+            in_comment = _ends_in_comment(line, in_comment)
             active = all(taken for taken, _ in cond)
             if match is None:
                 if active:
-                    out.append(self._expand(line))
+                    # Without macros expansion is the identity.
+                    out[-1] = self._expand(line) if self.macros else line
                 continue
             directive, rest = match.group(1), match.group(2).strip()
             if directive == "ifdef":
@@ -130,9 +160,10 @@ class Preprocessor:
                 if name.startswith('"') or name.startswith("<"):
                     name = name[1:-1]
                 text = self._resolve_include(name)
+                out.pop()
                 self._process(text, name, out, depth + 1)
             elif directive == "pragma":
-                out.append(f"#pragma {rest}")
+                out[-1] = f"#pragma {rest}"
             elif directive == "error":
                 raise PreprocessorError(f"#error: {rest}")
             else:
@@ -142,11 +173,22 @@ class Preprocessor:
             raise PreprocessorError(f"unterminated #if in {filename}")
 
     @staticmethod
-    def _splice_lines(source: str) -> List[str]:
-        """Join backslash-continued lines and strip block comments that
-        would otherwise hide directives."""
-        spliced = source.replace("\\\n", "")
-        return spliced.split("\n")
+    def _splice_lines(source: str) -> List[Optional[str]]:
+        """The source's lines with backslash-continued ones joined onto
+        the line they continue; each line joined away leaves a ``None``
+        behind it, so the list keeps one entry per physical line."""
+        physical = source.split("\n")
+        lines: List[Optional[str]] = []
+        while len(lines) < len(physical):
+            first = len(lines)
+            line = physical[first]
+            last = first
+            while line.endswith("\\") and last + 1 < len(physical):
+                last += 1
+                line = line[:-1] + physical[last]
+            lines.append(line)
+            lines.extend([None] * (last - first))
+        return lines
 
     # -- macro definition and expansion ---------------------------------------
 

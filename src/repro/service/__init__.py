@@ -8,7 +8,9 @@ work is sharded across a multiprocess worker pool (the shared
 in a two-level cache:
 
 * **catalog** (level A) — parsed-IL procedure catalogs, the paper's
-  §7 databases, keyed by the sha256 of the *source content bytes*;
+  §7 databases, keyed by the sha256 of the *source content bytes*
+  and, behind that, by a fingerprint of the *tokens and their lines*,
+  so an edited comment is lexed but never parsed;
 * **artifact** (level B) — finished response payloads (canonical
   report, listing, simulation results, engine artifact), keyed by
   ``(front-end IL sha256, options fingerprint)``.

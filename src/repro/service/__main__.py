@@ -120,7 +120,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.info(
             f"served {served} request(s) ({errors} error(s)); "
             f"catalog {stats['catalog']['hits']}h/"
-            f"{stats['catalog']['misses']}m, artifact "
+            f"{stats['catalog']['misses']}m, tokens "
+            f"{stats['tokens']['hits']}h/"
+            f"{stats['tokens']['misses']}m, artifact "
             f"{stats['artifact']['hits']}h/"
             f"{stats['artifact']['misses']}m/"
             f"{stats['artifact']['evictions']}e")

@@ -1,14 +1,24 @@
 """Content-addressed caching: the service's two levels plus the
 process-global catalog cache the CLI's ``--use-db`` path shares.
 
-**Keying is over content bytes, deliberately.**  ``content_hash`` is
-sha256 of the exact bytes: two sources differing only in whitespace or
-comments hash differently and *miss* the catalog cache (level A).
-That is not a weakness — it is what makes the cache safe without a
-canonicalizer — and the second level repairs the cost: both variants
-parse to the same front-end IL, so they share one ``(IL hash, options
-fingerprint)`` artifact entry (level B) and the optimization pipeline
-still runs once.
+**Three keys, each over what the next stage consumes.**
+
+1. *Bytes* — ``content_hash`` is sha256 of the exact source bytes.  A
+   level-A (catalog) hit on it costs one hash; any edit at all misses.
+2. *Tokens and their lines* — on a byte miss the source is
+   preprocessed and lexed, and :func:`token_fingerprint` keys level A's
+   second index.  It covers everything a successful parse can observe
+   (kind, text, decoded constant, suffix, line of every token) and
+   nothing it cannot (columns, white space, comments, the filename), so
+   an edited comment stops here: the entry is shared under the new
+   byte key and nothing is parsed.  An edit that moves a token to
+   another line misses — reports embed line numbers.
+3. *IL and options* — ``(IL hash, options fingerprint)`` keys level B
+   (artifacts).  Sources that differ in their tokens but lower to the
+   same IL on the same lines still share one optimized artifact.
+
+No key needs a canonicalizer: each is a hash of a representation the
+compiler already produces on the way to the next one.
 
 **Eviction is deterministic.**  :class:`LRUCache` is an ordered dict
 whose eviction order is a pure function of the get/put sequence, so a
@@ -17,7 +27,8 @@ property-test battery (``tests/test_service_cache.py``) checks this
 against a model.
 
 Hit/miss/eviction counters land in a :class:`MetricsRegistry` under
-``titancc_service_cache_events_total{level,event}``.
+``titancc_service_cache_events_total{level,event}``, ``level`` one of
+``catalog`` (bytes), ``tokens`` and ``artifact``.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ import dataclasses
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..inline.database import InlineDatabase
 from ..obs.metrics import MetricsRegistry
@@ -164,16 +176,40 @@ class ParsedSource:
                             blob=db.dumps(), names=db.names())
 
 
-def parse_source(source: str, filename: str) -> ParsedSource:
-    """Run the front end.  The sid counter is rewound first so
-    identical content always yields identical sids (hence an identical
-    catalog blob, IL hash and payload), whatever the process parsed
-    before."""
-    from ..frontend.lower import compile_to_il
+def lex_source(source: str, filename: str) -> list:
+    """The front end as far as a comment edit reaches: preprocess and
+    tokenize."""
+    from ..frontend.lexer import tokenize
+    from ..frontend.preprocessor import preprocess
+    return tokenize(preprocess(source, filename), filename)
+
+
+_TOKEN_FIELDS = attrgetter("kind", "value", "int_value", "float_value",
+                           "suffix", "coord.line")
+
+
+def token_fingerprint(tokens) -> str:
+    """sha256 over everything a successful parse can observe of a
+    token stream, and nothing else: two streams with one fingerprint
+    parse and lower to the same program.  Columns and the filename
+    reach only diagnostics, and a failed parse is never cached.  The
+    encoding is a ``repr`` of the field tuples, which is injective
+    (string literals decode to arbitrary characters, NUL included, so
+    joining fields on a separator would not be)."""
+    return content_hash(repr(list(map(_TOKEN_FIELDS, tokens))))
+
+
+def parse_tokens(tokens) -> ParsedSource:
+    """Parse and lower a token stream.  The sid counter is rewound
+    first so identical content always yields identical sids (hence an
+    identical catalog blob, IL hash and payload), whatever the process
+    parsed before."""
+    from ..frontend.lower import lower
+    from ..frontend.parser import Parser
     from ..il import nodes as N
     from ..il.printer import format_program
     N.reset_sids()
-    program = compile_to_il(source, filename)
+    program = lower(Parser(tokens).parse_translation_unit())
     # The IL hash includes source-line annotations: reports embed
     # line numbers, so two sources may print identical IL yet compile
     # to different payloads if their statements sit on different
@@ -182,6 +218,11 @@ def parse_source(source: str, filename: str) -> ParsedSource:
     il_text = format_program(program, show_lines=True)
     return ParsedSource(program, content_hash(il_text),
                         N.sid_position())
+
+
+def parse_source(source: str, filename: str) -> ParsedSource:
+    """Run the whole front end on one source."""
+    return parse_tokens(lex_source(source, filename))
 
 
 def build_catalog(source: str,
@@ -193,30 +234,62 @@ def build_catalog(source: str,
 class CatalogCache:
     """Level A: content hash → built catalog, with a build counter
     (``titancc_service_catalog_builds_total``) proving each distinct
-    content is parsed exactly once."""
+    content is parsed exactly once — and, for C sources, each distinct
+    token stream: ``tokens`` is the second index, token fingerprint →
+    the entry first built from those tokens, under the same bound."""
 
     def __init__(self, max_entries: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.lru = LRUCache(max_entries, registry, level="catalog")
+        self.tokens = LRUCache(max_entries, registry, level="tokens")
         self.registry = registry
         self.builds = 0
+
+    def _built(self) -> None:
+        self.builds += 1
+        if self.registry is not None:
+            self.registry.counter(
+                "titancc_service_catalog_builds_total").inc()
 
     def get_or_build(self, key: str, builder: Callable[[], object]):
         entry = self.lru.get(key)
         if entry is None:
             entry = builder()
-            self.builds += 1
-            if self.registry is not None:
-                self.registry.counter(
-                    "titancc_service_catalog_builds_total").inc()
+            self._built()
             self.lru.put(key, entry)
         return entry
+
+    def for_source(self, sha: str, source: str,
+                   filename: str = "<catalog>"
+                   ) -> Tuple[CatalogEntry, Optional[ParsedSource]]:
+        """The catalog of one C source whose content hash is ``sha``,
+        through both indexes, plus the parse when this call needed one
+        (a build).  Bytes never seen are lexed; tokens seen before
+        share that entry's blob under the new byte key, so the byte
+        index sees the same get/put sequence either way."""
+        entry = self.lru.get(sha)
+        if entry is not None:
+            return entry, None
+        tokens = lex_source(source, filename)
+        fingerprint = token_fingerprint(tokens)
+        parsed = None
+        twin = self.tokens.get(fingerprint)
+        if twin is not None:
+            entry = dataclasses.replace(twin, source_sha256=sha)
+        else:
+            parsed = parse_tokens(tokens)
+            entry = parsed.catalog(source)
+            self._built()
+            self.tokens.put(fingerprint, entry)
+        self.lru.put(sha, entry)
+        return entry, parsed
 
     def stats(self) -> Dict[str, int]:
         return {**self.lru.stats(), "builds": self.builds}
 
     def clear(self) -> None:
         self.lru.clear()
+        self.tokens.clear()
         self.builds = 0
 
 

@@ -1,13 +1,13 @@
 """The service front door: :class:`CompileService`.
 
 The parent process owns the two cache levels and derives every cache
-key itself: for each request it runs (only) the front end through the
-level-A catalog cache — one parse per distinct source content, ever —
-and uses the resulting IL hash plus the request's options fingerprint
-to probe the level-B artifact cache.  Full hits answer without
-touching a worker; everything else is dispatched to the shared jobs
-layer, with pre-built §7 catalogs shipped along so workers never
-rebuild a database the parent already has.
+key itself: for each request it takes the source through the level-A
+catalog cache — bytes never seen are lexed, tokens never seen are
+parsed, once each — and uses the resulting IL hash plus the request's
+options fingerprint to probe the level-B artifact cache.  Full hits
+answer without touching a worker; everything else is dispatched to the
+shared jobs layer, with pre-built §7 catalogs shipped along so workers
+never rebuild a database the parent already has.
 
 Determinism contract (pinned by the stress tests): responses come
 back in request order; cache events, request-status counters, and
@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from ..jobs import TaskOutcome, WorkerPool
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import CompilerOptions
-from .cache import (CatalogCache, LRUCache, build_catalog,
-                    content_hash, parse_source)
+from .cache import CatalogCache, LRUCache, content_hash
 from .protocol import (CompileRequest, ServiceError, error_response,
                        make_response)
 from .worker import pool_task, request_fingerprint
@@ -150,6 +149,7 @@ class CompileService:
 
     def cache_stats(self) -> dict:
         return {"catalog": self.catalogs.stats(),
+                "tokens": self.catalogs.tokens.stats(),
                 "artifact": self.artifacts.stats()}
 
     # -- internals -----------------------------------------------------
@@ -172,31 +172,24 @@ class CompileService:
                 request_id, exc, phase="request", kind="invalid")}
 
         # Level A for the main source: one front-end parse per
-        # distinct content, shared with later requests that name this
-        # source as a db_source.
+        # distinct token stream, shared with later requests that name
+        # this source as a db_source.  The envelope's "catalog" says
+        # whether these *bytes* were known, whatever the token index
+        # saves behind it.
         source_sha = content_hash(request.source)
-        cache_meta = {"catalog": None, "artifact": None,
-                      "source_sha256": source_sha}
-        builds_before = self.catalogs.builds
-        # On a miss, keep the parse for the compile that follows
-        # in-process (a pooled worker parses for itself: shipping IL
-        # costs more than the front end).  Transient by design — it
-        # rides the dispatch descriptor and is never cached.
-        parsed = []
-
-        def build():
-            parsed.append(parse_source(request.source,
-                                       request.filename))
-            return parsed[0].catalog(request.source)
-
+        cache_meta = {"catalog": "hit" if source_sha in self.catalogs.lru
+                      else "miss",
+                      "artifact": None, "source_sha256": source_sha}
         try:
-            catalog = self.catalogs.get_or_build(source_sha, build)
-            cache_meta["catalog"] = \
-                "miss" if self.catalogs.builds > builds_before \
-                else "hit"
+            # ``parsed`` is the parse a build ran: kept for the compile
+            # that follows in-process (a pooled worker parses for
+            # itself: shipping IL costs more than the front end).
+            # Transient by design — it rides the dispatch descriptor
+            # and is never cached.
+            catalog, parsed = self.catalogs.for_source(
+                source_sha, request.source, request.filename)
         except Exception as exc:
             from ..fuzz.harness import classify_exception
-            cache_meta["catalog"] = "miss"
             return {"response": error_response(
                 request_id, exc, phase="frontend",
                 kind=classify_exception(exc), cache=cache_meta)}
@@ -208,8 +201,8 @@ class CompileService:
             for db_source in request.db_sources:
                 sha = content_hash(db_source)
                 db_shas.append(sha)
-                catalogs[sha] = self.catalogs.get_or_build(
-                    sha, lambda src=db_source: build_catalog(src))
+                catalogs[sha], _ = self.catalogs.for_source(
+                    sha, db_source)
         except Exception as exc:
             from ..fuzz.harness import classify_exception
             return {"response": error_response(
@@ -227,8 +220,7 @@ class CompileService:
         cache_meta["artifact"] = "miss"
         return {"request": request, "key": key, "cache": cache_meta,
                 "catalogs": catalogs,
-                "parsed": parsed[0] if parsed
-                and not self.pool.parallel else None}
+                "parsed": None if self.pool.parallel else parsed}
 
     def _merge(self, slot: dict, outcome: TaskOutcome,
                responses: Dict[int, dict]) -> None:

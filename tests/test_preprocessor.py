@@ -156,3 +156,122 @@ class TestMisc:
     def test_unknown_directive_raises(self):
         with pytest.raises(PreprocessorError):
             preprocess("#frobnicate")
+
+
+class TestLinePreservation:
+    """Every consumed line leaves one line behind, so a line number
+    after preprocessing is the line number in the source."""
+
+    DIRECTIVES = ("#define N 8\n"
+                  "float a[N];\n"
+                  "#if 0\n"
+                  "int dropped;\n"
+                  "#else\n"
+                  "#define SCALE(x) \\\n"
+                  "    ((x) * \\\n"
+                  "     2)\n"
+                  "#endif\n"
+                  "#pragma safe\n"
+                  "void f(void)\n"
+                  "{\n"
+                  "    int i;\n"
+                  "    for (i = 0; i < N; i++)\n"
+                  "        a[i] = SCALE(i) + \\\n"
+                  "            1;\n"
+                  "}\n")
+
+    def test_include_free_source_keeps_its_line_count(self):
+        out = preprocess(self.DIRECTIVES)
+        assert out.split("\n")[:-1] == [
+            "", "float a[8];", "", "", "", "", "", "", "",
+            "#pragma safe", "void f(void)", "{", "    int i;",
+            "    for (i = 0; i < 8; i++)",
+            "        a[i] = ((i) *      2) +             1;", "", "}", ""]
+        assert len(out.split("\n")) == \
+            len(self.DIRECTIVES.split("\n")) + 1
+
+    def test_directive_free_source_is_unchanged(self):
+        source = "int a;\n\n  /* c */ int b; // d\nint c;"
+        assert preprocess(source) == source + "\n"
+
+    def test_statement_lines_survive_a_define(self):
+        # Regression: ``#define N 8`` on line 1 put the ``for`` of
+        # source line 6 at ``/* L5 */``, and every remark and report
+        # line after a directive was off the same way.
+        from repro.frontend.lower import compile_to_il
+        from repro.il.printer import format_program
+        source = ("#define N 8\nfloat a[N];\nvoid f(void)\n{\n"
+                  "    int i;\n    for (i = 0; i < N; i++)\n"
+                  "        a[i] = 0;\n}\n")
+        listing = format_program(compile_to_il(source), show_lines=True)
+        assert "while (i < 8) {   /* L6 */" in listing
+        assert "= 0.0;   /* L7 */" in listing
+        assert "L5" not in listing
+
+    def test_tokens_carry_source_lines(self):
+        from repro.frontend.lexer import tokenize
+        tokens = tokenize(preprocess(self.DIRECTIVES))
+        by_value = {t.value: t.coord.line for t in tokens}
+        assert by_value["float"] == 2
+        assert by_value["safe"] == 10
+        assert by_value["for"] == 14
+        assert by_value["}"] == 17
+
+    def test_included_lines_replace_the_include_line(self):
+        out = preprocess('#include "h.h"\nint y;',
+                         headers={"h.h": "int h1;\nint h2;"})
+        assert out == "int h1;\nint h2;\nint y;\n"
+
+
+class TestCommentsAreInert:
+    def test_error_inside_block_comment_is_text(self):
+        source = "/*\n#error old note\n*/\nint x;"
+        assert preprocess(source) == source + "\n"
+
+    def test_define_inside_block_comment_defines_nothing(self):
+        out = preprocess("/*\n#define N 3\n*/\nint N = 5;")
+        assert "int N = 5;" in out
+
+    def test_conditionals_inside_block_comment_are_ignored(self):
+        out = preprocess("/* notes:\n#if 0\n#endif\n#else\n*/\nint x;")
+        assert "int x;" in out
+
+    def test_comment_opened_on_a_directive_line_hides_the_next(self):
+        out = preprocess("#define A 1 /* one\n#define A 2\n*/\nint a = A;")
+        assert "int a = 1" in out
+
+    def test_comment_closed_on_the_line_ends_it(self):
+        out = preprocess("/* a */ /* b\n*/ int y;\n#define N 4\nint n = N;")
+        assert "int n = 4;" in out
+
+    def test_opener_inside_a_string_is_not_a_comment(self):
+        out = preprocess('char *s = "/*";\n#define N 4\nint n = N;')
+        assert "int n = 4;" in out
+
+    def test_opener_inside_a_char_literal_run_is_not_a_comment(self):
+        out = preprocess("int q = '\"'; /* c */\n#define N 4\nint n = N;")
+        assert "int n = 4;" in out
+
+    def test_opener_inside_a_line_comment_is_not_a_comment(self):
+        out = preprocess("int x; // see /* here\n#define N 4\nint n = N;")
+        assert "int n = 4;" in out
+
+    def test_line_comment_marker_inside_block_comment_is_text(self):
+        out = preprocess("/* // */ int x;\n#define N 4\nint n = N;")
+        assert "int n = 4;" in out
+
+
+class TestNoMacrosFastPath:
+    def test_expansion_is_skipped_while_nothing_is_defined(self,
+                                                            monkeypatch):
+        calls = []
+        real = Preprocessor._expand
+
+        def counted(self, text, hide=frozenset()):
+            calls.append(text)
+            return real(self, text, hide)
+
+        monkeypatch.setattr(Preprocessor, "_expand", counted)
+        preprocess("int a;\nint b;\n#define N 1\nint c = N;\n#undef N\n"
+                   "int d;")
+        assert calls == ["int c = N;", "1"]

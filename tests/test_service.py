@@ -257,15 +257,16 @@ class TestParseOnce:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        import repro.frontend.lower as lower
+        """One entry per token stream the parser is run on."""
+        from repro.frontend.parser import Parser
         calls = []
-        real = lower.compile_to_il
+        real = Parser.parse_translation_unit
 
-        def counted(source, *args, **kwargs):
-            calls.append(source)
-            return real(source, *args, **kwargs)
+        def counted(parser):
+            calls.append(len(parser.tokens))
+            return real(parser)
 
-        monkeypatch.setattr(lower, "compile_to_il", counted)
+        monkeypatch.setattr(Parser, "parse_translation_unit", counted)
         return calls
 
     def test_one_parse_per_cold_miss(self, service, parses):
@@ -277,13 +278,23 @@ class TestParseOnce:
         service.submit({"source": DAXPY, "run": "main",
                         "options": {"vector_length": 16}})
         assert len(parses) == 2
-        # Catalog miss + artifact hit: the hand-off is just dropped.
-        edited = service.submit({"source": DAXPY + "/* edit */\n",
-                                 "run": "main"})
+        # New bytes, known tokens: the comment edit stops at the lexer.
+        edited = service.submit(
+            {"source": DAXPY.replace("int main", "int /* edit */ main"),
+             "run": "main"})
         assert (edited["cache"]["catalog"],
                 edited["cache"]["artifact"]) == ("miss", "hit")
-        assert len(parses) == 3
+        assert len(parses) == 2
         assert edited["payload"] == cold["payload"]
+        assert service.cache_stats()["tokens"]["hits"] == 1
+        # New tokens, same IL: parsed, and the hand-off is just dropped.
+        spelled = service.submit(
+            {"source": DAXPY.replace("int main(void)", "int main()"),
+             "run": "main"})
+        assert (spelled["cache"]["catalog"],
+                spelled["cache"]["artifact"]) == ("miss", "hit")
+        assert len(parses) == 3
+        assert spelled["payload"] == cold["payload"]
 
     def test_handed_parse_gives_the_direct_path_payload(self, service):
         """db_sources are parsed between the hand-off and its use, so
