@@ -49,8 +49,13 @@ class FlowNode:
 class FlowGraph:
     """CFG for one :class:`~repro.il.nodes.ILFunction`."""
 
-    def __init__(self, fn: N.ILFunction):
+    def __init__(self, fn: N.ILFunction,
+                 aliased: Optional[Set[Symbol]] = None):
+        """``aliased``: the function's alias set (or a superset), if
+        the caller holds it; else derived on first ask."""
         self.fn = fn
+        if aliased is not None:
+            self.aliased = aliased
         self.nodes: List[FlowNode] = []
         self.entry = self._new("entry")
         self.exit = self._new("exit")
@@ -83,6 +88,11 @@ class FlowGraph:
         aliased = self.aliased
         return ([node_defs(node, self.fn, aliased) for node in self.nodes],
                 [node_uses(node, aliased) for node in self.nodes])
+
+    def expressions_rewritten(self) -> None:
+        """Statements kept their places but their expressions were
+        replaced: the shape stands, the per-node def/use sets do not."""
+        self.__dict__.pop("defs_uses", None)
 
     def close(self) -> None:
         """Unlink the nodes.  Edges make every graph a reference cycle;
@@ -345,14 +355,12 @@ def node_uses(node: FlowNode,
     uses: Set[object] = set()
 
     def scan(expr: N.Expr) -> None:
-        for sub in N.walk_expr(expr):
-            if isinstance(sub, N.VarRef):
-                uses.add(sub.sym)
-            elif isinstance(sub, (N.Mem, N.Section)):
-                uses.add(MEMORY)
-            if isinstance(sub, N.CallExpr):
-                uses.add(MEMORY)
-                uses.update(aliased)
+        reads, _, flags = N.facts(expr)
+        uses.update(reads)
+        if flags & (N.HAS_LOAD | N.HAS_CALL):
+            uses.add(MEMORY)
+        if flags & N.HAS_CALL:
+            uses.update(aliased)
 
     if node.kind == "assign" and isinstance(stmt,
                                             (N.Assign, N.VectorAssign)):
@@ -401,12 +409,11 @@ def aliased_symbols(fn: N.ILFunction,
                     globals_: Sequence[N.GlobalVar] = ()) -> Set[Symbol]:
     """Symbols a store-through-pointer or a call might modify: anything
     address-taken plus every global (section 1's problems 5 and 7)."""
-    out: Set[Symbol] = set()
+    named: Set[Symbol] = set()
     for stmt in fn.all_statements():
         for expr in N.stmt_exprs(stmt):
-            for sub in N.walk_expr(expr):
-                if isinstance(sub, (N.VarRef, N.AddrOf)) and (
-                        sub.sym.address_taken or sub.sym.storage
-                        in ("global", "static", "extern")):
-                    out.add(sub.sym)
-    return out
+            reads, addrs, _ = N.facts(expr)
+            named |= reads
+            named |= addrs
+    return {sym for sym in named if sym.address_taken
+            or sym.storage in ("global", "static", "extern")}

@@ -5,15 +5,26 @@ phase never reconstructs its analyses.  We keep the first half of that
 bargain and make the second explicit: a :class:`FunctionAnalyses`
 lazily builds the flow graph, liveness and use-def chains of one
 function and hands the same objects to every pass that asks, until
-someone says the function changed.  The contract for a pass:
+someone reports a change.  The driver keeps one holder per function
+for the whole compile, so round 2 and the final DCE start from what
+round 1 left valid.  What a pass reports (DESIGN.md has the table of
+who reports what):
 
-* a pass that takes the holder (constprop, DCE) calls
-  :meth:`~FunctionAnalyses.invalidate` itself, right after each
-  mutation, so what it leaves behind is valid for the next pass;
-* any other pass reports ``changed`` on its stats object and the driver
-  (``TitanCompiler._scalar_round``) invalidates on its behalf;
-* a :class:`~repro.pipeline.PipelineHook` that edits the program
-  declares ``mutates_il = True`` and the driver invalidates after it.
+* :meth:`expressions_rewritten` — statements kept their places, some
+  expressions were replaced: the graph's shape stands; its def/use
+  sets, liveness and chains go;
+* :meth:`invalidate` — statements were added, removed or moved: the
+  graph goes too;
+* :meth:`forget` — someone outside the contract had the function (a
+  ``mutates_il`` hook, a pass outside the scalar rounds): the alias
+  set goes as well.
+
+Constprop and DCE take the holder and report each of their own edits;
+the driver reports for every other pass from its stats object.  The
+alias set outlives the graphs because no scalar pass can make a
+symbol aliased (they drop mentions or add compiler temporaries), so it
+may be a *superset* of a fresh walk's — sound, and invisible: a symbol
+nothing mentions has no definition and no use.
 
 ``counts`` records every request as ``(analysis, "built" | "reused")``
 — plain integers, surfaced as ``titancc_analysis_solves_total``.
@@ -22,8 +33,9 @@ someone says the function changed.  The contract for a pass:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set
 
+from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from .flowgraph import FlowGraph
 from .liveness import Liveness
@@ -37,6 +49,7 @@ class FunctionAnalyses:
         self.fn = fn
         self.globals = globals_
         self.counts: Counter = Counter() if counts is None else counts
+        self._aliased: Optional[Set[Symbol]] = None
         self._graph: Optional[FlowGraph] = None
         self._liveness: Optional[Liveness] = None
         self._chains: Optional[UseDefChains] = None
@@ -50,7 +63,9 @@ class FunctionAnalyses:
         if requested or self._graph is None:
             self._count("flowgraph", self._graph)
         if self._graph is None:
-            self._graph = FlowGraph(self.fn)
+            # The first graph walks the function for its alias set.
+            self._graph = FlowGraph(self.fn, self._aliased)
+            self._aliased = self._graph.aliased
         return self._graph
 
     @property
@@ -77,16 +92,22 @@ class FunctionAnalyses:
         for whatever is not built.  Looking does not count or build."""
         return self._graph, self._liveness, self._chains
 
+    def expressions_rewritten(self, changed: bool = True) -> None:
+        """Expressions of the function were replaced, every statement
+        still where it was."""
+        if changed and self._graph is not None:
+            self._graph.expressions_rewritten()
+            self._liveness = self._chains = None
+
     def invalidate(self, changed: bool = True) -> None:
-        """The function changed (or may have): drop everything.  The
-        graph is unlinked, not just forgotten — see
+        """The function's structure changed (or may have): drop graph
+        and solves.  The graph is unlinked, not just forgotten — see
         :meth:`FlowGraph.close`."""
         if changed and self._graph is not None:
             self._graph.close()
             self._graph = self._liveness = self._chains = None
 
-    def __enter__(self) -> "FunctionAnalyses":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
+    def forget(self) -> None:
+        """Someone outside the holder's contract had the function."""
         self.invalidate()
+        self._aliased = None

@@ -32,7 +32,8 @@ from .inline.database import InlineDatabase
 from .interp import ENGINES
 from .obs import schemas, telemetry
 from .obs.counters import (format_analysis_solves,
-                           record_analysis_solves)
+                           record_analysis_solves,
+                           record_pass_iterations)
 from .obs.log import Logger
 from .obs.metrics import (REGISTRY, MetricsRegistry,
                           SpanMetricsConsumer)
@@ -440,6 +441,8 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                             trace_spans=False)
         record_analysis_solves(session_registry,
                                result.analysis_solves)
+        record_pass_iterations(session_registry,
+                               result.pass_iterations)
         # What the engines decided — tier per function, form per
         # vector statement, codegen-cache outcomes — is counted in
         # the process registry.

@@ -312,6 +312,9 @@ class FuncDef(Node):
 @dataclass
 class TranslationUnit(Node):
     items: List[Node] = field(default_factory=list)  # FuncDef | Decl | Pragma
+    # "struct T" / "union T" -> the tag's final type (a member declared
+    # inside its own struct still holds the incomplete one).
+    tags: dict = field(default_factory=dict)
 
     def functions(self) -> List[FuncDef]:
         return [n for n in self.items if isinstance(n, FuncDef)]

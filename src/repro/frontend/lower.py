@@ -74,12 +74,15 @@ class Lowerer:
         self._string_count = itertools.count(1)
         self._static_count = itertools.count(1)
         self._fn: Optional[_FunctionContext] = None
+        #: "struct T" / "union T" -> the parser's final type per tag.
+        self._tags: Dict[str, StructType] = {}
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
 
     def lower_unit(self, unit: A.TranslationUnit) -> N.ILProgram:
+        self._tags = unit.tags
         # First pass: declare all functions so forward calls type-check.
         for item in unit.items:
             if isinstance(item, A.FuncDef):
@@ -751,7 +754,11 @@ class Lowerer:
             fn_type = sym.ctype
         elif sym is not None and isinstance(sym.ctype, PointerType) and \
                 isinstance(sym.ctype.base, FunctionType):
-            fn_type = sym.ctype.base
+            # A CallExpr names its callee: the IL has no indirect call,
+            # and a call to "f" would only fail at run time.
+            raise LoweringError(f"call through function pointer "
+                                f"'{name}' is not supported; call a "
+                                f"named function", node.coord)
         else:
             # Implicit declaration: int f(...), as classic C allows.
             fn_type = FunctionType(ret=INT, params=(), varargs=True,
@@ -823,6 +830,14 @@ class Lowerer:
                                      ctype=PointerType(base=struct))
             else:
                 base_addr = lv.addr
+        if not struct.complete:
+            # `struct N { ...; struct N *next; }`: the pointee was
+            # parsed before the tag had a body; the layout is under it.
+            kw = "union " if struct.is_union else "struct "
+            struct = self._tags.get(kw + struct.tag, struct)
+            if not struct.complete:
+                raise LoweringError(f"member access into incomplete "
+                                    f"{kw}{struct.tag}", node.coord)
         field_ = struct.field_named(node.field_name)
         addr = N.BinOp(op="+", left=base_addr,
                        right=N.int_const(field_.offset),

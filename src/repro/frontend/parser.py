@@ -117,7 +117,7 @@ class Parser:
 
     def parse_translation_unit(self) -> A.TranslationUnit:
         self._typedefs: Dict[str, CType] = {}
-        unit = A.TranslationUnit(items=[])
+        unit = A.TranslationUnit(items=[], tags=self.tags)
         self._collect_pragmas()
         while self._peek().kind != L.EOF:
             item = self._parse_external_declaration()

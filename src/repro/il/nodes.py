@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..frontend.ctypes_ import CType, INT, PointerType
 from ..frontend.symtab import Symbol
@@ -35,11 +36,52 @@ from ..frontend.symtab import Symbol
 # ---------------------------------------------------------------------------
 
 
+#: ``ExprFacts.flags`` bits.
+HAS_LOAD, HAS_CALL, HAS_VOLATILE = 1, 2, 4
+
+
+class ExprFacts(NamedTuple):
+    """What the scalar phase asks of an expression tree, derived once:
+    the symbols read through a ``VarRef``, the symbols whose address is
+    formed by an ``AddrOf``, and the ``HAS_*`` bits."""
+
+    reads: FrozenSet[Symbol]
+    addrs: FrozenSet[Symbol]
+    flags: int
+
+
+_NO_SYMS: FrozenSet[Symbol] = frozenset()
+_NO_FACTS = ExprFacts(_NO_SYMS, _NO_SYMS, 0)
+_LOAD = ExprFacts(_NO_SYMS, _NO_SYMS, HAS_LOAD)
+_VOLATILE_LOAD = ExprFacts(_NO_SYMS, _NO_SYMS, HAS_LOAD | HAS_VOLATILE)
+_CALL = ExprFacts(_NO_SYMS, _NO_SYMS, HAS_CALL)
+
+
 @dataclass(eq=False)
 class Expr:
-    """Base class of pure IL expressions."""
+    """Base class of pure IL expressions, **immutable once built**: a
+    rewrite makes a new node (``replace_children``), never assigns a
+    field of an existing one.  Two memo fields rest on that, neither
+    of them pickled or deep-copied: ``_facts`` (:func:`facts`) and
+    ``_normal`` (``opt.fold.simplify`` returned this node, so
+    simplifying it again is the identity)."""
 
     ctype: CType = field(kw_only=True, default=INT)
+    # Init fields (never passed): in every instance dict from the start,
+    # in one order — late, unordered keys triple a CPython dict's size.
+    _facts: Optional[ExprFacts] = field(default=None, kw_only=True,
+                                        repr=False)
+    _normal: bool = field(default=False, kw_only=True, repr=False)
+
+    def __getstate__(self) -> dict:
+        # Not via object.__getstate__ (3.11+).  Memos stay behind:
+        # catalog blobs must not depend on what was asked of a node.
+        state = self.__dict__.copy()
+        del state["_facts"], state["_normal"]
+        return state
+
+    def _own_facts(self) -> ExprFacts:  # before the children's
+        return _NO_FACTS
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
@@ -70,6 +112,10 @@ class VarRef(Expr):
     def is_volatile(self) -> bool:
         return self.sym.is_volatile
 
+    def _own_facts(self) -> ExprFacts:
+        return ExprFacts(frozenset((self.sym,)), _NO_SYMS,
+                         HAS_VOLATILE if self.sym.is_volatile else 0)
+
     def __repr__(self) -> str:
         return f"VarRef({self.sym.name})"
 
@@ -79,6 +125,9 @@ class AddrOf(Expr):
     """The address of a named object (an address constant)."""
 
     sym: Symbol = None  # type: ignore[assignment]
+
+    def _own_facts(self) -> ExprFacts:
+        return ExprFacts(_NO_SYMS, frozenset((self.sym,)), 0)
 
     def __repr__(self) -> str:
         return f"AddrOf({self.sym.name})"
@@ -98,6 +147,9 @@ class Mem(Expr):
     @property
     def is_volatile(self) -> bool:
         return self.ctype.is_volatile
+
+    def _own_facts(self) -> ExprFacts:
+        return _VOLATILE_LOAD if self.ctype.is_volatile else _LOAD
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.addr,)
@@ -202,6 +254,9 @@ class CallExpr(Expr):
     name: str = ""
     args: List[Expr] = field(default_factory=list)
 
+    def _own_facts(self) -> ExprFacts:
+        return _CALL
+
     def children(self) -> Tuple[Expr, ...]:
         return tuple(self.args)
 
@@ -224,6 +279,9 @@ class Section(Expr):
     addr: Expr = None  # type: ignore[assignment]
     length: Expr = None  # type: ignore[assignment]
     stride: int = 1
+
+    def _own_facts(self) -> ExprFacts:
+        return _LOAD
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.addr, self.length)
@@ -594,8 +652,32 @@ def map_expr(expr: Expr, fn) -> Expr:
     return fn(expr)
 
 
+def facts(expr: Expr) -> ExprFacts:
+    """The :class:`ExprFacts` of the tree under ``expr``, memoized on
+    every node of it: a node's facts are its own plus its children's,
+    so a tree rebuilt along one spine re-derives that spine only."""
+    known = expr._facts
+    if known is None:
+        known = expr._own_facts()
+        kids = expr.children()
+        if kids:
+            reads, addrs, flags = known
+            for kid in kids:
+                sub = kid._facts or facts(kid)
+                if sub.reads:
+                    reads = reads | sub.reads if reads else sub.reads
+                if sub.addrs:
+                    addrs = addrs | sub.addrs if addrs else sub.addrs
+                flags |= sub.flags
+            known = ExprFacts(reads, addrs, flags)
+        expr._facts = known
+    return known
+
+
 def vars_read(expr: Expr) -> Iterator[Symbol]:
-    """Every scalar symbol read by ``expr`` (including inside Mem addrs)."""
+    """Every scalar symbol read by ``expr`` (including inside Mem addrs),
+    in preorder, once per read — for callers whose output order follows
+    it; set questions go to ``facts(expr).reads``."""
     for node in walk_expr(expr):
         if isinstance(node, VarRef):
             yield node.sym

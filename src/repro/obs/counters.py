@@ -156,3 +156,25 @@ def record_analysis_solves(registry, solves) -> None:
     for analysis, outcome, count in _solve_tallies(solves):
         registry.counter(ANALYSIS_SOLVES_FAMILY, {
             "analysis": analysis, "outcome": outcome}).inc(count)
+
+
+# ---------------------------------------------------------------------------
+# Pass-level fixed points (section 5.3: "worst case n, ~1 in practice")
+# ---------------------------------------------------------------------------
+
+PASS_ITERATIONS_FAMILY = "titancc_pass_iterations"
+#: Up to DCE's and constprop's bound of 50.
+PASS_ITERATIONS_BUCKETS = (1, 2, 3, 4, 6, 10, 20, 50)
+
+
+def record_pass_iterations(registry, iterations) -> None:
+    """``CompilationResult.pass_iterations`` as the histogram
+    ``titancc_pass_iterations{pass}``: sweeps per forward-substitution
+    run, rounds per constprop run, iterations per DCE run.  Kept out
+    of the report for :func:`record_analysis_solves`' reason."""
+    for (pass_name, count), runs in sorted(iterations.items()):
+        histogram = registry.histogram(
+            PASS_ITERATIONS_FAMILY, {"pass": pass_name},
+            buckets=PASS_ITERATIONS_BUCKETS)
+        for _ in range(runs):
+            histogram.observe(count)

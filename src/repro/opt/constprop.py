@@ -37,7 +37,7 @@ from ..analysis.usedef import UseDefChains
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from . import utils
-from .fold import simplify
+from .fold import simplify_stmts
 
 
 @dataclass
@@ -47,6 +47,7 @@ class ConstPropStats:
     branches_folded: int = 0
     loops_deleted: int = 0
     statements_deleted: int = 0
+    capped: bool = False  # ``max_rounds`` cut the fixed point short
 
 
 def propagate_constants(fn: N.ILFunction,
@@ -55,33 +56,37 @@ def propagate_constants(fn: N.ILFunction,
                         analyses: Optional[FunctionAnalyses] = None
                         ) -> ConstPropStats:
     """``analyses`` is the caller's holder for ``fn``; each round that
-    changes the function invalidates it, so the final (no-change)
-    round's flow graph and chains stay valid for the passes behind."""
+    changes the function reports to it, so what the last round leaves
+    (at least the flow graph) stays valid for the passes behind.
+
+    The round confirming a fixed point is counted but not run when the
+    round before it pruned nothing and left the set of constant
+    definitions as it found it: same graph, same reaching definitions,
+    same constants, every use of them already rewritten, every
+    expression in normal form — nothing to find."""
     stats = ConstPropStats()
     if analyses is None:
         analyses = FunctionAnalyses(fn, globals_)
     while stats.rounds < max_rounds:
         stats.rounds += 1
-        changed = _one_round(fn, analyses, stats)
-        analyses.invalidate(changed)
+        graph = analyses.graph
+        consts = _constant_defs(graph)
+        changed = _rewrite_uses(graph, analyses.chains, consts, stats)
+        changed |= simplify_stmts(fn.body)
+        if _prune_folded_branches(fn, stats):
+            analyses.invalidate()
+            continue
         if not changed:
-            break
+            return stats
+        analyses.expressions_rewritten()
+        if _constant_defs(graph) == consts and stats.rounds < max_rounds:
+            stats.rounds += 1
+            return stats
+    stats.capped = True
     return stats
 
 
-def _one_round(fn: N.ILFunction, analyses: FunctionAnalyses,
-               stats: ConstPropStats) -> bool:
-    graph = analyses.graph
-    chains = analyses.chains
-    consts = _constant_defs(graph, chains)
-    changed = _rewrite_uses(graph, chains, consts, stats)
-    changed |= _simplify_all(fn.body)
-    changed |= _prune_folded_branches(fn, stats)
-    return changed
-
-
-def _constant_defs(graph: FlowGraph,
-                   chains: UseDefChains) -> Dict[FlowNode, N.Const]:
+def _constant_defs(graph: FlowGraph) -> Dict[FlowNode, N.Const]:
     """Flow nodes that assign a constant to a scalar."""
     out: Dict[FlowNode, N.Const] = {}
     for node in graph.nodes:
@@ -150,46 +155,17 @@ def _substitute_use(node: FlowNode, stmt: N.Stmt, sym: Symbol,
     return False
 
 
-def _simplify_all(stmts: List[N.Stmt]) -> bool:
-    changed = False
-
-    def update(expr: N.Expr) -> N.Expr:
-        nonlocal changed
-        new = simplify(expr)
-        if new is not expr and not N.expr_equal(new, expr):
-            changed = True
-            return new
-        return expr
-
-    for stmt in N.walk_statements(stmts):
-        if isinstance(stmt, N.Assign):
-            stmt.value = update(stmt.value)
-            if isinstance(stmt.target, N.Mem):
-                addr = update(stmt.target.addr)
-                if addr is not stmt.target.addr:
-                    stmt.target = N.Mem(addr=addr,
-                                        ctype=stmt.target.ctype)
-        elif isinstance(stmt, N.IfStmt):
-            stmt.cond = update(stmt.cond)
-        elif isinstance(stmt, N.WhileLoop):
-            stmt.cond = update(stmt.cond)
-        elif isinstance(stmt, N.DoLoop):
-            stmt.lo = update(stmt.lo)
-            stmt.hi = update(stmt.hi)
-        elif isinstance(stmt, N.Return) and stmt.value is not None:
-            stmt.value = update(stmt.value)
-        elif isinstance(stmt, N.CallStmt):
-            stmt.call = N.CallExpr(
-                name=stmt.call.name,
-                args=[update(a) for a in stmt.call.args],
-                ctype=stmt.call.ctype)
-    return changed
-
-
 def _prune_folded_branches(fn: N.ILFunction,
                            stats: ConstPropStats) -> bool:
     """Splice out branches whose conditions folded to constants."""
     changed = False
+
+    def goto_target(dropped: List[N.Stmt]) -> bool:
+        # Search the function for gotos only on behalf of a dead
+        # branch with a label to protect (almost none have one).
+        labels = utils.labels_in(dropped)
+        return bool(labels and labels & utils.gotos_in(fn.body))
+
     for owner in list(utils.each_stmt_list(fn.body)):
         index = 0
         while index < len(owner):
@@ -198,7 +174,7 @@ def _prune_folded_branches(fn: N.ILFunction,
                                                          N.Const):
                 taken = stmt.then if stmt.cond.value else stmt.otherwise
                 dropped = stmt.otherwise if stmt.cond.value else stmt.then
-                if utils.labels_in(dropped) & utils.gotos_in(fn.body):
+                if goto_target(dropped):
                     index += 1
                     continue  # the dead branch is a goto target
                 stats.branches_folded += 1
@@ -207,8 +183,7 @@ def _prune_folded_branches(fn: N.ILFunction,
                 changed = True
                 continue
             if isinstance(stmt, N.WhileLoop) and N.is_const(stmt.cond, 0):
-                if not (utils.labels_in(stmt.body)
-                        & utils.gotos_in(fn.body)):
+                if not goto_target(stmt.body):
                     stats.loops_deleted += 1
                     stats.statements_deleted += utils.count_statements(
                         stmt.body)
@@ -216,8 +191,7 @@ def _prune_folded_branches(fn: N.ILFunction,
                     changed = True
                     continue
             if isinstance(stmt, N.DoLoop) and _known_zero_trip(stmt):
-                if not (utils.labels_in(stmt.body)
-                        & utils.gotos_in(fn.body)):
+                if not goto_target(stmt.body):
                     stats.loops_deleted += 1
                     stats.statements_deleted += utils.count_statements(
                         stmt.body)

@@ -35,6 +35,11 @@ class DCEStats:
     empty_ifs_removed: int = 0
     unreachable_removed: int = 0
     iterations: int = 0
+    capped: bool = False  # MAX_ITERATIONS cut the fixed point short
+
+
+#: Bites only on cleanup that cascades one statement per iteration.
+MAX_ITERATIONS = 50
 
 
 def eliminate_dead_code(fn: N.ILFunction,
@@ -60,7 +65,8 @@ def eliminate_dead_code(fn: N.ILFunction,
         changed |= did(_remove_dead_labels(fn, stats))
         changed |= did(_remove_empty_ifs(fn.body, stats))
         changed |= did(_remove_empty_do_loops(fn, analyses, stats))
-        if not changed or stats.iterations > 50:
+        if not changed or stats.iterations > MAX_ITERATIONS:
+            stats.capped = changed
             return stats
 
 

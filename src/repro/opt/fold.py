@@ -13,10 +13,11 @@ from __future__ import annotations
 PASS_NAME = "fold"
 PASS_DESCRIPTION = "constant folding / algebraic simplification"
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from ..frontend.ctypes_ import CType, FloatType, INT, IntType, PointerType
 from ..il import nodes as N
+from .utils import rewrite_stmt_exprs
 
 Value = Union[int, float]
 
@@ -99,8 +100,39 @@ def coerce(value: Value, ctype: CType) -> Value:
 
 
 def simplify(expr: N.Expr) -> N.Expr:
-    """Bottom-up constant folding + algebraic identities on a tree."""
-    return N.map_expr(expr, _simplify_node)
+    """Bottom-up constant folding + algebraic identities on a tree.
+
+    What comes back is in normal form — simplifying it again returns
+    it unchanged — and is marked so (``Expr._normal``), as is every
+    subtree this call normalized on the way: a second ask, or an ask
+    about a tree rebuilt around normal subtrees, stops at the mark."""
+    if expr._normal:
+        return expr
+    kids = expr.children()
+    if kids:
+        new = [simplify(kid) for kid in kids]
+        for old_kid, new_kid in zip(kids, new):
+            if new_kid is not old_kid:
+                expr = expr.replace_children(new)
+                break
+    expr = _simplify_node(expr)
+    expr._normal = True
+    return expr
+
+
+def simplify_stmt(stmt: N.Stmt) -> bool:
+    """Simplify the statement's own expressions in place; report
+    whether any was replaced."""
+    return rewrite_stmt_exprs(stmt, simplify)
+
+
+def simplify_stmts(stmts: Sequence[N.Stmt]) -> bool:
+    """:func:`simplify_stmt` over a statement list and everything
+    nested in it."""
+    changed = False
+    for stmt in N.walk_statements(stmts):
+        changed |= simplify_stmt(stmt)
+    return changed
 
 
 def _simplify_node(expr: N.Expr) -> N.Expr:

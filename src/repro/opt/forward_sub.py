@@ -26,12 +26,12 @@ PASS_NAME = "forward-sub"
 PASS_DESCRIPTION = "forward substitution with blocking/backtracking (section 5.3)"
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from . import utils
-from .fold import simplify
+from .fold import simplify_stmt
 
 
 @dataclass
@@ -43,6 +43,7 @@ class SubstitutionStats:
     # sid of blocking stmt -> sids it blocks (diagnostic mirror of the
     # paper's blocking lists).
     blocking: Dict[int, Set[int]] = field(default_factory=dict)
+    capped: bool = False  # the sweep bound cut the last call short
 
     @property
     def changed(self) -> bool:
@@ -105,23 +106,48 @@ def forward_substitute(stmts: List[N.Stmt], aggressive: bool = False,
 
     Each sweep walks the list once; a sweep that performs a substitution
     may unblock earlier statements, so we sweep again — bounded by the
-    paper's worst case of n passes (n = number of statements).
+    paper's worst case of n passes (n = number of statements);
+    ``stats.capped`` says the bound cut a sweep that still had work.
     """
     stats = stats or SubstitutionStats()
     limit = max_sweeps if max_sweeps is not None else len(stmts) + 1
-    while stats.sweeps < limit:
+    # See _summary; the list neither grows nor shrinks in this call.
+    summaries: List[Optional[list]] = [None] * len(stmts)
+    changed = True
+    while changed and stats.sweeps < limit:
         stats.sweeps += 1
-        changed = _sweep(stmts, aggressive, stats)
-        if not changed:
-            break
-        stats.backtracks += 1
+        changed = _sweep(stmts, summaries, aggressive, stats)
+        if changed:
+            stats.backtracks += 1
+    stats.capped = changed
     if stats.backtracks:
         stats.backtracks -= 1  # the last sweep confirmed the fixpoint
     return stats
 
 
-def _sweep(stmts: List[N.Stmt], aggressive: bool,
-           stats: SubstitutionStats) -> bool:
+def _summary(summaries: List[Optional[list]], index: int,
+             stmt: N.Stmt) -> list:
+    """``[barrier, inner_defs, reads]`` of ``stmts[index]``, nested
+    statements included.  Substitution rewrites expressions only, so
+    the first two hold for the whole call; ``reads`` is dropped (None)
+    when a substitution lands in the statement, and re-derived here."""
+    summary = summaries[index]
+    if summary is None:
+        # A label makes the point reachable without the definition (a
+        # nested one can be jumped to from outside the region); after
+        # a goto or return everything is on another path.
+        barrier = isinstance(stmt, (N.Goto, N.Return)) \
+            or bool(utils.labels_in([stmt]))
+        summary = summaries[index] = [
+            barrier, utils.symbols_defined_in([stmt]), None]
+    if summary[2] is None:
+        summary[2] = set().union(
+            *map(utils.stmt_reads, N.walk_statements([stmt])))
+    return summary
+
+
+def _sweep(stmts: List[N.Stmt], summaries: List[Optional[list]],
+           aggressive: bool, stats: SubstitutionStats) -> bool:
     changed = False
     for index, stmt in enumerate(stmts):
         sym = _candidate_target(stmt)
@@ -130,69 +156,46 @@ def _sweep(stmts: List[N.Stmt], aggressive: bool,
         rhs = stmt.value
         if not _substitutable_rhs(rhs, aggressive):
             continue
-        if any(isinstance(v, N.VarRef) and v.sym == sym
-               for v in N.walk_expr(rhs)):
+        rhs_vars = N.facts(rhs).reads
+        if sym in rhs_vars:
             continue  # self-referential update (an IV, handled elsewhere)
-        rhs_vars = set(N.vars_read(rhs))
-        changed |= _substitute_from(stmts, index, sym, rhs, rhs_vars,
-                                    aggressive, stats)
+        changed |= _substitute_from(stmts, summaries, index, sym, rhs,
+                                    rhs_vars, stats)
     return changed
 
 
-def _substitute_from(stmts: List[N.Stmt], def_index: int, sym: Symbol,
-                     rhs: N.Expr, rhs_vars: Set[Symbol],
-                     aggressive: bool,
+def _substitute_from(stmts: List[N.Stmt],
+                     summaries: List[Optional[list]], def_index: int,
+                     sym: Symbol, rhs: N.Expr, rhs_vars: FrozenSet[Symbol],
                      stats: SubstitutionStats) -> bool:
     changed = False
     for later_index in range(def_index + 1, len(stmts)):
         later = stmts[later_index]
-        if isinstance(later, N.Return):
-            # The return's own expression still sees the definition;
-            # nothing after it on this path does.
-            if later.value is not None and _reads_sym(later, sym):
-                utils.substitute_in_stmt(later, sym, rhs)
-                _resimplify(later)
-                stats.substitutions += 1
-                changed = True
+        summary = _summary(summaries, later_index, later)
+        barrier, inner_defs, reads = summary
+        # A return's own expression still sees the definition; nothing
+        # after it on this path does.
+        if barrier and not (isinstance(later, N.Return) and sym in reads):
             break
-        if _is_flow_barrier(later):
-            # A label makes this point reachable without the definition;
-            # a goto means anything after is on another path.
-            break
-        inner_defs = utils.symbols_defined_in([later])
-        reads = _reads_sym(later, sym)
-        nested = bool(later.substatements())
-        if reads:
-            if nested:
+        if sym in reads:
+            if later.substatements():
                 # Substituting into a nested region requires the RHS to
                 # be invariant over it.
-                if inner_defs & (rhs_vars | {sym}):
+                if sym in inner_defs or not inner_defs.isdisjoint(rhs_vars):
                     _record_block(stats, later, stmts[def_index])
                     break
-                utils.substitute_in_stmt(later, sym, rhs)
                 _substitute_nested(later, sym, rhs)
-                _resimplify(later)
-                stats.substitutions += 1
-                changed = True
-            else:
-                utils.substitute_in_stmt(later, sym, rhs)
-                _resimplify(later)
-                stats.substitutions += 1
-                changed = True
-        if sym in inner_defs:
-            break  # a new definition of sym: later uses see that one
-        if inner_defs & rhs_vars:
+            utils.substitute_in_stmt(later, sym, rhs)
+            simplify_stmt(later)
+            summary[2] = None
+            stats.substitutions += 1
+            changed = True
+        if barrier or sym in inner_defs:
+            break  # the return; or a new definition of sym
+        if not inner_defs.isdisjoint(rhs_vars):
             _record_block(stats, later, stmts[def_index])
             break  # RHS value is stale past this point
     return changed
-
-
-def _is_flow_barrier(stmt: N.Stmt) -> bool:
-    if isinstance(stmt, (N.LabelStmt, N.Goto, N.Return)):
-        return True
-    # Nested labels can be jumped to from outside the region.
-    return any(isinstance(s, N.LabelStmt)
-               for s in N.walk_statements([stmt]))
 
 
 def _substitute_nested(stmt: N.Stmt, sym: Symbol, rhs: N.Expr) -> None:
@@ -200,38 +203,7 @@ def _substitute_nested(stmt: N.Stmt, sym: Symbol, rhs: N.Expr) -> None:
         for sub in sublist:
             utils.substitute_in_stmt(sub, sym, rhs)
             _substitute_nested(sub, sym, rhs)
-            _resimplify(sub)
-
-
-def _reads_sym(stmt: N.Stmt, sym: Symbol) -> bool:
-    if sym in utils.stmt_reads(stmt):
-        return True
-    for sublist in stmt.substatements():
-        for sub in sublist:
-            if _reads_sym(sub, sym):
-                return True
-    return False
-
-
-def _resimplify(stmt: N.Stmt) -> None:
-    if isinstance(stmt, N.Assign):
-        stmt.value = simplify(stmt.value)
-        if isinstance(stmt.target, N.Mem):
-            stmt.target = N.Mem(addr=simplify(stmt.target.addr),
-                                ctype=stmt.target.ctype)
-    elif isinstance(stmt, N.IfStmt):
-        stmt.cond = simplify(stmt.cond)
-    elif isinstance(stmt, N.WhileLoop):
-        stmt.cond = simplify(stmt.cond)
-    elif isinstance(stmt, N.DoLoop):
-        stmt.lo = simplify(stmt.lo)
-        stmt.hi = simplify(stmt.hi)
-    elif isinstance(stmt, N.Return) and stmt.value is not None:
-        stmt.value = simplify(stmt.value)
-    elif isinstance(stmt, N.CallStmt):
-        stmt.call = N.CallExpr(name=stmt.call.name,
-                               args=[simplify(a) for a in stmt.call.args],
-                               ctype=stmt.call.ctype)
+            simplify_stmt(sub)
 
 
 def _record_block(stats: SubstitutionStats, blocker: N.Stmt,

@@ -37,7 +37,7 @@ from ..il import nodes as N
 from ..obs.remarks import RemarkCollector
 from . import utils
 from .affine import reads_through_chain, trace_step
-from .fold import simplify
+from .fold import simplify, simplify_stmts
 from .forward_sub import SubstitutionStats, forward_substitute
 
 
@@ -48,10 +48,20 @@ class IVSubStats:
     sweeps: int = 0
     backtracks: int = 0
     substitutions: int = 0
+    # A loop body's closing re-simplification replaced an expression.
+    simplified: bool = False
+    # ``(sweeps, capped)`` of each loop's forward-substitution run.
+    forward_sub_runs: List[Tuple[int, bool]] = field(default_factory=list)
 
     @property
     def changed(self) -> bool:
-        return self.ivs_substituted > 0 or self.substitutions > 0
+        return self.restructured or self.substitutions > 0 \
+            or self.simplified
+
+    @property
+    def restructured(self) -> bool:
+        """Statements added or removed, not just expressions rewritten."""
+        return self.ivs_substituted > 0
 
 
 class InductionVariableSubstitution:
@@ -121,6 +131,8 @@ class InductionVariableSubstitution:
         self.stats.sweeps += sub_stats.sweeps
         self.stats.backtracks += sub_stats.backtracks
         self.stats.substitutions += sub_stats.substitutions
+        self.stats.forward_sub_runs.append((sub_stats.sweeps,
+                                            sub_stats.capped))
         if self.remarks is not None and sub_stats.blocked:
             self.remarks.analysis(
                 "ivsub", fn.name,
@@ -138,7 +150,7 @@ class InductionVariableSubstitution:
                 stmt=loop, backtracks=sub_stats.backtracks,
                 sweeps=sub_stats.sweeps,
                 substitutions=sub_stats.substitutions)
-        self._simplify_body(loop)
+        self.stats.simplified |= simplify_stmts(loop.body)
 
     # -- IV discovery -----------------------------------------------------
 
@@ -191,7 +203,7 @@ class InductionVariableSubstitution:
             for sublist in stmt.substatements():
                 _substitute_rec(sublist, sym, replacement)
         body.remove(update)
-        self._simplify_body(loop)
+        simplify_stmts(loop.body)
 
     def _exit_value_stmt(self, trip: Symbol, sym: Symbol,
                          step: int) -> N.Stmt:
@@ -203,22 +215,6 @@ class InductionVariableSubstitution:
             value=simplify(N.BinOp(op="+",
                                    left=N.VarRef(sym=sym, ctype=sym.ctype),
                                    right=total, ctype=sym.ctype)))
-
-    @staticmethod
-    def _simplify_body(loop: N.DoLoop) -> None:
-        for stmt in N.walk_statements(loop.body):
-            if isinstance(stmt, N.Assign):
-                stmt.value = simplify(stmt.value)
-                if isinstance(stmt.target, N.Mem):
-                    stmt.target = N.Mem(addr=simplify(stmt.target.addr),
-                                        ctype=stmt.target.ctype)
-            elif isinstance(stmt, N.IfStmt):
-                stmt.cond = simplify(stmt.cond)
-            elif isinstance(stmt, N.WhileLoop):
-                stmt.cond = simplify(stmt.cond)
-            elif isinstance(stmt, N.DoLoop):
-                stmt.lo = simplify(stmt.lo)
-                stmt.hi = simplify(stmt.hi)
 
 
 def _affine(sym: Symbol, step: int, k: N.VarRef, extra: int) -> N.Expr:

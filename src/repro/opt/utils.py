@@ -69,33 +69,29 @@ def has_stores_or_calls(stmts: Sequence[N.Stmt]) -> bool:
 
 
 def expr_has_call(expr: N.Expr) -> bool:
-    return any(isinstance(e, N.CallExpr) for e in N.walk_expr(expr))
+    return bool(N.facts(expr).flags & N.HAS_CALL)
 
 
 def expr_has_load(expr: N.Expr) -> bool:
-    return any(isinstance(e, (N.Mem, N.Section))
-               for e in N.walk_expr(expr))
+    return bool(N.facts(expr).flags & N.HAS_LOAD)
 
 
 def expr_has_volatile(expr: N.Expr) -> bool:
-    for e in N.walk_expr(expr):
-        if isinstance(e, (N.VarRef, N.Mem)) and e.is_volatile:
-            return True
-    return False
+    return bool(N.facts(expr).flags & N.HAS_VOLATILE)
 
 
 def expr_is_invariant(expr: N.Expr, defined: Set[Symbol]) -> bool:
     """Is ``expr`` invariant w.r.t. a region that defines ``defined``?
     Memory loads are never invariant (stores may alias them)."""
-    if expr_has_load(expr) or expr_has_call(expr) \
-            or expr_has_volatile(expr):
-        return False
-    return all(sym not in defined for sym in N.vars_read(expr))
+    reads, _, flags = N.facts(expr)
+    return not flags and reads.isdisjoint(defined)
 
 
 def substitute_var(expr: N.Expr, sym: Symbol,
                    replacement: N.Expr) -> N.Expr:
     """Replace every read of ``sym`` in ``expr`` with ``replacement``."""
+    if sym not in N.facts(expr).reads:
+        return expr
 
     def visit(node: N.Expr) -> N.Expr:
         if isinstance(node, N.VarRef) and node.sym == sym:
@@ -105,43 +101,52 @@ def substitute_var(expr: N.Expr, sym: Symbol,
     return N.map_expr(expr, visit)
 
 
+def rewrite_stmt_exprs(stmt: N.Stmt,
+                       fn: Callable[[N.Expr], N.Expr]) -> bool:
+    """Replace, in place, each expression ``e`` the statement itself
+    evaluates (rvalues and the address parts of a store target; nested
+    statements are the caller's) by ``fn(e)``.  Returns whether any
+    came back a different node."""
+    changed = False
+
+    def new(expr: N.Expr) -> N.Expr:
+        nonlocal changed
+        out = fn(expr)
+        changed |= out is not expr
+        return out
+
+    if isinstance(stmt, N.Assign):
+        stmt.value = new(stmt.value)
+        if isinstance(stmt.target, N.Mem):
+            addr = new(stmt.target.addr)
+            if addr is not stmt.target.addr:
+                stmt.target = N.Mem(addr=addr, ctype=stmt.target.ctype)
+    elif isinstance(stmt, N.VectorAssign):
+        stmt.value = new(stmt.value)
+        stmt.target = new(stmt.target)
+        if stmt.mask is not None:
+            stmt.mask = new(stmt.mask)
+    elif isinstance(stmt, N.VectorReduce):
+        stmt.value = new(stmt.value)
+        stmt.length = new(stmt.length)
+    elif isinstance(stmt, N.CallStmt):
+        stmt.call = new(stmt.call)
+    elif isinstance(stmt, (N.IfStmt, N.WhileLoop)):
+        stmt.cond = new(stmt.cond)
+    elif isinstance(stmt, N.DoLoop):
+        stmt.lo = new(stmt.lo)
+        stmt.hi = new(stmt.hi)
+    elif isinstance(stmt, N.Return) and stmt.value is not None:
+        stmt.value = new(stmt.value)
+    return changed
+
+
 def substitute_in_stmt(stmt: N.Stmt, sym: Symbol,
                        replacement: N.Expr) -> bool:
     """In-place substitution of ``sym`` in the statement's own
-    expressions (rvalues and address parts of the target).  Returns
-    whether any read was replaced (``map_expr`` hands back the same
-    node when nothing below it changed)."""
-    changed = False
-
-    def sub(expr: N.Expr) -> N.Expr:
-        nonlocal changed
-        new = substitute_var(expr, sym, replacement)
-        changed |= new is not expr
-        return new
-
-    if isinstance(stmt, N.Assign):
-        stmt.value = sub(stmt.value)
-        if isinstance(stmt.target, N.Mem):
-            stmt.target = N.Mem(addr=sub(stmt.target.addr),
-                                ctype=stmt.target.ctype)
-    elif isinstance(stmt, N.VectorAssign):
-        stmt.value = sub(stmt.value)
-        stmt.target = sub(stmt.target)
-        if stmt.mask is not None:
-            stmt.mask = sub(stmt.mask)
-    elif isinstance(stmt, N.VectorReduce):
-        stmt.value = sub(stmt.value)
-        stmt.length = sub(stmt.length)
-    elif isinstance(stmt, N.CallStmt):
-        stmt.call = sub(stmt.call)
-    elif isinstance(stmt, (N.IfStmt, N.WhileLoop)):
-        stmt.cond = sub(stmt.cond)
-    elif isinstance(stmt, N.DoLoop):
-        stmt.lo = sub(stmt.lo)
-        stmt.hi = sub(stmt.hi)
-    elif isinstance(stmt, N.Return) and stmt.value is not None:
-        stmt.value = sub(stmt.value)
-    return changed
+    expressions; returns whether any read was replaced."""
+    return rewrite_stmt_exprs(
+        stmt, lambda expr: substitute_var(expr, sym, replacement))
 
 
 def stmt_reads(stmt: N.Stmt) -> Set[Symbol]:
@@ -150,13 +155,11 @@ def stmt_reads(stmt: N.Stmt) -> Set[Symbol]:
     for expr in N.stmt_exprs(stmt):
         if isinstance(stmt, (N.Assign, N.VectorAssign)) \
                 and expr is stmt.target:
-            if isinstance(expr, N.Mem):
-                out.update(N.vars_read(expr.addr))
-            elif isinstance(expr, N.Section):
-                out.update(N.vars_read(expr.addr))
-                out.update(N.vars_read(expr.length))
+            # A store's target reads only its address parts.
+            for part in expr.children():
+                out |= N.facts(part).reads
             continue
-        out.update(N.vars_read(expr))
+        out |= N.facts(expr).reads
     return out
 
 

@@ -158,6 +158,22 @@ class CompilationResult:
     # the per-function analysis holders: the
     # ``titancc_analysis_solves_total`` family.
     analysis_solves: Counter = field(default_factory=Counter)
+    # (pass, n) -> runs of the pass's fixed point that took n passes:
+    # the ``titancc_pass_iterations`` histogram.
+    pass_iterations: Counter = field(default_factory=Counter)
+
+    def note_iterations(self, pass_name: str, function: str, count: int,
+                        capped: bool) -> None:
+        """One run of a pass-level fixed point (section 5.3: "worst
+        case n passes, ~1 in practice"); ``capped`` when its bound, not
+        convergence, ended it: correct code, maybe under-optimized."""
+        self.pass_iterations[pass_name, count] += 1
+        if capped:
+            self.remarks.analysis(
+                pass_name, function,
+                f"fixed point stopped by its iteration bound after "
+                f"{count} pass(es) with changes still pending "
+                f"(section 5.3's worst case)", iterations=count)
 
     def stage_text(self, stage: str) -> str:
         for dump in self.stages:
@@ -181,8 +197,10 @@ class TitanCompiler:
         self.hooks: tuple = tuple(hooks)
         self._hooks_mutate = any(getattr(hook, "mutates_il", False)
                                  for hook in self.hooks)
-        #: Holder for the function the driver is working on (None
-        #: outside the scalar rounds and the final DCE).
+        #: One analysis holder per function while a compile runs.
+        self._holders: Dict[str, FunctionAnalyses] = {}
+        #: The holder of the function a scalar round or the final DCE
+        #: is working on (None anywhere else).
         self._analyses: Optional[FunctionAnalyses] = None
 
     # ------------------------------------------------------------------
@@ -200,8 +218,16 @@ class TitanCompiler:
         yield
         for hook in self.hooks:
             hook.after_pass(name, program, function, round_no)
-        if self._hooks_mutate and self._analyses is not None:
-            self._analyses.invalidate()
+        if self._hooks_mutate:
+            for holder in self._holders.values():
+                holder.forget()
+
+    def _examined(self, function: str, count: int) -> None:
+        """A pass outside the scalar rounds examined ``count`` loops
+        (or branches) of ``function``.  It reports nothing finer, so
+        any forfeits what is held; none leaves it for the final DCE."""
+        if count and function in self._holders:
+            self._holders[function].forget()
 
     # ------------------------------------------------------------------
 
@@ -220,6 +246,17 @@ class TitanCompiler:
                         filename: str = "<input>",
                         tracer: Optional[PassTracer] = None
                         ) -> CompilationResult:
+        try:
+            return self._compile_program(program, filename, tracer)
+        finally:
+            # Flow graphs are reference cycles; unlink what is held.
+            for holder in self._holders.values():
+                holder.invalidate()
+            self._holders = {}
+
+    def _compile_program(self, program: N.ILProgram, filename: str,
+                         tracer: Optional[PassTracer]
+                         ) -> CompilationResult:
         opts = self.options
         result = CompilationResult(program=program, options=opts,
                                    remarks=RemarkCollector(filename),
@@ -270,6 +307,7 @@ class TitanCompiler:
                         with self._pass("if-convert", program, name):
                             istats = if_convert_function(
                                 fn, remarks=remarks)
+                            self._examined(name, istats.examined)
                         _merge(result.if_convert_stats, name, istats,
                                ("examined", "converted", "statements"))
                     args["ifs_converted"] = sum(
@@ -288,6 +326,7 @@ class TitanCompiler:
                                                 voptions,
                                                 remarks=remarks)
                         stats = vectorizer.run(fn)
+                        self._examined(name, stats.loops_examined)
                         result.vectorize_stats[name] = _merge_vec_stats(
                             result.vectorize_stats.get(name), stats)
                 args["loops_vectorized"] = sum(
@@ -309,6 +348,8 @@ class TitanCompiler:
                     with self._pass("list-parallel", program, name):
                         parallelizer = ListParallelizer()
                         parallelizer.run(fn)
+                        self._examined(
+                            name, parallelizer.stats.loops_examined)
                         result.listparallel_stats[name] = \
                             parallelizer.stats
                 args["statements"] = _program_statements(program)
@@ -324,6 +365,8 @@ class TitanCompiler:
                             pipe = RegisterPipelining(program.symtab,
                                                       remarks=remarks)
                             pipe.run(fn)
+                            self._examined(name,
+                                           pipe.stats.loops_examined)
                             result.regpipe_stats[name] = pipe.stats
                     args["loads_replaced"] = sum(
                         s.loads_replaced
@@ -347,6 +390,8 @@ class TitanCompiler:
                             red = StrengthReduction(program.symtab,
                                                     remarks=remarks)
                             red.run(fn)
+                            self._examined(name,
+                                           red.stats.loops_examined)
                             result.strength_stats[name] = red.stats
                     args["addresses_reduced"] = sum(
                         s.addresses_reduced
@@ -357,8 +402,11 @@ class TitanCompiler:
                 for name, fn in program.functions.items():
                     with self._holding(fn, program, result) as analyses, \
                             self._pass("deadcode", program, name):
-                        eliminate_dead_code(fn, program.globals,
-                                            analyses)
+                        dstats = eliminate_dead_code(
+                            fn, program.globals, analyses)
+                    result.note_iterations("deadcode", name,
+                                           dstats.iterations,
+                                           dstats.capped)
                 args["statements"] = _program_statements(program)
             self._dump(result, "final")
         with trace.span("validate"):
@@ -370,15 +418,17 @@ class TitanCompiler:
     @contextmanager
     def _holding(self, fn: N.ILFunction, program: N.ILProgram,
                  result: CompilationResult):
-        """The analysis holder for ``fn`` while the driver works on it;
-        its graphs are unlinked on the way out."""
-        with FunctionAnalyses(fn, program.globals,
-                              result.analysis_solves) as analyses:
-            self._analyses = analyses
-            try:
-                yield analyses
-            finally:
-                self._analyses = None
+        """The compile's analysis holder for ``fn``, current while the
+        driver works on the function."""
+        analyses = self._holders.get(fn.name)
+        if analyses is None:
+            analyses = self._holders[fn.name] = FunctionAnalyses(
+                fn, program.globals, result.analysis_solves)
+        self._analyses = analyses
+        try:
+            yield analyses
+        finally:
+            self._analyses = None
 
     def _scalar_round(self, program: N.ILProgram,
                       result: CompilationResult,
@@ -386,16 +436,17 @@ class TitanCompiler:
                       round_no: int = 0) -> None:
         """One round over every function.  Constprop and DCE work off
         the function's analysis holder and keep it valid themselves;
-        every other pass reports ``changed`` and the holder is
-        invalidated here on its behalf (section 5.2: build once, and
-        rebuild only after a transformation that disturbed something)."""
+        every other pass reports what it changed and the holder is told
+        here on its behalf (section 5.2: build once, and rebuild only
+        what a transformation disturbed)."""
         opts = self.options
         for name, fn in program.functions.items():
             with self._holding(fn, program, result) as analyses:
                 # Copy propagation first, so while conditions that test a
                 # front-end temp (`while (temp != 0)`) expose the variable.
                 with self._pass("forward-sub", program, name, round_no):
-                    analyses.invalidate(_copy_propagate(fn))
+                    analyses.expressions_rewritten(
+                        _copy_propagate(fn, result))
                 with self._pass("while-to-do", program, name, round_no):
                     wstats = WhileToDo(program.symtab,
                                        strict=opts.strict_while_conversion,
@@ -414,20 +465,29 @@ class TitanCompiler:
                 with self._pass("ivsub", program, name, round_no):
                     istats = InductionVariableSubstitution(
                         program.symtab, remarks=remarks).run(fn)
-                    analyses.invalidate(istats.changed)
+                    analyses.invalidate(istats.restructured)
+                    analyses.expressions_rewritten(istats.changed)
+                for sweeps, capped in istats.forward_sub_runs:
+                    result.note_iterations("forward-sub", name, sweeps,
+                                           capped)
                 _merge(result.ivsub_stats, name, istats,
                        ("loops", "ivs_substituted", "sweeps", "backtracks",
                         "substitutions"))
                 with self._pass("constprop", program, name, round_no):
                     cstats = propagate_constants(fn, program.globals,
                                                  analyses=analyses)
+                result.note_iterations("constprop", name, cstats.rounds,
+                                       cstats.capped)
                 _merge(result.constprop_stats, name, cstats,
                        ("rounds", "constants_propagated", "branches_folded",
                         "loops_deleted", "statements_deleted"))
                 with self._pass("forward-sub", program, name, round_no):
-                    analyses.invalidate(_copy_propagate(fn))
+                    analyses.expressions_rewritten(
+                        _copy_propagate(fn, result))
                 with self._pass("deadcode", program, name, round_no):
                     dstats = eliminate_dead_code(fn, program.globals, analyses)
+                result.note_iterations("deadcode", name, dstats.iterations,
+                                       dstats.capped)
                 _merge(result.dce_stats, name, dstats,
                        ("assignments_removed", "labels_removed",
                         "empty_ifs_removed", "unreachable_removed",
@@ -440,12 +500,16 @@ class TitanCompiler:
                           text=format_program(result.program)))
 
 
-def _copy_propagate(fn: N.ILFunction) -> bool:
+def _copy_propagate(fn: N.ILFunction, result: CompilationResult) -> bool:
     """Conservative forward substitution over every statement list of
-    ``fn``; reports whether anything was substituted."""
+    ``fn``; reports whether anything was substituted (expressions
+    only: substitution never adds, removes or moves a statement)."""
     changed = False
     for lst in utils.each_stmt_list(fn.body):
-        changed |= forward_substitute(lst, aggressive=False).changed
+        stats = forward_substitute(lst, aggressive=False)
+        changed |= stats.changed
+        result.note_iterations("forward-sub", fn.name, stats.sweeps,
+                               stats.capped)
     return changed
 
 

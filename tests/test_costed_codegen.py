@@ -289,7 +289,10 @@ class TestTierPick:
         loop = next(s for s in program.functions["main"].all_statements()
                     if isinstance(s, N.DoLoop))
         call, store = loop.body
-        store.value.left = call.value
+        # Expressions are immutable (their facts are memoized): graft
+        # by rebuilding the node, never by assigning a field.
+        store.value = store.value.replace_children(
+            [call.value, store.value.right])
         del loop.body[0]
         schedules = schedule_program(program, TitanConfig())
         assert loop.sid not in schedules

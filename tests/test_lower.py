@@ -295,6 +295,80 @@ class TestCallsAndGlobals:
         assert Interpreter(program).run("main") == ord("a") + ord("c")
 
 
+LINKED = """
+struct N { int v; struct N *next; };
+struct N a, b, c;
+int main(void) {
+    struct N *p;
+    a.v = 1; b.v = 2; c.v = 40;
+    a.next = &b; b.next = &c; c.next = 0;
+    p = &a;
+    return %s;
+}
+"""
+
+
+class TestSelfReferentialStructs:
+    """ROADMAP item 6 defect (i): a member declared while its own tag
+    was still incomplete (`struct N *next` inside `struct N`) kept the
+    incomplete pointee, so `x.next->v` was refused with "struct 'N'
+    has no field 'v'"."""
+
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    @pytest.mark.parametrize("expr, expected", [
+        ("a.next->v", 2),
+        ("p->next->next->v", 40),
+        ("a.next->next->v + p->next->v", 42),
+    ])
+    def test_member_through_own_tag_compiles_and_runs(self, expr,
+                                                      expected, engine):
+        from repro.interp.interpreter import make_interpreter
+        from repro.pipeline import compile_c
+        source = LINKED % expr
+        assert make_interpreter(compile_to_il(source),
+                                engine).run("main") == expected
+        assert make_interpreter(compile_c(source).program,
+                                engine).run("main") == expected
+
+    def test_union_through_own_tag(self):
+        from repro.interp.interpreter import Interpreter
+        program = compile_to_il(
+            "union U { int v; union U *self; }; union U u, w;"
+            "int main(void) { w.v = 7; u.self = &w;"
+            " return u.self->v; }")
+        assert Interpreter(program).run("main") == 7
+
+    def test_never_completed_tag_is_a_located_diagnostic(self):
+        with pytest.raises(LoweringError, match=r":1:\d+: member access "
+                                                r"into incomplete struct M"):
+            compile_to_il("struct M *q; int f(void) { return q->v; }")
+
+
+class TestFunctionPointerCalls:
+    """ROADMAP item 6 defect (ii): `f(41)` through `int (*f)(int)`
+    lowered to a CallExpr naming "f" and died in the interpreter with
+    "call to unknown function 'f'"."""
+
+    SOURCE = ("int g(int x) { return x + 1; }\n"
+              "int main(void) {\n"
+              "    int (*f)(int);\n"
+              "    f = g;\n"
+              "    return f(41);\n"
+              "}\n")
+
+    def test_rejected_at_the_call_with_line_and_column(self):
+        from repro.fuzz.harness import CLEAN_REJECTIONS
+        with pytest.raises(CLEAN_REJECTIONS,
+                           match=r":5:\d+: call through function "
+                                 r"pointer 'f'"):
+            compile_to_il(self.SOURCE, "fp.c")
+
+    def test_pointer_parameter_too(self):
+        with pytest.raises(LoweringError, match="function pointer 'cmp'"):
+            compile_to_il("int f(int (*cmp)(int, int)) "
+                          "{ return cmp(1, 2); }")
+
+
 class TestSwitchLowering:
     def test_switch_dispatch_and_fallthrough(self):
         src = """

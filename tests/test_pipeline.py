@@ -220,3 +220,98 @@ class TestValidationAfterEveryPass:
         rounds = {event[2] for event in hook.events
                   if event[0] == "constprop"}
         assert rounds == {1, 2}
+
+
+class TestPassIterations:
+    """Section 5.3's "worst case n passes, ~1 in practice", reported:
+    every run of a pass-level fixed point lands in the
+    ``titancc_pass_iterations{pass}`` histogram, and a bound that
+    bites says so in an ``analysis`` remark."""
+
+    CASCADE = ("int main(void) { int a, b, c, d; a = 1; b = a; c = b;"
+               " d = c; return 7; }")
+
+    @staticmethod
+    def example(name):
+        import os
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", name)
+        with open(path) as handle:
+            return handle.read()
+
+    def test_every_fixed_point_run_is_counted(self):
+        result = compile_c(self.example("daxpy.c"))
+        runs = {}
+        for (name, count), n in result.pass_iterations.items():
+            runs.setdefault(name, []).extend([count] * n)
+        assert sorted(runs) == ["constprop", "deadcode", "forward-sub"]
+        functions = len(result.program.functions)
+        rounds = result.options.scalar_opt_rounds
+        # One constprop run per function per round; DCE also once more
+        # at the end.  The totals are the stats the report prints.
+        assert len(runs["constprop"]) == functions * rounds
+        assert len(runs["deadcode"]) == functions * (rounds + 1)
+        assert sum(runs["constprop"]) == sum(
+            s.rounds for s in result.constprop_stats.values())
+        assert sum(runs["deadcode"]) == functions + sum(
+            s.iterations for s in result.dce_stats.values())
+        assert sum(runs["forward-sub"]) > sum(
+            s.sweeps for s in result.ivsub_stats.values()) > 0
+        # "~1 in practice": most runs take one pass.
+        assert runs["forward-sub"].count(1) > len(runs["forward-sub"]) / 2
+
+    def test_histogram_family_beside_the_analysis_solves(self):
+        from repro.obs.counters import (PASS_ITERATIONS_FAMILY,
+                                        record_pass_iterations)
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.report import CompilationReport
+        result = compile_c(self.example("daxpy.c"))
+        registry = MetricsRegistry()
+        record_pass_iterations(registry, result.pass_iterations)
+        text = registry.format_prometheus()
+        for name in ("forward-sub", "constprop", "deadcode"):
+            assert (f'{PASS_ITERATIONS_FAMILY}_count{{pass="{name}"}}'
+                    in text)
+        assert f'{PASS_ITERATIONS_FAMILY}_sum{{pass="constprop"}} 12' \
+            in text
+        # Like the solve counts: a property of the compiler, not of the
+        # compiled program — never in the cached, diffed report bytes.
+        doc = CompilationReport.from_result(result).to_json()
+        assert "pass_iterations" not in doc
+        assert not [r for r in result.remarks
+                    if "iteration bound" in r.message]
+
+    def test_a_bound_that_bites_is_an_analysis_remark(self, monkeypatch):
+        from repro.opt import deadcode
+        # Dead copies that die one per iteration: d, then c, then b ...
+        plain = compile_c(self.CASCADE, CompilerOptions(inline=False))
+        assert max(s.iterations for s in plain.dce_stats.values()) > 1
+        monkeypatch.setattr(deadcode, "MAX_ITERATIONS", 0)
+        capped = compile_c(self.CASCADE, CompilerOptions(inline=False))
+        remarks = [r for r in capped.remarks.for_kind("analysis")
+                   if r.pass_name == "deadcode"]
+        assert remarks and remarks[0].function == "main"
+        assert "iteration bound after 1 pass(es)" in remarks[0].message
+        assert remarks[0].args["iterations"] == 1
+
+    def test_each_pass_reports_its_own_cap(self):
+        from repro.frontend.lower import compile_to_il
+        from repro.opt.constprop import propagate_constants
+        from repro.opt.deadcode import eliminate_dead_code
+        from repro.opt.forward_sub import forward_substitute
+        source = ("int main(void) { int a, b; a = 2; b = a + 1;"
+                  " if (b == 3) return 1; return 0; }")
+
+        def fresh():
+            program = compile_to_il(source, "<t>")
+            return program.functions["main"], program.globals
+
+        fn, _ = fresh()
+        assert forward_substitute(fn.body, max_sweeps=1).capped
+        assert not forward_substitute(fn.body).capped
+        stats = propagate_constants(*fresh(), max_rounds=1)
+        assert stats.rounds == 1 and stats.capped
+        fn, globals_ = fresh()
+        stats = propagate_constants(fn, globals_)
+        assert stats.rounds > 1 and not stats.capped
+        assert not eliminate_dead_code(fn, globals_).capped

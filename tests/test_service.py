@@ -127,6 +127,20 @@ class TestClientAPI:
         assert response["error"]["phase"] == "frontend"
         assert response["error"]["kind"] == "reject"
 
+    def test_function_pointer_call_is_a_frontend_reject(self, service):
+        # It used to compile and fail at run time ("call to unknown
+        # function 'f'"): phase "run", no source position.
+        response = service.submit({
+            "filename": "fp.c", "run": "main",
+            "source": "int g(int x) { return x + 1; }\n"
+                      "int main(void) { int (*f)(int); f = g;\n"
+                      "  return f(41); }\n"})
+        assert response["status"] == "error"
+        error = response["error"]
+        assert (error["phase"], error["kind"], error["type"]) == \
+            ("frontend", "reject", "LoweringError")
+        assert "fp.c:3:" in error["message"]
+
     def test_crash_classified(self, service):
         deep = "int main(void){ return %s1%s; }" \
             % ("(" * 4000, ")" * 4000)
