@@ -56,6 +56,12 @@ INSTRUMENTED_GATE = 2.0
 #: a time, exactly as it did then.
 PER_LANE_ELEMENTS_PER_SEC = {32: (4_782_000.0, 966_000.0),
                              2048: (7_168_000.0, 1_320_000.0)}
+#: The same at that commit for :func:`int_lanes_program` — integer
+#: lanes: an ``iota & mask`` fill and a ``reduce+`` strip loop (bests
+#: of four interleaved measurements).  The commit before integer
+#: wraps were deferred or proved away read 2.2x and 3.1x this floor.
+INT_PER_LANE_ELEMENTS_PER_SEC = {32: (4_015_000.0, 774_000.0),
+                                 2048: (5_943_000.0, 1_034_000.0)}
 VECTOR_GATE = 3.0
 
 BACKSOLVE_N = 512
@@ -237,15 +243,33 @@ def test_e13_cycle_stream_identical():
     assert total == fast.cycles == oracle.cycles
 
 
-def _vector_rate(program, vector_length, engine):
-    """Vector elements per host second of daxpy under the cost model
-    (one element = one lane of one vector instruction, as the model
-    counts them), best of ``REPS`` batches, plus the last report."""
+def int_lanes_program(n):
+    """All-``int`` vector code, the shape every kernel's set-up loops
+    and the fuzzer's programs have."""
+    return (f"int a[{n}];\n"
+            "int bench(void)\n{\n    int i, s;\n"
+            f"    for (i = 0; i < {n}; i++)\n"
+            "        a[i] = (i + 3) & 7;\n"
+            "    s = 0;\n"
+            f"    for (i = 0; i < {n}; i++)\n"
+            "        s = s + a[i];\n"
+            "    return s;\n}\n")
+
+
+def _daxpy_arrays(sim):
+    sim.set_global_array("b", [1.0] * VECTOR_DAXPY_N)
+    sim.set_global_array("c", [2.0] * VECTOR_DAXPY_N)
+
+
+def _vector_rate(program, vector_length, engine, setup):
+    """Vector elements per host second of ``bench`` under the cost
+    model (one element = one lane of one vector instruction, as the
+    model counts them), best of ``REPS`` batches, plus the last
+    report."""
     sim = TitanSimulator(
         program, TitanConfig(max_vector_length=vector_length),
         engine=engine, max_steps=500_000_000)
-    sim.set_global_array("b", [1.0] * VECTOR_DAXPY_N)
-    sim.set_global_array("c", [2.0] * VECTOR_DAXPY_N)
+    setup(sim)
     report = sim.run("bench")  # warm-up: one-time lowering
     start = time.perf_counter()
     sim.run("bench")
@@ -264,33 +288,42 @@ def _vector_rate(program, vector_length, engine):
 
 def test_e13_vector_lane_rate():
     # A vector statement costs the host per instruction, not per lane:
-    # daxpy's strips, costed, at a short and a long vector length.
+    # daxpy's strips and all-int strips, costed, at a short and a long
+    # vector length.
     from repro.pipeline import CompilerOptions
     rows = []
-    for vector_length, (per_lane, oracle_then) in \
-            PER_LANE_ELEMENTS_PER_SEC.items():
-        program = compile_c(
-            caller_program(n=VECTOR_DAXPY_N),
-            CompilerOptions(vector_length=vector_length)).program
-        rate = oracle_now = 0.0
-        for _ in range(2):  # taking turns, so both see the same host
-            best, fast = _vector_rate(program, vector_length, "compiled")
-            rate = max(rate, best)
-            best, oracle = _vector_rate(program, vector_length, "tree")
-            oracle_now = max(oracle_now, best)
-        assert fast.counters.vector_elements > 0
-        assert fast.cycles == oracle.cycles
-        assert fast.counters == oracle.counters
-        assert fast.breakdown == oracle.breakdown
-        floor = per_lane * oracle_now / oracle_then
-        record_bench("e13_engine", f"daxpy_vl{vector_length}", metrics={
-            "host_vector_elements_per_sec": rate,
-            "host_vector_oracle_elements_per_sec": oracle_now,
-            "host_vector_x_per_lane": rate / floor,
-        })
-        rows.append(Row(
-            f"daxpy vector lanes at VL {vector_length}",
-            f">={VECTOR_GATE:.0f}x per-lane", f"{rate / floor:.1f}x",
-            rate >= VECTOR_GATE * floor))
+    for name, source, setup, floors in (
+            ("daxpy", caller_program(n=VECTOR_DAXPY_N), _daxpy_arrays,
+             PER_LANE_ELEMENTS_PER_SEC),
+            ("intlanes", int_lanes_program(VECTOR_DAXPY_N),
+             lambda sim: None, INT_PER_LANE_ELEMENTS_PER_SEC)):
+        for vector_length, (per_lane, oracle_then) in floors.items():
+            program = compile_c(
+                source,
+                CompilerOptions(vector_length=vector_length)).program
+            rate = oracle_now = 0.0
+            for _ in range(2):  # taking turns: both see the same host
+                best, fast = _vector_rate(program, vector_length,
+                                          "compiled", setup)
+                rate = max(rate, best)
+                best, oracle = _vector_rate(program, vector_length,
+                                            "tree", setup)
+                oracle_now = max(oracle_now, best)
+            assert fast.counters.vector_elements > 0
+            assert fast.result == oracle.result
+            assert fast.cycles == oracle.cycles
+            assert fast.counters == oracle.counters
+            assert fast.breakdown == oracle.breakdown
+            floor = per_lane * oracle_now / oracle_then
+            record_bench(
+                "e13_engine", f"{name}_vl{vector_length}", metrics={
+                    "host_vector_elements_per_sec": rate,
+                    "host_vector_oracle_elements_per_sec": oracle_now,
+                    "host_vector_x_per_lane": rate / floor,
+                })
+            rows.append(Row(
+                f"{name} vector lanes at VL {vector_length}",
+                f">={VECTOR_GATE:.0f}x per-lane",
+                f"{rate / floor:.1f}x", rate >= VECTOR_GATE * floor))
     print_table("E13: vector lanes under the cost model", rows)
     assert all(r.ok for r in rows)

@@ -215,8 +215,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     # info).  Artifact streams — the IL listing, dumps, reports — stay
     # plain prints.
     log = Logger("titancc", json_mode=args.log_json, quiet=args.quiet)
-    with open(args.source) as handle:
-        source = handle.read()
+    try:
+        with open(args.source) as handle:
+            source = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read {args.source}: "
+                     f"{getattr(exc, 'strerror', None) or exc}")
 
     if args.make_db:
         program = compile_to_il(source, args.source)

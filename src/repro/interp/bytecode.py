@@ -117,7 +117,8 @@ from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
-from . import vectorgen
+from . import intfacts, vectorgen
+from .intfacts import IntFact
 from .interpreter import (Interpreter, InterpreterError,
                           StepLimitExceeded, Value, _Frame,
                           _memory_locals, _trip_values)
@@ -351,9 +352,14 @@ class _CodeGenerator:
         # evaluated) occurrence walrus-bound.  Reset at each statement
         # emission; inserts are disabled inside lazily-evaluated
         # positions (Select arms, vector lanes).
-        self._cse: Dict[tuple, str] = {}
+        self._cse: Dict[tuple, Tuple[str, Optional[IntFact]]] = {}
         self._cse_worthy: Set[tuple] = set()
         self._cse_lazy = 0
+        # Where a register provably stays while the code being
+        # generated runs: a DO variable inside its structured body.
+        self._ranges: Dict[Symbol, IntFact] = {}
+        # (site, outcome) -> integer conversions decided that way.
+        self._conversions: Dict[Tuple[str, str], int] = {}
 
     # -- environment bindings ----------------------------------------------
 
@@ -435,16 +441,17 @@ class _CodeGenerator:
                 self._note_op(expr)
 
     def _captured(self, expr: N.Expr, env: Dict[str, object],
-                  arm: bool = False) -> Tuple[str, List]:
+                  arm: bool = False, ring: bool = False
+                  ) -> Tuple[str, List, Optional[IntFact]]:
         """Generate ``expr`` with a fresh event list: (its source, the
-        events its evaluation causes) — for code that runs
-        conditionally (a Select ``arm``, a lazily filled vector
-        cache)."""
+        events its evaluation causes, its integer fact) — for code
+        that runs conditionally (a Select ``arm``, a lazily filled
+        vector cache)."""
         saved = self._items, self._in_arm
         self._items, self._in_arm = [], arm
         try:
-            src = self._gen(expr, env)
-            return src, self._items
+            src, fact = self._gen_fact(expr, env, ring)
+            return src, self._items, fact
         finally:
             self._items, self._in_arm = saved
 
@@ -560,16 +567,18 @@ class _CodeGenerator:
                         f"-{_F32_MAX!r} <= ({t} := float({raw})) "
                         f"<= {_F32_MAX!r} else _f32({t}))")
             return f"float({raw})"
-        if isinstance(ctype, IntType):
-            bits = ctype.sizeof() * 8
-            mask = (1 << bits) - 1
-            if ctype.signed:
-                half = 1 << (bits - 1)
-                return f"(((int({raw}) & {mask}) ^ {half}) - {half})"
-            return f"(int({raw}) & {mask})"
-        if isinstance(ctype, PointerType):
-            return f"(int({raw}) & 4294967295)"
+        if isinstance(ctype, (IntType, PointerType)):
+            return self._settle(f"int({raw})", None, ctype)[0]
         return raw
+
+    def _settle(self, src: str, raw: Optional[IntFact], ctype: CType,
+                ring: bool = False, site: str = "scalar"
+                ) -> Tuple[str, IntFact]:
+        """:func:`intfacts.settle`, with the decision tallied."""
+        src, fact, outcome = intfacts.settle(src, raw, ctype, ring)
+        key = (site, outcome)
+        self._conversions[key] = self._conversions.get(key, 0) + 1
+        return src, fact
 
     def _gen_load(self, addr_src: str, ctype: CType,
                   env: Dict[str, object],
@@ -595,14 +604,16 @@ class _CodeGenerator:
     def _gen_store_lines(self, addr_src: str, value_src: str,
                          ctype: CType, env: Dict[str, object],
                          const_addr: Optional[int] = None,
-                         float_value: bool = False) -> List[str]:
+                         float_value: bool = False,
+                         fact: Optional[IntFact] = None) -> List[str]:
         """Inline memory store: value into a temp first (the oracle's
         evaluation order), bounds check, conversion, pre-bound pack;
         the oracle's own ``Memory.store`` is the fault path, so the
         error message is exact.  ``float_value`` asserts the caller
         proved ``value_src`` is a Python float already
         (conversion-wrapped sources always are), eliding the store's
-        redundant float() coercion."""
+        redundant float() coercion; ``fact`` is what is known of an
+        int ``value_src``."""
         memory = self.engine.memory
         fmt = _struct_format(ctype)
         if fmt is None:
@@ -633,18 +644,9 @@ class _CodeGenerator:
             else:
                 value = v if float_value else f"float({v})"
                 lines.append(f"{pack}({data}, {a}, {value})")
-        elif isinstance(ctype, PointerType):
-            lines.append(f"{pack}({data}, {a}, int({v}) & 4294967295)")
         else:
-            bits = size * 8
-            mask = (1 << bits) - 1
-            if ctype.signed:
-                half = 1 << (bits - 1)
-                lines.append(
-                    f"{pack}({data}, {a}, "
-                    f"(((int({v}) & {mask}) ^ {half}) - {half}))")
-            else:
-                lines.append(f"{pack}({data}, {a}, int({v}) & {mask})")
+            value = self._settle(v if fact else f"int({v})", fact, ctype)[0]
+            lines.append(f"{pack}({data}, {a}, {value})")
         return lines
 
     # -- variable access ---------------------------------------------------
@@ -674,67 +676,50 @@ class _CodeGenerator:
                                                           None))
 
     def _conv_matches(self, expr: N.Expr, ctype: CType) -> bool:
-        """True when ``_gen(expr)`` already yields a value converted
+        """True when ``_gen(expr)`` already yields a float converted
         to ``ctype`` — the write-side conversion is then idempotent
         and can be skipped (registers hold converted values, loads
         reproduce the exact stored representation, every arithmetic
-        kernel converts its result)."""
-        if isinstance(expr, N.BinOp):
-            if expr.op in self._CMP_OPS:
-                # Comparisons yield raw 0/1, invariant under any
-                # integer or pointer conversion.
-                return isinstance(ctype, (IntType, PointerType))
-            if expr.op in self._ARITH_OPS or expr.op in KERNEL_OPS:
-                return self._same_ctype(expr.ctype, ctype)
+        kernel converts its result).  An int says so in its fact."""
+        if not isinstance(ctype, FloatType) or \
+                not self._float_valued(expr):
             return False
-        if isinstance(expr, N.UnOp):
-            if expr.op == "not":
-                return isinstance(ctype, (IntType, PointerType))
-            if expr.op in ("neg", "bnot"):
-                return self._same_ctype(expr.ctype, ctype)
-            return False
-        if isinstance(expr, (N.Cast, N.Select)):
-            return self._same_ctype(expr.ctype, ctype)
         if isinstance(expr, N.VarRef):
-            sym = expr.sym
-            return (not sym.is_volatile
-                    and not _is_aggregate(sym.ctype)
-                    and self._same_ctype(sym.ctype, ctype))
-        if isinstance(expr, N.Mem):
-            return (not _is_aggregate(expr.ctype)
-                    and self._same_ctype(expr.ctype, ctype))
-        return False
+            return self._same_ctype(expr.sym.ctype, ctype)
+        return not isinstance(expr, N.Const) and \
+            self._same_ctype(expr.ctype, ctype)
 
     def _gen_write_lines(self, sym: Symbol, value_src: str,
                          env: Dict[str, object],
-                         pre_converted: bool = False) -> List[str]:
+                         pre_converted: bool = False,
+                         fact: Optional[IntFact] = None) -> List[str]:
         """Variable write: the oracle's conversion-then-store order
         (conversion rounds f32 *before* the store-level clamp).
         ``pre_converted`` skips the conversion when the caller proved
-        ``value_src`` already carries a ``sym.ctype`` value."""
+        ``value_src`` already carries a ``sym.ctype`` value; ``fact``
+        is what is known of an int ``value_src``."""
         if sym.is_volatile:
             raise _Fallback("volatile write")
         kind, where = self._binding(sym)
-        if kind == "reg":
+        if kind != "reg" and _is_aggregate(sym.ctype):
+            raise _Fallback("aggregate scalar write")
+        held = intfacts.of_type(sym.ctype)
+        if fact is not None and held is not None:
+            value = self._settle(value_src, fact, sym.ctype)[0]
+        else:
             value = value_src if pre_converted \
                 else self._gen_conv(value_src, sym.ctype, env)
+        if kind == "reg":
             self._da.add(where)
             return [f"_r{where} = {value}"]
-        if _is_aggregate(sym.ctype):
-            raise _Fallback("aggregate scalar write")
         self._note("store")
-        value = value_src if pre_converted \
-            else self._gen_conv(value_src, sym.ctype, env)
-        # A conversion-wrapped (or proven pre-converted) value for a
-        # float symbol is a Python float already.
-        is_float = isinstance(sym.ctype, FloatType)
-        if kind == "mem":
-            return self._gen_store_lines(f"_m{where}", value,
-                                         sym.ctype, env,
-                                         float_value=is_float)
-        return self._gen_store_lines(str(where), value, sym.ctype,
-                                     env, const_addr=where,
-                                     float_value=is_float)
+        # A converted (or proven pre-converted) value carries the
+        # symbol's type: a Python float for a float symbol, an int in
+        # range for an integer one.
+        return self._gen_store_lines(
+            f"_m{where}" if kind == "mem" else str(where), value,
+            sym.ctype, env, const_addr=None if kind == "mem" else where,
+            float_value=isinstance(sym.ctype, FloatType), fact=held)
 
     # -- expressions -------------------------------------------------------
 
@@ -822,42 +807,55 @@ class _CodeGenerator:
         self._cse_worthy = {k for k, n in counts.items() if n >= 2}
 
     def _gen(self, expr: N.Expr, env: Dict[str, object]) -> str:
+        return self._gen_fact(expr, env)[0]
+
+    def _gen_fact(self, expr: N.Expr, env: Dict[str, object],
+                  ring: bool = False) -> Tuple[str, Optional[IntFact]]:
+        """Source of ``expr`` — one atom: a name, a literal, a call or
+        something parenthesized — and, when :meth:`_int_valued` says it
+        is a Python int, what :mod:`intfacts` knows about it.
+        ``ring`` says the consumer is a ring operator, which a
+        deferred wrap cannot change."""
         # Within-statement CSE: the first occurrence of a repeated
         # pure subexpression walrus-binds a temp, later occurrences
         # reuse it.  The memo is cleared at every statement boundary;
         # inserts are suppressed in lazily-evaluated positions
         # (Select arms, vector lanes) where the binding might not
-        # execute before a reuse would read it.
+        # execute before a reuse would read it.  What is bound is
+        # exact: a later occurrence may be an observer's.
         key = self._cse_key(expr)
         if key is not None:
             hit = self._cse.get(key)
             if hit is not None:
                 self._note_pure(expr)
                 return hit
-        src = self._gen_inner(expr, env)
+        bind = key is not None and self._cse_lazy == 0 and \
+            key in self._cse_worthy and \
+            isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select))
+        src, fact = self._gen_inner(expr, env, ring and not bind)
         if isinstance(expr, (N.BinOp, N.UnOp, N.Select)):
             self._note_op(expr)
         elif isinstance(expr, N.Mem):
             self._note("load")
-        if key is not None and self._cse_lazy == 0 and \
-                key in self._cse_worthy and \
-                isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select)):
+        if bind:
             name = self._tmp_name()
-            self._cse[key] = name
-            return f"({name} := {src})"
-        return src
+            self._cse[key] = (name, fact)
+            return f"({name} := {src})", fact
+        return src, fact
 
-    def _gen_inner(self, expr: N.Expr, env: Dict[str, object]) -> str:
+    def _gen_inner(self, expr: N.Expr, env: Dict[str, object],
+                   ring: bool) -> Tuple[str, Optional[IntFact]]:
+        ctype = expr.ctype
         if isinstance(expr, N.AddrOf):
             sym = expr.sym
             slot = self._mem_slots.get(sym)
-            if slot is not None:
-                return f"_m{slot}"
             memory = self.engine.memory
+            if slot is not None:
+                return f"_m{slot}", IntFact(0, len(memory.data))
             if memory.has_storage(sym):
                 addr = memory.address_of(sym)
                 self._baked.append((sym, addr))
-                return f"({addr})"
+                return repr(addr), IntFact(addr, addr)
             # Lazy allocation of address-taken storage mutates engine
             # state mid-run: the oracle's to do.
             raise _Fallback("address of lazily-allocated symbol")
@@ -867,9 +865,9 @@ class _CodeGenerator:
             helper = self._bind(
                 env, _make_call_helper(self.engine, expr.name, costed),
                 ("call", expr.name, costed))
-            args = [f"({self._gen(a, env)})" for a in expr.args]
+            args = [self._gen(a, env) for a in expr.args]
             if not costed:
-                return f"{helper}({', '.join(args)})"
+                return f"{helper}({', '.join(args)})", None
             if self._in_arm:
                 # The events pending outside the arm would have to be
                 # settled before this call, on this arm only.
@@ -885,113 +883,112 @@ class _CodeGenerator:
             args.append("(" + ", ".join(settle) + ",)")
             t = self._tmp_name()
             return (f"(({t} := {helper}({', '.join(args)})), "
-                    f"(_cy := _M.cycles))[0]")
+                    f"(_cy := _M.cycles))[0]"), None
         if isinstance(expr, (N.Section, N.Iota)):
             raise _Fallback("vector expression in scalar context")
-        if isinstance(expr, N.Mem) and not _is_aggregate(expr.ctype):
-            # Known-int addresses skip the int() wrap.
+        if isinstance(expr, N.Mem) and not _is_aggregate(ctype):
             addr = self._gen_int(expr.addr, env)
-            return self._gen_load(addr, expr.ctype, env)
-        if isinstance(expr, N.BinOp) and expr.op in ("+", "-", "*") \
-                and isinstance(expr.ctype, FloatType) \
-                and (self._float_valued(expr.left)
-                     or self._float_valued(expr.right)):
-            # One float operand makes the Python result a float, so
-            # the conversion's float() coercion is the identity.
-            left = self._gen(expr.left, env)
-            right = self._gen(expr.right, env)
-            raw = f"(({left}) {expr.op} ({right}))"
-            if expr.ctype.sizeof() != 4:
-                return raw
-            pk = self._bind(env, _F32_PACK)
-            up = self._bind(env, _F32_UNPACK)
-            t = self._tmp_name()
-            return (f"({up}({pk}({t}))[0] if "
-                    f"-{_F32_MAX!r} <= ({t} := {raw}) "
-                    f"<= {_F32_MAX!r} else _f32({t}))")
-        if isinstance(expr, N.BinOp) and expr.op in ("+", "-", "*") \
-                and isinstance(expr.ctype, (IntType, PointerType)) \
-                and self._int_valued(expr.left) \
-                and self._int_valued(expr.right):
-            # Both operands are Python ints already: the conversion's
-            # int() is the identity, so emit the mask math directly.
-            left = self._gen(expr.left, env)
-            right = self._gen(expr.right, env)
-            raw = f"(({left}) {expr.op} ({right}))"
-            if isinstance(expr.ctype, PointerType):
-                return f"({raw} & 4294967295)"
-            bits = expr.ctype.sizeof() * 8
-            mask = (1 << bits) - 1
-            if expr.ctype.signed:
-                half = 1 << (bits - 1)
-                return f"((({raw} & {mask}) ^ {half}) - {half})"
-            return f"({raw} & {mask})"
+            return (self._gen_load(addr, ctype, env),
+                    intfacts.of_type(ctype))
         if isinstance(expr, N.Const):
             value = expr.value
+            if isinstance(value, int):
+                return intfacts.literal(value), IntFact(value, value)
             if isinstance(value, float) and \
                     (value != value or value in (math.inf, -math.inf)):
-                return self._bind(env, value)
-            return f"({value!r})"
+                return self._bind(env, value), None
+            return f"({value!r})", None
         if isinstance(expr, N.VarRef):
-            return self._gen_var_read(expr.sym, env)
+            fact = self._ranges.get(expr.sym) \
+                or intfacts.of_type(expr.sym.ctype)
+            return (self._gen_var_read(expr.sym, env),
+                    fact if self._int_valued(expr) else None)
+        held = intfacts.of_type(ctype)
         if isinstance(expr, N.BinOp):
             op = expr.op
-            left = self._gen(expr.left, env)
-            right = self._gen(expr.right, env)
+            ints = held is not None and self._int_valued(expr.left) \
+                and self._int_valued(expr.right)
+            defer = ints and op in intfacts.RING_OPS
+            left, lf = self._gen_fact(expr.left, env, defer)
+            right, rf = self._gen_fact(expr.right, env,
+                                       defer or (ints and op == ">>"))
+            if ints and op in intfacts.INLINE_OPS:
+                return self._settle(
+                    *intfacts.binop(op, left, lf, right, rf), ctype, ring)
             if op in self._CMP_OPS:
-                return f"(1 if ({left}) {op} ({right}) else 0)"
+                return f"(1 if {left} {op} {right} else 0)", intfacts.BIT
+            if op in ("+", "-", "*") and isinstance(ctype, FloatType) \
+                    and (self._float_valued(expr.left)
+                         or self._float_valued(expr.right)):
+                # One float operand makes the Python result a float, so
+                # the conversion's float() coercion is the identity.
+                raw = f"({left} {op} {right})"
+                if ctype.sizeof() != 4:
+                    return raw, None
+                pk = self._bind(env, _F32_PACK)
+                up = self._bind(env, _F32_UNPACK)
+                t = self._tmp_name()
+                return (f"({up}({pk}({t}))[0] if "
+                        f"-{_F32_MAX!r} <= ({t} := {raw}) "
+                        f"<= {_F32_MAX!r} else _f32({t}))"), None
             if op in self._ARITH_OPS:
                 if op in ("<<", ">>"):
                     raw = f"(int({left}) {op} (int({right}) & 31))"
                 elif op in ("&", "|", "^"):
                     raw = f"(int({left}) {op} int({right}))"
                 else:
-                    raw = f"(({left}) {op} ({right}))"
-                return self._gen_conv(raw, expr.ctype, env)
+                    raw = f"({left} {op} {right})"
+                return self._gen_conv(raw, ctype, env), held
             if op not in KERNEL_OPS:
                 # The oracle raises its message when it gets there.
                 raise _Fallback(f"operator {op!r}")
             # Division/modulo fault ordering and min/max stay behind a
             # pre-bound kernel; Python's call-argument order keeps
             # left-then-right evaluation.
-            impl = self._bind(env, _binop_impl(op, expr.ctype))
-            return f"{impl}(({left}), ({right}))"
-        if isinstance(expr, N.UnOp):
-            op = expr.op
-            operand = self._gen(expr.operand, env)
-            if op == "neg":
-                return self._gen_conv(f"(-({operand}))", expr.ctype, env)
+            impl = self._bind(env, _binop_impl(op, ctype))
+            return f"{impl}({left}, {right})", held
+        if isinstance(expr, (N.UnOp, N.Cast)):
+            op = getattr(expr, "op", "cast")
             if op == "not":
-                return f"(0 if ({operand}) else 1)"
-            if op == "bnot":
-                return self._gen_conv(f"(~int({operand}))",
-                                      expr.ctype, env)
-            raise _Fallback(f"operator {op!r}")
-        if isinstance(expr, N.Cast):
-            return self._gen_conv(f"({self._gen(expr.operand, env)})",
-                                  expr.ctype, env)
+                operand = self._gen(expr.operand, env)
+                return f"(0 if {operand} else 1)", intfacts.BIT
+            if op not in ("neg", "bnot", "cast"):
+                raise _Fallback(f"operator {op!r}")
+            defer = held is not None and self._int_valued(expr.operand)
+            operand, fact = self._gen_fact(expr.operand, env, defer)
+            if defer:
+                if op != "cast":
+                    operand, fact = intfacts.negated(op, operand, fact)
+                return self._settle(operand, fact, ctype, ring)
+            raw = {"neg": f"(-{operand})", "bnot": f"(~int({operand}))"
+                   }.get(op, operand)
+            return self._gen_conv(raw, ctype, env), held
         if isinstance(expr, N.Select):
             # Python's conditional expression is lazy exactly like the
             # oracle's Select: condition, then only the chosen arm —
             # so no CSE inserts inside.
+            defer = held is not None and self._int_valued(expr.then) \
+                and self._int_valued(expr.otherwise)
             self._cse_lazy += 1
             try:
                 cond = self._gen(expr.cond, env)
-                then, then_items = self._captured(expr.then, env,
-                                                  arm=True)
-                other, other_items = self._captured(expr.otherwise, env,
-                                                    arm=True)
+                then, then_items, tf = self._captured(
+                    expr.then, env, arm=True, ring=defer)
+                other, other_items, of = self._captured(
+                    expr.otherwise, env, arm=True, ring=defer)
             finally:
                 self._cse_lazy -= 1
             if then_items or other_items:
                 # Only the taken arm's events are charged: replayed
                 # at the next sync from the condition's value.
                 t = self._tmp_name()
-                cond = f"{t} := {cond}"
+                cond = f"({t} := {cond})"
                 self._items.append((t, then_items, other_items))
-            return self._gen_conv(
-                f"(({then}) if ({cond}) else ({other}))",
-                expr.ctype, env)
+            raw = f"({then} if {cond} else {other})"
+            if defer:
+                return self._settle(raw, intfacts.join(tf, of), ctype,
+                                    ring)
+            return self._gen_conv(raw, ctype, env), held
         # Aggregate Mem or an unknown node kind: the oracle raises
         # its message when it gets there.
         raise _Fallback("oracle-only construct")
@@ -1095,10 +1092,11 @@ class _CodeGenerator:
 
     def _int_valued(self, expr: N.Expr) -> bool:
         """True when the generated source is guaranteed to be a Python
-        int already: converted integer/pointer arithmetic, integer
-        register reads and loads, comparisons.  Lets address contexts
-        skip a redundant ``int()`` wrap."""
-        if isinstance(expr, (N.BinOp, N.UnOp, N.Cast)):
+        int already (:meth:`_gen_fact` then says what is known about
+        it): converted integer/pointer arithmetic, integer register
+        reads and loads, comparisons, addresses.  Lets address
+        contexts skip a redundant ``int()`` wrap."""
+        if isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select, N.Mem)):
             return isinstance(expr.ctype, (IntType, PointerType))
         if isinstance(expr, N.VarRef):
             sym = expr.sym
@@ -1107,13 +1105,11 @@ class _CodeGenerator:
                     and isinstance(sym.ctype, (IntType, PointerType)))
         if isinstance(expr, N.Const):
             return isinstance(expr.value, int)
-        return False
+        return isinstance(expr, N.AddrOf)
 
     def _gen_int(self, expr: N.Expr, env: Dict[str, object]) -> str:
         src = self._gen(expr, env)
-        if self._int_valued(expr):
-            return f"({src})"
-        return f"int({src})"
+        return src if self._int_valued(expr) else f"int({src})"
 
     def _float_valued(self, expr: N.Expr) -> bool:
         """True when the generated source is guaranteed to be a Python
@@ -1144,19 +1140,20 @@ class _CodeGenerator:
         target = stmt.target
         if isinstance(target, N.VarRef):
             sym = target.sym
+            value, fact = self._gen_fact(stmt.value, env)
             return self._gen_write_lines(
-                sym, f"({self._gen(stmt.value, env)})", env,
+                sym, value, env, fact=fact,
                 pre_converted=self._conv_matches(stmt.value, sym.ctype))
         if isinstance(target, N.Mem):
             if _is_aggregate(target.ctype):
                 raise _Fallback("aggregate store")
             # Value before address — the oracle's evaluation order
             # (store lines land the value in a temp first).
-            value = self._gen(stmt.value, env)
+            value, fact = self._gen_fact(stmt.value, env)
             addr = self._gen_int(target.addr, env)
             self._note("store")
             return self._gen_store_lines(
-                addr, value, target.ctype, env,
+                addr, value, target.ctype, env, fact=fact,
                 float_value=self._float_valued(stmt.value))
         raise _Fallback("bad assign target")
 
@@ -1212,9 +1209,12 @@ class _CodeGenerator:
                 self._ncalls += 1  # the step cell is flushed around it
             return lines + lane
         bulk = vectorgen.BulkStatement(self, stmt, env)
-        if isinstance(stmt, N.VectorAssign):
-            return lines + bulk.assign_lines(lane)
-        return lines + bulk.reduce_lines(lane)
+        body = bulk.assign_lines(lane) if isinstance(stmt, N.VectorAssign) \
+            else bulk.reduce_lines(lane)
+        if bulk.proved is not None:
+            lines[0] += f", int lanes in [{bulk.proved.lo}, " \
+                        f"{bulk.proved.hi}]"
+        return lines + body
 
     def _vector_lane_lines(self, stmt: N.Stmt, env: Dict[str, object],
                            bulk: bool) -> List[str]:
@@ -1315,8 +1315,7 @@ class _CodeGenerator:
                 sub = ["count += 1", "if count > _ms: _hit(_ms + 1)"]
                 da0 = set(self._da)
                 self._quiet = quiet
-                sub.extend(self._gen_write_lines(stmt.var, it, env))
-                sub.extend(self._gen_stmt_list_lines(stmt.body, env))
+                sub.extend(self._gen_trip_lines(stmt, it, env)[0])
                 self._note("branch")
                 self._cost_sync(sub)
                 self._quiet = False  # scheduled loops do not nest
@@ -1332,6 +1331,28 @@ class _CodeGenerator:
                     f"{type(stmt).__name__} in structured body")
         self._cost_sync(lines)
         return lines
+
+    def _gen_trip_lines(self, stmt: N.DoLoop, it: str,
+                        env: Dict[str, object]
+                        ) -> Tuple[List[str], Optional[IntFact]]:
+        """One trip of a structured DO loop: the variable's write,
+        then the body.  Between integer constant bounds the trip
+        values lie between them (returned too), and a register
+        nothing else writes stays there throughout the body."""
+        var, trips, ends = stmt.var, None, (stmt.lo, stmt.hi)
+        if all(isinstance(end, N.Const) and isinstance(end.value, int)
+               for end in ends):
+            trips = IntFact(*sorted(end.value for end in ends))
+        lines = self._gen_write_lines(var, it, env, fact=trips)
+        if intfacts.fits(trips, var.ctype) and \
+                self._reg_slot(var) is not None and not any(
+                    getattr(inner, "var", None) is var or getattr(
+                        getattr(inner, "target", None), "sym", None) is var
+                    for inner in N.walk_statements(stmt.body)):
+            self._ranges[var] = trips
+        lines.extend(self._gen_stmt_list_lines(stmt.body, env))
+        self._ranges.pop(var, None)
+        return lines, trips
 
     def _emit_special_loop(self, stmt: N.DoLoop, env: Dict[str, object],
                            lines: List[str]) -> None:
@@ -1362,8 +1383,7 @@ class _CodeGenerator:
         lines.append(f"for {it} in {tr}:")
         da0 = set(self._da)
         self._quiet = quiet
-        body = self._gen_write_lines(stmt.var, it, env)
-        body.extend(self._gen_stmt_list_lines(stmt.body, env))
+        body, trips = self._gen_trip_lines(stmt, it, env)
         self._quiet = False
         self._da = da0  # per-trip writes are conditional on trips
         lines.extend(_ind(body))
@@ -1376,7 +1396,8 @@ class _CodeGenerator:
         # definitely assigned downstream).
         lines.extend(self._gen_write_lines(
             stmt.var, f"({tr}[-1] + {stmt.step!r} if {tr} else {tlo})",
-            env))
+            env, fact=trips and IntFact(trips.lo + min(stmt.step, 0),
+                                        trips.hi + max(stmt.step, 0))))
 
     # -- flow lowering -----------------------------------------------------
 
@@ -1805,29 +1826,23 @@ class _CodeGenerator:
                     self._quiet = True
                     lines.append(f"{self._iter_local(stmt.sid)} += 1")
                 kind2, where = self._binding(sym)
-                if kind2 == "reg":
-                    if where in self._da:
-                        # Fault-free register bump: tick stays pending.
-                        value = self._gen_conv(
-                            f"(_r{where} + {stmt.step!r})",
-                            sym.ctype, env)
-                        lines.append(f"_r{where} = {value}")
-                    else:
-                        flush_ticks()
-                        un = self._bind(env, sym.name)
-                        lines.append(f"if _r{where} is _U: _ui({un})")
-                        value = self._gen_conv(
-                            f"(_r{where} + {stmt.step!r})",
-                            sym.ctype, env)
-                        lines.append(f"_r{where} = {value}")
-                        self._da.add(where)
-                else:
+                t = f"_r{where}"
+                if kind2 != "reg":
                     flush_ticks()
                     t = self._tmp_name()
                     lines.append(
                         f"{t} = {self._gen_var_read(sym, env)}")
-                    lines.extend(self._gen_write_lines(
-                        sym, f"({t} + {stmt.step!r})", env))
+                elif where not in self._da:
+                    # (Else a fault-free register bump: the tick stays
+                    # pending.)
+                    flush_ticks()
+                    un = self._bind(env, sym.name)
+                    lines.append(f"if {t} is _U: _ui({un})")
+                held = intfacts.of_type(sym.ctype)
+                lines.extend(self._gen_write_lines(
+                    sym, f"({t} + {stmt.step!r})", env,
+                    fact=held and intfacts.interval(
+                        "+", held, IntFact(stmt.step, stmt.step))))
                 self._note("intop")
                 self._quiet = False
                 node = node.succs[0] if node.succs else None
@@ -1963,6 +1978,12 @@ class _CodeGenerator:
         except (SyntaxError, RecursionError, MemoryError,
                 ValueError) as exc:
             raise _Fallback(f"compile failed: {exc}") from None
+        # The oracle's integer conversions met on the way, by site
+        # (``scalar`` code, ``vector`` statements) and what became of
+        # them (``proved`` unnecessary, ``deferred``, ``emitted``).
+        for (site, outcome), n in self._conversions.items():
+            REGISTRY.counter("titancc_engine_int_conversions_total",
+                             {"site": site, "outcome": outcome}).inc(n)
         return _CodegenEntry(fn, source, code, dict(self._recipes),
                              tuple(dict.fromkeys(self._baked)),
                              len(self.engine.memory.data),

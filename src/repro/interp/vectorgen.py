@@ -47,7 +47,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..il import nodes as N
+from ..obs.metrics import REGISTRY
 from ..titan.vector_ops import vector_instructions
+from . import intfacts
+from .intfacts import IntFact
 from .kernels import (_F32_MAX, _F32_PACK, _F32_UNPACK, _fast_round_f32,
                       _is_aggregate, _struct_format)
 
@@ -113,6 +116,9 @@ class LaneAccess:
         self._pack_one = struct.Struct("<" + code).pack_into
         #: The codec used last: strips of one loop share a length.
         self._codec = CODECS.get(code, 1)
+        #: ``titancc_vector_reduce_stepwise_total``, once a sum steps
+        #: (a registry lookup per strip is a tenth of that path).
+        self._stepwise = None
 
     def codec(self, lanes: int) -> struct.Struct:
         codec = self._codec
@@ -212,7 +218,29 @@ class LaneAccess:
         try:
             return codec.unpack(codec.pack(*values))
         except OverflowError:
-            return [_fast_round_f32(v) for v in values]
+            return tuple([_fast_round_f32(v) for v in values])
+
+    def sum(self, values, acc):
+        """``acc`` plus every lane in turn, rounded to float32 after
+        each addition.  When every running *double* sum survives a
+        float32 round trip, rounding at each step changed nothing
+        (induction on the prefix; a NaN compares unequal, an overflow
+        comes back infinite): the last one is the answer, and the
+        first lane says whether to try.  Else step by step — where a
+        finite overflow raises, for the oracle's routine to handle."""
+        pack, unpack = _F32_PACK, _F32_UNPACK
+        first = acc + values[0]
+        if unpack(pack(first))[0] == first:
+            sums = tuple(itertools.accumulate(values, initial=acc))
+            if self.round(sums) == sums:
+                return sums[-1]
+        if self._stepwise is None:
+            self._stepwise = REGISTRY.counter(
+                "titancc_vector_reduce_stepwise_total")
+        self._stepwise.inc()
+        for value in values:
+            acc = unpack(pack(acc + value))[0]
+        return acc
 
 
 def first_lane(flags: list, want: bool, lanes, offset: int):
@@ -319,30 +347,20 @@ def _ind(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
-def _wrap_int(body: str, ctype: CType) -> str:
-    """Source wrapping the Python int ``body`` to ``ctype``'s width —
-    the mask form the generator's scalar conversions use."""
-    if isinstance(ctype, PointerType):
-        return f"({body} & 4294967295)"
-    bits = ctype.sizeof() * 8
-    mask = (1 << bits) - 1
-    if not ctype.signed:
-        return f"({body} & {mask})"
-    half = 1 << (bits - 1)
-    return f"((({body} & {mask}) ^ {half}) - {half})"
-
-
 class _Lanes:
     """One value per lane of a domain: ``src`` is an expression over
     the element variables in ``inputs`` (variable -> the local
     sequence it walks); with no inputs it is the same for every
-    lane."""
+    lane.  ``fact`` is what :mod:`intfacts` knows of int lanes (None:
+    nothing — and they are exact)."""
 
-    __slots__ = ("src", "inputs")
+    __slots__ = ("src", "inputs", "fact")
 
-    def __init__(self, src: str, inputs: Optional[Dict[str, str]] = None):
+    def __init__(self, src: str, inputs: Optional[Dict[str, str]] = None,
+                 fact: Optional[IntFact] = None):
         self.src = src
         self.inputs = inputs or {}
+        self.fact = fact
 
 
 class _Context:
@@ -397,34 +415,38 @@ class BulkStatement:
         #: Where the stored (or reduced) value is computed: the root,
         #: or under a mask the context of its active lanes.
         self.value_ctx: Optional[_Context] = None
+        #: What is known of the statement's length, and of the int
+        #: lanes it stores or reduces (``--dump-code`` prints this).
+        self.length_fact: Optional[IntFact] = None
+        self.proved: Optional[IntFact] = None
 
     # -- pieces ------------------------------------------------------------
 
     def _scalar(self, expr: N.Expr, as_int: bool = False
-                ) -> Tuple[str, list]:
-        """Source and events of a once-evaluated expression."""
-        gen = self.gen
-        src, items = gen._captured(expr, self.env)
-        if as_int:
-            src = f"({src})" if gen._int_valued(expr) else f"int({src})"
-        return src, items
+                ) -> Tuple[str, list, Optional[IntFact]]:
+        """Source, events and integer fact of a once-evaluated
+        expression."""
+        src, items, fact = self.gen._captured(expr, self.env)
+        if as_int and not self.gen._int_valued(expr):
+            src, fact = f"int({src})", None
+        return src, items, fact
 
     def _leaf(self, expr: N.Expr, ctx: _Context,
-              as_int: bool = False) -> str:
+              as_int: bool = False) -> _Lanes:
         """A broadcast scalar, section base or iota start: evaluated
         once, by the first lane that gets to it."""
-        src, items = self._scalar(expr, as_int)
+        src, items, fact = self._scalar(expr, as_int)
         if isinstance(expr, N.Const):
-            return src
+            return _Lanes(src, fact=fact)
         name = self.gen._tmp_name()
         if not items and self._scalar_nofault(expr):
             self.eager.append(f"{name} = {src}")
-            return name
-        ctx.lines.append(f"{name} = {src}")
-        ctx.lazy = True
-        if items:
-            self.fills.append((ctx, items))
-        return name
+        else:
+            ctx.lines.append(f"{name} = {src}")
+            ctx.lazy = True
+            if items:
+                self.fills.append((ctx, items))
+        return _Lanes(name, fact=fact)
 
     def _scalar_nofault(self, expr: N.Expr) -> bool:
         if isinstance(expr, N.AddrOf):
@@ -480,8 +502,9 @@ class BulkStatement:
         name = self.gen._tmp_name()
         if not lanes.inputs:
             ctx.lines.append(f"{name} = {lanes.src}")
-            return _Lanes(name)
-        return _Lanes(name, {name: self._materialize(lanes, ctx)})
+            return _Lanes(name, fact=lanes.fact)
+        return _Lanes(name, {name: self._materialize(lanes, ctx)},
+                      lanes.fact)
 
     # -- static facts about lane values ------------------------------------
 
@@ -500,11 +523,10 @@ class BulkStatement:
         return self.gen._float_valued(expr)
 
     def _converted(self, expr: N.Expr, ctype: CType) -> bool:
-        """The lanes of ``expr`` already carry ``ctype`` values."""
+        """The float lanes of ``expr`` already carry ``ctype`` values
+        (int lanes say so in their fact)."""
         if isinstance(expr, N.Section):
             return self.gen._same_ctype(expr.ctype, ctype)
-        if isinstance(expr, N.Iota):
-            return False  # start + lane, not wrapped
         return self.gen._conv_matches(expr, ctype)
 
     def _int_conv_faults(self, ctype: CType, *operands: N.Expr) -> bool:
@@ -550,9 +572,11 @@ class BulkStatement:
     # -- conversions -------------------------------------------------------
 
     def _convert(self, lanes: _Lanes, ctype: CType, ctx: _Context,
-                 is_int: bool, is_float: bool) -> _Lanes:
+                 is_int: bool, is_float: bool,
+                 ring: bool = False) -> _Lanes:
         """``lanes`` converted to ``ctype`` — the oracle's
-        ``_convert_value`` per lane."""
+        ``_convert_value`` per lane; for a ``ring`` consumer an
+        integer wrap may stay deferred."""
         gen = self.gen
         if isinstance(ctype, FloatType):
             if ctype.sizeof() != 4:
@@ -570,91 +594,113 @@ class BulkStatement:
             element = gen._tmp_name()
             return _Lanes(element, {element: name})
         if isinstance(ctype, (IntType, PointerType)):
-            body = lanes.src if is_int else f"int({lanes.src})"
-            return _Lanes(_wrap_int(body, ctype), lanes.inputs)
+            src, fact = gen._settle(
+                lanes.src if is_int else f"int({lanes.src})",
+                lanes.fact if is_int else None, ctype, ring, "vector")
+            return _Lanes(src, lanes.inputs, fact)
         return lanes
 
     def _uniform(self, lanes: _Lanes, ctx: _Context) -> _Lanes:
         """An operator over broadcast operands only: computed once."""
-        if lanes.inputs or lanes.src.isidentifier():
+        if lanes.inputs or lanes.src.isidentifier() \
+                or lanes.src.isdecimal():
             return lanes
         name = self.gen._tmp_name()
         ctx.lines.append(f"{name} = {lanes.src}")
-        return _Lanes(name)
+        return _Lanes(name, fact=lanes.fact)
 
     # -- expressions -------------------------------------------------------
 
-    def _vec(self, expr: N.Expr, ctx: _Context,
-             truth: bool = False) -> _Lanes:
+    def _vec(self, expr: N.Expr, ctx: _Context, truth: bool = False,
+             ring: bool = False) -> _Lanes:
         """The lanes of ``expr`` over ``ctx``'s domain; in ``truth``
-        position only their truth value is wanted (real bools)."""
+        position only their truth value is wanted (real bools); a
+        ``ring`` consumer takes int lanes with their wrap deferred."""
         if isinstance(expr, N.BinOp) and expr.op in _CMP_OPS:
             left = self._vec(expr.left, ctx)
             right = self._vec(expr.right, ctx)
             src = f"{left.src} {expr.op} {right.src}"
             src = f"({src})" if truth else f"(1 if {src} else 0)"
-            return self._uniform(
-                _Lanes(src, {**left.inputs, **right.inputs}), ctx)
+            return self._uniform(_Lanes(
+                src, {**left.inputs, **right.inputs}, intfacts.BIT), ctx)
         if isinstance(expr, N.UnOp) and expr.op == "not":
             operand = self._vec(expr.operand, ctx)
             src = f"(not {operand.src})" if truth \
                 else f"(0 if {operand.src} else 1)"
-            return self._uniform(_Lanes(src, operand.inputs), ctx)
-        lanes = self._vec_value(expr, ctx)
+            return self._uniform(
+                _Lanes(src, operand.inputs, intfacts.BIT), ctx)
+        lanes = self._vec_value(expr, ctx, ring and not truth)
         if truth:
             lanes = self._uniform(
                 _Lanes(f"({lanes.src} != 0)", lanes.inputs), ctx)
         return lanes
 
-    def _vec_value(self, expr: N.Expr, ctx: _Context) -> _Lanes:
+    def _vec_value(self, expr: N.Expr, ctx: _Context,
+                   ring: bool) -> _Lanes:
         if isinstance(expr, N.Section):
-            base = self._leaf(expr.addr, ctx, as_int=True)
+            base = self._leaf(expr.addr, ctx, as_int=True).src
             loaded = self.gen._tmp_name()
             ctx.lines.append(f"{loaded} = {self._access(expr)}.load("
                              f"{self.data}, {base}, {self.tl})")
+            fact = intfacts.of_type(expr.ctype)
             if ctx.dense:
                 element = self.gen._tmp_name()
-                return _Lanes(element, {element: loaded})
+                return _Lanes(element, {element: loaded}, fact)
             lane = self._index_var(ctx)
-            return _Lanes(f"{loaded}[{lane}]", {lane: ctx.index})
+            return _Lanes(f"{loaded}[{lane}]", {lane: ctx.index}, fact)
         if isinstance(expr, N.Iota):
+            # start + lane, never wrapped; lanes number below the
+            # length (of a statement that runs: it is positive).
             start = self._leaf(expr.start, ctx, as_int=True)
             lane = self._index_var(ctx)
-            return _Lanes(f"({start} + {lane})", {lane: ctx.index})
+            last = self.length_fact and IntFact(
+                0, max(self.length_fact.hi - 1, 0))
+            return _Lanes(f"({start.src} + {lane})", {lane: ctx.index},
+                          intfacts.interval("+", start.fact, last))
         if isinstance(expr, N.BinOp):
-            return self._vec_binop(expr, ctx)
-        if isinstance(expr, N.UnOp):
-            operand = self._vec(expr.operand, ctx)
+            return self._vec_binop(expr, ctx, ring)
+        if isinstance(expr, (N.UnOp, N.Cast)):
+            op = getattr(expr, "op", "cast")
             is_int = self._is_int(expr.operand)
-            is_float = self._is_float(expr.operand)
-            if expr.op == "neg":
-                raw = _Lanes(f"(-{operand.src})", operand.inputs)
+            defer = is_int and isinstance(expr.ctype,
+                                          (IntType, PointerType))
+            operand = self._vec(expr.operand, ctx, ring=defer)
+            if op == "cast":
+                if not defer and self._converted(expr.operand, expr.ctype):
+                    return operand
+            elif defer:
+                src, fact = intfacts.negated(op, operand.src, operand.fact)
+                operand = _Lanes(src, operand.inputs, fact)
+            elif op == "neg":
+                operand = _Lanes(f"(-{operand.src})", operand.inputs)
             else:  # bnot
-                body = operand.src if is_int else f"int({operand.src})"
-                raw = _Lanes(f"(~{body})", operand.inputs)
-                is_int, is_float = True, False
+                operand = _Lanes(f"(~int({operand.src}))", operand.inputs)
+                is_int = True
             return self._uniform(self._convert(
-                raw, expr.ctype, ctx, is_int, is_float), ctx)
-        if isinstance(expr, N.Cast):
-            operand = self._vec(expr.operand, ctx)
-            if self._converted(expr.operand, expr.ctype):
-                return operand
-            return self._uniform(self._convert(
-                operand, expr.ctype, ctx, self._is_int(expr.operand),
-                self._is_float(expr.operand)), ctx)
+                operand, expr.ctype, ctx, is_int,
+                self._is_float(expr.operand), ring), ctx)
         if isinstance(expr, N.Select):
-            return self._vec_select(expr, ctx)
-        return _Lanes(self._leaf(expr, ctx))
+            return self._vec_select(expr, ctx, ring)
+        return self._leaf(expr, ctx)
 
-    def _vec_binop(self, expr: N.BinOp, ctx: _Context) -> _Lanes:
+    def _vec_binop(self, expr: N.BinOp, ctx: _Context,
+                   ring: bool) -> _Lanes:
         op, ctype = expr.op, expr.ctype
-        left = self._vec(expr.left, ctx)
-        right = self._vec(expr.right, ctx)
         left_int = self._is_int(expr.left)
         right_int = self._is_int(expr.right)
         is_int = left_int and right_int
         is_float = self._is_float(expr.left) or self._is_float(expr.right)
-        if op in ("/", "%") and not (op == "/" and ctype.is_float):
+        known = is_int and isinstance(ctype, (IntType, PointerType))
+        defer = known and op in intfacts.RING_OPS
+        left = self._vec(expr.left, ctx, ring=defer)
+        right = self._vec(expr.right, ctx,
+                          ring=defer or (known and op == ">>"))
+        fact = intfacts.interval(op, left.fact, right.fact) \
+            if known and op in ("/", "%") else None
+        if known and op in intfacts.INLINE_OPS:
+            src, fact = intfacts.binop(op, left.src, left.fact,
+                                       right.src, right.fact)
+        elif op in ("/", "%") and not (op == "/" and ctype.is_float):
             # C integer division truncates toward zero.  Both operands
             # are written more than once: give them names.
             left, right = self._named(left, ctx), self._named(right, ctx)
@@ -665,13 +711,11 @@ class BulkStatement:
                  f"else -({q}))")
             src = q if op == "/" else f"({a} - {q} * {b})"
             is_int, is_float = True, False
-        elif op in ("<<", ">>"):
+        elif op in _INT_ONLY_OPS:
             a = left.src if left_int else f"int({left.src})"
             b = right.src if right_int else f"int({right.src})"
-            src, is_int, is_float = f"({a} {op} ({b} & 31))", True, False
-        elif op in ("&", "|", "^"):
-            a = left.src if left_int else f"int({left.src})"
-            b = right.src if right_int else f"int({right.src})"
+            if op in ("<<", ">>"):
+                b = f"({b} & 31)"
             src, is_int, is_float = f"({a} {op} {b})", True, False
         elif op in ("min", "max"):
             src = f"{op}({left.src}, {right.src})"
@@ -679,9 +723,9 @@ class BulkStatement:
                 self._is_float(expr.right)
         else:  # + - * and float /
             src = f"({left.src} {op} {right.src})"
-        raw = _Lanes(src, {**left.inputs, **right.inputs})
+        raw = _Lanes(src, {**left.inputs, **right.inputs}, fact)
         return self._uniform(
-            self._convert(raw, ctype, ctx, is_int, is_float), ctx)
+            self._convert(raw, ctype, ctx, is_int, is_float, ring), ctx)
 
     # -- selects -----------------------------------------------------------
 
@@ -722,7 +766,7 @@ class BulkStatement:
         gather = not nofault
         while True:
             mark = (len(self.fills), len(self.eager),
-                    len(self.key_locals))
+                    len(self.key_locals), dict(self.gen._conversions))
             ctx, prepare = contexts(gather)
             lanes = compile_in(ctx)
             if gather or not ctx.nested:
@@ -730,13 +774,14 @@ class BulkStatement:
             del self.fills[mark[0]:]
             del self.eager[mark[1]:]
             del self.key_locals[mark[2]:]
+            self.gen._conversions = mark[3]
             gather = True
         if gather or ctx.lazy:
             parent.nested = True
         return ctx, prepare, lanes, gather
 
     def _vec_arm(self, expr: N.Expr, ctx: _Context, flags: str,
-                 want: bool) -> Tuple[bool, _Lanes, bool]:
+                 want: bool, ring: bool) -> Tuple[bool, _Lanes, bool]:
         """One Select arm: ``(gathered, lanes, used flags)``.
         Speculated arms yield lanes over ``ctx``'s domain; gathered
         ones a local sequence of just the lanes that take the arm."""
@@ -744,7 +789,7 @@ class BulkStatement:
         arm, prepare, lanes, gather = self._reached(
             ctx, self._nofault(expr),
             lambda gather: self._arm_context(ctx, flags, want, gather),
-            lambda arm: self._vec(expr, arm))
+            lambda arm: self._vec(expr, arm, ring=ring))
         if not gather and not arm.lazy:
             self.key_locals.remove(arm.key)
             ctx.lines.extend(arm.lines)
@@ -754,30 +799,34 @@ class BulkStatement:
             arm.lines.append(f"{result} = {self._sequence(lanes, arm)}")
             ctx.lines += [prepare, f"{result} = ()", f"if {arm.guard}:"]
             ctx.lines += _ind(arm.lines)
-            return True, _Lanes(result), True
+            return True, _Lanes(result, fact=lanes.fact), True
         if not lanes.inputs:
             # A broadcast value filled under the arm's guard.
             arm.lines.append(f"{result} = {lanes.src}")
             ctx.lines += [prepare, f"{result} = None"]
-            out = _Lanes(result)
+            out = _Lanes(result, fact=lanes.fact)
         else:
             arm.lines.append(f"{result} = {self._sequence(lanes, arm)}")
             ctx.lines += [prepare, f"{result} = {self._helper(NONES)}"]
             element = gen._tmp_name()
-            out = _Lanes(element, {element: result})
+            out = _Lanes(element, {element: result}, lanes.fact)
         ctx.lines.append(f"if {arm.guard}:")
         ctx.lines += _ind(arm.lines)
         return False, out, True
 
-    def _vec_select(self, expr: N.Select, ctx: _Context) -> _Lanes:
+    def _vec_select(self, expr: N.Select, ctx: _Context,
+                    ring: bool) -> _Lanes:
         gen = self.gen
         cond = self._vec(expr.cond, ctx, truth=True)
         flags = gen._tmp_name()
         at = len(ctx.lines)
+        # Int arms may come deferred: the merge is converted below.
+        is_int = self._is_int(expr.then) and self._is_int(expr.otherwise)
+        defer = is_int and isinstance(expr.ctype, (IntType, PointerType))
         t_gathered, then, t_flags = self._vec_arm(expr.then, ctx, flags,
-                                                  True)
+                                                  True, defer)
         o_gathered, other, o_flags = self._vec_arm(expr.otherwise, ctx,
-                                                   flags, False)
+                                                   flags, False, defer)
         inputs: Dict[str, str] = {}
         if t_flags or o_flags:
             # An arm's guard or gather reads the condition's lanes.
@@ -796,20 +845,21 @@ class BulkStatement:
             else:
                 parts.append(lanes.src)
                 inputs.update(lanes.inputs)
-        merged = _Lanes(f"({parts[0]} if {test} else {parts[1]})", inputs)
+        merged = _Lanes(f"({parts[0]} if {test} else {parts[1]})", inputs,
+                        intfacts.join(then.fact, other.fact))
         if t_gathered or o_gathered:
             # The iterators step once per lane, in lane order: settle
             # the merge now, before anything can evaluate it lazily.
             element = gen._tmp_name()
             merged = _Lanes(element,
-                            {element: self._materialize(merged, ctx)})
-        if not (self._converted(expr.then, expr.ctype)
-                and self._converted(expr.otherwise, expr.ctype)):
+                            {element: self._materialize(merged, ctx)},
+                            merged.fact)
+        if defer or not (self._converted(expr.then, expr.ctype)
+                         and self._converted(expr.otherwise, expr.ctype)):
             merged = self._convert(
-                merged, expr.ctype, ctx,
-                self._is_int(expr.then) and self._is_int(expr.otherwise),
+                merged, expr.ctype, ctx, is_int,
                 self._is_float(expr.then)
-                and self._is_float(expr.otherwise))
+                and self._is_float(expr.otherwise), ring)
         return self._uniform(merged, ctx)
 
     # -- whole statements --------------------------------------------------
@@ -858,7 +908,8 @@ class BulkStatement:
     def assign_lines(self, lane_lines: List[str]) -> List[str]:
         stmt, gen, tl = self.stmt, self.gen, self.tl
         target = stmt.target
-        length_src, length_items = self._scalar(target.length)
+        length_src, length_items, self.length_fact = \
+            self._scalar(target.length, as_int=True)
         root = _Context(f"range({tl})", tl, True, "0")
         self.value_ctx = root
         access = self._access(target)
@@ -894,7 +945,7 @@ class BulkStatement:
             else:
                 root.lines += ctx.lines
         base = gen._tmp_name()
-        base_src, base_items = self._scalar(target.addr, as_int=True)
+        base_src, base_items, _ = self._scalar(target.addr, as_int=True)
         root.lines.append(f"{base} = {base_src}")
         if active is None:
             root.lines.append(f"{access}.check({self.data}, {base}, 0, "
@@ -906,7 +957,7 @@ class BulkStatement:
                            f"{active}[0], {active}[-1])"]
             store = (f"{access}.store_active({self.data}, {base}, {tl}, "
                      f"{active}, {values}, {self.value_ctx.dense})")
-        body = [f"{tl} = int({length_src})", f"if {tl} > 0:"]
+        body = [f"{tl} = {length_src}", f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
         commit = self._charge_lines(length_items, base_items)
         commit.append(store)
@@ -937,31 +988,53 @@ class BulkStatement:
     def _target_lanes(self, value: N.Expr, ctx: _Context) -> _Lanes:
         """The value's lanes as the store will write them."""
         ctype = self.stmt.target.ctype
-        lanes = self._vec(value, ctx)
-        if isinstance(ctype, FloatType) or self._converted(value, ctype):
-            return lanes  # packing a float lane converts and rounds it
-        return self._convert(lanes, ctype, ctx, self._is_int(value),
-                             False)
+        if isinstance(ctype, FloatType):
+            # Packing a float lane converts and rounds it — an int
+            # lane too, so a cast the store repeats is the store's.
+            if isinstance(value, N.Cast) and self._is_int(value.operand) \
+                    and isinstance(value.ctype, FloatType) \
+                    and value.ctype.sizeof() >= ctype.sizeof():
+                value = value.operand
+            lanes = self._vec(value, ctx)
+        else:
+            is_int = self._is_int(value)
+            lanes = self._convert(self._vec(value, ctx, ring=is_int),
+                                  ctype, ctx, is_int, False)
+        self.proved = lanes.fact
+        return lanes
 
     def reduce_lines(self, lane_lines: List[str]) -> List[str]:
         stmt, gen, tl = self.stmt, self.gen, self.tl
         target = stmt.target
-        length_src, length_items = self._scalar(stmt.length)
+        op, ctype = stmt.op, target.ctype
+        length_src, length_items, self.length_fact = \
+            self._scalar(stmt.length, as_int=True)
         acc = gen._tmp_name()
-        acc_src, acc_items = self._scalar(target)
+        acc_src, acc_items, acc_fact = self._scalar(target)
         root = _Context(f"range({tl})", tl, True, "0")
         self.value_ctx = root
-        lanes = self._vec(stmt.value, root)
-        step = self._reduce_step(acc, lanes)
-        if lanes.inputs:
-            names = list(lanes.inputs)
-            walk = lanes.inputs[names[0]] if len(names) == 1 else \
-                "zip(" + ", ".join(lanes.inputs.values()) + ")"
-            root.lines.append(f"for {', '.join(names)} in {walk}:")
+        ints = isinstance(ctype, (IntType, PointerType)) and \
+            gen._int_valued(target) and self._is_int(stmt.value)
+        lanes = self._vec(stmt.value, root, ring=ints and op == "+")
+        self.proved = lanes.fact
+        if op == "+" and isinstance(ctype, FloatType) \
+                and ctype.sizeof() == 4 and gen._float_valued(target):
+            rounder = gen._bind_shared(self.env, ("access", "f", 4),
+                                       lambda: LaneAccess("f", 4, 4))
+            root.lines.append(f"{acc} = {rounder}.sum("
+                              f"{self._materialize(lanes, root)}, {acc})")
         else:
-            root.lines.append(f"for _ in range({tl}):")
-        root.lines.append(f"    {acc} = {step}")
-        body = [f"{tl} = int({length_src})", f"{acc} = {acc_src}",
+            if lanes.inputs:
+                names = list(lanes.inputs)
+                walk = lanes.inputs[names[0]] if len(names) == 1 else \
+                    "zip(" + ", ".join(lanes.inputs.values()) + ")"
+                root.lines.append(f"for {', '.join(names)} in {walk}:")
+            else:
+                root.lines.append(f"for _ in range({tl}):")
+            root.lines.append(
+                f"    {acc} = "
+                + self._reduce_step(acc, acc_fact, lanes, ints))
+        body = [f"{tl} = {length_src}", f"{acc} = {acc_src}",
                 f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
         commit = self._charge_lines(length_items + acc_items, [])
@@ -969,24 +1042,26 @@ class BulkStatement:
         sym = target.sym
         commit += gen._gen_write_lines(
             sym, acc, self.env,
-            pre_converted=gen._same_ctype(target.ctype, sym.ctype))
+            pre_converted=gen._same_ctype(ctype, sym.ctype))
         gen._cost_sync(commit)  # the write's own event stays in here
         return self._wrap(body, commit, lane_lines)
 
-    def _reduce_step(self, acc: str, lanes: _Lanes) -> str:
+    def _reduce_step(self, acc: str, acc_fact: Optional[IntFact],
+                     lanes: _Lanes, ints: bool) -> str:
         """``acc`` combined with one lane, converted to the target's
         type — strictly sequential, rounding at every step."""
         stmt, gen = self.stmt, self.gen
         op, ctype = stmt.op, stmt.target.ctype
-        acc_int = gen._int_valued(stmt.target)
-        lane_int = self._is_int(stmt.value)
-        if op in ("min", "max"):
-            raw = f"{op}({acc}, {lanes.src})"
-            if gen._same_ctype(ctype, stmt.target.sym.ctype) and \
-                    self._converted(stmt.value, ctype):
-                return raw  # one of two values of the type already
-        else:
-            raw = f"({acc} {op} {lanes.src})"
+        if ints:
+            # A sum's lanes may come deferred: it is wrapped here.
+            return gen._settle(*intfacts.binop(
+                op, acc, acc_fact, lanes.src, lanes.fact), ctype,
+                site="vector")[0]
+        raw = f"{op}({acc}, {lanes.src})" if op in ("min", "max") \
+            else f"({acc} {op} {lanes.src})"
+        if op in ("min", "max") and self._converted(stmt.value, ctype) \
+                and gen._same_ctype(ctype, stmt.target.sym.ctype):
+            return raw  # one of two values of the type already
         if isinstance(ctype, FloatType):
             if ctype.sizeof() == 4:
                 # Unguarded round trip: a finite overflow raises and
@@ -999,6 +1074,6 @@ class BulkStatement:
                 return raw
             return f"float({raw})"
         if isinstance(ctype, (IntType, PointerType)):
-            return _wrap_int(raw if acc_int and lane_int
-                             else f"int({raw})", ctype)
+            return gen._settle(f"int({raw})", None, ctype,
+                               site="vector")[0]
         return raw

@@ -127,6 +127,19 @@ void f(float *p, float *q, int n)
         assert "vector" in fortran
 
 
+    def test_unreadable_source_is_a_usage_error(self, tmp_path, capsys):
+        # Not a FileNotFoundError traceback: one located line, the
+        # status argparse uses for a bad command line.
+        for path, why in ((tmp_path / "no" / "such.c", "No such file"),
+                          (tmp_path, "Is a directory")):
+            with pytest.raises(SystemExit) as exc:
+                main([str(path), "--run", "main"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"titancc: error: cannot read {path}: {why}" in err
+            assert "Traceback" not in err
+
+
 class TestEngineFlags:
     def test_bytecode_engine_refused(self, daxpy_file, capsys):
         # The "bytecode" engine value is gone: generated code is what

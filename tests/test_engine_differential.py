@@ -22,6 +22,7 @@ twice would produce graphs the shared cost model keys differently.
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.frontend.lower import compile_to_il
 from repro.fuzz import generate_program
@@ -185,3 +186,139 @@ def test_costed_generated_batch(seed):
     for options in (O0, FULL):
         _assert_costed_agrees(compile_c(source, options).program,
                               options, f"seed-{seed}")
+
+
+# -- random integer expression trees in C --------------------------------------
+#
+# The generated programs above keep their values small; these do not.
+# Operands sit at the edges of 32 (and 16, and 8) bits, so a chain of
+# ring operators overflows, and the trees put observers — comparisons,
+# shifts right, division, remainder, conversions, conditions — right
+# above such chains: a wrap the scalar generator deferred past one of
+# them, or proved away from a wrong interval, changes the checksum.
+
+INT_TABLE = (-2147483647 - 1, 2147483647, 46341, -46341, 65535, 65536,
+             -65536, 1073741824, -1073741824, 32767, -32768, 255, 3, -1, 0,
+             7)
+C_LEAVES = ("i", "g[i & 15]", "g[(i + 5) & 15]", "u[i & 15]",
+            "h[(i + 2) & 15]", "out[i]", "2147483647", "46341", "65536",
+            "65535", "4294967295U", "1073741824", "31", "3", "(-7)")
+C_RING = ("+", "-", "*", "&", "|", "^", "<<")
+C_CASTS = ("(short) {}", "(unsigned short) {}", "(char) {}",
+           "(unsigned char) {}", "(unsigned int) {}", "(int) {}",
+           "(int) (float) {}", "(int) (0.5f * (float) {})")
+
+
+@st.composite
+def c_ring_chains(draw, depth):
+    """Ring operators only: a chain that overflows 32 bits."""
+    if depth <= 0:
+        return draw(st.sampled_from(C_LEAVES))
+    below = c_ring_chains(depth - 1)
+    return f"({draw(below)} {draw(st.sampled_from(C_RING))} {draw(below)})"
+
+
+@st.composite
+def c_int_trees(draw, depth):
+    """Observers right above overflowing ring chains."""
+    chain = c_ring_chains(draw(st.integers(1, 2)))
+    if depth <= 0:
+        return draw(chain)
+    below = st.one_of(chain, c_int_trees(depth - 1))
+    pick = draw(st.integers(0, 9))
+    if pick <= 1:
+        return f"({draw(below)} {draw(st.sampled_from(C_RING))} " \
+               f"{draw(below)})"
+    if pick == 2:
+        return f"({draw(chain)} >> {draw(below)})"
+    if pick <= 4:
+        # A divisor with its low bit set is never zero.
+        return f"({draw(chain)} {draw(st.sampled_from('/%'))} " \
+               f"({draw(below)} | 1))"
+    if pick <= 6:
+        op = draw(st.sampled_from(("<", ">", "<=", ">=", "==", "!=")))
+        return f"({draw(chain)} {op} {draw(below)})"
+    if pick == 7:
+        return f"({draw(st.sampled_from('-~!'))}{draw(chain)})"
+    if pick == 8:
+        return "(" + draw(st.sampled_from(C_CASTS)).format(draw(chain)) \
+            + ")"
+    return f"({draw(chain)} ? {draw(below)} : {draw(chain)})"
+
+
+@st.composite
+def c_int_programs(draw):
+    table = ", ".join(map(str, INT_TABLE))
+    first = draw(c_int_trees(draw(st.integers(1, 3))))
+    second = draw(c_int_trees(draw(st.integers(1, 3))))
+    return (f"int g[16] = {{ {table} }};\n"
+            f"unsigned int u[16] = {{ {table.replace('-', '')} }};\n"
+            "short h[16] = { 32767, -32768, 255, -1, 3, 181, -182, 0,\n"
+            "                1, 2, 16384, -16384, 7, 100, -100, 9 };\n"
+            "int out[40];\n"
+            "int main(void)\n{\n    int i, r;\n"
+            "    for (i = 0; i < 40; i++)\n        out[i] = i * 3 - 7;\n"
+            f"    for (i = 0; i < 40; i++)\n        out[i] = {first};\n"
+            "    r = 0;\n"
+            "    for (i = 0; i < 40; i++)\n"
+            f"        r = r * 31 + (int) ({second});\n"
+            "    return r;\n}\n")
+
+
+SCALAR_LOOPS = CompilerOptions(vectorize=False, parallelize=False)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=c_int_programs())
+def test_random_int_expression_trees_plain_and_costed(source):
+    for options in (O0, SCALAR_LOOPS, FULL):
+        program = compile_c(source, options).program
+        tree = _observe(program, "tree", "forward")
+        assert _observe(program, "compiled", "forward") == tree, source
+        _assert_costed_agrees(program, options, source)
+
+
+#: One loop per observer, each reading a chain that overflows: what the
+#: random trees find by chance, pinned.  ``k`` and ``m`` are registers,
+#: so ``k * 46341`` is shared within a statement (a bound temp must be
+#: exact: its second reader is an observer); in the vectorized loop
+#: ``i * 12000000`` leaves 32 bits inside the strip variable's range
+#: (from i = 179) and ``i * 9000000`` does not.
+PINNED_OBSERVERS = """
+int g[16] = { %s };
+unsigned int u[16] = { %s };
+int a[40], b[40], c[40], d[40], e[200], f[40];
+float x[40];
+int main(void)
+{
+    int i, k, m, r;
+    for (i = 0; i < 40; i++) {
+        k = g[i & 15];
+        m = g[(i + 5) & 15];
+        a[i] = ((k * 46341) * 3) + ((k * 46341 - (m << 9)) > m);
+        b[i] = ((k * 46341 - (m << 9)) >> 3) ^ ((k * 46341) / (m | 1));
+        c[i] = ((k * 46341) %% (m | 1)) + ((k << 31) ? k : m)
+             + !(k * 65536 * 65536 + (m & 1));
+        d[i] = (short) (k * 46341) + (unsigned char) (k * 255)
+             + ((unsigned int) (k - m) / 3U > u[i & 15]);
+        x[i] = (float) (k * 46341 + m);
+        f[i] = (int) (0.5f * (float) (k * m)) + (-(k * 46341) > ~(m * k));
+    }
+    for (i = 0; i < 200; i++)
+        e[i] = (i * 12000000) / 7 + (i * 9000000) / 7;
+    r = 0;
+    for (i = 0; i < 40; i++)
+        r = r * 31 + (a[i] ^ b[i] ^ c[i] ^ d[i] ^ e[i * 5 + 4] ^ f[i])
+          + (int) (x[i] * 0.001f);
+    return r;
+}
+""" % (", ".join(map(str, INT_TABLE)),
+       ", ".join(str(v).lstrip("-") for v in INT_TABLE))
+
+
+def test_pinned_observers_of_overflowing_chains():
+    for options in (O0, SCALAR_LOOPS, FULL):
+        program = compile_c(PINNED_OBSERVERS, options).program
+        _assert_engines_agree(program, "pinned-observers")
+        _assert_costed_agrees(program, options, "pinned-observers")

@@ -159,6 +159,26 @@ def default_data() -> Dict[str, List]:
     return data
 
 
+#: Where a 32-bit wrap changes a value: the type's ends, the square
+#: root of 2**31, the 16-bit edge.  A chain over the small values above
+#: never overflows, so a wrap deferred past an observer would not show.
+BOUNDARY_INTS = (-(1 << 31), (1 << 31) - 1, 1 << 31, -(1 << 31) - 1,
+                 46341, -46341, 65535, 65536, -65536, 1 << 30, -(1 << 30),
+                 (1 << 32) - 1, 3, -1, 0)
+
+
+def boundary_data() -> Dict[str, List]:
+    """Integer arrays cycling through :data:`BOUNDARY_INTS` (wrapped
+    to the element type); float arrays as in :func:`default_data`."""
+    data = default_data()
+    for at, (name, ctype) in enumerate(ARRAYS.items()):
+        if ctype not in (FLOAT, DOUBLE):
+            data[name] = [
+                ctype.wrap(BOUNDARY_INTS[(k * 7 + at * 4) % 15] + k % 3)
+                for k in range(ELEMS)]
+    return data
+
+
 def observe(program: N.ILProgram, engine: str, costed: bool,
             data: Optional[Dict[str, List]] = None,
             scalars: Optional[Dict[str, float]] = None) -> dict:
@@ -392,6 +412,10 @@ def _empty_lengths(vp):
     return vp.program([
         vp.assign(vp.section("fa"), const(9.0, FLOAT), 0),
         vp.assign(vp.section("fa", 4), const(9.0, FLOAT), -3),
+        # No lane, so no lane number: an iota's interval must not come
+        # out empty (here it is a shift count).
+        vp.assign(vp.section("ia"),
+                  binop("<<", vp.section("ib"), iota(0), INT), 0),
         vp.reduce("rf", "+", vp.section("fb"), 0),
         vp.reduce("gf", "max", vp.section("fb"), -1)],
         registers={"rf": 2.5})
@@ -422,6 +446,126 @@ def _narrow_ints(vp):
     return vp.program(body)
 
 
+def _observed_wraps(vp):
+    # Chains that overflow 32 bits, each ending in something that can
+    # tell a wrapped value from an unwrapped one: a comparison, a
+    # shift right, a division, a remainder, min/max, a select's
+    # condition, a conversion to float, narrower and unsigned
+    # intermediates, an iota running past INT_MAX, a reduction.
+    def ia():
+        return vp.section("ia")
+
+    def ib():
+        return vp.section("ib")
+
+    def past():
+        return iota((1 << 31) - 4)
+
+    def chain():
+        return binop("-", binop("*", ia(), N.int_const(46341), INT),
+                     binop("<<", ib(), N.int_const(9), INT), INT)
+
+    body = [
+        vp.assign(vp.section("ia", 16), binop(">", chain(), ib(), INT), 8),
+        vp.assign(vp.section("ia", 24),
+                  binop(">>", chain(), N.int_const(3), INT), 8),
+        vp.assign(vp.section("ib", 16),
+                  binop("/", chain(), N.int_const(7), INT), 8),
+        vp.assign(vp.section("ib", 24),
+                  binop("%", chain(),
+                        binop("|", ia(), N.int_const(1), INT), INT), 8),
+        vp.assign(vp.section("ib", 32),
+                  binop("min", chain(), binop("max", ia(), chain(), INT),
+                        INT), 8),
+        vp.assign(vp.section("ia", 32),
+                  select(binop("<<", ia(), N.int_const(31), INT), ia(),
+                         ib(), INT), 8),
+        vp.assign(vp.section("fa"), N.Cast(operand=chain(), ctype=FLOAT),
+                  8),
+        vp.assign(vp.section("da"),
+                  binop("*", N.Cast(operand=chain(), ctype=DOUBLE),
+                        const(0.5, DOUBLE), DOUBLE), 8),
+        vp.assign(vp.section("sa", 16),
+                  binop("+", N.Cast(operand=chain(), ctype=SHORT),
+                        N.int_const(1), INT), 8),
+        vp.assign(vp.section("ua", 16),
+                  binop("/", binop("-", N.Cast(operand=ia(), ctype=UINT),
+                                   N.int_const(7), UINT),
+                        N.int_const(3), UINT), 8),
+        vp.assign(vp.section("ua", 24),
+                  binop(">>", binop("*", past(), N.int_const(2), UINT),
+                        N.int_const(1), UINT), 8),
+        vp.assign(vp.section("fb"),
+                  N.Cast(operand=binop("+", past(), N.int_const(1), INT),
+                         ctype=FLOAT), 8),
+        vp.assign(vp.section("ia", 40), binop("<", past(), ia(), INT), 8),
+        vp.reduce("ri", "+", chain(), 12),
+        vp.reduce("gi", "max", binop("*", ia(), ia(), INT), 12),
+        vp.assign(vp.section("da", 16),
+                  binop("-", N.Cast(operand=vp.var("ri"), ctype=DOUBLE),
+                        vp.var("gi"), DOUBLE), 2),
+        vp.assign(vp.section("ib", 40),
+                  binop(">", select(binop("&", ia(), N.int_const(1), INT),
+                                    chain(), ib(), INT),
+                        N.int_const(5), INT), 2),
+        vp.assign(vp.section("ib", 42), chain(), 6)]
+    return vp.program(body, registers={"ri": (1 << 31) - 2})
+
+
+def _scalar_observers(vp):
+    # The same in scalar code, for what C never lowers to: ``not``
+    # and a Select's condition reading a chain that is zero only once
+    # wrapped, a shared subexpression read by a ring operator and
+    # then by an observer, and a parallel DO variable that leaves 32
+    # bits when doubled — inside its range, not at its ends.
+    def ri():
+        return vp.var("ri")
+
+    def chain():
+        return binop("+", binop("*", ri(), N.int_const(46341), INT),
+                     binop("<<", vp.var("rc"), N.int_const(20), INT), INT)
+
+    def zero():
+        return binop("*", binop("*", ri(), N.int_const(65536), INT),
+                     N.int_const(65536), INT)
+
+    def put(array, k, value):
+        elem = ARRAYS[array]
+        return N.Assign(
+            target=N.Mem(addr=vp.addr(array, k * elem.sizeof()),
+                         ctype=elem), value=value)
+
+    step = 1 << 29
+    loop = N.DoLoop(
+        var=vp.syms["rc"], lo=N.int_const(0), hi=N.int_const(0),
+        step=1, parallel=True, body=[N.DoLoop(
+            var=vp.syms["ri"], lo=N.int_const(0),
+            hi=N.int_const(3 * step), step=step, vector=True,
+            body=[N.Assign(target=vp.var("gi"), value=binop(
+                "+", vp.var("gi"),
+                binop(">", binop("*", ri(), N.int_const(2), INT),
+                      N.int_const(0), INT), INT))])])
+    return vp.program([
+        put("ib", 0, N.UnOp(op="not", operand=zero(), ctype=INT)),
+        put("ib", 1, select(binop("<<", ri(), N.int_const(31), INT),
+                            N.int_const(1), N.int_const(2), INT)),
+        put("ib", 2, binop(">", select(ri(), chain(), ri(), INT),
+                           N.int_const(5), INT)),
+        put("ib", 3, binop(
+            "+", binop("*", chain(), N.int_const(3), INT),
+            binop("max", ri(), binop("*", ri(), N.int_const(46349), INT),
+                  INT), INT)),
+        put("ib", 4, binop(">>", chain(), binop(
+            "+", N.UnOp(op="neg", operand=zero(), ctype=INT),
+            N.int_const(3), INT), INT)),
+        put("fa", 0, N.Cast(operand=N.UnOp(op="bnot", operand=chain(),
+                                           ctype=INT), ctype=FLOAT)),
+        put("sa", 0, chain()),
+        put("ua", 0, binop("/", N.Cast(operand=chain(), ctype=UINT),
+                           N.int_const(3), UINT)),
+        loop], registers={"ri": 46342, "rc": 77})
+
+
 def _minmax(vp):
     return vp.program([
         vp.reduce("rf", "min", vp.section("fa"), 12),
@@ -443,6 +587,15 @@ def _reduce_overflow(vp):
     return vp.program([vp.reduce("rf", "+", vp.section("da"), 6),
                        vp.assign(vp.section("fa"), vp.var("rf"), 1)],
                       registers={"rf": 3.0e38})
+
+
+def _reduce_oob(vp):
+    # A float32 sum whose fourth lane is past the image, after one
+    # that ran: the model holds the first sum and what the oracle
+    # charged of the second.
+    return vp.program([vp.reduce("rf", "+", vp.section("fa"), 12),
+                       vp.reduce("rf", "+", vp.at(END - 12, FLOAT), 6)],
+                      registers={"rf": 0.5})
 
 
 def _lazy_scalars(vp):
@@ -537,12 +690,18 @@ CASES = {
     "strides": Case(_strides),
     "unaligned-base": Case(_unaligned),
     # A length <= 0 is the oracle's to charge: one miss each.
-    "empty-and-negative-length": Case(_empty_lengths, misses=4),
+    "empty-and-negative-length": Case(_empty_lengths, misses=5),
     "narrow-and-unsigned-lanes": Case(_narrow_ints),
+    "overflowing-chains-at-observers": Case(_observed_wraps,
+                                            data=boundary_data()),
+    "scalar-observers-of-overflowing-chains": Case(
+        _scalar_observers, scalars=_SCALARS),
     "min-max-reductions": Case(_minmax, scalars=_SCALARS),
     "reduction-overflow": Case(
         _reduce_overflow, misses=1,
         data={"da": [1e37] * ELEMS}),
+    "reduction-out-of-range-lane-k": Case(_reduce_oob, "out of range",
+                                          misses=1),
     "lazy-scalars-in-lane-order": Case(_lazy_scalars, scalars=_SCALARS),
     "untaken-arm-never-evaluated": Case(_untaken_arm),
     "unset-register-on-a-taken-arm": Case(
