@@ -52,41 +52,27 @@ class CType:
     def is_volatile(self) -> bool:
         return self.volatile
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return isinstance(self, (IntType, FloatType))
-
-    @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self, FloatType)
-
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    @property
-    def is_scalar(self) -> bool:
-        """Scalar in the C sense: arithmetic or pointer."""
-        return self.is_arithmetic or self.is_pointer
-
-    @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
+    #: What kind of type this is: class constants each subclass sets
+    #: (``is_scalar``: arithmetic or pointer, in the C sense).
+    is_arithmetic = is_integer = is_float = is_pointer = False
+    is_array = is_void = is_scalar = False
 
     def sizeof(self) -> int:
         raise TypeError_(f"sizeof applied to incomplete type {self}")
 
     def unqualified(self) -> "CType":
-        """The same type with const/volatile stripped."""
-        return replace(self, const=False, volatile=False)
+        """The same type with const/volatile stripped: always a new
+        object, copied without ``dataclasses.replace``'s keyword
+        plumbing and validation (and without materializing either
+        instance's ``__dict__``).  Never ``self``: a catalog pickle
+        records which IL nodes share one type object, so sharing would
+        change its bytes."""
+        twin = object.__new__(type(self))
+        for name in self.__dataclass_fields__:
+            object.__setattr__(twin, name, getattr(self, name))
+        object.__setattr__(twin, "const", False)
+        object.__setattr__(twin, "volatile", False)
+        return twin
 
     def qualified(self, const: bool = False, volatile: bool = False) -> "CType":
         return replace(self, const=self.const or const,
@@ -94,11 +80,15 @@ class CType:
 
     def compatible(self, other: "CType") -> bool:
         """Loose compatibility ignoring qualifiers (assignment contexts)."""
+        if self.const == other.const and self.volatile == other.volatile:
+            return self == other
         return self.unqualified() == other.unqualified()
 
 
 @dataclass(frozen=True)
 class VoidType(CType):
+    is_void = True
+
     def __str__(self) -> str:
         return _quals(self) + "void"
 
@@ -106,6 +96,7 @@ class VoidType(CType):
 @dataclass(frozen=True)
 class IntType(CType):
     kind: str = "int"
+    is_arithmetic = is_integer = is_scalar = True
 
     def __post_init__(self):
         if self.kind not in _INT_KINDS:
@@ -141,6 +132,7 @@ class IntType(CType):
 @dataclass(frozen=True)
 class FloatType(CType):
     kind: str = "double"
+    is_arithmetic = is_float = is_scalar = True
 
     def __post_init__(self):
         if self.kind not in _FLOAT_KINDS:
@@ -156,6 +148,7 @@ class FloatType(CType):
 @dataclass(frozen=True)
 class PointerType(CType):
     base: CType = field(default_factory=VoidType)
+    is_pointer = is_scalar = True
 
     def sizeof(self) -> int:
         return 4  # 32-bit Titan addresses
@@ -169,6 +162,7 @@ class PointerType(CType):
 class ArrayType(CType):
     base: CType = field(default_factory=lambda: IntType(kind="int"))
     length: Optional[int] = None  # None: incomplete (e.g. param decay)
+    is_array = True
 
     def sizeof(self) -> int:
         if self.length is None:

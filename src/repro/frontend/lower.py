@@ -966,11 +966,13 @@ def _scale(index: N.Expr, size: int) -> N.Expr:
 
 def _convert(expr: N.Expr, to_type: CType) -> N.Expr:
     """Insert a Cast when the value representation changes."""
-    to_type = to_type.unqualified() if to_type.is_scalar else to_type
-    frm = expr.ctype.unqualified() if expr.ctype.is_scalar else expr.ctype
-    if frm == to_type or to_type.is_void:
+    if to_type.is_scalar:
+        if expr.ctype.compatible(to_type):
+            return expr
+        to_type = to_type.unqualified()
+    elif expr.ctype == to_type or to_type.is_void:
         return expr
-    if frm.is_pointer and to_type.is_pointer:
+    if expr.ctype.is_pointer and to_type.is_pointer:
         return _with_type(expr, to_type)
     if isinstance(expr, N.Const) and to_type.is_arithmetic:
         if to_type.is_float:

@@ -13,6 +13,13 @@ notes these were added to the PCC2-derived front end) and ``volatile``:
 
 Typedef names are disambiguated with the classic lexer-feedback trick:
 the parser maintains a scope stack of typedef names and enum constants.
+
+Binary operators are parsed by precedence climbing over the one table
+``Parser._BINARY_LEVELS``: a frame per operator, not per precedence
+level, so a parenthesis nests eight frames deep instead of eighteen.
+The per-level recursion this replaced lives on, with the token tests it
+used, as ``tests/support/reference_parser.py``, the oracle of
+``tests/test_parser_equivalence.py``: ASTs and diagnostics are the same.
 """
 
 from __future__ import annotations
@@ -41,8 +48,28 @@ _TYPE_SPECIFIER_KEYWORDS = {
 _STORAGE_KEYWORDS = {"auto", "register", "static", "extern", "typedef"}
 _QUALIFIER_KEYWORDS = {"const", "volatile"}
 
+_DECLARATION_KEYWORDS = (_TYPE_SPECIFIER_KEYWORDS | _STORAGE_KEYWORDS
+                         | _QUALIFIER_KEYWORDS)
+_TYPE_NAME_KEYWORDS = _TYPE_SPECIFIER_KEYWORDS | _QUALIFIER_KEYWORDS
+
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=",
                "&=", "^=", "|="}
+
+#: Sorted type-specifier words -> the type they name: a canonical
+#: instance, or the kind of a type built afresh for each declaration
+#: (a catalog pickle records which declarations share a type object).
+_SPECIFIER_TYPES = {
+    "void": VOID, "int": INT, "signed": INT, "int signed": INT,
+    "float": FLOAT, "double": DOUBLE, "double long": "long double",
+    "char": "char", "char signed": "signed char",
+    "char unsigned": "unsigned char",
+    "short": "short", "int short": "short",
+    "short unsigned": "unsigned short",
+    "int short unsigned": "unsigned short",
+    "unsigned": "unsigned int", "int unsigned": "unsigned int",
+    "long": "long", "int long": "long", "long long": "long",
+    "long unsigned": "unsigned long", "int long unsigned": "unsigned long",
+}
 
 
 class Parser:
@@ -58,11 +85,13 @@ class Parser:
     # -- token plumbing -------------------------------------------------
 
     def _peek(self, offset: int = 0) -> L.Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # The stream ends in EOF and _next never steps past it.
+        return self.tokens[self.pos]
 
     def _next(self) -> L.Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != L.EOF:
             self.pos += 1
         return tok
@@ -102,7 +131,10 @@ class Parser:
         self.enum_scopes.pop()
 
     def _is_typedef_name(self, name: str) -> bool:
-        return any(name in scope for scope in self.typedef_scopes)
+        for scope in self.typedef_scopes:
+            if name in scope:
+                return True
+        return False
 
     def _lookup_enum_const(self, name: str) -> Optional[int]:
         for scope in reversed(self.enum_scopes):
@@ -133,9 +165,7 @@ class Parser:
 
     def _starts_declaration(self) -> bool:
         tok = self._peek()
-        if tok.kind == L.KEYWORD and tok.value in (
-                _TYPE_SPECIFIER_KEYWORDS | _STORAGE_KEYWORDS
-                | _QUALIFIER_KEYWORDS):
+        if tok.kind == L.KEYWORD and tok.value in _DECLARATION_KEYWORDS:
             return True
         return tok.kind == L.ID and self._is_typedef_name(tok.value)
 
@@ -234,34 +264,14 @@ class Parser:
 
     @staticmethod
     def _resolve_specifiers(specifiers: List[str]) -> CType:
-        spec = sorted(specifiers)
-        key = " ".join(spec)
-        table = {
-            "void": VOID,
-            "char": IntType(kind="char"),
-            "char signed": IntType(kind="signed char"),
-            "char unsigned": IntType(kind="unsigned char"),
-            "short": IntType(kind="short"),
-            "int short": IntType(kind="short"),
-            "short unsigned": IntType(kind="unsigned short"),
-            "int short unsigned": IntType(kind="unsigned short"),
-            "int": INT,
-            "signed": INT,
-            "int signed": INT,
-            "unsigned": IntType(kind="unsigned int"),
-            "int unsigned": IntType(kind="unsigned int"),
-            "long": IntType(kind="long"),
-            "int long": IntType(kind="long"),
-            "long unsigned": IntType(kind="unsigned long"),
-            "int long unsigned": IntType(kind="unsigned long"),
-            "long long": IntType(kind="long"),
-            "float": FLOAT,
-            "double": DOUBLE,
-            "double long": FloatType(kind="long double"),
-        }
-        if key not in table:
+        found = _SPECIFIER_TYPES.get(" ".join(sorted(specifiers)))
+        if found is None:
             raise ParseError(f"unsupported type specifiers {specifiers}")
-        return table[key]
+        if not isinstance(found, str):
+            return found
+        if found == "long double":
+            return FloatType(kind=found)
+        return IntType(kind=found)
 
     def _parse_struct_or_union(self) -> CType:
         tok = self._next()  # struct | union
@@ -495,14 +505,16 @@ class Parser:
 
     def _parse_statement(self) -> A.Stmt:
         self._collect_pragmas()
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         coord = tok.coord
-        if tok.is_punct("{"):
+        punct = tok.value if tok.kind == L.PUNCT else None
+        keyword = tok.value if tok.kind == L.KEYWORD else None
+        if punct == "{":
             return self._parse_compound()
-        if tok.is_punct(";"):
+        if punct == ";":
             self._next()
             return A.ExprStmt(expr=None, coord=coord)
-        if tok.is_keyword("if"):
+        if keyword == "if":
             self._next()
             self._expect_punct("(")
             cond = self._parse_expression()
@@ -514,14 +526,14 @@ class Parser:
                 otherwise = self._parse_statement()
             return A.If(cond=cond, then=then, otherwise=otherwise,
                         coord=coord)
-        if tok.is_keyword("while"):
+        if keyword == "while":
             self._next()
             self._expect_punct("(")
             cond = self._parse_expression()
             self._expect_punct(")")
             body = self._parse_statement()
             return A.While(cond=cond, body=body, coord=coord)
-        if tok.is_keyword("do"):
+        if keyword == "do":
             self._next()
             body = self._parse_statement()
             self._expect_keyword("while")
@@ -530,7 +542,7 @@ class Parser:
             self._expect_punct(")")
             self._expect_punct(";")
             return A.DoWhile(body=body, cond=cond, coord=coord)
-        if tok.is_keyword("for"):
+        if keyword == "for":
             self._next()
             self._expect_punct("(")
             init = None
@@ -558,36 +570,36 @@ class Parser:
             body = self._parse_statement()
             return A.For(init=init, cond=cond, step=step, body=body,
                          coord=coord)
-        if tok.is_keyword("return"):
+        if keyword == "return":
             self._next()
             value = None
             if not self._peek().is_punct(";"):
                 value = self._parse_expression()
             self._expect_punct(";")
             return A.Return(value=value, coord=coord)
-        if tok.is_keyword("break"):
+        if keyword == "break":
             self._next()
             self._expect_punct(";")
             return A.Break(coord=coord)
-        if tok.is_keyword("continue"):
+        if keyword == "continue":
             self._next()
             self._expect_punct(";")
             return A.Continue(coord=coord)
-        if tok.is_keyword("goto"):
+        if keyword == "goto":
             self._next()
             label = self._next()
             if label.kind != L.ID:
                 raise ParseError("expected label after goto", label.coord)
             self._expect_punct(";")
             return A.Goto(label=label.value, coord=coord)
-        if tok.is_keyword("switch"):
+        if keyword == "switch":
             self._next()
             self._expect_punct("(")
             cond = self._parse_expression()
             self._expect_punct(")")
             body = self._parse_statement()
             return A.Switch(cond=cond, body=body, coord=coord)
-        if tok.is_keyword("case"):
+        if keyword == "case":
             self._next()
             value = self._parse_conditional()
             if _fold_int(value, self) is None:
@@ -596,7 +608,7 @@ class Parser:
             self._expect_punct(":")
             return A.Case(value=value, stmt=self._parse_statement(),
                           coord=coord)
-        if tok.is_keyword("default"):
+        if keyword == "default":
             self._next()
             self._expect_punct(":")
             return A.Default(stmt=self._parse_statement(), coord=coord)
@@ -614,17 +626,20 @@ class Parser:
 
     def _parse_expression(self) -> A.Expr:
         expr = self._parse_assignment()
-        while self._peek().is_punct(","):
-            coord = self._next().coord
+        tok = self.tokens[self.pos]
+        while tok.kind == L.PUNCT and tok.value == ",":
+            self.pos += 1
             right = self._parse_assignment()
-            expr = A.BinaryOp(op=",", left=expr, right=right, coord=coord)
+            expr = A.BinaryOp(op=",", left=expr, right=right,
+                              coord=tok.coord)
+            tok = self.tokens[self.pos]
         return expr
 
     def _parse_assignment(self) -> A.Expr:
         left = self._parse_conditional()
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind == L.PUNCT and tok.value in _ASSIGN_OPS:
-            self._next()
+            self.pos += 1
             right = self._parse_assignment()
             return A.Assignment(op=tok.value, target=left, value=right,
                                 coord=tok.coord)
@@ -632,13 +647,14 @@ class Parser:
 
     def _parse_conditional(self) -> A.Expr:
         cond = self._parse_binary(0)
-        if self._peek().is_punct("?"):
-            coord = self._next().coord
+        tok = self.tokens[self.pos]
+        if tok.kind == L.PUNCT and tok.value == "?":
+            self.pos += 1
             then = self._parse_expression()
             self._expect_punct(":")
             otherwise = self._parse_conditional()
             return A.Conditional(cond=cond, then=then, otherwise=otherwise,
-                                 coord=coord)
+                                 coord=tok.coord)
         return cond
 
     _BINARY_LEVELS = [
@@ -653,49 +669,60 @@ class Parser:
         ["+", "-"],
         ["*", "/", "%"],
     ]
+    #: Punctuator -> its index in :attr:`_BINARY_LEVELS`, -1 if it is
+    #: not a binary operator.
+    _PRECEDENCE = dict.fromkeys(L.PUNCTUATORS, -1) | {
+        op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
     def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_cast()
-        ops = self._BINARY_LEVELS[level]
-        expr = self._parse_binary(level + 1)
-        while self._peek().kind == L.PUNCT and self._peek().value in ops:
-            tok = self._next()
-            right = self._parse_binary(level + 1)
+        """The operand chain of operators at ``level`` and tighter, by
+        precedence climbing: one frame per operator, not per level, and
+        left-associative because the right operand climbs one level up."""
+        expr = self._parse_cast()
+        tokens, precedence = self.tokens, self._PRECEDENCE
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind != L.PUNCT:
+                return expr
+            prec = precedence[tok.value]
+            if prec < level:
+                return expr
+            self.pos += 1
+            right = self._parse_binary(prec + 1)
             expr = A.BinaryOp(op=tok.value, left=expr, right=right,
                               coord=tok.coord)
-        return expr
 
     def _parse_cast(self) -> A.Expr:
-        if self._peek().is_punct("(") and self._starts_type_name(1):
-            coord = self._next().coord  # "("
+        tok = self.tokens[self.pos]
+        if tok.kind == L.PUNCT and tok.value == "(" \
+                and self._starts_type_name(1):
+            self.pos += 1
             type_name = self._parse_type_name()
             self._expect_punct(")")
             operand = self._parse_cast()
-            return A.Cast(to_type=type_name, operand=operand, coord=coord)
+            return A.Cast(to_type=type_name, operand=operand,
+                          coord=tok.coord)
         return self._parse_unary()
 
     def _starts_type_name(self, offset: int) -> bool:
         tok = self._peek(offset)
-        if tok.kind == L.KEYWORD and tok.value in (
-                _TYPE_SPECIFIER_KEYWORDS | _QUALIFIER_KEYWORDS):
+        if tok.kind == L.KEYWORD and tok.value in _TYPE_NAME_KEYWORDS:
             return True
         return tok.kind == L.ID and self._is_typedef_name(tok.value)
 
     def _parse_unary(self) -> A.Expr:
-        tok = self._peek()
-        coord = tok.coord
-        if tok.kind == L.PUNCT and tok.value in ("++", "--"):
-            self._next()
+        tok = self.tokens[self.pos]
+        kind, op, coord = tok.kind, tok.value, tok.coord
+        if kind == L.PUNCT and op in ("++", "--"):
+            self.pos += 1
             operand = self._parse_unary()
-            return A.UnaryOp(op=tok.value, operand=operand, coord=coord)
-        if tok.kind == L.PUNCT and tok.value in ("+", "-", "!", "~", "*",
-                                                 "&"):
-            self._next()
+            return A.UnaryOp(op=op, operand=operand, coord=coord)
+        if kind == L.PUNCT and op in ("+", "-", "!", "~", "*", "&"):
+            self.pos += 1
             operand = self._parse_cast()
-            return A.UnaryOp(op=tok.value, operand=operand, coord=coord)
-        if tok.is_keyword("sizeof"):
-            self._next()
+            return A.UnaryOp(op=op, operand=operand, coord=coord)
+        if kind == L.KEYWORD and op == "sizeof":
+            self.pos += 1
             if self._peek().is_punct("(") and self._starts_type_name(1):
                 self._next()
                 type_name = self._parse_type_name()
@@ -707,15 +734,19 @@ class Parser:
 
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.is_punct("["):
-                self._next()
+            tok = tokens[self.pos]
+            if tok.kind != L.PUNCT:
+                return expr
+            op = tok.value
+            if op == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = A.Subscript(base=expr, index=index, coord=tok.coord)
-            elif tok.is_punct("("):
-                self._next()
+            elif op == "(":
+                self.pos += 1
                 args: List[A.Expr] = []
                 if not self._peek().is_punct(")"):
                     args.append(self._parse_assignment())
@@ -723,19 +754,14 @@ class Parser:
                         args.append(self._parse_assignment())
                 self._expect_punct(")")
                 expr = A.Call(func=expr, args=args, coord=tok.coord)
-            elif tok.is_punct("."):
-                self._next()
+            elif op == "." or op == "->":
+                self.pos += 1
                 name = self._next()
                 expr = A.Member(base=expr, field_name=name.value,
-                                arrow=False, coord=tok.coord)
-            elif tok.is_punct("->"):
-                self._next()
-                name = self._next()
-                expr = A.Member(base=expr, field_name=name.value,
-                                arrow=True, coord=tok.coord)
-            elif tok.kind == L.PUNCT and tok.value in ("++", "--"):
-                self._next()
-                expr = A.PostfixOp(op="p" + tok.value, operand=expr,
+                                arrow=op == "->", coord=tok.coord)
+            elif op == "++" or op == "--":
+                self.pos += 1
+                expr = A.PostfixOp(op="p" + op, operand=expr,
                                    coord=tok.coord)
             else:
                 return expr

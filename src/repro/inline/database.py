@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend.lower import clone_stmt
 from ..frontend.symtab import GLOBAL, Symbol, SymbolTable
@@ -53,11 +53,7 @@ class InlineDatabase:
 
     def add_function(self, fn: N.ILFunction,
                      program: N.ILProgram) -> None:
-        referenced = _referenced_globals(fn, program)
-        calls = sorted({e.name for s in fn.all_statements()
-                        for x in N.stmt_exprs(s)
-                        for e in N.walk_expr(x)
-                        if isinstance(e, N.CallExpr)})
+        referenced, calls = _references(fn, program)
         self.entries[fn.name] = DatabaseEntry(fn=fn, globals=referenced,
                                               calls=calls)
 
@@ -95,11 +91,14 @@ class InlineDatabase:
         return self.entries.get(name)
 
 
-def _referenced_globals(fn: N.ILFunction,
-                        program: N.ILProgram) -> List[N.GlobalVar]:
+def _references(fn: N.ILFunction, program: N.ILProgram
+                ) -> Tuple[List[N.GlobalVar], List[str]]:
+    """One walk of ``fn``'s expressions: the program globals it
+    references, in first-use order, and the sorted names it calls."""
     by_sym = {g.sym: g for g in program.globals}
     out: List[N.GlobalVar] = []
     seen: Set[Symbol] = set()
+    calls: Set[str] = set()
     for stmt in fn.all_statements():
         for expr in N.stmt_exprs(stmt):
             for node in N.walk_expr(expr):
@@ -108,7 +107,9 @@ def _referenced_globals(fn: N.ILFunction,
                     if sym in by_sym and sym not in seen:
                         seen.add(sym)
                         out.append(by_sym[sym])
-    return out
+                elif isinstance(node, N.CallExpr):
+                    calls.add(node.name)
+    return out, sorted(calls)
 
 
 def import_entry(entry: DatabaseEntry, program: N.ILProgram

@@ -75,6 +75,32 @@ class TestQualifiers:
 
     def test_compatible_ignores_qualifiers(self):
         assert INT.qualified(const=True).compatible(INT)
+        assert INT.compatible(INT.qualified(volatile=True))
+        assert not INT.qualified(const=True).compatible(UINT)
+        assert not PointerType(base=INT).compatible(
+            PointerType(base=INT.qualified(const=True)))
+
+    @pytest.mark.parametrize("ctype", [
+        INT, FLOAT, PointerType(base=CHAR), ArrayType(base=INT, length=3),
+        INT.qualified(const=True)], ids=str)
+    def test_unqualified_is_a_new_object(self, ctype):
+        # A catalog pickle records which IL nodes share a type object,
+        # so handing back ``self`` would change catalog bytes.
+        bare = ctype.unqualified()
+        assert bare is not ctype and not bare.const and not bare.volatile
+        assert bare == ctype.unqualified()
+        assert list(vars(bare)) == list(vars(ctype))
+
+    def test_kind_predicates(self):
+        assert INT.is_integer and INT.is_arithmetic and INT.is_scalar
+        assert FLOAT.is_float and FLOAT.is_scalar and not FLOAT.is_integer
+        assert PointerType(base=INT).is_pointer
+        assert PointerType(base=INT).is_scalar
+        assert ArrayType(base=INT).is_array
+        assert not ArrayType(base=INT).is_scalar
+        assert VOID.is_void and not VOID.is_scalar
+        assert not StructType(tag="s").is_scalar
+        assert not FunctionType(ret=INT).is_arithmetic
 
 
 class TestConversions:

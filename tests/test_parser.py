@@ -292,6 +292,34 @@ class TestExpressions:
         assert isinstance(expr, A.StringLit) and expr.value == "abcd"
 
 
+class TestNesting:
+    """C99 5.2.4.1 asks for 63 levels of parentheses in an expression;
+    the parser spends eight frames on one, so 100 is well inside
+    Python's default recursion limit."""
+
+    @pytest.mark.parametrize("depth", [63, 100])
+    def test_nested_parentheses(self, depth):
+        expr = parse_expr("(" * depth + "x" + ")" * depth)
+        assert isinstance(expr, A.Ident) and expr.name == "x"
+
+    @pytest.mark.parametrize("depth", [63, 100])
+    def test_nested_additions(self, depth):
+        expr = parse_expr("(x + " * depth + "x" + ")" * depth)
+        for _ in range(depth):
+            assert isinstance(expr, A.BinaryOp) and expr.op == "+"
+            assert isinstance(expr.left, A.Ident)
+            expr = expr.right
+        assert isinstance(expr, A.Ident)
+
+    def test_a_long_operator_chain_is_a_loop_not_a_recursion(self):
+        expr = parse_expr(" + ".join(["x"] * 5000))
+        depth = 0
+        while isinstance(expr, A.BinaryOp):
+            assert isinstance(expr.right, A.Ident)
+            expr, depth = expr.left, depth + 1
+        assert depth == 4999
+
+
 class TestErrors:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):

@@ -148,6 +148,20 @@ class TestClientAPI:
         assert response["status"] == "error"
         assert response["error"]["kind"] == "crash"
 
+    @pytest.mark.parametrize("depth", [63, 100])
+    @pytest.mark.parametrize("shape", ["(", "(x + "],
+                             ids=["parentheses", "additions"])
+    def test_nesting_floor(self, service, shape, depth):
+        # C99 5.2.4.1: 63 levels of parentheses.  Both shapes used to
+        # come back as a RecursionError crash from 54 levels on.
+        source = "int main(void) { int x = 3; return %sx%s; }" \
+            % (shape * depth, ")" * depth)
+        response = service.submit({"source": source, "filename": "n.c",
+                                   "run": "main"})
+        assert response["status"] == "ok", response.get("error")
+        result = 3 if shape == "(" else 3 * (depth + 1)
+        assert response["payload"]["run"]["result"] == result
+
     def test_errors_are_not_cached(self, service):
         bad = {"source": "int main( {"}
         service.submit(bad)

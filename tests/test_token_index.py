@@ -123,12 +123,15 @@ class TestFingerprintSoundness:
                                   "+", "'a'", '"a"', "int"]))
     @settings(max_examples=60, deadline=None)
     def test_a_token_more_or_less_changes_it(self, program, at, token):
+        # Padded on both sides, so the token neither joins the one before
+        # it (``a[0]`` + ``x`` would lex as the hex constant ``0x``) nor
+        # lets the neighbours of a deleted one run together.
         offsets = boundaries(program)
         start = offsets[int(at * len(offsets))]
-        assert fingerprint(program[:start] + token + " "
+        assert fingerprint(program[:start] + " " + token + " "
                            + program[start:]) != fingerprint(program)
         ends = [o for o in offsets if o > start] + [len(program)]
-        assert fingerprint(program[:start] + program[ends[0]:]) \
+        assert fingerprint(program[:start] + " " + program[ends[0]:]) \
             != fingerprint(program)
 
     def test_fields_cannot_run_into_each_other(self):
