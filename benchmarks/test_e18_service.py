@@ -17,11 +17,13 @@ content-addressed two-level cache).  Two properties are measured:
   the service's answer bytes are the compiler's answer bytes.
 
 A third, deterministic variant gates the token index: the corpus is
-replayed with a trailing comment appended to every program
+replayed with a distinct trailing comment appended to every program
 (``comment_edit``).  Every such request must be answered by a token
 hit — ``token_hits`` equals the ok requests and ``catalog_builds``
 does not move — so a regression to re-parsing edited comments fails
-the count gate on any host.
+the count gate on any host.  Nor is the rest of the file lexed again:
+a request the line memo can answer lexes one line (``lines_lexed``),
+and only the others are lexed whole (``whole_file_lexes``).
 
 The recorded metrics split on determinism: request/hit/build counts
 are exact across machines and gate at the default tolerance, while
@@ -66,6 +68,13 @@ def corpus_requests():
     return requests
 
 
+def lexed_by_lines(service):
+    """Sources the service has lexed line by line, through its memo."""
+    return sum(c["value"] for c in service.metrics_snapshot()["counters"]
+               if c["name"] == "titancc_service_lex_path_total"
+               and c["labels"]["path"] == "lines")
+
+
 def cli_report(path):
     """The report a separate titancc process writes for ``path``, or
     None when the CLI rejects the program."""
@@ -104,10 +113,19 @@ def test_e18_service_cache():
             for c in service.metrics_snapshot()["counters"]
             if c["name"] == "titancc_service_requests_total"}
 
-        # The comment-edit replay: same programs, never-seen bytes.
+        # The comment-edit replay: same programs, never-seen bytes,
+        # one never-seen line each.
+        catalogs = service.catalogs
+        lexed, whole, by_lines = (catalogs.lines.misses,
+                                  catalogs.whole_lexes,
+                                  lexed_by_lines(service))
         edited = service.compile_batch(
-            [dict(r, source=r["source"] + " /* edit */") for r in requests])
+            [dict(r, source=r["source"] + f" /* edit {n} */")
+             for n, r in enumerate(requests)])
         edit_stats = service.cache_stats()
+        lexed, whole, by_lines = (catalogs.lines.misses - lexed,
+                                  catalogs.whole_lexes - whole,
+                                  lexed_by_lines(service) - by_lines)
 
     # Warm responses are the cold responses (cache transparency).
     for c, w in zip(cold, warm):
@@ -139,9 +157,14 @@ def test_e18_service_cache():
         "artifact_hits": edit_stats["artifact"]["hits"]
         - stats["artifact"]["hits"],
         "catalog_builds": edit_stats["catalog"]["builds"],
+        "lines_lexed": lexed,
+        "whole_file_lexes": whole,
     })
     assert edit_stats["tokens"]["hits"] == edited_ok > 0
     assert edit_stats["catalog"]["builds"] == stats["catalog"]["builds"]
+    # The comment sits on the last line: the one line lexed.
+    assert lexed == by_lines > 0
+    assert whole == len(requests) - by_lines
 
     cold_rate = len(requests) / cold_seconds
     warm_rate = len(requests) / warm_seconds

@@ -9,7 +9,8 @@ Every token, comment and run of white space is one alternative of
 of line starts turns a match offset into ``line:col``.  The character
 loop this replaced lives on as ``tests/support/reference_lexer.py``, the
 oracle of ``tests/test_lexer_equivalence.py``: token streams and
-diagnostics are the same, byte for byte.
+diagnostics are the same, byte for byte.  :func:`tokenize_line` runs
+the same scan over one line, for :mod:`repro.service.cache`.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ _NON_ASCII_WORD = re.compile(r"[^\W\x00-\x7f]")
 #: three word characters (an octal escape is the digits leading them),
 #: or any one character -- none at end of input.
 _ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|\w{1,3}|[\s\S]?)")
-_STRING_TEXT = re.compile(r'[^"\\]*')
+#: Up to a quote, an escape or a new-line (C11 6.4.5p1).
+_STRING_TEXT = re.compile(r'[^"\\\n]*')
 
 
 @lru_cache(maxsize=16)
@@ -128,15 +130,37 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
         digits = "".join(c for c in odd if c.isdigit())
         others = "".join(c for c in odd
                          if not c.isdigit() and not c.isalpha())
-    scan = _master(digits, others).finditer
+    return _scan(_master(digits, others).finditer, source, filename, 1, 0,
+                 True)[0]
+
+
+def tokenize_line(text: str, line: int, filename: str = "<input>",
+                  in_comment: bool = False) -> Tuple[List[Token], bool]:
+    """The tokens of ``text``, ASCII line ``line`` of a file, lexed from
+    inside a block comment iff ``in_comment``, and whether it ends so.
+    No token spans a line, so a text lexed line by line this way gives
+    :func:`tokenize`'s tokens (EOF aside) or its ``LexError``."""
+    resume = 0
+    if in_comment:
+        resume = text.find("*/") + 2
+        if resume < 2:
+            return [], True
+    return _scan(_master("", "").finditer, text, filename, line, resume,
+                 False)
+
+
+def _scan(scan, source: str, filename: str, first_line: int, resume: int,
+          whole: bool) -> Tuple[List[Token], bool]:
+    """The tokens of ``source`` from ``resume`` on, its lines numbered
+    from ``first_line``, and whether it ends inside a block comment --
+    an error in a ``whole`` text, whose tokens end in EOF."""
     # starts[n - 1] is the offset line n starts at; the last entry is
     # past the end of the text, so every offset has a line.
     starts = list(accumulate(
         (len(line) + 1 for line in source.split("\n")), initial=0))
-    line, base, following = 1, 0, starts[1]
+    line, base, following = first_line, 0, starts[1]
     tokens: List[Token] = []
     append = tokens.append
-    resume = 0
     while True:
         for match in scan(source, resume):
             kind = match.lastgroup
@@ -144,8 +168,9 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
                 continue
             pos = match.start()
             if pos >= following:
-                line = bisect_right(starts, pos)
-                base, following = starts[line - 1], starts[line]
+                index = bisect_right(starts, pos)
+                line = index + first_line - 1
+                base, following = starts[index - 1], starts[index]
             coord = Coord(filename, line, pos - base + 1)
             text = match.group()
             if kind == "punct":
@@ -172,15 +197,18 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
                                    "preprocessing", coord)
                 append(Token(PRAGMA, text[len("#pragma"):].strip(), coord))
             elif kind == "comment":
+                if not whole:
+                    return tokens, True
                 raise LexError("unterminated comment", coord)
             else:
                 raise LexError(f"stray character {text!r}", coord)
         else:
             break
-    line = bisect_right(starts, len(source))
-    append(Token(EOF, "", Coord(filename, line,
-                                len(source) - starts[line - 1] + 1)))
-    return tokens
+    if whole:
+        line = bisect_right(starts, len(source))
+        append(Token(EOF, "", Coord(filename, line,
+                                    len(source) - starts[line - 1] + 1)))
+    return tokens, False
 
 
 def _number(body: str, suffix: str, coord: Coord) -> Token:
@@ -206,8 +234,8 @@ def _literal(source: str, start: int, coord: Coord) -> Tuple[Token, int]:
     is the first thing wrong with it."""
     if source[start] == "'":
         escape = _ESCAPE.match(source, start + 1)
-        if escape is None:
-            value, end = source[start + 1:start + 2], start + 2
+        if escape is None:  # C11 6.4.4.4p1: no c-char is a new-line
+            value, end = source[start + 1:start + 2].strip("\n"), start + 2
         else:
             value, end = _unescape(escape.group(1), coord), escape.end()
         if len(value) != 1 or source[end:end + 1] != "'":

@@ -5,14 +5,19 @@ process-global catalog cache the CLI's ``--use-db`` path shares.
 
 1. *Bytes* — ``content_hash`` is sha256 of the exact source bytes.  A
    level-A (catalog) hit on it costs one hash; any edit at all misses.
-2. *Tokens and their lines* — on a byte miss the source is
-   preprocessed and lexed, and :func:`token_fingerprint` keys level A's
-   second index.  It covers everything a successful parse can observe
-   (kind, text, decoded constant, suffix, line of every token) and
-   nothing it cannot (columns, white space, comments, the filename), so
-   an edited comment stops here: the entry is shared under the new
-   byte key and nothing is parsed.  An edit that moves a token to
-   another line misses — reports embed line numbers.
+2. *Tokens and their lines* — on a byte miss the source is lexed and
+   :func:`token_fingerprint` keys level A's second index.  It covers
+   everything a successful parse can observe (kind, text, decoded
+   constant, suffix, line of every token) and nothing it cannot
+   (columns, white space, comments, the filename), so an edited
+   comment stops here: the entry is shared under the new byte key and
+   nothing is parsed.  An edit that moves a token to another line
+   misses — reports embed line numbers.
+
+   The key is line-addressed, and a memo ``(line text, starts inside a
+   block comment) → (digest, ends inside one)`` makes a byte miss lex
+   only lines never seen before — sound because no token spans a line
+   (DESIGN.md, S23).  What the line lexer cannot take is lexed whole.
 3. *IL and options* — ``(IL hash, options fingerprint)`` keys level B
    (artifacts).  Sources that differ in their tokens but lower to the
    same IL on the same lines still share one optimized artifact.
@@ -28,7 +33,7 @@ against a model.
 
 Hit/miss/eviction counters land in a :class:`MetricsRegistry` under
 ``titancc_service_cache_events_total{level,event}``, ``level`` one of
-``catalog`` (bytes), ``tokens`` and ``artifact``.
+``catalog`` (bytes), ``tokens``, ``lines`` (the memo) and ``artifact``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from collections import OrderedDict
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -53,6 +60,12 @@ def content_hash(data: Union[str, bytes]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Every :class:`CompilerOptions` field is a JSON scalar: reading them
+#: is ``dataclasses.asdict`` without its deep copy.
+_OPTION_NAMES = tuple(f.name for f in dataclasses.fields(CompilerOptions))
+_OPTION_VALUES = attrgetter(*_OPTION_NAMES)
+
+
 def options_fingerprint(options: CompilerOptions,
                         extra: Optional[dict] = None) -> str:
     """Canonical digest of a full :class:`CompilerOptions` (every
@@ -61,7 +74,7 @@ def options_fingerprint(options: CompilerOptions,
     Two requests share an artifact entry iff their fingerprints and
     front-end IL hashes both match."""
     payload: Dict[str, object] = {
-        "options": dataclasses.asdict(options)}
+        "options": dict(zip(_OPTION_NAMES, _OPTION_VALUES(options)))}
     if extra:
         payload["extra"] = extra
     return content_hash(json.dumps(payload, sort_keys=True,
@@ -185,18 +198,30 @@ def lex_source(source: str, filename: str) -> list:
 
 
 _TOKEN_FIELDS = attrgetter("kind", "value", "int_value", "float_value",
-                           "suffix", "coord.line")
+                           "suffix")
+#: A line the preprocessor may read as a directive.
+_DIRECTIVE_LINE = re.compile(r"^[^\S\n]*#", re.M)
+
+
+def _line_digest(tokens) -> bytes:
+    """sha256 of a ``repr`` of one line's token field tuples: injective,
+    where joining fields on a separator would not be (a string literal
+    decodes to anything, NUL included)."""
+    return hashlib.sha256(repr(list(map(_TOKEN_FIELDS, tokens)))
+                          .encode("utf-8")).digest()
 
 
 def token_fingerprint(tokens) -> str:
-    """sha256 over everything a successful parse can observe of a
-    token stream, and nothing else: two streams with one fingerprint
-    parse and lower to the same program.  Columns and the filename
-    reach only diagnostics, and a failed parse is never cached.  The
-    encoding is a ``repr`` of the field tuples, which is injective
-    (string literals decode to arbitrary characters, NUL included, so
-    joining fields on a separator would not be)."""
-    return content_hash(repr(list(map(_TOKEN_FIELDS, tokens))))
+    """sha256 of a :func:`_line_digest` per line up to the EOF token's,
+    then its line: everything a successful parse can observe, so two
+    streams with one fingerprint parse and lower to the same program.
+    Columns and the filename reach only diagnostics, and a failed
+    parse is never cached."""
+    eof_line = tokens[-1].coord.line
+    digests = [_line_digest(())] * eof_line
+    for line, group in groupby(tokens[:-1], attrgetter("coord.line")):
+        digests[line - 1] = _line_digest(group)
+    return content_hash(b"".join(digests) + b"%d" % eof_line)
 
 
 def parse_tokens(tokens) -> ParsedSource:
@@ -231,19 +256,28 @@ def build_catalog(source: str,
     return parse_source(source, filename).catalog(source)
 
 
+#: Lines the memo keeps, ~0.4 KB each (1.7 MB full).  E19's
+#: ``edit_replay`` reads ~1,130 distinct lines and adds one to three
+#: per request; a full memo costs it ~2.5 % of peak RSS (EXPERIMENTS.md).
+LINE_MEMO_ENTRIES = 4096
+
+
 class CatalogCache:
     """Level A: content hash → built catalog, with a build counter
     (``titancc_service_catalog_builds_total``) proving each distinct
     content is parsed exactly once — and, for C sources, each distinct
     token stream: ``tokens`` is the second index, token fingerprint →
-    the entry first built from those tokens, under the same bound."""
+    the entry first built from those tokens, under the same bound,
+    and ``lines`` the memo of each line's part of the fingerprint."""
 
     def __init__(self, max_entries: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.lru = LRUCache(max_entries, registry, level="catalog")
         self.tokens = LRUCache(max_entries, registry, level="tokens")
+        self.lines = LRUCache(LINE_MEMO_ENTRIES)  # booked by ``lex``
         self.registry = registry
         self.builds = 0
+        self.whole_lexes = 0  # sources preprocessed and lexed whole
 
     def _built(self) -> None:
         self.builds += 1
@@ -264,25 +298,92 @@ class CatalogCache:
                    ) -> Tuple[CatalogEntry, Optional[ParsedSource]]:
         """The catalog of one C source whose content hash is ``sha``,
         through both indexes, plus the parse when this call needed one
-        (a build).  Bytes never seen are lexed; tokens seen before
-        share that entry's blob under the new byte key, so the byte
-        index sees the same get/put sequence either way."""
+        (a build).  Bytes never seen are fingerprinted; tokens seen
+        before share that entry's blob under the new byte key, so the
+        byte index sees the same get/put sequence either way."""
         entry = self.lru.get(sha)
         if entry is not None:
             return entry, None
-        tokens = lex_source(source, filename)
-        fingerprint = token_fingerprint(tokens)
+        fingerprint, tokens = self.lex(source, filename)
         parsed = None
         twin = self.tokens.get(fingerprint)
         if twin is not None:
             entry = dataclasses.replace(twin, source_sha256=sha)
         else:
-            parsed = parse_tokens(tokens)
+            parsed = parse_tokens(tokens())
             entry = parsed.catalog(source)
             self._built()
             self.tokens.put(fingerprint, entry)
         self.lru.put(sha, entry)
         return entry, parsed
+
+    def lex(self, source: str, filename: str
+            ) -> Tuple[str, Callable[[], list]]:
+        """``source``'s token fingerprint and a function returning its
+        tokens.  Lexed line by line, lines the memo knows only if a
+        parse needs them, where that provably equals lexing the whole
+        text; else preprocessed and lexed whole, as it always was."""
+        from ..frontend.lexer import EOF, Coord, LexError, Token, \
+            tokenize_line
+        # Without these, preprocessing only appends a newline.
+        reason = ("non-ascii" if not source.isascii()
+                  else "directive" if _DIRECTIVE_LINE.search(source)
+                  else "splice" if "\\\n" in source
+                  or source.endswith("\\") else "")
+        lines = (source + "\n").split("\n")
+        memo, before = self.lines, self.lines.stats()
+        recall, refresh = memo._entries.get, memo._entries.move_to_end
+        known = []  # per line: (digest, ends inside a block comment)
+        lexed: Dict[int, list] = {}
+        inside = False
+        try:
+            for number, text in enumerate([] if reason else lines, 1):
+                key = (text, inside)
+                facts = recall(key)
+                if facts is None:
+                    tokens, after = tokenize_line(text, number, filename,
+                                                  inside)
+                    memo.misses += 1
+                    lexed[number] = tokens
+                    facts = (_line_digest(tokens), after)
+                    memo.put(key, facts)
+                else:
+                    memo.hits += 1
+                    refresh(key)
+                known.append(facts)
+                inside = facts[1]
+        except LexError:
+            reason = "lex-error"
+        reason = reason or ("open-comment" if inside else "")
+        if self.registry is not None:  # once per source, not per line
+            counter, after = self.registry.counter, memo.stats()
+            counter("titancc_service_lex_path_total",
+                    {"path": "whole" if reason else "lines",
+                     "reason": reason}).inc()
+            for event, field in (("hit", "hits"), ("miss", "misses"),
+                                 ("evict", "evictions")):
+                if after[field] > before[field]:
+                    counter("titancc_service_cache_events_total",
+                            {"level": "lines", "event": event}
+                            ).inc(after[field] - before[field])
+        if reason:
+            self.whole_lexes += 1
+            whole = lex_source(source, filename)
+            return token_fingerprint(whole), lambda: whole
+
+        def tokens() -> list:  # each line lexed once, at its own line
+            out = []
+            for number, text in enumerate(lines, 1):
+                if number not in lexed:
+                    lexed[number], _ = tokenize_line(
+                        text, number, filename,
+                        number > 1 and known[number - 2][1])
+                out += lexed[number]
+            out.append(Token(EOF, "", Coord(filename, len(lines), 1)))
+            return out
+
+        digests = b"".join([digest for digest, _ in known])
+        return content_hash(digests + b"%d" % len(lines)), tokens
 
     def stats(self) -> Dict[str, int]:
         return {**self.lru.stats(), "builds": self.builds}
@@ -290,6 +391,7 @@ class CatalogCache:
     def clear(self) -> None:
         self.lru.clear()
         self.tokens.clear()
+        self.lines.clear()
         self.builds = 0
 
 

@@ -1,10 +1,13 @@
 """The character-loop lexer `repro.frontend.lexer` replaced, kept as
 the oracle for ``tests/test_lexer_equivalence.py``.
 
-Verbatim from the last commit that shipped it, with one patch: the hex
-escape loop tested ``self._peek() in "0123...F"``, and ``"" in "..."``
-is true at end of input, so ``'\\x`` at EOF never returned.  The loop
-now stops at EOF (marked ``# patched`` below); nothing else differs,
+Verbatim from the last commit that shipped it, with two patches
+(marked ``# patched`` below).  The hex escape loop tested
+``self._peek() in "0123...F"``, and ``"" in "..."`` is true at end of
+input, so ``'\\x`` at EOF never returned: the loop now stops at EOF.
+And a raw new-line inside a string literal or character constant now
+ends it unterminated, as C11 6.4.4.4p1 and 6.4.5p1 say and as the
+lexer it is compared with does.  Nothing else differs,
 including the defects the equivalence test works around (a raw
 ``ValueError`` out of ``int()``/``float()`` on ``0x1uf`` or an escape
 made of non-ASCII digits).
@@ -237,7 +240,7 @@ class Lexer:
         if ch == "\\":
             self._advance()
             value = self._scan_escape(coord)
-        elif ch == "":
+        elif ch in ("", "\n"):  # patched: a raw new-line ends it too
             raise LexError("unterminated character constant", coord)
         else:
             value = ord(self._advance())
@@ -252,7 +255,7 @@ class Lexer:
         out = []
         while True:
             ch = self._peek()
-            if ch == "":
+            if ch in ("", "\n"):  # patched: a raw new-line ends it too
                 raise LexError("unterminated string literal", coord)
             if ch == '"':
                 self._advance()

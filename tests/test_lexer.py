@@ -112,6 +112,18 @@ class TestCharAndString:
         with pytest.raises(L.LexError):
             L.tokenize("'a")
 
+    def test_raw_newline_ends_a_literal_unterminated(self):
+        # C11 6.4.4.4p1 / 6.4.5p1: no c-char or s-char is a new-line.
+        # Reported at the opening quote, like any unterminated literal.
+        with pytest.raises(L.LexError) as caught:
+            L.tokenize('int x;\nchar *s = "ab\ncd";', "f.c")
+        assert str(caught.value) == "f.c:2:11: unterminated string literal"
+        with pytest.raises(L.LexError) as caught:
+            L.tokenize("c = '\n';", "f.c")
+        assert str(caught.value) == \
+            "f.c:1:5: unterminated character constant"
+        assert L.tokenize("'\\n'")[0].int_value == 10  # the escape is fine
+
     def test_hex_escape_without_digits_raises_lexerror(self):
         # Regression: this used to escape as a raw ValueError from
         # int('', 16) instead of a clean diagnostic.

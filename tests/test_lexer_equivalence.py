@@ -1,7 +1,8 @@
 """The master-pattern lexer against the character loop it replaced.
 
 ``tests/support/reference_lexer.py`` is that loop, verbatim but for
-the end-of-input hang in ``\\x``.  Both lexers must produce the same
+the end-of-input hang in ``\\x`` and for ending a literal at a raw
+new-line, as C11 says and the new lexer does.  Both lexers must produce the same
 ``(kind, value, int_value, float_value, suffix, filename, line,
 column)`` stream, or raise ``LexError`` with the same text, over every
 C file the repo holds, the E19 corpus under its malformed recipes, and

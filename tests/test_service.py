@@ -127,6 +127,19 @@ class TestClientAPI:
         assert response["error"]["phase"] == "frontend"
         assert response["error"]["kind"] == "reject"
 
+    def test_raw_newline_in_a_string_is_a_frontend_reject(self, service):
+        # It used to compile, run and return 10: the newline was the
+        # string's third character.
+        response = service.submit({
+            "filename": "nl.c", "run": "main",
+            "source": 'int main(void){ char *s = "ab\ncd"; '
+                      'return s[2]; }\n'})
+        assert response["status"] == "error"
+        error = response["error"]
+        assert (error["phase"], error["kind"], error["type"]) == \
+            ("frontend", "reject", "LexError")
+        assert error["message"] == "nl.c:1:27: unterminated string literal"
+
     def test_function_pointer_call_is_a_frontend_reject(self, service):
         # It used to compile and fail at run time ("call to unknown
         # function 'f'"): phase "run", no source position.

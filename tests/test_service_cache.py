@@ -9,11 +9,15 @@ a deterministic pure function of the get/put sequence — checked here
 against an independent model.
 """
 
+import dataclasses
+import json
 from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.service import CatalogCache, LRUCache, content_hash
+from repro.pipeline import CompilerOptions
+from repro.service import (CatalogCache, LRUCache, content_hash,
+                           options_fingerprint)
 from repro.service.cache import build_catalog
 
 SOURCE = "int add(int a, int b)\n{\n    return a + b;\n}\n"
@@ -167,3 +171,38 @@ class TestLRUDeterminism:
         assert cache.get("a", record=False) == 1
         assert cache.stats() == {"entries": 1, "hits": 1,
                                  "misses": 1, "evictions": 0}
+
+
+def asdict_fingerprint(options, extra=None):
+    """``options_fingerprint`` as it was, over ``dataclasses.asdict``."""
+    payload = {"options": dataclasses.asdict(options)}
+    if extra:
+        payload["extra"] = extra
+    return content_hash(json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":")))
+
+
+#: A value of each field's kind: what ``options_from_dict`` admits.
+_FIELD_VALUES = {"bool": st.booleans(),
+                 "int": st.integers(min_value=-2**40, max_value=2**40)}
+
+
+class TestOptionsFingerprint:
+    def test_every_field_is_a_json_scalar(self):
+        # The fingerprint reads fields shallowly; a field holding a
+        # list, dict or dataclass would need asdict's deep copy back.
+        for field in dataclasses.fields(CompilerOptions):
+            assert field.type in _FIELD_VALUES, field
+            assert field.default_factory is dataclasses.MISSING, field
+            assert type(field.default).__name__ == field.type, field
+
+    @given(data=st.data(),
+           extra=st.one_of(st.none(), st.dictionaries(
+               st.text(max_size=4), st.integers(), max_size=3)))
+    @settings(max_examples=100, deadline=None)
+    def test_the_digest_is_asdicts(self, data, extra):
+        options = CompilerOptions(**{
+            field.name: data.draw(_FIELD_VALUES[field.type])
+            for field in dataclasses.fields(CompilerOptions)})
+        assert options_fingerprint(options, extra) == \
+            asdict_fingerprint(options, extra)
