@@ -25,6 +25,13 @@ the count gate on any host.  Nor is the rest of the file lexed again:
 a request the line memo can answer lexes one line (``lines_lexed``),
 and only the others are lexed whole (``whole_file_lexes``).
 
+A fourth, also deterministic, gates the mid-end stage: every corpus
+program is sent at vector lengths 32, 64 and 128 (``option_sweep``).
+The second and third requests of each program resume from the first
+one's mid-end snapshot — ``stage_hits`` is twice the ok programs — and
+nothing is parsed twice: ``parses`` is one per program that gets past
+the lexer.
+
 The recorded metrics split on determinism: request/hit/build counts
 are exact across machines and gate at the default tolerance, while
 ``host_*`` wall-clock numbers are informational (the ratio metric is
@@ -195,3 +202,38 @@ def test_e18_service_cache():
     print_table("E18: compilation service warm cache vs cold path",
                 rows)
     assert all(r.ok for r in rows)
+
+
+def test_e18_option_sweep():
+    from repro.frontend.parser import Parser
+    requests = corpus_requests()
+    parses = []
+    real = Parser.parse_translation_unit
+
+    def counted(parser):
+        parses.append(len(parser.tokens))
+        return real(parser)
+
+    Parser.parse_translation_unit = counted
+    try:
+        with CompileService(workers=0) as service:
+            answers = [service.submit(dict(request, options=dict(
+                request["options"], vector_length=length)))
+                for request in requests for length in (32, 64, 128)]
+            stage = service.stages.stats()
+    finally:
+        Parser.parse_translation_unit = real
+    ok_programs = sum(1 for a in answers[::3] if a["status"] == "ok")
+    # Three corpus programs are rejected by the lexer: never parsed.
+    lexed = sum(1 for a in answers[::3] if a["status"] == "ok"
+                or a["error"]["type"] != "LexError")
+    record_bench("e18_service", "option_sweep", metrics={
+        "requests": len(answers),
+        "ok_programs": ok_programs,
+        "stage_hits": stage["hits"],
+        "parses": len(parses),
+    })
+    assert [a["status"] for a in answers] == \
+        [a["status"] for a in answers[::3] for _ in range(3)]
+    assert stage["hits"] == 2 * ok_programs > 0
+    assert len(parses) == lexed

@@ -171,7 +171,9 @@ class DependenceGraph:
         #       dependence from stmt i to stmt j.
         # '=' : same iteration: textual order decides src/dst.
         # '>' : rb's iteration is earlier: carried from j to i.
-        for direction in result.directions:
+        # Sorted ("<", "=", ">"): a frozenset of strings iterates in an
+        # order the hash seed picks, and so would the edges.
+        for direction in sorted(result.directions):
             if direction == EQ:
                 if i == j:
                     continue  # same statement, same iteration: ordered

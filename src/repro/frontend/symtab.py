@@ -114,6 +114,18 @@ class SymbolTable:
         self.globals = Scope()
         self._stack: List[Scope] = [self.globals]
 
+    def copy(self) -> "SymbolTable":
+        """A table whose counters and ``symbols`` dict are its own but
+        whose :class:`Symbol` objects and scopes are shared: what a
+        pass after the front end and the inliner may change is which
+        symbols exist and the numbers the next ones draw, never a
+        symbol or a scope."""
+        table = object.__new__(SymbolTable)
+        table.__dict__.update(self.__dict__)
+        table.symbols = dict(self.symbols)
+        table._stack = list(self._stack)
+        return table
+
     def new_uid(self) -> int:
         uid = self._next_uid
         self._next_uid += 1

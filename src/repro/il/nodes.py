@@ -24,7 +24,7 @@ paper says the vectorizer was specially tuned to handle (section 9).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -723,3 +723,52 @@ def is_const(expr: Expr, value: Optional[Union[int, float]] = None) -> bool:
     if not isinstance(expr, Const):
         return False
     return value is None or expr.value == value
+
+
+# ---------------------------------------------------------------------------
+# Skeleton copies
+# ---------------------------------------------------------------------------
+
+def copy_statements(stmts: Sequence[Stmt]) -> List[Stmt]:
+    """New statement objects in new lists, all the way down, over the
+    *same* expression trees and symbols: passes assign statement
+    fields and edit statement lists, but never an expression (see
+    :class:`Expr`).  Sids are kept, not drawn.  Iterative, like
+    :func:`walk_statements`."""
+    out: List[Stmt] = []
+    todo = [(stmts, out)]
+    while todo:
+        source, target = todo.pop()
+        for stmt in source:
+            cls = stmt.__class__
+            new = object.__new__(cls)
+            state = new.__dict__
+            state.update(stmt.__dict__)
+            for name in _STMT_LISTS[cls]:
+                state[name] = copied = []
+                todo.append((getattr(stmt, name), copied))
+            target.append(new)
+    return out
+
+
+def copy_program(program: ILProgram) -> ILProgram:
+    """A skeleton copy of ``program``: new functions, statements,
+    statement lists, globals and symbol table (:meth:`SymbolTable.copy`)
+    sharing the immutable expressions and the symbols — what every
+    pass after the inliner may edit is copied, nothing else.  Transforming
+    the copy leaves the original as it was, and the other way round."""
+    functions = {
+        name: ILFunction(fn.name, list(fn.params), fn.ret_type,
+                         copy_statements(fn.body), fn.pragmas,
+                         list(fn.local_syms))
+        for name, fn in program.functions.items()}
+    symtab = program.symtab
+    return ILProgram(functions,
+                     [GlobalVar(g.sym, g.init) for g in program.globals],
+                     symtab.copy() if symtab is not None else None)
+
+
+#: Stmt class -> the names of its statement-list fields.
+_STMT_LISTS = {cls: tuple(f.name for f in fields(cls)
+                          if f.default_factory is list)
+               for cls in Stmt.__subclasses__()}

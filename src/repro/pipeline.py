@@ -17,14 +17,20 @@ Phase order implements the paper's placement arguments:
 
 Every stage can be dumped (``dump_stages``) — the golden tests compare
 the dumps against the transcripts printed in the paper.
+
+Steps 2 and 3 are the *mid end*; no option in :data:`BACK_END_OPTIONS`
+reaches them.  A :class:`MidEnd` snapshot of a compile at that boundary
+lets :meth:`TitanCompiler.resume` run another back end (another vector
+length, processor count...) without repeating steps 1-3.
 """
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .analysis.manager import FunctionAnalyses
 from .frontend.lower import compile_to_il
@@ -34,7 +40,7 @@ from .il.validate import validate_program, validate_unique_sids
 from .inline.database import InlineDatabase
 from .inline.inliner import InlineOptions, InlineStats, inline_program
 from .obs.remarks import RemarkCollector
-from .obs.trace import PassTracer
+from .obs.trace import PassTracer, TraceEvent
 from .opt import utils
 from .opt.constprop import ConstPropStats, propagate_constants
 from .opt.deadcode import DCEStats, eliminate_dead_code
@@ -79,6 +85,17 @@ class CompilerOptions:
     # from), for --dump-deps / --report-json.  Off by default — graph
     # construction per loop nest is pure overhead otherwise.
     collect_deps: bool = False
+
+
+#: The options only the back end reads (from dependence export on, or
+#: through ``TitanConfig``).  A denylist: any option not named here
+#: keys the mid-end snapshot (:class:`MidEnd`), so a new option that a
+#: scalar pass reads cannot be mistaken for one it does not.
+BACK_END_OPTIONS = frozenset({
+    "vectorize", "if_convert", "parallelize", "vector_length",
+    "max_vector_length", "processors", "reg_pipeline",
+    "strength_reduction", "parallelize_lists", "collect_deps",
+    "fortran_pointer_semantics"})
 
 
 class PipelineHook:
@@ -185,6 +202,67 @@ class CompilationResult:
         return format_function(self.program.functions[name])
 
 
+#: The result fields the mid end fills with per-pass statistics.
+_MID_END_STATS = ("inline_stats", "while_to_do_stats", "cond_split_stats",
+                  "ivsub_stats", "constprop_stats", "dce_stats")
+
+
+@dataclass
+class MidEnd:
+    """A compile as the scalar rounds leave it — the state a back end
+    starts from — owned by nobody else: a skeleton copy of the program
+    (:func:`~repro.il.nodes.copy_program`; expressions and symbols are
+    shared, being immutable past the inliner), copies of the remarks,
+    statistics, stage dumps and the two tallies, the phase spans as
+    ``(name, cat, args)``, and the sid the next statement draws.
+    Remarks are shared records: nothing edits one once emitted."""
+
+    program: N.ILProgram
+    filename: str
+    next_sid: int
+    remarks: list
+    spans: list
+    stats: bytes  # the statistics, pickled: a copy per resume
+    analysis_solves: Counter
+    pass_iterations: Counter
+    stages: List[StageDump]
+
+    @classmethod
+    def of(cls, result: CompilationResult) -> "MidEnd":
+        return cls(
+            program=N.copy_program(result.program),
+            filename=result.remarks.filename,
+            next_sid=N.sid_position(),
+            remarks=list(result.remarks),
+            spans=[(e.name, e.cat, dict(e.args))
+                   for e in result.trace.events],
+            stats=pickle.dumps({name: getattr(result, name)
+                                for name in _MID_END_STATS},
+                               pickle.HIGHEST_PROTOCOL),
+            analysis_solves=Counter(result.analysis_solves),
+            pass_iterations=Counter(result.pass_iterations),
+            stages=list(result.stages))
+
+    def result(self, options: CompilerOptions) -> CompilationResult:
+        """A fresh result to run a back end on, copied from this
+        snapshot (which stays as it is), with the sid counter where
+        the snapshot found it.  The spans carry no time: none was
+        spent on them in this compile."""
+        N.reset_sids(self.next_sid)
+        result = CompilationResult(
+            program=N.copy_program(self.program), options=options,
+            remarks=RemarkCollector(self.filename),
+            stages=list(self.stages),
+            analysis_solves=Counter(self.analysis_solves),
+            pass_iterations=Counter(self.pass_iterations),
+            **pickle.loads(self.stats))
+        result.remarks.remarks.extend(self.remarks)
+        result.trace.events.extend(
+            TraceEvent(name, cat, 0.0, 0.0, dict(args))
+            for name, cat, args in self.spans)
+        return result
+
+
 class TitanCompiler:
     """Front door: C source in, optimized (possibly vector/parallel)
     IL program out, ready for the Titan simulator."""
@@ -244,19 +322,48 @@ class TitanCompiler:
 
     def compile_program(self, program: N.ILProgram,
                         filename: str = "<input>",
-                        tracer: Optional[PassTracer] = None
-                        ) -> CompilationResult:
+                        tracer: Optional[PassTracer] = None, *,
+                        on_mid_end: Optional[Callable[[MidEnd], None]]
+                        = None) -> CompilationResult:
+        """Optimize ``program`` in place.  ``on_mid_end`` receives a
+        :class:`MidEnd` snapshot as the scalar rounds leave the compile,
+        for :meth:`resume` to start another back end from — unless hooks
+        are installed: they must see every pass, and a resumed compile
+        runs none of the mid end's."""
+        def work() -> CompilationResult:
+            result = self._mid_end(program, filename, tracer)
+            if on_mid_end is not None and not self.hooks:
+                on_mid_end(MidEnd.of(result))
+            return self._back_end(result)
+        return self._releasing(work)
+
+    def resume(self, mid_end: MidEnd) -> CompilationResult:
+        """The back end on a copy of ``mid_end``: the result
+        :meth:`compile_program` gives for the program the snapshot was
+        taken from, provided this compiler's options differ from that
+        compile's in :data:`BACK_END_OPTIONS` only.  Its analysis
+        holders start empty, so ``analysis_solves`` may read ``built``
+        where the full compile read ``reused``."""
+        if self.hooks:
+            raise ValueError("a resumed compile runs none of the mid "
+                             "end's passes, which hooks must see")
+        return self._releasing(
+            lambda: self._back_end(mid_end.result(self.options)))
+
+    def _releasing(self, work: Callable[[], CompilationResult]
+                   ) -> CompilationResult:
         try:
-            return self._compile_program(program, filename, tracer)
+            return work()
         finally:
             # Flow graphs are reference cycles; unlink what is held.
             for holder in self._holders.values():
                 holder.invalidate()
             self._holders = {}
 
-    def _compile_program(self, program: N.ILProgram, filename: str,
-                         tracer: Optional[PassTracer]
-                         ) -> CompilationResult:
+    def _mid_end(self, program: N.ILProgram, filename: str,
+                 tracer: Optional[PassTracer]) -> CompilationResult:
+        """Inline expansion and the scalar rounds: everything no
+        :data:`BACK_END_OPTIONS` field can change (section 2's order)."""
         opts = self.options
         result = CompilationResult(program=program, options=opts,
                                    remarks=RemarkCollector(filename),
@@ -290,6 +397,15 @@ class TitanCompiler:
                                        round_no + 1)
                     args["statements"] = _program_statements(program)
             self._dump(result, "scalar-opt")
+        return result
+
+    def _back_end(self, result: CompilationResult) -> CompilationResult:
+        """Dependence export onward: vectorize, parallelize, the
+        section 6 passes, the final DCE and validation."""
+        opts = self.options
+        program = result.program
+        remarks = result.remarks
+        trace = result.trace
         if opts.collect_deps:
             from .dependence.graph import AliasPolicy
             from .obs.depviz import collect_program_graphs

@@ -25,6 +25,16 @@ process-global catalog cache the CLI's ``--use-db`` path shares.
 No key needs a canonicalizer: each is a hash of a representation the
 compiler already produces on the way to the next one.
 
+**Beside level B, the mid-end stage.**  A level-B miss compiled in
+process is keyed a second time, by ``(IL hash, the options fingerprint
+with every back-end option blanked)``, and finds or leaves there a
+``MidEnd``: the compile as the scalar rounds leave it.  The same source
+at another vector length or processor count then runs the back end
+only.  It is an :class:`LRUCache` of ``MID_END_ENTRIES`` = 8 live
+snapshots (``service/server.py``), bounded because a snapshot is a
+program, not bytes; its events book under their own family,
+``titancc_service_stage_events_total{event}``.
+
 **Eviction is deterministic.**  :class:`LRUCache` is an ordered dict
 whose eviction order is a pure function of the get/put sequence, so a
 replayed request stream evicts the same keys in the same order — the
@@ -91,10 +101,15 @@ class LRUCache:
 
     def __init__(self, max_entries: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 level: str = "cache"):
+                 level: Optional[str] = "cache",
+                 family: str = "titancc_service_cache_events_total"):
         self.max_entries = max_entries
         self.level = level
         self.registry = registry
+        #: Events book as ``family{level, event}`` (no ``level`` label
+        #: when ``level`` is None).
+        self.family = family
+        self._labels = {"level": level} if level is not None else {}
         self._entries: "OrderedDict[object, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -103,8 +118,7 @@ class LRUCache:
     def _event(self, event: str) -> None:
         if self.registry is not None:
             self.registry.counter(
-                "titancc_service_cache_events_total",
-                {"level": self.level, "event": event}).inc()
+                self.family, {**self._labels, "event": event}).inc()
 
     def get(self, key, record: bool = True):
         if key in self._entries:
@@ -260,6 +274,11 @@ def build_catalog(source: str,
 #: ``edit_replay`` reads ~1,130 distinct lines and adds one to three
 #: per request; a full memo costs it ~2.5 % of peak RSS (EXPERIMENTS.md).
 LINE_MEMO_ENTRIES = 4096
+#: Longer lines are lexed by line but never memoized, so the memo is
+#: bounded in bytes too (~2 MB of keys at most), whatever a source
+#: holds.  No C file in the repository or the E19 corpus comes near:
+#: the longest line is 136 characters.
+LINE_MEMO_MAX_CHARS = 512
 
 
 class CatalogCache:
@@ -346,7 +365,8 @@ class CatalogCache:
                     memo.misses += 1
                     lexed[number] = tokens
                     facts = (_line_digest(tokens), after)
-                    memo.put(key, facts)
+                    if len(text) <= LINE_MEMO_MAX_CHARS:
+                        memo.put(key, facts)
                 else:
                     memo.hits += 1
                     refresh(key)

@@ -16,8 +16,17 @@ sequence — never of worker scheduling.  Duplicate in-flight requests
 (same IL hash + fingerprint in one batch) are coalesced onto one
 compile and share its payload.
 
+In process, a level-B miss also probes the *mid-end stage*: a
+bounded cache of compiles as the scalar rounds leave them
+(``TitanCompiler.resume``), keyed by IL hash and the options the mid
+end reads.  The same source at another vector length or processor
+count then runs the back end only.  A pooled worker never resumes (a
+live snapshot cannot cross a process boundary, and pickling one costs
+more than it saves); the payload bytes are the same either way.
+
 Wall-clock observations (``titancc_service_request_seconds``,
-per-worker throughput) are collected separately;
+per-worker throughput) and the stage's events (where a compile ran
+decides whether it resumed) are collected separately;
 :meth:`CompileService.deterministic_metrics` excludes them so merged
 metrics can be compared byte-for-byte across worker counts.
 """
@@ -34,7 +43,19 @@ from ..pipeline import CompilerOptions
 from .cache import CatalogCache, LRUCache, content_hash
 from .protocol import (CompileRequest, ServiceError, error_response,
                        make_response)
-from .worker import pool_task, request_fingerprint
+from .worker import mid_end_fingerprint, pool_task, request_fingerprint
+
+#: Mid-end snapshots the in-process service keeps (``MidEnd``: one
+#: program skeleton each).  The traffic that resumes is one source at
+#: several back-end option points — E19's ``simulate_vector`` sends each
+#: kernel at three (vector length, processors) points and keeps at most
+#: 6 such sweeps open at once; 8 entries measured 36 hits of 36 with 10
+#: evictions, where 64 cost ``compile_cold`` 19 % of its peak RSS.
+MID_END_ENTRIES = 8
+
+#: The stage's hit/miss/evict counter.  Only in-process compiles
+#: resume, so its values depend on where a compile ran.
+STAGE_EVENTS = "titancc_service_stage_events_total"
 
 
 class CompileService:
@@ -55,6 +76,8 @@ class CompileService:
                                      self.registry)
         self.artifacts = LRUCache(max_artifact_entries, self.registry,
                                   level="artifact")
+        self.stages = LRUCache(MID_END_ENTRIES, self.registry,
+                               level=None, family=STAGE_EVENTS)
         self.workers = max(0, int(workers))
         self.pool = WorkerPool(self.workers)
         #: pid -> {"requests", "seconds"} for dispatched compiles
@@ -101,6 +124,7 @@ class CompileService:
                     "cache": prepared["cache"],
                     "catalogs": prepared["catalogs"],
                     "parsed": prepared["parsed"],
+                    "stage": prepared["stage"],
                     "followers": []}
             inflight[key] = slot
             tasks.append(slot)
@@ -110,7 +134,8 @@ class CompileService:
                 pool_task,
                 [{"request": slot["request"],
                   "catalogs": slot["catalogs"],
-                  "parsed": slot.pop("parsed")} for slot in tasks])
+                  "parsed": slot.pop("parsed"),
+                  "stage": slot.pop("stage")} for slot in tasks])
             for slot, outcome in zip(tasks, outcomes):
                 self._merge(slot, outcome, responses)
 
@@ -138,13 +163,18 @@ class CompileService:
         return self.registry.to_dict()
 
     def deterministic_metrics(self) -> dict:
-        """The registry snapshot minus wall-clock families — equal
-        byte-for-byte across worker counts and completion orders for
-        the same request sequence."""
+        """The registry snapshot minus wall-clock families and the
+        mid-end stage events — equal byte-for-byte across worker counts
+        and completion orders for the same request sequence.  Whether a
+        compile resumed from a snapshot depends on where it ran (only
+        in-process compiles do), not on the request sequence."""
         snapshot = self.registry.to_dict()
         snapshot["histograms"] = [
             entry for entry in snapshot["histograms"]
             if not entry["name"].endswith("_seconds")]
+        snapshot["counters"] = [
+            entry for entry in snapshot["counters"]
+            if entry["name"] != STAGE_EVENTS]
         return snapshot
 
     def cache_stats(self) -> dict:
@@ -218,9 +248,13 @@ class CompileService:
                 request.id, "ok", payload=pickle.loads(blob),
                 cache=cache_meta)}
         cache_meta["artifact"] = "miss"
+        if self.pool.parallel:  # a live snapshot stays in this process
+            parsed = stage = None
+        else:
+            stage = (self.stages, (catalog.il_sha256,
+                                   mid_end_fingerprint(request, db_shas)))
         return {"request": request, "key": key, "cache": cache_meta,
-                "catalogs": catalogs,
-                "parsed": None if self.pool.parallel else parsed}
+                "catalogs": catalogs, "parsed": parsed, "stage": stage}
 
     def _merge(self, slot: dict, outcome: TaskOutcome,
                responses: Dict[int, dict]) -> None:

@@ -20,7 +20,8 @@ so a return to whole-file lexing fails here on any host:
 
 *Bound* — the memo holds :data:`LINE_MEMO_ENTRIES` lines, evicts the
 least recently used ones deterministically, and a full memo answers as
-an empty one does.
+an empty one does; a line longer than :data:`LINE_MEMO_MAX_CHARS` is
+lexed on the line path but never memoized.
 """
 
 import gc
@@ -39,8 +40,8 @@ from repro.frontend.lexer import LexError
 from repro.frontend.preprocessor import PreprocessorError
 from repro.obs.metrics import MetricsRegistry
 from repro.service import CatalogCache, CompileService
-from repro.service.cache import (LINE_MEMO_ENTRIES, lex_source,
-                                 token_fingerprint)
+from repro.service.cache import (LINE_MEMO_ENTRIES, LINE_MEMO_MAX_CHARS,
+                                 lex_source, token_fingerprint)
 from tests.test_service_stress import comparable, corpus_requests
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -339,3 +340,27 @@ class TestMemoBound:
                   if c["name"] == "titancc_service_cache_events_total"
                   and c["labels"]["level"] == "lines"}
         assert events["evict"] == memo.evictions > 101
+
+    def test_a_long_line_is_lexed_but_not_memoized(self):
+        long_line = "int big = " + " + ".join(["1"] * 33333) + ";"
+        assert len(long_line) > 100_000 > LINE_MEMO_MAX_CHARS
+        source = f"int a;\n{long_line}\nint main(void) {{ return a; }}\n"
+        cache = CatalogCache()
+        lexed = []
+        for _ in range(2):
+            before = cache.lines.misses
+            assert lex_path(cache, source) == "lines"
+            lexed.append(cache.lines.misses - before)
+            assert all(len(text) <= LINE_MEMO_MAX_CHARS
+                       for text, _ in cache.lines.keys())
+        assert ("int a;", False) in cache.lines.keys()
+        # Four distinct lines (the last one blank), then the long one
+        # again: the memo never learns it.
+        assert lexed == [4, 1]
+
+    def test_no_repo_line_reaches_the_bound(self):
+        """So the bound cannot move E19's ``edit_replay``: every line it
+        and the tests send is memoized as before."""
+        longest = max(len(line) for source in SOURCES
+                      for line in source.split("\n"))
+        assert longest == 136 < LINE_MEMO_MAX_CHARS

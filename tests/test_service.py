@@ -315,10 +315,18 @@ class TestParseOnce:
         assert (cold["cache"]["catalog"], cold["cache"]["artifact"]) \
             == ("miss", "miss")
         assert len(parses) == 1
-        # Catalog hit + artifact miss: the worker half parses.
+        assert service.stages.stats()["misses"] == 1
+        # Catalog hit + artifact miss at another back-end option: the
+        # compile resumes from the mid-end snapshot and parses nothing.
         service.submit({"source": DAXPY, "run": "main",
                         "options": {"vector_length": 16}})
+        assert len(parses) == 1
+        assert service.stages.stats()["hits"] == 1
+        # A mid-end option is a stage miss: the worker half parses.
+        service.submit({"source": DAXPY, "run": "main",
+                        "options": {"inline": False}})
         assert len(parses) == 2
+        assert service.stages.stats()["misses"] == 2
         # New bytes, known tokens: the comment edit stops at the lexer.
         edited = service.submit(
             {"source": DAXPY.replace("int main", "int /* edit */ main"),
