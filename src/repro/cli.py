@@ -286,7 +286,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         session_registry = MetricsRegistry()
         consumers.append(SpanMetricsConsumer(session_registry))
         if args.events_jsonl:
-            event_writer = EventLogWriter(args.events_jsonl)
+            try:
+                event_writer = EventLogWriter(args.events_jsonl)
+            except OSError as exc:
+                parser.error(str(_Unwritable(args.events_jsonl, exc)))
             consumers.append(event_writer)
         # Per-pass spans come from the hook seam (the tracer only
         # emits coarse phase spans), so the hook goes first.
@@ -312,9 +315,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _compile_main(args, compiler, source, checker,
                                  session_registry, event_writer,
                                  attributor, log)
+    except _Unwritable as exc:
+        parser.error(str(exc))
     finally:
         if event_writer is not None:
             event_writer.close()
+
+
+class _Unwritable(Exception):
+    """An output path the CLI cannot write: reported like an
+    unreadable source, a usage error with exit status 2."""
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _writing(path: str, write, *args, **kwargs) -> None:
+    """``write(*args, **kwargs)``, an :class:`OSError` becoming
+    :class:`_Unwritable` for ``path``."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        raise _Unwritable(path, exc) from None
 
 
 def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
@@ -361,14 +383,15 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                              show_lines=args.print_lines))
 
     if args.dump_deps:
-        import json as _json
-        os.makedirs(args.dump_deps, exist_ok=True)
+        _writing(args.dump_deps, os.makedirs, args.dump_deps,
+                 exist_ok=True)
         for graph in result.dep_graphs:
             base = os.path.join(args.dump_deps, graph.slug)
-            schemas.atomic_write_text(base + ".dot",
-                                      graph.to_dot() + "\n")
+            _writing(base + ".dot", schemas.atomic_write_text,
+                     base + ".dot", graph.to_dot() + "\n")
             doc = {"schema": schemas.DEPGRAPH, **graph.to_json()}
-            schemas.write_json_artifact(base + ".json", doc)
+            _writing(base + ".json", schemas.write_json_artifact,
+                     base + ".json", doc)
         log.info(f"wrote {len(result.dep_graphs)} dependence "
                  f"graph(s) to {args.dump_deps}")
 
@@ -425,13 +448,13 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
               file=sys.stderr)
 
     if args.report_json:
-        report.write(args.report_json)
+        _writing(args.report_json, report.write, args.report_json)
         if args.report_json != schemas.STDOUT:
             log.info(f"wrote compilation report to "
                      f"{args.report_json}")
 
     if args.trace_json:
-        result.trace.write(args.trace_json)
+        _writing(args.trace_json, result.trace.write, args.trace_json)
         if args.trace_json != schemas.STDOUT:
             log.info(f"wrote phase trace to {args.trace_json} "
                      f"(open in chrome://tracing)")
@@ -454,9 +477,9 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
         if event_writer is not None:
             event_writer.write_metrics(session_registry)
         if args.metrics_prom:
-            schemas.atomic_write_text(
-                args.metrics_prom,
-                session_registry.format_prometheus())
+            _writing(args.metrics_prom, schemas.atomic_write_text,
+                     args.metrics_prom,
+                     session_registry.format_prometheus())
             if args.metrics_prom != schemas.STDOUT:
                 log.info(f"wrote Prometheus metrics to "
                          f"{args.metrics_prom}")

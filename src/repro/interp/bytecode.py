@@ -31,6 +31,10 @@ generated Python function, which removes the oracle's per-node
   goes through the oracle's own per-lane routine on a frame built
   from this activation's locals, so faults, stored prefixes and
   charges are the oracle's by construction.
+* A strip loop of the vectorizer's shape (``vlen = min(VL, n - vi)``
+  and one such statement) runs several strips at a time through that
+  statement's one copy — a *strip group*
+  (:mod:`repro.interp.strips`).
 * There is **no** instrumentation in this variant, so the
   uninstrumented path is observation-free.
 
@@ -60,7 +64,9 @@ evaluation order — so they are not called, they are added up:
 * a vector statement that ran in bulk charges the scalars it
   evaluated, in the order the oracle's lanes would have reached them,
   and then its instructions through one call
-  (``vector_statement(cycles, instructions, length) -> cycles``);
+  (``vector_statement(cycles, instructions, length) -> cycles``); in
+  a strip group, every strip's scalars and instructions through one
+  (``strip_group(cycles, plan, length[, reached]) -> cycles``);
 * the running total is *parked* in the model before anything else may
   charge it — a callee, a builtin, the ``parallel_*`` events, the
   oracle's routine running a vector statement — and reloaded after;
@@ -117,7 +123,7 @@ from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
-from . import intfacts, vectorgen
+from . import intfacts, strips, vectorgen
 from .intfacts import IntFact
 from .interpreter import (Interpreter, InterpreterError,
                           StepLimitExceeded, Value, _Frame,
@@ -360,6 +366,8 @@ class _CodeGenerator:
         self._ranges: Dict[Symbol, IntFact] = {}
         # (site, outcome) -> integer conversions decided that way.
         self._conversions: Dict[Tuple[str, str], int] = {}
+        # The strip group of the vector statement being generated.
+        self._group: Optional[vectorgen.StripGroup] = None
 
     # -- environment bindings ----------------------------------------------
 
@@ -1208,7 +1216,7 @@ class _CodeGenerator:
             if reason == "call":
                 self._ncalls += 1  # the step cell is flushed around it
             return lines + lane
-        bulk = vectorgen.BulkStatement(self, stmt, env)
+        bulk = vectorgen.BulkStatement(self, stmt, env, self._group)
         body = bulk.assign_lines(lane) if isinstance(stmt, N.VectorAssign) \
             else bulk.reduce_lines(lane)
         if bulk.proved is not None:
@@ -1339,6 +1347,17 @@ class _CodeGenerator:
         then the body.  Between integer constant bounds the trip
         values lie between them (returned too), and a register
         nothing else writes stays there throughout the body."""
+        lines, trips = self._trip_prologue(stmt, it, env)
+        lines.extend(self._gen_stmt_list_lines(stmt.body, env))
+        self._ranges.pop(stmt.var, None)
+        return lines, trips
+
+    def _trip_prologue(self, stmt: N.DoLoop, it: str,
+                       env: Dict[str, object]
+                       ) -> Tuple[List[str], Optional[IntFact]]:
+        """The write of one trip's value ``it`` to the DO variable,
+        and what is known of it — recorded for the body in
+        ``_ranges``, which the caller clears after the body."""
         var, trips, ends = stmt.var, None, (stmt.lo, stmt.hi)
         if all(isinstance(end, N.Const) and isinstance(end.value, int)
                for end in ends):
@@ -1350,8 +1369,6 @@ class _CodeGenerator:
                         getattr(inner, "target", None), "sym", None) is var
                     for inner in N.walk_statements(stmt.body)):
             self._ranges[var] = trips
-        lines.extend(self._gen_stmt_list_lines(stmt.body, env))
-        self._ranges.pop(var, None)
         return lines, trips
 
     def _emit_special_loop(self, stmt: N.DoLoop, env: Dict[str, object],
@@ -1361,10 +1378,17 @@ class _CodeGenerator:
         tlo = self._tmp_name()
         self._guarded_assign(stmt.lo, env, lines, tlo)
         hi = self._guarded_src(stmt.hi, env, lines)
-        tvs = self._bind(env, _trip_values)
         tr = self._tmp_name()
-        lines.append(f"{tr} = {tvs}({tlo}, ({hi}), {stmt.step!r})")
-        if stmt.parallel:
+        shape = strips.shape(self, stmt)
+        if shape is not None and stmt.parallel:
+            order = self._bind_shared(env, strips.parallel_trips,
+                                      lambda: strips.parallel_trips)
+            lines.append(f"{tr} = {order}(_eng, {tlo}, ({hi}), "
+                         f"{stmt.step!r})")
+        else:
+            tvs = self._bind(env, _trip_values)
+            lines.append(f"{tr} = {tvs}({tlo}, ({hi}), {stmt.step!r})")
+        if stmt.parallel and shape is None:
             # Iteration order is an engine-instance knob read at run
             # time (never baked): reverse/shuffle reorders trips.
             to = self._tmp_name()
@@ -1374,19 +1398,22 @@ class _CodeGenerator:
                       f"elif {to} == 'shuffle':",
                       f"    {tr} = list({tr})",
                       f"    _eng._rng.shuffle({tr})"]
-        it = self._tmp_name()
         costed = self._costs is not None
         quiet = not stmt.parallel and self._scheduled(stmt)
         self._cost_sync(lines)
         if costed and stmt.parallel:
             lines += ["_park(_cy)", f"_hk('parallel_begin', {stmt.sid})"]
-        lines.append(f"for {it} in {tr}:")
         da0 = set(self._da)
-        self._quiet = quiet
-        body, trips = self._gen_trip_lines(stmt, it, env)
-        self._quiet = False
+        if shape is not None:
+            trips = strips.emit(self, stmt, shape, tr, env, lines)
+        else:
+            it = self._tmp_name()
+            lines.append(f"for {it} in {tr}:")
+            self._quiet = quiet
+            body, trips = self._gen_trip_lines(stmt, it, env)
+            self._quiet = False
+            lines.extend(_ind(body))
         self._da = da0  # per-trip writes are conditional on trips
-        lines.extend(_ind(body))
         if costed and stmt.parallel:
             lines.extend(self._hook_lines(
                 f"'parallel_end', {stmt.sid}, len({tr})"))

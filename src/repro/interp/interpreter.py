@@ -358,11 +358,7 @@ class Interpreter:
             self._cost("list_chase", 1)
             if len(nodes) > self.max_steps:
                 raise StepLimitExceeded("unterminated list traversal")
-        order = list(nodes)
-        if self.parallel_order == "reverse":
-            order.reverse()
-        elif self.parallel_order == "shuffle":
-            self._rng.shuffle(order)
+        order = self._in_order(nodes)
         self._cost("parallel_begin", stmt.sid)
         for node_addr in order:
             self._tick()
@@ -370,6 +366,17 @@ class Interpreter:
             self._exec_stmt_list(stmt.body, frame)
         self._cost("parallel_end", stmt.sid, len(order))
         self._write_var(frame, stmt.ptr, 0)
+
+    def _in_order(self, items: List) -> List:
+        """A parallel loop's iterations in this engine's order:
+        ``parallel_order`` forward, reversed, or shuffled by the
+        engine's seeded generator (a new list unless forward)."""
+        if self.parallel_order == "reverse":
+            return list(reversed(items))
+        if self.parallel_order == "shuffle":
+            items = list(items)
+            self._rng.shuffle(items)
+        return items
 
     def _exec_special_loop(self, init_node: FlowNode, stmt: N.DoLoop,
                            frame: _Frame) -> Optional[FlowNode]:
@@ -383,11 +390,7 @@ class Interpreter:
         step = stmt.step
         trips = _trip_values(lo, hi, step)
         if stmt.parallel:
-            if self.parallel_order == "reverse":
-                trips = list(reversed(trips))
-            elif self.parallel_order == "shuffle":
-                trips = list(trips)
-                self._rng.shuffle(trips)
+            trips = self._in_order(trips)
             self._cost("parallel_begin", stmt.sid)
         else:
             # Vector (non-parallel) loops bypass the flow-graph DO

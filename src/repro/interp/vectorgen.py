@@ -262,6 +262,58 @@ def fill_order(*keys) -> List[int]:
                    if key is not None)]
 
 
+def strips_reached(flags: list, width: int) -> List[bool]:
+    """Per strip of ``width`` lanes: does some lane's flag hold?"""
+    return [any(flags[at:at + width]) for at in range(0, len(flags), width)]
+
+
+def strip_overlap(length: int, base: int, access: LaneAccess,
+                  sections: tuple, scalars: tuple) -> int:
+    """1 when no read of a strip group could see a write an earlier
+    strip of the group made, else 2: the group's strips must then run
+    one at a time.  ``sections`` are the read sections' ``(base,
+    access)`` (a base of None was not read), ``scalars`` the broadcast
+    memory reads' ``(address, size)``.  A section read lane for lane
+    with the target, or ahead of it, is safe: every lane it shares
+    with the target belongs to the same or a later strip's write.
+    One strip (``length`` 0) reads before it writes."""
+    if not length:
+        return 1
+    step, size = access.step, access.size
+    low = base + min(0, (length - 1) * step)
+    high = base + max(0, (length - 1) * step) + size
+    for read, lanes in sections:
+        if read is None:
+            continue
+        span = (length - 1) * lanes.step
+        if read + max(0, span) + lanes.size <= low or \
+                read + min(0, span) >= high:
+            continue
+        if lanes.step != step or lanes.size != size or \
+                (read - base) * step < 0:
+            return 2
+    for address, width in scalars:
+        if address < high and address + width > low:
+            return 2
+    return 1
+
+
+class StripGroup:
+    """A bulk statement whose strip loop may run it over several
+    strips at once (:mod:`repro.interp.strips`): the loop's local
+    holding the group's length (0: one strip), the strip width, the
+    scalar events each strip charges before the statement (its
+    length's), and the loop's lines ending a group — formatted with
+    the statement's outcome local as ``done``."""
+
+    def __init__(self, length: str, width: int, header: list,
+                 end: List[str]):
+        self.length = length
+        self.width = width
+        self.header = header
+        self.end = end
+
+
 #: Stands in for the lanes of a Select arm no lane took.
 NONES = itertools.repeat(None)
 
@@ -396,10 +448,17 @@ class BulkStatement:
     generator ``gen`` (whose expression emitter, accounting notes and
     temp names it borrows)."""
 
-    def __init__(self, gen, stmt: N.Stmt, env: Dict[str, object]):
+    def __init__(self, gen, stmt: N.Stmt, env: Dict[str, object],
+                 group: Optional[StripGroup] = None):
         self.gen = gen
         self.stmt = stmt
         self.env = env
+        self.group = group
+        #: Section reads as ``(base local, access, context)``, and
+        #: broadcast memory reads as ``(address source, size)``: what
+        #: a strip group checks for overlap with its target.
+        self.section_reads: List[Tuple[str, str, "_Context"]] = []
+        self.scalar_reads: List[Tuple[str, int]] = []
         self.costed = gen._costs is not None
         self.tl = gen._tmp_name()
         self.data = gen._bind_shared(
@@ -438,6 +497,12 @@ class BulkStatement:
         src, items, fact = self._scalar(expr, as_int)
         if isinstance(expr, N.Const):
             return _Lanes(src, fact=fact)
+        if isinstance(expr, N.VarRef) and self.group is not None:
+            kind, where = self.gen._binding(expr.sym)
+            if kind != "reg":
+                self.scalar_reads.append((
+                    f"_m{where}" if kind == "mem" else str(where),
+                    expr.sym.ctype.sizeof()))
         name = self.gen._tmp_name()
         if not items and self._scalar_nofault(expr):
             self.eager.append(f"{name} = {src}")
@@ -640,8 +705,10 @@ class BulkStatement:
         if isinstance(expr, N.Section):
             base = self._leaf(expr.addr, ctx, as_int=True).src
             loaded = self.gen._tmp_name()
-            ctx.lines.append(f"{loaded} = {self._access(expr)}.load("
+            access = self._access(expr)
+            ctx.lines.append(f"{loaded} = {access}.load("
                              f"{self.data}, {base}, {self.tl})")
+            self.section_reads.append((base, access, ctx))
             fact = intfacts.of_type(expr.ctype)
             if ctx.dense:
                 element = self.gen._tmp_name()
@@ -905,6 +972,50 @@ class BulkStatement:
             self.env, tuple(vector_instructions(self.stmt)))
         return [f"_cy = _vx(_cy, {events}, {self.tl})"]
 
+    def _strip_lines(self, first: list, last: list, flags: Optional[str],
+                     tail: List[str]) -> List[str]:
+        """The commit of a statement its strip loop may group: every
+        strip's accounting in one call
+        (:meth:`TitanCostModel.strip_group`) — one strip, or a group's
+        — then ``tail`` (the store or the write)."""
+        group, gen = self.group, self.gen
+        if not self.costed:
+            return tail
+        lead, optional = list(group.header) + list(first), []
+        for ctx, items in self.fills:
+            # No Select in a grouped statement: every fill is the
+            # root's or a masked value's.
+            assert ctx.guard is None or ctx is self.value_ctx
+            (lead if ctx.guard is None else optional).extend(items)
+        kinds = gen._kinds
+        plan = gen._bind(self.env, (
+            group.width, tuple(vector_instructions(self.stmt)),
+            tuple(kinds[i] for i in lead),
+            tuple(kinds[i] for i in optional),
+            tuple(kinds[i] for i in last)))
+        reached = ""
+        if optional:
+            reached = (f", {self._helper(strips_reached)}({flags}, "
+                       f"{group.width})")
+        charge = gen._bind_shared(
+            self.env, "strip_group",
+            lambda: gen.engine.cost_hook.strip_group,
+            ("hookattr", "strip_group"))
+        return [f"_cy = {charge}(_cy, {plan}, {self.tl}{reached})"] + tail
+
+    def _overlap_src(self, base: str, access: str) -> str:
+        """What a grouped statement's body ends on: 1 (commit), or 2
+        when its group must run strip by strip (:func:`strip_overlap`);
+        one strip commits."""
+        if not (self.section_reads or self.scalar_reads):
+            return "1"
+        sections = "".join(f"({read}, {lanes}), " for read, lanes, _
+                           in self.section_reads)
+        scalars = "".join(f"({address}, {size}), " for address, size
+                          in self.scalar_reads)
+        return (f"{self._helper(strip_overlap)}({self.group.length}, "
+                f"{base}, {access}, ({sections}), ({scalars}))")
+
     def assign_lines(self, lane_lines: List[str]) -> List[str]:
         stmt, gen, tl = self.stmt, self.gen, self.tl
         target = stmt.target
@@ -959,27 +1070,52 @@ class BulkStatement:
                      f"{active}, {values}, {self.value_ctx.dense})")
         body = [f"{tl} = {length_src}", f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
+        if self.group is not None:
+            commit = self._strip_lines(length_items, base_items,
+                                       None if active is None else flags,
+                                       [store])
+            return self._wrap(body, commit, lane_lines,
+                              self._overlap_src(base, access))
         commit = self._charge_lines(length_items, base_items)
         commit.append(store)
         commit += self._instruction_lines()
         return self._wrap(body, commit, lane_lines)
 
     def _wrap(self, body: List[str], commit: List[str],
-              lane_lines: List[str]) -> List[str]:
+              lane_lines: List[str], ends: Optional[str] = None
+              ) -> List[str]:
         """Try ``body`` — no side effects, ending inside its ``if
         length > 0:`` — then ``commit``; or, when anything in the body
         raised or the length is not positive, the oracle's routine
-        (``lane_lines``), which decides what that means."""
-        done = self.gen._tmp_name()
+        (``lane_lines``), which decides what that means.  A statement
+        its loop may group (``ends`` its body's last value: 2 when a
+        group overlaps) charges its strip's length before that
+        routine, and hands a group's outcome to the loop: committed,
+        or to run again strip by strip."""
+        gen, done = self.gen, self.gen._tmp_name()
         lines = [f"{done} = 0"]
         if self.costed and self.key_locals:
             lines.append(" = ".join(self.key_locals) + " = None")
+        if ends is None:
+            lines.append("try:")
+            lines += _ind(body + [f"    {done} = 1"])
+            lines += ["except Exception:", f"    {done} = 0",
+                      f"if {done}:"] + _ind(commit)
+            lines += ["else:"] + _ind(lane_lines)
+            return lines
+        group = self.group
+        # Bases of sections read only when some lane gets to them.
+        unset = [read for read, _, ctx in self.section_reads
+                 if ctx.guard is not None and read.isidentifier()]
+        if unset:
+            lines.append(" = ".join(dict.fromkeys(unset)) + " = None")
         lines.append("try:")
-        lines += _ind(body + [f"    {done} = 1"])
+        lines += _ind(body + [f"    {done} = {ends}"])
         lines += ["except Exception:", f"    {done} = 0",
-                  f"if {done}:"] + _ind(commit)
-        lines += ["else:"] + _ind(lane_lines)
-        return lines
+                  f"if {done} == 1:"] + _ind(commit)
+        header = gen._cost_lines(group.header) if self.costed else []
+        lines += [f"elif not {group.length}:"] + _ind(header + lane_lines)
+        return lines + [line.format(done=done) for line in group.end]
 
     def _target_nofault(self, value: N.Expr) -> bool:
         return self._nofault(value) and not self._int_conv_faults(
@@ -1037,9 +1173,18 @@ class BulkStatement:
         body = [f"{tl} = {length_src}", f"{acc} = {acc_src}",
                 f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
+        sym = target.sym
+        if self.group is not None:
+            # A grouped reduction's target is a register: the write
+            # charges nothing, and nothing it reads is stored.
+            write = gen._gen_write_lines(
+                sym, acc, self.env,
+                pre_converted=gen._same_ctype(ctype, sym.ctype))
+            return self._wrap(body, self._strip_lines(
+                length_items + acc_items, [], None, write), lane_lines,
+                "1")
         commit = self._charge_lines(length_items + acc_items, [])
         commit += self._instruction_lines()
-        sym = target.sym
         commit += gen._gen_write_lines(
             sym, acc, self.env,
             pre_converted=gen._same_ctype(ctype, sym.ctype))

@@ -18,6 +18,7 @@ report behind — the old bytes survive until the new ones are complete.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -128,7 +129,12 @@ def atomic_write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except FileExistsError:
+        # Something on the way is a file, not a directory.
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 directory) from None
     fd, tmp = tempfile.mkstemp(dir=directory,
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")

@@ -15,8 +15,13 @@ execution semantics) and accumulates cycles under the machine model in
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sched.scheduler import LoopSchedule
 from .config import TitanConfig
@@ -113,6 +118,105 @@ class InlineCosts:
     scheduled: frozenset
 
 
+def _grain(value: float) -> float:
+    """The largest power of two ``value`` (finite, nonzero) is a whole
+    multiple of."""
+    mantissa, exponent = math.frexp(value)
+    whole = int(mantissa * (1 << 53))
+    return math.ldexp(whole & -whole, exponent - 53)
+
+
+@functools.lru_cache(maxsize=1024)
+def _addend_units(addends: Tuple[float, ...]) -> Optional[tuple]:
+    """``(grain, sum, sum of magnitudes)`` of finite ``addends`` in
+    units of their smallest grain; None when one is not finite."""
+    if not all(map(math.isfinite, addends)):
+        return None
+    nonzero = [a for a in addends if a]
+    if not nonzero:
+        return math.inf, 0, 0
+    unit = min(map(_grain, nonzero))
+    if max(map(abs, nonzero)) / unit >= 1 << 53:
+        return None
+    steps = [int(a / unit) for a in addends]  # a power of two: exact
+    return unit, sum(steps), sum(map(abs, steps))
+
+
+def replay(total: float, addends: Tuple[float, ...], times: int) -> float:
+    """``total`` plus ``addends`` in order, ``times`` over — the value
+    the one-at-a-time float additions reach.  Where every partial sum
+    is exact the repetitions are added in closed form: all the values
+    are whole multiples of the smallest :func:`_grain` among them, and
+    a sum below 2**53 such units is representable, so no addition up
+    to there rounds.  The repetition that would cross that bound (the
+    total's binade top) is added one value at a time; after it the
+    total may have a coarser grain, and closed form resumes."""
+    units = _addend_units(addends)
+    while times > 0:
+        if units is None or not math.isfinite(total):
+            return functools.reduce(operator.add, itertools.chain(
+                *itertools.repeat(addends, times)), total)
+        unit, net, span = units
+        if span == 0:
+            # Zeros: the first repetition decides (-0.0 + 0.0 is 0.0).
+            return functools.reduce(operator.add, addends, total)
+        fits = 0
+        grain = _grain(total) if total else unit
+        # Powers of two: the ratios are whole numbers.
+        if grain < unit and unit / grain < 1 << 53:
+            scale = int(unit / grain)
+            unit, net, span = grain, net * scale, span * scale
+        used = abs(total) / unit
+        if grain >= unit and used < 1 << 53:
+            fits = min(times, ((1 << 53) - 1 - int(used)) // span)
+        if fits > 0:
+            total += float(fits * net) * unit
+            times -= fits
+            if not times:
+                break
+        total = functools.reduce(operator.add, addends, total)
+        times -= 1
+    return total
+
+
+@dataclass(frozen=True)
+class StripCharges:
+    """What one strip of a strip loop charges besides its vector
+    instructions, for :meth:`TitanCostModel.strip_group`: latencies of
+    the strip's scalar events in the order they happen (``scalars``;
+    ``unreached`` for a strip no lane of which got to the optional
+    ones), and ``(counter field, breakdown bucket, latency, events)``
+    per kind."""
+
+    width: int
+    instructions: tuple
+    scalars: Tuple[float, ...]
+    unreached: Tuple[float, ...]
+    counted: tuple
+    optional_counted: tuple
+
+    @classmethod
+    def build(cls, plan: tuple, scalar: Dict[str, tuple]) -> "StripCharges":
+        """From a strip plan — ``(width, instructions, lead kinds,
+        optional kinds, tail kinds)``: each strip charges ``lead``,
+        then ``optional`` when one of its lanes got to them, then
+        ``tail`` — and the model's scalar table."""
+        width, instructions, lead, optional, tail = plan
+
+        def cycles(kinds):
+            return tuple(float(scalar[k][1]) for k in kinds
+                         if scalar[k][1])
+
+        def counted(kinds):
+            return tuple((scalar[k][0], scalar[k][2], scalar[k][1], n)
+                         for k, n in sorted(
+                             collections.Counter(kinds).items()))
+
+        return cls(width, instructions, cycles(lead + optional + tail),
+                   cycles(lead + tail), counted(lead + tail),
+                   counted(optional))
+
+
 class TitanCostModel:
     """A callable usable as the interpreter's ``cost_hook``.
 
@@ -147,6 +251,8 @@ class TitanCostModel:
         }
         # See _vector_prices.
         self._vector_priced: Dict[tuple, tuple] = {}
+        # See strip_group.
+        self._strip_charges: Dict[tuple, StripCharges] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -255,6 +361,74 @@ class TitanCostModel:
             spent["vector_compute"] = compute
             spent["vector_memory"] = memory
             spent["vector_startup"] = fill
+        self.cycles = cycles
+        return cycles
+
+    def strip_group(self, cycles: float, plan: tuple, length: int,
+                    reached=None) -> float:
+        """The strips of a strip loop that one bulk operation of
+        ``length`` elements ran: full strips of the plan's width, the
+        last one possibly shorter.  Each strip is
+        charged as its own run would have been — its scalar events
+        (``lead``, ``optional`` when ``reached`` says a lane of that
+        strip got to them (None: every strip), ``tail``), then its
+        instructions through :meth:`vector_statement`'s prices — with
+        the running total replayed addend by addend in that order
+        (:func:`replay`), and counts in closed form.  ``plan`` is
+        :meth:`StripCharges.build`'s."""
+        charges = self._strip_charges.get(plan)
+        if charges is None:
+            if len(self._strip_charges) >= _VECTOR_PRICED_LIMIT:
+                self._strip_charges.clear()
+            charges = self._strip_charges[plan] = StripCharges.build(
+                plan, self._scalar)
+        width = charges.width
+        full, rest = divmod(length, width)
+        strips = full + (rest > 0)
+        if reached is None:
+            runs = [(True, full)]
+            hits = strips
+        else:
+            runs = [(flag, len(list(group))) for flag, group
+                    in itertools.groupby(reached[:full])]
+            hits = reached.count(True)
+        count, spent = self._count, self._spent
+        # Scalar events: whole-cycle latencies, integer sums.
+        for field, bucket, latency, n in charges.counted:
+            count[field] += n * strips
+            spent[bucket] += n * latency * strips
+        for field, bucket, latency, n in charges.optional_counted:
+            count[field] += n * hits
+            spent[bucket] += n * latency * hits
+        # Inside a scheduled loop the instructions are only counted.
+        quiet = bool(self._sched_stack)
+        lengths = [(width, runs)]
+        if rest:
+            last = reached[-1] if reached is not None else True
+            lengths.append((rest, [(last, 1)]))
+        for size, size_runs in lengths:
+            priced = self._vector_priced.get((charges.instructions, size))
+            if priced is None:
+                priced = self._vector_prices(charges.instructions, size)
+            issued, elements, flops, startup, costs = priced
+            n = sum(times for _, times in size_runs)
+            count["vector_instructions"] += issued * n
+            count["vector_elements"] += elements * n
+            count["flops"] += flops * n
+            own = () if quiet else tuple(cost for cost, _ in costs)
+            for flag, times in size_runs:
+                scalars = charges.scalars if flag else charges.unreached
+                cycles = replay(cycles, scalars + own, times)
+            if quiet:
+                continue
+            spent["vector_compute"] = replay(
+                spent["vector_compute"],
+                tuple(c for c, memory in costs if not memory), n)
+            spent["vector_memory"] = replay(
+                spent["vector_memory"],
+                tuple(c for c, memory in costs if memory), n)
+            spent["vector_startup"] = replay(
+                spent["vector_startup"], (startup,) * len(costs), n)
         self.cycles = cycles
         return cycles
 

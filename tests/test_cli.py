@@ -140,6 +140,27 @@ void f(float *p, float *q, int n)
             assert "Traceback" not in err
 
 
+class TestUnwritableOutputs:
+    """An output path the CLI cannot write is a usage error naming it,
+    like an unreadable source, never a traceback."""
+
+    @pytest.mark.parametrize("flag", ("--trace-json", "--report-json",
+                                      "--metrics-prom", "--events-jsonl",
+                                      "--dump-deps"))
+    def test_parent_is_a_file(self, flag, daxpy_file, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        path = blocker / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([daxpy_file, flag, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"titancc: error: cannot write {path}" in err
+        assert "Not a directory" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
+
+
 class TestEngineFlags:
     def test_bytecode_engine_refused(self, daxpy_file, capsys):
         # The "bytecode" engine value is gone: generated code is what

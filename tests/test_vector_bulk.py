@@ -220,6 +220,128 @@ class TestRandomVectorIL:
         assert set(fast["forms"]) <= {("bulk", "")}, fast["forms"]
 
 
+# -- strip groups ----------------------------------------------------------
+
+
+@st.composite
+def strip_loops(draw, vp):
+    """A strip loop of the vectorizer's shape around one statement over
+    sections that move with the strip — same array or not, a few
+    elements apart (read behind, in place, ahead of the store)."""
+    width = draw(st.sampled_from((1, 2, 3, 7, 32, 33)))
+    count = draw(st.sampled_from((1, 2, 3, 5))) * width \
+        + draw(st.integers(-1, 1))
+    if draw(st.integers(0, 7)) == 0:
+        count = draw(st.sampled_from((4095, 4097)))  # past one group
+    count = max(count, 1)
+    ints = draw(st.booleans())
+    arrays = ("ia", "ib") if ints else ("fa", "fb")
+    ctype = INT if ints else FLOAT
+    offsets = st.integers(0, 3)
+    kind = draw(st.sampled_from(("assign", "masked", "reduce")))
+    read = (draw(st.sampled_from(arrays)), draw(offsets))
+    other = (draw(st.sampled_from(arrays)), draw(offsets))
+    target = (draw(st.sampled_from(arrays)), draw(offsets))
+    op = draw(st.sampled_from(("+", "-", "*", "min")))
+    scalar = vc.const(3, INT) if ints else \
+        draw(st.sampled_from((vc.const(0.5, FLOAT), vp.var("gf"))))
+
+    def statement(strip):
+        value = vc.binop(op, strip.section(*read), vc.binop(
+            "+", strip.section(*other), scalar, ctype), ctype)
+        if kind == "reduce":
+            return strip.reduce("ri" if ints else "rf", "+", value)
+        mask = None
+        if kind == "masked":
+            mask = vc.binop("<", vc.binop("%", strip.iota(),
+                                          N.int_const(11), INT),
+                            N.int_const(4), INT)
+        return strip.assign(strip.section(*target), value, mask)
+
+    parallel = kind != "reduce" and draw(st.booleans())
+    return vp.strip_loop(width, count, statement, parallel)
+
+
+@st.composite
+def strip_programs(draw):
+    vp = vc.VectorProgram(vc.STRIP_ELEMS)
+    body = [draw(strip_loops(vp)) for _ in range(draw(st.integers(1, 2)))]
+    run = {"parallel_order": draw(st.sampled_from(
+        ("forward", "forward", "reverse", "shuffle"))),
+        "processors": draw(st.integers(1, 3))}
+    if draw(st.integers(0, 3)) == 0:
+        run["max_steps"] = draw(st.integers(4, 60))
+    return vp.program(body, {"rf": 0.25, "ri": 1}), run
+
+
+class TestStripGroups:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(drawn=strip_programs(), costed=st.booleans())
+    def test_grouped_strips_equal_the_oracle(self, drawn, costed):
+        # Image bytes, outcome, steps, cycles, counters and breakdown
+        # equal the oracle's per-strip run whether a group ran as one,
+        # fell back (overlap, order, steps, fault) or never formed.
+        program, run = drawn
+        fast = vc.assert_parity(program, costed, None, {"gf": 1.5},
+                                memory=vc.STRIP_MEMORY, **run)
+        assert set(fast["forms"]) <= {("bulk", "")}, fast["forms"]
+        assert set(fast["groups"]) <= {
+            ("grouped", ""), ("strips", "overlap"), ("strips", "order"),
+            ("strips", "steps"), ("strips", "fault")}, fast["groups"]
+
+    @pytest.mark.parametrize("kernel", ("daxpy", "sscal", "vadd",
+                                        "smooth", "guarded_diff",
+                                        "clamp"))
+    def test_every_e19_vector_kernel_strip_loop_is_grouped(self, kernel):
+        # The simulate_vector workload's kernels and vector lengths:
+        # every strip loop runs as groups, none strip by strip.
+        source = _source(E19_KERNELS_DIR, kernel + ".c", n=2000)
+        for width in (32, 64, 128):
+            program = compile_c(source, CompilerOptions(
+                vector_length=width)).program
+            loops = [s for s in program.functions["main"].all_statements()
+                     if isinstance(s, N.DoLoop) and s.vector]
+            before = vc.strip_groups()
+            with TitanSimulator(program, TitanConfig(processors=2)) as sim:
+                sim.run("main")
+            delta = {key: value - before.get(key, 0)
+                     for key, value in vc.strip_groups().items()
+                     if value != before.get(key, 0)}
+            assert loops and delta == {("grouped", ""): len(loops)}
+
+    @pytest.mark.parametrize("kernel", ("daxpy", "sscal", "vadd",
+                                        "smooth", "guarded_diff",
+                                        "clamp"))
+    def test_e19_vector_kernels_equal_the_oracle(self, kernel):
+        # Grouped at vector length 1 and 33 (a remainder strip), one
+        # strip of a short loop at 128; a rescale by three processors
+        # leaves the running total fractional.
+        source = _source(E19_KERNELS_DIR, kernel + ".c", n=300)
+        for width in (1, 33, 128):
+            program = compile_c(source, CompilerOptions(
+                vector_length=width)).program
+            seen = []
+            for engine in ("tree", "compiled"):
+                with TitanSimulator(program, TitanConfig(processors=3),
+                                    engine=engine) as sim:
+                    report = sim.run("main")
+                    seen.append((report.cycles, report.result,
+                                 report.counters, report.breakdown,
+                                 report.stdout, sim.interpreter.steps,
+                                 bytes(sim.interpreter.memory.data)))
+            assert seen[0] == seen[1], (kernel, width)
+
+    def test_dump_code_names_the_group_bound(self):
+        program = compile_c(_source(E19_KERNELS_DIR, "daxpy.c", n=100),
+                            CompilerOptions(vector_length=32)).program
+        dump = make_interpreter(program, engine="compiled").disassemble(
+            "main")
+        assert dump.count(": groups of up to 128 strips\n") == 4
+        assert dump.count("# strip loop ") == 4
+
+
 # -- float32 sums ----------------------------------------------------------
 
 SUM_SOURCE = ("float x[70]; float s0; float out; int n;"

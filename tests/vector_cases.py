@@ -4,7 +4,9 @@ The bulk lowering of vector statements (``repro.interp.vectorgen``)
 must be an unobservable shortcut through the tree oracle's per-lane
 definition.  :class:`VectorProgram` builds one-function programs
 directly in IL — sections at any base, stride and element type,
-masks, selects, broadcast scalars in registers and in memory — and
+masks, selects, broadcast scalars in registers and in memory, strip
+loops of the vectorizer's shape (which the fast engine may run several
+strips at a time as one bulk operation) — and
 :func:`observe` reports everything a run can show: outcome (a fault
 as its type and message), stdout, steps, the final memory image, and
 under a cost model its cycles, counters and breakdown.  ``CASES`` pins
@@ -31,6 +33,10 @@ from repro.titan.cost_model import TitanCostModel
 #: Small image: out-of-range addresses are a few bytes away.
 MEMORY = 1 << 16
 ELEMS = 48
+#: Arrays and image of the strip-loop cases: long enough for more
+#: than one strip group (4,096 elements) at vector length 1.
+STRIP_ELEMS = 4500
+STRIP_MEMORY = 1 << 18
 
 ARRAYS = {"fa": FLOAT, "fb": FLOAT, "da": DOUBLE, "ia": INT, "ib": INT,
           "sa": SHORT, "ca": CHAR, "uc": UCHAR, "ua": UINT}
@@ -43,13 +49,15 @@ class VectorProgram:
     """``main`` over the arrays and scalars above; ``unset`` is a
     register nothing ever writes."""
 
-    def __init__(self):
+    def __init__(self, elems: int = ELEMS):
+        self.elems = elems
+        self.memory = MEMORY if elems == ELEMS else STRIP_MEMORY
         self.table = SymbolTable()
         self.syms = {}
         self.globals = []
         for name, ctype in ARRAYS.items():
             sym = self.table.declare(
-                name, ArrayType(base=ctype, length=ELEMS), "global")
+                name, ArrayType(base=ctype, length=elems), "global")
             self.syms[name] = sym
             self.globals.append(N.GlobalVar(sym=sym))
         for name, ctype in GLOBAL_SCALARS.items():
@@ -107,6 +115,27 @@ class VectorProgram:
         return N.VectorReduce(target=self.var(target), op=op,
                               value=value, length=N.int_const(length))
 
+    def strip_loop(self, width: int, count: int, statement: Callable,
+                   parallel: bool = True, start: int = 0) -> N.DoLoop:
+        """The vectorizer's strip-mined loop over elements ``start ..
+        start + count - 1``: ``do [parallel] vi = start, start + count
+        - 1, width { vlen = min(width, start + count - vi);
+        statement(strip) }``, where ``strip`` builds sections that move
+        with ``vi`` (:class:`Strip`)."""
+        vi = self.table.fresh_temp(INT, "vi")
+        vlen = self.table.fresh_temp(INT, "vlen")
+        self.locals += [vi, vlen]
+        strip = Strip(self, vi, vlen)
+        header = N.Assign(
+            target=N.VarRef(sym=vlen, ctype=INT),
+            value=binop("min", N.int_const(width),
+                        binop("-", N.int_const(start + count),
+                              N.VarRef(sym=vi, ctype=INT), INT), INT))
+        return N.DoLoop(var=vi, lo=N.int_const(start),
+                        hi=N.int_const(start + count - 1), step=width,
+                        body=[header, statement(strip)],
+                        parallel=parallel, vector=True)
+
     def program(self, body: Sequence[N.Stmt],
                 registers: Optional[Dict[str, float]] = None,
                 result: Optional[N.Expr] = None) -> N.ILProgram:
@@ -119,6 +148,50 @@ class VectorProgram:
                           local_syms=list(self.locals))
         return N.ILProgram(functions={"main": fn}, globals=self.globals,
                            symtab=self.table)
+
+
+class Strip:
+    """Sections and statements of one strip of a strip loop: lane k
+    of a section is element ``vi + k`` (times its stride)."""
+
+    def __init__(self, vp: VectorProgram, vi, vlen):
+        self.vp = vp
+        self.vi = vi
+        self.vlen = vlen
+
+    def moving(self, base: N.Expr, step: int, ctype: CType,
+               stride: int) -> N.Section:
+        """A section at ``base + step * vi``."""
+        moved = binop("+", base, binop("*", N.int_const(step),
+                                       N.VarRef(sym=self.vi, ctype=INT),
+                                       INT), PointerType(base=ctype))
+        return N.Section(addr=moved, length=self.length(), stride=stride,
+                         ctype=ctype)
+
+    def length(self) -> N.VarRef:
+        return N.VarRef(sym=self.vlen, ctype=INT)
+
+    def section(self, array: str, start: int = 0,
+                stride: int = 1) -> N.Section:
+        elem = self.vp.syms[array].ctype.base
+        return self.moving(self.vp.addr(array, start * elem.sizeof()),
+                            stride * elem.sizeof(), elem, stride)
+
+    def at(self, address: int, ctype: CType) -> N.Section:
+        """A section at an absolute byte address (at ``vi`` = 0)."""
+        return self.moving(N.int_const(address), ctype.sizeof(), ctype, 1)
+
+    def iota(self) -> N.Iota:
+        return N.Iota(start=N.VarRef(sym=self.vi, ctype=INT), ctype=INT)
+
+    def assign(self, target: N.Section, value: N.Expr,
+               mask: Optional[N.Expr] = None) -> N.VectorAssign:
+        return N.VectorAssign(target=target, value=value, mask=mask)
+
+    def reduce(self, target: str, op: str,
+               value: N.Expr) -> N.VectorReduce:
+        return N.VectorReduce(target=self.vp.var(target), op=op,
+                              value=value, length=self.length())
 
 
 def const(value, ctype: CType) -> N.Const:
@@ -148,14 +221,14 @@ def iota(start: int = 0) -> N.Iota:
 START_CYCLES = 1.0 / 3.0
 
 
-def default_data() -> Dict[str, List]:
+def default_data(elems: int = ELEMS) -> Dict[str, List]:
     """Deterministic, sign-mixed contents for every array."""
     data = {}
     for name, ctype in ARRAYS.items():
         if ctype in (FLOAT, DOUBLE):
-            data[name] = [((k * 7) % 11 - 5) * 0.75 for k in range(ELEMS)]
+            data[name] = [((k * 7) % 11 - 5) * 0.75 for k in range(elems)]
         else:
-            data[name] = [(k * 5) % 13 - 6 for k in range(ELEMS)]
+            data[name] = [(k * 5) % 13 - 6 for k in range(elems)]
     return data
 
 
@@ -181,16 +254,20 @@ def boundary_data() -> Dict[str, List]:
 
 def observe(program: N.ILProgram, engine: str, costed: bool,
             data: Optional[Dict[str, List]] = None,
-            scalars: Optional[Dict[str, float]] = None) -> dict:
-    """Everything one run shows."""
+            scalars: Optional[Dict[str, float]] = None,
+            memory: int = MEMORY, processors: int = 2,
+            **engine_args) -> dict:
+    """Everything one run shows; ``engine_args`` (``parallel_order``,
+    ``max_steps``) go to the engine."""
     model = None
     if costed:
-        model = TitanCostModel(TitanConfig(processors=2))
+        model = TitanCostModel(TitanConfig(processors=processors))
         model.cycles = START_CYCLES
     interp = make_interpreter(program, engine=engine, cost_hook=model,
-                              memory_size=MEMORY)
+                              memory_size=memory, **engine_args)
     present = {g.sym.name for g in program.globals}
-    for name, values in {**default_data(), **(data or {})}.items():
+    elems = ELEMS if memory == MEMORY else STRIP_ELEMS
+    for name, values in {**default_data(elems), **(data or {})}.items():
         if name in present:
             interp.set_global_array(name, values)
     for name, value in (scalars or {}).items():
@@ -219,16 +296,25 @@ def lowerings() -> Dict[tuple, float]:
             if name == "titancc_vector_lowering_total"}
 
 
+def strip_groups() -> Dict[tuple, float]:
+    """``(path, reason) -> count`` of
+    ``titancc_vector_strip_groups_total``."""
+    return {(dict(key)["path"], dict(key)["reason"]): metric.value
+            for name, key, metric in REGISTRY
+            if name == "titancc_vector_strip_groups_total"}
+
+
 def assert_parity(program: N.ILProgram, costed: bool,
                   data: Optional[Dict[str, List]] = None,
-                  scalars: Optional[Dict[str, float]] = None) -> dict:
+                  scalars: Optional[Dict[str, float]] = None,
+                  **run_args) -> dict:
     """The fast engine's run equals the oracle's in every field;
     returns the fast observation plus ``misses`` (bulk statements that
-    went through the oracle's routine) and ``forms`` (lowerings
-    generated)."""
-    oracle = observe(program, "tree", costed, data, scalars)
-    misses, forms = bulk_misses(), lowerings()
-    fast = observe(program, "compiled", costed, data, scalars)
+    went through the oracle's routine), ``forms`` (lowerings
+    generated) and ``groups`` (strip-group decisions made)."""
+    oracle = observe(program, "tree", costed, data, scalars, **run_args)
+    misses, forms, groups = bulk_misses(), lowerings(), strip_groups()
+    fast = observe(program, "compiled", costed, data, scalars, **run_args)
     for field, value in oracle.items():
         if field == "memory":
             assert fast[field] == value, "final memory image differs"
@@ -238,6 +324,9 @@ def assert_parity(program: N.ILProgram, costed: bool,
     fast["forms"] = {key: value - forms.get(key, 0)
                      for key, value in lowerings().items()
                      if value != forms.get(key, 0)}
+    fast["groups"] = {key: value - groups.get(key, 0)
+                      for key, value in strip_groups().items()
+                      if value != groups.get(key, 0)}
     return fast
 
 
@@ -253,18 +342,28 @@ class Case:
                  misses: Optional[int] = 0,
                  data: Optional[Dict[str, List]] = None,
                  scalars: Optional[Dict[str, float]] = None,
-                 check: Optional[Callable] = None):
+                 check: Optional[Callable] = None,
+                 groups: Optional[Dict[tuple, int]] = None,
+                 **run_args):
         self.build = build
         self.fault = fault
         self.misses = misses
         self.data = data
         self.scalars = scalars
         self.check = check
+        #: Strip-group decisions the fast run must make (a strip
+        #: case: its arrays are STRIP_ELEMS long).
+        self.groups = groups
+        self.run_args = run_args
 
     def run(self, costed: bool) -> dict:
-        vp = VectorProgram()
+        strips = self.groups is not None
+        vp = VectorProgram(STRIP_ELEMS if strips else ELEMS)
         program = self.build(vp)
-        fast = assert_parity(program, costed, self.data, self.scalars)
+        fast = assert_parity(program, costed, self.data, self.scalars,
+                             memory=vp.memory, **self.run_args)
+        if strips:
+            assert fast["groups"] == self.groups, fast["groups"]
         if self.fault is None:
             assert not isinstance(fast["outcome"], tuple), fast["outcome"]
         else:
@@ -668,6 +767,157 @@ def _remainder_strip(vp):
 
 _SCALARS = {"gf": 1.5, "gd": -2.25, "gi": 1}
 
+
+# -- strip loops -------------------------------------------------------------
+#
+# Grouped, a strip loop runs up to 4,096 elements as one bulk operation
+# and charges each strip as its own run would have; each case says
+# which strip-group decisions the fast engine makes.
+
+GROUPED = ("grouped", "")
+
+
+def _strip_daxpy(width: int, count: int, parallel: bool = True):
+    def build(vp):
+        def daxpy(strip):
+            return strip.assign(strip.section("fa"), binop(
+                "+", strip.section("fb"),
+                binop("*", const(2.0, FLOAT), strip.section("fa"), FLOAT),
+                FLOAT))
+        return vp.program([vp.strip_loop(width, count, daxpy, parallel)])
+    return build
+
+
+def _strip_mixed(vp):
+    # Int lanes from an iota, a masked store whose active lanes skip
+    # whole strips (its section bases are charged only by strips with
+    # one), a reversed store, a broadcast memory scalar, and a serial
+    # float32 sum — two parallel loops first, so the sum starts from
+    # a rescaled, fractional total.
+    def ints(strip):
+        return strip.assign(strip.section("ia"), binop(
+            "&", binop("+", binop("*", strip.iota(), N.int_const(3), INT),
+                       N.int_const(7), INT), N.int_const(1023), INT))
+
+    def sparse(strip):
+        every = binop("%", strip.iota(), N.int_const(40), INT)
+        return strip.assign(
+            strip.section("fb"),
+            binop("*", strip.section("fa"), vp.var("gf"), FLOAT),
+            mask=binop("<", every, N.int_const(3), INT))
+
+    def reversed_copy(strip):
+        top = vp.addr("ib", 4 * (STRIP_ELEMS - 1))
+        target = strip.moving(top, -4, INT, -1)
+        return strip.assign(target, strip.section("ia"))
+
+    def total(strip):
+        return strip.reduce("rf", "+", strip.section("fb"))
+
+    return vp.program([vp.strip_loop(7, 4000, ints),
+                       vp.strip_loop(8, 4400, sparse),
+                       vp.strip_loop(5, 4500, reversed_copy),
+                       vp.strip_loop(32, 4500, total, parallel=False)],
+                      registers={"rf": 0.5}, result=N.Cast(
+                          operand=vp.var("rf"), ctype=INT))
+
+
+def _strip_store_fault(vp):
+    # Strip 3 of 5 stores lanes 0 and 1, then lane 2 is past the
+    # image: the group stores nothing and reruns strip by strip.
+    def store(strip):
+        return strip.assign(strip.at(vp.memory - 40, FLOAT),
+                            strip.section("fb"))
+    return vp.program([vp.strip_loop(4, 20, store)])
+
+
+def _strip_load_fault(vp):
+    def load(strip):
+        return strip.assign(strip.section("fa"),
+                            strip.at(vp.memory - 40, FLOAT))
+    return vp.program([vp.strip_loop(4, 20, load)])
+
+
+def _read_behind_write(vp):
+    # fa[i + 1] = fa[i] + 1: each strip reads what the one before it
+    # stored, so the group runs strip by strip; reading ahead
+    # (fb[i] = fb[i + 1] + 1) and in place (ia[i] = ia[i] * 3) never
+    # sees an earlier strip's store.
+    def behind(strip):
+        return strip.assign(strip.section("fa", 1), binop(
+            "+", strip.section("fa"), const(1.0, FLOAT), FLOAT))
+
+    def ahead(strip):
+        return strip.assign(strip.section("fb"), binop(
+            "+", strip.section("fb", 1), const(1.0, FLOAT), FLOAT))
+
+    def in_place(strip):
+        return strip.assign(strip.section("ia"), binop(
+            "*", strip.section("ia"), N.int_const(3), INT))
+
+    return vp.program([vp.strip_loop(4, 40, behind, parallel=False),
+                       vp.strip_loop(4, 40, ahead, parallel=False),
+                       vp.strip_loop(4, 40, in_place)])
+
+
+def _scalar_behind_write(vp):
+    # The store runs over the memory scalar gf, which every strip
+    # broadcasts: a later strip reads what an earlier one stored.
+    def store(strip):
+        pointer = PointerType(base=FLOAT)
+        base = binop("-", N.AddrOf(sym=vp.syms["gf"], ctype=pointer),
+                     N.int_const(16), pointer)
+        return strip.assign(strip.moving(base, 4, FLOAT, 1), binop(
+            "+", vp.var("gf"), const(1.0, FLOAT), FLOAT))
+    return vp.program([vp.strip_loop(2, 8, store)])
+
+
+def _strip_steps(vp):
+    # Twenty strips of two steps each; the limit falls inside them.
+    return _strip_daxpy(2, 40)(vp)
+
+
+STRIP_CASES = {
+    "strip-groups-vl-1": Case(_strip_daxpy(1, STRIP_ELEMS),
+                              groups={GROUPED: 2}),
+    "strip-groups-vl-33": Case(_strip_daxpy(33, STRIP_ELEMS),
+                               groups={GROUPED: 2}),
+    "strip-groups-vl-4096": Case(_strip_daxpy(4096, STRIP_ELEMS),
+                                 groups={}),
+    "strip-groups-trip-k-vl-minus-1": Case(_strip_daxpy(33, 33 * 5 - 1),
+                                           groups={GROUPED: 1}),
+    "strip-groups-trip-k-vl-plus-1": Case(_strip_daxpy(33, 33 * 5 + 1),
+                                          groups={GROUPED: 1}),
+    # 4,097 = a full group, then one lone 1-lane strip.
+    "strip-groups-cap-plus-1": Case(_strip_daxpy(32, 4097),
+                                    groups={GROUPED: 1}),
+    "strip-groups-serial": Case(_strip_daxpy(32, 4095, parallel=False),
+                                groups={GROUPED: 1}),
+    "strip-groups-mixed-3-cpus": Case(_strip_mixed, scalars=_SCALARS,
+                                      groups={GROUPED: 7},
+                                      processors=3),
+    "strip-fault-store": Case(_strip_store_fault, "out of range",
+                              misses=1, groups={("strips", "fault"): 1}),
+    "strip-fault-load": Case(_strip_load_fault, "out of range",
+                             misses=1, groups={("strips", "fault"): 1}),
+    "strip-read-behind-write": Case(
+        _read_behind_write,
+        groups={("strips", "overlap"): 1, GROUPED: 2}),
+    "strip-scalar-behind-write": Case(
+        _scalar_behind_write, scalars=_SCALARS,
+        groups={("strips", "overlap"): 1}),
+    "strip-step-limit-mid-group": Case(
+        _strip_steps, "exceeded 30 steps", max_steps=30,
+        groups={("strips", "steps"): 1}),
+    "strip-order-reverse": Case(_strip_daxpy(4, 40),
+                                parallel_order="reverse",
+                                groups={("strips", "order"): 1}),
+    "strip-order-shuffle": Case(_strip_daxpy(4, 40),
+                                parallel_order="shuffle",
+                                groups={("strips", "order"): 1}),
+}
+
+
 CASES = {
     "load-out-of-range-lane-k": Case(_load_oob, "out of range",
                                      misses=1),
@@ -709,4 +959,5 @@ CASES = {
     "nested-selects-under-a-mask": Case(_nested_selects,
                                         scalars=_SCALARS),
     "remainder-strip": Case(_remainder_strip),
+    **STRIP_CASES,
 }
