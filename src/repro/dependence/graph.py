@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..opt import utils
-from ..opt.fold import const_int_value
+from ..opt.fold import static_trip_count
 from .refs import AffineRef, collect_refs, parse_ref
 from .tests import DependenceResult, EQ, GT, LT, test_pair
 
@@ -87,7 +87,7 @@ class DependenceGraph:
         # Bounded (Banerjee) reasoning only applies when loop-variable
         # values coincide with iteration numbers, i.e. normalized loops.
         if N.is_const(loop.lo, 0) and loop.step == 1:
-            self.trip_count = _static_trip_count(loop)
+            self.trip_count = static_trip_count(loop)
         else:
             self.trip_count = None
         self._build(extra_invariants)
@@ -293,13 +293,3 @@ def _has_call(stmt: N.Stmt) -> bool:
             if utils.expr_has_call(expr):
                 return True
     return False
-
-
-def _static_trip_count(loop: N.DoLoop) -> Optional[int]:
-    lo = const_int_value(loop.lo)
-    hi = const_int_value(loop.hi)
-    if lo is None or hi is None:
-        return None
-    if loop.step > 0:
-        return max(0, (hi - lo) // loop.step + 1)
-    return max(0, (lo - hi) // (-loop.step) + 1)

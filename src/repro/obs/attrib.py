@@ -5,11 +5,12 @@ The paper's §8 experiments argue for every optimization by showing
 same argument about any compile: a :class:`CycleAttributor` rides the
 :class:`~repro.pipeline.PipelineHook` seam (the same seam the per-pass
 semantic checker snapshots through) and, after every transforming
-pass, replays the live IL through a *static* Titan cost estimate — the
-whole-program generalization of the per-loop estimator the compilation
-report's ``titan.static`` section uses.  The result is a cycle
-waterfall: estimated cycles after the front end (the O0 program — no
-pass has run yet), after each pass event, and the per-pass deltas.
+pass, replays the live IL through the static Titan walk
+(:class:`~repro.titan.static.StaticCostEstimator` — the walk the
+compilation report's ``titan.static`` section renders too, under the
+prices simulated runs are charged).  The result is a cycle waterfall:
+estimated cycles after the front end (the O0 program — no pass has
+run yet), after each pass event, and the per-pass deltas.
 
 **The invariant** (gated by benchmark E15): the per-pass deltas sum
 *exactly* — bit-exact, not approximately — to the O0→final total
@@ -24,15 +25,17 @@ delta.  Two design choices make that unconditional:
   rationals), so the telescoped sum is exact in the implementation
   too, not just on paper.
 
-The estimator is deliberately *schedule-free*: mid-pipeline snapshots
-have no initiation-interval schedules yet, so a uniform unscheduled
-scalar model keeps every snapshot comparable (the ``schedule`` pass,
-which transforms no IL, correctly attributes zero delta; register
-pipelining and strength reduction show up through the loads and
-address arithmetic they remove).  Loops without compile-time-constant
-trip counts are charged ``assumed_trips`` iterations — a deterministic
-convention, the same one either side of a pass, so deltas still mean
-"what this pass did".
+This module is the walk's exact rendering: the hook, the waterfall
+and their serialization.  The walk is deliberately *schedule-free*
+here: mid-pipeline snapshots have no initiation-interval schedules
+yet, so a uniform unscheduled scalar model keeps every snapshot
+comparable (the ``schedule`` pass, which transforms no IL, correctly
+attributes zero delta; register pipelining and strength reduction
+show up through the loads and address arithmetic they remove).
+Loops without compile-time-constant trip counts are charged
+``assumed_trips`` iterations — a deterministic convention, the same
+one either side of a pass, so deltas still mean "what this pass
+did".
 
 Artifact: schema ``titancc-attrib/1`` (``--attrib-json``); the human
 waterfall prints with ``--attrib``.  The dashboard renders the same
@@ -41,257 +44,24 @@ document as its attribution-waterfall panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..il import nodes as N
-from ..opt.fold import const_int_value
 from ..titan.config import TitanConfig
+from ..titan.static import DEFAULT_ASSUMED_TRIPS, StaticCostEstimator
 from . import schemas
-from .report import _estimate_vector_cost, _loop_trips
 
 ATTRIB_SCHEMA = schemas.ATTRIB
 
-#: Trip-count convention for loops whose bounds are not compile-time
-#: constants.  Deterministic and applied uniformly to every snapshot,
-#: so per-pass deltas stay meaningful even when absolute cycles are a
-#: convention.
-DEFAULT_ASSUMED_TRIPS = 16
-
-
-def _frac(value) -> Fraction:
-    """Exact rational of a model parameter (floats convert exactly)."""
-    return Fraction(value) if not isinstance(value, Fraction) else value
-
 
 def _exact(value):
-    """Exact number for hot-path arithmetic: a plain ``int`` when the
-    value is integral (int arithmetic is exact *and* fast), otherwise
-    its exact :class:`Fraction`.  Mixed int/Fraction expressions stay
-    exact — Python promotes to Fraction only where one appears."""
-    frac = _frac(value)
-    return int(frac) if frac.denominator == 1 else frac
-
-
-@dataclass
-class LoopCost:
-    """One loop's contribution to a function estimate (already scaled
-    by enclosing trip counts)."""
-
-    function: str
-    line: int
-    kind: str  # "do" | "do-parallel" | "vector" | "while" | "list"
-    trips: Optional[int]
-    cycles: "int | Fraction"  # exact either way
-
-    def to_dict(self) -> dict:
-        return {"function": self.function, "line": self.line,
-                "kind": self.kind, "trips": self.trips,
-                "cycles": float(self.cycles)}
-
-
-class StaticCostEstimator:
-    """Whole-program static cycle estimate under the Titan model.
-
-    Scalar statements pay full operation latencies (the unscheduled
-    model in :class:`~repro.titan.cost_model.TitanCostModel`); vector
-    statements pay startup + stride-penalized elements via the report's
-    per-loop estimator; parallel loops divide their body across
-    processors and pay the fork/join startup.  All arithmetic is exact:
-    ints on the scalar path, Fractions where division or float model
-    parameters enter — the attributor runs the estimator once per pass
-    event, so the scalar walk has to be cheap.
-    """
-
-    def __init__(self, config: Optional[TitanConfig] = None,
-                 assumed_trips: int = DEFAULT_ASSUMED_TRIPS):
-        self.config = config or TitanConfig()
-        self.assumed_trips = max(1, assumed_trips)
-        cfg = self.config
-        self._load = _exact(cfg.load_latency)
-        self._store = _exact(cfg.store_latency)
-        self._fp = _exact(cfg.fp_latency)
-        self._int = _exact(cfg.int_latency)
-        self._call = _exact(cfg.call_overhead)
-        self._branch = _exact(cfg.branch_cycles)
-        self._parallel_startup = _exact(cfg.parallel_startup)
-        self._parallel_eff = _frac(cfg.parallel_efficiency)
-
-    # -- expressions ---------------------------------------------------
-
-    def expr_cycles(self, expr: N.Expr):
-        total = 0
-        if isinstance(expr, N.Mem):
-            total = self._load
-        elif isinstance(expr, (N.BinOp, N.UnOp, N.Select)):
-            # A select is charged like the operator it is; the static
-            # walk still visits both arms (worst-case path), though
-            # execution is lazy.
-            total = self._fp if expr.ctype.is_float else self._int
-        elif isinstance(expr, N.CallExpr):
-            total = self._call
-        for child in expr.children():
-            total += self.expr_cycles(child)
-        return total
-
-    # -- statements ----------------------------------------------------
-
-    def _vector_stmt_cycles(self, stmt, total_elements: int,
-                            step: int):
-        cost = _estimate_vector_cost(stmt, total_elements,
-                                     step, self.config)
-        return _exact(cost["vector_compute"]) \
-            + _exact(cost["vector_memory"])
-
-    def _parallel_scale(self, inner, trips: int):
-        workers = max(1, min(self.config.processors, max(trips, 1)))
-        if workers > 1:
-            inner = Fraction(inner) / (workers * self._parallel_eff)
-        return self._parallel_startup + inner
-
-    def stmt_cycles(self, function: str, stmt: N.Stmt,
-                    scale, loops: Optional[List[LoopCost]]):
-        if isinstance(stmt, N.Assign):
-            cycles = self.expr_cycles(stmt.value)
-            if isinstance(stmt.target, N.Mem):
-                cycles += self.expr_cycles(stmt.target.addr) \
-                    + self._store
-            return cycles
-        if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
-            length = const_int_value(
-                stmt.target.length if isinstance(stmt, N.VectorAssign)
-                else stmt.length)
-            total = length if length is not None \
-                else self.assumed_trips
-            cycles = self._vector_stmt_cycles(stmt, total, total or 1)
-            if loops is not None:
-                loops.append(LoopCost(function, stmt.line, "vector",
-                                      length, cycles * scale))
-            return cycles
-        if isinstance(stmt, N.CallStmt):
-            return self.expr_cycles(stmt.call)
-        if isinstance(stmt, N.IfStmt):
-            # Worst-case path: condition + branch + the dearer arm.
-            return self.expr_cycles(stmt.cond) + self._branch \
-                + max(self.block_cycles(function, stmt.then, scale,
-                                        loops),
-                      self.block_cycles(function, stmt.otherwise,
-                                        scale, loops))
-        if isinstance(stmt, N.WhileLoop):
-            trips = self.assumed_trips
-            body = self.block_cycles(function, stmt.body,
-                                     scale * trips, loops)
-            cycles = trips * (self.expr_cycles(stmt.cond)
-                              + self._branch + body)
-            if loops is not None:
-                loops.append(LoopCost(function, stmt.line, "while",
-                                      None, cycles * scale))
-            return cycles
-        if isinstance(stmt, N.DoLoop):
-            return self._do_loop_cycles(function, stmt, scale, loops)
-        if isinstance(stmt, N.ListParallelLoop):
-            trips = self.assumed_trips
-            chase = trips * (self._load + self._branch)
-            advance = self.block_cycles(function, stmt.advance,
-                                        scale * trips, loops)
-            body = self.block_cycles(function, stmt.body,
-                                     scale * trips, loops)
-            cycles = chase + trips * advance \
-                + self._parallel_scale(trips * body, trips)
-            if loops is not None:
-                loops.append(LoopCost(function, stmt.line, "list",
-                                      None, cycles * scale))
-            return cycles
-        if isinstance(stmt, N.Goto):
-            return self._branch
-        if isinstance(stmt, N.Return):
-            return self.expr_cycles(stmt.value) \
-                if stmt.value is not None else 0
-        # LabelStmt and anything costless.
-        return 0
-
-    def _do_loop_cycles(self, function: str, loop: N.DoLoop,
-                        scale, loops: Optional[List[LoopCost]]):
-        known_trips = _loop_trips(loop)
-        trips = known_trips if known_trips is not None \
-            else self.assumed_trips
-        setup = self.expr_cycles(loop.lo) + self.expr_cycles(loop.hi)
-        if loop.vector:
-            # A strip loop covers lo..hi in strips of `step` elements;
-            # vector substatements are costed over the whole element
-            # range, scalar substatements once per strip iteration.
-            lo = const_int_value(loop.lo)
-            hi = const_int_value(loop.hi)
-            total = (hi - lo + 1) if lo is not None \
-                and hi is not None \
-                else self.assumed_trips * max(1, loop.step)
-            strips = max(1, -(-total // max(1, loop.step)))
-            cycles = setup + strips * (self._int + self._branch)
-            for sub in loop.body:
-                if isinstance(sub, (N.VectorAssign, N.VectorReduce)):
-                    cycles += self._vector_stmt_cycles(sub, total,
-                                                       loop.step)
-                else:
-                    cycles += strips * self.stmt_cycles(
-                        function, sub, scale * strips, None)
-            if loop.parallel:
-                cycles = setup + self._parallel_scale(cycles - setup,
-                                                      strips)
-            if loops is not None:
-                kind = "vector-parallel" if loop.parallel else "vector"
-                loops.append(LoopCost(function, loop.line, kind,
-                                      known_trips, cycles * scale))
-            return cycles
-        body = self.block_cycles(function, loop.body, scale * trips,
-                                 loops)
-        inner = trips * (body + self._int + self._branch)
-        if loop.parallel:
-            cycles = setup + self._parallel_scale(inner, trips)
-        else:
-            cycles = setup + inner
-        if loops is not None:
-            kind = "do-parallel" if loop.parallel else "do"
-            loops.append(LoopCost(function, loop.line, kind,
-                                  known_trips, cycles * scale))
-        return cycles
-
-    def block_cycles(self, function: str, stmts: List[N.Stmt],
-                     scale, loops: Optional[List[LoopCost]]):
-        total = 0
-        for stmt in stmts:
-            total += self.stmt_cycles(function, stmt, scale, loops)
-        return total
-
-    # -- functions / programs ------------------------------------------
-
-    def function_cycles(self, name: str, fn: N.ILFunction,
-                        loops: Optional[List[LoopCost]] = None):
-        """Cycles for one invocation of ``fn`` (call overhead paid by
-        the caller)."""
-        return self.block_cycles(name, fn.body, 1, loops)
-
-    def estimate_program(self, program: N.ILProgram
-                         ) -> "ProgramEstimate":
-        functions: Dict[str, "int | Fraction"] = {}
-        loops: List[LoopCost] = []
-        for name in sorted(program.functions):
-            functions[name] = self.function_cycles(
-                name, program.functions[name], loops)
-        return ProgramEstimate(functions=functions, loops=loops)
-
-
-@dataclass
-class ProgramEstimate:
-    """One snapshot's static cost: per-function cycles (one invocation
-    each) plus the per-loop breakdown."""
-
-    functions: Dict[str, "int | Fraction"]
-    loops: List[LoopCost] = field(default_factory=list)
-
-    @property
-    def total(self):
-        return sum(self.functions.values())
+    """The walk's arithmetic here: a plain ``int`` when ``value`` is
+    integral (exact *and* fast), else its exact :class:`Fraction`;
+    mixed int/Fraction arithmetic stays exact."""
+    whole = int(value)
+    return whole if whole == value else Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +80,6 @@ class AttributionStep:
     cycles: "int | Fraction"
     delta: "int | Fraction"  # vs. the previous step (0 for the first)
     per_function: Dict[str, "int | Fraction"]
-
-    @property
-    def label(self) -> str:
-        where = f"({self.function})" if self.function else ""
-        rnd = f" round {self.round_no}" if self.round_no else ""
-        return f"{self.pass_name}{where}{rnd}"
 
     def to_dict(self) -> dict:
         return {"index": self.index, "pass": self.pass_name,
@@ -340,11 +104,14 @@ class CycleAttributor:
     def __init__(self, config: Optional[TitanConfig] = None,
                  assumed_trips: int = DEFAULT_ASSUMED_TRIPS,
                  source: str = "<input>"):
-        self.estimator = StaticCostEstimator(config, assumed_trips)
+        self.estimator = StaticCostEstimator(config, assumed_trips,
+                                             number=_exact)
         self.source = source
         self.steps: List[AttributionStep] = []
         self._fn_cycles: Dict[str, "int | Fraction"] = {}
-        self.final_loops: List[LoopCost] = []
+        # The latest snapshot: its per-loop breakdown is walked once,
+        # for the artifact.
+        self._last_program: Optional[N.ILProgram] = None
 
     # -- PipelineHook --------------------------------------------------
 
@@ -354,7 +121,6 @@ class CycleAttributor:
 
     def after_pass(self, name: str, program: N.ILProgram,
                    function: str = "", round_no: int = 0) -> None:
-        loops: List[LoopCost] = []
         if function and function in program.functions \
                 and self.steps:
             self._fn_cycles[function] = \
@@ -376,9 +142,6 @@ class CycleAttributor:
             index=len(self.steps), pass_name=name, function=function,
             round_no=round_no, cycles=total, delta=total - previous,
             per_function=dict(self._fn_cycles)))
-        # Keep the latest per-loop breakdown (cheap: only recompute at
-        # the end would need the program again; recompute per event is
-        # avoided by only walking loops for the *final* artifact).
         self._last_program = program
 
     # -- queries -------------------------------------------------------
@@ -450,12 +213,9 @@ class CycleAttributor:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        final_loops: List[LoopCost] = []
-        program = getattr(self, "_last_program", None)
-        if program is not None:
-            for fn in sorted(program.functions):
-                self.estimator.function_cycles(
-                    fn, program.functions[fn], final_loops)
+        loops = self.estimator.estimate_program(
+            self._last_program).loops \
+            if self._last_program is not None else []
         cfg = self.estimator.config
         return {
             "schema": ATTRIB_SCHEMA,
@@ -469,7 +229,10 @@ class CycleAttributor:
             "steps": [step.to_dict() for step in self.steps],
             "waterfall": self.waterfall(),
             "functions": self.function_waterfall(),
-            "loops": [loop.to_dict() for loop in final_loops],
+            "loops": [{"function": loop.function, "line": loop.line,
+                       "kind": loop.kind, "trips": loop.trips,
+                       "cycles": float(loop.cycles)}
+                      for loop in loops],
             "totals": {
                 "o0_cycles": float(self.o0_cycles),
                 "final_cycles": float(self.final_cycles),

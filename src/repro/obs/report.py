@@ -17,11 +17,13 @@ stream the compiler produces — the structured equivalent of LLVM's
   (:mod:`repro.obs.depviz`), present when dependence collection was
   enabled (``--dump-deps`` or ``--report-json``);
 * **trace** — the per-phase wall-time/work spans;
-* **titan** — machine utilization: the static cost-model estimate
-  (vector startup per chunk, initiation intervals, memory-pipe
-  pressure) and, when the program was simulated (``--run``), the
-  measured cycle split (vector vs. scalar, memory-pipe share,
-  startup overhead) with an exact cycles decomposition;
+* **titan** — machine utilization: the static estimate, this
+  module's float, schedule-aware rendering of the static walk
+  (:mod:`repro.titan.static`: vector startup per chunk, initiation
+  intervals, memory-pipe pressure) and, when the program was simulated
+  (``--run``), the measured cycle split (vector vs. scalar,
+  memory-pipe share, startup overhead) with an exact cycles
+  decomposition;
 * **pass_checks** — schema /2: when the compile ran with the per-pass
   semantic checker (``--check-passes``), the per-pass snapshot table
   (validated? executed? outcome?) and the first divergence if any;
@@ -42,10 +44,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..il import nodes as N
-from ..opt.fold import const_int_value
 from ..titan.config import TitanConfig
-from ..titan.vector_ops import _VECTOR_MEMORY_OPS, vector_instructions
+from ..titan.static import REPORTED_CONFIG, LoopCost, StaticCostEstimator
 from . import schemas
 from .counters import CounterStore, counters_from_result
 from .metrics import MetricsRegistry
@@ -93,146 +93,55 @@ def loop_coverage(result) -> List[Dict[str, object]]:
 # ---------------------------------------------------------------------------
 
 
-def _loop_trips(loop: N.DoLoop) -> Optional[int]:
-    lo = const_int_value(loop.lo)
-    hi = const_int_value(loop.hi)
-    if lo is None or hi is None or loop.step == 0:
-        return None
-    if loop.step > 0:
-        return max(0, (hi - lo) // loop.step + 1)
-    return max(0, (lo - hi) // (-loop.step) + 1)
-
-
-def _chunk_lengths(total: int, step: int,
-                   mvl: int) -> List[Dict[str, int]]:
-    """(count, length) runs of vector-instruction chunks for a strip
-    loop covering ``total`` elements ``step`` at a time, with hardware
-    chunking at ``mvl``."""
-    runs: List[Dict[str, int]] = []
-    full, rem = divmod(total, step)
-    for span, count in ((step, full), (rem, 1 if rem else 0)):
-        if count == 0:
-            continue
-        f2, r2 = divmod(span, mvl)
-        if f2:
-            runs.append({"count": count * f2, "length": mvl})
-        if r2:
-            runs.append({"count": count, "length": r2})
-    return runs
-
-
-def _estimate_vector_cost(stmt, total: int, step: int,
-                          cfg: TitanConfig) -> Dict[str, float]:
-    """Static cycles for one vector statement executed over ``total``
-    elements in strips of ``step``."""
-    mvl = max(1, cfg.max_vector_length)
-    runs = _chunk_lengths(total, min(step, total) or 1, mvl)
-    chunks = sum(r["count"] for r in runs)
-    out = {"vector_compute": 0.0, "vector_memory": 0.0,
-           "vector_startup": 0.0, "chunks": chunks}
-    for op, stride in vector_instructions(stmt):
-        startup = cfg.vector_startup * chunks
-        out["vector_startup"] += startup
-        per_element = cfg.vector_element_cycles
-        memory_op = op in _VECTOR_MEMORY_OPS
-        if memory_op and abs(stride) != 1:
-            per_element *= cfg.vector_stride_penalty
-        cycles = startup + per_element * total
-        if op == "reduce":
-            cycles += sum(r["count"]
-                          * max(1, r["length"]).bit_length()
-                          * cfg.fp_issue for r in runs)
-        bucket = "vector_memory" if memory_op else "vector_compute"
-        out[bucket] += cycles
-    return out
-
-
 def _static_titan(result, cfg: TitanConfig) -> Dict[str, object]:
-    """Per-loop cost-model estimates from the compiled form alone —
-    no execution.  Loops whose trip counts are not compile-time
-    constants get ``cycles: null`` and are tallied separately."""
-    loops: List[Dict[str, object]] = []
-    totals = {"vector_compute_cycles": 0.0,
-              "vector_memory_cycles": 0.0,
-              "vector_startup_cycles": 0.0,
-              "scheduled_cycles": 0.0}
-    unknown = 0
-
-    def vector_entry(function: str, stmt, total: Optional[int],
-                     step: int, line: int) -> None:
-        nonlocal unknown
-        entry: Dict[str, object] = {
-            "function": function, "line": line, "kind": "vector",
-            "trips": total,
-        }
-        if total is None:
-            unknown += 1
-            entry["cycles"] = None
-        else:
-            cost = _estimate_vector_cost(stmt, total, step, cfg)
-            entry["cycles"] = (cost["vector_compute"]
-                               + cost["vector_memory"])
-            entry["vector_startup_cycles"] = cost["vector_startup"]
-            entry["chunks"] = cost["chunks"]
-            totals["vector_compute_cycles"] += cost["vector_compute"]
-            totals["vector_memory_cycles"] += cost["vector_memory"]
-            totals["vector_startup_cycles"] += cost["vector_startup"]
-        loops.append(entry)
-
-    def walk(function: str, stmts: List[N.Stmt]) -> None:
-        nonlocal unknown
-        for stmt in stmts:
-            if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
-                length = const_int_value(
-                    stmt.target.length
-                    if isinstance(stmt, N.VectorAssign)
-                    else stmt.length)
-                vector_entry(function, stmt, length,
-                             length or 1, stmt.line)
-            elif isinstance(stmt, N.DoLoop) and stmt.vector:
-                # A strip loop covers lo..hi in strips of `step`
-                # elements; total element count needs const bounds.
-                lo = const_int_value(stmt.lo)
-                hi = const_int_value(stmt.hi)
-                total = (hi - lo + 1) \
-                    if lo is not None and hi is not None else None
-                for sub in stmt.body:
-                    if isinstance(sub, (N.VectorAssign,
-                                        N.VectorReduce)):
-                        vector_entry(function, sub, total, stmt.step,
-                                     stmt.line)
-            elif isinstance(stmt, N.DoLoop) \
-                    and stmt.sid in result.schedules:
-                schedule = result.schedules[stmt.sid]
-                trips = _loop_trips(stmt)
-                counts = schedule.counts
-                interval = schedule.initiation_interval
-                entry = {
-                    "function": function, "line": stmt.line,
-                    "kind": "scheduled", "trips": trips,
-                    "initiation_interval": interval,
-                    "recurrence_bound": schedule.recurrence_bound,
-                    "resource_bound": schedule.resource_bound,
-                    # Fraction of each interval the memory pipe is
-                    # busy — the §6 "most frequently accessed" signal.
-                    "memory_pipe_share":
-                        (counts.loads + counts.stores)
-                        * cfg.mem_issue / interval
-                        if interval > 0 else 0.0,
-                }
-                if trips is None:
-                    unknown += 1
-                    entry["cycles"] = None
-                else:
-                    entry["cycles"] = interval * trips
-                    totals["scheduled_cycles"] += entry["cycles"]
-                loops.append(entry)
-            else:
-                for sublist in stmt.substatements():
-                    walk(function, sublist)
-
+    """The report's rendering of the static walk, schedule-aware and
+    in floats: one entry per vector statement (a strip loop's with the
+    loop's line and element count) and per scheduled loop, in program
+    order; ``cycles: null`` where a trip count is not a compile-time
+    constant."""
+    walk = StaticCostEstimator(cfg, schedules=result.schedules)
+    records: List[LoopCost] = []
     for name, fn in result.program.functions.items():
-        walk(name, fn.body)
+        walk.function_cycles(name, fn, records)
+    loops: List[Dict[str, object]] = []
+    totals = dict.fromkeys(("vector_compute_cycles",
+                            "vector_memory_cycles",
+                            "vector_startup_cycles",
+                            "scheduled_cycles"), 0.0)
+    for record in records:
+        where = {"function": record.function, "line": record.line}
+        for cost in record.vectors:
+            entry = {**where, "kind": "vector",
+                     "trips": record.elements, "cycles": None}
+            if record.elements is not None:
+                entry.update(cycles=cost.compute + cost.memory,
+                             vector_startup_cycles=cost.startup,
+                             chunks=cost.chunks)
+                totals["vector_compute_cycles"] += cost.compute
+                totals["vector_memory_cycles"] += cost.memory
+                totals["vector_startup_cycles"] += cost.startup
+            loops.append(entry)
+        schedule = record.schedule
+        if schedule is None:
+            continue
+        counts = schedule.counts
+        interval = schedule.initiation_interval
+        cycles = interval * record.trips \
+            if record.trips is not None else None
+        loops.append({
+            **where, "kind": "scheduled", "trips": record.trips,
+            "initiation_interval": interval,
+            "recurrence_bound": schedule.recurrence_bound,
+            "resource_bound": schedule.resource_bound,
+            # Fraction of each interval the memory pipe is busy — the
+            # §6 "most frequently accessed" signal.
+            "memory_pipe_share":
+                (counts.loads + counts.stores) * cfg.mem_issue
+                / interval if interval > 0 else 0.0,
+            "cycles": cycles})
+        if cycles is not None:
+            totals["scheduled_cycles"] += cycles
+    unknown = sum(entry["cycles"] is None for entry in loops)
     return {"loops": loops, "totals": totals,
             "unknown_trip_loops": unknown}
 
@@ -267,14 +176,8 @@ def titan_section(result, config: Optional[TitanConfig] = None,
                   titan_report=None) -> Dict[str, object]:
     cfg = config or TitanConfig()
     return {
-        "config": {
-            "processors": cfg.processors,
-            "clock_mhz": cfg.clock_mhz,
-            "max_vector_length": cfg.max_vector_length,
-            "vector_startup": cfg.vector_startup,
-            "vector_element_cycles": cfg.vector_element_cycles,
-            "parallel_startup": cfg.parallel_startup,
-        },
+        "config": {name: getattr(cfg, name)
+                   for name in REPORTED_CONFIG},
         "static": _static_titan(result, cfg),
         "measured": measured_titan(titan_report)
         if titan_report is not None else None,

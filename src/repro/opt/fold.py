@@ -237,3 +237,15 @@ def const_int_value(expr: N.Expr) -> Optional[int]:
     if isinstance(expr, N.Const) and isinstance(expr.value, int):
         return expr.value
     return None
+
+
+def static_trip_count(loop: N.DoLoop) -> Optional[int]:
+    """How many times ``loop`` iterates, when its bounds are
+    compile-time constants (never negative); else None."""
+    lo = const_int_value(loop.lo)
+    hi = const_int_value(loop.hi)
+    if lo is None or hi is None or loop.step == 0:
+        return None
+    if loop.step > 0:
+        return max(0, (hi - lo) // loop.step + 1)
+    return max(0, (lo - hi) // (-loop.step) + 1)

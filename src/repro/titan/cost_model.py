@@ -217,6 +217,52 @@ class StripCharges:
                    counted(optional))
 
 
+def vector_prices(config: TitanConfig, instructions,
+                  length: int) -> tuple:
+    """What a statement issuing ``instructions`` (its
+    ``vector_instructions``) over ``length`` elements counts and costs:
+    ``(instructions issued, elements, flops, startup per instruction,
+    ((cycles, memory pipe?) per instruction))``.  The one statement of
+    a vector instruction's price, which runs charge and the static
+    walk (:mod:`repro.titan.static`) sums.  An operand longer than the
+    maximum vector length runs as back-to-back chunks, each paying its
+    own pipeline-fill startup."""
+    mvl = max(1, config.max_vector_length)
+    chunks = max(1, -(-max(length, 0) // mvl))
+    startup = config.vector_startup * chunks
+    flop_ops, costs = 0, []
+    for op, stride in instructions:
+        per_element = config.vector_element_cycles
+        memory_pipe = op in _VECTOR_MEMORY_OPS
+        if memory_pipe and abs(stride) != 1:
+            per_element *= config.vector_stride_penalty
+        if not memory_pipe and op != "int_op":
+            flop_ops += 1
+        cost = startup + per_element * max(length, 0)
+        if op == "reduce":
+            # Pipelined, one element per cycle, plus a short tree
+            # tail to collapse the partial sums.
+            cost += max(1, length).bit_length() * config.fp_issue
+        costs.append((cost, memory_pipe))
+    return (chunks * len(costs), length * len(costs),
+            length * flop_ops, startup, tuple(costs))
+
+
+def parallel_share(config: TitanConfig, inner, trips: int,
+                   number=None):
+    """A ``do parallel`` region's ``inner`` cycles over ``trips``
+    iterations, divided across the processors it forks (no more than
+    its iterations) at the bus efficiency — converted by ``number``,
+    when given, into the caller's arithmetic."""
+    workers = max(1, min(config.processors, max(trips, 1)))
+    if workers > 1:
+        efficiency = config.parallel_efficiency
+        if number is not None:
+            efficiency = number(efficiency)
+        inner = inner / (workers * efficiency)
+    return inner
+
+
 class TitanCostModel:
     """A callable usable as the interpreter's ``cost_hook``.
 
@@ -249,7 +295,7 @@ class TitanCostModel:
             "parallel_begin": self._on_parallel_begin,
             "parallel_end": self._on_parallel_end,
         }
-        # See _vector_prices.
+        # See _price.
         self._vector_priced: Dict[tuple, tuple] = {}
         # See strip_group.
         self._strip_charges: Dict[tuple, StripCharges] = {}
@@ -334,13 +380,13 @@ class TitanCostModel:
         ``vector_instructions`` tuple — ``(op, stride)`` each, a
         reduction the single op ``"reduce"`` — charged in issue order
         on top of the engine's running total.  This is where a vector
-        instruction's cost is stated (:meth:`_vector_prices`); the
+        instruction's cost is stated (:func:`vector_prices`); the
         ``vector`` and ``vector_reduce`` events charge one instruction
         through it, so a statement costs the same float additions
         either way."""
         priced = self._vector_priced.get((instructions, length))
         if priced is None:
-            priced = self._vector_prices(instructions, length)
+            priced = self._price(instructions, length)
         issued, elements, flops, startup, costs = priced
         count = self._count
         count["vector_instructions"] += issued
@@ -409,7 +455,7 @@ class TitanCostModel:
         for size, size_runs in lengths:
             priced = self._vector_priced.get((charges.instructions, size))
             if priced is None:
-                priced = self._vector_prices(charges.instructions, size)
+                priced = self._price(charges.instructions, size)
             issued, elements, flops, startup, costs = priced
             n = sum(times for _, times in size_runs)
             count["vector_instructions"] += issued * n
@@ -432,33 +478,12 @@ class TitanCostModel:
         self.cycles = cycles
         return cycles
 
-    def _vector_prices(self, instructions, length: int) -> tuple:
-        """What a statement issuing ``instructions`` over ``length``
-        elements counts and costs: ``(instructions issued, elements,
-        flops, startup per instruction, ((cycles, memory pipe?) per
-        instruction))``.  Kept per (statement shape, length) — strips
-        of one loop share both — in a table cleared when it fills."""
-        cfg = self.config
-        chunks = self._chunks(length)
-        startup = cfg.vector_startup * chunks
-        flop_ops, costs = 0, []
-        for op, stride in instructions:
-            per_element = cfg.vector_element_cycles
-            memory_pipe = op in _VECTOR_MEMORY_OPS
-            if memory_pipe and abs(stride) != 1:
-                per_element *= cfg.vector_stride_penalty
-            if not memory_pipe and op != "int_op":
-                flop_ops += 1
-            cost = startup + per_element * max(length, 0)
-            if op == "reduce":
-                # Pipelined, one element per cycle, plus a short tree
-                # tail to collapse the partial sums.
-                cost += max(1, length).bit_length() * cfg.fp_issue
-            costs.append((cost, memory_pipe))
-        priced = (chunks * len(costs), length * len(costs),
-                  length * flop_ops, startup, tuple(costs))
+    def _price(self, instructions, length: int) -> tuple:
+        """:func:`vector_prices`, kept per (statement shape, length) —
+        strips of one loop share both — in a table cleared when full."""
         if len(self._vector_priced) >= _VECTOR_PRICED_LIMIT:
             self._vector_priced.clear()
+        priced = vector_prices(self.config, instructions, length)
         self._vector_priced[instructions, length] = priced
         return priced
 
@@ -496,13 +521,6 @@ class TitanCostModel:
 
     # -- vector instructions ----------------------------------------------------
 
-    def _chunks(self, length: int) -> int:
-        """A vector operand longer than the hardware maximum vector
-        length executes as several back-to-back instructions, each
-        paying its own pipeline-fill startup."""
-        mvl = max(1, self.config.max_vector_length)
-        return max(1, -(-max(length, 0) // mvl))
-
     def _on_vector(self, op: str, length: int, stride: int) -> None:
         self.vector_statement(self.cycles, ((op, stride),), length)
 
@@ -528,10 +546,7 @@ class TitanCostModel:
         _, start_cycles = self._parallel_stack.pop()
         self.counters.parallel_loops += 1
         cfg = self.config
-        inner = self.cycles - start_cycles
-        workers = max(1, min(cfg.processors, max(trips, 1)))
-        if workers > 1:
-            inner = inner / (workers * cfg.parallel_efficiency)
+        inner = parallel_share(cfg, self.cycles - start_cycles, trips)
         self.cycles = start_cycles + cfg.parallel_startup + inner
         self.breakdown.parallel_overhead += cfg.parallel_startup
 

@@ -2,9 +2,10 @@
 
 Which instructions a vector statement issues is decided by the IL
 alone, so both execution engines (which emit one ``"vector"`` cost
-event per instruction) and the report's static estimator read it from
-here.  Imports nothing but the IL: the engines sit below the rest of
-``titan/`` in the import graph.
+event per instruction) and the static walk (:mod:`repro.titan.static`)
+read it from here; what each costs is
+:func:`repro.titan.cost_model.vector_prices`.  Imports nothing but the
+IL: the engines sit below the rest of ``titan/`` in the import graph.
 """
 
 from __future__ import annotations

@@ -397,7 +397,6 @@ class Vectorizer:
                        loads: List["AffineRef"], policy: AliasPolicy,
                        loop: N.DoLoop) -> bool:
         from ..dependence.tests import EQ, test_pair
-        from ..dependence.graph import _static_trip_count
         for load in loads:
             if store.base is None or load.base is None:
                 return True

@@ -11,12 +11,12 @@ from fractions import Fraction
 import pytest
 
 from repro.obs import history, schemas
-from repro.obs.attrib import (CycleAttributor, StaticCostEstimator,
-                              _exact)
+from repro.obs.attrib import CycleAttributor, _exact
 from repro.obs.diff import (bench_lower_is_better, diff_benches,
                             diff_documents, diff_reports, format_diff,
                             main as diff_main)
 from repro.pipeline import CompilerOptions, compile_c
+from repro.titan.static import StaticCostEstimator
 
 DAXPY = """
 double a[256], b[256];

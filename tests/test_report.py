@@ -3,6 +3,7 @@ store, the --report-json document, dependence-graph export (DOT and
 JSON, with goldens), Titan utilization, and JSON hardening."""
 
 import json
+import os
 
 import pytest
 
@@ -203,6 +204,35 @@ class TestReportDocument:
         doc = json.loads(path.read_text())
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["titan"]["measured"]["cycles"] > 0
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("fixture", ["daxpy_o0", "daxpy_full"])
+def test_committed_fixture_titan_section_reproduces(fixture):
+    """Recompiling ``examples/daxpy.c`` with a committed report's own
+    options and running ``main`` gives its ``titan`` section byte for
+    byte — the static estimate and the measured split."""
+    with open(os.path.join(ROOT, "benchmarks", "reports",
+                           f"{fixture}.report.json")) as handle:
+        committed = json.load(handle)
+    with open(os.path.join(ROOT, committed["source"])) as handle:
+        source = handle.read()
+    options = CompilerOptions(**committed["options"])
+    config = TitanConfig(processors=options.processors,
+                         max_vector_length=options.vector_length)
+    result = compile_c(source, options)
+    titan_report = TitanSimulator(
+        result.program, config,
+        schedules=result.schedules or None).run("main")
+    report = CompilationReport.from_result(
+        result, titan_report=titan_report, config=config)
+    titan = json.loads(report.to_json())["titan"]
+    for part in ("static", "measured"):
+        assert json.dumps(titan[part]) == \
+            json.dumps(committed["titan"][part]), part
+    assert titan == committed["titan"]
 
 
 def loop_coverage_rows(report):
