@@ -21,6 +21,7 @@ from repro.pipeline import CompilerOptions, compile_c
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+CORPUS = pathlib.Path(__file__).parent / "fuzz_corpus"
 
 #: Every stage the driver dumps for the default option set, in
 #: pipeline order.
@@ -32,6 +33,10 @@ CASES = {
     "backsolve": EXAMPLES / "backsolve.c",
     "inline_chain": GOLDEN_DIR / "inline_chain.c",
     "ifconvert": GOLDEN_DIR / "ifconvert.c",
+    # One loop per vectorizer code-generation shape: sequential
+    # recurrence loop, serial and parallel strip loops, direct vector
+    # statement and reduction.
+    "strip_regions": CORPUS / "strip_regions.c",
 }
 
 
