@@ -64,6 +64,20 @@ class VectorizeOptions:
 
 
 @dataclass
+class StripRegion:
+    """One piece of a distributed loop, as code generation lowers it.
+
+    ``kind`` is ``seq`` (a recurrence kept in a sequential DO loop),
+    ``vector`` (one vector store) or ``reduce`` (one accumulation
+    into a vector reduction); ``stmts`` are loop-body indices in
+    order; ``parallel`` says the region's strips run ``do parallel``.
+    """
+    kind: str
+    stmts: List[int]
+    parallel: bool
+
+
+@dataclass
 class LoopOutcome:
     loop_sid: int
     vectorized: bool
@@ -216,20 +230,17 @@ class Vectorizer:
                               detail=detail, blocking=blocking)
             self._remark_missed(loop, "recurrence", detail)
             return
-        replacement = self._codegen(loop, plan, graph)
+        regions, replacement = self._codegen(loop, plan, graph)
         utils.replace_stmt(owner, loop, replacement)
-        n_vec = sum(1 for kind, comp in plan
-                    if kind in ("vector", "reduce"))
-        n_seq = sum(len(comp) for kind, comp in plan if kind == "seq")
+        n_vec = sum(1 for r in regions if r.kind != "seq")
+        n_seq = sum(len(r.stmts) for r in regions if r.kind == "seq")
         n_masked = sum(1 for s in N.walk_statements(replacement)
                        if isinstance(s, N.VectorAssign)
                        and s.mask is not None)
         self.stats.loops_vectorized += 1
         self.stats.vector_statements += n_vec
         self.stats.masked_statements += n_masked
-        parallel = any(isinstance(s, N.DoLoop) and s.parallel
-                       for s in replacement) or any(
-            isinstance(s, N.VectorAssign) for s in replacement)
+        parallel = any(r.parallel for r in regions)
         if parallel:
             self.stats.loops_parallelized += 1
         self.stats.outcomes.append(LoopOutcome(
@@ -585,66 +596,52 @@ class Vectorizer:
 
     def _codegen(self, loop: N.DoLoop,
                  plan: List[Tuple[str, List[int]]],
-                 graph: DependenceGraph) -> List[N.Stmt]:
-        body = loop.body
+                 graph: DependenceGraph
+                 ) -> Tuple[List[StripRegion], List[N.Stmt]]:
+        """Turn the Allen–Kennedy plan into strip regions and lower
+        them, one statement per region, in plan order (the order the
+        regions draw their temps in)."""
         trip_expr = simplify(N.BinOp(op="+", left=N.clone_expr(loop.hi),
                                      right=N.int_const(1), ctype=INT))
         trip_const = const_int_value(trip_expr)
-        out: List[N.Stmt] = []
-        strip = self.options.vector_length
+        direct = trip_const is not None and trip_const <= min(
+            self.options.vector_length, self.options.max_vector_length)
         # Strips may run concurrently only when nothing is carried at
         # all — even an anti dependence (satisfied within one vector
         # instruction) races across strip boundaries.
-        all_vector = all(kind == "vector" for kind, _ in plan) \
+        strips_parallel = self.options.parallelize \
+            and all(kind == "vector" for kind, _ in plan) \
             and not graph.has_carried_dependence()
-        direct = trip_const is not None and \
-            trip_const <= min(strip, self.options.max_vector_length)
-        for kind, comp in plan:
-            if kind == "seq":
-                stmts = [body[k] for k in sorted(comp)]
-                seq_var = self.symtab.fresh_temp(INT, "svar")
-                self._fn.local_syms.append(seq_var)
-                renamed = [
-                    _rename_loop_var(s, loop.var, seq_var)
-                    for s in stmts]
-                out.append(N.DoLoop(var=seq_var,
-                                    lo=N.clone_expr(loop.lo),
-                                    hi=N.clone_expr(loop.hi), step=1,
-                                    body=renamed, line=loop.line))
-                continue
-            stmt = body[comp[0]]
-            assert isinstance(stmt, N.Assign)
-            if kind == "reduce":
-                if direct:
-                    out.append(self._reduce_stmt(stmt, loop.var,
-                                                 N.int_const(0),
-                                                 trip_expr))
-                else:
-                    out.append(self._reduce_strip_loop(stmt, loop,
-                                                       trip_expr))
-                continue
-            if direct:
-                out.append(self._vector_stmt(stmt, loop.var,
-                                             N.int_const(0), trip_expr))
-            else:
-                out.append(self._strip_loop(stmt, loop, trip_expr,
-                                            all_vector))
-        return out
+        # (A direct vector statement still counts as parallel here.)
+        regions = [StripRegion(kind, sorted(comp), kind == "vector"
+                               and (direct or strips_parallel))
+                   for kind, comp in plan]
+        return regions, [self._emit_region(loop, region, trip_expr,
+                                           direct)
+                         for region in regions]
 
-    def _reduce_stmt(self, stmt: N.Assign, loop_var: Symbol,
-                     start: N.Expr, length: N.Expr) -> N.VectorReduce:
-        op, expr = self._reduction_shape(stmt.value, stmt.target.sym)
-        value = self._value_to_sections(expr, loop_var, start, length)
-        return N.VectorReduce(
-            target=N.VarRef(sym=stmt.target.sym,
-                            ctype=stmt.target.ctype),
-            op=op, value=value, length=N.clone_expr(length),
-            line=stmt.line)
-
-    def _reduce_strip_loop(self, stmt: N.Assign, loop: N.DoLoop,
-                           trip_expr: N.Expr) -> N.DoLoop:
-        """Strips run *serially* (the accumulator orders them) but each
-        strip reduces at vector speed."""
+    def _emit_region(self, loop: N.DoLoop, region: StripRegion,
+                     trip_expr: N.Expr, direct: bool) -> N.Stmt:
+        """A ``seq`` region becomes a DO loop over a fresh ``svar``; a
+        vector or reduction region becomes one statement over the
+        whole trip when it fits a vector register, else a strip loop
+        ``do vi = 0, trip-1, VL { vlen = min(VL, trip - vi); ... }``
+        (``do parallel`` when the region is parallel)."""
+        stmts = [loop.body[k] for k in region.stmts]
+        if region.kind == "seq":
+            seq_var = self.symtab.fresh_temp(INT, "svar")
+            self._fn.local_syms.append(seq_var)
+            return N.DoLoop(var=seq_var, lo=N.clone_expr(loop.lo),
+                            hi=N.clone_expr(loop.hi), step=1,
+                            body=[_rename_loop_var(s, loop.var, seq_var)
+                                  for s in stmts],
+                            line=loop.line)
+        stmt = stmts[0]
+        assert isinstance(stmt, N.Assign)
+        lower = self._reduce_stmt if region.kind == "reduce" \
+            else self._vector_stmt
+        if direct:
+            return lower(stmt, loop.var, N.int_const(0), trip_expr)
         strip = self.options.vector_length
         vi = self.symtab.fresh_temp(INT, "vi")
         vlen = self.symtab.fresh_temp(INT, "vlen")
@@ -657,15 +654,24 @@ class Vectorizer:
         body: List[N.Stmt] = [
             N.Assign(target=N.VarRef(sym=vlen, ctype=INT),
                      value=vlen_value),
-            self._reduce_stmt(stmt, loop.var,
-                              N.VarRef(sym=vi, ctype=INT),
-                              N.VarRef(sym=vlen, ctype=INT)),
+            lower(stmt, loop.var, N.VarRef(sym=vi, ctype=INT),
+                  N.VarRef(sym=vlen, ctype=INT)),
         ]
         return N.DoLoop(
             var=vi, lo=N.int_const(0),
             hi=simplify(N.BinOp(op="-", left=N.clone_expr(trip_expr),
                                 right=N.int_const(1), ctype=INT)),
-            step=strip, body=body, parallel=False, vector=True,
+            step=strip, body=body, parallel=region.parallel,
+            vector=True, line=stmt.line)
+
+    def _reduce_stmt(self, stmt: N.Assign, loop_var: Symbol,
+                     start: N.Expr, length: N.Expr) -> N.VectorReduce:
+        op, expr = self._reduction_shape(stmt.value, stmt.target.sym)
+        value = self._value_to_sections(expr, loop_var, start, length)
+        return N.VectorReduce(
+            target=N.VarRef(sym=stmt.target.sym,
+                            ctype=stmt.target.ctype),
+            op=op, value=value, length=N.clone_expr(length),
             line=stmt.line)
 
     def _vector_stmt(self, stmt: N.Assign, loop_var: Symbol,
@@ -722,32 +728,6 @@ class Vectorizer:
                         for c in expr.children()]
             return expr.replace_children(children)
         return expr
-
-    def _strip_loop(self, stmt: N.Assign, loop: N.DoLoop,
-                    trip_expr: N.Expr, all_vector: bool) -> N.DoLoop:
-        strip = self.options.vector_length
-        vi = self.symtab.fresh_temp(INT, "vi")
-        vlen = self.symtab.fresh_temp(INT, "vlen")
-        self._fn.local_syms.extend([vi, vlen])
-        vlen_value = N.BinOp(
-            op="min", left=N.int_const(strip),
-            right=N.BinOp(op="-", left=N.clone_expr(trip_expr),
-                          right=N.VarRef(sym=vi, ctype=INT), ctype=INT),
-            ctype=INT)
-        body: List[N.Stmt] = [
-            N.Assign(target=N.VarRef(sym=vlen, ctype=INT),
-                     value=vlen_value),
-            self._vector_stmt(stmt, loop.var,
-                              N.VarRef(sym=vi, ctype=INT),
-                              N.VarRef(sym=vlen, ctype=INT)),
-        ]
-        return N.DoLoop(
-            var=vi, lo=N.int_const(0),
-            hi=simplify(N.BinOp(op="-", left=N.clone_expr(trip_expr),
-                                right=N.int_const(1), ctype=INT)),
-            step=strip, body=body,
-            parallel=self.options.parallelize and all_vector,
-            vector=True, line=stmt.line)
 
     # -- parallel-only fallback ------------------------------------------------
 
