@@ -608,13 +608,12 @@ class Vectorizer:
             self.options.vector_length, self.options.max_vector_length)
         # Strips may run concurrently only when nothing is carried at
         # all — even an anti dependence (satisfied within one vector
-        # instruction) races across strip boundaries.
-        strips_parallel = self.options.parallelize \
+        # instruction) races across strip boundaries.  A direct
+        # statement has no strips to spread.
+        parallel = self.options.parallelize and not direct \
             and all(kind == "vector" for kind, _ in plan) \
             and not graph.has_carried_dependence()
-        # (A direct vector statement still counts as parallel here.)
-        regions = [StripRegion(kind, sorted(comp), kind == "vector"
-                               and (direct or strips_parallel))
+        regions = [StripRegion(kind, sorted(comp), parallel)
                    for kind, comp in plan]
         return regions, [self._emit_region(loop, region, trip_expr,
                                            direct)

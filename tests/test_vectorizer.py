@@ -73,9 +73,15 @@ class TestVectorization:
         src = ("float a[16], b[16];"
                "void f(void) { int i;"
                " for (i = 0; i < 16; i++) a[i] = b[i]; }")
-        _, fn = vec(src)
-        assert vector_assigns(fn)
-        assert not do_loops(fn)  # direct vector statement
+        for options in ({}, {"parallelize": False}):
+            result, fn = vec(src, **options)
+            assert vector_assigns(fn)
+            assert not do_loops(fn)  # direct vector statement
+            # No strips, so nothing is spread across processors.
+            stats = result.vectorize_stats["f"]
+            assert stats.loops_parallelized == 0
+            [outcome] = stats.outcomes
+            assert outcome.vectorized and outcome.parallelized is False
 
     def test_strip_length_is_vector_length(self):
         src = ("float a[100], b[100];"
