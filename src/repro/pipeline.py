@@ -443,8 +443,7 @@ class TitanCompiler:
                                                 remarks=remarks)
                         stats = vectorizer.run(fn)
                         self._examined(name, stats.loops_examined)
-                        result.vectorize_stats[name] = _merge_vec_stats(
-                            result.vectorize_stats.get(name), stats)
+                        result.vectorize_stats[name] = stats
                 args["loops_vectorized"] = sum(
                     s.loops_vectorized
                     for s in result.vectorize_stats.values())
@@ -647,21 +646,6 @@ def _merge(store: Dict[str, object], name: str, stats: object,
     if hasattr(stats, "rejected") and hasattr(prior, "rejected"):
         for key, value in stats.rejected.items():
             prior.rejected[key] = prior.rejected.get(key, 0) + value
-
-
-def _merge_vec_stats(prior: Optional[VectorizeStats],
-                     stats: VectorizeStats) -> VectorizeStats:
-    if prior is None:
-        return stats
-    prior.loops_examined += stats.loops_examined
-    prior.loops_vectorized += stats.loops_vectorized
-    prior.loops_parallelized += stats.loops_parallelized
-    prior.vector_statements += stats.vector_statements
-    prior.masked_statements += stats.masked_statements
-    for key, value in stats.rejected.items():
-        prior.rejected[key] = prior.rejected.get(key, 0) + value
-    prior.outcomes.extend(stats.outcomes)
-    return prior
 
 
 def compile_c(source: str, options: Optional[CompilerOptions] = None,

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..opt import utils
+from .vectorizer import private_scalars
 
 
 @dataclass
@@ -202,7 +203,7 @@ class ListParallelizer:
                              advance: List[N.Stmt]) -> bool:
         advance_targets = {utils.stmt_writes_scalar(s)
                            for s in advance} - {None}
-        private = self._private_scalars(work, ptr)
+        private = private_scalars(self._fn, work)
         for stmt in N.walk_statements(work):
             target = utils.stmt_writes_scalar(stmt)
             if target is not None:
@@ -224,30 +225,6 @@ class ListParallelizer:
                     self.stats.reject("store-clobbers-link")
                     return False
         return True
-
-    def _private_scalars(self, work: List[N.Stmt],
-                         ptr: Symbol) -> Set[Symbol]:
-        """Scalars defined before any use within the work section and
-        never referenced outside the loop."""
-        defined = utils.symbols_defined_in(work)
-        outside: Set[Symbol] = set()
-        loop_stmts = set(id(s) for s in N.walk_statements(work))
-        for stmt in self._fn.all_statements():
-            if id(stmt) in loop_stmts:
-                continue
-            outside |= utils.stmt_reads(stmt)
-            target = utils.stmt_writes_scalar(stmt)
-            if target is not None:
-                outside.add(target)
-        out: Set[Symbol] = set()
-        for sym in defined:
-            if sym in outside or sym.address_taken or sym.is_volatile:
-                continue
-            if sym.storage in ("global", "static", "extern"):
-                continue
-            if _defined_before_use(work, sym):
-                out.add(sym)
-        return out
 
 
 def _const_offset_from(addr: N.Expr, ptr: Symbol) -> Optional[int]:
@@ -277,19 +254,6 @@ def _derived_from(addr: N.Expr, ptr: Symbol,
             if node.sym != ptr and node.sym not in private:
                 return False
         elif isinstance(node, N.AddrOf):
-            return False
-    return True
-
-
-def _defined_before_use(work: List[N.Stmt], sym: Symbol) -> bool:
-    for stmt in work:
-        if utils.stmt_writes_scalar(stmt) == sym:
-            return sym not in utils.stmt_reads(stmt)
-        if sym in utils.stmt_reads(stmt):
-            return False
-        if sym in utils.symbols_defined_in([stmt]) or any(
-                sym in utils.stmt_reads(s)
-                for s in N.walk_statements([stmt])):
             return False
     return True
 

@@ -8,12 +8,18 @@ For each innermost normalized DO loop:
    statement is an affine memory store becomes a vector statement over
    the whole index range; cyclic components (recurrences) stay in
    sequential DO loops, in dependence order;
-4. *strip mining*: vector statements longer than the strip length are
+4. *strip mining*: the plan becomes a list of ``StripRegion``s, each
+   lowered by one emitter; vector statements (and accumulations,
+   which become vector reductions) longer than the strip length are
    wrapped in a strip loop computing ``vlen = min(VL, trip - vi)`` —
    short constant-trip loops (the 4×4 graphics case, section 5.2) skip
    the strip loop entirely;
-5. *parallelization*: a strip loop all of whose statements are vector
-   is emitted as ``do parallel`` (the paper's §9 output); a loop that
+5. *parallelization*: the strip loops distributed from a source loop
+   are emitted as ``do parallel`` (the paper's §9 output) when every
+   component of that loop became a vector statement and its
+   dependence graph carries nothing — one reduction, recurrence or
+   carried edge anywhere in the loop keeps all its strip loops serial,
+   and a direct statement has no strips to spread; a loop that
    cannot be vectorized but has no loop-carried dependences (after
    privatizing iteration-local scalars) is spread across processors
    unchanged.
@@ -34,7 +40,7 @@ PASS_NAME = "vectorize"
 PASS_DESCRIPTION = "Allen-Kennedy vectorization/parallelization (section 5/9)"
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..dependence.graph import AliasPolicy, DependenceGraph
 from ..dependence.refs import AffineRef, parse_ref
@@ -52,10 +58,6 @@ class VectorizeOptions:
     max_vector_length: int = 2048
     parallelize: bool = True
     assume_no_alias: bool = False  # the Fortran-pointer-semantics option
-    # Vectorize `s = s + a[i]`-style accumulations into VectorReduce.
-    # The reference semantics accumulate in index order, so results are
-    # bit-identical to the scalar loop.
-    vectorize_reductions: bool = True
     # The pipeline ran if-conversion before us: any branch still inside
     # a loop body is one predication could not remove, so report the
     # precise "not-if-convertible" miss instead of the blanket
@@ -211,9 +213,7 @@ class Vectorizer:
         for comp in sccs:
             if self._component_vectorizable(comp, body, graph):
                 plan.append(("vector", comp))
-            elif self.options.vectorize_reductions \
-                    and self._component_reduction(comp, body, graph,
-                                                  loop):
+            elif self._component_reduction(comp, body, graph, loop):
                 plan.append(("reduce", comp))
             elif plan and plan[-1][0] == "seq":
                 plan[-1][1].extend(comp)
@@ -275,7 +275,7 @@ class Vectorizer:
                                 stmt=loop, reason=reason)
 
     @staticmethod
-    def _blocking_edge(body: List[N.Stmt], graph: DependenceGraph):
+    def _blocking_edge(graph: DependenceGraph):
         """The most explanatory dependence edge of a cyclic component:
         a carried non-anti edge if any, else any carried edge, else any
         edge at all (None on an empty graph)."""
@@ -292,7 +292,7 @@ class Vectorizer:
         """Structured form of the blocking edge, for the compilation
         report's per-loop coverage table."""
         from ..il.printer import format_stmt
-        edge = cls._blocking_edge(body, graph)
+        edge = cls._blocking_edge(graph)
         if edge is None:
             return None
         return {
@@ -310,7 +310,7 @@ class Vectorizer:
                              graph: DependenceGraph) -> str:
         """A dependence-based explanation of a cyclic component, in the
         style of the paper's section 5 transcripts."""
-        edge = cls._blocking_edge(body, graph)
+        edge = cls._blocking_edge(graph)
         if edge is None:
             return "dependence cycle among the loop's statements"
         from ..il.printer import format_stmt
@@ -389,8 +389,6 @@ class Vectorizer:
                 return False  # RHS operand changes before the use
             if isinstance(mid, N.Assign) \
                     and isinstance(mid.target, N.Mem) and loads:
-                if j == last_use and j in use_sites:
-                    pass  # the use's own store happens after the read
                 store_ref = parse_ref(mid.target, mid, True,
                                       [loop.var], invariants)
                 if j < last_use or j not in use_sites:
@@ -751,7 +749,7 @@ class Vectorizer:
                 return False
             graph = DependenceGraph(loop, policy)
         carried = graph.carried_edges()
-        privatizable = self._privatizable_scalars(loop)
+        privatizable = private_scalars(self._fn, loop.body)
         for edge in carried:
             if edge.reason.startswith("scalar "):
                 name = edge.reason[len("scalar "):]
@@ -772,43 +770,40 @@ class Vectorizer:
                 privatized=len(privatizable))
         return True
 
-    def _privatizable_scalars(self, loop: N.DoLoop) -> Set[Symbol]:
-        """Scalars defined before any use in each iteration and never
-        referenced outside the loop."""
-        defined = utils.symbols_defined_in(loop.body)
-        outside: Set[Symbol] = set()
-        for stmt in self._fn.all_statements():
-            inside = stmt in N.walk_statements(loop.body)
-            if inside:
-                continue
-            outside.update(utils.stmt_reads(stmt))
-            target = utils.stmt_writes_scalar(stmt)
-            if target is not None:
-                outside.add(target)
-        out: Set[Symbol] = set()
-        for sym in defined:
-            if sym in outside or sym.address_taken or sym.is_volatile:
-                continue
-            if sym.storage in ("global", "static", "extern"):
-                continue
-            if self._defined_before_use(loop.body, sym):
-                out.add(sym)
-        return out
 
-    @staticmethod
-    def _defined_before_use(body: List[N.Stmt], sym: Symbol) -> bool:
-        """Is every iteration's first touch of ``sym`` an unconditional
-        top-level definition?"""
-        for stmt in body:
-            if utils.stmt_writes_scalar(stmt) == sym:
-                return sym not in utils.stmt_reads(stmt)
-            if sym in utils.stmt_reads(stmt):
-                return False
-            if sym in utils.symbols_defined_in([stmt]) or any(
-                    sym in utils.stmt_reads(s)
-                    for s in N.walk_statements([stmt])):
-                return False  # first touch is conditional
-        return True
+def private_scalars(fn: N.ILFunction,
+                    body: List[N.Stmt]) -> Set[Symbol]:
+    """Scalars ``body`` defines before any use in each iteration and
+    that no statement of ``fn`` outside ``body`` references."""
+    inside = {id(s) for s in N.walk_statements(body)}
+    outside: Set[Symbol] = set()
+    for stmt in fn.all_statements():
+        if id(stmt) in inside:
+            continue
+        outside |= utils.stmt_reads(stmt)
+        target = utils.stmt_writes_scalar(stmt)
+        if target is not None:
+            outside.add(target)
+    return {sym for sym in utils.symbols_defined_in(body)
+            if sym not in outside and not sym.address_taken
+            and not sym.is_volatile
+            and sym.storage not in ("global", "static", "extern")
+            and _defined_before_use(body, sym)}
+
+
+def _defined_before_use(body: List[N.Stmt], sym: Symbol) -> bool:
+    """Is every iteration's first touch of ``sym`` an unconditional
+    top-level definition?"""
+    for stmt in body:
+        if utils.stmt_writes_scalar(stmt) == sym:
+            return sym not in utils.stmt_reads(stmt)
+        if sym in utils.stmt_reads(stmt):
+            return False
+        if sym in utils.symbols_defined_in([stmt]) or any(
+                sym in utils.stmt_reads(s)
+                for s in N.walk_statements([stmt])):
+            return False  # first touch is conditional
+    return True
 
 
 def _coeff_of(addr: N.Expr, loop_var: Symbol) -> int:
@@ -839,13 +834,6 @@ def _rename_loop_var(stmt: N.Stmt, old: Symbol, new: Symbol) -> N.Stmt:
             utils.substitute_in_stmt(sub, old,
                                      N.VarRef(sym=new, ctype=new.ctype))
     return cloned
-
-
-def vectorize_function(fn: N.ILFunction, symtab: SymbolTable,
-                       options: Optional[VectorizeOptions] = None,
-                       remarks: Optional[RemarkCollector] = None
-                       ) -> VectorizeStats:
-    return Vectorizer(symtab, options, remarks=remarks).run(fn)
 
 
 def _resimplify_stmt(stmt: N.Stmt) -> None:

@@ -89,35 +89,6 @@ class TestRecognition:
         result = compile_c(src)
         assert not reduces(result)
 
-    def test_option_disables(self):
-        src = """
-        float total; float a[64];
-        void f(int n) {
-            int i; float s;
-            s = 0.0f;
-            for (i = 0; i < n; i++) s = s + a[i];
-            total = s;
-        }
-        """
-        options = CompilerOptions()
-        # thread the vectorizer option through a custom run
-        from repro.vectorize.vectorizer import (VectorizeOptions,
-                                                Vectorizer)
-        from repro.frontend.lower import compile_to_il
-        from repro.opt.while_to_do import convert_while_loops
-        from repro.opt.ivsub import InductionVariableSubstitution
-        from repro.opt.constprop import propagate_constants
-        program = compile_to_il(src)
-        fn = program.functions["f"]
-        convert_while_loops(fn, program.symtab)
-        InductionVariableSubstitution(program.symtab).run(fn)
-        propagate_constants(fn, program.globals)
-        v = Vectorizer(program.symtab,
-                       VectorizeOptions(vectorize_reductions=False))
-        v.run(fn)
-        assert not any(isinstance(s, N.VectorReduce)
-                       for s in fn.all_statements())
-
 
 class TestSemantics:
     def test_bit_identical_sum(self):
