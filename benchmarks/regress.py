@@ -7,7 +7,7 @@ the benchmark suite into :func:`harness.bench_dir`, default
 ``benchmarks/baselines``, metric by metric, with a direction-aware
 tolerance:
 
-* **lower is better** — ``cycles``, ``seconds``;
+* **lower is better** — a name containing ``cycles`` or ``seconds``;
 * **higher is better** — ``mflops``, ``speedup*``, ``vectorized_loops``
   and every other metric.
 
@@ -17,6 +17,8 @@ for trend-watching but never fail the gate, with one exception:
 ``host_*speedup*`` ratios (compiled engine vs tree-walker) divide out
 machine speed, so they *are* gated, higher-is-better, with a looser
 tolerance (:data:`SPEEDUP_TOLERANCE`) that absorbs scheduler noise.
+The rule is ``repro.obs.diff.bench_direction``, which bench diffs read
+too.
 
 A metric that moved in the *bad* direction by more than ``--tolerance``
 (relative, default 5%) is a regression and the gate exits non-zero —
@@ -25,7 +27,8 @@ never fail.  ``--update`` rewrites the baselines from the current run,
 pushing each baseline's previous metrics onto a bounded ``history``
 list so the committed files form a time-series.
 
-Standard library only, runnable as a plain script::
+Runnable as a plain script (it puts the ``src/`` tree alongside on
+``sys.path``)::
 
     python benchmarks/regress.py                  # gate
     python benchmarks/regress.py --update         # accept current run
@@ -55,45 +58,13 @@ from typing import Dict, Iterator, List, Tuple
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
-try:
-    from repro.obs.log import Logger
-except ImportError:  # pragma: no cover — src/ tree not alongside
-    class Logger:  # type: ignore[no-redef]
-        """Text-only stand-in with the same call surface."""
-
-        def __init__(self, name, stream=None, json_mode=False,
-                     quiet=False, **_):
-            self.name, self.quiet = name, quiet
-            self.stream = stream or sys.stderr
-
-        def _emit(self, level, message, **fields):
-            if self.quiet and level in ("debug", "info"):
-                return
-            tail = "".join(f" {k}={v}" for k, v in fields.items())
-            prefix = "" if level == "info" else f"{level}: "
-            print(f"{self.name}: {prefix}{message}{tail}",
-                  file=self.stream)
-
-        def debug(self, message, **fields):
-            self._emit("debug", message, **fields)
-
-        def info(self, message, **fields):
-            self._emit("info", message, **fields)
-
-        def warning(self, message, **fields):
-            self._emit("warning", message, **fields)
-
-        def error(self, message, **fields):
-            self._emit("error", message, **fields)
+from repro.obs.diff import (HOST_PREFIX, INFORMATIONAL, LOWER,  # noqa: E402
+                            bench_direction, diff_benches)
+from repro.obs.log import Logger  # noqa: E402
 
 BENCH_SCHEMA = "titancc-bench/1"
 BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "baselines")
-#: Metric-name prefixes where a *decrease* is an improvement.
-LOWER_IS_BETTER = ("cycles", "seconds")
-#: Host wall-clock metrics — machine-dependent, never gated (except
-#: speedup ratios, see below).
-HOST_PREFIX = "host_"
 #: Tolerance for host engine-speedup ratios; looser than the simulated
 #: metrics because even a ratio of two wall-clock times jitters with
 #: scheduler load.
@@ -141,22 +112,18 @@ def iter_metrics(doc: dict) -> Iterator[Tuple[str, str, float]]:
                 yield variant, metric, float(value)
 
 
-def lower_is_better(metric: str) -> bool:
-    return metric.startswith(LOWER_IS_BETTER)
-
-
 def metric_tolerance(metric: str, tolerance: float) -> float:
     """Effective tolerance for one metric; ``inf`` = informational.
 
-    ``host_*`` wall-clock metrics never gate.  ``host_*speedup*``
-    ratios gate with the looser :data:`SPEEDUP_TOLERANCE` (they are
-    machine-independent but still jittery).  Everything else uses the
-    command-line tolerance.
+    Informational metrics (host wall clock) never gate.  The gated
+    host metrics, ``host_*speedup*`` ratios, gate with the looser
+    :data:`SPEEDUP_TOLERANCE` (they are machine-independent but still
+    jittery).  Everything else uses the command-line tolerance.
     """
-    if metric.startswith(HOST_PREFIX):
-        if "speedup" in metric:
-            return max(tolerance, SPEEDUP_TOLERANCE)
+    if bench_direction(metric) == INFORMATIONAL:
         return float("inf")
+    if metric.startswith(HOST_PREFIX):
+        return max(tolerance, SPEEDUP_TOLERANCE)
     return tolerance
 
 
@@ -201,7 +168,8 @@ def compare_structured(baselines: Dict[str, dict],
                 continue
             cur_value = float(cur_values[metric])
             change = relative_change(base_value, cur_value)
-            bad = change > effective if lower_is_better(metric) \
+            bad = change > effective \
+                if bench_direction(metric) == LOWER \
                 else change < -effective
             arrow = f"{base_value:g} -> {cur_value:g} " \
                     f"({change * 100:+.1f}%)"
@@ -302,8 +270,8 @@ def update_baselines(current: Dict[str, dict], baseline_dir: str,
 
 def _explain_workloads() -> Dict[str, object]:
     """Benchmarks ``--explain`` can recompile for a cycle-attribution
-    waterfall: bench name -> zero-arg C-source maker.  Imported lazily
-    so the gate itself stays stdlib-only."""
+    waterfall: bench name -> zero-arg C-source maker.  Imported lazily:
+    only a red gate compiles anything."""
     from repro.workloads import blas, stencils
     return {
         "e1_backsolve": lambda: stencils.backsolve(512),
@@ -320,15 +288,9 @@ def explain_failures(records: List[dict], baselines: Dict[str, dict],
     ``titancc-attrib/1`` per-pass cycle waterfall for benches whose
     workload is registered.  Returns the paths written."""
     log = log or Logger("regress")
-    try:
-        from repro.obs import diff as obs_diff
-        from repro.obs import schemas as obs_schemas
-        from repro.obs.attrib import CycleAttributor
-        from repro.pipeline import CompilerOptions, compile_c
-    except ImportError as exc:  # pragma: no cover — src/ tree absent
-        log.warning(f"--explain unavailable (repro not importable): "
-                    f"{exc}")
-        return []
+    from repro.obs import schemas as obs_schemas
+    from repro.obs.attrib import CycleAttributor
+    from repro.pipeline import CompilerOptions, compile_c
     failed = sorted({record["bench"] for record in records
                      if record["kind"] in ("regression", "missing")
                      and record.get("bench")})
@@ -341,7 +303,7 @@ def explain_failures(records: List[dict], baselines: Dict[str, dict],
         base_doc = baselines.get(name)
         cur_doc = current.get(name)
         if base_doc is not None and cur_doc is not None:
-            doc = obs_diff.diff_benches(
+            doc = diff_benches(
                 base_doc, cur_doc, base_name=f"baseline/{name}",
                 other_name=f"current/{name}")
             path = os.path.join(explain_dir,

@@ -45,8 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..pipeline import (CompilerOptions, PipelineHook, TitanCompiler)
-from .checker import ExecOutcome, PassChecker, PassSnapshot, \
-    outcome_differs
+from .checker import PassChecker, PassSnapshot, outcome_differs
 
 from ..obs import schemas
 
@@ -256,8 +255,7 @@ def bisect_source(source: str,
     if report.status != "clean":
         return report
     if engine and engine != "tree":
-        engine_outcome = _run_engine(result.program, engine,
-                                     checker=checker)
+        engine_outcome = checker._run(result.program, engine)
         report.engine_outcome = engine_outcome.to_dict()
         final = checker.snapshots[-1] if checker.snapshots else None
         if final is not None and outcome_differs(final.outcome,
@@ -269,20 +267,3 @@ def bisect_source(source: str,
             report.culprit_outcome = engine_outcome.to_dict()
     return report
 
-
-def _run_engine(program, engine: str,
-                checker: PassChecker) -> ExecOutcome:
-    from ..interp.interpreter import make_interpreter
-    try:
-        interp = make_interpreter(
-            program, engine=engine, max_steps=checker.max_steps,
-            parallel_order=checker.parallel_order, seed=checker.seed,
-            memory_size=checker.memory_size)
-        value = interp.run(checker.entry, *checker.entry_args)
-        return ExecOutcome(status="ok",
-                           value=0 if value is None else int(value),
-                           stdout=interp.stdout)
-    except Exception as exc:  # noqa: BLE001 — outcome classification
-        return ExecOutcome(status="error",
-                           error_type=type(exc).__name__,
-                           error=str(exc))

@@ -246,11 +246,15 @@ class PassChecker(PipelineHook):
 
     # -- execution ------------------------------------------------------
 
-    def _run(self, program: N.ILProgram) -> ExecOutcome:
+    def _run(self, program: N.ILProgram,
+             engine: Optional[str] = None) -> ExecOutcome:
+        """Run the captured input on ``engine`` (default: the
+        checker's own) and classify the outcome."""
         from ..interp.interpreter import make_interpreter
         try:
             interp = make_interpreter(
-                program, engine=self.engine, max_steps=self.max_steps,
+                program, engine=engine or self.engine,
+                max_steps=self.max_steps,
                 parallel_order=self.parallel_order, seed=self.seed,
                 memory_size=self.memory_size)
             value = interp.run(self.entry, *self.entry_args)

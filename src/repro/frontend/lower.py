@@ -383,7 +383,7 @@ class Lowerer:
             tail.extend(step_stmts)
         # Duplicate the condition statement list at the end of the body
         # ("the list of statements is duplicated", section 4).
-        tail.extend(_clone_stmts(cond_stmts))
+        tail.extend(N.clone_statements(cond_stmts))
         loop = N.WhileLoop(cond=_truth(cond_expr),
                            body=body_stmts + tail, pragmas=pragmas)
         out.append(loop)
@@ -1012,55 +1012,6 @@ def _stamp_lines(stmts: List[N.Stmt], line: int) -> None:
 def _uses_label(stmts: List[N.Stmt], label: str) -> bool:
     return any(isinstance(s, N.Goto) and s.label == label
                for s in N.walk_statements(stmts))
-
-
-def _clone_stmts(stmts: List[N.Stmt]) -> List[N.Stmt]:
-    """Deep-copy statements with fresh statement ids."""
-    out: List[N.Stmt] = []
-    for stmt in stmts:
-        out.append(clone_stmt(stmt))
-    return out
-
-
-def clone_stmt(stmt: N.Stmt) -> N.Stmt:
-    """Clone one statement (fresh sid, shared symbols, copied exprs,
-    same source line)."""
-    line = stmt.line
-    if isinstance(stmt, N.Assign):
-        return N.Assign(target=_reread(stmt.target),
-                        value=N.clone_expr(stmt.value), line=line)
-    if isinstance(stmt, N.VectorAssign):
-        return N.VectorAssign(target=N.clone_expr(stmt.target),
-                              value=N.clone_expr(stmt.value), line=line)
-    if isinstance(stmt, N.VectorReduce):
-        return N.VectorReduce(target=N.clone_expr(stmt.target),
-                              op=stmt.op,
-                              value=N.clone_expr(stmt.value),
-                              length=N.clone_expr(stmt.length), line=line)
-    if isinstance(stmt, N.CallStmt):
-        return N.CallStmt(call=N.clone_expr(stmt.call), line=line)
-    if isinstance(stmt, N.IfStmt):
-        return N.IfStmt(cond=N.clone_expr(stmt.cond),
-                        then=_clone_stmts(stmt.then),
-                        otherwise=_clone_stmts(stmt.otherwise), line=line)
-    if isinstance(stmt, N.WhileLoop):
-        return N.WhileLoop(cond=N.clone_expr(stmt.cond),
-                           body=_clone_stmts(stmt.body),
-                           pragmas=stmt.pragmas, line=line)
-    if isinstance(stmt, N.DoLoop):
-        return N.DoLoop(var=stmt.var, lo=N.clone_expr(stmt.lo),
-                        hi=N.clone_expr(stmt.hi), step=stmt.step,
-                        body=_clone_stmts(stmt.body),
-                        parallel=stmt.parallel, vector=stmt.vector,
-                        pragmas=stmt.pragmas, line=line)
-    if isinstance(stmt, N.Goto):
-        return N.Goto(label=stmt.label, line=line)
-    if isinstance(stmt, N.LabelStmt):
-        return N.LabelStmt(label=stmt.label, line=line)
-    if isinstance(stmt, N.Return):
-        value = None if stmt.value is None else N.clone_expr(stmt.value)
-        return N.Return(value=value, line=line)
-    raise TypeError(f"cannot clone {stmt!r}")
 
 
 def _fold_const_expr(expr: A.Expr) -> Optional[Union[int, float]]:

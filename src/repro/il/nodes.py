@@ -24,9 +24,10 @@ paper says the vectorizer was specially tuned to handle (section 9).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, fields
-from typing import (FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (ClassVar, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..frontend.ctypes_ import CType, INT, PointerType
 from ..frontend.symtab import Symbol
@@ -364,8 +365,31 @@ class Stmt:
     # remarks and the hot-loop profiler can point at the C source.
     line: int = field(default=0, kw_only=True)
 
+    # The statement schema, stated once per class; every generic reader
+    # of statements (substatements, stmt_exprs, copy_statements,
+    # clone_statements, ``opt.utils.rewrite_stmt_exprs``) is driven by
+    # it.  ``expr_fields``: the expression fields, in the order
+    # stmt_exprs yields them (an optional one may hold None).
+    # ``store_field``: the one of them that is a store target, whose
+    # own node is written, not evaluated.  ``list_fields``: the
+    # statement-list fields, in substatements order.
+    expr_fields: ClassVar[Tuple[str, ...]] = ()
+    store_field: ClassVar[Optional[str]] = None
+    list_fields: ClassVar[Tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls.list_fields
+        if names:
+            # One C-level getter per class: walks call this per
+            # statement, so it costs what a hand-written method did.
+            get = operator.attrgetter(*names)
+            cls.substatements = (lambda self: (get(self),)) \
+                if len(names) == 1 else (lambda self: get(self))
+
     def substatements(self) -> Tuple[List["Stmt"], ...]:
-        """The nested statement lists (empty for leaf statements)."""
+        """The nested statement lists, in ``list_fields`` order (empty
+        for leaf statements)."""
         return ()
 
 
@@ -378,6 +402,9 @@ class Assign(Stmt):
 
     target: LValue = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
+
+    expr_fields = ("target", "value")
+    store_field = "target"
 
     def __repr__(self) -> str:
         return f"Assign({self.target!r} = {self.value!r})"
@@ -398,6 +425,9 @@ class VectorAssign(Stmt):
     target: Section = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
     mask: Optional[Expr] = None
+
+    expr_fields = ("target", "value", "mask")
+    store_field = "target"
 
     def __repr__(self) -> str:
         where = f" where {self.mask!r}" if self.mask is not None else ""
@@ -420,6 +450,9 @@ class VectorReduce(Stmt):
     value: Expr = None  # type: ignore[assignment]
     length: Expr = None  # type: ignore[assignment]
 
+    expr_fields = ("target", "value", "length")
+    store_field = "target"
+
     def __repr__(self) -> str:
         return f"VectorReduce({self.target!r} {self.op}= {self.value!r})"
 
@@ -430,6 +463,8 @@ class CallStmt(Stmt):
 
     call: CallExpr = None  # type: ignore[assignment]
 
+    expr_fields = ("call",)
+
 
 @dataclass(eq=False)
 class IfStmt(Stmt):
@@ -437,8 +472,8 @@ class IfStmt(Stmt):
     then: List[Stmt] = field(default_factory=list)
     otherwise: List[Stmt] = field(default_factory=list)
 
-    def substatements(self):
-        return (self.then, self.otherwise)
+    expr_fields = ("cond",)
+    list_fields = ("then", "otherwise")
 
 
 @dataclass(eq=False)
@@ -450,8 +485,8 @@ class WhileLoop(Stmt):
     body: List[Stmt] = field(default_factory=list)
     pragmas: Tuple[str, ...] = ()
 
-    def substatements(self):
-        return (self.body,)
+    expr_fields = ("cond",)
+    list_fields = ("body",)
 
 
 @dataclass(eq=False)
@@ -474,8 +509,8 @@ class DoLoop(Stmt):
     vector: bool = False
     pragmas: Tuple[str, ...] = ()
 
-    def substatements(self):
-        return (self.body,)
+    expr_fields = ("lo", "hi")
+    list_fields = ("body",)
 
     def __repr__(self) -> str:
         kind = "parallel " if self.parallel else ""
@@ -502,8 +537,7 @@ class ListParallelLoop(Stmt):
     advance: List[Stmt] = field(default_factory=list)
     body: List[Stmt] = field(default_factory=list)
 
-    def substatements(self):
-        return (self.body, self.advance)
+    list_fields = ("body", "advance")
 
     def __repr__(self) -> str:
         return f"ListParallelLoop({self.ptr.name}, +{self.next_offset})"
@@ -522,6 +556,8 @@ class LabelStmt(Stmt):
 @dataclass(eq=False)
 class Return(Stmt):
     value: Optional[Expr] = None
+
+    expr_fields = ("value",)
 
 
 # ---------------------------------------------------------------------------
@@ -614,27 +650,12 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
 
 
 def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
-    """The top-level expressions of one statement (not nested stmts)."""
-    if isinstance(stmt, (Assign, VectorAssign)):
-        yield stmt.target
-        yield stmt.value
-        if isinstance(stmt, VectorAssign) and stmt.mask is not None:
-            yield stmt.mask
-    elif isinstance(stmt, VectorReduce):
-        yield stmt.target
-        yield stmt.value
-        yield stmt.length
-    elif isinstance(stmt, CallStmt):
-        yield stmt.call
-    elif isinstance(stmt, IfStmt):
-        yield stmt.cond
-    elif isinstance(stmt, WhileLoop):
-        yield stmt.cond
-    elif isinstance(stmt, DoLoop):
-        yield stmt.lo
-        yield stmt.hi
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        yield stmt.value
+    """The top-level expressions of one statement (not nested stmts),
+    in ``expr_fields`` order."""
+    for name in stmt.expr_fields:
+        expr = getattr(stmt, name)
+        if expr is not None:
+            yield expr
 
 
 def map_expr(expr: Expr, fn) -> Expr:
@@ -744,10 +765,31 @@ def copy_statements(stmts: Sequence[Stmt]) -> List[Stmt]:
             new = object.__new__(cls)
             state = new.__dict__
             state.update(stmt.__dict__)
-            for name in _STMT_LISTS[cls]:
+            for name in cls.list_fields:
                 state[name] = copied = []
                 todo.append((getattr(stmt, name), copied))
             target.append(new)
+    return out
+
+
+def clone_statements(stmts: Sequence[Stmt]) -> List[Stmt]:
+    """Duplicates of ``stmts`` for a second place in the program (a
+    loop condition repeated at the end of the body, an inlined callee,
+    a renamed loop): new statements with fresh sids and same lines,
+    new statement lists and expression interiors (:func:`clone_expr`),
+    shared symbols.  Nested statements draw their sids before the
+    statement that holds them."""
+    out: List[Stmt] = []
+    for stmt in stmts:
+        # Rebuilt through the constructor, which draws the fresh sid.
+        values = {f.name: getattr(stmt, f.name) for f in fields(stmt)
+                  if f.name != "sid"}
+        for name in stmt.list_fields:
+            values[name] = clone_statements(values[name])
+        for name in stmt.expr_fields:
+            if values[name] is not None:
+                values[name] = clone_expr(values[name])
+        out.append(stmt.__class__(**values))
     return out
 
 
@@ -767,8 +809,3 @@ def copy_program(program: ILProgram) -> ILProgram:
                      [GlobalVar(g.sym, g.init) for g in program.globals],
                      symtab.copy() if symtab is not None else None)
 
-
-#: Stmt class -> the names of its statement-list fields.
-_STMT_LISTS = {cls: tuple(f.name for f in fields(cls)
-                          if f.default_factory is list)
-               for cls in Stmt.__subclasses__()}

@@ -22,9 +22,9 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..frontend.lower import clone_stmt
 from ..frontend.symtab import GLOBAL, Symbol, SymbolTable
 from ..il import nodes as N
+from ..opt.utils import rewrite_stmt_exprs
 
 
 @dataclass
@@ -147,7 +147,8 @@ def import_entry(entry: DatabaseEntry, program: N.ILProgram
         symtab.symbols[fresh.uid] = fresh
         mapping[loc] = fresh
         local_syms.append(fresh)
-    body = [_remap_stmt(clone_stmt(s), mapping) for s in entry.fn.body]
+    body = [_remap_stmt(s, mapping)
+            for s in N.clone_statements(entry.fn.body)]
     return N.ILFunction(name=entry.fn.name, params=params,
                         ret_type=entry.fn.ret_type, body=body,
                         pragmas=entry.fn.pragmas, local_syms=local_syms)
@@ -161,7 +162,8 @@ def _remap_stmt(stmt: N.Stmt, mapping: Dict[Symbol, Symbol]) -> N.Stmt:
             return N.AddrOf(sym=mapping[expr.sym], ctype=expr.ctype)
         return expr
 
-    _rewrite_stmt_exprs(stmt, remap)
+    rewrite_stmt_exprs(stmt, lambda expr: N.map_expr(expr, remap),
+                       targets=True)
     if isinstance(stmt, N.DoLoop) and stmt.var in mapping:
         stmt.var = mapping[stmt.var]
     for sublist in stmt.substatements():
@@ -169,27 +171,3 @@ def _remap_stmt(stmt: N.Stmt, mapping: Dict[Symbol, Symbol]) -> N.Stmt:
             _remap_stmt(sub, mapping)
     return stmt
 
-
-def _rewrite_stmt_exprs(stmt: N.Stmt, fn) -> None:
-    """Apply ``fn`` (bottom-up) to each expression of one statement."""
-    if isinstance(stmt, N.Assign):
-        stmt.value = N.map_expr(stmt.value, fn)
-        stmt.target = N.map_expr(stmt.target, fn)
-    elif isinstance(stmt, N.VectorAssign):
-        stmt.value = N.map_expr(stmt.value, fn)
-        stmt.target = N.map_expr(stmt.target, fn)
-    elif isinstance(stmt, N.VectorReduce):
-        stmt.value = N.map_expr(stmt.value, fn)
-        stmt.target = N.map_expr(stmt.target, fn)
-        stmt.length = N.map_expr(stmt.length, fn)
-    elif isinstance(stmt, N.CallStmt):
-        stmt.call = N.map_expr(stmt.call, fn)
-    elif isinstance(stmt, N.IfStmt):
-        stmt.cond = N.map_expr(stmt.cond, fn)
-    elif isinstance(stmt, N.WhileLoop):
-        stmt.cond = N.map_expr(stmt.cond, fn)
-    elif isinstance(stmt, N.DoLoop):
-        stmt.lo = N.map_expr(stmt.lo, fn)
-        stmt.hi = N.map_expr(stmt.hi, fn)
-    elif isinstance(stmt, N.Return) and stmt.value is not None:
-        stmt.value = N.map_expr(stmt.value, fn)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..frontend.ctypes_ import VOID
-from ..frontend.lower import clone_stmt
 from ..frontend.symtab import Symbol, SymbolTable
 from ..il import nodes as N
 from ..obs.remarks import RemarkCollector
@@ -268,7 +267,7 @@ class Inliner:
                           label_map: Dict[str, str],
                           result_sym: Optional[Symbol],
                           exit_label: str) -> N.Stmt:
-        cloned = clone_stmt(stmt)
+        (cloned,) = N.clone_statements([stmt])
         return self._rewrite(cloned, mapping, label_map, result_sym,
                              exit_label)
 
@@ -295,7 +294,9 @@ class Inliner:
         if isinstance(stmt, N.LabelStmt):
             stmt.label = self._map_label(stmt.label, label_map)
             return stmt
-        self._remap_stmt_exprs(stmt, mapping)
+        utils.rewrite_stmt_exprs(
+            stmt, lambda expr: self._remap_expr(expr, mapping),
+            targets=True)
         if isinstance(stmt, N.DoLoop) and stmt.var in mapping:
             stmt.var = mapping[stmt.var]
         for sublist in stmt.substatements():
@@ -308,15 +309,6 @@ class Inliner:
         if label not in label_map:
             label_map[label] = f"{label}_in{next(self._label_counter)}"
         return label_map[label]
-
-    def _remap_stmt_exprs(self, stmt: N.Stmt,
-                          mapping: Dict[Symbol, Symbol]) -> None:
-        from .database import _rewrite_stmt_exprs
-
-        def remap(expr: N.Expr) -> N.Expr:
-            return self._remap_node(expr, mapping)
-
-        _rewrite_stmt_exprs(stmt, remap)
 
     def _remap_expr(self, expr: N.Expr,
                     mapping: Dict[Symbol, Symbol]) -> N.Expr:

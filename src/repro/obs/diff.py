@@ -6,9 +6,9 @@ Two entry points, one output schema:
   estimated/measured cycles, per-loop vectorization coverage, pass
   counters, remark population, and metrics.
 * :func:`diff_benches` — compare two ``titancc-bench/1`` documents
-  variant-by-variant, metric-by-metric, under the same direction rules
-  the regression gate uses (``regress.py --explain`` calls this to
-  make a red gate self-diagnosing).
+  variant-by-variant, metric-by-metric, under the direction rule the
+  regression gate uses (:func:`bench_direction`; ``regress.py
+  --explain`` calls this to make a red gate self-diagnosing).
 
 Every observed difference is classified **regression**, **improvement**
 or **neutral**; the emitted document is schema-validated like every
@@ -241,18 +241,25 @@ def diff_reports(base: dict, other: dict,
 # ---------------------------------------------------------------------------
 
 
-def bench_lower_is_better(metric: str) -> Optional[bool]:
-    """Direction rule shared with ``benchmarks/regress.py``:
-    cycles/seconds are lower-better; ``host_`` wall-time metrics are
-    machine-dependent and informational, *except* speedup ratios,
-    which are higher-better."""
-    if metric.startswith("host_"):
-        return False if "speedup" in metric else None
-    if "speedup" in metric or "mflops" in metric:
-        return False
+#: The directions :func:`bench_direction` gives.
+LOWER, HIGHER, INFORMATIONAL = "lower", "higher", "informational"
+#: Names of host wall-clock metrics start with this.
+HOST_PREFIX = "host_"
+
+
+def bench_direction(metric: str) -> str:
+    """Which way a ``titancc-bench/1`` metric is better — the one rule
+    the regression gate (``benchmarks/regress.py``) and bench diffs
+    share.  ``host_`` metrics are wall-clock measurements of the host,
+    informational, except ``speedup`` ratios (machine speed divides
+    out), which are higher-is-better; a name containing ``cycles`` or
+    ``seconds`` is lower-is-better; every other metric is
+    higher-is-better."""
+    if metric.startswith(HOST_PREFIX):
+        return HIGHER if "speedup" in metric else INFORMATIONAL
     if "cycles" in metric or "seconds" in metric:
-        return True
-    return None
+        return LOWER
+    return HIGHER
 
 
 def diff_benches(base: dict, other: dict,
@@ -281,8 +288,10 @@ def diff_benches(base: dict, other: dict,
                 if b != o:
                     entries.append(_entry(name, b, o, "neutral"))
                 continue
+            direction = bench_direction(metric)
             entries.append(_classify_numeric(
-                name, b, o, bench_lower_is_better(metric)))
+                name, b, o, None if direction == INFORMATIONAL
+                else direction == LOWER))
     return _build_doc("bench", base_name, other_name, base, other,
                       entries)
 

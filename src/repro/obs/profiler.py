@@ -12,7 +12,8 @@ loop and the current function:
   parallel region's divide-by-processors adjustment lands on the
   parallel loop itself, so per-loop cycles always sum to the total);
 * **flops** and occupancy breakdown — vector-unit cycles vs scalar
-  cycles vs memory-stall cycles (scalar load/store latency);
+  cycles vs memory-stall cycles (scalar load/store latency), each the
+  change the cost model made to its own counter or breakdown bucket;
 * **iterations / entries** — dynamic trip counts.
 
 Cycle attribution is *self* time: a nested loop's cycles belong to the
@@ -24,9 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-VECTOR_KINDS = ("vector", "vector_reduce")
-MEMORY_KINDS = ("load", "store", "list_chase")
 
 
 @dataclass
@@ -127,8 +125,9 @@ class ProfileReport:
 
 
 class HotLoopProfiler:
-    """Receives (kind, details, delta_cycles) notifications from the
-    cost model and buckets them by innermost loop and current function.
+    """Receives each cost event with what the cost model charged for
+    it (:meth:`on_event`) and buckets that by innermost loop and
+    current function.
     """
 
     def __init__(self, loop_info: Optional[Dict[int, LoopInfo]] = None):
@@ -159,8 +158,12 @@ class HotLoopProfiler:
             self.functions[name] = profile
         return profile
 
-    def on_event(self, kind: str, details: tuple,
-                 delta_cycles: float) -> None:
+    def on_event(self, kind: str, details: tuple, cycles: float,
+                 flops: int, vector_compute: float,
+                 vector_memory: float, scalar: float, scheduled: float,
+                 memory: float) -> None:
+        """One event and the model's deltas for it: total cycles,
+        flops, and its breakdown buckets (``TitanCostModel._profiled``)."""
         # Entries push *before* attribution, exits pop *after*, so a
         # loop's own enter/exit charges land in its bucket.
         if kind == "fn_enter":
@@ -176,7 +179,19 @@ class HotLoopProfiler:
             if self._loop_stack and self._loop_stack[-1] == sid:
                 self._loop(sid).iterations += 1
 
-        self._attribute(kind, details, delta_cycles)
+        if self._fn_stack:
+            fn = self.functions[self._fn_stack[-1]]
+            fn.cycles += cycles
+            fn.flops += flops
+        if self._loop_stack:
+            loop = self.loops[self._loop_stack[-1]]
+            loop.cycles += cycles
+            loop.flops += flops
+            loop.vector_cycles += vector_compute + vector_memory
+            loop.scalar_cycles += scalar + scheduled
+            loop.memory_cycles += memory
+        else:
+            self.toplevel_cycles += cycles
 
         if kind == "fn_exit":
             if self._fn_stack:
@@ -192,30 +207,6 @@ class HotLoopProfiler:
 
     # ------------------------------------------------------------------
 
-    def _attribute(self, kind: str, details: tuple,
-                   delta_cycles: float) -> None:
-        flops = _flops_of(kind, details)
-        if self._fn_stack:
-            fn = self.functions[self._fn_stack[-1]]
-            fn.cycles += delta_cycles
-            fn.flops += flops
-        if self._loop_stack:
-            loop = self.loops[self._loop_stack[-1]]
-            loop.cycles += delta_cycles
-            loop.flops += flops
-            if kind in ("parallel_begin", "parallel_end"):
-                pass  # fork/join + rescale: total cycles, not occupancy
-            elif kind in VECTOR_KINDS:
-                loop.vector_cycles += delta_cycles
-            elif kind in MEMORY_KINDS:
-                loop.memory_cycles += delta_cycles
-            else:
-                loop.scalar_cycles += delta_cycles
-        else:
-            self.toplevel_cycles += delta_cycles
-
-    # ------------------------------------------------------------------
-
     def report(self, total_cycles: float) -> ProfileReport:
         loops = sorted(self.loops.values(),
                        key=lambda p: (-p.cycles, p.sid))
@@ -224,18 +215,6 @@ class HotLoopProfiler:
         return ProfileReport(loops=loops, functions=functions,
                              toplevel_cycles=self.toplevel_cycles,
                              total_cycles=total_cycles)
-
-
-def _flops_of(kind: str, details: tuple) -> int:
-    """Mirror of the cost model's flop counting, per event."""
-    if kind == "flop":
-        return 1
-    if kind == "vector":
-        op, length = details[0], details[1]
-        return length if op not in ("load", "store", "int_op") else 0
-    if kind == "vector_reduce":
-        return details[1]
-    return 0
 
 
 def collect_loop_info(program) -> Dict[int, LoopInfo]:

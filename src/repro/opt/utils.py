@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..frontend.symtab import Symbol
@@ -101,43 +102,32 @@ def substitute_var(expr: N.Expr, sym: Symbol,
     return N.map_expr(expr, visit)
 
 
-def rewrite_stmt_exprs(stmt: N.Stmt,
-                       fn: Callable[[N.Expr], N.Expr]) -> bool:
+def rewrite_stmt_exprs(stmt: N.Stmt, fn: Callable[[N.Expr], N.Expr],
+                       targets: bool = False) -> bool:
     """Replace, in place, each expression ``e`` the statement itself
     evaluates (rvalues and the address parts of a store target; nested
-    statements are the caller's) by ``fn(e)``.  Returns whether any
-    came back a different node."""
+    statements are the caller's) by ``fn(e)``; with ``targets`` a
+    store target is passed to ``fn`` whole, so scalar targets are
+    rewritten too.  Returns whether any came back a different node."""
     changed = False
-
-    def new(expr: N.Expr) -> N.Expr:
-        nonlocal changed
-        out = fn(expr)
-        changed |= out is not expr
-        return out
-
-    if isinstance(stmt, N.Assign):
-        stmt.value = new(stmt.value)
-        if isinstance(stmt.target, N.Mem):
-            addr = new(stmt.target.addr)
-            if addr is not stmt.target.addr:
-                stmt.target = N.Mem(addr=addr, ctype=stmt.target.ctype)
-    elif isinstance(stmt, N.VectorAssign):
-        stmt.value = new(stmt.value)
-        stmt.target = new(stmt.target)
-        if stmt.mask is not None:
-            stmt.mask = new(stmt.mask)
-    elif isinstance(stmt, N.VectorReduce):
-        stmt.value = new(stmt.value)
-        stmt.length = new(stmt.length)
-    elif isinstance(stmt, N.CallStmt):
-        stmt.call = new(stmt.call)
-    elif isinstance(stmt, (N.IfStmt, N.WhileLoop)):
-        stmt.cond = new(stmt.cond)
-    elif isinstance(stmt, N.DoLoop):
-        stmt.lo = new(stmt.lo)
-        stmt.hi = new(stmt.hi)
-    elif isinstance(stmt, N.Return) and stmt.value is not None:
-        stmt.value = new(stmt.value)
+    state = stmt.__dict__
+    store = None if targets else stmt.store_field
+    for name in stmt.expr_fields:
+        old = state[name]
+        if old is None:
+            continue
+        if name == store:
+            kids = old.children()
+            new_kids = list(map(fn, kids))
+            if not any(map(operator.is_not, kids, new_kids)):
+                continue
+            new = old.replace_children(new_kids)
+        else:
+            new = fn(old)
+            if new is old:
+                continue
+        state[name] = new
+        changed = True
     return changed
 
 

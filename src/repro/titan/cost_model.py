@@ -280,8 +280,8 @@ class TitanCostModel:
                  profiler=None):
         self.config = config or TitanConfig()
         self.schedules = schedules or {}
-        # Optional HotLoopProfiler: sees every event plus the cycle
-        # delta it was charged, for per-loop/function attribution.
+        # Optional HotLoopProfiler: sees every event plus what it was
+        # charged (_profiled), for per-loop/function attribution.
         self.profiler = profiler
         cfg = self.config
         self._scalar = {kind: (field, getattr(cfg, latency), bucket)
@@ -324,9 +324,20 @@ class TitanCostModel:
         if self.profiler is None:
             self._apply(kind, details)
             return
-        before = self.cycles
+        before = self._profiled()
         self._apply(kind, details)
-        self.profiler.on_event(kind, details, self.cycles - before)
+        self.profiler.on_event(kind, details, *map(
+            operator.sub, self._profiled(), before))
+
+    def _profiled(self) -> tuple:
+        """What the profiler attributes, read off the model's own
+        accounts: cycles, flops, and the work cycles of the vector
+        (compute + memory pipe), scalar (+ scheduled lumps) and scalar
+        memory buckets — fork/join and rescale are in none of them."""
+        spent = self._spent
+        return (self.cycles, self._count["flops"],
+                spent["vector_compute"], spent["vector_memory"],
+                spent["scalar"], spent["scheduled"], spent["memory"])
 
     def _apply(self, kind: str, details: tuple) -> None:
         row = self._scalar.get(kind)

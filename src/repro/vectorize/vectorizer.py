@@ -825,8 +825,7 @@ class _AllInvariants:
 
 
 def _rename_loop_var(stmt: N.Stmt, old: Symbol, new: Symbol) -> N.Stmt:
-    from ..frontend.lower import clone_stmt
-    cloned = clone_stmt(stmt)
+    (cloned,) = N.clone_statements([stmt])
     utils.substitute_in_stmt(cloned, old,
                              N.VarRef(sym=new, ctype=new.ctype))
     for sublist in cloned.substatements():

@@ -1,7 +1,6 @@
 """Unit tests for the analysis layer: flow graph, use-def chains,
-dominators, liveness."""
+liveness."""
 
-from repro.analysis.dominance import Dominators
 from repro.analysis.flowgraph import FlowGraph, MEMORY
 from repro.analysis.liveness import Liveness
 from repro.analysis.usedef import UseDefChains, build_chains
@@ -152,42 +151,6 @@ class TestUseDef:
         g_sym = program.global_named("g").sym
         defs = chains.defs_reaching(ret, g_sym)
         assert len(defs) >= 2  # the store and the call's may-def
-
-
-class TestDominators:
-    def test_entry_dominates_all(self):
-        src = "int f(int c) { if (c) c = 1; return c; }"
-        _, _, g = graph_of(src)
-        dom = Dominators(g)
-        for node in g.reachable():
-            assert dom.dominates(g.entry, node)
-
-    def test_branch_does_not_dominate_merge(self):
-        src = "int f(int c) { int x; if (c) x = 1; else x = 2;"\
-              " return x; }"
-        _, fn, g = graph_of(src)
-        dom = Dominators(g)
-        assigns = [n for n in g.nodes if n.kind == "assign"]
-        (ret,) = [n for n in g.nodes if n.kind == "return"]
-        for a in assigns:
-            assert not dom.dominates(a, ret)
-
-    def test_back_edge_found_for_loop(self):
-        src = "void f(int n) { while (n) n = n - 1; }"
-        _, _, g = graph_of(src)
-        dom = Dominators(g)
-        back = dom.back_edges()
-        assert len(back) == 1
-        tail, head = back[0]
-        assert head.kind == "cond"
-
-    def test_natural_loop_contains_body(self):
-        src = "void f(int n) { while (n) n = n - 1; }"
-        _, _, g = graph_of(src)
-        dom = Dominators(g)
-        ((tail, head),) = dom.back_edges()
-        loop = dom.natural_loop(tail, head)
-        assert any(n.kind == "assign" for n in loop)
 
 
 class TestLiveness:

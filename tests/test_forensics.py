@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs import history, schemas
 from repro.obs.attrib import CycleAttributor, _exact
-from repro.obs.diff import (bench_lower_is_better, diff_benches,
+from repro.obs.diff import (bench_direction, diff_benches,
                             diff_documents, diff_reports, format_diff,
                             main as diff_main)
 from repro.pipeline import CompilerOptions, compile_c
@@ -108,13 +108,16 @@ def _bench(name, cycles, extra=None):
 
 class TestBenchDiff:
     def test_direction_rules_match_regress(self):
-        assert bench_lower_is_better("cycles") is True
-        assert bench_lower_is_better("seconds") is True
-        assert bench_lower_is_better("mflops") is False
-        assert bench_lower_is_better("speedup") is False
-        assert bench_lower_is_better("host_compile_seconds") is None
-        assert bench_lower_is_better("host_engine_speedup_steps") \
-            is False
+        assert bench_direction("cycles") == "lower"
+        assert bench_direction("seconds") == "lower"
+        assert bench_direction("attrib_cycles_daxpy") == "lower"
+        assert bench_direction("mflops") == "higher"
+        assert bench_direction("speedup") == "higher"
+        assert bench_direction("vectorized_loops") == "higher"
+        assert bench_direction("host_compile_seconds") \
+            == "informational"
+        assert bench_direction("host_engine_speedup_steps") \
+            == "higher"
 
     def test_cycles_up_is_regression(self):
         doc = diff_benches(_bench("b", 100.0), _bench("b", 200.0))

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.frontend.ctypes_ import FLOAT, INT, PointerType
-from repro.frontend.lower import clone_stmt, compile_to_il
+from repro.frontend.lower import compile_to_il
 from repro.frontend.symtab import Symbol, SymbolTable
 from repro.il import nodes as N
 from repro.il.printer import format_expr, format_function, format_stmt
@@ -78,7 +78,7 @@ class TestNodes:
         inner = N.Assign(target=N.VarRef(sym=sym()),
                          value=N.int_const(1))
         loop = N.WhileLoop(cond=N.int_const(1), body=[inner])
-        copy = clone_stmt(loop)
+        (copy,) = N.clone_statements([loop])
         assert copy.sid != loop.sid
         assert copy.body[0].sid != inner.sid
 
@@ -191,3 +191,91 @@ class TestValidator:
                              value=N.int_const(0))
         with pytest.raises(ILValidationError):
             validate_function(self._fn([bad]))
+
+
+def _sample_statements():
+    """One instance of every statement kind, each declared expression
+    field filled (a mask too) and each statement list holding one
+    statement."""
+    x = sym("x", uid=11)
+    p = sym("p", PointerType(base=FLOAT), uid=12)
+    a = sym("a", PointerType(base=FLOAT), uid=13)
+    xref = N.VarRef(sym=x)
+
+    def section():
+        return N.Section(addr=N.AddrOf(sym=a, ctype=a.ctype),
+                         length=N.VarRef(sym=x), ctype=FLOAT)
+
+    def leaf():
+        return [N.Assign(target=N.VarRef(sym=x),
+                         value=N.BinOp(op="+", left=xref,
+                                       right=N.int_const(1)))]
+
+    return [
+        N.Assign(target=N.Mem(addr=N.VarRef(sym=p, ctype=p.ctype),
+                              ctype=FLOAT),
+                 value=N.Const(value=1.0, ctype=FLOAT)),
+        N.VectorAssign(target=section(),
+                       value=N.BinOp(op="*", left=section(),
+                                     right=N.Const(value=2.0,
+                                                   ctype=FLOAT),
+                                     ctype=FLOAT),
+                       mask=N.BinOp(op=">", left=section(),
+                                    right=N.Const(value=0.0,
+                                                  ctype=FLOAT))),
+        N.VectorReduce(target=N.VarRef(sym=x), op="+",
+                       value=section(), length=N.VarRef(sym=x)),
+        N.CallStmt(call=N.CallExpr(name="g", args=[xref])),
+        N.IfStmt(cond=xref, then=leaf(), otherwise=leaf()),
+        N.WhileLoop(cond=xref, body=leaf()),
+        N.DoLoop(var=x, lo=N.int_const(0), hi=N.int_const(9),
+                 body=leaf()),
+        N.ListParallelLoop(ptr=p, next_offset=4, advance=leaf(),
+                           body=leaf()),
+        N.Goto(label="l"),
+        N.LabelStmt(label="l"),
+        N.Return(value=xref),
+    ]
+
+
+_SAMPLES = {type(stmt): stmt for stmt in _sample_statements()}
+
+
+class TestStatementSchema:
+    def test_every_statement_kind_sampled(self):
+        assert set(_SAMPLES) == set(N.Stmt.__subclasses__())
+
+    @pytest.mark.parametrize("kind", list(_SAMPLES),
+                             ids=lambda kind: kind.__name__)
+    def test_schema_readers(self, kind):
+        from dataclasses import fields
+
+        from repro.opt.utils import rewrite_stmt_exprs
+        stmt = _SAMPLES[kind]
+        # Every expression and statement-list field is declared.
+        for f in fields(kind):
+            value = getattr(stmt, f.name)
+            if isinstance(value, N.Expr):
+                assert f.name in kind.expr_fields, f.name
+            if isinstance(value, list):
+                assert f.name in kind.list_fields, f.name
+        assert kind.store_field in (None,) + kind.expr_fields
+        # stmt_exprs yields every declared expression field, in order.
+        assert list(N.stmt_exprs(stmt)) == [
+            getattr(stmt, name) for name in kind.expr_fields]
+        assert stmt.substatements() == tuple(
+            getattr(stmt, name) for name in kind.list_fields)
+        # An identity rewrite changes nothing, in either mode.
+        before = format_stmt(stmt)
+        assert not rewrite_stmt_exprs(stmt, lambda expr: expr)
+        assert not rewrite_stmt_exprs(stmt, lambda expr: expr,
+                                      targets=True)
+        assert format_stmt(stmt) == before
+        # A clone prints the same (masks kept) with fresh sids.
+        (clone,) = N.clone_statements([stmt])
+        assert format_stmt(clone) == before
+        old = list(N.walk_statements([stmt]))
+        new = list(N.walk_statements([clone]))
+        assert [type(s) for s in new] == [type(s) for s in old]
+        assert not {s.sid for s in old} & {s.sid for s in new}
+        assert [s.line for s in new] == [s.line for s in old]

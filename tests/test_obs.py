@@ -1,7 +1,9 @@
 """Tests for the observability subsystem: optimization remarks, pass
 tracing (Chrome trace-event JSON), and the Titan hot-loop profiler."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.titan.config import TitanConfig
 from repro.titan.cost_model import TitanCostModel
 from repro.titan.simulator import TitanSimulator
 from repro.workloads.stencils import backsolve
+from tests.test_fuzz import CORPUS_DIR, corpus_files, read_corpus
 
 # One loop that vectorizes, one that cannot (loop-carried recurrence).
 VEC_AND_MISS = """
@@ -282,6 +285,63 @@ class TestProfiler:
         assert "hot-loop profile" in text
         lines = text.splitlines()
         assert "backsolve" in lines[2]  # first data row = hottest
+
+
+def _runnable_programs():
+    """Every example and corpus program that runs ``main`` at default
+    options."""
+    examples = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples")
+    paths = sorted(glob.glob(os.path.join(examples, "*.c")))
+    paths += [os.path.join(CORPUS_DIR, name) for name in corpus_files()
+              if read_corpus(name)[1] == "run"]
+    return paths
+
+
+class TestProfilerReadsTheModel:
+    """The profiler's flops and occupancy are the cost model's own
+    counter and bucket deltas, attributed to the innermost loop."""
+
+    @pytest.mark.parametrize("path", _runnable_programs(),
+                             ids=os.path.basename)
+    def test_profile_matches_model_accounts(self, path):
+        with open(path) as handle:
+            result = compile_c(handle.read())
+        with TitanSimulator(result.program,
+                            schedules=result.schedules or None,
+                            profile=True) as simulator:
+            model, profiler = simulator.cost_model, simulator.profiler
+            # Reference: the model's vector and memory buckets before
+            # and after each event, charged to the loop the profiler
+            # says is innermost (entries count inside, exits too).
+            expected = {}
+            previous = [0.0, 0.0, 0.0]
+            on_event = profiler.on_event
+
+            def checked(kind, details, *deltas):
+                stack = list(profiler._loop_stack)
+                on_event(kind, details, *deltas)
+                if kind in ("do_enter", "parallel_begin"):
+                    stack = profiler._loop_stack
+                spent = model.breakdown
+                now = [spent.vector_compute, spent.vector_memory,
+                       spent.memory]
+                if stack:
+                    sums = expected.setdefault(stack[-1], [0.0, 0.0])
+                    sums[0] += (now[0] - previous[0]) \
+                        + (now[1] - previous[1])
+                    sums[1] += now[2] - previous[2]
+                previous[:] = now
+
+            profiler.on_event = checked
+            report = simulator.run("main")
+        profile = report.profile
+        assert sum(fn.flops for fn in profile.functions) \
+            == report.counters.flops
+        for loop in profile.loops:
+            vector, memory = expected.get(loop.sid, [0.0, 0.0])
+            assert (loop.vector_cycles, loop.memory_cycles) \
+                == (vector, memory), loop.label
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,33 @@ class TestRegressGate:
             "host_engine_speedup_steps", 0.05) \
             == regress.SPEEDUP_TOLERANCE
 
+    def test_attrib_cycles_are_lower_is_better(self, regress):
+        # A name *containing* cycles is a cycle count: +10 % fails the
+        # gate, -10 % is an improvement (as obs.diff --explain says).
+        base = {"e15": {"variants": {"full": {
+            "attrib_cycles_daxpy": 100.0}}}}
+        for value, kind in ((110.0, "regression"),
+                            (90.0, "improvement")):
+            current = {"e15": {"variants": {"full": {
+                "attrib_cycles_daxpy": value}}}}
+            (record,) = regress.compare_structured(base, current, 0.05)
+            assert record["kind"] == kind
+
+    def test_committed_gated_set_unchanged(self, regress):
+        # Every committed metric that is not host wall clock gates,
+        # and of the host metrics only the speedup ratios do.
+        names = set()
+        baselines = regress.load_benches(regress.BASELINE_DIR)
+        for doc in baselines.values():
+            names |= {metric for _, metric, _ in
+                      regress.iter_metrics(doc)}
+        assert len(names) > 50
+        for metric in names:
+            gated = not metric.startswith("host_") \
+                or "speedup" in metric
+            assert (regress.metric_tolerance(metric, 0.05)
+                    != float("inf")) == gated, metric
+
     def test_cycle_improvement_passes(self, regress, tmp_path):
         base = tmp_path / "base"
         cur = tmp_path / "cur"
