@@ -39,8 +39,7 @@ from .obs.metrics import (REGISTRY, MetricsRegistry,
                           SpanMetricsConsumer)
 from .obs.report import CompilationReport, metrics_from_result
 from .obs.telemetry import EventLogWriter, SpanHook
-from .pipeline import CompilerOptions, TitanCompiler
-from .titan.config import TitanConfig
+from .pipeline import CompilerOptions, TitanCompiler, titan_config
 from .titan.simulator import TitanSimulator
 
 
@@ -299,17 +298,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Cycle attribution rides the same hook seam; without the flags no
     # hook is installed and the pipeline stays observation-free.
+    options = options_from_args(args)
     attributor = None
     if args.attrib or args.attrib_json:
         from .obs.attrib import CycleAttributor
-        attributor = CycleAttributor(
-            config=TitanConfig(processors=args.processors,
-                               max_vector_length=args.vector_length),
-            source=args.source)
+        attributor = CycleAttributor(config=titan_config(options),
+                                     source=args.source)
         hooks.append(attributor)
 
-    compiler = TitanCompiler(options_from_args(args), database,
-                             hooks=tuple(hooks))
+    compiler = TitanCompiler(options, database, hooks=tuple(hooks))
     try:
         with telemetry.session(*consumers):
             return _compile_main(args, compiler, source, checker,
@@ -413,8 +410,7 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                                           engine="compiled")):
             return 1
 
-    config = TitanConfig(processors=args.processors,
-                         max_vector_length=args.vector_length)
+    config = titan_config(compiler.options)
     sim_report = None
     if args.run:
         with TitanSimulator(result.program, config,

@@ -48,7 +48,7 @@ from ..frontend.symtab import SymbolError
 from ..interp.interpreter import make_interpreter
 from ..jobs import TaskOutcome, run_ordered
 from ..obs.metrics import MetricsRegistry
-from ..pipeline import CompilerOptions, compile_c
+from ..pipeline import CompilerOptions, compile_c, titan_config
 from ..sched.scheduler import schedule_program
 from ..titan.config import TitanConfig
 from ..titan.cost_model import TitanCostModel
@@ -250,8 +250,7 @@ def run_costed(program, options: CompilerOptions, max_steps: int,
     Returns the fast engine's ``main()`` value and the name of the
     first field it disagrees with the oracle on — exactly, cycles
     included — or ``""``."""
-    config = TitanConfig(processors=options.processors,
-                         max_vector_length=options.vector_length)
+    config = titan_config(options)
     schedules = schedule_program(program, config)
     name = engine.partition(_COSTED)[0]
     oracle = _observe_costed(program, config, schedules, max_steps,

@@ -512,6 +512,16 @@ class DoLoop(Stmt):
     expr_fields = ("lo", "hi")
     list_fields = ("body",)
 
+    def combines(self) -> bool:
+        """Is this a forked reduction — a ``do parallel`` strip loop
+        whose processors each accumulate a partial result, combined
+        after the join?  Engines run its strips in index order, so the
+        result is the serial loop's bit for bit; only the timing model
+        charges the fork, the share and the combine (the liberty
+        :class:`VectorReduce` takes)."""
+        return self.parallel and any(isinstance(stmt, VectorReduce)
+                                     for stmt in self.body)
+
     def __repr__(self) -> str:
         kind = "parallel " if self.parallel else ""
         return (f"DoLoop({kind}{self.var.name} = {self.lo!r}, {self.hi!r},"

@@ -1380,24 +1380,14 @@ class _CodeGenerator:
         hi = self._guarded_src(stmt.hi, env, lines)
         tr = self._tmp_name()
         shape = strips.shape(self, stmt)
-        if shape is not None and stmt.parallel:
-            order = self._bind_shared(env, strips.parallel_trips,
-                                      lambda: strips.parallel_trips)
-            lines.append(f"{tr} = {order}(_eng, {tlo}, ({hi}), "
-                         f"{stmt.step!r})")
-        else:
-            tvs = self._bind(env, _trip_values)
-            lines.append(f"{tr} = {tvs}({tlo}, ({hi}), {stmt.step!r})")
-        if stmt.parallel and shape is None:
+        tvs = self._bind(env, _trip_values)
+        trip_values = f"{tvs}({tlo}, ({hi}), {stmt.step!r})"
+        if stmt.parallel:
             # Iteration order is an engine-instance knob read at run
-            # time (never baked): reverse/shuffle reorders trips.
-            to = self._tmp_name()
-            lines += [f"{to} = _eng.parallel_order",
-                      f"if {to} == 'reverse':",
-                      f"    {tr} = list(reversed({tr}))",
-                      f"elif {to} == 'shuffle':",
-                      f"    {tr} = list({tr})",
-                      f"    _eng._rng.shuffle({tr})"]
+            # time (never baked).
+            trip_values = f"_eng._in_order({trip_values}, " \
+                          f"{self._bind(env, stmt)})"
+        lines.append(f"{tr} = {trip_values}")
         costed = self._costs is not None
         quiet = not stmt.parallel and self._scheduled(stmt)
         self._cost_sync(lines)
@@ -1416,7 +1406,8 @@ class _CodeGenerator:
         self._da = da0  # per-trip writes are conditional on trips
         if costed and stmt.parallel:
             lines.extend(self._hook_lines(
-                f"'parallel_end', {stmt.sid}, len({tr})"))
+                f"'parallel_end', {stmt.sid}, len({tr}), "
+                f"{stmt.combines()!r}"))
         elif quiet:
             lines.append(self._lump_line(stmt.sid, f"len({tr})"))
         # The trailing write is unconditional (so the loop variable IS

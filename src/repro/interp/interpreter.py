@@ -358,7 +358,7 @@ class Interpreter:
             self._cost("list_chase", 1)
             if len(nodes) > self.max_steps:
                 raise StepLimitExceeded("unterminated list traversal")
-        order = self._in_order(nodes)
+        order = self._in_order(nodes, stmt)
         self._cost("parallel_begin", stmt.sid)
         for node_addr in order:
             self._tick()
@@ -367,10 +367,25 @@ class Interpreter:
         self._cost("parallel_end", stmt.sid, len(order))
         self._write_var(frame, stmt.ptr, 0)
 
-    def _in_order(self, items: List) -> List:
-        """A parallel loop's iterations in this engine's order:
-        ``parallel_order`` forward, reversed, or shuffled by the
-        engine's seeded generator (a new list unless forward)."""
+    def reorders(self, stmt: N.Stmt) -> bool:
+        """Does this engine run loop ``stmt``'s iterations out of
+        index order?  A parallel loop runs in ``parallel_order`` —
+        forward, reverse or shuffle — except a forked reduction
+        (``DoLoop.combines``), which always runs in index order so its
+        result is the serial loop's bit for bit.  The one rule every
+        engine path reads."""
+        if self.parallel_order == "forward":
+            return False
+        if isinstance(stmt, N.DoLoop):
+            return stmt.parallel and not stmt.combines()
+        return isinstance(stmt, N.ListParallelLoop)
+
+    def _in_order(self, items: List, stmt: N.Stmt) -> List:
+        """Loop ``stmt``'s iterations ``items`` in this engine's
+        order (:meth:`reorders`): reversed, or shuffled by the
+        engine's seeded generator (a new list unless in order)."""
+        if not self.reorders(stmt):
+            return items
         if self.parallel_order == "reverse":
             return list(reversed(items))
         if self.parallel_order == "shuffle":
@@ -390,7 +405,7 @@ class Interpreter:
         step = stmt.step
         trips = _trip_values(lo, hi, step)
         if stmt.parallel:
-            trips = self._in_order(trips)
+            trips = self._in_order(trips, stmt)
             self._cost("parallel_begin", stmt.sid)
         else:
             # Vector (non-parallel) loops bypass the flow-graph DO
@@ -404,7 +419,8 @@ class Interpreter:
             if not stmt.parallel:
                 self._cost("do_iter", stmt.sid)
         if stmt.parallel:
-            self._cost("parallel_end", stmt.sid, len(trips))
+            self._cost("parallel_end", stmt.sid, len(trips),
+                       stmt.combines())
         else:
             self._cost("do_exit", stmt.sid)
         self._write_var(frame, stmt.var,

@@ -28,7 +28,6 @@ from ..il import nodes as N
 from ..obs.metrics import REGISTRY
 from . import intfacts, vectorgen
 from .intfacts import IntFact
-from .interpreter import _trip_values
 
 #: Most elements one strip group runs in one bulk operation: bounds
 #: the size of its temporaries.
@@ -176,7 +175,7 @@ def emit(gen, stmt: N.DoLoop, found: Tuple[Symbol, N.Expr], trips: str,
     width = stmt.step
     most = GROUP_ELEMENTS // width
     at, solo, length = (gen._tmp_name() for _ in range(3))
-    plan = gen._bind(env, (width, most, stmt.parallel))
+    plan = gen._bind(env, (width, most, stmt))
     start = gen._bind_shared(env, propose, lambda: propose)
     end = gen._bind_shared(env, finish, lambda: finish)
     lines += [f"# strip loop {stmt.sid}: groups of up to {most} strips",
@@ -217,12 +216,6 @@ def emit(gen, stmt: N.DoLoop, found: Tuple[Symbol, N.Expr], trips: str,
 # -- run time ------------------------------------------------------------------
 
 
-def parallel_trips(engine, lo, hi, step: int) -> list:
-    """A parallel strip loop's trip values in the engine's iteration
-    order (the oracle's ``_exec_special_loop``)."""
-    return engine._in_order(_trip_values(lo, hi, step))
-
-
 def propose(engine, plan: tuple, trips: list, at: int, limit: int,
             count: int, solo: int) -> Tuple[int, int]:
     """A strip group starting at trip ``at`` of a strip loop whose
@@ -233,8 +226,8 @@ def propose(engine, plan: tuple, trips: list, at: int, limit: int,
     last full ones, and all its steps fit under the engine's limit."""
     if at < solo:
         return 0, solo
-    width, most, parallel = plan
-    if parallel and engine.parallel_order != "forward":
+    width, most, stmt = plan
+    if engine.reorders(stmt):
         counter("strips", "order").inc()
         return 0, len(trips)
     rest = limit - trips[at]

@@ -47,6 +47,7 @@ from .opt.deadcode import DCEStats, eliminate_dead_code
 from .opt.forward_sub import forward_substitute
 from .opt.ivsub import IVSubStats, InductionVariableSubstitution
 from .opt.while_to_do import WhileToDo, WhileToDoStats
+from .titan.config import TitanConfig
 from .vectorize.vectorizer import (VectorizeOptions, VectorizeStats,
                                    Vectorizer)
 
@@ -96,6 +97,15 @@ BACK_END_OPTIONS = frozenset({
     "max_vector_length", "processors", "reg_pipeline",
     "strength_reduction", "parallelize_lists", "collect_deps",
     "fortran_pointer_semantics"})
+
+
+def titan_config(options: CompilerOptions) -> TitanConfig:
+    """The machine a compile with ``options`` runs on: its processor
+    count, and its vector length as the maximum vector length.  Runs
+    are charged under it, and the vectorizer prices its forks with
+    it."""
+    return TitanConfig(processors=options.processors,
+                       max_vector_length=options.vector_length)
 
 
 class PipelineHook:
@@ -434,7 +444,8 @@ class TitanCompiler:
                 max_vector_length=opts.max_vector_length,
                 parallelize=opts.parallelize,
                 assume_no_alias=opts.fortran_pointer_semantics,
-                if_converted=opts.if_convert)
+                if_converted=opts.if_convert,
+                config=titan_config(opts))
             with trace.span("vectorize") as args:
                 for name, fn in program.functions.items():
                     with self._pass("vectorize", program, name):

@@ -35,8 +35,7 @@ from ..inline.database import InlineDatabase
 from ..obs.report import CompilationReport
 from ..obs.trace import PassTracer
 from ..pipeline import (BACK_END_OPTIONS, TitanCompiler,
-                        _program_statements)
-from ..titan.config import TitanConfig
+                        _program_statements, titan_config)
 from ..titan.simulator import TitanSimulator
 from .cache import (CatalogEntry, LRUCache, ParsedSource, build_catalog,
                     content_hash, options_fingerprint, parse_source)
@@ -175,9 +174,7 @@ def compile_payload(request: CompileRequest,
             on_mid_end=None if snapshots is None
             else partial(snapshots.put, key))
 
-    config = TitanConfig(
-        processors=request.options.processors,
-        max_vector_length=request.options.vector_length)
+    config = titan_config(request.options)
     titan_report = None
     run_section = None
     if request.run:

@@ -10,7 +10,8 @@ execution semantics) and accumulates cycles under the machine model in
   counted but not individually charged;
 * **vector instructions** pay startup + elements (stride-penalized);
 * **parallel regions** divide their enclosed cycles across processors
-  and pay a fork/join startup.
+  and pay a fork/join startup; a forked reduction also pays the
+  combine of its processors' partial results.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ class CycleBreakdown:
     unscheduled scalar arithmetic/branch/call latency; ``memory`` is
     scalar load/store (and list-chase) latency; ``scheduled`` is the
     §6 initiation-interval lump charge of software-pipelined loops;
-    ``parallel_overhead`` is fork/join startup.  Buckets sum to every
-    cycle *charged*; the report's ``parallel_adjust`` residual (total
-    minus charged) accounts for the divide-across-processors rescale
-    of parallel regions.
+    ``parallel_overhead`` is fork/join startup and forked reductions'
+    combine.  Buckets sum to every cycle *charged*; the report's
+    ``parallel_adjust`` residual (total minus charged) accounts for
+    the divide-across-processors rescale of parallel regions.
     """
 
     vector_compute: float = 0.0
@@ -248,19 +249,35 @@ def vector_prices(config: TitanConfig, instructions,
             length * flop_ops, startup, tuple(costs))
 
 
+def _workers(config: TitanConfig, trips: int) -> int:
+    """The processors a ``do parallel`` region of ``trips`` iterations
+    forks: no more than its iterations."""
+    return max(1, min(config.processors, max(trips, 1)))
+
+
 def parallel_share(config: TitanConfig, inner, trips: int,
                    number=None):
     """A ``do parallel`` region's ``inner`` cycles over ``trips``
-    iterations, divided across the processors it forks (no more than
-    its iterations) at the bus efficiency — converted by ``number``,
-    when given, into the caller's arithmetic."""
-    workers = max(1, min(config.processors, max(trips, 1)))
+    iterations, divided across the processors it forks at the bus
+    efficiency — converted by ``number``, when given, into the
+    caller's arithmetic."""
+    workers = _workers(config, trips)
     if workers > 1:
         efficiency = config.parallel_efficiency
         if number is not None:
             efficiency = number(efficiency)
         inner = inner / (workers * efficiency)
     return inner
+
+
+def parallel_combine(config: TitanConfig, trips: int) -> int:
+    """What a forked reduction (``DoLoop.combines``) pays after its
+    join to fold the processors' partial results into one: ⌈log₂ P⌉
+    tree levels for the P processors it forked, each level a load of
+    a partner's partial result and one operation on the floating-point
+    unit, which executes every vector instruction."""
+    levels = (_workers(config, trips) - 1).bit_length()
+    return levels * (config.load_latency + config.fp_latency)
 
 
 class TitanCostModel:
@@ -550,7 +567,11 @@ class TitanCostModel:
     def _on_parallel_begin(self, sid: int) -> None:
         self._parallel_stack.append([sid, self.cycles])
 
-    def _on_parallel_end(self, sid: int, trips: int) -> None:
+    def _on_parallel_end(self, sid: int, trips: int,
+                         combines: bool = False) -> None:
+        """The join: fork/join startup plus the processors' share of
+        the region's cycles, and :func:`parallel_combine` when the
+        region ``combines`` partial results."""
         if not self._parallel_stack \
                 or self._parallel_stack[-1][0] != sid:
             return
@@ -558,8 +579,11 @@ class TitanCostModel:
         self.counters.parallel_loops += 1
         cfg = self.config
         inner = parallel_share(cfg, self.cycles - start_cycles, trips)
-        self.cycles = start_cycles + cfg.parallel_startup + inner
-        self.breakdown.parallel_overhead += cfg.parallel_startup
+        overhead = cfg.parallel_startup
+        if combines:
+            overhead += parallel_combine(cfg, trips)
+        self.cycles = start_cycles + overhead + inner
+        self.breakdown.parallel_overhead += overhead
 
     # -- reporting -------------------------------------------------------------------
 

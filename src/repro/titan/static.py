@@ -6,24 +6,29 @@ a vector statement's strips through
 :func:`~repro.titan.cost_model.vector_prices` (:func:`vector_cost`),
 scalar operations at their :data:`~repro.titan.cost_model.SCALAR_COSTS`
 latencies, a ``do parallel`` region through
-:func:`~repro.titan.cost_model.parallel_share`, in the arithmetic its
-caller picks; one :class:`LoopCost` is recorded per loop and per
+:func:`~repro.titan.cost_model.parallel_share` (and a forked
+reduction's :func:`~repro.titan.cost_model.parallel_combine`), in the
+arithmetic its caller picks; one :class:`LoopCost` is recorded per
+loop and per
 vector statement outside a strip loop.  Two renderings read the walk:
 the report's ``titan.static`` (:mod:`repro.obs.report`:
 schedule-aware, floats, ``cycles: null`` for unknown trips) and the
 cycle attributor (:mod:`repro.obs.attrib`: schedule-free, exact
-int/Fraction, ``assumed_trips`` for unknown trips).
+int/Fraction, ``assumed_trips`` for unknown trips).  The vectorizer
+reads it too: :func:`fork_decision` is when a strip loop forks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..il import nodes as N
 from ..opt.fold import const_int_value, static_trip_count
 from ..sched.scheduler import LoopSchedule
 from .config import TitanConfig
-from .cost_model import SCALAR_COSTS, parallel_share, vector_prices
+from .cost_model import (SCALAR_COSTS, parallel_combine, parallel_share,
+                         vector_prices)
 from .vector_ops import vector_instructions
 
 #: Trips charged where a trip count is not a compile-time constant:
@@ -141,8 +146,43 @@ class StaticCostEstimator:
     def _vector_cycles(self, cost: VectorCost):
         return self.number(cost.compute) + self.number(cost.memory)
 
-    def _parallel(self, inner, trips: int):
-        return self.number(self.config.parallel_startup) \
+    def _operand_cycles(self, stmt: N.Stmt):
+        """The scalar work of one run of a vector statement: its
+        length, then — unless a constant length says it runs no
+        element — its section addresses, iota starts and broadcast
+        operands, each evaluated once as a scalar expression (the
+        lanes' arithmetic is the vector instructions').  Both arms of
+        a select and a masked store's value count, as the worst case;
+        runs evaluate what some lane reaches."""
+        if isinstance(stmt, N.VectorAssign):
+            length = stmt.target.length
+            pending = [stmt.target, stmt.value, stmt.mask]
+        else:
+            length = stmt.length
+            pending = [stmt.value]
+        total = self.expr_cycles(length)
+        known = const_int_value(length)
+        if known is not None and known <= 0:
+            return total
+        while pending:
+            expr = pending.pop()
+            kind = type(expr)
+            if kind is N.Section:
+                total += self.expr_cycles(expr.addr)
+            elif kind is N.Iota:
+                total += self.expr_cycles(expr.start)
+            elif kind is N.BinOp or kind is N.UnOp or kind is N.Cast \
+                    or kind is N.Select:
+                pending.extend(expr.children())
+            elif expr is not None:
+                total += self.expr_cycles(expr)
+        return total
+
+    def _parallel(self, inner, trips: int, combines: bool = False):
+        overhead = self.config.parallel_startup
+        if combines:
+            overhead += parallel_combine(self.config, trips)
+        return self.number(overhead) \
             + parallel_share(self.config, inner, trips, self.number)
 
     def stmt_cycles(self, function: str, stmt: N.Stmt,
@@ -160,7 +200,7 @@ class StaticCostEstimator:
                 else stmt.length)
             cost = vector_cost(self.config, stmt, self.assumed_trips
                                if length is None else length)
-            cycles = self._vector_cycles(cost)
+            cycles = self._operand_cycles(stmt) + self._vector_cycles(cost)
             if loops is not None:
                 loops.append(LoopCost(function, stmt.line, "vector",
                                       length, cycles * scale, length,
@@ -200,12 +240,11 @@ class StaticCostEstimator:
                 loops.append(LoopCost(function, stmt.line, "list",
                                       None, cycles * scale))
             return cycles
-        if isinstance(stmt, N.Goto):
-            return latency["branch"]
         if isinstance(stmt, N.Return):
             return self.expr_cycles(stmt.value) \
                 if stmt.value is not None else 0
-        # LabelStmt and anything costless.
+        # Goto and LabelStmt (runs charge a jump nothing) and anything
+        # costless.
         return 0
 
     def _do_loop_cycles(self, function: str, loop: N.DoLoop,
@@ -218,7 +257,9 @@ class StaticCostEstimator:
         if loop.vector:
             # A strip loop covers lo..hi in strips of `step` elements;
             # vector substatements are costed over the whole element
-            # range, scalar substatements once per strip iteration.
+            # range, their operands and scalar substatements once per
+            # strip.  Runs execute it as one unit: no per-strip
+            # increment or branch.
             lo = const_int_value(loop.lo)
             hi = const_int_value(loop.hi)
             elements = hi - lo + 1 if lo is not None \
@@ -226,20 +267,21 @@ class StaticCostEstimator:
             total = elements if elements is not None \
                 else self.assumed_trips * max(1, loop.step)
             strips = max(1, -(-total // max(1, loop.step)))
-            cycles = setup + strips * (latency["intop"]
-                                       + latency["branch"])
+            cycles = setup
             vectors = []
             for sub in loop.body:
                 if isinstance(sub, (N.VectorAssign, N.VectorReduce)):
                     cost = vector_cost(self.config, sub, total,
                                        loop.step)
                     vectors.append(cost)
-                    cycles += self._vector_cycles(cost)
+                    cycles += strips * self._operand_cycles(sub) \
+                        + self._vector_cycles(cost)
                 else:
                     cycles += strips * self.stmt_cycles(
                         function, sub, scale * strips, None)
             if loop.parallel:
-                cycles = setup + self._parallel(cycles - setup, strips)
+                cycles = setup + self._parallel(cycles - setup, strips,
+                                                loop.combines())
             if loops is not None:
                 kind = "vector-parallel" if loop.parallel else "vector"
                 loops.append(LoopCost(function, loop.line, kind,
@@ -304,3 +346,37 @@ class ProgramEstimate(NamedTuple):
     @property
     def total(self):
         return sum(self.functions.values())
+
+
+class ForkDecision(NamedTuple):
+    """Whether a strip loop runs ``do parallel``: ``outcome`` is
+    ``forked``, ``unknown-trip``, ``does-not-pay`` or — decided before
+    any price, by the vectorizer — ``illegal``; ``serial`` and
+    ``forked`` are the walk's prices of the loop either way (None when
+    it did not price them)."""
+
+    outcome: str
+    serial: Optional[float] = None
+    forked: Optional[float] = None
+
+
+def fork_decision(config: Optional[TitanConfig],
+                  loop: N.DoLoop) -> ForkDecision:
+    """The one rule for forking a legal strip loop ``loop``: its trip
+    must be a constant, the processor count known (``config``, the run
+    configuration; None when unknown), and the walk must price the
+    loop forked — fork/join startup, the processors' share of its
+    strips and, for a reduction, the combine — below the loop run
+    serially.  At one processor a fork never pays, nor does it for a
+    few strips; an unknown trip could cost a fork per enclosing
+    iteration, so it stays serial."""
+    if static_trip_count(loop) is None:
+        return ForkDecision("unknown-trip")
+    if config is None:
+        return ForkDecision("does-not-pay")
+    walk = StaticCostEstimator(config)
+    serial, forked = (
+        walk.stmt_cycles("", dataclasses.replace(loop, parallel=flag),
+                         1, None) for flag in (False, True))
+    return ForkDecision("forked" if forked < serial else "does-not-pay",
+                        serial, forked)

@@ -14,15 +14,16 @@ For each innermost normalized DO loop:
    wrapped in a strip loop computing ``vlen = min(VL, trip - vi)`` —
    short constant-trip loops (the 4×4 graphics case, section 5.2) skip
    the strip loop entirely;
-5. *parallelization*: the strip loops distributed from a source loop
-   are emitted as ``do parallel`` (the paper's §9 output) when every
-   component of that loop became a vector statement and its
-   dependence graph carries nothing — one reduction, recurrence or
-   carried edge anywhere in the loop keeps all its strip loops serial,
-   and a direct statement has no strips to spread; a loop that
-   cannot be vectorized but has no loop-carried dependences (after
-   privatizing iteration-local scalars) is spread across processors
-   unchanged.
+5. *parallelization*: each strip loop is decided on its own region's
+   dependences (the paper's §9 ``do parallel`` output): a vector
+   store forks when no carried edge lies within its region; a
+   reduction forks when, beyond its accumulator's own edge, none
+   does and the static Titan price of the fork is below the serial
+   loop's (constant trip, known processor count); a direct statement
+   has no strips to spread, and a recurrence stays sequential.  A
+   loop that cannot be vectorized but has no loop-carried
+   dependences (after privatizing iteration-local scalars) is spread
+   across processors unchanged.
 
 The alias policy implements the paper's escape hatches: a ``safe``
 pragma on the loop or function, or the compiler option giving pointer
@@ -47,9 +48,12 @@ from ..dependence.refs import AffineRef, parse_ref
 from ..frontend.ctypes_ import INT
 from ..frontend.symtab import Symbol, SymbolTable
 from ..il import nodes as N
+from ..obs.metrics import REGISTRY
 from ..obs.remarks import RemarkCollector
 from ..opt import utils
 from ..opt.fold import const_int_value, simplify
+from ..titan.config import TitanConfig
+from ..titan.static import ForkDecision, fork_decision
 
 
 @dataclass
@@ -63,6 +67,10 @@ class VectorizeOptions:
     # precise "not-if-convertible" miss instead of the blanket
     # "control-flow".
     if_converted: bool = False
+    # The machine the program runs on (``pipeline.titan_config``): a
+    # reduction's strips fork only when its static price says so, and
+    # stay serial when it is None (processor count unknown).
+    config: Optional[TitanConfig] = None
 
 
 @dataclass
@@ -72,7 +80,8 @@ class StripRegion:
     ``kind`` is ``seq`` (a recurrence kept in a sequential DO loop),
     ``vector`` (one vector store) or ``reduce`` (one accumulation
     into a vector reduction); ``stmts`` are loop-body indices in
-    order; ``parallel`` says the region's strips run ``do parallel``.
+    order; ``parallel`` says the region's strips run ``do parallel``
+    (decided by :meth:`Vectorizer._fork`).
     """
     kind: str
     stmts: List[int]
@@ -313,15 +322,31 @@ class Vectorizer:
         edge = cls._blocking_edge(graph)
         if edge is None:
             return "dependence cycle among the loop's statements"
-        from ..il.printer import format_stmt
-        stmt_text = format_stmt(body[edge.src])[0].strip().rstrip(";")
-        parts = [f"{edge.kind} dependence carried by the loop"]
-        if edge.distance is not None:
-            parts.append(f"distance {edge.distance}")
-        if edge.reason and edge.reason != "affine":
-            parts.append(f"via {edge.reason}")
-        return f"dependence cycle — {', '.join(parts)} on " \
-               f"'{stmt_text}'"
+        return f"dependence cycle — {_describe_edge(body, edge)}"
+
+    def _remark_fork(self, loop: N.DoLoop, region: StripRegion,
+                     decision: ForkDecision, blocking) -> None:
+        """An analysis remark for each reduction's fork decision, with
+        its static prices, and for each vector region that stays
+        serial, naming the carried edge that keeps it so."""
+        what = "reduction" if region.kind == "reduce" else "vector"
+        if blocking is not None:
+            why = _describe_edge(loop.body, blocking)
+        elif region.kind == "vector":
+            return
+        elif decision.serial is None:
+            why = "trip count is not a constant" \
+                if decision.outcome == "unknown-trip" \
+                else "processor count unknown"
+        else:
+            why = f"static price {decision.forked:.0f} cycles forked " \
+                  f"against {decision.serial:.0f} serial"
+        verb = "fork" if decision.outcome == "forked" else "stay serial"
+        self.remarks.analysis(
+            "vectorize", self._fn.name, f"{what} strips {verb}: {why}",
+            stmt=loop, region=region.kind, outcome=decision.outcome,
+            serial_cycles=decision.serial,
+            forked_cycles=decision.forked)
 
     # -- scalar forwarding ---------------------------------------------------
 
@@ -598,32 +623,67 @@ class Vectorizer:
                  ) -> Tuple[List[StripRegion], List[N.Stmt]]:
         """Turn the Allen–Kennedy plan into strip regions and lower
         them, one statement per region, in plan order (the order the
-        regions draw their temps in)."""
+        regions draw their temps in); then decide, region by region,
+        which strip loops fork."""
         trip_expr = simplify(N.BinOp(op="+", left=N.clone_expr(loop.hi),
                                      right=N.int_const(1), ctype=INT))
         trip_const = const_int_value(trip_expr)
         direct = trip_const is not None and trip_const <= min(
             self.options.vector_length, self.options.max_vector_length)
-        # Strips may run concurrently only when nothing is carried at
-        # all — even an anti dependence (satisfied within one vector
-        # instruction) races across strip boundaries.  A direct
-        # statement has no strips to spread.
-        parallel = self.options.parallelize and not direct \
-            and all(kind == "vector" for kind, _ in plan) \
-            and not graph.has_carried_dependence()
-        regions = [StripRegion(kind, sorted(comp), parallel)
+        regions = [StripRegion(kind, sorted(comp), False)
                    for kind, comp in plan]
-        return regions, [self._emit_region(loop, region, trip_expr,
-                                           direct)
-                         for region in regions]
+        lowered = [self._emit_region(loop, region, trip_expr, direct)
+                   for region in regions]
+        # A direct statement has no strips to spread, nor does a
+        # sequential DO loop.
+        if self.options.parallelize and not direct:
+            for region, stmt in zip(regions, lowered):
+                if region.kind != "seq":
+                    region.parallel = stmt.parallel = self._fork(
+                        loop, region, stmt, graph)
+        return regions, lowered
+
+    def _fork(self, loop: N.DoLoop, region: StripRegion,
+              strips: N.DoLoop, graph: DependenceGraph) -> bool:
+        """Does this ``vector`` or ``reduce`` region's strip loop run
+        ``do parallel``?  Only if no carried edge has both ends in the
+        region — even an anti edge, satisfied within one vector
+        instruction, races across strips — other than a reduction's
+        own accumulator edge; edges between regions are satisfied by
+        distribution.  A legal vector region forks; a legal reduction
+        forks when :func:`~repro.titan.static.fork_decision` says it
+        pays."""
+        inside = set(region.stmts)
+        accumulator = None
+        if region.kind == "reduce":
+            target = loop.body[region.stmts[0]].target
+            accumulator = f"scalar {target.sym.name}"
+        blocking = next((edge for edge in graph.edges
+                         if edge.carried and edge.src in inside
+                         and edge.dst in inside
+                         and not (edge.src == edge.dst
+                                  and edge.reason == accumulator)),
+                        None)
+        if blocking is not None:
+            decision = ForkDecision("illegal")
+        elif region.kind == "vector":
+            decision = ForkDecision("forked")
+        else:
+            decision = fork_decision(self.options.config, strips)
+        REGISTRY.counter("titancc_vector_region_fork_total",
+                         {"kind": region.kind,
+                          "outcome": decision.outcome}).inc()
+        if self.remarks is not None:
+            self._remark_fork(loop, region, decision, blocking)
+        return decision.outcome == "forked"
 
     def _emit_region(self, loop: N.DoLoop, region: StripRegion,
                      trip_expr: N.Expr, direct: bool) -> N.Stmt:
         """A ``seq`` region becomes a DO loop over a fresh ``svar``; a
         vector or reduction region becomes one statement over the
         whole trip when it fits a vector register, else a strip loop
-        ``do vi = 0, trip-1, VL { vlen = min(VL, trip - vi); ... }``
-        (``do parallel`` when the region is parallel)."""
+        ``do vi = 0, trip-1, VL { vlen = min(VL, trip - vi); ... }``,
+        serial until :meth:`_fork` says otherwise."""
         stmts = [loop.body[k] for k in region.stmts]
         if region.kind == "seq":
             seq_var = self.symtab.fresh_temp(INT, "svar")
@@ -658,8 +718,7 @@ class Vectorizer:
             var=vi, lo=N.int_const(0),
             hi=simplify(N.BinOp(op="-", left=N.clone_expr(trip_expr),
                                 right=N.int_const(1), ctype=INT)),
-            step=strip, body=body, parallel=region.parallel,
-            vector=True, line=stmt.line)
+            step=strip, body=body, vector=True, line=stmt.line)
 
     def _reduce_stmt(self, stmt: N.Assign, loop_var: Symbol,
                      start: N.Expr, length: N.Expr) -> N.VectorReduce:
@@ -804,6 +863,19 @@ def _defined_before_use(body: List[N.Stmt], sym: Symbol) -> bool:
                 for s in N.walk_statements([stmt])):
             return False  # first touch is conditional
     return True
+
+
+def _describe_edge(body: List[N.Stmt], edge) -> str:
+    """A carried dependence edge in words, naming the statement it
+    leaves."""
+    from ..il.printer import format_stmt
+    stmt_text = format_stmt(body[edge.src])[0].strip().rstrip(";")
+    parts = [f"{edge.kind} dependence carried by the loop"]
+    if edge.distance is not None:
+        parts.append(f"distance {edge.distance}")
+    if edge.reason and edge.reason != "affine":
+        parts.append(f"via {edge.reason}")
+    return f"{', '.join(parts)} on '{stmt_text}'"
 
 
 def _coeff_of(addr: N.Expr, loop_var: Symbol) -> int:

@@ -3,7 +3,7 @@
 // generation emits, run at a trip count just past one 32-element strip
 // (33) and at one that takes several strips (100):
 //  * a vector store and a reduction distributed from one loop (the
-//    c[i] strips run serially beside the reduction's strips);
+//    c[i] strips fork; the reduction's are too few to pay and do not);
 //  * a recurrence kept in a sequential loop beside a vector store;
 //  * a carried anti self-dependence a[i] = a[i+1] + 1 (one vector
 //    statement per strip, strips not spread across processors);

@@ -14,7 +14,7 @@ from repro.obs.depviz import LoopDepExport, collect_program_graphs
 from repro.obs.report import (REPORT_SCHEMA, CompilationReport,
                               loop_coverage)
 from repro.obs.trace import jsonable
-from repro.pipeline import CompilerOptions, compile_c
+from repro.pipeline import CompilerOptions, compile_c, titan_config
 from repro.titan.config import TitanConfig
 from repro.titan.simulator import TitanSimulator
 
@@ -220,8 +220,7 @@ def test_committed_fixture_titan_section_reproduces(fixture):
     with open(os.path.join(ROOT, committed["source"])) as handle:
         source = handle.read()
     options = CompilerOptions(**committed["options"])
-    config = TitanConfig(processors=options.processors,
-                         max_vector_length=options.vector_length)
+    config = titan_config(options)
     result = compile_c(source, options)
     titan_report = TitanSimulator(
         result.program, config,

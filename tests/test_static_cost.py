@@ -4,19 +4,26 @@ whose vector loops have constant trips and run once, what the walk
 says ``main``'s vector statements cost is what a run of ``main``
 measures: ``vector_compute + vector_memory`` and ``vector_startup`` of
 the :class:`CycleBreakdown`, exactly.  The compilation report's
-``titan.static`` entries are the same prices."""
+``titan.static`` entries are the same prices.  On straight-line
+``main``s of strip loops the walk's whole price is the run's, and the
+vectorizer forks a reduction exactly when the walk prices the fork
+below the serial loop."""
 
+import dataclasses
 import os
 from types import SimpleNamespace
 
 import pytest
 
 from repro.frontend.ctypes_ import FLOAT
+from repro.il import nodes as N
 from repro.interp import make_interpreter
 from repro.obs.report import titan_section
-from repro.pipeline import CompilerOptions, compile_c
+from repro.opt.fold import static_trip_count
+from repro.pipeline import CompilerOptions, compile_c, titan_config
 from repro.titan.config import TitanConfig
 from repro.titan.cost_model import TitanCostModel
+from repro.titan.simulator import TitanSimulator
 from repro.titan.static import StaticCostEstimator
 from tests import vector_cases as vc
 
@@ -53,6 +60,27 @@ def run_costed(program, config, schedules=None, **engine_args):
     return model.breakdown
 
 
+def walk_prices(config, loop):
+    """The walk's price of strip loop ``loop`` run serially and
+    forked."""
+    walk = StaticCostEstimator(config)
+    return tuple(walk.stmt_cycles("", dataclasses.replace(
+        loop, parallel=flag), 1, None) for flag in (False, True))
+
+
+def assert_forks_when_the_walk_says(program, config, label):
+    """Every reduction strip loop is ``do parallel`` exactly when its
+    trip is constant and the walk prices it forked below serial."""
+    for fn in program.functions.values():
+        for loop in fn.all_statements():
+            if not (isinstance(loop, N.DoLoop) and loop.vector and any(
+                    isinstance(s, N.VectorReduce) for s in loop.body)):
+                continue
+            serial, forked = walk_prices(config, loop)
+            pays = static_trip_count(loop) is not None and forked < serial
+            assert loop.parallel == pays, (label, fn.name, serial, forked)
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_e19_kernel_static_equals_measured(kernel):
     with open(os.path.join(E19_KERNELS_DIR, kernel + ".c")) as handle:
@@ -60,19 +88,108 @@ def test_e19_kernel_static_equals_measured(kernel):
     for n in (40, 100, 1000):
         source = template.replace("{n}", str(n)).replace("{s}", "1")
         for width in (32, 33, 2048):
-            # The processor count reaches only the TitanConfig: one
-            # compile serves the three runs.
-            result = compile_c(source,
-                               CompilerOptions(vector_length=width))
             for processors in (1, 2, 4):
-                config = TitanConfig(processors=processors,
-                                     max_vector_length=width)
+                # The processor count decides which reductions fork:
+                # compile for the machine the run is charged on.
+                options = CompilerOptions(vector_length=width,
+                                          processors=processors)
+                config = titan_config(options)
+                result = compile_c(source, options)
+                label = (kernel, n, width, processors)
+                assert_forks_when_the_walk_says(result.program, config,
+                                                label)
                 breakdown = run_costed(result.program, config,
                                        result.schedules)
                 assert static_vector(result.program, config,
                                      result.schedules) \
-                    == measured_vector(breakdown), \
-                    (kernel, n, width, processors)
+                    == measured_vector(breakdown), label
+
+
+MIX = """float u[{n}], v[{n}], w[{n}];
+
+float mix(int n)
+{
+    int i;
+    float s;
+    s = 0.0f;
+    for (i = 0; i < n; i++) {
+        w[i] = u[i] * v[i];
+        s = s + w[i];
+    }
+    return s;
+}
+
+int main(void)
+{
+    int i;
+    for (i = 0; i < {n}; i++) {
+        u[i] = (i + {s}) & 7;
+        v[i] = (i + 1) & 3;
+    }
+    return (int) mix({n});
+}
+"""
+
+
+def kernel_source(name: str) -> str:
+    if name == "mix":
+        return MIX
+    with open(os.path.join(E19_KERNELS_DIR, name + ".c")) as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("kernel", ["sdot", "mix"])
+def test_walk_of_forked_reductions_equals_measured(kernel):
+    """sdot and the mix loop (a store and a sum distributed from one
+    loop): ``main`` is straight-line code and strip loops, so the
+    walk's price is the run's — the same prices, only added in another
+    order: exactly equal without a fork, to the last few bits where a
+    share divides."""
+    template = kernel_source(kernel)
+    forks = 0
+    for n in (100, 4096):
+        source = template.replace("{n}", str(n)).replace("{s}", "0")
+        for width in (32, 33, 2048):
+            for processors in (1, 2, 4):
+                options = CompilerOptions(vector_length=width,
+                                          processors=processors)
+                config = titan_config(options)
+                result = compile_c(source, options)
+                label = (kernel, n, width, processors)
+                assert_forks_when_the_walk_says(result.program, config,
+                                                label)
+                forks += sum(isinstance(s, N.DoLoop) and s.combines()
+                             for s in result.program.functions[
+                                 "main"].all_statements())
+                walk = StaticCostEstimator(
+                    config, schedules=result.schedules).function_cycles(
+                        "main", result.program.functions["main"])
+                for engine in ("tree", "compiled"):
+                    with TitanSimulator(result.program, config,
+                                        schedules=result.schedules,
+                                        engine=engine) as simulator:
+                        measured = simulator.run("main").cycles
+                    if processors == 1:
+                        assert walk == measured, (label, engine)
+                    else:
+                        assert walk == pytest.approx(measured, rel=1e-12,
+                                                     abs=0), (label, engine)
+    # At 4,096 elements the sum forks at 2 and 4 CPUs, every length.
+    assert forks >= 6
+
+
+def test_forked_reductions_meet_their_cycle_targets():
+    """At n = 4,096, VL 32, 4 CPUs: sdot at most 14,500 cycles (18,804
+    serial), the mix loop at most 21,500 (42,100 with every strip
+    loop serial)."""
+    options = CompilerOptions(vector_length=32, processors=4)
+    for kernel, bound in (("sdot", 14_500), ("mix", 21_500)):
+        source = kernel_source(kernel).replace("{n}", "4096") \
+            .replace("{s}", "0")
+        result = compile_c(source, options)
+        with TitanSimulator(result.program, titan_config(options),
+                            schedules=result.schedules) as simulator:
+            assert simulator.run("main").cycles <= bound, kernel
 
 
 def report_entries(program, config):
