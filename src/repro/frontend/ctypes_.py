@@ -8,12 +8,24 @@ and structs, with ``const``/``volatile`` qualifiers carried on the type.
 ``volatile`` is load-bearing for the whole compiler (section 1, problem 6):
 every optimization pass consults :meth:`CType.is_volatile` before touching
 a memory reference.
+
+C's scalar *values* are stated here too, once: :meth:`CType.convert`
+(a value converted to the type), :func:`binop_value` and
+:func:`unop_value` (every IL operator), and :func:`round_f32` with its
+overflow boundary :data:`F32_OVERFLOW`.  The tree oracle evaluates
+with them, the constant folder and the front end fold with them, and
+the fast engines' specialized kernels are tested against them — so a
+value folded at compile time is the value the machine computes.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
+
+Value = Union[int, float]
 
 
 class TypeError_(Exception):
@@ -84,6 +96,11 @@ class CType:
             return self == other
         return self.unqualified() == other.unqualified()
 
+    def convert(self, value: Value) -> Value:
+        """``value`` converted to this type, as an assignment or a cast
+        converts it (a non-scalar type leaves it alone)."""
+        return value
+
 
 @dataclass(frozen=True)
 class VoidType(CType):
@@ -125,6 +142,11 @@ class IntType(CType):
             value -= 1 << bits
         return value
 
+    def convert(self, value: Value) -> int:
+        """Truncate toward zero, then wrap (``int()`` of an infinity or
+        a NaN raises, as the conversion has no value)."""
+        return self.wrap(int(value))
+
     def __str__(self) -> str:
         return _quals(self) + self.kind
 
@@ -141,6 +163,11 @@ class FloatType(CType):
     def sizeof(self) -> int:
         return _FLOAT_KINDS[self.kind]
 
+    def convert(self, value: Value) -> float:
+        if self.kind == "float":
+            return round_f32(value)
+        return float(value)
+
     def __str__(self) -> str:
         return _quals(self) + self.kind
 
@@ -152,6 +179,9 @@ class PointerType(CType):
 
     def sizeof(self) -> int:
         return 4  # 32-bit Titan addresses
+
+    def convert(self, value: Value) -> int:
+        return int(value) & 0xFFFFFFFF
 
     def __str__(self) -> str:
         return f"{self.base} *" + ("const " if self.const else "") + (
@@ -336,6 +366,106 @@ def usual_arithmetic_conversion(a: CType, b: CType) -> CType:
         return a2 if not a2.signed else b2
     hi = a2 if ra > rb else b2
     return hi
+
+
+# ---------------------------------------------------------------------------
+# C scalar values
+# ---------------------------------------------------------------------------
+
+
+class ValueFault(ArithmeticError):
+    """An operation with no C value: a zero divisor, an unknown
+    operator.  (A conversion of an infinity or a NaN to an integer
+    raises Python's own ``OverflowError``/``ValueError``.)"""
+
+
+#: The least magnitude that rounds to infinity in IEEE single
+#: precision: halfway between FLT_MAX and 2**128, where a tie goes to
+#: the even neighbour, 2**128.  Every float32 store and rounding cuts
+#: off here.
+F32_OVERFLOW = 3.4028235677973366e38
+
+_F32_PACK = struct.Struct("<f").pack
+_F32_UNPACK = struct.Struct("<f").unpack
+
+
+def round_f32(value: Value) -> float:
+    """``value`` rounded to IEEE single precision (to nearest, ties to
+    even); a magnitude at or beyond :data:`F32_OVERFLOW` becomes ±inf,
+    as a float store makes it."""
+    value = float(value)
+    if -F32_OVERFLOW < value < F32_OVERFLOW or value != value:
+        return _F32_UNPACK(_F32_PACK(value))[0]
+    return math.inf if value > 0 else -math.inf
+
+
+def binop_value(op: str, left: Value, right: Value, ctype: CType) -> Value:
+    """C's value of the IL binary operator ``op`` on two operand
+    values, converted to the result type ``ctype``: integer arithmetic
+    wraps, division truncates toward zero, shift counts are taken mod
+    32, comparisons yield int 0/1.  Raises :class:`ValueFault` for a
+    zero divisor or an unknown operator."""
+    if op == "+":
+        result = left + right
+    elif op == "-":
+        result = left - right
+    elif op == "*":
+        result = left * right
+    elif op == "/":
+        if right == 0:
+            raise ValueFault("division by zero")
+        if ctype.is_float:
+            result = left / right
+        else:
+            q = abs(int(left)) // abs(int(right))
+            result = q if (left >= 0) == (right >= 0) else -q
+    elif op == "%":
+        if right == 0:
+            raise ValueFault("modulo by zero")
+        q = abs(int(left)) // abs(int(right))
+        q = q if (left >= 0) == (right >= 0) else -q
+        result = int(left) - q * int(right)
+    elif op == "<<":
+        result = int(left) << (int(right) & 31)
+    elif op == ">>":
+        result = int(left) >> (int(right) & 31)
+    elif op == "&":
+        result = int(left) & int(right)
+    elif op == "|":
+        result = int(left) | int(right)
+    elif op == "^":
+        result = int(left) ^ int(right)
+    elif op == "==":
+        return int(left == right)
+    elif op == "!=":
+        return int(left != right)
+    elif op == "<":
+        return int(left < right)
+    elif op == ">":
+        return int(left > right)
+    elif op == "<=":
+        return int(left <= right)
+    elif op == ">=":
+        return int(left >= right)
+    elif op == "min":
+        result = min(left, right)
+    elif op == "max":
+        result = max(left, right)
+    else:
+        raise ValueFault(f"unknown operator {op!r}")
+    return ctype.convert(result)
+
+
+def unop_value(op: str, value: Value, ctype: CType) -> Value:
+    """C's value of the IL unary operator ``op`` (``neg``, ``not``,
+    ``bnot``), converted to ``ctype``."""
+    if op == "neg":
+        return ctype.convert(-value)
+    if op == "not":
+        return int(not value)
+    if op == "bnot":
+        return ctype.convert(~int(value))
+    raise ValueFault(f"unknown unary operator {op!r}")
 
 
 def decay(t: CType) -> CType:

@@ -39,6 +39,7 @@ from .ctypes_ import (ArrayType, CType, DOUBLE, FLOAT, FunctionType, INT,
 from .symtab import (AUTO, EXTERN, GLOBAL, PARAM, STATIC, Symbol,
                      SymbolError, SymbolTable)
 from ..il import nodes as N
+from ..opt import fold
 
 
 class LoweringError(Exception):
@@ -146,13 +147,20 @@ class Lowerer:
                     for item in init.items]
         if isinstance(init.expr, A.StringLit):
             return self._string_initializer(init.expr, ctype, init.coord)
-        value = _fold_const_expr(init.expr)
+        value = self._constant(init.expr, ctype)
         if value is None:
             raise LoweringError("global initializer is not constant",
                                 init.coord)
-        if ctype.is_float:
-            return float(value)
         return value
+
+    def _constant(self, expr: A.Expr, ctype: CType):
+        """The value of a constant expression converted to ``ctype``
+        — lowered, and folded by C's value rule — else None."""
+        stmts, value = self.lower_expr(expr)
+        value = fold.simplify(_convert(value, ctype))
+        if stmts or not isinstance(value, N.Const):
+            return None
+        return value.value
 
     def _string_initializer(self, lit: A.StringLit, ctype: CType,
                             coord: Optional[A.Coord]):
@@ -439,12 +447,12 @@ class Lowerer:
         for item in node.body.items:
             while isinstance(item, (A.Case, A.Default)):
                 if isinstance(item, A.Case):
-                    value = _fold_const_expr(item.value)
+                    value = self._constant(item.value, INT)
                     if value is None:
                         raise LoweringError("case label is not constant",
                                             item.coord)
                     label = self._fresh_label("Lcase")
-                    cases.append((int(value), label))
+                    cases.append((value, label))
                 else:
                     label = self._fresh_label("Ldefault")
                     default_label = label
@@ -525,17 +533,19 @@ class Lowerer:
     # -- leaves ------------------------------------------------------------
 
     def _lower_IntLit(self, node: A.IntLit) -> Pair:
-        ctype = INT
-        if "u" in node.suffix:
-            ctype = IntType(kind="unsigned long" if "l" in node.suffix
+        long = "l" in node.suffix
+        if "u" in node.suffix or node.value > 0x7FFFFFFF:
+            # Unsigned, or too big for its signed type (a literal is
+            # never negative): the unsigned one.
+            ctype = IntType(kind="unsigned long" if long
                             else "unsigned int")
-        elif "l" in node.suffix:
-            ctype = IntType(kind="long")
+            return [], N.Const(value=ctype.wrap(node.value), ctype=ctype)
+        ctype = IntType(kind="long") if long else INT
         return [], N.Const(value=node.value, ctype=ctype)
 
     def _lower_FloatLit(self, node: A.FloatLit) -> Pair:
         ctype = FLOAT if "f" in node.suffix else DOUBLE
-        return [], N.Const(value=float(node.value), ctype=ctype)
+        return [], N.Const(value=ctype.convert(node.value), ctype=ctype)
 
     def _lower_CharLit(self, node: A.CharLit) -> Pair:
         return [], N.Const(value=node.value, ctype=INT)
@@ -960,7 +970,7 @@ def _scale(index: N.Expr, size: int) -> N.Expr:
     if size == 1:
         return index
     if isinstance(index, N.Const):
-        return N.Const(value=index.value * size, ctype=INT)
+        return N.Const(value=INT.convert(index.value * size), ctype=INT)
     return N.BinOp(op="*", left=N.int_const(size), right=index, ctype=INT)
 
 
@@ -975,11 +985,9 @@ def _convert(expr: N.Expr, to_type: CType) -> N.Expr:
     if expr.ctype.is_pointer and to_type.is_pointer:
         return _with_type(expr, to_type)
     if isinstance(expr, N.Const) and to_type.is_arithmetic:
-        if to_type.is_float:
-            return N.Const(value=float(expr.value), ctype=to_type)
-        if isinstance(to_type, IntType):
-            return N.Const(value=to_type.wrap(int(expr.value)),
-                           ctype=to_type)
+        value = fold.coerce(expr.value, to_type)
+        if value is not None:
+            return N.Const(value=value, ctype=to_type)
     return N.Cast(operand=expr, ctype=to_type)
 
 
@@ -1012,63 +1020,6 @@ def _stamp_lines(stmts: List[N.Stmt], line: int) -> None:
 def _uses_label(stmts: List[N.Stmt], label: str) -> bool:
     return any(isinstance(s, N.Goto) and s.label == label
                for s in N.walk_statements(stmts))
-
-
-def _fold_const_expr(expr: A.Expr) -> Optional[Union[int, float]]:
-    """Constant folding for initializers (AST level)."""
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.FloatLit):
-        return expr.value
-    if isinstance(expr, A.CharLit):
-        return expr.value
-    if isinstance(expr, A.UnaryOp):
-        value = _fold_const_expr(expr.operand)
-        if value is None:
-            return None
-        if expr.op == "-":
-            return -value
-        if expr.op == "+":
-            return value
-        if expr.op == "~" and isinstance(value, int):
-            return ~value
-        if expr.op == "!":
-            return int(not value)
-        return None
-    if isinstance(expr, A.BinaryOp):
-        left = _fold_const_expr(expr.left)
-        right = _fold_const_expr(expr.right)
-        if left is None or right is None:
-            return None
-        try:
-            if expr.op == "/" and isinstance(left, int) \
-                    and isinstance(right, int):
-                return _c_div(left, right)
-            return {
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-                "/": lambda: left / right,
-                "%": lambda: _c_mod(left, right),
-                "<<": lambda: left << right,
-                ">>": lambda: left >> right,
-                "&": lambda: left & right,
-                "|": lambda: left | right,
-                "^": lambda: left ^ right,
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError, TypeError):
-            return None
-    return None
-
-
-def _c_div(a: int, b: int) -> int:
-    """C's truncating integer division."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
 
 
 def lower(unit: A.TranslationUnit) -> N.ILProgram:

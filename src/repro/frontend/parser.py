@@ -30,7 +30,8 @@ from . import c_ast as A
 from . import lexer as L
 from .ctypes_ import (ArrayType, CType, DOUBLE, FLOAT, FunctionType, INT,
                       IntType, FloatType, PointerType, StructType,
-                      TypeError_, VOID, layout_struct)
+                      TypeError_, VOID, binop_value, layout_struct,
+                      unop_value)
 
 
 class ParseError(Exception):
@@ -795,35 +796,30 @@ class Parser:
         raise ParseError(f"unexpected token {tok.value!r}", coord)
 
 
+#: C operator spelling -> IL operator, for :func:`_fold_int`.
+_FOLD_UNARY = {"-": "neg", "~": "bnot", "!": "not"}
+
+
 def _fold_int(expr: A.Expr, parser: Parser) -> Optional[int]:
-    """Minimal constant folding for array bounds and enum values."""
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.CharLit):
+    """Constant folding for array bounds, enum values and case labels,
+    in ``int`` by C's value rule; None where it has no value."""
+    if isinstance(expr, (A.IntLit, A.CharLit)):
         return expr.value
     if isinstance(expr, A.UnaryOp):
         value = _fold_int(expr.operand, parser)
-        if value is None:
+        if value is None or expr.op == "+":
+            return value
+        if expr.op not in _FOLD_UNARY:
             return None
-        return {"-": -value, "+": value, "~": ~value,
-                "!": int(not value)}.get(expr.op)
+        return unop_value(_FOLD_UNARY[expr.op], value, INT)
     if isinstance(expr, A.BinaryOp):
         left = _fold_int(expr.left, parser)
         right = _fold_int(expr.right, parser)
         if left is None or right is None:
             return None
         try:
-            return {
-                "+": left + right, "-": left - right, "*": left * right,
-                "/": left // right if right else None,
-                "%": left % right if right else None,
-                "<<": left << right, ">>": left >> right,
-                "&": left & right, "|": left | right, "^": left ^ right,
-                "==": int(left == right), "!=": int(left != right),
-                "<": int(left < right), ">": int(left > right),
-                "<=": int(left <= right), ">=": int(left >= right),
-            }.get(expr.op)
-        except (ZeroDivisionError, ValueError):
+            return binop_value(expr.op, left, right, INT)
+        except ArithmeticError:  # a zero divisor, or not an IL operator
             return None
     if isinstance(expr, A.SizeofType):
         try:

@@ -20,6 +20,11 @@ test suite re-validates after each pass:
 6. ``Section`` references are well-formed: a non-zero integer stride,
    integer-typed length and address expressions, and a scalar element
    type (vector hardware moves scalars, not aggregates).
+7. An integer- or float-typed ``Const`` holds a value of its type: one
+   its type's conversion (``CType.convert``) leaves unchanged — a
+   ``float`` constant is a float32 value, an ``int`` one is in range —
+   NaN excepted.  A constant is what the machine would hold, so the
+   folder and every engine read the same number.
 """
 
 from __future__ import annotations
@@ -33,7 +38,23 @@ class ILValidationError(Exception):
     pass
 
 
+def _check_const(const: N.Const) -> None:
+    ctype, value = const.ctype, const.value
+    if not (ctype.is_integer or ctype.is_float) or value != value:
+        return
+    try:
+        converted = ctype.convert(value)
+    except (ArithmeticError, ValueError):
+        converted = None
+    if converted != value:
+        raise ILValidationError(
+            f"{ctype} constant {value!r} is not a value of its type")
+
+
 def _check_pure(expr: N.Expr, top: bool = True) -> None:
+    if isinstance(expr, N.Const):
+        _check_const(expr)
+        return
     if isinstance(expr, N.CallExpr):
         if not top:
             raise ILValidationError(

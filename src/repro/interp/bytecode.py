@@ -119,7 +119,8 @@ import struct
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.flowgraph import FlowNode
-from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
+from ..frontend.ctypes_ import (_F32_PACK, _F32_UNPACK, F32_OVERFLOW, CType,
+                                FloatType, IntType, PointerType, round_f32)
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
@@ -128,8 +129,7 @@ from .intfacts import IntFact
 from .interpreter import (Interpreter, InterpreterError,
                           StepLimitExceeded, Value, _Frame,
                           _memory_locals, _trip_values)
-from .kernels import (KERNEL_OPS, _F32_MAX, _F32_PACK, _F32_UNPACK,
-                      _UNSET, _binop_impl, _fast_round_f32, _is_aggregate,
+from .kernels import (KERNEL_OPS, _UNSET, _binop_impl, _is_aggregate,
                       _raise_uninit, _struct_format)
 
 #: Attribute on ILFunction holding the cross-instance codegen cache.
@@ -565,19 +565,23 @@ class _CodeGenerator:
         """Wrap ``raw`` source in this type's value conversion."""
         if isinstance(ctype, FloatType):
             if ctype.sizeof() == 4:
-                # In-range values round through the pre-bound codecs
-                # inline; NaN and overflow fall back to _f32 (the
-                # chained comparison is False for NaN).
-                pk = self._bind(env, _F32_PACK)
-                up = self._bind(env, _F32_UNPACK)
-                t = self._tmp_name()
-                return (f"({up}({pk}({t}))[0] if "
-                        f"-{_F32_MAX!r} <= ({t} := float({raw})) "
-                        f"<= {_F32_MAX!r} else _f32({t}))")
+                return self._f32_inline(f"float({raw})", env)
             return f"float({raw})"
         if isinstance(ctype, (IntType, PointerType)):
             return self._settle(f"int({raw})", None, ctype)[0]
         return raw
+
+    def _f32_inline(self, value_src: str, env: Dict[str, object]) -> str:
+        """``round_f32`` of a float-valued source: in-range values
+        round through the pre-bound codecs inline, strictly inside the
+        overflow boundary; NaN (the chained comparison is False for
+        it) and overflow call ``_f32``."""
+        pk = self._bind(env, _F32_PACK)
+        up = self._bind(env, _F32_UNPACK)
+        t = self._tmp_name()
+        return (f"({up}({pk}({t}))[0] if "
+                f"-{F32_OVERFLOW!r} < ({t} := {value_src}) "
+                f"< {F32_OVERFLOW!r} else _f32({t}))")
 
     def _settle(self, src: str, raw: Optional[IntFact], ctype: CType,
                 ring: bool = False, site: str = "scalar"
@@ -646,7 +650,7 @@ class _CodeGenerator:
                 ninf = self._bind(env, -math.inf)
                 if not float_value:
                     lines.append(f"{v} = float({v})")
-                lines += [f"if {v} != 0 and abs({v}) > {_F32_MAX!r}:",
+                lines += [f"if abs({v}) >= {F32_OVERFLOW!r}:",
                           f"    {v} = {inf} if {v} > 0 else {ninf}",
                           f"{pack}({data}, {a}, {v})"]
             else:
@@ -933,12 +937,7 @@ class _CodeGenerator:
                 raw = f"({left} {op} {right})"
                 if ctype.sizeof() != 4:
                     return raw, None
-                pk = self._bind(env, _F32_PACK)
-                up = self._bind(env, _F32_UNPACK)
-                t = self._tmp_name()
-                return (f"({up}({pk}({t}))[0] if "
-                        f"-{_F32_MAX!r} <= ({t} := {raw}) "
-                        f"<= {_F32_MAX!r} else _f32({t}))"), None
+                return self._f32_inline(raw, env), None
             if op in self._ARITH_OPS:
                 if op in ("<<", ">>"):
                     raw = f"(int({left}) {op} (int({right}) & 31))"
@@ -1910,7 +1909,7 @@ class _CodeGenerator:
         raises :class:`_Fallback` when the oracle must run it."""
         fn = self.fn
         env: Dict[str, object] = {
-            "_U": _UNSET, "_ui": _raise_uninit, "_f32": _fast_round_f32,
+            "_U": _UNSET, "_ui": _raise_uninit, "_f32": round_f32,
             "_sc": self.engine._step_cell,
             "_hit": self.engine._hit_limit,
             "_eng": self.engine,
@@ -2179,7 +2178,7 @@ class CompiledInterpreter(Interpreter):
 
     def _install(self, entry: _CodegenEntry) -> _Invoke:
         env: Dict[str, object] = {"_U": _UNSET, "_ui": _raise_uninit,
-                                  "_f32": _fast_round_f32}
+                                  "_f32": round_f32}
         for name, recipe in entry.recipes.items():
             env[name] = _materialize_recipe(self, recipe)
         namespace: Dict[str, object] = {}

@@ -23,17 +23,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.flowgraph import FlowGraph, FlowNode
-from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
-                                PointerType, StructType)
+from ..frontend.ctypes_ import (ArrayType, CType, StructType, Value,
+                                ValueFault, binop_value, unop_value)
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..titan.vector_ops import vector_instructions
 from .memory import Memory
-
-Value = Union[int, float]
 
 
 class InterpreterError(Exception):
@@ -564,7 +562,7 @@ class Interpreter:
         if isinstance(expr, N.Cast):
             value = self._eval_vector_elem(expr.operand, index, frame,
                                            cache)
-            return _convert_value(value, expr.ctype)
+            return expr.ctype.convert(value)
         if isinstance(expr, N.Select):
             # Lazy per lane, mirroring scalar Select: the untaken arm
             # of this lane is never evaluated.
@@ -572,7 +570,7 @@ class Interpreter:
                                           cache)
             arm = expr.then if cond else expr.otherwise
             value = self._eval_vector_elem(arm, index, frame, cache)
-            return _convert_value(value, expr.ctype)
+            return expr.ctype.convert(value)
         if isinstance(expr, N.Iota):
             key = id(expr)
             if key not in cache:
@@ -618,8 +616,7 @@ class Interpreter:
                        expr.op)
             return _apply_unop(expr.op, value, expr.ctype)
         if isinstance(expr, N.Cast):
-            return _convert_value(self._eval(expr.operand, frame),
-                                  expr.ctype)
+            return expr.ctype.convert(self._eval(expr.operand, frame))
         if isinstance(expr, N.Select):
             # Lazy, like the branch it replaced: only the chosen arm is
             # evaluated, so if-conversion never speculates a faulting
@@ -629,7 +626,7 @@ class Interpreter:
                                frame)
             self._cost("flop" if expr.ctype.is_float else "intop",
                        "select")
-            return _convert_value(value, expr.ctype)
+            return expr.ctype.convert(value)
         if isinstance(expr, N.CallExpr):
             return self._eval_call(expr, frame)
         raise InterpreterError(f"cannot evaluate {expr!r}")
@@ -673,7 +670,7 @@ class Interpreter:
 
     def _write_var(self, frame: _Frame, sym: Symbol, value: Value,
                    volatile: bool = False) -> None:
-        value = _convert_value(value, sym.ctype)
+        value = sym.ctype.convert(value)
         if volatile or sym.is_volatile:
             device = self.devices.get(sym.name)
             if device is not None:
@@ -788,94 +785,24 @@ class Interpreter:
 
 
 # ---------------------------------------------------------------------------
-# Value semantics helpers
+# Value semantics: the rule in ``frontend/ctypes_.py``, its faults raised
+# as the oracle's own error
 # ---------------------------------------------------------------------------
 
 
 def _apply_binop(op: str, left: Value, right: Value,
                  ctype: CType) -> Value:
-    if op == "+":
-        result = left + right
-    elif op == "-":
-        result = left - right
-    elif op == "*":
-        result = left * right
-    elif op == "/":
-        if right == 0:
-            raise InterpreterError("division by zero")
-        if ctype.is_float:
-            result = left / right
-        else:
-            q = abs(int(left)) // abs(int(right))
-            result = q if (left >= 0) == (right >= 0) else -q
-    elif op == "%":
-        if right == 0:
-            raise InterpreterError("modulo by zero")
-        q = abs(int(left)) // abs(int(right))
-        q = q if (left >= 0) == (right >= 0) else -q
-        result = int(left) - q * int(right)
-    elif op == "<<":
-        result = int(left) << (int(right) & 31)
-    elif op == ">>":
-        result = int(left) >> (int(right) & 31)
-    elif op == "&":
-        result = int(left) & int(right)
-    elif op == "|":
-        result = int(left) | int(right)
-    elif op == "^":
-        result = int(left) ^ int(right)
-    elif op == "==":
-        return int(left == right)
-    elif op == "!=":
-        return int(left != right)
-    elif op == "<":
-        return int(left < right)
-    elif op == ">":
-        return int(left > right)
-    elif op == "<=":
-        return int(left <= right)
-    elif op == ">=":
-        return int(left >= right)
-    elif op == "min":
-        result = min(left, right)
-    elif op == "max":
-        result = max(left, right)
-    else:
-        raise InterpreterError(f"unknown operator {op!r}")
-    return _convert_value(result, ctype)
+    try:
+        return binop_value(op, left, right, ctype)
+    except ValueFault as fault:
+        raise InterpreterError(str(fault)) from None
 
 
 def _apply_unop(op: str, value: Value, ctype: CType) -> Value:
-    if op == "neg":
-        return _convert_value(-value, ctype)
-    if op == "not":
-        return int(not value)
-    if op == "bnot":
-        return _convert_value(~int(value), ctype)
-    raise InterpreterError(f"unknown unary operator {op!r}")
-
-
-def _convert_value(value: Value, ctype: CType) -> Value:
-    if isinstance(ctype, FloatType):
-        value = float(value)
-        if ctype.sizeof() == 4:
-            value = _round_to_f32(value)
-        return value
-    if isinstance(ctype, IntType):
-        return ctype.wrap(int(value))
-    if isinstance(ctype, PointerType):
-        return int(value) & 0xFFFFFFFF
-    return value
-
-
-def _round_to_f32(value: float) -> float:
-    """Round through IEEE single precision; overflow becomes ±inf,
-    exactly like a real float store."""
-    import struct
     try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return unop_value(op, value, ctype)
+    except ValueFault as fault:
+        raise InterpreterError(str(fault)) from None
 
 
 def _scalar_type(ctype: CType) -> CType:

@@ -1,24 +1,24 @@
 """Value kernels bound into generated code.
 
-Pre-specialized equivalents of the tree oracle's value helpers
-(``_convert_value``, ``_apply_binop``, ``_round_to_f32``) with the
-type dispatch done once, at generation time — shared by the code
-generator (:mod:`repro.interp.bytecode`) and the bulk vector lowering
-(:mod:`repro.interp.vectorgen`).  Only what generated code does not
-spell inline lives here: the operators whose fault ordering matters
-(``/``, ``%``) and ``min``/``max``, the float32 rounding codecs, a
-scalar type's ``struct`` format, and the sentinel for a register
-nothing has written yet.
+Pre-specialized equivalents of C's value rule (``frontend/ctypes_.py``:
+``CType.convert``, ``binop_value``, ``round_f32``) with the type
+dispatch done once, at generation time — shared by the code generator
+(:mod:`repro.interp.bytecode`) and the bulk vector lowering
+(:mod:`repro.interp.vectorgen`).  They are the generated code's fast
+path, not a second statement of the rule: ``tests/test_c_values.py``
+compares them against it value for value and fault for fault.  Only
+what generated code does not spell inline lives here: the operators
+whose fault ordering matters (``/``, ``%``) and ``min``/``max``, the
+float32 codecs, a scalar type's ``struct`` format, and the sentinel
+for a register nothing has written yet.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from typing import Callable, Optional
 
 from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
-                                PointerType, StructType)
+                                PointerType, StructType, round_f32)
 from .interpreter import InterpreterError, Value
 from .memory import _INT_FORMATS
 
@@ -34,25 +34,9 @@ class _Unset:
 
 _UNSET = _Unset()
 
-_F32_MAX = 3.4028235677973366e38  # same clamp constant as Memory.store
-
 
 def _raise_uninit(name: str) -> None:
     raise InterpreterError(f"read of uninitialized variable {name!r}")
-
-
-_F32_PACK = struct.Struct("<f").pack
-_F32_UNPACK = struct.Struct("<f").unpack
-
-
-def _fast_round_f32(value: Value) -> float:
-    """``_round_to_f32`` with the struct codecs pre-bound (same
-    numeric results, including the overflow-to-infinity clamp)."""
-    value = float(value)
-    try:
-        return _F32_UNPACK(_F32_PACK(value))[0]
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _is_aggregate(ctype: CType) -> bool:
@@ -60,10 +44,10 @@ def _is_aggregate(ctype: CType) -> bool:
 
 
 def _make_converter(ctype: CType) -> Callable[[Value], Value]:
-    """A pre-specialized ``_convert_value(_, ctype)``."""
+    """A pre-specialized ``ctype.convert``."""
     if isinstance(ctype, FloatType):
         if ctype.sizeof() == 4:
-            return _fast_round_f32
+            return round_f32
         return float
     if isinstance(ctype, IntType):
         bits = ctype.sizeof() * 8
@@ -93,8 +77,8 @@ KERNEL_OPS = frozenset(("/", "%", "min", "max"))
 
 
 def _binop_impl(op: str, ctype: CType) -> Callable[[Value, Value], Value]:
-    """A pre-specialized ``_apply_binop(op, _, _, ctype)`` for one of
-    :data:`KERNEL_OPS`."""
+    """A pre-specialized ``binop_value(op, _, _, ctype)`` for one of
+    :data:`KERNEL_OPS` (its faults raised as the oracle's error)."""
     conv = _make_converter(ctype)
     if op == "/":
         if ctype.is_float:

@@ -10,11 +10,12 @@ actually use (section 1).
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict, Optional, Union
 
-from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
-                                PointerType, StructType)
+from ..frontend.ctypes_ import (F32_OVERFLOW, ArrayType, CType, FloatType,
+                                IntType, PointerType, StructType)
 from ..frontend.symtab import Symbol
 
 
@@ -106,13 +107,15 @@ class Memory:
 
     def store(self, addr: int, ctype: CType,
               value: Union[int, float]) -> None:
+        """Store ``value`` converted to ``ctype`` (the conversion of
+        ``ctypes_``: an integer wraps; a float32 rounds, and a
+        magnitude at or beyond ``F32_OVERFLOW`` is stored as ±inf)."""
         self._check(addr, _access_size(ctype))
         if isinstance(ctype, FloatType):
             fmt = "<f" if ctype.sizeof() == 4 else "<d"
             value = float(value)
-            if fmt == "<f" and value != 0 \
-                    and abs(value) > 3.4028235677973366e38:
-                value = float("inf") if value > 0 else float("-inf")
+            if fmt == "<f" and abs(value) >= F32_OVERFLOW:
+                value = math.copysign(math.inf, value)
             struct.pack_into(fmt, self.data, addr, value)
             return
         if isinstance(ctype, PointerType):

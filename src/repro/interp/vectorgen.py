@@ -41,18 +41,17 @@ in ``titancc_vector_lowering_total{form,reason}``.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
+from ..frontend.ctypes_ import (_F32_PACK, _F32_UNPACK, CType, FloatType,
+                                IntType, PointerType, round_f32)
 from ..il import nodes as N
 from ..obs.metrics import REGISTRY
 from ..titan.vector_ops import vector_instructions
 from . import intfacts
 from .intfacts import IntFact
-from .kernels import (_F32_MAX, _F32_PACK, _F32_UNPACK, _fast_round_f32,
-                      _is_aggregate, _struct_format)
+from .kernels import _is_aggregate, _struct_format
 
 # ---------------------------------------------------------------------------
 # Run-time helpers bound into generated code
@@ -92,17 +91,6 @@ class LaneCodecs:
 #: Process-wide like the struct module's own format cache: the codecs
 #: are immutable and depend on nothing but their key.
 CODECS = LaneCodecs()
-
-_INF = math.inf
-
-
-def _clamp_f32(value) -> float:
-    """What ``Memory.store`` does to a float32 lane before packing."""
-    value = float(value)
-    if value != 0 and abs(value) > _F32_MAX:
-        return _INF if value > 0 else -_INF
-    return value
-
 
 class LaneAccess:
     """Bulk loads and stores of one section shape: element format and
@@ -172,7 +160,7 @@ class LaneAccess:
             # the signal; lanes it wrote before that are rewritten
             # with the same bytes.
             self._store(data, base, lanes,
-                        [_clamp_f32(v) for v in values])
+                        [round_f32(v) for v in values])
 
     def _store(self, data: bytearray, base: int, lanes: int,
                values) -> None:
@@ -208,17 +196,17 @@ class LaneAccess:
             except OverflowError:
                 if not self.is_f32:
                     raise
-                pack(data, base + lane * step, _clamp_f32(value))
+                pack(data, base + lane * step, round_f32(value))
 
     def round(self, values):
         """Every lane through this (float32) format and back: one
         pack/unpack round trip; a finite lane that overflows takes
-        the per-lane path, which yields ±inf like ``_round_to_f32``."""
+        the per-lane path, which yields ±inf like ``round_f32``."""
         codec = self.codec(len(values))
         try:
             return codec.unpack(codec.pack(*values))
         except OverflowError:
-            return tuple([_fast_round_f32(v) for v in values])
+            return tuple([round_f32(v) for v in values])
 
     def sum(self, values, acc):
         """``acc`` plus every lane in turn, rounded to float32 after
@@ -639,8 +627,8 @@ class BulkStatement:
     def _convert(self, lanes: _Lanes, ctype: CType, ctx: _Context,
                  is_int: bool, is_float: bool,
                  ring: bool = False) -> _Lanes:
-        """``lanes`` converted to ``ctype`` — the oracle's
-        ``_convert_value`` per lane; for a ``ring`` consumer an
+        """``lanes`` converted to ``ctype`` — ``ctype.convert`` per
+        lane; for a ``ring`` consumer an
         integer wrap may stay deferred."""
         gen = self.gen
         if isinstance(ctype, FloatType):
@@ -729,6 +717,7 @@ class BulkStatement:
         if isinstance(expr, (N.UnOp, N.Cast)):
             op = getattr(expr, "op", "cast")
             is_int = self._is_int(expr.operand)
+            is_float = self._is_float(expr.operand)
             defer = is_int and isinstance(expr.ctype,
                                           (IntType, PointerType))
             operand = self._vec(expr.operand, ctx, ring=defer)
@@ -740,12 +729,11 @@ class BulkStatement:
                 operand = _Lanes(src, operand.inputs, fact)
             elif op == "neg":
                 operand = _Lanes(f"(-{operand.src})", operand.inputs)
-            else:  # bnot
+            else:  # bnot: an int, whatever the operand was
                 operand = _Lanes(f"(~int({operand.src}))", operand.inputs)
-                is_int = True
+                is_int, is_float = True, False
             return self._uniform(self._convert(
-                operand, expr.ctype, ctx, is_int,
-                self._is_float(expr.operand), ring), ctx)
+                operand, expr.ctype, ctx, is_int, is_float, ring), ctx)
         if isinstance(expr, N.Select):
             return self._vec_select(expr, ctx, ring)
         return self._leaf(expr, ctx)

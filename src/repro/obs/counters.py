@@ -103,6 +103,7 @@ PER_FUNCTION_STATS = (
     ("ivsub", "ivsub_stats"),
     ("constprop", "constprop_stats"),
     ("dce", "dce_stats"),
+    ("if-convert", "if_convert_stats"),
     ("vectorize", "vectorize_stats"),
     ("list-parallel", "listparallel_stats"),
     ("reg-pipeline", "regpipe_stats"),

@@ -1,9 +1,12 @@
 """Constant folding and algebraic simplification with C semantics.
 
 Shared by constant propagation, while→DO conversion, IV substitution,
-strength reduction, and the vectorizer (e.g. folding ``4*temp_i`` bounds
-and collapsing ``x + 0``).  Integer arithmetic wraps to the C type;
-division truncates toward zero; comparisons yield int 0/1.
+strength reduction, the vectorizer (e.g. folding ``4*temp_i`` bounds
+and collapsing ``x + 0``) and the front end's initializers.  A constant
+is folded by C's value rule in ``frontend/ctypes_.py`` — the oracle's
+own arithmetic, float32 rounding included — so a folded value is the
+value the machine computes; where the rule has no value (a zero
+divisor, an infinity converted to an integer) nothing is folded.
 """
 
 from __future__ import annotations
@@ -13,90 +16,39 @@ from __future__ import annotations
 PASS_NAME = "fold"
 PASS_DESCRIPTION = "constant folding / algebraic simplification"
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from ..frontend.ctypes_ import CType, FloatType, INT, IntType, PointerType
+from ..frontend.ctypes_ import CType, Value, binop_value, unop_value
 from ..il import nodes as N
 from .utils import rewrite_stmt_exprs
 
-Value = Union[int, float]
+#: What the rule raises where an operation has no value.
+_NO_VALUE = (ArithmeticError, ValueError)
 
 
 def fold_binop(op: str, left: Value, right: Value,
                ctype: CType) -> Optional[Value]:
-    """Evaluate a binary op on constants; None when undefined (÷0)."""
+    """``binop_value``, or None where it has no value."""
     try:
-        if op == "+":
-            result = left + right
-        elif op == "-":
-            result = left - right
-        elif op == "*":
-            result = left * right
-        elif op == "/":
-            if right == 0:
-                return None
-            if isinstance(ctype, FloatType):
-                result = left / right
-            else:
-                q = abs(int(left)) // abs(int(right))
-                result = q if (left >= 0) == (right >= 0) else -q
-        elif op == "%":
-            if right == 0:
-                return None
-            q = abs(int(left)) // abs(int(right))
-            q = q if (left >= 0) == (right >= 0) else -q
-            result = int(left) - q * int(right)
-        elif op == "<<":
-            result = int(left) << (int(right) & 31)
-        elif op == ">>":
-            result = int(left) >> (int(right) & 31)
-        elif op == "&":
-            result = int(left) & int(right)
-        elif op == "|":
-            result = int(left) | int(right)
-        elif op == "^":
-            result = int(left) ^ int(right)
-        elif op == "==":
-            return int(left == right)
-        elif op == "!=":
-            return int(left != right)
-        elif op == "<":
-            return int(left < right)
-        elif op == ">":
-            return int(left > right)
-        elif op == "<=":
-            return int(left <= right)
-        elif op == ">=":
-            return int(left >= right)
-        elif op == "min":
-            result = min(left, right)
-        elif op == "max":
-            result = max(left, right)
-        else:
-            return None
-    except (OverflowError, ValueError):
+        return binop_value(op, left, right, ctype)
+    except _NO_VALUE:
         return None
-    return coerce(result, ctype)
 
 
 def fold_unop(op: str, value: Value, ctype: CType) -> Optional[Value]:
-    if op == "neg":
-        return coerce(-value, ctype)
-    if op == "not":
-        return int(not value)
-    if op == "bnot":
-        return coerce(~int(value), ctype)
-    return None
+    """``unop_value``, or None where it has no value."""
+    try:
+        return unop_value(op, value, ctype)
+    except _NO_VALUE:
+        return None
 
 
-def coerce(value: Value, ctype: CType) -> Value:
-    if isinstance(ctype, FloatType):
-        return float(value)
-    if isinstance(ctype, IntType):
-        return ctype.wrap(int(value))
-    if isinstance(ctype, PointerType):
-        return int(value) & 0xFFFFFFFF
-    return value
+def coerce(value: Value, ctype: CType) -> Optional[Value]:
+    """``ctype.convert``, or None where it has no value."""
+    try:
+        return ctype.convert(value)
+    except _NO_VALUE:
+        return None
 
 
 def simplify(expr: N.Expr) -> N.Expr:
@@ -208,8 +160,9 @@ def _simplify_node(expr: N.Expr) -> N.Expr:
             return N.Const(value=value, ctype=expr.ctype)
         return expr
     if isinstance(expr, N.Cast) and isinstance(expr.operand, N.Const):
-        return N.Const(value=coerce(expr.operand.value, expr.ctype),
-                       ctype=expr.ctype)
+        value = coerce(expr.operand.value, expr.ctype)
+        if value is not None:
+            return N.Const(value=value, ctype=expr.ctype)
     if isinstance(expr, N.Cast) and expr.operand.ctype == expr.ctype:
         return expr.operand
     return expr
@@ -223,7 +176,9 @@ def _retype(expr: N.Expr, ctype: CType) -> N.Expr:
     if expr.ctype == ctype:
         return expr
     if isinstance(expr, N.Const):
-        return N.Const(value=coerce(expr.value, ctype), ctype=ctype)
+        value = coerce(expr.value, ctype)
+        if value is not None:
+            return N.Const(value=value, ctype=ctype)
     if ctype.is_pointer and expr.ctype.is_integer:
         return expr  # address arithmetic mixes freely
     if expr.ctype.is_pointer and ctype.is_integer:

@@ -5,8 +5,9 @@ and emit what it returns; this file does the same for random integer
 expression trees over random operand values, with the protocol the
 module's docstring states (ring operators take their operands
 deferred, every other consumer takes them exact), and evaluates every
-emitted sub-source with ``eval``.  Against the oracle's own stepwise
-definition (``_apply_binop`` / ``_apply_unop`` / ``_convert_value``):
+emitted sub-source with ``eval``.  Against C's stepwise value rule,
+which the oracle evaluates with (``binop_value`` / ``unop_value`` /
+``CType.convert`` in ``frontend/ctypes_.py``):
 
 * the concrete value lies in the computed interval;
 * an *exact* source equals the oracle's value, a deferred one wraps to
@@ -19,10 +20,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend.ctypes_ import (CHAR, INT, SHORT, UCHAR, UINT,
-                                    PointerType)
+                                    PointerType, ValueFault, binop_value,
+                                    unop_value)
 from repro.interp import intfacts
-from repro.interp.interpreter import (InterpreterError, _apply_binop,
-                                      _apply_unop, _convert_value)
 from repro.interp.intfacts import LIMIT, IntFact
 
 POINTER = PointerType(base=INT)
@@ -81,7 +81,7 @@ def trees(draw, names, depth):
 
 
 def oracle(node, names):
-    """The tree by the oracle's stepwise definition."""
+    """The tree by C's stepwise value rule."""
     kind = node[0]
     if kind == "const":
         return node[1]
@@ -89,15 +89,15 @@ def oracle(node, names):
         return names[node[1]]
     if kind == "bin":
         _, op, left, right, ctype = node
-        return _apply_binop(op, oracle(left, names), oracle(right, names),
-                            ctype)
+        return binop_value(op, oracle(left, names), oracle(right, names),
+                           ctype)
     if kind == "un":
-        return _apply_unop(node[1], oracle(node[2], names), node[3])
+        return unop_value(node[1], oracle(node[2], names), node[3])
     if kind == "cast":
-        return _convert_value(oracle(node[1], names), node[2])
+        return node[2].convert(oracle(node[1], names))
     _, cond, then, other, ctype = node
-    return _convert_value(
-        oracle(then if oracle(cond, names) else other, names), ctype)
+    return ctype.convert(
+        oracle(then if oracle(cond, names) else other, names))
 
 
 class Emitter:
@@ -135,7 +135,7 @@ class Emitter:
         if fact.exact:
             assert got == want, (src, got, want, outcome)
         else:
-            assert _convert_value(got, ctype) == want, (src, got, want)
+            assert ctype.convert(got) == want, (src, got, want)
         return src, fact
 
     def emit(self, node, ring=False):
@@ -194,7 +194,7 @@ def test_emitted_sources_equal_the_stepwise_definition(case):
     tree, names = case
     try:
         want = oracle(tree, names)
-    except InterpreterError:  # a zero divisor somewhere
+    except ValueFault:  # a zero divisor somewhere
         assume(False)
     emitter = Emitter(names)
     src, fact = emitter.emit(tree)

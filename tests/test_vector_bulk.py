@@ -15,7 +15,7 @@ import os
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.frontend.ctypes_ import (CHAR, DOUBLE, FLOAT, INT, SHORT, UCHAR,
                                     UINT)
@@ -206,11 +206,29 @@ def programs(draw):
     return vp.program(body, registers), scalars_, data
 
 
+def _bnot_of_a_float():
+    """A masked ``char`` store at stride -2, length 1, under a ``Select``
+    whose double arm is ``bnot`` of a float constant: the bulk lowering
+    took ``~int(3e38)`` for a float already, skipped its conversion to
+    double, and the ``int`` select wrapped -N - 1 to -1 where the
+    oracle wrapped float(-N - 1) = -N to 0."""
+    vp = vc.VectorProgram()
+    big = N.UnOp(op="bnot", operand=vc.const(3.0000000054977558e+38, FLOAT),
+                 ctype=DOUBLE)  # 3e38 as a float32
+    total = N.UnOp(op="neg", operand=vc.binop("+", vp.var("ri"),
+                                              vc.const(7, INT), INT),
+                   ctype=INT)
+    mask = vc.select(vp.section("ca", 5), big, total, INT)
+    store = vp.assign(vp.section("ca", 47, -2), vp.section("fa"), 1, mask)
+    return vp.program([store], {"ri": -5}), {}, None
+
+
 class TestRandomVectorIL:
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(drawn=programs(), costed=st.booleans())
+    @example(drawn=_bnot_of_a_float(), costed=False)
     def test_bulk_equals_the_oracle(self, drawn, costed):
         # Identical images in, identical images out — and identical
         # outcome, steps, cycles, counters and breakdown, whether the
