@@ -29,7 +29,7 @@ from typing import List, Optional
 from .frontend.lower import compile_to_il
 from .il.printer import format_program
 from .inline.database import InlineDatabase
-from .interp import ENGINES
+from .interp import ENGINES, InterpreterError
 from .obs import schemas, telemetry
 from .obs.counters import (format_analysis_solves,
                            record_analysis_solves,
@@ -222,7 +222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"{getattr(exc, 'strerror', None) or exc}")
 
     if args.make_db:
-        program = compile_to_il(source, args.source)
+        try:
+            program = compile_to_il(source, args.source)
+        except _rejections() as exc:
+            log.error(str(exc))
+            return 2
         db = InlineDatabase()
         db.add_program(program)
         db.save(args.make_db)
@@ -319,6 +323,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             event_writer.close()
 
 
+def _rejections() -> tuple:
+    """The front end's diagnostics for invalid input."""
+    from .fuzz.harness import CLEAN_REJECTIONS
+    return CLEAN_REJECTIONS
+
+
 class _Unwritable(Exception):
     """An output path the CLI cannot write: reported like an
     unreadable source, a usage error with exit status 2."""
@@ -345,7 +355,13 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
     analysis spans land in the session consumers."""
     log = log or Logger("titancc", json_mode=args.log_json,
                         quiet=args.quiet)
-    result = compiler.compile(source, args.source)
+    try:
+        result = compiler.compile(source, args.source)
+    except _rejections() as exc:
+        # A front-end diagnostic is the input's fault: a usage-class
+        # error, exit status 2, like an unreadable source.
+        log.error(str(exc))
+        return 2
 
     if checker is not None:
         print(checker.format_table(), file=sys.stderr)
@@ -393,7 +409,6 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                  f"graph(s) to {args.dump_deps}")
 
     def dump_code(interp) -> bool:
-        from .interp import InterpreterError
         try:
             sys.stderr.write(interp.disassemble(args.dump_code))
         except InterpreterError as exc:
@@ -420,7 +435,11 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
             if args.dump_code and dump_simulated and \
                     not dump_code(simulator.interpreter):
                 return 1
-            sim_report = simulator.run(args.run)
+            try:
+                sim_report = simulator.run(args.run)
+            except InterpreterError as exc:
+                log.error(f"run {args.run}: {exc}")
+                return 1
         if sim_report.stdout:
             out = sys.stderr if stdout_artifact else sys.stdout
             out.write(sim_report.stdout)

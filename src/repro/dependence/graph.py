@@ -75,14 +75,20 @@ class AliasPolicy:
 
 
 class DependenceGraph:
-    """Dependence graph over the top-level statements of a loop body."""
+    """Dependence graph over the top-level statements of a loop body.
+
+    With ``split`` it holds only the edges between statements before
+    index ``split`` and statements from it on: what two bodies fused
+    into one add to the edges each already has."""
 
     def __init__(self, loop: N.DoLoop,
                  policy: Optional[AliasPolicy] = None,
-                 extra_invariants: Sequence[Symbol] = ()):
+                 extra_invariants: Sequence[Symbol] = (),
+                 split: Optional[int] = None):
         self.loop = loop
         self.body = loop.body
         self.policy = policy or AliasPolicy()
+        self.split = split
         self.edges: List[DependenceEdge] = []
         # Bounded (Banerjee) reasoning only applies when loop-variable
         # values coincide with iteration numbers, i.e. normalized loops.
@@ -117,20 +123,20 @@ class DependenceGraph:
                 targs["statements"] = len(body)
 
     def _invariant_symbols(self, defined: Set[Symbol]) -> Set[Symbol]:
-        out: Set[Symbol] = set()
+        read: Set[Symbol] = set()
         for stmt in N.walk_statements(self.body):
             for expr in N.stmt_exprs(stmt):
-                for sym in N.vars_read(expr):
-                    if sym not in defined and sym != self.loop.var \
-                            and not sym.address_taken:
-                        out.add(sym)
-        return out
+                read |= N.facts(expr).reads
+        return {sym for sym in read
+                if sym not in defined and sym != self.loop.var
+                and not sym.address_taken}
 
     def _memory_edges(self, refs_of: Dict[int, List[AffineRef]]) -> None:
         indices = sorted(refs_of)
+        split = self.split
         for i in indices:
             for j in indices:
-                if j < i:
+                if j < i or split is not None and not i < split <= j:
                     continue
                 for ra in refs_of[i]:
                     for rb in refs_of[j]:
@@ -245,6 +251,9 @@ class DependenceGraph:
 
     def _append(self, src: int, dst: int, kind: str, carried: bool,
                 distance: Optional[int] = None, reason: str = "") -> None:
+        split = self.split
+        if split is not None and (src < split) == (dst < split):
+            return
         edge = DependenceEdge(src=src, dst=dst, kind=kind,
                               carried=carried, distance=distance,
                               reason=reason)

@@ -420,7 +420,9 @@ def binop_value(op: str, left: Value, right: Value, ctype: CType) -> Value:
             q = abs(int(left)) // abs(int(right))
             result = q if (left >= 0) == (right >= 0) else -q
     elif op == "%":
-        if right == 0:
+        # Float operands are truncated first: a divisor that truncates
+        # to 0 (0.1) is as much a zero divisor as 0 itself.
+        if int(right) == 0:
             raise ValueFault("modulo by zero")
         q = abs(int(left)) // abs(int(right))
         q = q if (left >= 0) == (right >= 0) else -q

@@ -95,7 +95,7 @@ def _binop_impl(op: str, ctype: CType) -> Callable[[Value, Value], Value]:
         return idiv
     if op == "%":
         def imod(a, b):
-            if b == 0:
+            if int(b) == 0:
                 raise InterpreterError("modulo by zero")
             q = abs(int(a)) // abs(int(b))
             q = q if (a >= 0) == (b >= 0) else -q

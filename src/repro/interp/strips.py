@@ -1,18 +1,22 @@
 """Strip groups: a strip loop run as a few host-sized bulk operations.
 
-The vectorizer strip-mines a vector statement into MVL-sized strips
+The vectorizer strip-mines vector statements into MVL-sized strips
 (section 9): ``do [parallel] vi = lo, hi, VL { vlen = min(VL, n - vi);
-S }``.  Run one strip at a time, every strip pays the host's fixed
+S1; ...; Sk }`` — one statement, or several that fusion put in one
+loop.  Run one strip at a time, every strip pays the host's fixed
 costs — a range check, a load, a round, a store and a cost-model call
-— however short it is.  When nothing ``S`` reads changes from strip to
-strip except through ``vi`` (:func:`shape`), the fast engine runs up
-to :data:`GROUP_ELEMENTS` elements of strips at once through the
-strip's own generated code, with ``vlen`` set to the group's length
-(:func:`emit`); ``TitanCostModel.strip_group`` charges each strip of
-the group as its own run would have.  A group that cannot commit —
-a read that could see an earlier strip's store, a fault, a parallel
-loop run in another order, a step limit inside it — stores and
-charges nothing and runs strip by strip through the same code.
+per statement — however short it is.  When nothing the statements
+read changes from strip to strip except through ``vi`` and their own
+stores (:func:`shape`), the fast engine runs up to
+:data:`GROUP_ELEMENTS` elements of strips at once through the loop's
+own generated code, each statement over the whole group in body
+order, with ``vlen`` set to the group's length (:func:`emit`);
+``TitanCostModel.strip_group`` charges each strip of the group as its
+own run would have.  A group that cannot commit — a read that could
+see a store another strip made first, a fault, a parallel loop run in
+another order, a step limit inside it — puts back what its earlier
+statements stored, charges nothing and runs strip by strip through
+the same code.
 DESIGN.md ("Why a strip group equals its strips") gives the argument;
 ``titancc_vector_strip_groups_total{path,reason}`` counts every
 decision.
@@ -79,19 +83,21 @@ def affine(expr: N.Expr, var: Symbol, invariant) -> Optional[int]:
 def shape(gen, stmt: N.DoLoop) -> Optional[Tuple[Symbol, N.Expr]]:
     """``(vlen symbol, limit)`` when ``stmt`` is a strip loop whose
     strips the code generator ``gen`` may run several at a time —
-    ``do vi = lo, hi, VL { vlen = min(VL, limit - vi); <one bulk
-    vector statement of length vlen> }`` over 32-bit ints, where every
+    ``do vi = lo, hi, VL { vlen = min(VL, limit - vi); <bulk vector
+    statements of length vlen> }`` over 32-bit ints, where every
     section address moves by its byte step per element of ``vi``, an
-    iota starts at ``vi``, the statement has no ``Select``, and
-    nothing else it reads is written by the loop — else None."""
+    iota starts at ``vi``, no statement has a ``Select``, reductions
+    accumulate into distinct registers, and nothing else a statement
+    reads is written by the loop — else None."""
     width, vi = stmt.step, stmt.var
     if width <= 0 or GROUP_ELEMENTS // width < 2 or \
-            len(stmt.body) != 2 or gen._scheduled(stmt):
+            len(stmt.body) < 2 or gen._scheduled(stmt):
         return None
-    header, vec = stmt.body
+    header, *vecs = stmt.body
     if not (isinstance(header, N.Assign)
             and isinstance(header.target, N.VarRef)
-            and isinstance(vec, (N.VectorAssign, N.VectorReduce))):
+            and all(isinstance(vec, (N.VectorAssign, N.VectorReduce))
+                    for vec in vecs)):
         return None
     value, vlen = header.value, header.target.sym
 
@@ -107,15 +113,18 @@ def shape(gen, stmt: N.DoLoop) -> Optional[Tuple[Symbol, N.Expr]]:
             and all(map(word, (value.ctype, value.right.ctype,
                                value.right.left.ctype, vlen.ctype)))):
         return None
-    if vectorgen.bulk_obstacle(vec):
-        return None
-    assign = isinstance(vec, N.VectorAssign)
-    length = vec.target.length if assign else vec.length
-    if not (isinstance(length, N.VarRef) and length.sym is vlen):
-        return None
     written = {vi, vlen}
-    if not assign:
-        written.add(vec.target.sym)
+    for vec in vecs:
+        if vectorgen.bulk_obstacle(vec):
+            return None
+        assign = isinstance(vec, N.VectorAssign)
+        length = vec.target.length if assign else vec.length
+        if not (isinstance(length, N.VarRef) and length.sym is vlen):
+            return None
+        if not assign:
+            if vec.target.sym in written:
+                return None
+            written.add(vec.target.sym)
 
     def register(sym: Symbol) -> bool:
         # Without allocating a slot: a loop that does not group
@@ -148,10 +157,12 @@ def shape(gen, stmt: N.DoLoop) -> Optional[Tuple[Symbol, N.Expr]]:
             return expr.sym not in written
         return isinstance(expr, (N.Const, N.AddrOf))
 
-    mask = vec.mask if assign else None
-    if not (lanes(vec.value) and (mask is None or lanes(mask))
-            and (not assign or section(vec.target))):
-        return None
+    for vec in vecs:
+        assign = isinstance(vec, N.VectorAssign)
+        mask = vec.mask if assign else None
+        if not (lanes(vec.value) and (mask is None or lanes(mask))
+                and (not assign or section(vec.target))):
+            return None
     limit = value.right.left
     if isinstance(limit, N.Const):
         if not isinstance(limit.value, int):
@@ -166,16 +177,16 @@ def emit(gen, stmt: N.DoLoop, found: Tuple[Symbol, N.Expr], trips: str,
          env: Dict[str, object], lines: List[str]) -> Optional[IntFact]:
     """The loop over ``trips`` (the trip values' local) of a strip loop
     :func:`shape` ``found``: :func:`propose` offers a group of strips
-    and the loop's one copy of the statement runs once over all of it
-    — and charges every strip's steps and costs — or over one strip,
-    its length the header's.  Returns what is known of the trip
-    values."""
+    and the loop's one copy of each statement runs once over all of it
+    — the last one charging every strip's steps and costs — or over
+    one strip, its length the header's.  Returns what is known of the
+    trip values."""
     vlen, limit = found
-    header, vec = stmt.body
+    header, *vecs = stmt.body
     width = stmt.step
     most = GROUP_ELEMENTS // width
     at, solo, length = (gen._tmp_name() for _ in range(3))
-    plan = gen._bind(env, (width, most, stmt))
+    plan = gen._bind(env, (width, most, stmt, len(vecs)))
     start = gen._bind_shared(env, propose, lambda: propose)
     end = gen._bind_shared(env, finish, lambda: finish)
     lines += [f"# strip loop {stmt.sid}: groups of up to {most} strips",
@@ -192,22 +203,45 @@ def emit(gen, stmt: N.DoLoop, found: Tuple[Symbol, N.Expr], trips: str,
     body += gen._gen_write_lines(
         vlen, f"({length} or {src})", env,
         fact=intfacts.join(fact, IntFact(1, GROUP_ELEMENTS)))
-    # The statement's tick.  Only a strip can reach the limit here,
-    # and the oracle has charged its length by then.
-    body += ["count += 1", "if count > _ms:"]
-    body += ["    " + line for line in
-             (gen._cost_lines(charged) if charged else [])
-             + ["_hit(_ms + 1)"]]
-    gen._group = vectorgen.StripGroup(length, width, charged, end=[
-        f"if {length}:",
-        f"    {at}, {solo}, count, _r{gen._binding(vlen)[1]} = "
-        f"{end}({plan}, {{done}}, {at}, {length}, count)"])
-    try:
-        gen._emit_leaf(vec, env, body)
-    finally:
-        gen._group = None
-    gen._cost_sync(body)
-    body.append(f"{at} += 1")
+    group = vectorgen.StripGroup(length, width, charged, len(vecs))
+    registers = []
+    if len(vecs) > 1:
+        # What a failed group puts back: its stores' old bytes, and
+        # the registers its reductions wrote.
+        group.done, group.saved = gen._tmp_name(), gen._tmp_name()
+        registers = [(gen._tmp_name(),
+                      f"_r{gen._binding(vec.target.sym)[1]}")
+                     for vec in vecs if isinstance(vec, N.VectorReduce)]
+        body += [f"{group.done} = 1", f"{group.saved} = []"]
+        body += [f"{old} = {reg}" for old, reg in registers]
+    for index, vec in enumerate(vecs):
+        # The statement's tick.  Only a strip can reach the limit
+        # here, and the oracle has charged its length by then.
+        body += ["count += 1", "if count > _ms:"]
+        body += ["    " + line for line in
+                 (gen._cost_lines(charged) if charged and not index
+                  else []) + ["_hit(_ms + 1)"]]
+        sub: List[str] = []
+        gen._group = group
+        try:
+            gen._emit_leaf(vec, env, sub)
+        finally:
+            gen._group = None
+        gen._cost_sync(sub)
+        body += sub if not index else \
+            [f"if {group.done} == 1:"] + ["    " + line for line in sub]
+    body += [f"if {length}:"]
+    if len(vecs) > 1:
+        undo = gen._bind_shared(env, vectorgen.restore,
+                                lambda: vectorgen.restore)
+        data = gen._bind_shared(env, "data",
+                                lambda: gen.engine.memory.data, ("data",))
+        body += [f"    if {group.done} != 1:",
+                 f"        {undo}({data}, {group.saved})"]
+        body += [f"        {reg} = {old}" for old, reg in registers]
+    body += [f"    {at}, {solo}, count, _r{gen._binding(vlen)[1]} = "
+             f"{end}({plan}, {group.done}, {at}, {length}, count)",
+             f"{at} += 1"]
     gen._ranges.pop(stmt.var, None)
     lines.extend("    " + line for line in body)
     return known
@@ -226,7 +260,7 @@ def propose(engine, plan: tuple, trips: list, at: int, limit: int,
     last full ones, and all its steps fit under the engine's limit."""
     if at < solo:
         return 0, solo
-    width, most, stmt = plan
+    width, most, stmt, statements = plan
     if engine.reorders(stmt):
         counter("strips", "order").inc()
         return 0, len(trips)
@@ -235,7 +269,7 @@ def propose(engine, plan: tuple, trips: list, at: int, limit: int,
         if 0 < rest <= 0x7FFFFFFF else 0
     if strips < 2:
         return 0, solo
-    if count + 2 * strips - 1 > engine.max_steps:
+    if count + (statements + 1) * strips - 1 > engine.max_steps:
         counter("strips", "steps").inc()
         return 0, at + strips
     return min(strips * width, rest), solo
@@ -243,17 +277,18 @@ def propose(engine, plan: tuple, trips: list, at: int, limit: int,
 
 def finish(plan: tuple, done: int, at: int, length: int,
            count: int) -> tuple:
-    """After a group's statement: ``done`` 1 when it committed, else
-    2 when a read could see an earlier strip's write, 0 when its bulk
-    operation raised.  ``(trip index before the next, solo, count,
-    vlen)``: past the group, with its steps and the last strip's
-    length — or back to its first strip, without this one's steps, to
-    run them all one at a time."""
-    width = plan[0]
+    """After a group's statements: ``done`` 1 when they all
+    committed, else 2 when a read could see a write another strip
+    made first, 0 when a bulk operation raised.  ``(trip index before
+    the next, solo, count, vlen)``: past the group, with its steps and
+    the last strip's length — or back to its first strip, without
+    this one's steps, to run them all one at a time."""
+    width, _, _, statements = plan
     strips = -(-length // width)
+    steps = statements + 1
     if done == 1:
         counter("grouped").inc()
-        return (at + strips - 1, at, count + 2 * (strips - 1),
+        return (at + strips - 1, at, count + steps * (strips - 1),
                 length - (strips - 1) * width)
     counter("strips", "overlap" if done == 2 else "fault").inc()
-    return at - 1, at + strips, count - 2, length
+    return at - 1, at + strips, count - steps, length

@@ -126,6 +126,14 @@ class LaneAccess:
         if low < 8 or high + self.size > len(data):
             raise BulkMiss()
 
+    def save(self, data: bytearray, base: int, first: int,
+             last: int) -> tuple:
+        """``(offset, bytes)`` of lanes ``first..last`` of the section
+        at ``base`` (checked before), for :func:`restore`."""
+        low = base + min(first * self.step, last * self.step)
+        high = base + max(first * self.step, last * self.step) + self.size
+        return low, data[low:high]
+
     def load(self, data: bytearray, base: int, lanes: int):
         """All ``lanes`` elements, in lane order."""
         step, size = self.step, self.size
@@ -255,8 +263,16 @@ def strips_reached(flags: list, width: int) -> List[bool]:
     return [any(flags[at:at + width]) for at in range(0, len(flags), width)]
 
 
+def restore(data: bytearray, saved: list) -> None:
+    """Put back what a strip group's stores overwrote
+    (:meth:`LaneAccess.save`), the last store first."""
+    for low, old in reversed(saved):
+        data[low:low + len(old)] = old
+
+
 def strip_overlap(length: int, base: int, access: LaneAccess,
-                  sections: tuple, scalars: tuple) -> int:
+                  sections: tuple, scalars: tuple,
+                  later: bool = False) -> int:
     """1 when no read of a strip group could see a write an earlier
     strip of the group made, else 2: the group's strips must then run
     one at a time.  ``sections`` are the read sections' ``(base,
@@ -264,7 +280,10 @@ def strip_overlap(length: int, base: int, access: LaneAccess,
     memory reads' ``(address, size)``.  A section read lane for lane
     with the target, or ahead of it, is safe: every lane it shares
     with the target belongs to the same or a later strip's write.
-    One strip (``length`` 0) reads before it writes."""
+    One strip (``length`` 0) reads before it writes.  With ``later``
+    the write is an earlier statement's, made before the reads ran
+    over the whole group: a read lane for lane with it, or behind
+    it, is safe."""
     if not length:
         return 1
     step, size = access.step, access.size
@@ -278,7 +297,8 @@ def strip_overlap(length: int, base: int, access: LaneAccess,
                 read + min(0, span) >= high:
             continue
         if lanes.step != step or lanes.size != size or \
-                (read - base) * step < 0:
+                ((read - base) * step > 0 if later
+                 else (read - base) * step < 0):
             return 2
     for address, width in scalars:
         if address < high and address + width > low:
@@ -287,19 +307,38 @@ def strip_overlap(length: int, base: int, access: LaneAccess,
 
 
 class StripGroup:
-    """A bulk statement whose strip loop may run it over several
-    strips at once (:mod:`repro.interp.strips`): the loop's local
-    holding the group's length (0: one strip), the strip width, the
-    scalar events each strip charges before the statement (its
-    length's), and the loop's lines ending a group — formatted with
-    the statement's outcome local as ``done``."""
+    """The bulk statements of a strip loop that may run them over
+    several strips at once (:mod:`repro.interp.strips`), each over
+    the whole group in body order: the loop's local holding the
+    group's length (0: one strip), the strip width, the scalar events
+    each strip charges before its first statement (its length's), how
+    many statements there are, and — filled in as they are generated
+    — the group's outcome local (``done``: 1 while every statement
+    committed, else the first failure's outcome), the list of
+    ``(offset, bytes)`` its stores overwrote (``saved``), and, per
+    statement so far, its strip plan, the source of its per-strip
+    ``reached`` flags (``None``: every strip) and what it wrote and
+    read (:meth:`BulkStatement._overlap_src`)."""
 
     def __init__(self, length: str, width: int, header: list,
-                 end: List[str]):
+                 statements: int):
         self.length = length
         self.width = width
         self.header = header
-        self.end = end
+        self.statements = statements
+        self.done = ""
+        self.saved = ""
+        self.plans: List[tuple] = []
+        self.reached: List[str] = []
+        self.accesses: List[tuple] = []
+
+    @property
+    def first(self) -> bool:
+        return not self.plans
+
+    @property
+    def last(self) -> bool:
+        return len(self.plans) == self.statements - 1
 
 
 #: Stands in for the lanes of a Select arm no lane took.
@@ -961,48 +1000,110 @@ class BulkStatement:
         return [f"_cy = _vx(_cy, {events}, {self.tl})"]
 
     def _strip_lines(self, first: list, last: list, flags: Optional[str],
-                     tail: List[str]) -> List[str]:
+                     tail: List[str], save: str = "") -> List[str]:
         """The commit of a statement its strip loop may group: every
         strip's accounting in one call
-        (:meth:`TitanCostModel.strip_group`) — one strip, or a group's
-        — then ``tail`` (the store or the write)."""
+        (:meth:`TitanCostModel.strip_group`) — one strip, or, at the
+        group's last statement, every statement's over the group —
+        then ``tail`` (the store or the write).  A statement before
+        the last one of a group first ``save``s what it overwrites."""
         group, gen = self.group, self.gen
-        if not self.costed:
+        plan, reached = (), "None"
+        if self.costed:
+            lead, optional = list(first), []
+            if group.first:
+                lead[:0] = group.header
+            for ctx, items in self.fills:
+                # No Select in a grouped statement: every fill is the
+                # root's or a masked value's.
+                assert ctx.guard is None or ctx is self.value_ctx
+                (lead if ctx.guard is None else optional).extend(items)
+            kinds = gen._kinds
+            plan = (tuple(vector_instructions(self.stmt)),
+                    tuple(kinds[i] for i in lead),
+                    tuple(kinds[i] for i in optional),
+                    tuple(kinds[i] for i in last))
+            if optional:
+                reached = (f"{self._helper(strips_reached)}({flags}, "
+                           f"{group.width})")
+        last_one = group.last
+        group.plans.append(plan)
+        group.reached.append(reached)
+        grouped, solo = [], []
+        if self.costed:
+            solo.append(self._charge_line((plan,), self.tl, (reached,)))
+            if group.statements == 1:
+                return solo + tail
+            if last_one:
+                grouped.append(self._charge_line(
+                    tuple(group.plans), group.length, group.reached))
+        elif group.statements == 1:
             return tail
-        lead, optional = list(group.header) + list(first), []
-        for ctx, items in self.fills:
-            # No Select in a grouped statement: every fill is the
-            # root's or a masked value's.
-            assert ctx.guard is None or ctx is self.value_ctx
-            (lead if ctx.guard is None else optional).extend(items)
-        kinds = gen._kinds
-        plan = gen._bind(self.env, (
-            group.width, tuple(vector_instructions(self.stmt)),
-            tuple(kinds[i] for i in lead),
-            tuple(kinds[i] for i in optional),
-            tuple(kinds[i] for i in last)))
-        reached = ""
-        if optional:
-            reached = (f", {self._helper(strips_reached)}({flags}, "
-                       f"{group.width})")
+        if save and not last_one:
+            grouped.append(save)
+        lines = []
+        if grouped:
+            lines += [f"if {group.length}:"] + _ind(grouped)
+        if solo:
+            lines += ["else:" if grouped else f"if not {group.length}:"]
+            lines += _ind(solo)
+        return lines + tail
+
+    def _charge_line(self, plans: tuple, length: str,
+                     reached: list) -> str:
+        gen = self.gen
+        plan = gen._bind(self.env, (self.group.width, plans))
         charge = gen._bind_shared(
             self.env, "strip_group",
             lambda: gen.engine.cost_hook.strip_group,
             ("hookattr", "strip_group"))
-        return [f"_cy = {charge}(_cy, {plan}, {self.tl}{reached})"] + tail
+        flags = "" if all(r == "None" for r in reached) \
+            else ", (" + "".join(f"{r}, " for r in reached) + ")"
+        return f"_cy = {charge}(_cy, {plan}, {length}{flags})"
 
-    def _overlap_src(self, base: str, access: str) -> str:
+    def _overlap_src(self, base: Optional[str],
+                     access: Optional[str]) -> str:
         """What a grouped statement's body ends on: 1 (commit), or 2
-        when its group must run strip by strip (:func:`strip_overlap`);
-        one strip commits."""
-        if not (self.section_reads or self.scalar_reads):
+        when its group must run strip by strip (:func:`strip_overlap`):
+        a read of its own sees an earlier strip's write of its target
+        (``base``/``access``; None for a reduction) — or, against
+        each earlier statement of the group, which ran over the whole
+        group first, its target meets an earlier lane of that
+        statement's reads or target, or that statement's target meets
+        an earlier lane of its reads.  One strip commits."""
+        group = self.group
+        sections = tuple((read, lanes) for read, lanes, _
+                         in self.section_reads)
+        scalars = tuple(self.scalar_reads)
+        checks = []
+        if base is not None:
+            checks.append((base, access, sections, scalars, False))
+        for write, reads, memory in group.accesses:
+            if base is not None:
+                checks.append((base, access, reads + (write,) if write
+                               else reads, memory, False))
+            if write:
+                checks.append((*write, sections, scalars, True))
+        group.accesses.append((base and (base, access), sections, scalars))
+        checks = [check for check in checks if check[2] or check[3]]
+        if not checks:
             return "1"
-        sections = "".join(f"({read}, {lanes}), " for read, lanes, _
-                           in self.section_reads)
-        scalars = "".join(f"({address}, {size}), " for address, size
-                          in self.scalar_reads)
-        return (f"{self._helper(strip_overlap)}({self.group.length}, "
-                f"{base}, {access}, ({sections}), ({scalars}))")
+        overlap = self._helper(strip_overlap)
+
+        def call(target, lanes, reads, memory, later) -> str:
+            pairs = "".join(f"({read}, {kind}), " for read, kind in reads)
+            addresses = "".join(f"({address}, {size}), "
+                                for address, size in memory)
+            return (f"{overlap}({group.length}, {target}, {lanes}, "
+                    f"({pairs}), ({addresses})"
+                    + (", True)" if later else ")"))
+
+        calls = [call(*check) for check in checks]
+        if len(group.accesses) == 1:
+            return calls[0]
+        test = calls[0] if len(calls) == 1 \
+            else f"max({', '.join(calls)})"
+        return f"({test} if {group.length} else 1)"
 
     def assign_lines(self, lane_lines: List[str]) -> List[str]:
         stmt, gen, tl = self.stmt, self.gen, self.tl
@@ -1059,11 +1160,17 @@ class BulkStatement:
         body = [f"{tl} = {length_src}", f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
         if self.group is not None:
+            first, last = ("0", f"{tl} - 1") if active is None \
+                else (f"{active}[0]", f"{active}[-1]")
+            save = f"{self.group.saved}.append({access}.save(" \
+                   f"{self.data}, {base}, {first}, {last}))"
+            if active is not None:
+                save = f"if {active}: {save}"
+            ends = self._overlap_src(base, access)
             commit = self._strip_lines(length_items, base_items,
                                        None if active is None else flags,
-                                       [store])
-            return self._wrap(body, commit, lane_lines,
-                              self._overlap_src(base, access))
+                                       [store], save)
+            return self._wrap(body, commit, lane_lines, ends)
         commit = self._charge_lines(length_items, base_items)
         commit.append(store)
         commit += self._instruction_lines()
@@ -1078,8 +1185,9 @@ class BulkStatement:
         (``lane_lines``), which decides what that means.  A statement
         its loop may group (``ends`` its body's last value: 2 when a
         group overlaps) charges its strip's length before that
-        routine, and hands a group's outcome to the loop: committed,
-        or to run again strip by strip."""
+        routine when it is the loop's first, and hands a group's
+        failure to the loop (``group.done``), which puts back what the
+        group stored and runs it again strip by strip."""
         gen, done = self.gen, self.gen._tmp_name()
         lines = [f"{done} = 0"]
         if self.costed and self.key_locals:
@@ -1101,9 +1209,13 @@ class BulkStatement:
         lines += _ind(body + [f"    {done} = {ends}"])
         lines += ["except Exception:", f"    {done} = 0",
                   f"if {done} == 1:"] + _ind(commit)
-        header = gen._cost_lines(group.header) if self.costed else []
+        header = gen._cost_lines(group.header) \
+            if self.costed and len(group.plans) == 1 else []
         lines += [f"elif not {group.length}:"] + _ind(header + lane_lines)
-        return lines + [line.format(done=done) for line in group.end]
+        if group.statements == 1:
+            group.done = done
+            return lines
+        return lines + ["else:", f"    {group.done} = {done}"]
 
     def _target_nofault(self, value: N.Expr) -> bool:
         return self._nofault(value) and not self._int_conv_faults(
@@ -1164,13 +1276,15 @@ class BulkStatement:
         sym = target.sym
         if self.group is not None:
             # A grouped reduction's target is a register: the write
-            # charges nothing, and nothing it reads is stored.
+            # charges nothing, and the loop restores it when a group
+            # fails.
             write = gen._gen_write_lines(
                 sym, acc, self.env,
                 pre_converted=gen._same_ctype(ctype, sym.ctype))
+            ends = self._overlap_src(None, None)
             return self._wrap(body, self._strip_lines(
                 length_items + acc_items, [], None, write), lane_lines,
-                "1")
+                ends)
         commit = self._charge_lines(length_items + acc_items, [])
         commit += self._instruction_lines()
         commit += gen._gen_write_lines(

@@ -182,14 +182,13 @@ def replay(total: float, addends: Tuple[float, ...], times: int) -> float:
 
 @dataclass(frozen=True)
 class StripCharges:
-    """What one strip of a strip loop charges besides its vector
-    instructions, for :meth:`TitanCostModel.strip_group`: latencies of
-    the strip's scalar events in the order they happen (``scalars``;
-    ``unreached`` for a strip no lane of which got to the optional
-    ones), and ``(counter field, breakdown bucket, latency, events)``
-    per kind."""
+    """What one statement of a strip loop charges per strip besides
+    its vector instructions, for :meth:`TitanCostModel.strip_group`:
+    latencies of the strip's scalar events in the order they happen
+    (``scalars``; ``unreached`` for a strip no lane of which got to
+    the optional ones), and ``(counter field, breakdown bucket,
+    latency, events)`` per kind."""
 
-    width: int
     instructions: tuple
     scalars: Tuple[float, ...]
     unreached: Tuple[float, ...]
@@ -198,11 +197,11 @@ class StripCharges:
 
     @classmethod
     def build(cls, plan: tuple, scalar: Dict[str, tuple]) -> "StripCharges":
-        """From a strip plan — ``(width, instructions, lead kinds,
-        optional kinds, tail kinds)``: each strip charges ``lead``,
-        then ``optional`` when one of its lanes got to them, then
-        ``tail`` — and the model's scalar table."""
-        width, instructions, lead, optional, tail = plan
+        """From one statement's strip plan — ``(instructions, lead
+        kinds, optional kinds, tail kinds)``: each strip charges
+        ``lead``, then ``optional`` when one of its lanes got to them,
+        then ``tail`` — and the model's scalar table."""
+        instructions, lead, optional, tail = plan
 
         def cycles(kinds):
             return tuple(float(scalar[k][1]) for k in kinds
@@ -213,7 +212,7 @@ class StripCharges:
                          for k, n in sorted(
                              collections.Counter(kinds).items()))
 
-        return cls(width, instructions, cycles(lead + optional + tail),
+        return cls(instructions, cycles(lead + optional + tail),
                    cycles(lead + tail), counted(lead + tail),
                    counted(optional))
 
@@ -440,69 +439,81 @@ class TitanCostModel:
 
     def strip_group(self, cycles: float, plan: tuple, length: int,
                     reached=None) -> float:
-        """The strips of a strip loop that one bulk operation of
-        ``length`` elements ran: full strips of the plan's width, the
-        last one possibly shorter.  Each strip is
-        charged as its own run would have been — its scalar events
-        (``lead``, ``optional`` when ``reached`` says a lane of that
-        strip got to them (None: every strip), ``tail``), then its
-        instructions through :meth:`vector_statement`'s prices — with
-        the running total replayed addend by addend in that order
-        (:func:`replay`), and counts in closed form.  ``plan`` is
-        :meth:`StripCharges.build`'s."""
+        """The strips of a strip loop that one bulk operation per
+        statement of ``length`` elements ran: full strips of the
+        plan's width, the last one possibly shorter.  Each strip is
+        charged as its own run would have been — statement by
+        statement, its scalar events (``lead``, ``optional`` when that
+        statement's ``reached`` flags say a lane of the strip got to
+        them (None: every strip), ``tail``), then its instructions
+        through :meth:`vector_statement`'s prices — with the running
+        total replayed addend by addend in that order (:func:`replay`),
+        and counts in closed form.  ``plan`` is ``(width, statement
+        plans)``, each :meth:`StripCharges.build`'s."""
         charges = self._strip_charges.get(plan)
         if charges is None:
             if len(self._strip_charges) >= _VECTOR_PRICED_LIMIT:
                 self._strip_charges.clear()
-            charges = self._strip_charges[plan] = StripCharges.build(
-                plan, self._scalar)
-        width = charges.width
+            charges = self._strip_charges[plan] = tuple(
+                StripCharges.build(stmt, self._scalar)
+                for stmt in plan[1])
+        width = plan[0]
         full, rest = divmod(length, width)
         strips = full + (rest > 0)
         if reached is None:
-            runs = [(True, full)]
-            hits = strips
-        else:
-            runs = [(flag, len(list(group))) for flag, group
-                    in itertools.groupby(reached[:full])]
-            hits = reached.count(True)
+            reached = (None,) * len(charges)
         count, spent = self._count, self._spent
         # Scalar events: whole-cycle latencies, integer sums.
-        for field, bucket, latency, n in charges.counted:
-            count[field] += n * strips
-            spent[bucket] += n * latency * strips
-        for field, bucket, latency, n in charges.optional_counted:
-            count[field] += n * hits
-            spent[bucket] += n * latency * hits
+        for stmt, flags in zip(charges, reached):
+            hits = strips if flags is None else flags.count(True)
+            for field, bucket, latency, n in stmt.counted:
+                count[field] += n * strips
+                spent[bucket] += n * latency * strips
+            for field, bucket, latency, n in stmt.optional_counted:
+                count[field] += n * hits
+                spent[bucket] += n * latency * hits
+        # Per strip, which statements' optional events it charged.
+        keys = list(zip(*(itertools.repeat(True, strips) if flags is None
+                          else flags for flags in reached)))
+        lengths = [(width, [(key, len(list(run))) for key, run
+                            in itertools.groupby(keys[:full])])]
+        if rest:
+            lengths.append((rest, [(keys[-1], 1)]))
         # Inside a scheduled loop the instructions are only counted.
         quiet = bool(self._sched_stack)
-        lengths = [(width, runs)]
-        if rest:
-            last = reached[-1] if reached is not None else True
-            lengths.append((rest, [(last, 1)]))
         for size, size_runs in lengths:
-            priced = self._vector_priced.get((charges.instructions, size))
-            if priced is None:
-                priced = self._price(charges.instructions, size)
-            issued, elements, flops, startup, costs = priced
+            prices = []
+            for stmt in charges:
+                priced = self._vector_priced.get((stmt.instructions, size))
+                if priced is None:
+                    priced = self._price(stmt.instructions, size)
+                prices.append(priced)
             n = sum(times for _, times in size_runs)
-            count["vector_instructions"] += issued * n
-            count["vector_elements"] += elements * n
-            count["flops"] += flops * n
-            own = () if quiet else tuple(cost for cost, _ in costs)
-            for flag, times in size_runs:
-                scalars = charges.scalars if flag else charges.unreached
-                cycles = replay(cycles, scalars + own, times)
+            for issued, elements, flops, _, _ in prices:
+                count["vector_instructions"] += issued * n
+                count["vector_elements"] += elements * n
+                count["flops"] += flops * n
+            for key, times in size_runs:
+                addends = ()
+                for stmt, flag, priced in zip(charges, key, prices):
+                    addends += stmt.scalars if flag else stmt.unreached
+                    if not quiet:
+                        addends += tuple(cost for cost, _ in priced[4])
+                cycles = replay(cycles, addends, times)
             if quiet:
                 continue
             spent["vector_compute"] = replay(
                 spent["vector_compute"],
-                tuple(c for c, memory in costs if not memory), n)
+                tuple(c for priced in prices
+                      for c, memory in priced[4] if not memory), n)
             spent["vector_memory"] = replay(
                 spent["vector_memory"],
-                tuple(c for c, memory in costs if memory), n)
+                tuple(c for priced in prices
+                      for c, memory in priced[4] if memory), n)
             spent["vector_startup"] = replay(
-                spent["vector_startup"], (startup,) * len(costs), n)
+                spent["vector_startup"],
+                tuple(priced[3] for priced in prices
+                      for _ in priced[4]), n)
         self.cycles = cycles
         return cycles
 

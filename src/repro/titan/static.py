@@ -15,12 +15,12 @@ the report's ``titan.static`` (:mod:`repro.obs.report`:
 schedule-aware, floats, ``cycles: null`` for unknown trips) and the
 cycle attributor (:mod:`repro.obs.attrib`: schedule-free, exact
 int/Fraction, ``assumed_trips`` for unknown trips).  The vectorizer
-reads it too: :func:`fork_decision` is when a strip loop forks.
+reads it too: :func:`fork_decision` is when a strip loop forks, and
+its prices whether two strip loops fuse.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..il import nodes as N
@@ -255,30 +255,8 @@ class StaticCostEstimator:
             else self.assumed_trips
         setup = self.expr_cycles(loop.lo) + self.expr_cycles(loop.hi)
         if loop.vector:
-            # A strip loop covers lo..hi in strips of `step` elements;
-            # vector substatements are costed over the whole element
-            # range, their operands and scalar substatements once per
-            # strip.  Runs execute it as one unit: no per-strip
-            # increment or branch.
-            lo = const_int_value(loop.lo)
-            hi = const_int_value(loop.hi)
-            elements = hi - lo + 1 if lo is not None \
-                and hi is not None else None
-            total = elements if elements is not None \
-                else self.assumed_trips * max(1, loop.step)
-            strips = max(1, -(-total // max(1, loop.step)))
-            cycles = setup
-            vectors = []
-            for sub in loop.body:
-                if isinstance(sub, (N.VectorAssign, N.VectorReduce)):
-                    cost = vector_cost(self.config, sub, total,
-                                       loop.step)
-                    vectors.append(cost)
-                    cycles += strips * self._operand_cycles(sub) \
-                        + self._vector_cycles(cost)
-                else:
-                    cycles += strips * self.stmt_cycles(
-                        function, sub, scale * strips, None)
+            cycles, strips, elements, vectors = self._strips(
+                function, loop, scale, setup)
             if loop.parallel:
                 cycles = setup + self._parallel(cycles - setup, strips,
                                                 loop.combines())
@@ -286,7 +264,7 @@ class StaticCostEstimator:
                 kind = "vector-parallel" if loop.parallel else "vector"
                 loops.append(LoopCost(function, loop.line, kind,
                                       known_trips, cycles * scale,
-                                      elements, tuple(vectors)))
+                                      elements, vectors))
             return cycles
         schedule = self.schedules.get(loop.sid)
         if schedule is not None:
@@ -310,6 +288,43 @@ class StaticCostEstimator:
             loops.append(LoopCost(function, loop.line, kind,
                                   known_trips, cycles * scale))
         return cycles
+
+    def _strips(self, function: str, loop: N.DoLoop, scale, setup):
+        """A strip loop run serially: ``(cycles, strips, elements,
+        vector costs)``.  It covers lo..hi in strips of ``step``
+        elements; vector substatements are costed over the whole
+        element range, their operands and scalar substatements once
+        per strip.  Runs execute it as one unit: no per-strip
+        increment or branch."""
+        lo = const_int_value(loop.lo)
+        hi = const_int_value(loop.hi)
+        elements = hi - lo + 1 if lo is not None \
+            and hi is not None else None
+        total = elements if elements is not None \
+            else self.assumed_trips * max(1, loop.step)
+        strips = max(1, -(-total // max(1, loop.step)))
+        cycles = setup
+        vectors = []
+        for sub in loop.body:
+            if isinstance(sub, (N.VectorAssign, N.VectorReduce)):
+                cost = vector_cost(self.config, sub, total, loop.step)
+                vectors.append(cost)
+                cycles += strips * self._operand_cycles(sub) \
+                    + self._vector_cycles(cost)
+            else:
+                cycles += strips * self.stmt_cycles(
+                    function, sub, scale * strips, None)
+        return cycles, strips, elements, tuple(vectors)
+
+    def strip_prices(self, loop: N.DoLoop) -> Tuple[float, float]:
+        """Strip loop ``loop`` run serially and forked, whichever it
+        is: one walk of its body."""
+        setup = self.expr_cycles(loop.lo) + self.expr_cycles(loop.hi)
+        serial, strips, _, _ = self._strips("", loop, 1, setup)
+        reduces = any(isinstance(stmt, N.VectorReduce)
+                      for stmt in loop.body)
+        return serial, setup + self._parallel(serial - setup, strips,
+                                              reduces)
 
     def block_cycles(self, function: str, stmts: List[N.Stmt],
                      scale, loops: Optional[List[LoopCost]]):
@@ -359,24 +374,41 @@ class ForkDecision(NamedTuple):
     serial: Optional[float] = None
     forked: Optional[float] = None
 
+    @property
+    def parallel(self) -> bool:
+        return self.outcome == "forked"
 
-def fork_decision(config: Optional[TitanConfig],
-                  loop: N.DoLoop) -> ForkDecision:
-    """The one rule for forking a legal strip loop ``loop``: its trip
-    must be a constant, the processor count known (``config``, the run
-    configuration; None when unknown), and the walk must price the
-    loop forked — fork/join startup, the processors' share of its
-    strips and, for a reduction, the combine — below the loop run
-    serially.  At one processor a fork never pays, nor does it for a
-    few strips; an unknown trip could cost a fork per enclosing
-    iteration, so it stays serial."""
-    if static_trip_count(loop) is None:
-        return ForkDecision("unknown-trip")
-    if config is None:
-        return ForkDecision("does-not-pay")
-    walk = StaticCostEstimator(config)
-    serial, forked = (
-        walk.stmt_cycles("", dataclasses.replace(loop, parallel=flag),
-                         1, None) for flag in (False, True))
+    def cycles(self) -> Optional[float]:
+        """The walk's price of the loop as decided (None: unpriced)."""
+        if self.serial is None:
+            return None
+        return self.forked if self.parallel else self.serial
+
+
+def fork_decision(config: Optional[TitanConfig], loop: N.DoLoop,
+                  legal: bool = True) -> ForkDecision:
+    """The one rule for forking strip loop ``loop``, a vector region's
+    or a reduction's alike: an ``illegal`` loop (a carried edge among
+    its statements, decided by the vectorizer) stays serial; else,
+    with a constant trip and a known processor count (``config``, the
+    run configuration; None when unknown), it forks iff the walk
+    prices the loop forked — fork/join startup, the processors' share
+    of its strips and, for a reduction, the combine — below the loop
+    run serially.  At one processor a fork never pays, nor does it for
+    a few strips.  Unpriced, a loop of vector stores forks and one
+    that reduces stays serial: an unknown trip could cost a combine
+    per enclosing iteration.  The prices are given whenever they
+    exist."""
+    trips = static_trip_count(loop)
+    serial = forked = None
+    if trips is not None and config is not None:
+        serial, forked = StaticCostEstimator(config).strip_prices(loop)
+    if not legal:
+        return ForkDecision("illegal", serial, forked)
+    if serial is None:
+        if not any(isinstance(stmt, N.VectorReduce) for stmt in loop.body):
+            return ForkDecision("forked")
+        return ForkDecision("unknown-trip" if trips is None
+                            else "does-not-pay")
     return ForkDecision("forked" if forked < serial else "does-not-pay",
                         serial, forked)

@@ -15,15 +15,21 @@ For each innermost normalized DO loop:
    short constant-trip loops (the 4×4 graphics case, section 5.2) skip
    the strip loop entirely;
 5. *parallelization*: each strip loop is decided on its own region's
-   dependences (the paper's §9 ``do parallel`` output): a vector
-   store forks when no carried edge lies within its region; a
-   reduction forks when, beyond its accumulator's own edge, none
-   does and the static Titan price of the fork is below the serial
-   loop's (constant trip, known processor count); a direct statement
-   has no strips to spread, and a recurrence stays sequential.  A
-   loop that cannot be vectorized but has no loop-carried
-   dependences (after privatizing iteration-local scalars) is spread
-   across processors unchanged.
+   dependences (the paper's §9 ``do parallel`` output): it may fork
+   when no carried edge lies within its region beyond a reduction's
+   own accumulator edge, and it forks when the static Titan price of
+   the fork is below the serial loop's (constant trip, known
+   processor count) — unpriced, a vector store forks and a reduction
+   stays serial; a direct statement has no strips to spread, and a
+   recurrence stays sequential.  A loop that cannot be vectorized but
+   has no loop-carried dependences (after privatizing iteration-local
+   scalars) is spread across processors unchanged;
+6. *fusion*: once every loop of a function is lowered, neighbouring
+   strip loops with equal bounds — regions of one source loop, or of
+   consecutive source loops — merge into one strip loop with one fork
+   decision, when no dependence runs from the later part back to an
+   earlier iteration of the earlier one and the walk does not price
+   the merged loop above the two (:meth:`Vectorizer._fuse`).
 
 The alias policy implements the paper's escape hatches: a ``safe``
 pragma on the loop or function, or the compiler option giving pointer
@@ -40,10 +46,11 @@ from __future__ import annotations
 PASS_NAME = "vectorize"
 PASS_DESCRIPTION = "Allen-Kennedy vectorization/parallelization (section 5/9)"
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dependence.graph import AliasPolicy, DependenceGraph
+from ..dependence.graph import AliasPolicy, DependenceEdge, DependenceGraph
 from ..dependence.refs import AffineRef, parse_ref
 from ..frontend.ctypes_ import INT
 from ..frontend.symtab import Symbol, SymbolTable
@@ -67,9 +74,9 @@ class VectorizeOptions:
     # precise "not-if-convertible" miss instead of the blanket
     # "control-flow".
     if_converted: bool = False
-    # The machine the program runs on (``pipeline.titan_config``): a
-    # reduction's strips fork only when its static price says so, and
-    # stay serial when it is None (processor count unknown).
+    # The machine the program runs on (``pipeline.titan_config``):
+    # strip loops fork when their static price says so (None:
+    # processor count unknown, so unpriced).
     config: Optional[TitanConfig] = None
 
 
@@ -86,6 +93,25 @@ class StripRegion:
     kind: str
     stmts: List[int]
     parallel: bool
+
+
+@dataclass
+class StripSource:
+    """What fusion needs of an emitted strip loop (``loop``): the
+    scalar statements its vector statements came from, in its body's
+    order, over the index ``var``; the dependence edges among them (by
+    position in ``stmts``); while they all come from one source loop,
+    its graph and their indices in it (``origin``); the alias policy
+    they were analysed under; the loop's fork decision; and the sids
+    of the source loops it serves."""
+    loop: N.DoLoop
+    stmts: List[N.Stmt]
+    var: Symbol
+    edges: List[DependenceEdge]
+    origin: Optional[Tuple[DependenceGraph, List[int]]]
+    policy: AliasPolicy
+    decision: ForkDecision
+    loops: Set[int]
 
 
 @dataclass
@@ -158,6 +184,14 @@ class Vectorizer:
 
     def run(self, fn: N.ILFunction) -> VectorizeStats:
         self._fn = fn
+        # Emitted strip loops (by identity) -> their StripSource.
+        self._strips: Dict[int, StripSource] = {}
+        # Remarks of vectorized loops, sent once fusion has settled
+        # which of their strips fork.
+        self._vectorized: List[Tuple[N.DoLoop, LoopOutcome]] = []
+        # One ``vi``/``vlen`` pair per trip expression: strip loops over
+        # the same strips share it, so fused ones need no renaming.
+        self._temps: List[Tuple[N.Expr, Tuple[Symbol, Symbol]]] = []
 
         def visit(loop: N.Stmt, owner: List[N.Stmt], index: int) -> None:
             if isinstance(loop, N.DoLoop) and not loop.vector \
@@ -165,6 +199,16 @@ class Vectorizer:
                 self._process(loop, owner)
 
         utils.for_each_loop(fn.body, visit)
+        self._fuse_lists(fn.body)
+        forked: Set[int] = set()
+        for source in self._strips.values():
+            if source.loop.parallel:
+                forked |= source.loops
+        for loop, outcome in self._vectorized:
+            outcome.parallelized = loop.sid in forked
+            if outcome.parallelized:
+                self.stats.loops_parallelized += 1
+            self._remark_vectorized(loop, outcome)
         return self.stats
 
     # ------------------------------------------------------------------
@@ -239,7 +283,7 @@ class Vectorizer:
                               detail=detail, blocking=blocking)
             self._remark_missed(loop, "recurrence", detail)
             return
-        regions, replacement = self._codegen(loop, plan, graph)
+        regions, replacement = self._codegen(loop, plan, graph, policy)
         utils.replace_stmt(owner, loop, replacement)
         n_vec = sum(1 for r in regions if r.kind != "seq")
         n_seq = sum(len(r.stmts) for r in regions if r.kind == "seq")
@@ -249,32 +293,39 @@ class Vectorizer:
         self.stats.loops_vectorized += 1
         self.stats.vector_statements += n_vec
         self.stats.masked_statements += n_masked
-        parallel = any(r.parallel for r in regions)
-        if parallel:
-            self.stats.loops_parallelized += 1
-        self.stats.outcomes.append(LoopOutcome(
-            loop_sid=loop.sid, vectorized=True, parallelized=parallel,
+        outcome = LoopOutcome(
+            loop_sid=loop.sid, vectorized=True, parallelized=False,
             vector_statements=n_vec, sequential_statements=n_seq,
-            masked_statements=n_masked, line=loop.line))
-        if self.remarks is not None:
-            detail = f"{n_vec} vector statement(s), VL=" \
-                     f"{self.options.vector_length}"
-            if n_masked:
-                detail += f"; {n_masked} masked store(s) " \
-                          f"(if-converted guards became masks)"
-            if n_seq:
-                detail += f"; {n_seq} statement(s) stay sequential " \
-                          f"(recurrence kept in a DO loop)"
-            if parallel:
-                detail += "; strips spread across processors"
-            self.remarks.transformed(
-                "vectorize", self._fn.name,
-                f"loop vectorized: {detail}", stmt=loop,
-                vector_statements=n_vec, sequential_statements=n_seq,
-                masked_statements=n_masked, parallel=parallel,
-                vector_length=self.options.vector_length)
+            masked_statements=n_masked, line=loop.line)
+        self.stats.outcomes.append(outcome)
+        self._vectorized.append((loop, outcome))
 
     # -- remark helpers ------------------------------------------------------
+
+    def _remark_vectorized(self, loop: N.DoLoop,
+                           outcome: LoopOutcome) -> None:
+        if self.remarks is None:
+            return
+        n_vec, n_seq = outcome.vector_statements, \
+            outcome.sequential_statements
+        n_masked, parallel = outcome.masked_statements, \
+            outcome.parallelized
+        detail = f"{n_vec} vector statement(s), VL=" \
+                 f"{self.options.vector_length}"
+        if n_masked:
+            detail += f"; {n_masked} masked store(s) " \
+                      f"(if-converted guards became masks)"
+        if n_seq:
+            detail += f"; {n_seq} statement(s) stay sequential " \
+                      f"(recurrence kept in a DO loop)"
+        if parallel:
+            detail += "; strips spread across processors"
+        self.remarks.transformed(
+            "vectorize", self._fn.name,
+            f"loop vectorized: {detail}", stmt=loop,
+            vector_statements=n_vec, sequential_statements=n_seq,
+            masked_statements=n_masked, parallel=parallel,
+            vector_length=self.options.vector_length)
 
     def _remark_missed(self, loop: N.DoLoop, reason: str,
                        detail: str) -> None:
@@ -328,11 +379,12 @@ class Vectorizer:
                      decision: ForkDecision, blocking) -> None:
         """An analysis remark for each reduction's fork decision, with
         its static prices, and for each vector region that stays
-        serial, naming the carried edge that keeps it so."""
+        serial, naming the carried edge or the prices that keep it
+        so."""
         what = "reduction" if region.kind == "reduce" else "vector"
         if blocking is not None:
             why = _describe_edge(loop.body, blocking)
-        elif region.kind == "vector":
+        elif region.kind == "vector" and decision.parallel:
             return
         elif decision.serial is None:
             why = "trip count is not a constant" \
@@ -619,12 +671,13 @@ class Vectorizer:
 
     def _codegen(self, loop: N.DoLoop,
                  plan: List[Tuple[str, List[int]]],
-                 graph: DependenceGraph
+                 graph: DependenceGraph, policy: AliasPolicy
                  ) -> Tuple[List[StripRegion], List[N.Stmt]]:
         """Turn the Allen–Kennedy plan into strip regions and lower
         them, one statement per region, in plan order (the order the
         regions draw their temps in); then decide, region by region,
-        which strip loops fork."""
+        which strip loops fork, and note each strip loop's source for
+        fusion."""
         trip_expr = simplify(N.BinOp(op="+", left=N.clone_expr(loop.hi),
                                      right=N.int_const(1), ctype=INT))
         trip_const = const_int_value(trip_expr)
@@ -636,46 +689,184 @@ class Vectorizer:
                    for region in regions]
         # A direct statement has no strips to spread, nor does a
         # sequential DO loop.
-        if self.options.parallelize and not direct:
-            for region, stmt in zip(regions, lowered):
-                if region.kind != "seq":
-                    region.parallel = stmt.parallel = self._fork(
-                        loop, region, stmt, graph)
+        if direct:
+            return regions, lowered
+        for region, stmt in zip(regions, lowered):
+            if region.kind == "seq":
+                continue
+            stmts = [loop.body[k] for k in region.stmts]
+            edges = _edges_among(graph, region.stmts)
+            decision = ForkDecision("illegal")
+            if self.options.parallelize:
+                decision = self._fork(loop, region, stmt, edges, stmts)
+            region.parallel = stmt.parallel = decision.parallel
+            self._strips[id(stmt)] = StripSource(
+                stmt, stmts, loop.var, edges, (graph, region.stmts),
+                policy, decision, {loop.sid})
         return regions, lowered
 
     def _fork(self, loop: N.DoLoop, region: StripRegion,
-              strips: N.DoLoop, graph: DependenceGraph) -> bool:
+              strips: N.DoLoop, edges: List[DependenceEdge],
+              stmts: List[N.Stmt]) -> ForkDecision:
         """Does this ``vector`` or ``reduce`` region's strip loop run
-        ``do parallel``?  Only if no carried edge has both ends in the
-        region — even an anti edge, satisfied within one vector
-        instruction, races across strips — other than a reduction's
-        own accumulator edge; edges between regions are satisfied by
-        distribution.  A legal vector region forks; a legal reduction
-        forks when :func:`~repro.titan.static.fork_decision` says it
-        pays."""
-        inside = set(region.stmts)
-        accumulator = None
-        if region.kind == "reduce":
-            target = loop.body[region.stmts[0]].target
-            accumulator = f"scalar {target.sym.name}"
-        blocking = next((edge for edge in graph.edges
-                         if edge.carried and edge.src in inside
-                         and edge.dst in inside
-                         and not (edge.src == edge.dst
-                                  and edge.reason == accumulator)),
-                        None)
+        ``do parallel``?  Only if it is legal (:func:`_fork_blocker`
+        of its ``edges``; edges between regions are satisfied by
+        distribution) and :func:`~repro.titan.static.fork_decision`
+        says so."""
+        blocking = _fork_blocker(edges, stmts)
+        decision = fork_decision(self.options.config, strips,
+                                 legal=blocking is None)
         if blocking is not None:
-            decision = ForkDecision("illegal")
-        elif region.kind == "vector":
-            decision = ForkDecision("forked")
-        else:
-            decision = fork_decision(self.options.config, strips)
+            blocking = dataclasses.replace(
+                blocking, src=region.stmts[blocking.src],
+                dst=region.stmts[blocking.dst])
         REGISTRY.counter("titancc_vector_region_fork_total",
                          {"kind": region.kind,
                           "outcome": decision.outcome}).inc()
         if self.remarks is not None:
             self._remark_fork(loop, region, decision, blocking)
-        return decision.outcome == "forked"
+        return decision
+
+    # -- fusion ----------------------------------------------------------------
+
+    def _fuse_lists(self, stmts: List[N.Stmt]) -> None:
+        """Fuse each run of neighbouring strip loops of ``stmts`` (and
+        of every statement list nested in it) that :meth:`_fuse`
+        accepts, left to right."""
+        for stmt in stmts:
+            for sub in stmt.substatements():
+                self._fuse_lists(sub)
+        k = 0
+        while k < len(stmts):
+            first = stmts[k]
+            j = k + 1
+            while j < len(stmts) and isinstance(stmts[j], N.Assign):
+                j += 1
+            if id(first) not in self._strips or j == len(stmts) \
+                    or id(stmts[j]) not in self._strips \
+                    or first.var is not stmts[j].var:
+                k += 1
+                continue
+            fused = self._fuse(first, stmts[k + 1:j], stmts[j])
+            if fused is None:
+                k += 1
+                continue
+            stmts[k:j + 1] = stmts[k + 1:j] + [fused]
+            k = j - 1
+
+    def _fuse(self, first: N.DoLoop, between: List[N.Stmt],
+              later: N.DoLoop) -> Optional[N.DoLoop]:
+        """One strip loop doing ``first``'s strips and then
+        ``later``'s, with ``between`` moved ahead of ``first``; or None
+        when fusion would change what the program computes or raise
+        the walk's price.
+
+        Legal when each statement of ``between`` touches nothing
+        ``first`` touches, and when no dependence of the two parts'
+        source statements, analysed as one loop, runs from a statement
+        of ``later`` to one of ``first`` at a later iteration — fused,
+        that iteration of ``first`` would run after ``later``'s.
+        The fused loop's fork is decided by the same rule as a region's
+        (:meth:`_fork`): parts with that outcome fuse; parts with
+        another only when the walk prices the fused loop at most their
+        sum, so fusion never raises a priced loop's cycles."""
+        a, b = self._strips[id(first)], self._strips[id(later)]
+        reason, detail = "", ""
+        if not all(_hoistable(stmt, first) for stmt in between):
+            reason = "statement"
+            detail = "a statement between them touches the first loop"
+        elif any(isinstance(stmt, N.VectorReduce) and stmt.target.sym
+                 in N.facts(first.hi).reads for stmt in first.body):
+            reason = "statement"
+            detail = "the first loop writes the trip count"
+        elif b.var is not a.var and (
+                any(b.var in utils.stmt_reads(stmt) for stmt in a.stmts)
+                or any(a.var in utils.stmt_reads(stmt)
+                       for stmt in b.stmts)):
+            reason = "index"
+            detail = "a part reads the other's index"
+        if reason:
+            return self._refuse(later, reason, detail)
+        index = N.VarRef(sym=a.var, ctype=a.var.ctype)
+        stmts = a.stmts + [stmt if b.var is a.var else N.Assign(
+            target=utils.substitute_var(stmt.target, b.var, index),
+            value=utils.substitute_var(stmt.value, b.var, index),
+            line=stmt.line) for stmt in b.stmts]
+        policy = AliasPolicy(assume_no_alias=(
+            a.policy.assume_no_alias and b.policy.assume_no_alias))
+        origin = None
+        if a.origin and b.origin and a.origin[0] is b.origin[0]:
+            # Regions of one source loop: its graph has their edges.
+            graph, indices = a.origin[0], a.origin[1] + b.origin[1]
+            origin = (graph, indices)
+            cross = [edge for edge in _edges_among(graph, indices)
+                     if (edge.src < len(a.stmts)) != (edge.dst
+                                                      < len(a.stmts))]
+        else:
+            cross = DependenceGraph(N.DoLoop(
+                var=a.var, lo=N.int_const(0), hi=N.clone_expr(first.hi),
+                step=1, body=stmts), policy, split=len(a.stmts)).edges
+        back = next((edge for edge in cross if edge.carried
+                     and edge.src >= len(a.stmts) > edge.dst), None)
+        if back is not None:
+            return self._refuse(later, "dependence",
+                                _describe_edge(stmts, back))
+        edges = a.edges + cross + [dataclasses.replace(
+            edge, src=edge.src + len(a.stmts), dst=edge.dst + len(a.stmts))
+            for edge in b.edges]
+        fused = self._fused_loop(first, later)
+        decision = ForkDecision("illegal")
+        if self.options.parallelize:
+            decision = fork_decision(
+                self.options.config, fused,
+                legal=_fork_blocker(edges, stmts) is None)
+        fused.parallel = decision.parallel
+        prices = ""
+        if not fused.parallel == first.parallel == later.parallel:
+            total = decision.cycles()
+            parts = (a.decision.cycles(), b.decision.cycles())
+            if total is None or None in parts:
+                return self._refuse(later, "price",
+                                    "the parts fork differently and "
+                                    "have no static price")
+            prices = f"static price {total:.0f} cycles fused against " \
+                     f"{sum(parts):.0f} apart"
+            if total > sum(parts):
+                return self._refuse(later, "price", prices)
+        del self._strips[id(first)], self._strips[id(later)]
+        self._strips[id(fused)] = StripSource(
+            fused, stmts, a.var, edges, origin, policy, decision,
+            a.loops | b.loops)
+        REGISTRY.counter("titancc_vector_fusion_total",
+                         {"outcome": "fused"}).inc()
+        if self.remarks is not None:
+            verb = "fork" if fused.parallel else "stay serial"
+            self.remarks.analysis(
+                "vectorize", self._fn.name,
+                f"strip loops fused: {len(stmts)} statement(s) share one "
+                f"strip loop and {verb}"
+                + (f"; {prices}" if prices else ""),
+                stmt=later, outcome="fused", parallel=fused.parallel)
+        return fused
+
+    def _refuse(self, later: N.DoLoop, reason: str,
+                detail: str) -> None:
+        REGISTRY.counter("titancc_vector_fusion_total",
+                         {"outcome": reason}).inc()
+        if self.remarks is not None:
+            self.remarks.analysis(
+                "vectorize", self._fn.name,
+                f"strip loops not fused: {detail}", stmt=later,
+                outcome=reason)
+        return None
+
+    @staticmethod
+    def _fused_loop(first: N.DoLoop, later: N.DoLoop) -> N.DoLoop:
+        """``first``'s header and statements, then ``later``'s (both
+        over the same ``vi`` and ``vlen``)."""
+        return N.DoLoop(var=first.var, lo=first.lo, hi=first.hi,
+                        step=first.step, body=first.body + later.body[1:],
+                        vector=True, line=first.line)
 
     def _emit_region(self, loop: N.DoLoop, region: StripRegion,
                      trip_expr: N.Expr, direct: bool) -> N.Stmt:
@@ -700,9 +891,7 @@ class Vectorizer:
         if direct:
             return lower(stmt, loop.var, N.int_const(0), trip_expr)
         strip = self.options.vector_length
-        vi = self.symtab.fresh_temp(INT, "vi")
-        vlen = self.symtab.fresh_temp(INT, "vlen")
-        self._fn.local_syms.extend([vi, vlen])
+        vi, vlen = self._strip_temps(trip_expr)
         vlen_value = N.BinOp(
             op="min", left=N.int_const(strip),
             right=N.BinOp(op="-", left=N.clone_expr(trip_expr),
@@ -719,6 +908,18 @@ class Vectorizer:
             hi=simplify(N.BinOp(op="-", left=N.clone_expr(trip_expr),
                                 right=N.int_const(1), ctype=INT)),
             step=strip, body=body, vector=True, line=stmt.line)
+
+    def _strip_temps(self, trip_expr: N.Expr) -> Tuple[Symbol, Symbol]:
+        """The ``vi`` and ``vlen`` of strip loops over ``trip_expr``
+        elements."""
+        for trip, temps in self._temps:
+            if N.expr_equal(trip, trip_expr):
+                return temps
+        temps = (self.symtab.fresh_temp(INT, "vi"),
+                 self.symtab.fresh_temp(INT, "vlen"))
+        self._fn.local_syms.extend(temps)
+        self._temps.append((trip_expr, temps))
+        return temps
 
     def _reduce_stmt(self, stmt: N.Assign, loop_var: Symbol,
                      start: N.Expr, length: N.Expr) -> N.VectorReduce:
@@ -863,6 +1064,58 @@ def _defined_before_use(body: List[N.Stmt], sym: Symbol) -> bool:
                 for s in N.walk_statements([stmt])):
             return False  # first touch is conditional
     return True
+
+
+def _edges_among(graph: DependenceGraph,
+                 indices: List[int]) -> List[DependenceEdge]:
+    """The edges of ``graph`` between statements ``indices``, by
+    position in that list."""
+    position = {index: at for at, index in enumerate(indices)}
+    return [dataclasses.replace(edge, src=position[edge.src],
+                                dst=position[edge.dst])
+            for edge in graph.edges
+            if edge.src in position and edge.dst in position]
+
+
+def _fork_blocker(edges: List[DependenceEdge],
+                  stmts: List[N.Stmt]) -> Optional[DependenceEdge]:
+    """The first carried edge among ``stmts`` — even an anti edge,
+    satisfied within one vector instruction, races across strips —
+    other than a reduction accumulator's edge onto itself; None when
+    the strips of those statements may fork."""
+    return next((edge for edge in edges if edge.carried and not (
+        edge.src == edge.dst
+        and isinstance(stmts[edge.src].target, N.VarRef)
+        and edge.reason == f"scalar {stmts[edge.src].target.sym.name}")),
+        None)
+
+
+def _hoistable(stmt: N.Stmt, loop: N.DoLoop) -> bool:
+    """May ``stmt``, just after ``loop``, run before it instead?  Yes
+    for a scalar assignment to a register-like local, with no call,
+    load or volatile access, when ``loop`` neither reads nor writes
+    its target and writes nothing it reads."""
+    if not isinstance(stmt, N.Assign) \
+            or not isinstance(stmt.target, N.VarRef):
+        return False
+    reads = set(N.vars_read(stmt.value))
+    for sym in reads | {stmt.target.sym}:
+        if sym.address_taken or sym.is_volatile \
+                or sym.storage in ("global", "static", "extern"):
+            return False
+    if any(isinstance(e, (N.Mem, N.CallExpr))
+           for e in N.walk_expr(stmt.value)):
+        return False
+    touched: Set[Symbol] = set(N.vars_read(loop.lo)) \
+        | set(N.vars_read(loop.hi)) | {loop.var}
+    written: Set[Symbol] = {loop.var}
+    for inner in N.walk_statements(loop.body):
+        touched |= utils.stmt_reads(inner)
+        target = getattr(inner, "target", None)
+        if isinstance(target, N.VarRef):
+            written.add(target.sym)
+    return stmt.target.sym not in touched | written \
+        and not reads & written
 
 
 def _describe_edge(body: List[N.Stmt], edge) -> str:

@@ -276,6 +276,34 @@ def test_operator_kernels_equal_the_rule(left, right, ctype, op):
         outcome(lambda: binop_value(op, left, right, ctype))
 
 
+@pytest.mark.parametrize("ctype", (FLOAT, DOUBLE), ids=str)
+@pytest.mark.parametrize("op, divisor, fault", (
+    ("/", 0.0, "division by zero"), ("/", -0.0, "division by zero"),
+    ("%", 0.1, "modulo by zero"), ("%", -0.5, "modulo by zero")))
+def test_float_zero_divisors_fault(op, divisor, fault, ctype):
+    """A float division by zero has no value here (C with IEEE floats
+    would give an infinity or a NaN): it faults like an integer one,
+    in the rule, the folder (no fold), the kernels and both engines'
+    scalar and vector code.  A float ``%`` truncates its operands, so
+    a divisor that truncates to 0 is the same fault — not Python's
+    ``ZeroDivisionError``."""
+    divisor = ctype.convert(divisor)
+    want = ("fault", "InterpreterError", fault)
+    assert outcome(lambda: binop_value(op, 5.0, divisor, ctype)) == want
+    assert outcome(lambda: _binop_impl(op, ctype)(5.0, divisor)) == want
+
+    def build(left, right):
+        return N.BinOp(op=op, left=left, right=right, ctype=ctype)
+
+    folded = simplify(build(_const(5.0, ctype), _const(divisor, ctype)))
+    assert not isinstance(folded, N.Const), folded
+    kernel = Kernel(build, ctype, ctype, 2)
+    for engine in ("tree", "compiled"):
+        assert kernel.scalar_run(engine, (5.0, divisor)) == want, engine
+        assert outcome(lambda: kernel.vector_run(
+            engine, [(5.0, divisor)])[0]) == want, engine
+
+
 # -- the front end folds by the rule -----------------------------------------
 
 

@@ -140,6 +140,66 @@ void f(float *p, float *q, int n)
             assert "Traceback" not in err
 
 
+class TestDiagnostics:
+    """A front-end error in the source is one located line and exit
+    status 2, like an unreadable source; a fault in the simulated run
+    is one line naming the entry and status 1; both through the
+    structured logger.  Anything else is a bug and keeps its
+    traceback."""
+
+    REJECTED = (
+        ("int x;\nint g = x;\nint main(void) { return g; }\n",
+         "2:9: global initializer is not constant"),
+        ("int main(void) {\n  return 1 +;\n}\n",
+         "2:13: unexpected token ';'"),
+        ('char *s = "\\x";\nint main(void) { return 0; }\n',
+         "1:11: "))
+
+    @pytest.mark.parametrize("text, where", REJECTED)
+    @pytest.mark.parametrize("flags", ((), ("--run", "main"),
+                                       ("--make-db", "out.ildb")))
+    def test_rejected_source(self, text, where, flags, tmp_path, capsys,
+                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "f.c"
+        path.write_text(text)
+        assert main([str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"titancc: error: {path}:{where}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(tmp_path / "out.ildb")
+
+    def test_run_fault(self, tmp_path, capsys):
+        path = tmp_path / "f.c"
+        path.write_text("float z;\nint main(void) {\n"
+                        "  float a = 1.0f;\n  return (int)(a / z);\n}\n")
+        assert main([str(path), "--run", "main"]) == 1
+        err = capsys.readouterr().err
+        assert "titancc: error: run main: division by zero" in err
+        assert "Traceback" not in err
+
+    def test_log_json(self, tmp_path, capsys):
+        import json
+        path = tmp_path / "f.c"
+        path.write_text(self.REJECTED[0][0])
+        assert main([str(path), "--log-json"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["level"] == "error"
+        assert record["message"] == \
+            f"{path}:2:9: global initializer is not constant"
+
+    def test_a_compiler_bug_keeps_its_traceback(self, daxpy_file,
+                                                monkeypatch):
+        from repro.pipeline import TitanCompiler
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("an internal error")
+
+        monkeypatch.setattr(TitanCompiler, "compile", broken)
+        with pytest.raises(RuntimeError, match="an internal error"):
+            main([daxpy_file])
+
+
 class TestUnwritableOutputs:
     """An output path the CLI cannot write is a usage error naming it,
     like an unreadable source, never a traceback."""

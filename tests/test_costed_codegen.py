@@ -423,7 +423,7 @@ class TestRepeatedRuns:
                     second = simulator.run("main")
                     assert simulator.interpreter.steps == 2 * steps
                 assert second.cycles == first.cycles == \
-                    pytest.approx(3574.2, abs=0.1)
+                    pytest.approx(2930.9, abs=0.1)
                 assert second.counters == first.counters == snapshot
                 assert second.breakdown == first.breakdown
                 if profile:

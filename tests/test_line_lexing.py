@@ -107,7 +107,7 @@ class TestEquivalence:
         cache = CatalogCache(registry=registry)
         paths = [lex_path(cache, source) for source in SOURCES]
         # Three fuzz corpus files do not lex, one holds non-ASCII text.
-        assert decisions(registry) == {("lines", ""): 70,
+        assert decisions(registry) == {("lines", ""): 71,
                                        ("whole", "lex-error"): 3,
                                        ("whole", "non-ascii"): 1}
         # A warm memo answers with the same fingerprints.

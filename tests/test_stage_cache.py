@@ -84,7 +84,7 @@ def programs():
 class TestTransparency:
     def test_served_bytes_are_the_direct_paths(self):
         requests = programs()
-        assert len(requests) == 12 + 48 + 12
+        assert len(requests) == 13 + 48 + 12
         with CompileService(workers=0) as service:
             for request in requests:
                 for point in POINTS:

@@ -5,9 +5,9 @@ says ``main``'s vector statements cost is what a run of ``main``
 measures: ``vector_compute + vector_memory`` and ``vector_startup`` of
 the :class:`CycleBreakdown`, exactly.  The compilation report's
 ``titan.static`` entries are the same prices.  On straight-line
-``main``s of strip loops the walk's whole price is the run's, and the
-vectorizer forks a reduction exactly when the walk prices the fork
-below the serial loop."""
+``main``s of strip loops — fused ones too — the walk's whole price is
+the run's, and the vectorizer forks a reduction exactly when the walk
+prices the fork below the serial loop, and any strip loop only then."""
 
 import dataclasses
 import os
@@ -70,15 +70,21 @@ def walk_prices(config, loop):
 
 def assert_forks_when_the_walk_says(program, config, label):
     """Every reduction strip loop is ``do parallel`` exactly when its
-    trip is constant and the walk prices it forked below serial."""
+    trip is constant and the walk prices it forked below serial; a
+    strip loop of constant trip forks only then (a carried edge may
+    keep a vector loop serial even where a fork would pay)."""
     for fn in program.functions.values():
         for loop in fn.all_statements():
-            if not (isinstance(loop, N.DoLoop) and loop.vector and any(
-                    isinstance(s, N.VectorReduce) for s in loop.body)):
+            if not (isinstance(loop, N.DoLoop) and loop.vector):
                 continue
             serial, forked = walk_prices(config, loop)
-            pays = static_trip_count(loop) is not None and forked < serial
-            assert loop.parallel == pays, (label, fn.name, serial, forked)
+            known = static_trip_count(loop) is not None
+            pays = known and forked < serial
+            if any(isinstance(s, N.VectorReduce) for s in loop.body):
+                assert loop.parallel == pays, (label, fn.name, serial,
+                                               forked)
+            elif known and loop.parallel:
+                assert pays, (label, fn.name, serial, forked)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -138,13 +144,14 @@ def kernel_source(name: str) -> str:
         return handle.read()
 
 
-@pytest.mark.parametrize("kernel", ["sdot", "mix"])
+@pytest.mark.parametrize("kernel", ["sdot", "mix", "daxpy"])
 def test_walk_of_forked_reductions_equals_measured(kernel):
-    """sdot and the mix loop (a store and a sum distributed from one
-    loop): ``main`` is straight-line code and strip loops, so the
-    walk's price is the run's — the same prices, only added in another
-    order: exactly equal without a fork, to the last few bits where a
-    share divides."""
+    """sdot, the mix loop (a store and a sum distributed from one loop,
+    fused back into one strip loop) and daxpy (init, compute and sum
+    loops fused into one): ``main`` is straight-line code and strip
+    loops, so the walk's price is the run's — the same prices, only
+    added in another order: exactly equal without a fork, to the last
+    few bits where a share divides."""
     template = kernel_source(kernel)
     forks = 0
     for n in (100, 4096):

@@ -20,8 +20,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.frontend.ctypes_ import (CHAR, DOUBLE, FLOAT, INT, SHORT, UCHAR,
                                     UINT)
 from repro.il import nodes as N
+from repro.il.validate import validate_function
 from repro.interp import make_interpreter, vectorgen
-from repro.pipeline import CompilerOptions, compile_c
+from repro.pipeline import CompilerOptions, compile_c, titan_config
 from repro.titan.config import TitanConfig
 from repro.titan.simulator import TitanSimulator
 from tests import vector_cases as vc
@@ -179,13 +180,20 @@ def statements(draw, vp):
     if draw(st.integers(0, 3)) == 0:
         target = draw(st.sampled_from(sorted(vc.REGISTERS)
                                       + sorted(vc.GLOBAL_SCALARS)))
+        value = draw(lanes_of(vp, lanes, depth))
+        if not any(isinstance(e, N.Section) for e in N.walk_expr(value)):
+            # A reduction reduces over a section (IL invariant).
+            value = vc.binop("+", value, draw(sections(vp, lanes)),
+                             value.ctype)
         return vp.reduce(target, draw(st.sampled_from(("+", "min",
                                                        "max"))),
-                         draw(lanes_of(vp, lanes, depth)), lanes)
+                         value, lanes)
     ctype = draw(st.sampled_from((None, None, FLOAT, SHORT, UCHAR, UINT)))
     mask = None
     if draw(st.booleans()):
         mask = draw(lanes_of(vp, lanes, min(depth, 2)))
+        if not mask.ctype.is_integer:
+            mask = vc.binop("!=", mask, vc.const(0, mask.ctype), INT)
     return vp.assign(draw(sections(vp, lanes, ctype)),
                      draw(lanes_of(vp, lanes, depth)), lanes, mask)
 
@@ -234,6 +242,7 @@ class TestRandomVectorIL:
         # outcome, steps, cycles, counters and breakdown, whether the
         # statement ran in bulk, fell back, or faulted.
         program, scalars_, data = drawn
+        validate_function(program.functions["main"])
         fast = vc.assert_parity(program, costed, data, scalars_)
         assert set(fast["forms"]) <= {("bulk", "")}, fast["forms"]
 
@@ -243,9 +252,10 @@ class TestRandomVectorIL:
 
 @st.composite
 def strip_loops(draw, vp):
-    """A strip loop of the vectorizer's shape around one statement over
-    sections that move with the strip — same array or not, a few
-    elements apart (read behind, in place, ahead of the store)."""
+    """A strip loop of the vectorizer's shape around one statement — or
+    a fused loop's two or three — over sections that move with the
+    strip: same array or not, a few elements apart (read behind, in
+    place, ahead of a store, its own or another statement's)."""
     width = draw(st.sampled_from((1, 2, 3, 7, 32, 33)))
     count = draw(st.sampled_from((1, 2, 3, 5))) * width \
         + draw(st.integers(-1, 1))
@@ -256,19 +266,25 @@ def strip_loops(draw, vp):
     arrays = ("ia", "ib") if ints else ("fa", "fb")
     ctype = INT if ints else FLOAT
     offsets = st.integers(0, 3)
-    kind = draw(st.sampled_from(("assign", "masked", "reduce")))
-    read = (draw(st.sampled_from(arrays)), draw(offsets))
-    other = (draw(st.sampled_from(arrays)), draw(offsets))
-    target = (draw(st.sampled_from(arrays)), draw(offsets))
-    op = draw(st.sampled_from(("+", "-", "*", "min")))
-    scalar = vc.const(3, INT) if ints else \
-        draw(st.sampled_from((vc.const(0.5, FLOAT), vp.var("gf"))))
+    plans = []
+    for _ in range(draw(st.sampled_from((1, 1, 2, 3)))):
+        plans.append((
+            draw(st.sampled_from(("assign", "masked", "reduce"))),
+            (draw(st.sampled_from(arrays)), draw(offsets)),
+            (draw(st.sampled_from(arrays)), draw(offsets)),
+            (draw(st.sampled_from(arrays)), draw(offsets)),
+            draw(st.sampled_from(("+", "-", "*", "min"))),
+            vc.const(3, INT) if ints else draw(st.sampled_from(
+                (vc.const(0.5, FLOAT), vp.var("gf")))),
+            # Two reductions into one register do not group.
+            draw(st.sampled_from(("ri", "rc") if ints else ("rf", "rd")))))
 
-    def statement(strip):
+    def statement(strip, kind, read, other, target, op, scalar, register):
         value = vc.binop(op, strip.section(*read), vc.binop(
-            "+", strip.section(*other), scalar, ctype), ctype)
+            "+", strip.section(*other), N.clone_expr(scalar), ctype),
+            ctype)
         if kind == "reduce":
-            return strip.reduce("ri" if ints else "rf", "+", value)
+            return strip.reduce(register, "+", value)
         mask = None
         if kind == "masked":
             mask = vc.binop("<", vc.binop("%", strip.iota(),
@@ -276,8 +292,9 @@ def strip_loops(draw, vp):
                             N.int_const(4), INT)
         return strip.assign(strip.section(*target), value, mask)
 
-    parallel = kind != "reduce" and draw(st.booleans())
-    return vp.strip_loop(width, count, statement, parallel)
+    parallel = draw(st.booleans())
+    return vp.strip_loop(width, count, lambda strip: [
+        statement(strip, *plan) for plan in plans], parallel)
 
 
 @st.composite
@@ -302,6 +319,7 @@ class TestStripGroups:
         # equal the oracle's per-strip run whether a group ran as one,
         # fell back (overlap, order, steps, fault) or never formed.
         program, run = drawn
+        validate_function(program.functions["main"])
         fast = vc.assert_parity(program, costed, None, {"gf": 1.5},
                                 memory=vc.STRIP_MEMORY, **run)
         assert set(fast["forms"]) <= {("bulk", "")}, fast["forms"]
@@ -351,13 +369,39 @@ class TestStripGroups:
                                  bytes(sim.interpreter.memory.data)))
             assert seen[0] == seen[1], (kernel, width)
 
+    @pytest.mark.parametrize("kernel", ("daxpy", "sscal", "vadd",
+                                        "smooth", "guarded_diff",
+                                        "clamp"))
+    def test_fused_e19_kernels_group_at_the_workload_size(self, kernel):
+        # simulate_vector's n and VL: every strip loop — fused ones
+        # with up to four statements — runs as groups of 128 strips,
+        # none strip by strip, at every processor count.
+        from repro.opt.fold import static_trip_count
+        source = _source(E19_KERNELS_DIR, kernel + ".c", n=24576)
+        for processors in (1, 2, 4):
+            options = CompilerOptions(vector_length=32,
+                                      processors=processors)
+            program = compile_c(source, options).program
+            loops = [s for s in program.functions["main"].all_statements()
+                     if isinstance(s, N.DoLoop) and s.vector]
+            before = vc.strip_groups()
+            with TitanSimulator(program, titan_config(options)) as sim:
+                sim.run("main")
+            delta = {key: value - before.get(key, 0)
+                     for key, value in vc.strip_groups().items()
+                     if value != before.get(key, 0)}
+            assert delta == {("grouped", ""): sum(
+                -(-static_trip_count(loop) // 128) for loop in loops)}, \
+                (kernel, processors)
+
     def test_dump_code_names_the_group_bound(self):
         program = compile_c(_source(E19_KERNELS_DIR, "daxpy.c", n=100),
                             CompilerOptions(vector_length=32)).program
         dump = make_interpreter(program, engine="compiled").disassemble(
             "main")
-        assert dump.count(": groups of up to 128 strips\n") == 4
-        assert dump.count("# strip loop ") == 4
+        # Init, daxpy and sum: one fused strip loop.
+        assert dump.count(": groups of up to 128 strips\n") == 1
+        assert dump.count("# strip loop ") == 1
 
 
 # -- float32 sums ----------------------------------------------------------
@@ -563,7 +607,7 @@ class TestConversionCounter:
         # section bases, every one inside its type by the strip
         # variable's range — and main's ``(int) ddot()``, a float.
         assert self._generated(_source(EXAMPLES_DIR, "daxpy.c")) == {
-            ("scalar", "proved"): 34, ("scalar", "emitted"): 1}
+            ("scalar", "proved"): 19, ("scalar", "emitted"): 1}
 
     def test_e19_daxpy_kernel(self):
         # (i + s) & 7 and (i + 3) & 3: the sums stay unwrapped under
@@ -571,7 +615,7 @@ class TestConversionCounter:
         assert self._generated(
             _source(E19_KERNELS_DIR, "daxpy.c", n=256)) == {
                 ("vector", "deferred"): 2, ("vector", "proved"): 2,
-                ("scalar", "proved"): 32, ("scalar", "emitted"): 1}
+                ("scalar", "proved"): 17, ("scalar", "emitted"): 1}
 
 
 def _run(program, engine, costed):

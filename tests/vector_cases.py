@@ -121,7 +121,8 @@ class VectorProgram:
         start + count - 1``: ``do [parallel] vi = start, start + count
         - 1, width { vlen = min(width, start + count - vi);
         statement(strip) }``, where ``strip`` builds sections that move
-        with ``vi`` (:class:`Strip`)."""
+        with ``vi`` (:class:`Strip`) and ``statement`` returns one
+        statement or, for a fused loop's body, a list of them."""
         vi = self.table.fresh_temp(INT, "vi")
         vlen = self.table.fresh_temp(INT, "vlen")
         self.locals += [vi, vlen]
@@ -131,9 +132,11 @@ class VectorProgram:
             value=binop("min", N.int_const(width),
                         binop("-", N.int_const(start + count),
                               N.VarRef(sym=vi, ctype=INT), INT), INT))
+        stmts = statement(strip)
         return N.DoLoop(var=vi, lo=N.int_const(start),
                         hi=N.int_const(start + count - 1), step=width,
-                        body=[header, statement(strip)],
+                        body=[header] + (stmts if isinstance(stmts, list)
+                                         else [stmts]),
                         parallel=parallel, vector=True)
 
     def program(self, body: Sequence[N.Stmt],
@@ -195,7 +198,10 @@ class Strip:
 
 
 def const(value, ctype: CType) -> N.Const:
-    return N.Const(value=value, ctype=ctype)
+    """``value`` as a constant of ``ctype`` holds it: converted to a
+    value of the type (IL invariant 7) — 0.1 rounded and 1e300
+    infinite as a float, 2**31 wrapped as an int."""
+    return N.Const(value=ctype.convert(value), ctype=ctype)
 
 
 def binop(op: str, left: N.Expr, right: N.Expr, ctype: CType) -> N.BinOp:
@@ -209,7 +215,7 @@ def select(cond: N.Expr, then: N.Expr, otherwise: N.Expr,
 
 
 def iota(start: int = 0) -> N.Iota:
-    return N.Iota(start=N.int_const(start), ctype=INT)
+    return N.Iota(start=const(start, INT), ctype=INT)
 
 
 # -- running ---------------------------------------------------------------
@@ -872,6 +878,59 @@ def _scalar_behind_write(vp):
     return vp.program([vp.strip_loop(2, 8, store)])
 
 
+def _fused_chain(vp):
+    # A fused loop's body, daxpy's shape: two init stores, a store
+    # reading both lane for lane, a sum of it — 4,500 elements at
+    # VL 32, a group of 128 strips and one of 13.
+    def chain(strip):
+        return [
+            strip.assign(strip.section("fa"), N.Cast(operand=binop(
+                "&", strip.iota(), N.int_const(7), INT), ctype=FLOAT)),
+            strip.assign(strip.section("fb"), N.Cast(operand=binop(
+                "&", strip.iota(), N.int_const(3), INT), ctype=FLOAT)),
+            strip.assign(strip.section("fa"), binop(
+                "+", strip.section("fb"),
+                binop("*", const(2.0, FLOAT), strip.section("fa"), FLOAT),
+                FLOAT)),
+            strip.reduce("rf", "+", strip.section("fa"))]
+    return vp.program([vp.strip_loop(32, STRIP_ELEMS, chain)],
+                      registers={"rf": 0.0})
+
+
+def _fused_read_ahead(vp):
+    # fa[i] = fb[i]; fb[i] = fa[i + 1]: strip by strip the second
+    # statement's last lane reads fa before the next strip's first
+    # statement stores it; grouped it would read the new value.
+    def pair(strip):
+        return [strip.assign(strip.section("fa"), binop(
+                    "+", strip.section("fb"), const(1.0, FLOAT), FLOAT)),
+                strip.assign(strip.section("fb"), strip.section("fa", 1))]
+    return vp.program([vp.strip_loop(4, 40, pair)])
+
+
+def _fused_store_behind(vp):
+    # fb[i] = fa[i]; fa[i + 1] = fb[i]: the second statement stores
+    # the element the first reads at the next lane — seen by the next
+    # strip's first statement, not by a group's.
+    def pair(strip):
+        return [strip.assign(strip.section("fb"), strip.section("fa")),
+                strip.assign(strip.section("fa", 1), binop(
+                    "*", strip.section("fb"), const(2.0, FLOAT), FLOAT))]
+    return vp.program([vp.strip_loop(4, 40, pair, parallel=False)])
+
+
+def _fused_fault(vp):
+    # The first statement stores every strip; the second reads past
+    # the image from strip 3 on: the group puts the first statement's
+    # stores back and runs strip by strip, to the oracle's fault.
+    def pair(strip):
+        return [strip.assign(strip.section("fa"), binop(
+                    "+", strip.section("fb"), const(1.0, FLOAT), FLOAT)),
+                strip.reduce("rf", "+", strip.at(vp.memory - 40, FLOAT))]
+    return vp.program([vp.strip_loop(4, 20, pair, parallel=False)],
+                      registers={"rf": 0.0})
+
+
 def _strip_steps(vp):
     # Twenty strips of two steps each; the limit falls inside them.
     return _strip_daxpy(2, 40)(vp)
@@ -915,6 +974,14 @@ STRIP_CASES = {
     "strip-order-shuffle": Case(_strip_daxpy(4, 40),
                                 parallel_order="shuffle",
                                 groups={("strips", "order"): 1}),
+    "fused-chain-groups": Case(_fused_chain, groups={GROUPED: 2},
+                               processors=2),
+    "fused-read-ahead-of-an-earlier-store": Case(
+        _fused_read_ahead, groups={("strips", "overlap"): 1}),
+    "fused-store-behind-an-earlier-read": Case(
+        _fused_store_behind, groups={("strips", "overlap"): 1}),
+    "fused-fault-restores": Case(_fused_fault, "out of range", misses=1,
+                                 groups={("strips", "fault"): 1}),
 }
 
 
