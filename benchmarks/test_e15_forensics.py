@@ -8,8 +8,9 @@ reconstructs exactly that argument from the PassChecker IL snapshots,
 and its value rests on three properties measured here:
 
 * **exactness** — the per-pass cycle deltas must sum *bit-exactly*
-  (Fraction arithmetic, no float drift) to the O0→full total delta, on
-  both flagship workloads (daxpy and backsolve).  A waterfall whose
+  (every estimate is a whole number of cycles, so float sums are
+  exact) to the O0→full total delta, on both flagship workloads
+  (daxpy and backsolve).  A waterfall whose
   bars don't sum to the total is a lie;
 * **observation-free when off** — compiling without ``--attrib`` must
   not even import the attribution module, and the enabled path must
@@ -73,9 +74,8 @@ def test_e15_forensics_attribution_and_explain():
     daxpy = caller_program(n=2048)
     solve = backsolve(512)
 
-    # --- exactness: Fraction telescoping on both workloads.  The
-    # comparison is on the raw Fractions, not their float renderings —
-    # bit-exact or bust.
+    # --- exactness: telescoping on both workloads, compared with
+    # ``==`` — bit-exact or bust.
     attribs = {"daxpy": _attribute(daxpy, "daxpy"),
                "backsolve": _attribute(solve, "backsolve")}
     exact = {name: a.sum_of_deltas == a.total_delta

@@ -45,25 +45,24 @@ variant).  Scalar cost events are a static function of the IL — one
 ``load``/``store``/``flop``/``intop``/``branch``/``call`` per node, in
 evaluation order — so they are not called, they are added up:
 
-* cycles accumulate in a local float ``_cy`` as left-to-right chains
-  (``_cy = _cy + 11.0 + 1.0 + 8.0``), one latency per event in the
-  oracle's event order.  The total is fractional after the first
-  parallel rescale, so regrouping the additions would round
-  differently; the order is part of the contract;
+* cycles accumulate in a local float ``_cy``, one constant per
+  straight-line stretch (``_cy = _cy + 20.0``).  Every price is a
+  whole number of cycles (a fractional one keeps the model off this
+  variant) and the parallel share is truncated, so every total is a
+  whole number and float addition is exact in any order;
 * operation counts are local ints (``_kN`` charged, ``_uN`` counted
   only), bumped once per straight-line stretch; the model derives its
   ``scalar``/``memory`` buckets from the charged counts at exit
   (exact: the latencies are whole cycles);
 * costs follow the IL tree, not the emitted Python: a CSE temp still
-  charges every occurrence, a lazy ``Select`` replays only the taken
-  arm's events, a lazily filled vector cache charges when the first
-  lane fills it;
+  charges every occurrence, a lazy ``Select`` charges only the taken
+  arm's events, a lazily filled vector cache charges when some lane
+  fills it;
 * scheduled loops (their bodies are call-free plain assigns, so which
   events the model would suppress is lexical) count without charging
   and pay the model's initiation-interval lump at exit;
 * a vector statement that ran in bulk charges the scalars it
-  evaluated, in the order the oracle's lanes would have reached them,
-  and then its instructions through one call
+  evaluated and then its instructions through one call
   (``vector_statement(cycles, instructions, length) -> cycles``); in
   a strip group, every strip's scalars and instructions through one
   (``strip_group(cycles, plan, length[, reached]) -> cycles``);
@@ -80,7 +79,7 @@ The engine *is* an :class:`Interpreter`, so what it will not generate
 runs on the tree oracle it inherits (``Interpreter._exec_function``),
 one whole function at a time: every function under a hook that offers
 no cost table (recording hooks, a model with a profiler attached, one
-with fractional latencies) — the oracle's event stream is the event
+with fractional prices) — the oracle's event stream is the event
 stream's definition — and any function the generator cannot prove it
 can lower exactly (volatile symbols and their device hooks, aggregate
 scalar access, lazily-allocated address-taken symbols, list-parallel
@@ -464,25 +463,17 @@ class _CodeGenerator:
             self._items, self._in_arm = saved
 
     def _cost_updates(self, items: List) -> List[Tuple[str, str]]:
-        """``(local, new value source)`` pairs applying ``items`` in
-        order; a pair with an empty local is a bare expression (the
-        replay of a Select: only the taken arm's events).  Cycles add
-        up left to right, one latency at a time — the oracle's order,
-        which regrouping would round differently once a parallel
-        rescale has made the total fractional."""
+        """``(local, new value source)`` pairs applying ``items``; a
+        pair with an empty local is a bare expression (a Select: only
+        the taken arm's events).  The stretch's cycles are one
+        constant: every latency is whole, so the sum is exact in any
+        order."""
         latency = self._costs.latency
         out: List[Tuple[str, str]] = []
-        terms: List[str] = []
+        cycles = 0
         bumps: Dict[str, int] = {}
-
-        def close_chain() -> None:
-            if terms:
-                out.append(("_cy", "_cy + " + " + ".join(terms)))
-                terms.clear()
-
         for item in items:
             if isinstance(item, tuple):
-                close_chain()
                 tmp, then, other = item
                 out.append(("", f"{self._cost_expr(then)} if {tmp} "
                                 f"else {self._cost_expr(other)}"))
@@ -491,10 +482,10 @@ class _CodeGenerator:
             index = ~item if quiet else item
             name = f"_u{index}" if quiet else f"_k{index}"
             bumps[name] = bumps.get(name, 0) + 1
-            cycles = latency[self._kinds[index]]
-            if not quiet and cycles:
-                terms.append(repr(float(cycles)))
-        close_chain()
+            if not quiet:
+                cycles += latency[self._kinds[index]]
+        if cycles:
+            out.append(("_cy", f"_cy + {float(cycles)!r}"))
         for name, n in bumps.items():
             self._cost_locals.add(name)
             out.append((name, f"{name} + {n}"))

@@ -528,7 +528,10 @@ class Interpreter:
     def _exec_vector_reduce(self, stmt: N.VectorReduce,
                             frame: _Frame) -> None:
         """target = target op-combine(elements), accumulated in index
-        order so results match the scalar loop bit-for-bit."""
+        order so results match the scalar loop bit-for-bit.  A NaN
+        accumulator stays, as a floating-point unit returns its first
+        operand's NaN: CPython's float ``+`` of two NaNs returns
+        either, depending on the path it takes."""
         length = int(self._eval(stmt.length, frame))
         acc = self._read_var(frame, stmt.target.sym)
         if length > 0:
@@ -536,8 +539,9 @@ class Interpreter:
             for i in range(length):
                 elem = self._eval_vector_elem(stmt.value, i, frame,
                                               cache)
-                acc = _apply_binop(stmt.op, acc, elem,
-                                   stmt.target.ctype)
+                if acc == acc:
+                    acc = _apply_binop(stmt.op, acc, elem,
+                                       stmt.target.ctype)
             self._cost("vector_reduce", stmt.op, length)
         self._write_var(frame, stmt.target.sym, acc)
 

@@ -28,8 +28,7 @@ through it:
   on the gathered lanes that take it;
 * a broadcast scalar, section base or iota start under a mask or an
   arm is evaluated only if some lane gets there, and the events of
-  its evaluation are charged in the order the oracle's lanes would
-  have reached them (:func:`fill_order`).
+  its evaluation are charged only then.
 
 A statement the bulk form cannot express (:func:`bulk_obstacle`: a
 call among its scalars, an aggregate section, a node shared between
@@ -223,7 +222,8 @@ class LaneAccess:
         (induction on the prefix; a NaN compares unequal, an overflow
         comes back infinite): the last one is the answer, and the
         first lane says whether to try.  Else step by step — where a
-        finite overflow raises, for the oracle's routine to handle."""
+        finite overflow raises, for the oracle's routine to handle,
+        and a NaN sum is final, as the oracle's reduction keeps it."""
         pack, unpack = _F32_PACK, _F32_UNPACK
         first = acc + values[0]
         if unpack(pack(first))[0] == first:
@@ -235,27 +235,10 @@ class LaneAccess:
                 "titancc_vector_reduce_stepwise_total")
         self._stepwise.inc()
         for value in values:
+            if acc != acc:
+                break
             acc = unpack(pack(acc + value))[0]
         return acc
-
-
-def first_lane(flags: list, want: bool, lanes, offset: int):
-    """Ordering key of the first lane whose flag is ``want`` —
-    ``offset`` plus its lane number — or None when no lane is."""
-    try:
-        position = flags.index(want)
-    except ValueError:
-        return None
-    return offset + lanes[position]
-
-
-def fill_order(*keys) -> List[int]:
-    """Positions of the reached scalar fills in the order the oracle's
-    lanes evaluate them: by first lane, then by place in the tree
-    (``keys`` come in tree order; None is a fill no lane reached)."""
-    return [position for _, position in
-            sorted((key, position) for position, key in enumerate(keys)
-                   if key is not None)]
 
 
 def strips_reached(flags: list, width: int) -> List[bool]:
@@ -446,21 +429,16 @@ class _Context:
     """Where lanes are evaluated: a domain (which lanes, in order) and
     whether any lane gets here at all."""
 
-    def __init__(self, index: str, count: str, dense: bool, offset: str,
-                 guard: Optional[str] = None, key: str = "0"):
+    def __init__(self, index: str, count: str, dense: bool,
+                 guard: Optional[str] = None):
         #: Source of the domain's lane numbers, in order.
         self.index = index
         #: Source of how many lanes that is.
         self.count = count
         #: Every lane of the statement, in order (position == lane).
         self.dense = dense
-        #: Source added to lane numbers in ordering keys: the value
-        #: phase of a masked statement comes after its whole mask.
-        self.offset = offset
-        #: Source that is true when some lane gets here (None: always).
+        #: Local that is true when some lane gets here (None: always).
         self.guard = guard
-        #: Source of the ordering key of the first lane to get here.
-        self.key = key
         self.lines: List[str] = []
         #: Holds something that must not run unless a lane gets here.
         self.lazy = False
@@ -495,9 +473,9 @@ class BulkStatement:
         #: Scalars that cannot fault and charge nothing: evaluated up
         #: front, wherever in the tree they sit.
         self.eager: List[str] = []
-        #: Locals an ordering key may read though the block assigning
-        #: them never ran.
-        self.key_locals: List[str] = []
+        #: Guard locals the accounting may read though the block
+        #: assigning them never ran.
+        self.guard_locals: List[str] = []
         #: Where the stored (or reduced) value is computed: the root,
         #: or under a mask the context of its active lanes.
         self.value_ctx: Optional[_Context] = None
@@ -829,21 +807,15 @@ class BulkStatement:
         computes what its guard reads."""
         gen = self.gen
         name = gen._tmp_name()
-        self.key_locals.append(name)
+        self.guard_locals.append(name)
         if not gather:
             # Speculated: the parent's lanes, all of them.
-            arm = _Context(ctx.index, ctx.count, ctx.dense, ctx.offset,
-                           guard=f"{name} is not None", key=name)
+            arm = _Context(ctx.index, ctx.count, ctx.dense, guard=name)
             arm.ivar = ctx.ivar = self._index_var(ctx)
-            first = self._helper(first_lane)
-            return arm, (f"{name} = {first}({flags}, {want}, "
-                         f"{ctx.index}, {ctx.offset})")
+            return arm, f"{name} = {want} in {flags}"
         lane, flag = gen._tmp_name(), gen._tmp_name()
         test = flag if want else f"not {flag}"
-        arm = _Context(name, f"len({name})", False, ctx.offset,
-                       guard=name,
-                       key=f"({ctx.offset} + {name}[0] if {name} "
-                           f"else None)")
+        arm = _Context(name, f"len({name})", False, guard=name)
         return arm, (f"{name} = [{lane} for {lane}, {flag} in "
                      f"zip({ctx.index}, {flags}) if {test}]")
 
@@ -860,14 +832,14 @@ class BulkStatement:
         gather = not nofault
         while True:
             mark = (len(self.fills), len(self.eager),
-                    len(self.key_locals), dict(self.gen._conversions))
+                    len(self.guard_locals), dict(self.gen._conversions))
             ctx, prepare = contexts(gather)
             lanes = compile_in(ctx)
             if gather or not ctx.nested:
                 break
             del self.fills[mark[0]:]
             del self.eager[mark[1]:]
-            del self.key_locals[mark[2]:]
+            del self.guard_locals[mark[2]:]
             self.gen._conversions = mark[3]
             gather = True
         if gather or ctx.lazy:
@@ -885,7 +857,7 @@ class BulkStatement:
             lambda gather: self._arm_context(ctx, flags, want, gather),
             lambda arm: self._vec(expr, arm, ring=ring))
         if not gather and not arm.lazy:
-            self.key_locals.remove(arm.key)
+            self.guard_locals.remove(arm.guard)
             ctx.lines.extend(arm.lines)
             return False, lanes, False
         result = gen._tmp_name()
@@ -958,39 +930,23 @@ class BulkStatement:
 
     # -- whole statements --------------------------------------------------
 
-    def _charge_lines(self, first: list, last: list) -> List[str]:
-        """Accounting of a statement that ran in bulk: ``first`` (its
-        length), every reached scalar fill in lane order, ``last``."""
+    def _charge_lines(self, items: list) -> List[str]:
+        """Accounting of a statement that ran in bulk: ``items`` (the
+        events of its length and target) and every scalar fill some
+        lane reached."""
         gen = self.gen
         if not self.costed:
             return []
-        always, reached, dynamic = list(first), [], False
+        always, guarded = list(items), {}
         for ctx, items in self.fills:
             if ctx.guard is None:
                 always += items
-            elif ctx is self.value_ctx:
-                reached += items
             else:
-                dynamic = True
-        if not dynamic:
-            # Fills of the mask (or an unmasked statement) belong to
-            # lane 0; a masked value's to its first active lane.
-            if not reached:
-                return gen._cost_lines(always + last)
-            return (gen._cost_lines(always)
-                    + [f"if {self.value_ctx.guard}:"]
-                    + _ind(gen._cost_lines(reached))
-                    + gen._cost_lines(last))
-        order = self._helper(fill_order)
-        which = gen._tmp_name()
-        lines = gen._cost_lines(list(first))
-        lines.append(f"for {which} in {order}("
-                     + ", ".join(ctx.key for ctx, _ in self.fills) + "):")
-        for position, (_, items) in enumerate(self.fills):
-            keyword = "if" if position == 0 else "elif"
-            lines.append(f"    {keyword} {which} == {position}:")
-            lines += _ind(_ind(gen._cost_lines(items)))
-        return lines + gen._cost_lines(last)
+                guarded.setdefault(ctx.guard, []).extend(items)
+        lines = gen._cost_lines(always)
+        for guard, items in guarded.items():
+            lines += [f"if {guard}:"] + _ind(gen._cost_lines(items))
+        return lines
 
     def _instruction_lines(self) -> List[str]:
         if not self.costed:
@@ -999,7 +955,7 @@ class BulkStatement:
             self.env, tuple(vector_instructions(self.stmt)))
         return [f"_cy = _vx(_cy, {events}, {self.tl})"]
 
-    def _strip_lines(self, first: list, last: list, flags: Optional[str],
+    def _strip_lines(self, items: list, flags: Optional[str],
                      tail: List[str], save: str = "") -> List[str]:
         """The commit of a statement its strip loop may group: every
         strip's accounting in one call
@@ -1010,19 +966,18 @@ class BulkStatement:
         group, gen = self.group, self.gen
         plan, reached = (), "None"
         if self.costed:
-            lead, optional = list(first), []
+            always, optional = list(items), []
             if group.first:
-                lead[:0] = group.header
-            for ctx, items in self.fills:
+                always += group.header
+            for ctx, fill in self.fills:
                 # No Select in a grouped statement: every fill is the
                 # root's or a masked value's.
                 assert ctx.guard is None or ctx is self.value_ctx
-                (lead if ctx.guard is None else optional).extend(items)
+                (always if ctx.guard is None else optional).extend(fill)
             kinds = gen._kinds
             plan = (tuple(vector_instructions(self.stmt)),
-                    tuple(kinds[i] for i in lead),
-                    tuple(kinds[i] for i in optional),
-                    tuple(kinds[i] for i in last))
+                    tuple(kinds[i] for i in always),
+                    tuple(kinds[i] for i in optional))
             if optional:
                 reached = (f"{self._helper(strips_reached)}({flags}, "
                            f"{group.width})")
@@ -1110,7 +1065,7 @@ class BulkStatement:
         target = stmt.target
         length_src, length_items, self.length_fact = \
             self._scalar(target.length, as_int=True)
-        root = _Context(f"range({tl})", tl, True, "0")
+        root = _Context(f"range({tl})", tl, True)
         self.value_ctx = root
         access = self._access(target)
         active = None
@@ -1125,14 +1080,12 @@ class BulkStatement:
             compress = self._helper(itertools.compress)
             root.lines.append(
                 f"{active} = list({compress}(range({tl}), {flags}))")
-            key = f"({tl} + {active}[0] if {active} else None)"
 
             def contexts(gather: bool):
                 if gather:
-                    return _Context(active, f"len({active})", False, tl,
-                                    guard=active, key=key), None
-                return _Context(root.index, tl, True, tl, guard=active,
-                                key=key), None
+                    return _Context(active, f"len({active})", False,
+                                    guard=active), None
+                return _Context(root.index, tl, True, guard=active), None
 
             ctx, _, lanes, gather = self._reached(
                 root, self._target_nofault(stmt.value), contexts,
@@ -1167,11 +1120,11 @@ class BulkStatement:
             if active is not None:
                 save = f"if {active}: {save}"
             ends = self._overlap_src(base, access)
-            commit = self._strip_lines(length_items, base_items,
+            commit = self._strip_lines(length_items + base_items,
                                        None if active is None else flags,
                                        [store], save)
             return self._wrap(body, commit, lane_lines, ends)
-        commit = self._charge_lines(length_items, base_items)
+        commit = self._charge_lines(length_items + base_items)
         commit.append(store)
         commit += self._instruction_lines()
         return self._wrap(body, commit, lane_lines)
@@ -1190,8 +1143,8 @@ class BulkStatement:
         group stored and runs it again strip by strip."""
         gen, done = self.gen, self.gen._tmp_name()
         lines = [f"{done} = 0"]
-        if self.costed and self.key_locals:
-            lines.append(" = ".join(self.key_locals) + " = None")
+        if self.costed and self.guard_locals:
+            lines.append(" = ".join(self.guard_locals) + " = None")
         if ends is None:
             lines.append("try:")
             lines += _ind(body + [f"    {done} = 1"])
@@ -1247,7 +1200,7 @@ class BulkStatement:
             self._scalar(stmt.length, as_int=True)
         acc = gen._tmp_name()
         acc_src, acc_items, acc_fact = self._scalar(target)
-        root = _Context(f"range({tl})", tl, True, "0")
+        root = _Context(f"range({tl})", tl, True)
         self.value_ctx = root
         ints = isinstance(ctype, (IntType, PointerType)) and \
             gen._int_valued(target) and self._is_int(stmt.value)
@@ -1283,9 +1236,8 @@ class BulkStatement:
                 pre_converted=gen._same_ctype(ctype, sym.ctype))
             ends = self._overlap_src(None, None)
             return self._wrap(body, self._strip_lines(
-                length_items + acc_items, [], None, write), lane_lines,
-                ends)
-        commit = self._charge_lines(length_items + acc_items, [])
+                length_items + acc_items, None, write), lane_lines, ends)
+        commit = self._charge_lines(length_items + acc_items)
         commit += self._instruction_lines()
         commit += gen._gen_write_lines(
             sym, acc, self.env,

@@ -19,13 +19,13 @@ delta.  Two design choices make that unconditional:
 * every snapshot is costed by the *same* estimator under the same
   :class:`~repro.titan.config.TitanConfig`, so the sum telescopes
   mathematically;
-* all arithmetic is exact: plain Python integers on the scalar fast
-  path, :class:`fractions.Fraction` wherever division or float-derived
-  model parameters enter (floats convert to their exact binary
-  rationals), so the telescoped sum is exact in the implementation
+* every estimate is a whole number of cycles (the machine's prices
+  are whole and :func:`~repro.titan.cost_model.parallel_share`
+  truncates), far below 2**53, so float sums and differences of them
+  are exact and the telescoped sum is exact in the implementation
   too, not just on paper.
 
-This module is the walk's exact rendering: the hook, the waterfall
+This module renders the walk as a waterfall: the hook, the waterfall
 and their serialization.  The walk is deliberately *schedule-free*
 here: mid-pipeline snapshots have no initiation-interval schedules
 yet, so a uniform unscheduled scalar model keeps every snapshot
@@ -45,7 +45,6 @@ document as its attribution-waterfall panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..il import nodes as N
@@ -54,14 +53,6 @@ from ..titan.static import DEFAULT_ASSUMED_TRIPS, StaticCostEstimator
 from . import schemas
 
 ATTRIB_SCHEMA = schemas.ATTRIB
-
-
-def _exact(value):
-    """The walk's arithmetic here: a plain ``int`` when ``value`` is
-    integral (exact *and* fast), else its exact :class:`Fraction`;
-    mixed int/Fraction arithmetic stays exact."""
-    whole = int(value)
-    return whole if whole == value else Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +68,9 @@ class AttributionStep:
     pass_name: str
     function: str
     round_no: int
-    cycles: "int | Fraction"
-    delta: "int | Fraction"  # vs. the previous step (0 for the first)
-    per_function: Dict[str, "int | Fraction"]
+    cycles: float
+    delta: float  # vs. the previous step (0 for the first)
+    per_function: Dict[str, float]
 
     def to_dict(self) -> dict:
         return {"index": self.index, "pass": self.pass_name,
@@ -104,11 +95,10 @@ class CycleAttributor:
     def __init__(self, config: Optional[TitanConfig] = None,
                  assumed_trips: int = DEFAULT_ASSUMED_TRIPS,
                  source: str = "<input>"):
-        self.estimator = StaticCostEstimator(config, assumed_trips,
-                                             number=_exact)
+        self.estimator = StaticCostEstimator(config, assumed_trips)
         self.source = source
         self.steps: List[AttributionStep] = []
-        self._fn_cycles: Dict[str, "int | Fraction"] = {}
+        self._fn_cycles: Dict[str, float] = {}
         # The latest snapshot: its per-loop breakdown is walked once,
         # for the artifact.
         self._last_program: Optional[N.ILProgram] = None
@@ -161,7 +151,7 @@ class CycleAttributor:
 
     @property
     def sum_of_deltas(self):
-        """Exact (int/Fraction) sum of every per-pass delta; equals
+        """Exact sum of every per-pass delta; equals
         :attr:`total_delta` bit-for-bit by telescoping."""
         return sum(step.delta for step in self.steps)
 
@@ -193,7 +183,7 @@ class CycleAttributor:
         first = self.steps[0].per_function
         last = self.steps[-1].per_function
         for fn in sorted(set(first) | set(last)):
-            passes: Dict[str, "int | Fraction"] = {}
+            passes: Dict[str, float] = {}
             prev = first.get(fn, 0)
             for step in self.steps[1:]:
                 now = step.per_function.get(fn, 0)

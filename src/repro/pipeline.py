@@ -65,7 +65,6 @@ class CompilerOptions:
     reg_pipeline: bool = True
     strength_reduction: bool = True
     vector_length: int = 32
-    max_vector_length: int = 2048
     processors: int = 2
     fortran_pointer_semantics: bool = False
     strict_while_conversion: bool = False
@@ -94,7 +93,7 @@ class CompilerOptions:
 #: scalar pass reads cannot be mistaken for one it does not.
 BACK_END_OPTIONS = frozenset({
     "vectorize", "if_convert", "parallelize", "vector_length",
-    "max_vector_length", "processors", "reg_pipeline",
+    "processors", "reg_pipeline",
     "strength_reduction", "parallelize_lists", "collect_deps",
     "fortran_pointer_semantics"})
 
@@ -441,7 +440,6 @@ class TitanCompiler:
                         for s in result.if_convert_stats.values())
             voptions = VectorizeOptions(
                 vector_length=opts.vector_length,
-                max_vector_length=opts.max_vector_length,
                 parallelize=opts.parallelize,
                 assume_no_alias=opts.fortran_pointer_semantics,
                 if_converted=opts.if_convert,

@@ -10,19 +10,16 @@ execution semantics) and accumulates cycles under the machine model in
   counted but not individually charged;
 * **vector instructions** pay startup + elements (stride-penalized);
 * **parallel regions** divide their enclosed cycles across processors
-  and pay a fork/join startup; a forked reduction also pays the
-  combine of its processors' partial results.
+  (truncated to whole cycles) and pay a fork/join startup; a forked
+  reduction also pays the combine of its processors' partial results.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
-import itertools
-import math
 import operator
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..sched.scheduler import LoopSchedule
 from .config import TitanConfig
@@ -119,102 +116,32 @@ class InlineCosts:
     scheduled: frozenset
 
 
-def _grain(value: float) -> float:
-    """The largest power of two ``value`` (finite, nonzero) is a whole
-    multiple of."""
-    mantissa, exponent = math.frexp(value)
-    whole = int(mantissa * (1 << 53))
-    return math.ldexp(whole & -whole, exponent - 53)
-
-
-@functools.lru_cache(maxsize=1024)
-def _addend_units(addends: Tuple[float, ...]) -> Optional[tuple]:
-    """``(grain, sum, sum of magnitudes)`` of finite ``addends`` in
-    units of their smallest grain; None when one is not finite."""
-    if not all(map(math.isfinite, addends)):
-        return None
-    nonzero = [a for a in addends if a]
-    if not nonzero:
-        return math.inf, 0, 0
-    unit = min(map(_grain, nonzero))
-    if max(map(abs, nonzero)) / unit >= 1 << 53:
-        return None
-    steps = [int(a / unit) for a in addends]  # a power of two: exact
-    return unit, sum(steps), sum(map(abs, steps))
-
-
-def replay(total: float, addends: Tuple[float, ...], times: int) -> float:
-    """``total`` plus ``addends`` in order, ``times`` over — the value
-    the one-at-a-time float additions reach.  Where every partial sum
-    is exact the repetitions are added in closed form: all the values
-    are whole multiples of the smallest :func:`_grain` among them, and
-    a sum below 2**53 such units is representable, so no addition up
-    to there rounds.  The repetition that would cross that bound (the
-    total's binade top) is added one value at a time; after it the
-    total may have a coarser grain, and closed form resumes."""
-    units = _addend_units(addends)
-    while times > 0:
-        if units is None or not math.isfinite(total):
-            return functools.reduce(operator.add, itertools.chain(
-                *itertools.repeat(addends, times)), total)
-        unit, net, span = units
-        if span == 0:
-            # Zeros: the first repetition decides (-0.0 + 0.0 is 0.0).
-            return functools.reduce(operator.add, addends, total)
-        fits = 0
-        grain = _grain(total) if total else unit
-        # Powers of two: the ratios are whole numbers.
-        if grain < unit and unit / grain < 1 << 53:
-            scale = int(unit / grain)
-            unit, net, span = grain, net * scale, span * scale
-        used = abs(total) / unit
-        if grain >= unit and used < 1 << 53:
-            fits = min(times, ((1 << 53) - 1 - int(used)) // span)
-        if fits > 0:
-            total += float(fits * net) * unit
-            times -= fits
-            if not times:
-                break
-        total = functools.reduce(operator.add, addends, total)
-        times -= 1
-    return total
-
-
 @dataclass(frozen=True)
 class StripCharges:
     """What one statement of a strip loop charges per strip besides
     its vector instructions, for :meth:`TitanCostModel.strip_group`:
-    latencies of the strip's scalar events in the order they happen
-    (``scalars``; ``unreached`` for a strip no lane of which got to
-    the optional ones), and ``(counter field, breakdown bucket,
-    latency, events)`` per kind."""
+    ``(counter field, breakdown bucket, latency, events)`` per scalar
+    event kind, for every strip (``counted``) and for a strip one lane
+    of which got to the optional events (``optional``)."""
 
     instructions: tuple
-    scalars: Tuple[float, ...]
-    unreached: Tuple[float, ...]
     counted: tuple
-    optional_counted: tuple
+    optional: tuple
 
     @classmethod
     def build(cls, plan: tuple, scalar: Dict[str, tuple]) -> "StripCharges":
-        """From one statement's strip plan — ``(instructions, lead
-        kinds, optional kinds, tail kinds)``: each strip charges
-        ``lead``, then ``optional`` when one of its lanes got to them,
-        then ``tail`` — and the model's scalar table."""
-        instructions, lead, optional, tail = plan
-
-        def cycles(kinds):
-            return tuple(float(scalar[k][1]) for k in kinds
-                         if scalar[k][1])
+        """From one statement's strip plan — ``(instructions, kinds,
+        optional kinds)``: each strip charges ``kinds``, and
+        ``optional`` when one of its lanes got to them — and the
+        model's scalar table."""
+        instructions, kinds, optional = plan
 
         def counted(kinds):
             return tuple((scalar[k][0], scalar[k][2], scalar[k][1], n)
                          for k, n in sorted(
                              collections.Counter(kinds).items()))
 
-        return cls(instructions, cycles(lead + optional + tail),
-                   cycles(lead + tail), counted(lead + tail),
-                   counted(optional))
+        return cls(instructions, counted(kinds), counted(optional))
 
 
 def vector_prices(config: TitanConfig, instructions,
@@ -254,18 +181,15 @@ def _workers(config: TitanConfig, trips: int) -> int:
     return max(1, min(config.processors, max(trips, 1)))
 
 
-def parallel_share(config: TitanConfig, inner, trips: int,
-                   number=None):
+def parallel_share(config: TitanConfig, inner, trips: int):
     """A ``do parallel`` region's ``inner`` cycles over ``trips``
     iterations, divided across the processors it forks at the bus
-    efficiency — converted by ``number``, when given, into the
-    caller's arithmetic."""
+    efficiency and truncated to whole cycles.  The one division in the
+    model: with whole prices every total it keeps is then a whole
+    number, which float addition sums exactly in any order."""
     workers = _workers(config, trips)
     if workers > 1:
-        efficiency = config.parallel_efficiency
-        if number is not None:
-            efficiency = number(efficiency)
-        inner = inner / (workers * efficiency)
+        return int(inner / (workers * config.parallel_efficiency))
     return inner
 
 
@@ -377,13 +301,18 @@ class TitanCostModel:
         """The table for an engine that accounts for scalar events in
         its own code, or the reason (a tier-counter label) every
         event must be emitted instead — the fast engine then runs the
-        tree oracle: a profiler needs every event, and only
-        integer latencies make ``count * latency`` equal the bucket
-        the events would have summed to."""
+        tree oracle: a profiler needs every event, and only whole
+        prices keep every total a whole number, so that the engine's
+        sums, taken in its own order, equal the oracle's."""
         if self.profiler is not None:
             return "hook"
         latency = {kind: row[1] for kind, row in self._scalar.items()}
-        if any(v != int(v) for v in latency.values()):
+        cfg = self.config
+        prices = [*latency.values(), cfg.vector_startup,
+                  cfg.vector_element_cycles, cfg.vector_stride_penalty,
+                  cfg.fp_issue, cfg.parallel_startup,
+                  *(s.initiation_interval for s in self.schedules.values())]
+        if any(v != int(v) for v in prices):
             return "noninteger-cost"
         return InlineCosts(latency, frozenset(self.schedules))
 
@@ -402,38 +331,29 @@ class TitanCostModel:
         return cycles + lump
 
     def vector_statement(self, cycles: float, instructions,
-                         length: int) -> float:
-        """A whole vector statement of ``length`` elements: its
-        ``vector_instructions`` tuple — ``(op, stride)`` each, a
-        reduction the single op ``"reduce"`` — charged in issue order
-        on top of the engine's running total.  This is where a vector
+                         length: int, times: int = 1) -> float:
+        """A whole vector statement of ``length`` elements, ``times``
+        over: its ``vector_instructions`` tuple — ``(op, stride)``
+        each, a reduction the single op ``"reduce"`` — charged on top
+        of the engine's running total.  This is where a vector
         instruction's cost is stated (:func:`vector_prices`); the
         ``vector`` and ``vector_reduce`` events charge one instruction
-        through it, so a statement costs the same float additions
-        either way."""
+        through it."""
         priced = self._vector_priced.get((instructions, length))
         if priced is None:
             priced = self._price(instructions, length)
         issued, elements, flops, startup, costs = priced
         count = self._count
-        count["vector_instructions"] += issued
-        count["vector_elements"] += elements
-        count["flops"] += flops
+        count["vector_instructions"] += issued * times
+        count["vector_elements"] += elements * times
+        count["flops"] += flops * times
         if not self._sched_stack:
             spent = self._spent
-            compute = spent["vector_compute"]
-            memory = spent["vector_memory"]
-            fill = spent["vector_startup"]
             for cost, memory_pipe in costs:
-                cycles += cost
-                if memory_pipe:
-                    memory += cost
-                else:
-                    compute += cost
-                fill += startup
-            spent["vector_compute"] = compute
-            spent["vector_memory"] = memory
-            spent["vector_startup"] = fill
+                cycles += cost * times
+                spent["vector_memory" if memory_pipe
+                      else "vector_compute"] += cost * times
+                spent["vector_startup"] += startup * times
         self.cycles = cycles
         return cycles
 
@@ -442,14 +362,12 @@ class TitanCostModel:
         """The strips of a strip loop that one bulk operation per
         statement of ``length`` elements ran: full strips of the
         plan's width, the last one possibly shorter.  Each strip is
-        charged as its own run would have been — statement by
-        statement, its scalar events (``lead``, ``optional`` when that
-        statement's ``reached`` flags say a lane of the strip got to
-        them (None: every strip), ``tail``), then its instructions
-        through :meth:`vector_statement`'s prices — with the running
-        total replayed addend by addend in that order (:func:`replay`),
-        and counts in closed form.  ``plan`` is ``(width, statement
-        plans)``, each :meth:`StripCharges.build`'s."""
+        charged what its own run would have been — per statement, its
+        scalar events (``optional`` ones only for the strips its
+        ``reached`` flags say a lane got to them; None: every strip)
+        and its instructions through :meth:`vector_statement`.
+        ``plan`` is ``(width, statement plans)``, each
+        :meth:`StripCharges.build`'s."""
         charges = self._strip_charges.get(plan)
         if charges is None:
             if len(self._strip_charges) >= _VECTOR_PRICED_LIMIT:
@@ -463,57 +381,18 @@ class TitanCostModel:
         if reached is None:
             reached = (None,) * len(charges)
         count, spent = self._count, self._spent
-        # Scalar events: whole-cycle latencies, integer sums.
         for stmt, flags in zip(charges, reached):
             hits = strips if flags is None else flags.count(True)
-            for field, bucket, latency, n in stmt.counted:
-                count[field] += n * strips
-                spent[bucket] += n * latency * strips
-            for field, bucket, latency, n in stmt.optional_counted:
-                count[field] += n * hits
-                spent[bucket] += n * latency * hits
-        # Per strip, which statements' optional events it charged.
-        keys = list(zip(*(itertools.repeat(True, strips) if flags is None
-                          else flags for flags in reached)))
-        lengths = [(width, [(key, len(list(run))) for key, run
-                            in itertools.groupby(keys[:full])])]
-        if rest:
-            lengths.append((rest, [(keys[-1], 1)]))
-        # Inside a scheduled loop the instructions are only counted.
-        quiet = bool(self._sched_stack)
-        for size, size_runs in lengths:
-            prices = []
-            for stmt in charges:
-                priced = self._vector_priced.get((stmt.instructions, size))
-                if priced is None:
-                    priced = self._price(stmt.instructions, size)
-                prices.append(priced)
-            n = sum(times for _, times in size_runs)
-            for issued, elements, flops, _, _ in prices:
-                count["vector_instructions"] += issued * n
-                count["vector_elements"] += elements * n
-                count["flops"] += flops * n
-            for key, times in size_runs:
-                addends = ()
-                for stmt, flag, priced in zip(charges, key, prices):
-                    addends += stmt.scalars if flag else stmt.unreached
-                    if not quiet:
-                        addends += tuple(cost for cost, _ in priced[4])
-                cycles = replay(cycles, addends, times)
-            if quiet:
-                continue
-            spent["vector_compute"] = replay(
-                spent["vector_compute"],
-                tuple(c for priced in prices
-                      for c, memory in priced[4] if not memory), n)
-            spent["vector_memory"] = replay(
-                spent["vector_memory"],
-                tuple(c for priced in prices
-                      for c, memory in priced[4] if memory), n)
-            spent["vector_startup"] = replay(
-                spent["vector_startup"],
-                tuple(priced[3] for priced in prices
-                      for _ in priced[4]), n)
+            for kinds, times in ((stmt.counted, strips),
+                                 (stmt.optional, hits)):
+                for field, bucket, latency, n in kinds:
+                    count[field] += n * times
+                    spent[bucket] += n * latency * times
+                    cycles += n * latency * times
+            for size, times in ((width, full), (rest, rest > 0)):
+                if times:
+                    cycles = self.vector_statement(
+                        cycles, stmt.instructions, size, times)
         self.cycles = cycles
         return cycles
 

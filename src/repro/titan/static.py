@@ -7,15 +7,15 @@ a vector statement's strips through
 scalar operations at their :data:`~repro.titan.cost_model.SCALAR_COSTS`
 latencies, a ``do parallel`` region through
 :func:`~repro.titan.cost_model.parallel_share` (and a forked
-reduction's :func:`~repro.titan.cost_model.parallel_combine`), in the
-arithmetic its caller picks; one :class:`LoopCost` is recorded per
-loop and per
-vector statement outside a strip loop.  Two renderings read the walk:
-the report's ``titan.static`` (:mod:`repro.obs.report`:
-schedule-aware, floats, ``cycles: null`` for unknown trips) and the
-cycle attributor (:mod:`repro.obs.attrib`: schedule-free, exact
-int/Fraction, ``assumed_trips`` for unknown trips).  The vectorizer
-reads it too: :func:`fork_decision` is when a strip loop forks, and
+reduction's :func:`~repro.titan.cost_model.parallel_combine`); one
+:class:`LoopCost` is recorded per loop and per vector statement
+outside a strip loop.  On a machine with whole prices every figure
+it sums is whole (the parallel share is truncated), so its float sums
+are exact.  Two renderings read the walk: the report's
+``titan.static`` (:mod:`repro.obs.report`: schedule-aware, ``cycles:
+null`` for unknown trips) and the cycle attributor
+(:mod:`repro.obs.attrib`: schedule-free, ``assumed_trips`` for
+unknown trips).  The vectorizer reads it too: :func:`fork_decision` is when a strip loop forks, and
 its prices whether two strip loops fuse.
 """
 
@@ -94,7 +94,7 @@ class LoopCost(NamedTuple):
     # | "list" | "scheduled"
     kind: str
     trips: Optional[int]
-    cycles: float  # or exact, in the attributor's arithmetic
+    cycles: float
     elements: Optional[int] = None
     vectors: Tuple[VectorCost, ...] = ()
     schedule: Optional[LoopSchedule] = None
@@ -103,19 +103,16 @@ class LoopCost(NamedTuple):
 class StaticCostEstimator:
     """Whole-program static cycle estimate under the Titan model; a
     loop in ``schedules`` pays its initiation interval per trip plus
-    the exit branch, as runs do.  ``number`` converts each model price
-    into the walk's arithmetic.  The attributor runs it once per pass
+    the exit branch, as runs do.  The attributor runs it once per pass
     event, so the scalar walk has to be cheap."""
 
     def __init__(self, config: Optional[TitanConfig] = None,
                  assumed_trips: int = DEFAULT_ASSUMED_TRIPS,
-                 schedules: Optional[Dict[int, LoopSchedule]] = None,
-                 number=float):
+                 schedules: Optional[Dict[int, LoopSchedule]] = None):
         self.config = config or TitanConfig()
         self.assumed_trips = max(1, assumed_trips)
         self.schedules = schedules or {}
-        self.number = number
-        self._latency = {kind: number(getattr(self.config, latency))
+        self._latency = {kind: getattr(self.config, latency)
                          for kind, (_, latency, _)
                          in SCALAR_COSTS.items()}
 
@@ -142,9 +139,6 @@ class StaticCostEstimator:
         return total
 
     # -- statements ----------------------------------------------------
-
-    def _vector_cycles(self, cost: VectorCost):
-        return self.number(cost.compute) + self.number(cost.memory)
 
     def _operand_cycles(self, stmt: N.Stmt):
         """The scalar work of one run of a vector statement: its
@@ -182,8 +176,7 @@ class StaticCostEstimator:
         overhead = self.config.parallel_startup
         if combines:
             overhead += parallel_combine(self.config, trips)
-        return self.number(overhead) \
-            + parallel_share(self.config, inner, trips, self.number)
+        return overhead + parallel_share(self.config, inner, trips)
 
     def stmt_cycles(self, function: str, stmt: N.Stmt,
                     scale, loops: Optional[List[LoopCost]]):
@@ -200,7 +193,7 @@ class StaticCostEstimator:
                 else stmt.length)
             cost = vector_cost(self.config, stmt, self.assumed_trips
                                if length is None else length)
-            cycles = self._operand_cycles(stmt) + self._vector_cycles(cost)
+            cycles = self._operand_cycles(stmt) + cost.compute + cost.memory
             if loops is not None:
                 loops.append(LoopCost(function, stmt.line, "vector",
                                       length, cycles * scale, length,
@@ -269,8 +262,8 @@ class StaticCostEstimator:
         schedule = self.schedules.get(loop.sid)
         if schedule is not None:
             # Its body's operations are counted, not charged.
-            cycles = setup + self.number(schedule.initiation_interval) \
-                * trips + latency["branch"]
+            cycles = setup + schedule.initiation_interval * trips \
+                + latency["branch"]
             if loops is not None:
                 loops.append(LoopCost(function, loop.line, "scheduled",
                                       known_trips, cycles * scale,
@@ -310,7 +303,7 @@ class StaticCostEstimator:
                 cost = vector_cost(self.config, sub, total, loop.step)
                 vectors.append(cost)
                 cycles += strips * self._operand_cycles(sub) \
-                    + self._vector_cycles(cost)
+                    + cost.compute + cost.memory
             else:
                 cycles += strips * self.stmt_cycles(
                     function, sub, scale * strips, None)

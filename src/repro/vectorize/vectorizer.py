@@ -66,7 +66,6 @@ from ..titan.static import ForkDecision, fork_decision
 @dataclass
 class VectorizeOptions:
     vector_length: int = 32
-    max_vector_length: int = 2048
     parallelize: bool = True
     assume_no_alias: bool = False  # the Fortran-pointer-semantics option
     # The pipeline ran if-conversion before us: any branch still inside
@@ -76,7 +75,8 @@ class VectorizeOptions:
     if_converted: bool = False
     # The machine the program runs on (``pipeline.titan_config``):
     # strip loops fork when their static price says so (None:
-    # processor count unknown, so unpriced).
+    # processor count unknown, so unpriced), and a loop no longer than
+    # its maximum vector length becomes one direct statement.
     config: Optional[TitanConfig] = None
 
 
@@ -681,8 +681,9 @@ class Vectorizer:
         trip_expr = simplify(N.BinOp(op="+", left=N.clone_expr(loop.hi),
                                      right=N.int_const(1), ctype=INT))
         trip_const = const_int_value(trip_expr)
+        machine = self.options.config or TitanConfig()
         direct = trip_const is not None and trip_const <= min(
-            self.options.vector_length, self.options.max_vector_length)
+            self.options.vector_length, machine.max_vector_length)
         regions = [StripRegion(kind, sorted(comp), False)
                    for kind, comp in plan]
         lowered = [self._emit_region(loop, region, trip_expr, direct)

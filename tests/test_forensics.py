@@ -3,15 +3,14 @@ attribution (repro.obs.attrib), structured report/bench diffing
 (repro.obs.diff), and benchmark-history anomaly detection
 (repro.obs.history).  The end-to-end acceptance gate lives in
 benchmarks/test_e15_forensics.py; these tests pin the classification
-rules and the exactness machinery at the unit level."""
+rules and the exact telescoping at the unit level."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
 from repro.obs import history, schemas
-from repro.obs.attrib import CycleAttributor, _exact
+from repro.obs.attrib import CycleAttributor
 from repro.obs.diff import (bench_direction, diff_benches,
                             diff_documents, diff_reports, format_diff,
                             main as diff_main)
@@ -37,14 +36,6 @@ def _attribute(source, options=None):
     compile_c(source, options or CompilerOptions(),
               hooks=[attributor])
     return attributor
-
-
-class TestExactArithmetic:
-    def test_exact_keeps_ints_and_fractions(self):
-        assert _exact(11) == 11 and isinstance(_exact(11), int)
-        assert _exact(2.0) == 2 and isinstance(_exact(2.0), int)
-        assert _exact(0.9) == Fraction(0.9)
-        assert isinstance(_exact(0.9), Fraction)
 
 
 class TestAttribution:

@@ -61,6 +61,9 @@ class TestProtocolValidation:
     def test_unknown_option_rejected(self):
         with pytest.raises(ServiceError, match="vectorise"):
             options_from_dict({"vectorise": True})
+        # The machine's maximum vector length is the vector length.
+        with pytest.raises(ServiceError, match="max_vector_length"):
+            options_from_dict({"max_vector_length": 64})
 
     def test_non_object_options_rejected(self):
         with pytest.raises(ServiceError, match="must be an object"):

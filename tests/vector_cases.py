@@ -220,11 +220,9 @@ def iota(start: int = 0) -> N.Iota:
 
 # -- running ---------------------------------------------------------------
 
-#: Where the model's total starts.  Latencies are whole cycles, so
-#: only a fractional total can show an addition made in the wrong
-#: order, and only a small one makes it likely: from 1/3, adding
-#: 11, 1, 1, 11 and adding 1, 1, 11, 11 give different floats.
-START_CYCLES = 1.0 / 3.0
+#: Where the model's total starts: not at zero, so an engine that
+#: loses or restarts the running total shows.
+START_CYCLES = 7.0
 
 
 def default_data(elems: int = ELEMS) -> Dict[str, List]:
@@ -707,11 +705,9 @@ def _lazy_scalars(vp):
     # Scalars with events under both arms — a section base computed
     # from a register (two integer operations, 1 cycle each) and
     # loads of memory-backed scalars (11 each).  Each is evaluated,
-    # and charged, by the first lane that gets to it: the else arm's
-    # (ia[0] < 1) and the trailing operand at lane 0, the then arm's
-    # only at lane 2 — 11, 11, 1, 1, 11 cycles, which from
-    # START_CYCLES is not the float that tree order (1, 1, 11, 11,
-    # 11) adds up to.
+    # and charged, once some lane gets to it: the else arm's (ia[0] <
+    # 1) and the trailing operand's, and the then arm's (from lane 2)
+    # — each fill charged once, none of them for every lane.
     base = binop("+", vp.addr("fa"),
                  binop("*", vp.var("ri"), N.int_const(4), INT),
                  PointerType(base=FLOAT))
