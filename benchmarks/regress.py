@@ -23,9 +23,8 @@ too.
 A metric that moved in the *bad* direction by more than ``--tolerance``
 (relative, default 5%) is a regression and the gate exits non-zero —
 that is what fails CI.  Improvements and new metrics are reported but
-never fail.  ``--update`` rewrites the baselines from the current run,
-pushing each baseline's previous metrics onto a bounded ``history``
-list so the committed files form a time-series.
+never fail.  ``--update`` rewrites the baselines from the current run;
+the previous values live in git, the one time axis.
 
 Runnable as a plain script (it puts the ``src/`` tree alongside on
 ``sys.path``)::
@@ -40,10 +39,7 @@ Runnable as a plain script (it puts the ``src/`` tree alongside on
 bench it writes a ``titancc-reportdiff/1`` baseline-vs-current diff
 (naming the worst-regressed metric) and, for benches with a registered
 workload, a ``titancc-attrib/1`` per-pass cycle waterfall — the
-artifacts CI uploads on failure.  ``--update`` additionally stamps
-each accepted snapshot with a monotonically increasing ``run_index``
-(no wall clock, byte-deterministic) so ``repro.obs.history`` has a
-stable x-axis.
+artifacts CI uploads on failure.
 """
 
 from __future__ import annotations
@@ -69,8 +65,6 @@ BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: metrics because even a ratio of two wall-clock times jitters with
 #: scheduler load.
 SPEEDUP_TOLERANCE = 0.35
-#: How many superseded metric snapshots --update keeps per bench.
-HISTORY_LIMIT = 20
 
 
 def default_current_dir() -> str:
@@ -232,39 +226,14 @@ def atomic_write_json(path: str, doc: dict) -> None:
 
 def update_baselines(current: Dict[str, dict], baseline_dir: str,
                      log: "Logger" = None) -> None:
-    """Accept the current run: move old metrics into each baseline's
-    ``history`` list (capped), write current values on top.
-
-    Every accepted snapshot is stamped with a monotonically increasing
-    ``run_index`` — the stable x-axis ``repro.obs.history`` plots
-    against.  The index advances by one per ``--update`` regardless of
-    wall clock, so rewritten baselines stay byte-deterministic; the
-    snapshot pushed into ``history`` keeps the index it was accepted
-    under (pre-stamping history entries fall back to their list
-    position)."""
+    """Accept the current run: each baseline becomes ``{schema, name,
+    variants}`` with the current values (git keeps the old ones)."""
     log = log or Logger("regress", stream=sys.stdout)
     os.makedirs(baseline_dir, exist_ok=True)
     for name, doc in sorted(current.items()):
         path = os.path.join(baseline_dir, f"BENCH_{name}.json")
-        history: List[dict] = []
-        run_index = 0
-        if os.path.exists(path):
-            try:
-                with open(path) as handle:
-                    old = json.load(handle)
-                history = list(old.get("history") or [])
-                old_index = old.get("run_index", len(history))
-                run_index = old_index + 1
-                if old.get("variants"):
-                    history.append({"run_index": old_index,
-                                    "variants": old["variants"]})
-            except (OSError, ValueError):
-                pass
-        out = {"schema": BENCH_SCHEMA, "name": name,
-               "run_index": run_index,
-               "variants": doc.get("variants") or {},
-               "history": history[-HISTORY_LIMIT:]}
-        atomic_write_json(path, out)
+        atomic_write_json(path, {"schema": BENCH_SCHEMA, "name": name,
+                                 "variants": doc.get("variants") or {}})
         log.info(f"baseline updated: {path}")
 
 
@@ -340,7 +309,7 @@ def main(argv: List[str] = None) -> int:
                              "direction move fails (default 0.05)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite baselines from the current run "
-                             "(previous metrics kept in history)")
+                             "(git keeps the previous ones)")
     parser.add_argument("--explain", action="store_true",
                         help="on gate failure, write reportdiff + "
                              "attribution artifacts per regressed "

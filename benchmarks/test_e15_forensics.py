@@ -20,7 +20,7 @@ and its value rests on three properties measured here:
   ``regress.py --explain`` exit non-zero and write a valid
   ``titancc-reportdiff/1`` naming the regressed metric plus a
   ``titancc-attrib/1`` waterfall, and the session dashboard must
-  render both the waterfall and the anomaly panel from that directory.
+  render that waterfall from the same directory.
 
 The attribution step counts and final cycle totals are deterministic
 (static estimator over deterministic pipelines), so they gate exactly.
@@ -101,9 +101,9 @@ def test_e15_forensics_attribution_and_explain():
     speedup = off_seconds / on_seconds if on_seconds else 0.0
 
     # --- injected regression: baseline says 100 cycles, current says
-    # 200 with a flat 6-run history, so the gate must go red, --explain
-    # must name the metric, and the dashboard must render the forensics
-    # panels from the very directory --explain populated.
+    # 200, so the gate must go red, --explain must name the metric, and
+    # the dashboard must render the attribution waterfall from the very
+    # directory --explain populated.
     regress = _load_regress()
     scratch = tempfile.mkdtemp(prefix="titancc-e15-")
     try:
@@ -116,15 +116,11 @@ def test_e15_forensics_attribution_and_explain():
             json.dump({"schema": schemas.BENCH, "name": "e2_daxpy",
                        "variants": {"full": {"cycles": 100.0}}},
                       handle)
-        history = [{"run_index": i,
-                    "variants": {"full": {"cycles": 100.0}}}
-                   for i in range(6)]
         with open(os.path.join(cur_dir, "BENCH_e2_daxpy.json"),
                   "w") as handle:
             json.dump({"schema": schemas.BENCH, "name": "e2_daxpy",
-                       "run_index": 6,
-                       "variants": {"full": {"cycles": 200.0}},
-                       "history": history}, handle)
+                       "variants": {"full": {"cycles": 200.0}}},
+                      handle)
         rc = regress.main(["--current", cur_dir,
                            "--baselines", base_dir,
                            "--explain", "--quiet"])
@@ -144,12 +140,10 @@ def test_e15_forensics_attribution_and_explain():
         explain_ok = (rc == 1 and "cycles" in worst
                       and attrib_doc["totals"]["exact"] is True)
 
-        # --- the dashboard renders the waterfall + anomaly panels from
-        # that real (explain-populated) session directory.
+        # --- the dashboard renders the waterfall panel from that real
+        # (explain-populated) session directory.
         html = render(SessionData(cur_dir))
-        dashboard_ok = ("Cycle attribution" in html
-                        and "Benchmark anomalies" in html
-                        and "e2_daxpy/full/cycles" in html)
+        dashboard_ok = "Cycle attribution — e2_daxpy" in html
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -182,7 +176,7 @@ def test_e15_forensics_attribution_and_explain():
             f"{1 - speedup:.1%}", speedup >= 1 - MAX_OVERHEAD),
         Row("--explain names regressed metric", "cycles",
             worst or "(none)", explain_ok),
-        Row("dashboard forensics panels", "render",
+        Row("dashboard attribution panel", "render",
             "yes" if dashboard_ok else "NO", dashboard_ok),
     ]
     print_table("E15: compilation forensics", rows)

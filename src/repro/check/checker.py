@@ -16,7 +16,10 @@ observes every transforming pass.  After each one it
 Execution is skipped when the printer text did not change (an
 unchanged program has unchanged semantics), which is what makes
 checking every pass of every scalar round affordable: most
-per-function pass events are no-ops on that function.
+per-function pass events are no-ops on that function.  Checkers may
+also share one outcome table (the fuzz harness shares one across a
+source's option points, whose scalar rounds print the same IL): a
+snapshot whose run is already in it is not run again.
 
 This mirrors how *Lifting C Semantics for Dataflow Optimization*
 (PAPERS.md) validates each lifting step against reference semantics
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..il.printer import format_program
 from ..il.validate import (ILValidationError, validate_program,
@@ -98,7 +102,9 @@ class PassSnapshot:
     valid: bool = True
     validation_error: str = ""
     outcome: Optional[ExecOutcome] = None
-    executed: bool = False  # ran fresh (vs inherited from previous)
+    #: Has an outcome of its own text (run, or found in the shared
+    #: table) vs inherited from the previous snapshot.
+    executed: bool = False
 
     @property
     def label(self) -> str:
@@ -135,13 +141,16 @@ class PassChecker(PipelineHook):
     reproduce at the pass where the loop went parallel.  ``engine``
     selects the execution engine the snapshots replay on (default the
     tree-walking oracle; pass a fast engine to check a pass pipeline
-    against that engine's semantics instead).
+    against that engine's semantics instead).  ``outcomes`` is a table
+    of runs to share with other checkers, keyed by everything a run
+    reads; ``executions`` counts only the runs this checker made.
     """
 
     def __init__(self, entry: str = "main", entry_args: tuple = (),
                  execute: bool = True, max_steps: int = 2_000_000,
                  parallel_order: str = "forward", seed: int = 7,
-                 memory_size: int = 1 << 22, engine: str = "tree"):
+                 memory_size: int = 1 << 22, engine: str = "tree",
+                 outcomes: Optional[Dict[tuple, ExecOutcome]] = None):
         self.entry = entry
         self.entry_args = tuple(entry_args)
         self.execute = execute
@@ -155,6 +164,7 @@ class PassChecker(PipelineHook):
         #: delivered ``after_pass`` — the crash suspect.
         self.pending: Optional[dict] = None
         self.executions = 0
+        self.outcomes = outcomes
 
     # -- PipelineHook ---------------------------------------------------
 
@@ -180,9 +190,8 @@ class PassChecker(PipelineHook):
             snap.validation_error = str(exc)
         if self.execute and snap.valid:
             if changed:
-                snap.outcome = self._run(program)
+                snap.outcome = self._outcome(program, text)
                 snap.executed = True
-                self.executions += 1
             elif previous is not None:
                 # Byte-identical IL: semantics carried over verbatim.
                 snap.outcome = previous.outcome
@@ -246,6 +255,26 @@ class PassChecker(PipelineHook):
 
     # -- execution ------------------------------------------------------
 
+    def _outcome(self, program: N.ILProgram, text: str) -> ExecOutcome:
+        """The snapshot's run: from the shared table when it holds one,
+        else run now (and recorded there)."""
+        if self.outcomes is None:
+            self.executions += 1
+            return self._run(program)
+        key = self._key(program, text)
+        if key not in self.outcomes:
+            self.outcomes[key] = self._run(program)
+            self.executions += 1
+        return self.outcomes[key]
+
+    def _key(self, program: N.ILProgram, text: str) -> tuple:
+        """Everything a run reads: the settings, the entry and its
+        arguments, the printed program and the globals' initial data,
+        which the printer leaves out."""
+        return (self.engine, self.max_steps, self.parallel_order,
+                self.seed, self.memory_size, self.entry, self.entry_args,
+                text, tuple(_init_key(g.init) for g in program.globals))
+
     def _run(self, program: N.ILProgram,
              engine: Optional[str] = None) -> ExecOutcome:
         """Run the captured input on ``engine`` (default: the
@@ -266,3 +295,11 @@ class PassChecker(PipelineHook):
             return ExecOutcome(status="error",
                                error_type=type(exc).__name__,
                                error=str(exc))
+
+
+def _init_key(init: object) -> object:
+    if isinstance(init, list):
+        return tuple(_init_key(value) for value in init)
+    if isinstance(init, Symbol):
+        return "&", init.name
+    return repr(init)  # tells -0.0 from 0.0 and 1 from 1.0

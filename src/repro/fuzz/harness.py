@@ -289,7 +289,9 @@ def run_source(source: str, name: str = "<fuzz>",
     :class:`~repro.check.checker.PassChecker` installed: each pass's
     output is re-validated and executed on the tree oracle, so a
     miscompile is caught (and attributed) at the first guilty pass
-    even when later passes happen to mask it end-to-end.
+    even when later passes happen to mask it end-to-end; the variants'
+    checkers share one outcome table, so a snapshot another option
+    point already ran is not run again.
     ``bisect_failures`` replays the first failing variant of an
     end-to-end failure through the bisector so the result's JSON
     carries a ``titancc-bisect/1`` culprit document.
@@ -312,10 +314,11 @@ def run_source(source: str, name: str = "<fuzz>",
                                      value=ref_value)
 
     pts = points or option_points()
+    outcomes: Optional[dict] = {} if check_passes else None
     for point_name, options in pts:
         variant = _run_variant(source, name, point_name, options,
                                ref_value, max_steps, engine,
-                               check_passes=check_passes,
+                               outcomes=outcomes,
                                timings=result.engine_seconds)
         result.variants.append(variant)
     if any(v.status == "crash" for v in result.variants):
@@ -335,16 +338,18 @@ def _run_variant(source: str, name: str, point_name: str,
                  options: CompilerOptions, ref_value: int,
                  max_steps: int,
                  engine: str = "compiled",
-                 check_passes: bool = False,
+                 outcomes: Optional[dict] = None,
                  timings: Optional[dict] = None) -> VariantResult:
+    """One option point, pass-checked when given the ``outcomes`` table
+    its checker shares."""
     checker = None
     hooks: tuple = ()
-    if check_passes:
+    if outcomes is not None:
         from ..check.checker import PassChecker
         # collect_deps so a conviction can carry the dependence edges
         # the guilty pass decided from.
         options = dataclasses.replace(options, collect_deps=True)
-        checker = PassChecker(max_steps=max_steps)
+        checker = PassChecker(max_steps=max_steps, outcomes=outcomes)
         hooks = (checker,)
     try:
         compiled = compile_c(source, options, hooks=hooks)

@@ -1217,12 +1217,21 @@ class BulkStatement:
                 names = list(lanes.inputs)
                 walk = lanes.inputs[names[0]] if len(names) == 1 else \
                     "zip(" + ", ".join(lanes.inputs.values()) + ")"
-                root.lines.append(f"for {', '.join(names)} in {walk}:")
+                head = f"for {', '.join(names)} in {walk}:"
             else:
-                root.lines.append(f"for _ in range({tl}):")
-            root.lines.append(
-                f"    {acc} = "
-                + self._reduce_step(acc, acc_fact, lanes, ints))
+                head = f"for _ in range({tl}):"
+            step = f"{acc} = " + self._reduce_step(acc, acc_fact, lanes,
+                                                   ints)
+            root.lines += [head, "    " + step]
+            if op == "+" and isinstance(ctype, FloatType):
+                # A NaN sum reruns the lanes and keeps the first NaN
+                # accumulator, as the oracle's reduction does: CPython's
+                # float + of two NaNs returns either, by the path it
+                # takes.
+                root.lines += [f"if {acc} != {acc}:",
+                               f"    {acc} = {acc_src}", "    " + head,
+                               f"        if {acc} != {acc}:",
+                               "            break", "        " + step]
         body = [f"{tl} = {length_src}", f"{acc} = {acc_src}",
                 f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)

@@ -15,7 +15,9 @@ views):
   tag, plus validated atomic artifact writing;
 * :mod:`.log` — structured stderr/JSONL logger for driver programs;
 * :mod:`.dashboard` — static HTML session dashboard
-  (``python -m repro.obs.dashboard SESSION_DIR``).
+  (``python -m repro.obs.dashboard SESSION_DIR``);
+* :mod:`.attrib` / :mod:`.diff` — cycle waterfalls and report/bench
+  diffs (a baseline's earlier values are its git history).
 
 The per-run layers, as before (all off by default):
 

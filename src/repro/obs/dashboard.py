@@ -9,9 +9,6 @@ telemetry artifacts a session directory holds:
   ``metrics`` snapshot feed the fuzz views;
 * ``summary.json`` (``titancc-fuzz/1``) — outcome counts, per-worker
   throughput, and the merged metrics block;
-* ``BENCH_*.json`` (``titancc-bench/1``) — engine-speedup trends from
-  each baseline's bounded ``history`` list, plus the trend/anomaly
-  panel (:mod:`repro.obs.history` outlier + changepoint detection);
 * ``*.attrib.json`` / any ``titancc-attrib/1`` document (from
   ``--attrib-json`` or ``regress.py --explain``) — per-pass cycle
   attribution waterfalls.
@@ -31,7 +28,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import history as bench_history
 from . import schemas
 from .metrics import MetricsRegistry
 
@@ -67,7 +63,6 @@ class SessionData:
         self.service_workers: List[dict] = []
         self.summary: Optional[dict] = None
         self.metrics = MetricsRegistry()
-        self.benches: List[dict] = []
         self.attribs: List[dict] = []
         self._load()
 
@@ -104,23 +99,12 @@ class SessionData:
                 self.workers = list(self.summary.get("workers") or ())
             if not len(self.metrics):
                 self.metrics.merge(self.summary.get("metrics") or {})
-        for path in sorted(glob.glob(
-                os.path.join(self.directory, "BENCH_*.json"))):
-            try:
-                with open(path) as handle:
-                    doc = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if doc.get("schema") == schemas.BENCH:
-                self.benches.append(doc)
         # Attribution waterfalls: any titancc-attrib/1 document in the
         # session dir or its explain/ subdir (regress.py --explain).
         for pattern in (os.path.join(self.directory, "*.json"),
                         os.path.join(self.directory, "explain",
                                      "*.json")):
             for path in sorted(glob.glob(pattern)):
-                if os.path.basename(path).startswith("BENCH_"):
-                    continue
                 try:
                     with open(path) as handle:
                         doc = json.load(handle)
@@ -223,33 +207,6 @@ class SessionData:
             rows.append((f"pid {entry.get('pid')}", rate, entry))
         return rows
 
-    def speedup_trends(self) -> List[Tuple[str, List[float]]]:
-        """``(bench/variant/metric, values oldest->current)`` for every
-        ``*speedup*`` metric that carries history."""
-        trends = []
-        for doc in self.benches:
-            snapshots = [h.get("variants") or {}
-                         for h in doc.get("history") or ()]
-            snapshots.append(doc.get("variants") or {})
-            for variant, values in sorted(
-                    (doc.get("variants") or {}).items()):
-                if not isinstance(values, dict):
-                    continue
-                for metric in sorted(values):
-                    if "speedup" not in metric:
-                        continue
-                    series = [
-                        float(snap[variant][metric])
-                        for snap in snapshots
-                        if isinstance(snap.get(variant), dict)
-                        and isinstance(snap[variant].get(metric),
-                                       (int, float))]
-                    if series:
-                        trends.append(
-                            (f"{doc.get('name')}/{variant}/{metric}",
-                             series))
-        return trends
-
     def attribution_waterfalls(self) -> List[Tuple[str, List[dict],
                                                    dict]]:
         """``(source, waterfall rows, totals)`` per attrib doc."""
@@ -259,10 +216,6 @@ class SessionData:
                         list(doc.get("waterfall") or ()),
                         dict(doc.get("totals") or {})))
         return out
-
-    def bench_anomalies(self) -> List[dict]:
-        """Outliers + changepoints over every bench history series."""
-        return bench_history.analyze_docs(self.benches)["anomalies"]
 
 
 # ---------------------------------------------------------------------------
@@ -349,44 +302,6 @@ def _stacked_chart(rows: Sequence[Tuple[str, Dict[str, int]]],
             f"class='val'>{total}</text>")
     parts.append("</svg>")
     return "".join(parts)
-
-
-def _trend_chart(label: str, series: Sequence[float]) -> str:
-    """One speedup trend: 2px line, >=8px end marker with a 2px
-    surface ring, endpoint direct-labeled."""
-    if not series:
-        return ""
-    width, height, pad = 280, 64, 10
-    peak, floor = max(series), min(series)
-    spread = (peak - floor) or 1.0
-
-    def xy(index: int, value: float) -> Tuple[float, float]:
-        x = pad + (width - 2 * pad) * (
-            index / max(1, len(series) - 1))
-        y = height - pad - (height - 2 * pad) * \
-            (value - floor) / spread
-        return x, y
-
-    points = " ".join(f"{x:.1f},{y:.1f}"
-                      for x, y in (xy(i, v)
-                                   for i, v in enumerate(series)))
-    end_x, end_y = xy(len(series) - 1, series[-1])
-    tip = (f"{label}: {_fmt(series[-1])}x now, "
-           f"{len(series)} snapshot(s), "
-           f"min {_fmt(floor)}x / max {_fmt(peak)}x")
-    return (
-        f"<div class='trend'><div class='trend-label'>"
-        f"{_esc(label)}</div>"
-        f"<svg role='img' width='{width + 70}' height='{height}' "
-        f"viewBox='0 0 {width + 70} {height}'>"
-        f"<title>{_esc(tip)}</title>"
-        f"<polyline points='{points}' class='line'/>"
-        f"<circle cx='{end_x:.1f}' cy='{end_y:.1f}' r='6' "
-        f"class='dot-ring'/>"
-        f"<circle cx='{end_x:.1f}' cy='{end_y:.1f}' r='4' "
-        f"class='dot'/>"
-        f"<text x='{end_x + 10:.1f}' y='{end_y + 4:.1f}' "
-        f"class='val'>{_fmt(series[-1])}x</text></svg></div>")
 
 
 def _waterfall_chart(rows: Sequence[Tuple[str, float, str]]) -> str:
@@ -481,9 +396,6 @@ svg .val {{ fill: var(--text); }}
 .bar, .seg.s1 {{ fill: var(--s1); }}
 .seg.s2 {{ fill: var(--s2); }} .seg.s3 {{ fill: var(--s3); }}
 .axis {{ stroke: var(--grid); stroke-width: 1; }}
-.line {{ fill: none; stroke: var(--s1); stroke-width: 2;
-  stroke-linejoin: round; stroke-linecap: round; }}
-.dot {{ fill: var(--s1); }} .dot-ring {{ fill: var(--surface); }}
 .legend {{ margin: .4rem 0; }}
 .key {{ margin-right: 1.2rem; color: var(--muted); }}
 .chip {{ display: inline-block; width: 10px; height: 10px;
@@ -497,9 +409,6 @@ th, td {{ text-align: left; padding: .15rem 1.2rem .15rem 0;
 th {{ color: var(--muted); font-weight: 500; }}
 details summary {{ color: var(--muted); cursor: pointer;
   margin-top: .4rem; }}
-.trend {{ display: inline-block; margin: 0 1.5rem 1rem 0;
-  vertical-align: top; }}
-.trend-label {{ color: var(--muted); font-size: 12px; }}
 .empty {{ color: var(--muted); font-style: italic; }}
 """
 
@@ -645,22 +554,6 @@ def render(data: SessionData) -> str:
                           for label, _, entry in service_workers]))
         sections.append("".join(parts))
 
-    # Engine speedup trends.
-    trends = data.speedup_trends()
-    if trends:
-        charts = "".join(_trend_chart(label, series)
-                         for label, series in trends)
-        sections.append(
-            "<h2>Engine speedup trends</h2>"
-            "<p class='sub'>every *speedup* bench metric, oldest "
-            "baseline snapshot to current</p>"
-            + charts
-            + "<details><summary>table</summary>"
-            + _table(("metric", "snapshots", "current"),
-                     [(label, len(series), f"{_fmt(series[-1])}x")
-                      for label, series in trends])
-            + "</details>")
-
     # Per-pass cycle-attribution waterfalls.  Entries are read with
     # defaults so a partial/hand-edited document renders instead of
     # raising.
@@ -696,32 +589,6 @@ def render(data: SessionData) -> str:
                      table_rows)
             + "</details>")
 
-    # Benchmark history anomalies.
-    anomalies = data.bench_anomalies()
-    if anomalies:
-        rows = []
-        for a in anomalies:
-            where = f"{a['bench']}/{a['variant']}/{a['metric']}"
-            if a["kind"] == "outlier":
-                detail = (f"{_fmt(a['value'])} vs median "
-                          f"{_fmt(a['median'])} (z={a['score']:+.1f})")
-            else:
-                detail = (f"mean {_fmt(a['before_mean'])} -> "
-                          f"{_fmt(a['after_mean'])} "
-                          f"({a['relative_shift']:+.0%})")
-            rows.append((a["kind"], where, a["run_index"], detail))
-        sections.append(
-            "<h2>Benchmark anomalies</h2>"
-            "<p class='sub'>outliers (modified z-score) and "
-            "changepoints (mean shift) over the committed bench "
-            "history</p>"
-            + _table(("kind", "series", "run", "detail"), rows))
-    elif data.benches:
-        sections.append(
-            "<h2>Benchmark anomalies</h2>"
-            "<p class='empty'>no anomalies in "
-            f"{len(data.benches)} bench history file(s)</p>")
-
     if not sections:
         sections.append("<p class='empty'>No telemetry artifacts "
                         "found — run with --events-jsonl, fuzz with "
@@ -747,7 +614,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "directory's telemetry artifacts.")
     parser.add_argument("session_dir",
                         help="directory holding events.jsonl / "
-                             "summary.json / BENCH_*.json")
+                             "summary.json / *.attrib.json")
     parser.add_argument("-o", "--output", default=None,
                         help="output HTML path (default "
                              "<session_dir>/dashboard.html; '-' for "

@@ -98,6 +98,32 @@ class TestPassChecker:
         assert all(not s.executed and s.outcome is not None
                    for s in unchanged)
 
+    def test_shared_outcomes_run_each_text_once(self):
+        outcomes = {}
+        first = PassChecker(outcomes=outcomes)
+        compile_c(DAXPY, hooks=(first,))
+        again = PassChecker(outcomes=outcomes)
+        compile_c(DAXPY, hooks=(again,))
+        assert first.executions == len(outcomes) > 0
+        assert again.executions == 0
+        assert again.to_records() == first.to_records()
+        # A setting the run reads is part of the key.
+        bounded = PassChecker(outcomes=outcomes, max_steps=10)
+        compile_c(DAXPY, hooks=(bounded,))
+        assert bounded.executions == first.executions
+
+    def test_shared_outcomes_tell_initializers_apart(self):
+        # The printer leaves initializers out: these print alike.
+        outcomes = {}
+        values = []
+        for init in ("3", "4", "4"):
+            checker = PassChecker(outcomes=outcomes)
+            compile_c(f"int g = {init}; int main(void) {{ return g; }}",
+                      hooks=(checker,))
+            values.append((checker.baseline.outcome.value,
+                           checker.executions > 0))
+        assert values == [(3, True), (4, True), (4, False)]
+
     def test_records_are_json_shaped(self):
         checker = PassChecker()
         compile_c(SUM_LOOP, hooks=(checker,))

@@ -26,7 +26,7 @@ def span(name, cat, dur_us, **args):
 
 @pytest.fixture
 def session(tmp_path):
-    """A session directory with all three artifact kinds."""
+    """A session directory with an event log and a fuzz summary."""
     registry = MetricsRegistry()
     registry.counter("titancc_loops_total",
                      {"function": "daxpy",
@@ -54,12 +54,6 @@ def session(tmp_path):
         "schema": schemas.FUZZ, "seed": 3, "count": 10, "ok": 9,
         "rejected": 1, "divergences": 0, "crashes": 0,
         "failures": []}))
-    (tmp_path / "BENCH_e13_engine.json").write_text(json.dumps({
-        "schema": schemas.BENCH, "name": "e13_engine",
-        "variants": {"daxpy": {"host_engine_speedup_steps": 12.0,
-                               "cycles": 100}},
-        "history": [{"variants": {"daxpy": {
-            "host_engine_speedup_steps": 10.0}}}]}))
     return tmp_path
 
 
@@ -95,13 +89,6 @@ class TestSessionData:
             ("seed 3", pytest.approx(2.5)),
             ("seed 8", pytest.approx(1.25))]
 
-    def test_speedup_trends_walk_history_to_current(self, session):
-        (trend,) = SessionData(str(session)).speedup_trends()
-        label, series = trend
-        assert label == \
-            "e13_engine/daxpy/host_engine_speedup_steps"
-        assert series == [10.0, 12.0]
-
     def test_summary_workers_used_when_event_log_absent(self,
                                                         tmp_path):
         (tmp_path / "summary.json").write_text(json.dumps({
@@ -120,7 +107,6 @@ class TestSessionData:
         (tmp_path / "x.attrib.json").write_text("[1,")
         data = SessionData(str(tmp_path))
         assert data.spans == [] and data.summary is None
-        assert data.benches == []
         assert data.attribs == []
 
     def test_attrib_docs_loaded_from_dir_and_explain(self, tmp_path):
@@ -135,18 +121,6 @@ class TestSessionData:
         data = SessionData(str(tmp_path))
         assert sorted(d["source"] for d in data.attribs) == \
             ["d.c", "e1"]
-
-    def test_bench_anomalies_surface_outliers(self, tmp_path):
-        history = [{"run_index": i,
-                    "variants": {"full": {"cycles": 100.0}}}
-                   for i in range(6)]
-        (tmp_path / "BENCH_x.json").write_text(json.dumps({
-            "schema": schemas.BENCH, "name": "x", "run_index": 6,
-            "variants": {"full": {"cycles": 500.0}},  # the outlier
-            "history": history}))
-        anomalies = SessionData(str(tmp_path)).bench_anomalies()
-        assert any(a["kind"] == "outlier"
-                   and a["metric"] == "cycles" for a in anomalies)
 
 
 @pytest.fixture
@@ -205,7 +179,7 @@ class TestRender:
         for heading in ("Pass wall time", "Vector coverage",
                         "Vectorization miss reasons",
                         "Fuzz throughput", "Fuzz outcomes",
-                        "Engine speedup trends", "spans recorded"):
+                        "spans recorded"):
             assert heading in html
 
     def test_svgs_are_well_formed(self, session):
@@ -234,7 +208,14 @@ class TestRender:
         assert "Cycle attribution" in html
         assert "partial" in html
 
-    def test_waterfall_and_anomaly_panels(self, session):
+    def test_bench_documents_do_not_change_the_page(self, session):
+        before = render(SessionData(str(session)))
+        (session / "BENCH_e13_engine.json").write_text(json.dumps({
+            "schema": schemas.BENCH, "name": "e13_engine",
+            "variants": {"daxpy": {"host_engine_speedup_steps": 12.0}}}))
+        assert render(SessionData(str(session))) == before
+
+    def test_waterfall_panel(self, session):
         (session / "daxpy.attrib.json").write_text(json.dumps({
             "schema": schemas.ATTRIB, "source": "daxpy.c",
             "steps": [],
@@ -249,18 +230,9 @@ class TestRender:
             "totals": {"o0_cycles": 1000.0, "final_cycles": 340.0,
                        "delta": -660.0, "sum_of_deltas": -660.0,
                        "exact": True}}))
-        history = [{"run_index": i,
-                    "variants": {"full": {"cycles": 100.0}}}
-                   for i in range(6)]
-        (session / "BENCH_spiky.json").write_text(json.dumps({
-            "schema": schemas.BENCH, "name": "spiky", "run_index": 6,
-            "variants": {"full": {"cycles": 500.0}},
-            "history": history}))
         html = render(SessionData(str(session)))
         assert "Cycle attribution — daxpy.c" in html
         assert "deltas sum exactly: yes" in html
-        assert "Benchmark anomalies" in html
-        assert "spiky/full/cycles" in html
         # Diverging bars: savings and additions take different slots.
         assert "class='seg s3'" in html and "class='seg s2'" in html
 

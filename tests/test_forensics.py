@@ -1,7 +1,6 @@
 """Unit tests for the compilation-forensics layer: per-pass cycle
-attribution (repro.obs.attrib), structured report/bench diffing
-(repro.obs.diff), and benchmark-history anomaly detection
-(repro.obs.history).  The end-to-end acceptance gate lives in
+attribution (repro.obs.attrib) and structured report/bench diffing
+(repro.obs.diff).  The end-to-end acceptance gate lives in
 benchmarks/test_e15_forensics.py; these tests pin the classification
 rules and the exact telescoping at the unit level."""
 
@@ -9,7 +8,7 @@ import json
 
 import pytest
 
-from repro.obs import history, schemas
+from repro.obs import schemas
 from repro.obs.attrib import CycleAttributor
 from repro.obs.diff import (bench_direction, diff_benches,
                             diff_documents, diff_reports, format_diff,
@@ -191,80 +190,3 @@ class TestReportDiff:
         assert diff_main([full, o0, "--gate"]) == 1
         out = capsys.readouterr().out
         assert "cycles" in out
-
-
-def _points(values):
-    return list(enumerate(values))
-
-
-class TestHistory:
-    def test_short_series_has_no_outliers(self):
-        assert history.outliers(_points([1.0, 100.0])) == []
-
-    def test_mad_outlier_detected(self):
-        points = _points([10.0, 11.0, 10.5, 9.5, 10.0, 50.0])
-        (found,) = history.outliers(points)
-        assert found["run_index"] == 5 and found["value"] == 50.0
-
-    def test_flat_series_with_spike_uses_mean_ad_fallback(self):
-        # MAD = 0 here; the mean-AD fallback must still flag the spike.
-        points = _points([100.0] * 6 + [500.0])
-        (found,) = history.outliers(points)
-        assert found["value"] == 500.0
-
-    def test_constant_series_is_clean(self):
-        assert history.outliers(_points([7.0] * 8)) == []
-
-    def test_changepoint_level_shift(self):
-        points = _points([10.0, 10.2, 9.8, 20.0, 20.1, 19.9])
-        shift = history.changepoint(points)
-        assert shift is not None
-        assert shift["run_index"] == 3
-        assert shift["relative_shift"] > 0.25
-
-    def test_no_changepoint_within_noise(self):
-        points = _points([10.0, 10.2, 9.8, 10.1, 9.9, 10.0])
-        assert history.changepoint(points) is None
-
-    def test_series_walks_history_then_current(self):
-        doc = {"schema": schemas.BENCH, "name": "b", "run_index": 2,
-               "variants": {"full": {"cycles": 30.0}},
-               "history": [
-                   {"run_index": 0,
-                    "variants": {"full": {"cycles": 10.0}}},
-                   {"run_index": 1,
-                    "variants": {"full": {"cycles": 20.0}}}]}
-        series = history.series_from_doc(doc)
-        assert series[("full", "cycles")] == \
-            [(0, 10.0), (1, 20.0), (2, 30.0)]
-
-    def test_unstamped_entries_get_positional_indices(self):
-        doc = {"schema": schemas.BENCH, "name": "b",
-               "variants": {"full": {"cycles": 3.0}},
-               "history": [{"variants": {"full": {"cycles": 1.0}}},
-                           {"variants": {"full": {"cycles": 2.0}}}]}
-        series = history.series_from_doc(doc)
-        assert series[("full", "cycles")] == \
-            [(0, 1.0), (1, 2.0), (2, 3.0)]
-
-    def test_analyze_dir_and_cli(self, tmp_path, capsys):
-        doc = {"schema": schemas.BENCH, "name": "spiky",
-               "run_index": 6,
-               "variants": {"full": {"cycles": 500.0}},
-               "history": [{"run_index": i,
-                            "variants": {"full": {"cycles": 100.0}}}
-                           for i in range(6)]}
-        (tmp_path / "BENCH_spiky.json").write_text(json.dumps(doc))
-        (tmp_path / "BENCH_bad.json").write_text("{nope")
-        analysis = history.analyze_dir(str(tmp_path))
-        # The spike is both a point outlier and (with a right segment
-        # pulled upward) a mean-shift candidate; the outlier is the
-        # must-have.
-        (anomaly,) = [a for a in analysis["anomalies"]
-                      if a["kind"] == "outlier"]
-        assert anomaly["bench"] == "spiky"
-        assert history.main([str(tmp_path)]) == 0
-        assert "outlier" in capsys.readouterr().out
-        assert history.main([str(tmp_path), "--json"]) == 0
-        parsed = json.loads(capsys.readouterr().out)
-        assert parsed["anomalies"]

@@ -247,40 +247,34 @@ class TestRegressGate:
         assert regress.main(["--current", str(tmp_path / "nowhere"),
                              "--baselines", str(tmp_path)]) == 2
 
-    def test_update_creates_then_keeps_history(self, regress,
-                                               tmp_path):
+    def test_update_creates_then_rewrites(self, regress, tmp_path):
         base = tmp_path / "base"
         cur = tmp_path / "cur"
-        _write_bench(cur, "b", {"full": {"cycles": 100.0}})
-        assert regress.main(["--current", str(cur),
-                             "--baselines", str(base),
-                             "--update"]) == 0
-        _write_bench(cur, "b", {"full": {"cycles": 90.0}})
-        assert regress.main(["--current", str(cur),
-                             "--baselines", str(base),
-                             "--update"]) == 0
-        doc = json.loads(
-            open(base / "BENCH_b.json").read())
-        assert doc["variants"]["full"]["cycles"] == 90.0
-        assert doc["history"][-1]["variants"]["full"]["cycles"] \
-            == 100.0
-
-    def test_update_stamps_monotonic_run_index(self, regress,
-                                               tmp_path):
-        """Each accepted snapshot carries run_index = previous + 1 (no
-        wall clock), and a pushed history entry keeps the index it was
-        accepted under — the stable x-axis repro.obs.history needs."""
-        base = tmp_path / "base"
-        cur = tmp_path / "cur"
-        for run, cycles in enumerate((100.0, 90.0, 95.0)):
+        for cycles in (100.0, 90.0):
             _write_bench(cur, "b", {"full": {"cycles": cycles}})
             assert regress.main(["--current", str(cur),
                                  "--baselines", str(base),
                                  "--update"]) == 0
-            doc = json.loads(open(base / "BENCH_b.json").read())
-            assert doc["run_index"] == run
-        assert [entry["run_index"] for entry in doc["history"]] \
-            == [0, 1]
+        doc = json.loads(open(base / "BENCH_b.json").read())
+        assert doc["variants"]["full"]["cycles"] == 90.0
+
+    def test_update_writes_variants_only(self, regress, tmp_path):
+        """A baseline is ``{schema, name, variants}``: git keeps the
+        earlier values, so nothing is carried over from the old file."""
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "BENCH_b.json").write_text(json.dumps({
+            "schema": regress.BENCH_SCHEMA, "name": "b", "run_index": 1,
+            "variants": {"full": {"cycles": 100.0}},
+            "history": [{"variants": {"full": {"cycles": 110.0}}}]}))
+        variants = {"full": {"cycles": 90.0, "mflops": 2.5},
+                    "o0": {"cycles": 400.0}}
+        regress.update_baselines(
+            {"b": {"schema": regress.BENCH_SCHEMA, "name": "b",
+                   "variants": variants}}, str(base))
+        doc = json.loads((base / "BENCH_b.json").read_text())
+        assert doc == {"schema": regress.BENCH_SCHEMA, "name": "b",
+                       "variants": variants}
 
     def test_explain_writes_diff_and_attrib(self, regress, tmp_path,
                                             capsys):

@@ -434,6 +434,19 @@ def _stepwise():
     return vc.REGISTRY.value("titancc_vector_reduce_stepwise_total")
 
 
+def _observe_sum(program, fmt, engine, lanes, start):
+    """Result bits, steps and model state of one sum's run."""
+    model = vc.TitanCostModel(vc.TitanConfig(processors=2))
+    model.cycles = vc.START_CYCLES
+    interp = make_interpreter(program, engine=engine, cost_hook=model)
+    interp.set_global_array("x", lanes + [0.0] * (70 - len(lanes)))
+    interp.set_global_scalar("s0", start)
+    interp.set_global_scalar("n", len(lanes))
+    interp.run("main")
+    return (struct.pack(fmt, interp.global_scalar("out")),
+            interp.steps, model.cycles, model.counters, model.breakdown)
+
+
 class TestFloat32Sums:
     """``reduce+`` over float32 lanes takes the running double sums in
     one pass when a float32 round trip leaves every one of them alone
@@ -447,17 +460,7 @@ class TestFloat32Sums:
         if TestFloat32Sums.program is None:
             TestFloat32Sums.program = compile_c(
                 SUM_SOURCE, CompilerOptions(vector_length=32)).program
-        model = vc.TitanCostModel(vc.TitanConfig(processors=2))
-        model.cycles = vc.START_CYCLES
-        interp = make_interpreter(self.program, engine=engine,
-                                  cost_hook=model)
-        interp.set_global_array("x", lanes + [0.0] * (70 - len(lanes)))
-        interp.set_global_scalar("s0", start)
-        interp.set_global_scalar("n", len(lanes))
-        interp.run("main")
-        return (struct.pack("<f", interp.global_scalar("out")),
-                interp.steps, model.cycles, model.counters,
-                model.breakdown)
+        return _observe_sum(self.program, "<f", engine, lanes, start)
 
     @settings(max_examples=150, deadline=None)
     @given(patterns=st.lists(F32_BITS, max_size=70), start=F32_BITS)
@@ -493,6 +496,48 @@ class TestFloat32Sums:
         assert access.round((1.5, 0.1)) == (1.5, _f32(0x3DCCCCCD))
         assert access.round([1.5, 1e39, -1e39]) == (1.5, math.inf,
                                                     -math.inf)
+
+
+#: Raw double patterns: zeros of both signs, the smallest subnormal,
+#: infinities, quiet NaNs of both signs and with a payload, a
+#: signalling NaN, the largest double (its sum overflows), 2**53 and 1
+#: (the first sum a double cannot hold), 0.1, -1.
+F64_PATTERNS = (0x0000000000000000, 0x8000000000000000,
+                0x0000000000000001, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000,
+                0xFFF8000000000000, 0x7FF8000000000001,
+                0x7FF0000000000001, 0x7FEFFFFFFFFFFFFF,
+                0x4340000000000000, 0x3FF0000000000000,
+                0x3FB999999999999A, 0xBFF0000000000000)
+F64_BITS = st.sampled_from(F64_PATTERNS) | st.integers(0, (1 << 64) - 1)
+
+
+def _f64(pattern):
+    """The double with these bits, NaN payloads kept."""
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+class TestDoubleSums:
+    """``reduce+`` over double lanes sums in one pass and, when the sum
+    is a NaN, reruns the lanes keeping the first NaN accumulator as the
+    oracle does: bit for bit the oracle's result, NaN payload and sign
+    included, with its cycles and model state."""
+
+    program = None
+
+    @settings(max_examples=100, deadline=None)
+    @given(patterns=st.lists(F64_BITS, max_size=70), start=F64_BITS)
+    # Two NaNs: the first one the sum meets is the answer.
+    @example(patterns=[0xFFF8000000000000, 0x7FF8000000000001], start=0)
+    def test_sum_equals_the_oracle(self, patterns, start):
+        if TestDoubleSums.program is None:
+            TestDoubleSums.program = compile_c(
+                SUM_SOURCE.replace("float", "double"),
+                CompilerOptions(vector_length=32)).program
+        lanes = [_f64(p) for p in patterns]
+        assert _observe_sum(self.program, "<d", "compiled", lanes,
+                            _f64(start)) \
+            == _observe_sum(self.program, "<d", "tree", lanes, _f64(start))
 
 
 def _source(directory, name, n=None):
