@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 from typing import (ClassVar, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..frontend.ctypes_ import CType, INT, PointerType
-from ..frontend.symtab import Symbol
+from ..frontend.ctypes_ import ArrayType, CType, INT, PointerType, StructType
+from ..frontend.symtab import EXTERN, GLOBAL, STATIC, Symbol
 
 # ---------------------------------------------------------------------------
 # Expressions (pure)
@@ -275,11 +275,17 @@ class Section(Expr):
     ``addr`` is the byte address of element 0 of the section; ``length``
     is the trip count; ``stride`` is in *elements* of ``ctype``.  This is
     the colon notation of the paper's vectorized output (section 9).
+    ``held``: an earlier statement of the same strip left this section
+    in the vector register file, so reading it issues no load
+    (:func:`repro.titan.vector_ops.held_loads` states when); engines
+    still read memory, which holds the same bytes.  Equality
+    (:func:`expr_equal`) ignores the mark.
     """
 
     addr: Expr = None  # type: ignore[assignment]
     length: Expr = None  # type: ignore[assignment]
     stride: int = 1
+    held: bool = False
 
     def _own_facts(self) -> ExprFacts:
         return _LOAD
@@ -290,10 +296,12 @@ class Section(Expr):
     def replace_children(self, new: Sequence[Expr]) -> "Section":
         addr, length = new
         return Section(addr=addr, length=length, stride=self.stride,
-                       ctype=self.ctype)
+                       held=self.held, ctype=self.ctype)
 
     def __repr__(self) -> str:
-        return f"Section({self.addr!r}, n={self.length!r}, s={self.stride})"
+        held = ", held" if self.held else ""
+        return (f"Section({self.addr!r}, n={self.length!r}, "
+                f"s={self.stride}{held})")
 
 
 @dataclass(eq=False)
@@ -626,6 +634,32 @@ class ILProgram:
 # ---------------------------------------------------------------------------
 # Traversal helpers
 # ---------------------------------------------------------------------------
+
+
+#: Storage classes of objects with one place in memory for the whole
+#: run: the program's globals and promoted statics.
+STATIC_STORAGE = (GLOBAL, STATIC, EXTERN)
+
+
+def lives_in_memory(sym: Symbol) -> bool:
+    """Does ``sym`` live in memory — a read of it a load, a write a
+    store — rather than in a register?  The program's globals, and an
+    aggregate or address-taken local or parameter
+    (:func:`memory_locals`).  Engines charge such a read
+    ``load_latency`` and such a write ``store_latency``, and the
+    static walk (:mod:`repro.titan.static`) prices them so."""
+    return sym.storage in STATIC_STORAGE \
+        or isinstance(sym.ctype, (ArrayType, StructType)) \
+        or sym.address_taken
+
+
+def memory_locals(fn: "ILFunction") -> Iterator[Symbol]:
+    """The locals and parameters of ``fn`` that live in memory, in
+    storage each frame allocates (a local never has a global's storage
+    class: a ``static`` one is promoted to a global)."""
+    for sym in list(fn.local_syms) + list(fn.params):
+        if lives_in_memory(sym):
+            yield sym
 
 
 def walk_statements(stmts: Sequence[Stmt]) -> Iterator[Stmt]:

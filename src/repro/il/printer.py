@@ -59,8 +59,9 @@ def format_expr(expr: N.Expr, parent_prec: int = 0) -> str:
                 f"{format_expr(expr.then)}, "
                 f"{format_expr(expr.otherwise)})")
     if isinstance(expr, N.Section):
+        held = " : held" if expr.held else ""
         return (f"[{format_expr(expr.addr)} : n={format_expr(expr.length)}"
-                f" : s={expr.stride}]")
+                f" : s={expr.stride}{held}]")
     if isinstance(expr, N.Iota):
         return f"iota({format_expr(expr.start)})"
     raise TypeError(f"unknown expression {expr!r}")

@@ -9,7 +9,10 @@ test suite re-validates after each pass:
 2. Assignment targets are lvalues (``VarRef`` or ``Mem``); ``Section``
    targets appear only in ``VectorAssign``.
 3. ``DoLoop`` steps are non-zero integer constants and loop variables
-   are scalar integer symbols.
+   are scalar integer symbols held in registers, never ones that live
+   in memory (:func:`~repro.il.nodes.lives_in_memory`): the passes
+   that make DO loops give each a fresh temporary, and the static walk
+   prices a loop's control as register work.
 4. Labels referenced by ``goto`` exist in the function.
 5. Statement ids are unique within a function — and, program-wide,
    across functions (:func:`validate_unique_sids`), because loop
@@ -25,12 +28,21 @@ test suite re-validates after each pass:
    ``float`` constant is a float32 value, an ``int`` one is in range —
    NaN excepted.  A constant is what the machine would hold, so the
    folder and every engine read the same number.
+8. Every ``Section.held`` mark is justified: the section is a load of
+   a vector store in a strip loop's body, and the one rule of held
+   sections (:func:`repro.titan.vector_ops.held_loads`, without a
+   register budget) holds it — an equal section stored or loaded
+   earlier in the same strip, and no store that may overlap it, call
+   or write to what its address reads in between.  A pass that
+   reorders, deletes or rewrites a strip's statements cannot leave a
+   stale mark.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from ..titan.vector_ops import held_loads
 from . import nodes as N
 
 
@@ -89,18 +101,31 @@ def _check_section(section: N.Section, where: str) -> None:
             f"{section.addr.ctype}")
 
 
-def _check_sections(stmt: N.Stmt, fn_name: str) -> None:
+def _check_sections(stmt: N.Stmt, fn_name: str,
+                    justified: Dict[int, tuple]) -> None:
     where = f"{type(stmt).__name__} (sid {stmt.sid}) in {fn_name}"
+    held = 0
     for top in N.stmt_exprs(stmt):
         for expr in N.walk_expr(top):
             if isinstance(expr, N.Section):
                 _check_section(expr, where)
+                held += expr.held
+    if held and held != sum(
+            section.held and outcome == "held"
+            for section, outcome in justified.get(id(stmt), ())):
+        raise ILValidationError(
+            f"{where}: a section is marked held that no earlier "
+            "statement of its strip leaves in a vector register")
 
 
 def validate_function(fn: N.ILFunction) -> None:
     labels: Set[str] = set()
     gotos: List[str] = []
     sids: Set[int] = set()
+    # Per vector store of a strip loop's body (by identity, filled
+    # before the preorder walk reaches the body), its loads' outcomes
+    # under the rule of held sections.
+    justified: Dict[int, tuple] = {}
     for stmt in fn.all_statements():
         if stmt.sid in sids:
             raise ILValidationError(
@@ -155,12 +180,19 @@ def validate_function(fn: N.ILFunction) -> None:
             if not stmt.var.ctype.is_integer:
                 raise ILValidationError(
                     f"DoLoop variable {stmt.var.name} is not integer")
+            if N.lives_in_memory(stmt.var):
+                raise ILValidationError(
+                    f"DoLoop variable {stmt.var.name} lives in memory")
             _check_pure(stmt.lo, top=False)
             _check_pure(stmt.hi, top=False)
+            if stmt.vector:
+                for sub, loads in zip(stmt.body, held_loads(stmt)):
+                    if loads:
+                        justified[id(sub)] = loads
         elif isinstance(stmt, N.Return) and stmt.value is not None:
             _check_pure(stmt.value, top=False)
         if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
-            _check_sections(stmt, fn.name)
+            _check_sections(stmt, fn.name, justified)
         if isinstance(stmt, N.ListParallelLoop):
             if not stmt.ptr.ctype.is_pointer:
                 raise ILValidationError(

@@ -127,7 +127,7 @@ from . import intfacts, strips, vectorgen
 from .intfacts import IntFact
 from .interpreter import (Interpreter, InterpreterError,
                           StepLimitExceeded, Value, _Frame,
-                          _memory_locals, _trip_values)
+                          _trip_values)
 from .kernels import (KERNEL_OPS, _UNSET, _binop_impl, _is_aggregate,
                       _raise_uninit, _struct_format)
 
@@ -316,7 +316,7 @@ class _CodeGenerator:
         # Tree-walker allocation order (duplicates preserved: a symbol
         # listed twice is allocated twice and keeps the last address).
         self._mem_allocs: List[Tuple[int, CType]] = []
-        for sym in _memory_locals(fn):
+        for sym in N.memory_locals(fn):
             slot = self._mem_slots.get(sym)
             if slot is None:
                 slot = self._mem_slots[sym] = self._new_slot()

@@ -252,7 +252,7 @@ class Interpreter:
             raise InterpreterError(
                 f"{fn.name} expects {len(fn.params)} args, got {len(args)}")
         frame = _Frame(mark=self.memory.mark())
-        for sym in _memory_locals(fn):
+        for sym in N.memory_locals(fn):
             frame.addr_of[sym] = self.memory.allocate(
                 sym.ctype.sizeof())
         for sym, value in zip(fn.params, args):
@@ -813,14 +813,6 @@ def _scalar_type(ctype: CType) -> CType:
     if isinstance(ctype, (ArrayType, StructType)):
         raise InterpreterError(f"scalar access at aggregate type {ctype}")
     return ctype
-
-
-def _memory_locals(fn: N.ILFunction):
-    """Locals/params that need real storage: aggregates, address-taken."""
-    for sym in list(fn.local_syms) + list(fn.params):
-        if isinstance(sym.ctype, (ArrayType, StructType)) \
-                or sym.address_taken:
-            yield sym
 
 
 def _flatten(init) -> List[Value]:

@@ -25,7 +25,9 @@ bucket and a merged histogram equals the element-wise sum.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -35,8 +37,12 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+_FIRST = operator.itemgetter(0)
 
 
+# Cached: counters are looked up in hot paths, and a process names a
+# few dozen metrics.
+@functools.lru_cache(maxsize=1024)
 def sanitize_name(name: str) -> str:
     """Prometheus metric-name charset (``[a-zA-Z_:][a-zA-Z0-9_:]*``)."""
     cleaned = _NAME_RE.sub("_", name)
@@ -48,7 +54,9 @@ def sanitize_name(name: str) -> str:
 def _label_key(labels: Optional[Dict[str, object]]) -> LabelKey:
     if not labels:
         return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    # No Python-level call per label: counters are looked up in hot
+    # paths.
+    return tuple(sorted(zip(map(str, labels), map(str, labels.values()))))
 
 
 def _escape_label_value(value: str) -> str:
@@ -181,9 +189,11 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def __iter__(self) -> Iterator[Tuple[str, LabelKey, object]]:
-        for (name, key), metric in sorted(
-                self._metrics.items(), key=lambda item: item[0]):
+        for (name, key), metric in self._sorted():
             yield name, key, metric
+
+    def _sorted(self) -> List[Tuple[Tuple[str, LabelKey], object]]:
+        return sorted(self._metrics.items(), key=_FIRST)
 
     def value(self, name: str,
               labels: Optional[Dict[str, object]] = None) -> float:
@@ -227,7 +237,7 @@ class MetricsRegistry:
         counters: List[Dict[str, object]] = []
         gauges: List[Dict[str, object]] = []
         histograms: List[Dict[str, object]] = []
-        for name, key, metric in self:
+        for (name, key), metric in self._sorted():
             entry: Dict[str, object] = {
                 "name": name, "labels": dict(key)}
             if isinstance(metric, Histogram):

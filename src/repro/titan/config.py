@@ -2,9 +2,10 @@
 
 The real Titan: up to four processors on a shared-memory bus, each with
 a RISC integer unit, a deeply pipelined floating-point unit that also
-executes all vector instructions, and an 8196-word vector register file
-addressable at any base/length/stride (so usable as four vectors of
-2048, or 8k scalars).
+executes all vector instructions, and an 8,192-word vector register
+file addressable at any base/length/stride (so usable as four vectors
+of 2048, or 8k scalars; strip loops keep sections they re-read there,
+:func:`repro.titan.vector_ops.held_loads`).
 
 We do not have the hardware; these constants define a cycle-approximate
 cost model whose *shape* matches the paper's published numbers:

@@ -119,6 +119,10 @@ class StaticCostEstimator:
     # -- expressions ---------------------------------------------------
 
     def expr_cycles(self, expr: N.Expr):
+        """A scalar evaluation of ``expr``: a load per memory operand
+        and per read of a variable living in memory
+        (:func:`~repro.il.nodes.lives_in_memory`), an operation per
+        operator, a call per call."""
         latency = self._latency
         total = 0
         pending = [expr]
@@ -127,6 +131,9 @@ class StaticCostEstimator:
             kind = type(expr)
             if kind is N.Mem:
                 total += latency["load"]
+            elif kind is N.VarRef:
+                if N.lives_in_memory(expr.sym):
+                    total += latency["load"]
             elif kind is N.BinOp or kind is N.UnOp or kind is N.Select:
                 # A select is charged like the operator it is; the
                 # static walk still visits both arms (worst-case
@@ -141,20 +148,26 @@ class StaticCostEstimator:
     # -- statements ----------------------------------------------------
 
     def _operand_cycles(self, stmt: N.Stmt):
-        """The scalar work of one run of a vector statement: its
-        length, then — unless a constant length says it runs no
+        """The scalar work of one run of a vector statement: a
+        reduction's read and write of an accumulator living in memory,
+        its length, then — unless a constant length says it runs no
         element — its section addresses, iota starts and broadcast
         operands, each evaluated once as a scalar expression (the
         lanes' arithmetic is the vector instructions').  Both arms of
         a select and a masked store's value count, as the worst case;
         runs evaluate what some lane reaches."""
+        total = 0
         if isinstance(stmt, N.VectorAssign):
             length = stmt.target.length
             pending = [stmt.target, stmt.value, stmt.mask]
         else:
             length = stmt.length
             pending = [stmt.value]
-        total = self.expr_cycles(length)
+            if N.lives_in_memory(stmt.target.sym):
+                # The accumulator is read and written whatever the
+                # length.
+                total = self._latency["load"] + self._latency["store"]
+        total += self.expr_cycles(length)
         known = const_int_value(length)
         if known is not None and known <= 0:
             return total
@@ -186,6 +199,8 @@ class StaticCostEstimator:
             if isinstance(stmt.target, N.Mem):
                 cycles += self.expr_cycles(stmt.target.addr) \
                     + latency["store"]
+            elif N.lives_in_memory(stmt.target.sym):
+                cycles += latency["store"]
             return cycles
         if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
             length = const_int_value(

@@ -55,12 +55,14 @@ from ..dependence.refs import AffineRef, parse_ref
 from ..frontend.ctypes_ import INT
 from ..frontend.symtab import Symbol, SymbolTable
 from ..il import nodes as N
+from ..il.printer import format_expr
 from ..obs.metrics import REGISTRY
 from ..obs.remarks import RemarkCollector
 from ..opt import utils
 from ..opt.fold import const_int_value, simplify
 from ..titan.config import TitanConfig
 from ..titan.static import ForkDecision, fork_decision
+from ..titan.vector_ops import HELD_OUTCOMES, held_loads
 
 
 @dataclass
@@ -200,6 +202,7 @@ class Vectorizer:
 
         utils.for_each_loop(fn.body, visit)
         self._fuse_lists(fn.body)
+        self._report_held()
         forked: Set[int] = set()
         for source in self._strips.values():
             if source.loop.parallel:
@@ -697,6 +700,7 @@ class Vectorizer:
                 continue
             stmts = [loop.body[k] for k in region.stmts]
             edges = _edges_among(graph, region.stmts)
+            self._hold(stmt)
             decision = ForkDecision("illegal")
             if self.options.parallelize:
                 decision = self._fork(loop, region, stmt, edges, stmts)
@@ -816,6 +820,7 @@ class Vectorizer:
             edge, src=edge.src + len(a.stmts), dst=edge.dst + len(a.stmts))
             for edge in b.edges]
         fused = self._fused_loop(first, later)
+        self._hold(fused)
         decision = ForkDecision("illegal")
         if self.options.parallelize:
             decision = fork_decision(
@@ -827,12 +832,12 @@ class Vectorizer:
             total = decision.cycles()
             parts = (a.decision.cycles(), b.decision.cycles())
             if total is None or None in parts:
-                return self._refuse(later, "price",
-                                    "the parts fork differently and "
-                                    "have no static price")
-            prices = f"static price {total:.0f} cycles fused against " \
-                     f"{sum(parts):.0f} apart"
-            if total > sum(parts):
+                prices = "the parts fork differently and have no " \
+                         "static price"
+            else:
+                prices = f"static price {total:.0f} cycles fused " \
+                         f"against {sum(parts):.0f} apart"
+            if total is None or None in parts or total > sum(parts):
                 return self._refuse(later, "price", prices)
         del self._strips[id(first)], self._strips[id(later)]
         self._strips[id(fused)] = StripSource(
@@ -860,6 +865,51 @@ class Vectorizer:
                 f"strip loops not fused: {detail}", stmt=later,
                 outcome=reason)
         return None
+
+    def _hold(self, loop: N.DoLoop) -> tuple:
+        """Mark the sections strip loop ``loop`` holds in the vector
+        register file (:func:`~repro.titan.vector_ops.held_loads`),
+        clearing every other mark in its body; its loads' outcomes."""
+        machine = self.options.config or TitanConfig()
+        outcomes = held_loads(loop, machine.vector_register_words)
+        for stmt, loads in zip(loop.body, outcomes):
+            for section, outcome in loads:
+                if section.held != (outcome == "held"):
+                    marks = iter([outcome == "held"
+                                  for _, outcome in loads])
+                    if stmt.mask is not None:
+                        stmt.mask = _with_marks(stmt.mask, marks)
+                    stmt.value = _with_marks(stmt.value, marks)
+                    break
+        return outcomes
+
+    def _report_held(self) -> None:
+        """Mark every strip loop fusion left once more — a refused
+        candidate's marks stay on the statements it shares with its
+        parts — then count its re-read sections by outcome, and name
+        what each loop holds in a remark."""
+        counts: Dict[str, int] = {}
+        for source in self._strips.values():
+            names: List[str] = []
+            held = 0
+            for loads in self._hold(source.loop):
+                for section, outcome in loads:
+                    if outcome in HELD_OUTCOMES:
+                        counts[outcome] = counts.get(outcome, 0) + 1
+                    if outcome == "held":
+                        held += 1
+                        name = _section_name(section)
+                        if name not in names:
+                            names.append(name)
+            if held and self.remarks is not None:
+                self.remarks.analysis(
+                    "vectorize", self._fn.name,
+                    f"{held} load{'s' if held > 1 else ''} read from "
+                    f"vector registers: {', '.join(names)}",
+                    stmt=source.loop, outcome="held", held=held)
+        for outcome, count in counts.items():
+            REGISTRY.counter("titancc_vector_held_loads_total",
+                             {"outcome": outcome}).inc(count)
 
     @staticmethod
     def _fused_loop(first: N.DoLoop, later: N.DoLoop) -> N.DoLoop:
@@ -1148,6 +1198,34 @@ class _AllInvariants:
 
     def __contains__(self, item) -> bool:
         return True
+
+
+def _with_marks(expr: N.Expr, marks) -> N.Expr:
+    """``expr`` with its load sections' ``held`` marks taken, in issue
+    order, from ``marks``; the same node where nothing changes."""
+    if isinstance(expr, N.Section):
+        held = next(marks)
+        if held == expr.held:
+            return expr
+        return N.Section(addr=expr.addr, length=expr.length,
+                         stride=expr.stride, held=held, ctype=expr.ctype)
+    if isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select)):
+        kids = expr.children()
+        new = [_with_marks(kid, marks) for kid in kids]
+        if any(a is not b for a, b in zip(new, kids)):
+            return expr.replace_children(new)
+    return expr
+
+
+def _section_name(section: N.Section) -> str:
+    """The object a section addresses, as a remark names it."""
+    for node in N.walk_expr(section.addr):
+        if isinstance(node, N.AddrOf):
+            return node.sym.name
+    for node in N.walk_expr(section.addr):
+        if isinstance(node, N.VarRef) and node.ctype.is_pointer:
+            return node.sym.name
+    return format_expr(section.addr)
 
 
 def _rename_loop_var(stmt: N.Stmt, old: Symbol, new: Symbol) -> N.Stmt:

@@ -49,9 +49,10 @@ def build(lanes, trip: int, loops: List[List[tuple]],
     the last loop uses, ``"other"`` an unrelated scalar — before the
     last), store the accumulators to ``r``.  A store is ``("store",
     target, op, left, shift, right)``: ``target[i] = left[i + shift]
-    op right[i]``; a reduction is ``("reduce", op, source, shift)``:
-    ``s_k = s_k op source[i + shift]``.  Loop ``k`` runs over index
-    ``i_k``."""
+    op right[i]``; ``"masked"`` in place of ``"store"`` stores only
+    where ``i > 0``; a reduction is ``("reduce", op, source, shift)``:
+    ``s_k = s_k op source[i + shift]``.  An array named ``p`` is ``c``
+    through a local pointer.  Loop ``k`` runs over index ``i_k``."""
     table = SymbolTable()
     arrays = {name: table.declare(name, ArrayType(base=lanes,
                                                   length=trip + 2),
@@ -59,6 +60,7 @@ def build(lanes, trip: int, loops: List[List[tuple]],
               for name in ARRAYS}
     arrays["r"] = table.declare("r", ArrayType(base=lanes, length=8),
                                 "global")
+    pointer = table.declare("p", PointerType(base=lanes))
     accumulators = {}
 
     def element(name: str, index, shift: int = 0) -> N.Mem:
@@ -67,10 +69,11 @@ def build(lanes, trip: int, loops: List[List[tuple]],
         offset = N.BinOp(op="+", left=offset,
                          right=N.int_const((1 + shift) * lanes.sizeof()),
                          ctype=INT)
+        base = N.VarRef(sym=pointer, ctype=pointer.ctype) if name == "p" \
+            else N.AddrOf(sym=arrays[name], ctype=PointerType(base=lanes))
         return N.Mem(addr=N.BinOp(
-            op="+", left=N.AddrOf(sym=arrays[name],
-                                  ctype=PointerType(base=lanes)),
-            right=offset, ctype=PointerType(base=lanes)), ctype=lanes)
+            op="+", left=base, right=offset,
+            ctype=PointerType(base=lanes)), ctype=lanes)
 
     def accumulator(name: str):
         if name not in accumulators:
@@ -85,12 +88,19 @@ def build(lanes, trip: int, loops: List[List[tuple]],
         indices.append(index)
         stmts: List[N.Stmt] = []
         for step in plan:
-            if step[0] == "store":
-                _, target, op, left, shift, right = step
-                stmts.append(N.Assign(
-                    target=element(target, index), value=N.BinOp(
-                        op=op, left=element(left, index, shift),
-                        right=element(right, index), ctype=lanes)))
+            if step[0] in ("store", "masked"):
+                kind, target, op, left, shift, right = step
+                value = N.BinOp(op=op, left=element(left, index, shift),
+                                right=element(right, index), ctype=lanes)
+                if kind == "masked":
+                    value = N.Select(
+                        cond=N.BinOp(op=">", left=N.VarRef(
+                            sym=index, ctype=INT), right=N.int_const(0),
+                            ctype=INT),
+                        then=value, otherwise=element(target, index),
+                        ctype=lanes)
+                stmts.append(N.Assign(target=element(target, index),
+                                      value=value))
             else:
                 _, op, source, shift, name = step
                 stmts.append(N.Assign(
@@ -112,6 +122,9 @@ def build(lanes, trip: int, loops: List[List[tuple]],
         accumulator(name)
     start = [N.Assign(target=accumulator(name), value=N.clone_expr(zero))
              for name in sorted(accumulators)]
+    start.append(N.Assign(
+        target=N.VarRef(sym=pointer, ctype=pointer.ctype),
+        value=N.AddrOf(sym=arrays["c"], ctype=pointer.ctype)))
     finish = [N.Assign(
         target=N.Mem(addr=N.BinOp(
             op="+", left=N.AddrOf(sym=arrays["r"],
@@ -123,8 +136,9 @@ def build(lanes, trip: int, loops: List[List[tuple]],
     fn = N.ILFunction(name="main", params=[], ret_type=INT,
                       body=start + body + finish
                       + [N.Return(value=N.int_const(0))],
-                      local_syms=indices + [accumulators[name] for name
-                                            in sorted(accumulators)])
+                      local_syms=indices + [pointer] + [
+                          accumulators[name]
+                          for name in sorted(accumulators)])
     return N.ILProgram(functions={"main": fn},
                        globals=[N.GlobalVar(sym=sym)
                                 for sym in arrays.values()],

@@ -179,6 +179,19 @@ class TestValidator:
         with pytest.raises(ILValidationError):
             validate_function(self._fn([loop]))
 
+    @pytest.mark.parametrize("storage,address_taken",
+                             [("global", False), ("auto", True)])
+    def test_do_loop_index_in_memory_rejected(self, storage,
+                                              address_taken):
+        # The static walk prices a DO loop's test and step as register
+        # work; an index a run loads and stores would cost more.
+        index = sym("i")
+        index.storage, index.address_taken = storage, address_taken
+        loop = N.DoLoop(var=index, lo=N.int_const(0),
+                        hi=N.int_const(9), step=1, body=[])
+        with pytest.raises(ILValidationError, match="lives in memory"):
+            validate_function(self._fn([loop]))
+
     def test_duplicate_sid_rejected(self):
         a = N.Return(value=None)
         b = N.Return(value=None)

@@ -106,8 +106,10 @@ class TestEquivalence:
         registry = MetricsRegistry()
         cache = CatalogCache(registry=registry)
         paths = [lex_path(cache, source) for source in SOURCES]
-        # Three fuzz corpus files do not lex, one holds non-ASCII text.
+        # Three fuzz corpus files do not lex, one holds non-ASCII text,
+        # one a ``#pragma`` line.
         assert decisions(registry) == {("lines", ""): 71,
+                                       ("whole", "directive"): 1,
                                        ("whole", "lex-error"): 3,
                                        ("whole", "non-ascii"): 1}
         # A warm memo answers with the same fingerprints.

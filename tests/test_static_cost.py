@@ -68,11 +68,25 @@ def walk_prices(config, loop):
         loop, parallel=flag), 1, None) for flag in (False, True))
 
 
+#: Reduction strip loops the walk prices forked below serial that stay
+#: serial, because a fork would be illegal: at n = 40, VL 32 and 33,
+#: guarded_diff fuses its init loop, its masked stencil — which loads
+#: gin[i-1], stored by the strip before — and its sum into one strip
+#: loop.  ``(kernel, n, VL, CPUs)`` -> the walk's serial price.
+SERIAL_THOUGH_A_FORK_PAYS = {("guarded_diff", 40, 32, 2): 1000,
+                             ("guarded_diff", 40, 32, 4): 1000,
+                             ("guarded_diff", 40, 33, 2): 999,
+                             ("guarded_diff", 40, 33, 4): 999}
+
+
 def assert_forks_when_the_walk_says(program, config, label):
     """Every reduction strip loop is ``do parallel`` exactly when its
-    trip is constant and the walk prices it forked below serial; a
-    strip loop of constant trip forks only then (a carried edge may
-    keep a vector loop serial even where a fork would pay)."""
+    trip is constant and the walk prices it forked below serial —
+    but at the points of :data:`SERIAL_THOUGH_A_FORK_PAYS`, where it
+    is serial at the price named; a strip loop of constant trip forks
+    only then (a carried edge may keep a vector loop serial even where
+    a fork would pay).  Whether such a named loop was met."""
+    met = False
     for fn in program.functions.values():
         for loop in fn.all_statements():
             if not (isinstance(loop, N.DoLoop) and loop.vector):
@@ -80,17 +94,25 @@ def assert_forks_when_the_walk_says(program, config, label):
             serial, forked = walk_prices(config, loop)
             known = static_trip_count(loop) is not None
             pays = known and forked < serial
-            if any(isinstance(s, N.VectorReduce) for s in loop.body):
+            if not any(isinstance(s, N.VectorReduce) for s in loop.body):
+                if known and loop.parallel:
+                    assert pays, (label, fn.name, serial, forked)
+            elif label in SERIAL_THOUGH_A_FORK_PAYS:
+                assert pays and not loop.parallel, (label, fn.name)
+                assert serial == SERIAL_THOUGH_A_FORK_PAYS[label], (
+                    label, serial)
+                met = True
+            else:
                 assert loop.parallel == pays, (label, fn.name, serial,
                                                forked)
-            elif known and loop.parallel:
-                assert pays, (label, fn.name, serial, forked)
+    return met
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_e19_kernel_static_equals_measured(kernel):
     with open(os.path.join(E19_KERNELS_DIR, kernel + ".c")) as handle:
         template = handle.read()
+    met = set()
     for n in (40, 100, 1000):
         source = template.replace("{n}", str(n)).replace("{s}", "1")
         for width in (32, 33, 2048):
@@ -102,13 +124,16 @@ def test_e19_kernel_static_equals_measured(kernel):
                 config = titan_config(options)
                 result = compile_c(source, options)
                 label = (kernel, n, width, processors)
-                assert_forks_when_the_walk_says(result.program, config,
-                                                label)
+                if assert_forks_when_the_walk_says(result.program,
+                                                   config, label):
+                    met.add(label)
                 breakdown = run_costed(result.program, config,
                                        result.schedules)
                 assert static_vector(result.program, config,
                                      result.schedules) \
                     == measured_vector(breakdown), label
+    assert met == {label for label in SERIAL_THOUGH_A_FORK_PAYS
+                   if label[0] == kernel}
 
 
 MIX = """float u[{n}], v[{n}], w[{n}];
@@ -144,14 +169,16 @@ def kernel_source(name: str) -> str:
         return handle.read()
 
 
-@pytest.mark.parametrize("kernel", ["sdot", "mix", "daxpy"])
+@pytest.mark.parametrize("kernel", ["sdot", "mix", "daxpy", "vadd",
+                                    "sscal"])
 def test_walk_of_forked_reductions_equals_measured(kernel):
     """sdot, the mix loop (a store and a sum distributed from one loop,
-    fused back into one strip loop) and daxpy (init, compute and sum
-    loops fused into one): ``main`` is straight-line code and strip
-    loops, so the walk's price is the run's — the same prices, only
-    added in another order: exactly equal without a fork, to the last
-    few bits where a share divides."""
+    fused back into one strip loop), daxpy (init, compute and sum
+    loops fused into one, its re-reads held in vector registers), vadd
+    and sscal: ``main`` is straight-line code and strip loops, so the
+    walk's price is the run's — the same prices, only added in another
+    order: exactly equal without a fork, to the last few bits where a
+    share divides."""
     template = kernel_source(kernel)
     forks = 0
     for n in (100, 4096):
@@ -183,6 +210,37 @@ def test_walk_of_forked_reductions_equals_measured(kernel):
                                                      abs=0), (label, engine)
     # At 4,096 elements the sum forks at 2 and 4 CPUs, every length.
     assert forks >= 6
+
+
+def test_walk_prices_global_scalars_as_runs_do():
+    """clamp reads its bounds ``lo`` and ``hi``, globals, once per strip
+    of each masked store, and ``main`` writes them: runs charge a load
+    per read and a store per write, and so does the walk.  On E19's
+    probe grid (n = 4,096: every strip full, so some lane of each mask
+    is set) walk == run — 5,638 cycles apart at VL 32, 1 CPU, when the
+    walk read globals for free.  At n = 100 and VL 32 the last strip
+    holds elements 96..99, whose values 0..3 never exceed ``hi``: no
+    lane evaluates the masked value, so the run does not load ``hi``
+    there, which the walk — pricing what some lane may reach — counts:
+    one load apart."""
+    template = kernel_source("clamp")
+    for n, width, processors, gap in ((4096, 32, 1, 0), (4096, 64, 2, 0),
+                                      (4096, 128, 4, 0), (100, 32, 1, 11)):
+        source = template.replace("{n}", str(n)).replace("{s}", "0")
+        options = CompilerOptions(vector_length=width,
+                                  processors=processors)
+        config = titan_config(options)
+        result = compile_c(source, options)
+        walk = StaticCostEstimator(
+            config, schedules=result.schedules).function_cycles(
+                "main", result.program.functions["main"])
+        for engine in ("tree", "compiled"):
+            with TitanSimulator(result.program, config,
+                                schedules=result.schedules,
+                                engine=engine) as simulator:
+                measured = simulator.run("main").cycles
+            assert walk - measured == gap, (n, width, processors, engine)
+    assert gap == config.load_latency
 
 
 def test_forked_reductions_meet_their_cycle_targets():
