@@ -51,17 +51,6 @@ from ..obs import schemas
 
 BISECT_SCHEMA = schemas.BISECT
 
-#: Checker/registry pass names -> the names the same pass uses in its
-#: remark stream (kept distinct historically; reports bridge the gap).
-_REMARK_ALIASES: Dict[str, tuple] = {
-    "reg-pipeline": ("reg-pipeline", "regpipe"),
-}
-
-
-def _remark_names(pass_name: str) -> tuple:
-    return _REMARK_ALIASES.get(pass_name, (pass_name,))
-
-
 @dataclass
 class CulpritReport:
     """Machine-readable bisection verdict (schema ``titancc-bisect/1``)."""
@@ -137,10 +126,9 @@ def _snapshot_diff(before: Optional[PassSnapshot],
 
 
 def _remark_dicts(result, pass_name: str, function: str) -> List[dict]:
-    names = set(_remark_names(pass_name))
     picked = []
     for remark in result.remarks:
-        if remark.pass_name not in names:
+        if remark.pass_name != pass_name:
             continue
         if function and remark.function != function:
             continue

@@ -476,11 +476,9 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
 
     if session_registry is not None:
         # Fold the pass-counter and loop-coverage families in next to
-        # the session's span metrics (spans already streamed in live —
-        # trace_spans=False avoids double counting them).
-        metrics_from_result(result, report.counters, report.loops,
-                            registry=session_registry,
-                            trace_spans=False)
+        # the session's span metrics (spans already streamed in live).
+        metrics_from_result(report.counters, report.loops,
+                            session_registry)
         record_analysis_solves(session_registry,
                                result.analysis_solves)
         record_pass_iterations(session_registry,

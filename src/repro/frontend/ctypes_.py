@@ -253,9 +253,6 @@ class StructType(CType):
                 return f
         raise TypeError_(f"struct {self.tag!r} has no field {name!r}")
 
-    def has_field(self, name: str) -> bool:
-        return any(f.name == name for f in self.fields)
-
     def __str__(self) -> str:
         kw = "union" if self.is_union else "struct"
         return _quals(self) + f"{kw} {self.tag}"

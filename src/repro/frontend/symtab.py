@@ -50,10 +50,6 @@ class Symbol:
     def is_volatile(self) -> bool:
         return self.ctype.is_volatile
 
-    @property
-    def is_temp(self) -> bool:
-        return self.storage == TEMP
-
     def __hash__(self) -> int:
         return hash(self.uid)
 
@@ -83,14 +79,6 @@ class Scope:
 
     def lookup_local(self, name: str) -> Optional[Symbol]:
         return self.names.get(name)
-
-    def lookup_tag(self, tag: str) -> Optional[CType]:
-        scope: Optional[Scope] = self
-        while scope is not None:
-            if tag in scope.tags:
-                return scope.tags[tag]
-            scope = scope.parent
-        return None
 
     def lookup_typedef(self, name: str) -> Optional[CType]:
         scope: Optional[Scope] = self
@@ -152,10 +140,6 @@ class SymbolTable:
             raise SymbolError("cannot pop the global scope")
         return self._stack.pop()
 
-    @property
-    def at_global_scope(self) -> bool:
-        return len(self._stack) == 1
-
     # -- declarations ----------------------------------------------------
 
     def declare(self, name: str, ctype: CType, storage: str = AUTO,
@@ -198,9 +182,6 @@ class SymbolTable:
 
     def maybe_lookup(self, name: str) -> Optional[Symbol]:
         return self.current.lookup(name)
-
-    def declare_tag(self, tag: str, ctype: CType) -> None:
-        self.current.tags[tag] = ctype
 
     def declare_typedef(self, name: str, ctype: CType) -> None:
         self.current.typedefs[name] = ctype

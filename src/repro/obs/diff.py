@@ -2,9 +2,9 @@
 
 Two entry points, one output schema:
 
-* :func:`diff_reports` — compare two ``titancc-report/3`` documents:
+* :func:`diff_reports` — compare two ``titancc-report/4`` documents:
   estimated/measured cycles, per-loop vectorization coverage, pass
-  counters, remark population, and metrics.
+  counters and remark population.
 * :func:`diff_benches` — compare two ``titancc-bench/1`` documents
   variant-by-variant, metric-by-metric, under the direction rule the
   regression gate uses (:func:`bench_direction`; ``regress.py
@@ -113,17 +113,6 @@ def _counter_map(doc: dict) -> Dict[Tuple[str, str, str], float]:
     return out
 
 
-def _metric_map(doc: dict) -> Dict[Tuple[str, str], float]:
-    out: Dict[Tuple[str, str], float] = {}
-    metrics = doc.get("metrics") or {}
-    for family in ("counters", "gauges"):
-        for rec in metrics.get(family) or []:
-            labels = ",".join(f"{k}={v}" for k, v in
-                              sorted((rec.get("labels") or {}).items()))
-            out[(str(rec.get("name")), labels)] = rec.get("value", 0)
-    return out
-
-
 def _loop_map(doc: dict) -> Dict[Tuple[str, int], dict]:
     """Loops keyed by (function, source line) — ``sid`` values are not
     stable across separate compiles, lines are."""
@@ -141,7 +130,7 @@ def _loop_map(doc: dict) -> Dict[Tuple[str, int], dict]:
 def diff_reports(base: dict, other: dict,
                  base_name: str = "base",
                  other_name: str = "other") -> dict:
-    """Diff two ``titancc-report/3`` documents into a
+    """Diff two ``titancc-report/4`` documents into a
     ``titancc-reportdiff/1`` document."""
     schemas.validate_document(base)
     schemas.validate_document(other)
@@ -193,7 +182,7 @@ def diff_reports(base: dict, other: dict,
         "vectorized_loops", _vec_count(base_loops),
         _vec_count(other_loops), lower_is_better=False))
 
-    # Pass counters and metrics: informational (neutral) — they
+    # Pass counters: informational (neutral) — they
     # explain *why* cycles moved, they are not goodness by themselves.
     base_counters = _counter_map(base)
     other_counters = _counter_map(other)
@@ -205,16 +194,6 @@ def diff_reports(base: dict, other: dict,
             entries.append(_entry(
                 f"counter[{pass_name}.{function}.{counter}]", b, o,
                 "neutral"))
-
-    base_metrics = _metric_map(base)
-    other_metrics = _metric_map(other)
-    for key in sorted(set(base_metrics) | set(other_metrics)):
-        b = base_metrics.get(key, 0)
-        o = other_metrics.get(key, 0)
-        if b != o:
-            name, labels = key
-            label = f"{name}{{{labels}}}" if labels else name
-            entries.append(_entry(f"metric[{label}]", b, o, "neutral"))
 
     # Remark population by (pass, kind): purely informational.
     def _remark_counts(doc: dict) -> Dict[Tuple[str, str], int]:

@@ -11,10 +11,8 @@ a canonical, sorted snapshot that
   workers under ``--jobs N`` ship their snapshots to the parent, which
   merges in seed order — the merged block is byte-identical to a
   sequential run's);
-* exports as Prometheus text format (``--metrics-prom``), as a
-  ``metrics`` event line in the ``titancc-events/1`` JSONL log, and as
-  the ``metrics`` section of the ``titancc-report/3`` compilation
-  report.
+* exports as Prometheus text format (``--metrics-prom``) and as a
+  ``metrics`` event line in the ``titancc-events/1`` JSONL log.
 
 Merge semantics: counters and histogram bucket counts/sums add;
 gauges take the maximum (the only merge that is order-independent

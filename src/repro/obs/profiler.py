@@ -94,12 +94,6 @@ class ProfileReport:
     def hottest(self) -> Optional[LoopProfile]:
         return self.loops[0] if self.loops else None
 
-    def loop_by_sid(self, sid: int) -> LoopProfile:
-        for loop in self.loops:
-            if loop.sid == sid:
-                return loop
-        raise KeyError(sid)
-
     def format(self, top: int = 10) -> str:
         lines = ["/* hot-loop profile */",
                  f"{'cycles':>12s} {'%':>6s} {'flops':>10s} "

@@ -26,12 +26,13 @@ stream the compiler produces — the structured equivalent of LLVM's
   decomposition;
 * **pass_checks** — schema /2: when the compile ran with the per-pass
   semantic checker (``--check-passes``), the per-pass snapshot table
-  (validated? executed? outcome?) and the first divergence if any;
-* **metrics** — schema /3: the
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot for this
-  compile (pass counters as one labeled family, loop-coverage
-  counters, span-duration histograms) — the mergeable form the
-  cross-run aggregation and the dashboard consume.
+  (validated? executed? outcome?) and the first divergence if any.
+
+Each fact is stated once.  Schema /4 deleted /3's ``metrics`` section,
+a :class:`~repro.obs.metrics.MetricsRegistry` snapshot derived from
+``counters``, ``loops`` and ``trace``; the CLI's session registry
+(``--metrics-prom``, ``--events-jsonl``) still gets those families
+from :func:`metrics_from_result`.
 
 The schema tag lives in :mod:`repro.obs.schemas` (bump it there when
 the document shape changes); consumers dispatch on it.
@@ -203,23 +204,17 @@ def pass_checks_section(checker) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Metrics section (schema /3)
+# Session metrics (--metrics-prom, --events-jsonl)
 # ---------------------------------------------------------------------------
 
 
-def metrics_from_result(result, counters: CounterStore,
+def metrics_from_result(counters: CounterStore,
                         loops: List[Dict[str, object]],
-                        registry: Optional[MetricsRegistry] = None,
-                        trace_spans: bool = True) -> MetricsRegistry:
-    """Build the report's :class:`MetricsRegistry`: the pass-counter
-    table as one labeled counter family, per-loop coverage and
-    miss-reason counters, and span-duration histograms from the
-    compile's trace.  Pass an existing ``registry`` (e.g. a session
-    registry already fed by a :class:`SpanMetricsConsumer`) with
-    ``trace_spans=False`` to add the counter/loop families without
-    double-counting spans."""
-    if registry is None:
-        registry = MetricsRegistry()
+                        registry: MetricsRegistry) -> None:
+    """Add a compile's pass counters (one labeled counter family) and
+    its per-loop coverage and miss-reason counters to ``registry``.
+    Span durations are not added: a session registry gets them live
+    from its :class:`~repro.obs.metrics.SpanMetricsConsumer`."""
     registry.absorb_counters(counters)
     for row in loops:
         registry.counter("titancc_loops_total", {
@@ -229,13 +224,6 @@ def metrics_from_result(result, counters: CounterStore,
             registry.counter("titancc_loop_miss_reasons_total", {
                 "reason": row["reason"],
             }).inc()
-    if trace_spans:
-        for event in result.trace.events:
-            labels = {"name": event.name, "cat": event.cat}
-            registry.counter("titancc_spans_total", labels).inc()
-            registry.histogram("titancc_span_seconds", labels) \
-                .observe(event.duration_us / 1e6)
-    return registry
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +247,6 @@ class CompilationReport:
     #: when the compile ran unchecked, else ``{"snapshots": [...],
     #: "executions": n, "divergence": {...}|None}``.
     pass_checks: Optional[Dict[str, object]] = None
-    #: Schema /3: the compile's MetricsRegistry (counters as one
-    #: labeled family + coverage counters + span histograms).
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     schema: str = REPORT_SCHEMA
 
     @classmethod
@@ -269,20 +254,17 @@ class CompilationReport:
                     titan_report=None,
                     config: Optional[TitanConfig] = None,
                     checker=None) -> "CompilationReport":
-        counters = counters_from_result(result)
-        loops = loop_coverage(result)
         return cls(
             source=filename or result.remarks.filename,
             options=dataclasses.asdict(result.options),
-            counters=counters,
+            counters=counters_from_result(result),
             remarks=list(result.remarks),
-            loops=loops,
+            loops=loop_coverage(result),
             dep_graphs=list(result.dep_graphs),
             trace_events=list(result.trace.events),
             titan=titan_section(result, config, titan_report),
             pass_checks=pass_checks_section(checker)
             if checker is not None else None,
-            metrics=metrics_from_result(result, counters, loops),
         )
 
     # -- queries -------------------------------------------------------
@@ -324,7 +306,6 @@ class CompilationReport:
             ],
             "titan": jsonable(self.titan),
             "pass_checks": jsonable(self.pass_checks),
-            "metrics": self.metrics.to_dict(),
         }
 
     def to_json(self, indent: Optional[int] = 1) -> str:

@@ -30,8 +30,9 @@ from typing import Dict, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 #: The full machine-readable compilation report (``--report-json``).
-#: /3 added the ``metrics`` section (the MetricsRegistry snapshot).
-REPORT = "titancc-report/3"
+#: /4 deleted /3's ``metrics`` section: every fact in it is already
+#: in ``counters``, ``loops`` or ``trace``.
+REPORT = "titancc-report/4"
 #: Benchmark telemetry documents (``BENCH_<name>.json``).
 BENCH = "titancc-bench/1"
 #: Differential-fuzz run summaries (``summary.json``).
@@ -53,7 +54,7 @@ ATTRIB = "titancc-attrib/1"
 REPORTDIFF = "titancc-reportdiff/1"
 #: Compilation-service response envelopes (``python -m repro.service``
 #: JSONL stream and the in-process client API).  The ``payload``
-#: carries a canonicalized ``titancc-report/3`` plus the listing,
+#: carries a canonicalized ``titancc-report/4`` plus the listing,
 #: simulation results, and engine artifact.
 SERVICE = "titancc-service/1"
 
@@ -62,7 +63,8 @@ SERVICE = "titancc-service/1"
 REGISTERED: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     REPORT: ("compilation report",
              ("schema", "source", "options", "counters", "remarks",
-              "loops", "trace", "titan", "metrics")),
+              "loops", "dependence_graphs", "trace", "titan",
+              "pass_checks")),
     BENCH: ("benchmark telemetry", ("schema", "name", "variants")),
     FUZZ: ("fuzz run summary",
            ("schema", "seed", "count", "ok", "rejected", "divergences",

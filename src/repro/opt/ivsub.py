@@ -235,8 +235,3 @@ def _substitute_rec(stmts: List[N.Stmt], sym: Symbol,
         utils.substitute_in_stmt(stmt, sym, replacement)
         for sublist in stmt.substatements():
             _substitute_rec(sublist, sym, replacement)
-
-
-def substitute_induction_variables(fn: N.ILFunction,
-                                   symtab: SymbolTable) -> IVSubStats:
-    return InductionVariableSubstitution(symtab).run(fn)

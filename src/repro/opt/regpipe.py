@@ -156,7 +156,7 @@ class RegisterPipelining:
         self.stats.preloads_inserted += 1
         if self.remarks is not None:
             self.remarks.transformed(
-                "regpipe", self._fn.name,
+                PASS_NAME, self._fn.name,
                 f"loop-carried flow pulled into register "
                 f"'{freg.name}': load of the value stored one "
                 f"iteration earlier (distance 1) replaced by a "

@@ -56,19 +56,6 @@ def symbols_defined_in(stmts: Sequence[N.Stmt]) -> Set[Symbol]:
     return set(scalar_defs_in(stmts).keys())
 
 
-def has_stores_or_calls(stmts: Sequence[N.Stmt]) -> bool:
-    """Any memory store, vector store, or call inside?"""
-    for stmt in N.walk_statements(stmts):
-        if isinstance(stmt, N.Assign) and isinstance(stmt.target, N.Mem):
-            return True
-        if isinstance(stmt, (N.VectorAssign, N.CallStmt)):
-            return True
-        if isinstance(stmt, N.Assign) and isinstance(stmt.value,
-                                                     N.CallExpr):
-            return True
-    return False
-
-
 def expr_has_call(expr: N.Expr) -> bool:
     return bool(N.facts(expr).flags & N.HAS_CALL)
 

@@ -21,15 +21,15 @@ A **response** is a schema-validated envelope::
      "error": null | {"phase", "kind", "type", "message"}}
 
 The ``payload`` is the deterministic part — source/IL hashes, options
-fingerprint, the **canonicalized** ``titancc-report/3`` document, the
+fingerprint, the **canonicalized** ``titancc-report/4`` document, the
 optimized-IL listing, simulation results, and the engine artifact.  A
 cache hit returns the stored payload verbatim, so cold, warm, and
 direct compilations are byte-identical there; only the envelope's
 ``cache`` metadata reveals where the bytes came from.
 
 Canonicalization strips exactly the wall-clock observations from a
-report — trace span timings and ``*_seconds`` histogram families —
-because those are the only nondeterministic bytes a compile produces.
+report — trace span timings — because those are the only
+nondeterministic bytes a compile produces.
 Wall times are not lost: the service records them in its own metrics
 (``titancc_service_request_seconds``), outside the deterministic
 surface.
@@ -153,9 +153,8 @@ def error_response(request_id: object, exc: BaseException,
 
 
 def canonicalize_report(doc: dict) -> dict:
-    """Strip the wall-clock observations from a ``titancc-report/3``
+    """Strip the wall-clock observations from a ``titancc-report/4``
     document: per-span ``start_us``/``duration_us`` in the trace
-    section and every ``*_seconds`` histogram family in the metrics
     section.  Everything else a compile reports is deterministic, so
     the canonical report is byte-stable across runs, processes, and
     cache tiers."""
@@ -164,9 +163,4 @@ def canonicalize_report(doc: dict) -> dict:
         {"name": event["name"], "cat": event["cat"],
          "args": event["args"]}
         for event in doc.get("trace", ())]
-    metrics = dict(doc.get("metrics") or {})
-    metrics["histograms"] = [
-        entry for entry in metrics.get("histograms", ())
-        if not entry["name"].endswith("_seconds")]
-    out["metrics"] = metrics
     return out

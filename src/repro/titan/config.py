@@ -59,9 +59,5 @@ class TitanConfig:
     parallel_startup: int = 200  # fork/join cost per parallel loop
     parallel_efficiency: float = 0.90  # bus contention etc.
 
-    @property
-    def cycle_time_us(self) -> float:
-        return 1.0 / self.clock_mhz
-
     def seconds(self, cycles: float) -> float:
         return cycles / (self.clock_mhz * 1e6)

@@ -290,7 +290,8 @@ class StaticCostEstimator:
         if loop.parallel:
             cycles = setup + self._parallel(inner, trips)
         else:
-            cycles = setup + inner
+            # Runs also charge the loop test that fails.
+            cycles = setup + inner + latency["branch"]
         if loops is not None:
             kind = "do-parallel" if loop.parallel else "do"
             loops.append(LoopCost(function, loop.line, kind,

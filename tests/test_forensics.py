@@ -5,6 +5,7 @@ benchmarks/test_e15_forensics.py; these tests pin the classification
 rules and the exact telescoping at the unit level."""
 
 import json
+import os
 
 import pytest
 
@@ -25,6 +26,9 @@ void daxpy() {
         a[i] = a[i] + alpha * b[i];
 }
 """
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks", "reports")
 
 O0 = CompilerOptions(inline=False, scalar_opt=False, vectorize=False,
                      reg_pipeline=False, strength_reduction=False)
@@ -190,3 +194,27 @@ class TestReportDiff:
         assert diff_main([full, o0, "--gate"]) == 1
         out = capsys.readouterr().out
         assert "cycles" in out
+
+
+def test_fixture_diff_names_each_counter_once():
+    """The committed ``-O0`` and full report fixtures differ in many
+    pass counters; their diff has one entry per counter that moved,
+    ``counter[pass.function.counter]``, and nothing else restates
+    one."""
+    docs = []
+    for name in ("daxpy_o0", "daxpy_full"):
+        with open(os.path.join(FIXTURES, f"{name}.report.json")) as handle:
+            docs.append(json.load(handle))
+    diff = diff_reports(*docs)
+    names = [entry["metric"] for entries in diff["classified"].values()
+             for entry in entries]
+    assert len(names) == len(set(names))
+    values = [{(r["pass"], r["function"], r["counter"]): r["value"]
+               for r in doc["counters"]} for doc in docs]
+    moved = {f"counter[{p}.{fn}.{c}]" for p, fn, c in
+             set(values[0]) | set(values[1])
+             if values[0].get((p, fn, c), 0) != values[1].get((p, fn, c), 0)}
+    assert moved
+    assert {n for n in names if n.startswith("counter[")} == moved
+    assert all(n.split("[")[0] in ("cycles", "vectorized_loops", "loop",
+                                   "counter", "remarks") for n in names)

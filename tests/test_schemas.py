@@ -14,6 +14,8 @@ from repro.obs.schemas import (REGISTERED, SchemaError,
                                atomic_write_text, validate_document,
                                validate_tag, write_json_artifact)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 SOURCE = """
 double a[64], b[64];
 int n;
@@ -120,17 +122,16 @@ def prog_file(tmp_path):
 class TestEmittedArtifacts:
     """Every artifact the CLI writes validates against the registry."""
 
-    def test_report_v3_round_trips(self, prog_file, tmp_path):
+    def test_report_v4_round_trips(self, prog_file, tmp_path):
         out = tmp_path / "report.json"
         assert main([prog_file, "--run", "daxpy",
                      "--report-json", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert validate_document(doc) == schemas.REPORT
-        assert doc["schema"] == "titancc-report/3"
-        # /3's new section: the registry snapshot rides along.
-        assert set(doc["metrics"]) == \
-            {"counters", "gauges", "histograms"}
-        assert doc["metrics"]["counters"]
+        assert doc["schema"] == "titancc-report/4"
+        # /4 states each fact once: no derived metrics section, and
+        # nothing beyond the registered keys.
+        assert tuple(doc) == schemas.REGISTERED[schemas.REPORT][1]
 
     def test_trace_depgraph_and_events_validate(self, prog_file,
                                                 tmp_path):
@@ -163,6 +164,44 @@ class TestEmittedArtifacts:
         text = prom.read_text()
         assert "# TYPE titancc_pass_events_total counter" in text
         assert "titancc_loops_total" in text
+
+    @pytest.mark.parametrize("example", ["daxpy", "backsolve"])
+    def test_metrics_prom_states_the_report_counts(self, example,
+                                                   tmp_path):
+        """The report has no metrics section; ``--metrics-prom`` still
+        carries the pass-counter, loop and miss-reason families, with
+        the report's ``counters`` and ``loops`` values (daxpy.c
+        vectorizes every loop, backsolve.c leaves some serial)."""
+        prom = tmp_path / "metrics.prom"
+        report = tmp_path / "report.json"
+        source = os.path.join(ROOT, "examples", f"{example}.c")
+        assert main([source, "--run", "main", "--metrics-prom", str(prom),
+                     "--report-json", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        families = {"titancc_pass_events_total": {},
+                    "titancc_loops_total": {},
+                    "titancc_loop_miss_reasons_total": {}}
+        for line in prom.read_text().splitlines():
+            name, _, rest = line.partition("{")
+            if name in families:
+                labels, _, value = rest.rpartition("} ")
+                families[name][labels] = float(value)
+        expected = {name: {} for name in families}
+        for rec in doc["counters"]:
+            key = (f'counter="{rec["counter"]}",'
+                   f'function="{rec["function"]}",pass="{rec["pass"]}"')
+            expected["titancc_pass_events_total"][key] = rec["value"]
+        loops = expected["titancc_loops_total"]
+        reasons = expected["titancc_loop_miss_reasons_total"]
+        for row in doc["loops"]:
+            key = f'function="{row["function"]}",status="{row["status"]}"'
+            loops[key] = loops.get(key, 0) + 1
+            if row["status"] == "serial" and row["reason"]:
+                key = f'reason="{row["reason"]}"'
+                reasons[key] = reasons.get(key, 0) + 1
+        assert expected["titancc_pass_events_total"] and loops
+        assert bool(reasons) == (example == "backsolve")
+        assert families == expected
 
     def test_report_to_stdout_with_dash(self, prog_file, capsys):
         assert main([prog_file, "--report-json", "-"]) == 0
