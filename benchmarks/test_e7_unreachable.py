@@ -8,6 +8,8 @@ that arises in practice ... it is very effective in practice and
 requires less compile time."
 """
 
+import gc
+import sys
 import time
 
 from harness import Row, print_table, record_bench
@@ -100,9 +102,36 @@ def test_e7_baseline_removes_everything(benchmark):
     assert count_unreachable(fn) == 0
 
 
+def _python_calls(runner) -> int:
+    """Python-level calls ``runner`` makes on a freshly inlined
+    program (its construction not counted): a count, identical across
+    runs and hosts, where wall-clock time on a shared host is not."""
+    program = _inlined_program()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # A collection mid-run would count its finalizers' calls too.
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        runner(program)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return calls
+
+
 def test_e7_compile_time_comparison(benchmark):
-    """The heuristic must not be slower than reconstruct-and-sweep;
-    the paper chose it because it 'requires less compile time'."""
+    """The heuristic must be cheaper than reconstruct-and-sweep; the
+    paper chose it because it 'requires less compile time'.  The work
+    is counted in Python calls (11,821 against 12,382 when recorded);
+    the seconds are printed as a trend only."""
 
     def time_one(runner):
         start = time.perf_counter()
@@ -110,16 +139,20 @@ def test_e7_compile_time_comparison(benchmark):
             runner(_inlined_program())
         return (time.perf_counter() - start) / 5
 
+    heuristic_calls = _python_calls(_run_heuristic)
+    baseline_calls = _python_calls(_run_baseline)
+    ratio = baseline_calls / heuristic_calls
     heuristic = time_one(_run_heuristic)
     baseline = benchmark(lambda: time_one(_run_baseline))
-    ratio = baseline / heuristic
     rows = [
-        Row("reconstruct-blocks time / heuristic time",
-            "> 1 (heuristic cheaper)", f"{ratio:.2f}x", ratio > 0.8),
+        Row("reconstruct-blocks calls / heuristic calls",
+            "> 1 (heuristic cheaper)", f"{ratio:.3f}x", ratio > 1),
     ]
     print_table("E7b: compile-time comparison", rows)
-    print(f"  heuristic: {heuristic * 1e3:.2f} ms, "
-          f"baseline: {baseline * 1e3:.2f} ms per compile")
+    print(f"  heuristic: {heuristic_calls} Python calls, "
+          f"{heuristic * 1e3:.2f} ms; baseline: {baseline_calls} "
+          f"calls, {baseline * 1e3:.2f} ms per compile (seconds: trend "
+          f"only)")
     assert all(r.ok for r in rows)
 
 

@@ -372,7 +372,8 @@ def node_uses(node: FlowNode,
             scan(stmt.target.addr)
             scan(stmt.target.length)
     elif node.kind == "assign" and isinstance(stmt, N.VectorReduce):
-        scan(stmt.value)
+        for _, value in stmt.terms():
+            scan(value)
         scan(stmt.length)
         uses.add(stmt.target.sym)  # the accumulator is read-modify-write
     elif node.kind == "call" and isinstance(stmt, N.CallStmt):

@@ -182,13 +182,14 @@ def collect_refs(stmts: Sequence[N.Stmt], loop_vars: Sequence[Symbol],
     out: List[AffineRef] = []
     for stmt in N.walk_statements(stmts):
         if isinstance(stmt, N.VectorReduce):
-            for node in N.walk_expr(stmt.value):
-                if isinstance(node, N.Section):
-                    out.append(parse_section_ref(node, stmt, False,
-                                                 loop_vars, invariants))
-                elif isinstance(node, N.Mem):
-                    out.append(parse_ref(node, stmt, False, loop_vars,
-                                         invariants))
+            for _, value in stmt.terms():
+                for node in N.walk_expr(value):
+                    if isinstance(node, N.Section):
+                        out.append(parse_section_ref(
+                            node, stmt, False, loop_vars, invariants))
+                    elif isinstance(node, N.Mem):
+                        out.append(parse_ref(node, stmt, False,
+                                             loop_vars, invariants))
         elif isinstance(stmt, N.VectorAssign):
             out.append(parse_section_ref(stmt.target, stmt, True,
                                          loop_vars, invariants))

@@ -9,9 +9,14 @@ harness (:mod:`repro.fuzz.harness`) is built on.
 
 Well-definedness is by construction, not by filtering:
 
-* all arithmetic is ``int``; the oracle interpreter wraps every
+* integer arithmetic wraps: the oracle interpreter wraps every
   operation to the C type (two's complement), so overflow is defined
   and identical at every optimization level;
+* ``float`` arithmetic stays on integer values below 2**24 (E19's
+  ``EXACT_LIMIT`` discipline): the float array ``F`` holds small
+  integers, float terms are ``F`` elements times small constants, and
+  accumulations run a bounded number of trips, so every float sum is
+  exact and the checksum's conversions to ``int`` are in range;
 * division and modulo only ever see non-zero divisors (either a
   non-zero constant, or ``(expr & k) + 1``);
 * array subscripts are affine in the loop variable and the loop bounds
@@ -25,7 +30,10 @@ Well-definedness is by construction, not by filtering:
 The generator exercises exactly the constructs the compiler claims to
 transform: counted ``for`` loops (while→DO conversion, vectorization),
 guarded loop-body branches (if-conversion into masked/select vector
-statements), ``while``/``do-while`` with ``break``/``continue``
+statements), accumulations over int and float lanes in the shapes the
+vectorizer reduces (``s = s + E``, chains of ``+`` and ``-``,
+``s = s - E``, and the conditional min/max ``if (E > m) m = E;``),
+``while``/``do-while`` with ``break``/``continue``
 (flow-graph paths),
 ``?:``/``&&``/``||`` with side effects (the paper's section 4
 rewrites), pointer-bump loops (IV substitution, strength reduction),
@@ -65,6 +73,12 @@ class GeneratedProgram:
 ARRAYS = ["A", "B", "C"]
 GLOBAL_SCALARS = ["g0", "g1", "g2"]
 LOCAL_SCALARS = ["t0", "t1"]
+#: The float array, and the accumulators only accumulation blocks
+#: touch — sums ``r0``/``f0`` and min/max ``r1``/``f1`` — with their
+#: initial values.
+FLOAT_ARRAY = "F"
+ACCUMULATORS = {"r0": ("int", "0"), "r1": ("int", "0"),
+                "f0": ("float", "0.0f"), "f1": ("float", "0.0f")}
 
 # Affine subscript forms of the for-loop variable, with the bound
 # shrink each form needs to stay inside [0, size).
@@ -239,6 +253,61 @@ class ProgramGenerator:
         return (f"    for (i = {lo}; i < {hi}; i++) {{\n"
                 f"{body}\n    }}")
 
+    def _float_term(self, forms: List[str]) -> str:
+        """A float lane: an ``F`` element, maybe scaled by a small
+        constant or multiplied by another — at most 64 in magnitude."""
+        read = f"{FLOAT_ARRAY}[{self._subscript(forms)}]"
+        kind = self.rng.randint(0, 3)
+        if kind == 1:
+            return f"{read} * {self.rng.randint(-3, 3)}.0f"
+        if kind == 2:
+            return f"{read} * {FLOAT_ARRAY}[{self._subscript(forms)}]"
+        return read
+
+    def _accumulation_block(self) -> str:
+        """A counted loop accumulating int or float lanes into an
+        accumulator nothing else reads, in one of the shapes the
+        vectorizer reduces: ``s = s + E``, a chain ``s = s ± E ± …``,
+        ``s = s - E``, or the conditional min/max ``if (E > m) m =
+        E;`` (either compare, either operand order) — sometimes beside
+        a store, so a reduction and a vector store share the loop."""
+        forms: List[str] = []
+        floats = self.rng.random() < 0.5
+
+        def term() -> str:
+            if floats:
+                return self._float_term(forms)
+            return self._expr(1, "i", forms, calls_ok=False)
+
+        shape = self.rng.choice(["plain", "chain", "subtract", "minmax"])
+        if shape == "minmax":
+            acc = "f1" if floats else "r1"
+            value = term()
+            rel = self.rng.choice([">", "<"])
+            cond = f"{value} {rel} {acc}" if self.rng.random() < 0.5 \
+                else f"{acc} {'<' if rel == '>' else '>'} {value}"
+            lines = [f"if ({cond}) {acc} = {value};"]
+        else:
+            acc = "f0" if floats else "r0"
+            if shape == "plain":
+                value = f"{acc} + {term()}"
+            elif shape == "subtract":
+                value = f"{acc} - {term()}"
+            else:
+                value = acc + "".join(
+                    f" {self.rng.choice('+-')} {term()}"
+                    for _ in range(self.rng.randint(2, 4)))
+            lines = [f"{acc} = {value};"]
+        if self.rng.random() < 0.3:
+            target = self.rng.choice(ARRAYS)
+            store = f"{target}[{self._subscript(forms)}] = " \
+                    f"{self._expr(0, 'i', forms, calls_ok=False)};"
+            lines.insert(self.rng.randint(0, 1), store)
+        lo, hi = self._bounds(forms)
+        body = "\n".join(f"        {line}" for line in lines)
+        return (f"    for (i = {lo}; i < {hi}; i++) {{\n"
+                f"{body}\n    }}")
+
     def _bounds(self, forms: List[str]) -> Tuple[int, int]:
         lo, hi = 0, self.size
         for form in forms:
@@ -347,6 +416,7 @@ class ProgramGenerator:
         helpers = [self._helper(i) for i in range(self.n_helpers)]
         block_makers = [self._for_block, self._for_block,
                         self._guarded_for_block,
+                        self._accumulation_block,
                         self._while_block, self._do_while_block,
                         self._scalar_block, self._if_block]
         if self.n_helpers:
@@ -359,13 +429,17 @@ class ProgramGenerator:
         g_inits = [self.rng.randint(-4, 9) for _ in GLOBAL_SCALARS]
         decls = "\n".join(
             [f"int {name}[{size}];" for name in ARRAYS]
+            + [f"float {FLOAT_ARRAY}[{size}];"]
             + [f"int {name} = {value};"
-               for name, value in zip(GLOBAL_SCALARS, g_inits)])
+               for name, value in zip(GLOBAL_SCALARS, g_inits)]
+            + [f"{ctype} {name} = {value};"
+               for name, (ctype, value) in ACCUMULATORS.items()])
         init = (
             "    for (i = 0; i < %d; i++) {\n"
             "        A[i] = (i * 7) %% 13 - 6;\n"
             "        B[i] = (i * 5) %% 11 - 3;\n"
             "        C[i] = i - %d;\n"
+            "        F[i] = (i * 3) %% 17 - 8;\n"
             "    }" % (size, size // 2))
         checksum = [
             "    chk = 0;",
@@ -375,6 +449,8 @@ class ProgramGenerator:
             "    chk = chk * 31 + g1;",
             "    chk = chk * 31 + g2;",
             "    chk = chk * 31 + t0 + t1;",
+            "    chk = chk * 31 + r0 + r1 * 3;",
+            "    chk = chk * 31 + (int) f0 + (int) f1 * 3;",
             "    return chk;",
         ]
         body = "\n".join(blocks)

@@ -379,10 +379,13 @@ class Stmt:
     # it.  ``expr_fields``: the expression fields, in the order
     # stmt_exprs yields them (an optional one may hold None).
     # ``store_field``: the one of them that is a store target, whose
-    # own node is written, not evaluated.  ``list_fields``: the
+    # own node is written, not evaluated.  ``term_fields``: fields
+    # holding a tuple of ``(op, expression)`` terms, whose expressions
+    # stmt_exprs yields after the others.  ``list_fields``: the
     # statement-list fields, in substatements order.
     expr_fields: ClassVar[Tuple[str, ...]] = ()
     store_field: ClassVar[Optional[str]] = None
+    term_fields: ClassVar[Tuple[str, ...]] = ()
     list_fields: ClassVar[Tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -444,25 +447,41 @@ class VectorAssign(Stmt):
 
 @dataclass(eq=False)
 class VectorReduce(Stmt):
-    """A vector reduction: ``target = target ⊕ (e₀ ⊕ e₁ ⊕ ... )`` over
-    the elements of a section-valued expression.
+    """A vector reduction over the elements of section-valued
+    expressions: ``target = target ⊕₁ e₁ ⊕₂ e₂ … ⊕ₖ eₖ`` for every
+    element, where the first term is ``op``/``value`` and the later
+    ones are ``chain`` — the left chain ``s = s + a[i] - b[i]`` the
+    scalar loop wrote.
 
-    The reference semantics accumulate the elements **in index order**
-    (so results are bit-identical to the scalar loop); only the timing
-    model exploits the pipelined reduction.  ``op`` is ``+``, ``min``,
-    or ``max``.
+    The reference semantics accumulate **in index order**, and within
+    an element in term order: per lane ``i``, per term ``j``,
+    ``acc = acc ⊕ⱼ eⱼ[i]`` at the target's type, a NaN accumulator
+    staying as it is (so results are bit-identical to the scalar
+    loop); only the timing model exploits the pipelined reduction.
+    ``op`` is ``+``, ``-`` (an element subtracted, never a negated
+    one added: the two differ in a NaN's sign), ``min`` or ``max``; a
+    ``min``/``max`` reduction has one term, a chain's terms are ``+``
+    and ``-``.
     """
 
     target: "VarRef" = None  # type: ignore[assignment]
     op: str = "+"
     value: Expr = None  # type: ignore[assignment]
     length: Expr = None  # type: ignore[assignment]
+    chain: Tuple[Tuple[str, Expr], ...] = ()
 
     expr_fields = ("target", "value", "length")
     store_field = "target"
+    term_fields = ("chain",)
+
+    def terms(self) -> Tuple[Tuple[str, Expr], ...]:
+        """Every ``(op, value)`` term, in accumulation order."""
+        return ((self.op, self.value),) + self.chain
 
     def __repr__(self) -> str:
-        return f"VectorReduce({self.target!r} {self.op}= {self.value!r})"
+        rest = "".join(f" {op} {value!r}" for op, value in self.chain)
+        return f"VectorReduce({self.target!r} {self.op}= {self.value!r}" \
+               f"{rest})"
 
 
 @dataclass(eq=False)
@@ -700,6 +719,9 @@ def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
         expr = getattr(stmt, name)
         if expr is not None:
             yield expr
+    for name in stmt.term_fields:
+        for _, expr in getattr(stmt, name):
+            yield expr
 
 
 def map_expr(expr: Expr, fn) -> Expr:
@@ -833,6 +855,9 @@ def clone_statements(stmts: Sequence[Stmt]) -> List[Stmt]:
         for name in stmt.expr_fields:
             if values[name] is not None:
                 values[name] = clone_expr(values[name])
+        for name in stmt.term_fields:
+            values[name] = tuple((op, clone_expr(expr))
+                                 for op, expr in values[name])
         out.append(stmt.__class__(**values))
     return out
 

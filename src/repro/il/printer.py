@@ -87,9 +87,10 @@ def format_stmt(stmt: N.Stmt, indent: int = 0,
             out.append(f"{pad}{format_expr(stmt.target)} = "
                        f"{format_expr(stmt.value)};   /* vector */")
     elif isinstance(stmt, N.VectorReduce):
+        terms = "".join(f" {op} reduce{op}({format_expr(value)})"
+                        for op, value in stmt.terms())
         out.append(f"{pad}{format_expr(stmt.target)} = "
-                   f"{format_expr(stmt.target)} {stmt.op} "
-                   f"reduce{stmt.op}({format_expr(stmt.value)});"
+                   f"{format_expr(stmt.target)}{terms};"
                    f"   /* vector reduction */")
     elif isinstance(stmt, N.CallStmt):
         out.append(f"{pad}{format_expr(stmt.call)};")

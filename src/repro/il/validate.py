@@ -36,6 +36,11 @@ test suite re-validates after each pass:
    or write to what its address reads in between.  A pass that
    reorders, deletes or rewrites a strip's statements cannot leave a
    stale mark.
+9. A ``VectorReduce``'s terms are well-formed: pure expressions,
+   some term reading a vector section (the others may be broadcasts
+   or index vectors), each reduced with ``+``, ``-``, ``min`` or
+   ``max``; a ``min``/``max`` reduction has one term, a chain's terms
+   are ``+`` and ``-``.
 """
 
 from __future__ import annotations
@@ -118,6 +123,22 @@ def _check_sections(stmt: N.Stmt, fn_name: str,
             "statement of its strip leaves in a vector register")
 
 
+def _check_terms(stmt: N.VectorReduce) -> None:
+    terms = stmt.terms()
+    for op, value in terms:
+        if op not in ("+", "-", "min", "max"):
+            raise ILValidationError(
+                f"unsupported reduction operator {op!r}")
+        if len(terms) > 1 and op not in ("+", "-"):
+            raise ILValidationError(
+                f"reduction operator {op!r} in a chain of "
+                f"{len(terms)} terms")
+        _check_pure(value, top=False)
+    if not any(isinstance(e, N.Section)
+               for _, value in terms for e in N.walk_expr(value)):
+        raise ILValidationError("VectorReduce value has no vector section")
+
+
 def validate_function(fn: N.ILFunction) -> None:
     labels: Set[str] = set()
     gotos: List[str] = []
@@ -160,14 +181,7 @@ def validate_function(fn: N.ILFunction) -> None:
             if not isinstance(stmt.target, N.VarRef):
                 raise ILValidationError(
                     "VectorReduce target must be a scalar variable")
-            if stmt.op not in ("+", "min", "max"):
-                raise ILValidationError(
-                    f"unsupported reduction operator {stmt.op!r}")
-            if not any(isinstance(e, N.Section)
-                       for e in N.walk_expr(stmt.value)):
-                raise ILValidationError(
-                    "VectorReduce value has no vector section")
-            _check_pure(stmt.value, top=False)
+            _check_terms(stmt)
         elif isinstance(stmt, N.CallStmt):
             _check_pure(stmt.call, top=True)
         elif isinstance(stmt, N.IfStmt):

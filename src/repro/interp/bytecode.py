@@ -1254,11 +1254,18 @@ class _CodeGenerator:
     def _gen_stmt_list_lines(self, stmts: Sequence[N.Stmt],
                              env: Dict[str, object]) -> List[str]:
         """One tick per statement, exactly like the oracle's
-        ``_exec_stmt_list``."""
+        ``_exec_stmt_list``.  A tick that reaches the step limit
+        charges the events still pending first: the oracle charged
+        the statements before it as they ran."""
         lines: List[str] = []
         for stmt in stmts:
             lines.append("count += 1")
-            lines.append("if count > _ms: _hit(_ms + 1)")
+            if self._items:
+                lines.append("if count > _ms:")
+                lines.extend(_ind(self._cost_lines(self._items)
+                                  + ["_hit(_ms + 1)"]))
+            else:
+                lines.append("if count > _ms: _hit(_ms + 1)")
             if isinstance(stmt, (N.Assign, N.VectorAssign,
                                  N.VectorReduce)):
                 self._emit_leaf(stmt, env, lines)

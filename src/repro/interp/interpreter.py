@@ -517,7 +517,7 @@ class Interpreter:
                               value)
         self._vector_cost(stmt, length)
 
-    def _vector_cost(self, stmt: N.VectorAssign, length: int) -> None:
+    def _vector_cost(self, stmt: N.Stmt, length: int) -> None:
         """One cost event per vector instruction the statement issues,
         each processing ``length`` elements."""
         if self.cost_hook is None:
@@ -527,22 +527,24 @@ class Interpreter:
 
     def _exec_vector_reduce(self, stmt: N.VectorReduce,
                             frame: _Frame) -> None:
-        """target = target op-combine(elements), accumulated in index
-        order so results match the scalar loop bit-for-bit.  A NaN
-        accumulator stays, as a floating-point unit returns its first
-        operand's NaN: CPython's float ``+`` of two NaNs returns
-        either, depending on the path it takes."""
+        """target = target ⊕ each term's element, lane by lane in
+        index order and term by term in chain order, so results match
+        the scalar loop bit-for-bit.  A NaN accumulator stays, as a
+        floating-point unit returns its first operand's NaN: CPython's
+        float ``+`` of two NaNs returns either, depending on the path
+        it takes."""
         length = int(self._eval(stmt.length, frame))
         acc = self._read_var(frame, stmt.target.sym)
         if length > 0:
             cache: Dict[int, Value] = {}
+            terms = stmt.terms()
+            ctype = stmt.target.ctype
             for i in range(length):
-                elem = self._eval_vector_elem(stmt.value, i, frame,
-                                              cache)
-                if acc == acc:
-                    acc = _apply_binop(stmt.op, acc, elem,
-                                       stmt.target.ctype)
-            self._cost("vector_reduce", stmt.op, length)
+                for op, value in terms:
+                    elem = self._eval_vector_elem(value, i, frame, cache)
+                    if acc == acc:
+                        acc = _apply_binop(op, acc, elem, ctype)
+            self._vector_cost(stmt, length)
         self._write_var(frame, stmt.target.sym, acc)
 
     def _eval_vector_elem(self, expr: N.Expr, index: int, frame: _Frame,

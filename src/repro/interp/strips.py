@@ -158,10 +158,11 @@ def shape(gen, stmt: N.DoLoop) -> Optional[Tuple[Symbol, N.Expr]]:
         return isinstance(expr, (N.Const, N.AddrOf))
 
     for vec in vecs:
-        assign = isinstance(vec, N.VectorAssign)
-        mask = vec.mask if assign else None
-        if not (lanes(vec.value) and (mask is None or lanes(mask))
-                and (not assign or section(vec.target))):
+        if isinstance(vec, N.VectorAssign):
+            if not (lanes(vec.value) and section(vec.target)
+                    and (vec.mask is None or lanes(vec.mask))):
+                return None
+        elif not all(lanes(value) for _, value in vec.terms()):
             return None
     limit = value.right.left
     if isinstance(limit, N.Const):

@@ -39,6 +39,7 @@ in ``titancc_vector_lowering_total{form,reason}``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from typing import Dict, List, Optional, Tuple
@@ -391,9 +392,13 @@ def bulk_obstacle(stmt: N.Stmt) -> str:
         return _scalar_obstacle(expr)
 
     if isinstance(stmt, N.VectorReduce):
-        if stmt.op not in ("+", "min", "max"):
+        terms = stmt.terms()
+        if any(op not in ("+", "-", "min", "max") for op, _ in terms):
             return "operator"
-        return _scalar_obstacle(stmt.length) or lanes(stmt.value)
+        why = _scalar_obstacle(stmt.length)
+        for _, value in terms:
+            why = why or lanes(value)
+        return why
     target = stmt.target
     return (_scalar_obstacle(target.length)
             or (lanes(stmt.mask) if stmt.mask is not None else "")
@@ -1193,9 +1198,13 @@ class BulkStatement:
         return lanes
 
     def reduce_lines(self, lane_lines: List[str]) -> List[str]:
+        """The bulk form of a reduction: every term's lanes, then the
+        accumulator stepped through them lane by lane, term by term —
+        a float32 sum as one :meth:`LaneAccess.sum` over the terms'
+        lanes interleaved in that order."""
         stmt, gen, tl = self.stmt, self.gen, self.tl
         target = stmt.target
-        op, ctype = stmt.op, target.ctype
+        terms, ctype = stmt.terms(), target.ctype
         length_src, length_items, self.length_fact = \
             self._scalar(stmt.length, as_int=True)
         acc = gen._tmp_name()
@@ -1203,35 +1212,49 @@ class BulkStatement:
         root = _Context(f"range({tl})", tl, True)
         self.value_ctx = root
         ints = isinstance(ctype, (IntType, PointerType)) and \
-            gen._int_valued(target) and self._is_int(stmt.value)
-        lanes = self._vec(stmt.value, root, ring=ints and op == "+")
-        self.proved = lanes.fact
-        if op == "+" and isinstance(ctype, FloatType) \
+            gen._int_valued(target) and \
+            all(self._is_int(value) for _, value in terms)
+        steps = [(op, value, self._vec(value, root,
+                                       ring=ints and op in ("+", "-")))
+                 for op, value in terms]
+        self.proved = functools.reduce(
+            intfacts.join, [lanes.fact for _, _, lanes in steps])
+        if all(op == "+" for op, _ in terms) \
+                and isinstance(ctype, FloatType) \
                 and ctype.sizeof() == 4 and gen._float_valued(target):
             rounder = gen._bind_shared(self.env, ("access", "f", 4),
                                        lambda: LaneAccess("f", 4, 4))
-            root.lines.append(f"{acc} = {rounder}.sum("
-                              f"{self._materialize(lanes, root)}, {acc})")
+            lanes = [self._materialize(lanes, root)
+                     for _, _, lanes in steps]
+            values = lanes[0] if len(lanes) == 1 else \
+                f"[_x for _p in zip({', '.join(lanes)}) for _x in _p]"
+            root.lines.append(f"{acc} = {rounder}.sum({values}, {acc})")
         else:
-            if lanes.inputs:
-                names = list(lanes.inputs)
-                walk = lanes.inputs[names[0]] if len(names) == 1 else \
-                    "zip(" + ", ".join(lanes.inputs.values()) + ")"
+            inputs: Dict[str, str] = {}
+            for _, _, lanes in steps:
+                inputs.update(lanes.inputs)
+            if inputs:
+                names = list(inputs)
+                walk = inputs[names[0]] if len(names) == 1 else \
+                    "zip(" + ", ".join(inputs.values()) + ")"
                 head = f"for {', '.join(names)} in {walk}:"
             else:
                 head = f"for _ in range({tl}):"
-            step = f"{acc} = " + self._reduce_step(acc, acc_fact, lanes,
-                                                   ints)
-            root.lines += [head, "    " + step]
-            if op == "+" and isinstance(ctype, FloatType):
-                # A NaN sum reruns the lanes and keeps the first NaN
+            updates = [f"{acc} = " + self._reduce_step(
+                op, value, acc, acc_fact, lanes, ints)
+                for op, value, lanes in steps]
+            root.lines += [head] + _ind(updates)
+            if isinstance(ctype, FloatType) and \
+                    all(op in ("+", "-") for op, _ in terms):
+                # A NaN result reruns the lanes and keeps the first NaN
                 # accumulator, as the oracle's reduction does: CPython's
-                # float + of two NaNs returns either, by the path it
-                # takes.
+                # float + or - of two NaNs returns either, by the path
+                # it takes.
+                stop = [f"if {acc} != {acc}:", "    break"]
                 root.lines += [f"if {acc} != {acc}:",
-                               f"    {acc} = {acc_src}", "    " + head,
-                               f"        if {acc} != {acc}:",
-                               "            break", "        " + step]
+                               f"    {acc} = {acc_src}", "    " + head]
+                for update in updates:
+                    root.lines += _ind(_ind(stop + [update]))
         body = [f"{tl} = {length_src}", f"{acc} = {acc_src}",
                 f"if {tl} > 0:"]
         body += _ind(self.eager + root.lines)
@@ -1254,12 +1277,14 @@ class BulkStatement:
         gen._cost_sync(commit)  # the write's own event stays in here
         return self._wrap(body, commit, lane_lines)
 
-    def _reduce_step(self, acc: str, acc_fact: Optional[IntFact],
-                     lanes: _Lanes, ints: bool) -> str:
-        """``acc`` combined with one lane, converted to the target's
-        type — strictly sequential, rounding at every step."""
+    def _reduce_step(self, op: str, value: N.Expr, acc: str,
+                     acc_fact: Optional[IntFact], lanes: _Lanes,
+                     ints: bool) -> str:
+        """``acc`` combined by ``op`` with one lane of term ``value``,
+        converted to the target's type — strictly sequential, rounding
+        at every step."""
         stmt, gen = self.stmt, self.gen
-        op, ctype = stmt.op, stmt.target.ctype
+        ctype = stmt.target.ctype
         if ints:
             # A sum's lanes may come deferred: it is wrapped here.
             return gen._settle(*intfacts.binop(
@@ -1267,7 +1292,7 @@ class BulkStatement:
                 site="vector")[0]
         raw = f"{op}({acc}, {lanes.src})" if op in ("min", "max") \
             else f"({acc} {op} {lanes.src})"
-        if op in ("min", "max") and self._converted(stmt.value, ctype) \
+        if op in ("min", "max") and self._converted(value, ctype) \
                 and gen._same_ctype(ctype, stmt.target.sym.ctype):
             return raw  # one of two values of the type already
         if isinstance(ctype, FloatType):
@@ -1278,7 +1303,7 @@ class BulkStatement:
                 unpack = self._helper(_F32_UNPACK)
                 return f"{unpack}({pack}({raw}))[0]"
             if gen._float_valued(stmt.target) or \
-                    self._is_float(stmt.value):
+                    self._is_float(value):
                 return raw
             return f"float({raw})"
         if isinstance(ctype, (IntType, PointerType)):

@@ -19,6 +19,14 @@ which the vectorizer then turns into a masked vector section store.
 When both arms assign the same targets pairwise the merge needs no
 old-value read at all (``t = select(c, x, y)`` — the clamp/abs idiom).
 
+One guarded scalar update becomes an operator instead of a select:
+the conditional min/max ``if (E > m) m = E;`` (or ``E < m``, either
+operand order; a strict compare at ``m``'s type, no ``else``, the same
+``E`` compared and stored, ``E`` not reading ``m``) is
+``m = max(m, E)`` (``min``).  The IL's ``max(m, E)`` is ``E if E > m
+else m`` — the branch exactly, NaN and −0.0 included — and the
+vectorizer reduces it (:func:`conditional_minmax`).
+
 ``select`` is *lazy* like the branch it replaces: only the chosen arm
 is evaluated (and a masked vector store only evaluates active lanes),
 so predication never speculates a faulting load or division the
@@ -46,7 +54,7 @@ PASS_DESCRIPTION = ("if-conversion of branchy DO-loop bodies into "
                     "select merges")
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..il import nodes as N
 from ..obs.remarks import RemarkCollector
@@ -105,10 +113,14 @@ class IfConverter:
             self.stats.converted += 1
             self.stats.statements += len(merged)
             if self.remarks is not None:
+                value = merged[0].value
+                what = f"{value.op}({merged[0].target.sym.name}, ...)" \
+                    if isinstance(value, N.BinOp) \
+                    else f"{len(merged)} select merge(s)"
                 self.remarks.transformed(
                     "if-convert", self._fn.name,
-                    f"branch predicated into {len(merged)} select "
-                    f"merge(s)", stmt=stmt, statements=len(merged))
+                    f"branch predicated into {what}", stmt=stmt,
+                    statements=len(merged))
 
     def _reject(self, reason: str, stmt: N.IfStmt) -> None:
         self.stats.reject(reason)
@@ -133,6 +145,19 @@ class IfConverter:
             reason = self._check_arm(arm)
             if reason is not None:
                 return self._reject(reason, stmt)
+        if len(stmt.then) == 1 and not stmt.otherwise:
+            update = stmt.then[0]
+            shape, _ = conditional_minmax(stmt.cond, update.value,
+                                          update.target)
+            if shape is not None:
+                op, value = shape
+                target = update.target
+                return [N.Assign(
+                    target=N.clone_expr(target),
+                    value=N.BinOp(op=op, left=N.clone_expr(target),
+                                  right=N.clone_expr(value),
+                                  ctype=target.ctype),
+                    line=update.line or stmt.line)]
         paired = self._pairwise(stmt)
         if paired is not None:
             return paired
@@ -211,6 +236,44 @@ class IfConverter:
                           ctype=target.ctype)
         return N.Assign(target=N.clone_expr(target), value=select,
                         line=line)
+
+
+#: ``E ⊙ m`` read as ``m ⊙' E``.
+_MIRRORED = {">": "<", "<": ">", ">=": "<=", "<=": ">="}
+
+
+def conditional_minmax(cond: N.Expr, value: N.Expr, target: N.Expr
+                       ) -> Tuple[Optional[Tuple[str, N.Expr]], str]:
+    """``if (cond) target = value`` as ``target = op(target, E)``:
+    ``(op, E)`` when ``cond`` is ``E > m`` (``max``) or ``E < m``
+    (``min``), or the same compare mirrored, ``target`` is the scalar
+    ``m``, ``value`` is ``E``, and ``E`` has ``m``'s type and does not
+    read it.  Else None, with the reason when this is otherwise a
+    guarded update of ``m`` compared against ``m`` ("" when it is
+    not one)."""
+    if not isinstance(target, N.VarRef) or not isinstance(cond, N.BinOp) \
+            or cond.op not in _MIRRORED:
+        return None, ""
+    sym, rel = target.sym, cond.op
+    if isinstance(cond.right, N.VarRef) and cond.right.sym == sym:
+        expr = cond.left
+    elif isinstance(cond.left, N.VarRef) and cond.left.sym == sym:
+        expr, rel = cond.right, _MIRRORED[rel]
+    else:
+        return None, ""
+    name = sym.name
+    if sym in N.facts(expr).reads:
+        return None, f"the value compared with {name} reads {name}"
+    if not N.expr_equal(expr, value):
+        return None, f"the value stored in {name} is not the one " \
+                     f"compared with it"
+    if not expr.ctype.compatible(target.ctype):
+        return None, f"{name} ({target.ctype}) is compared with a " \
+                     f"{expr.ctype} value"
+    if rel in (">=", "<="):
+        return None, f"non-strict compare '{cond.op}': on a tie the " \
+                     f"update stores the new value, min/max keeps {name}"
+    return ("max" if rel == ">" else "min", expr), ""
 
 
 def _target_read(target: N.Expr) -> N.Expr:

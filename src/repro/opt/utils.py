@@ -115,6 +115,13 @@ def rewrite_stmt_exprs(stmt: N.Stmt, fn: Callable[[N.Expr], N.Expr],
                 continue
         state[name] = new
         changed = True
+    for name in stmt.term_fields:
+        terms = state[name]
+        new_terms = tuple((op, fn(expr)) for op, expr in terms)
+        if any(new is not old for (_, new), (_, old)
+               in zip(new_terms, terms)):
+            state[name] = new_terms
+            changed = True
     return changed
 
 

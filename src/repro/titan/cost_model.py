@@ -230,7 +230,6 @@ class TitanCostModel:
         self._handlers = {
             "do_enter": self._on_do_enter, "do_iter": self._on_do_iter,
             "do_exit": self._on_do_exit, "vector": self._on_vector,
-            "vector_reduce": self._on_vector_reduce,
             "list_chase": self._on_list_chase,
             "parallel_begin": self._on_parallel_begin,
             "parallel_end": self._on_parallel_end,
@@ -334,11 +333,10 @@ class TitanCostModel:
                          length: int, times: int = 1) -> float:
         """A whole vector statement of ``length`` elements, ``times``
         over: its ``vector_instructions`` tuple — ``(op, stride)``
-        each, a reduction the single op ``"reduce"`` — charged on top
-        of the engine's running total.  This is where a vector
+        each, a reduction one op ``"reduce"`` per term — charged on
+        top of the engine's running total.  This is where a vector
         instruction's cost is stated (:func:`vector_prices`); the
-        ``vector`` and ``vector_reduce`` events charge one instruction
-        through it."""
+        ``vector`` event charges one instruction through it."""
         priced = self._vector_priced.get((instructions, length))
         if priced is None:
             priced = self._price(instructions, length)
@@ -441,9 +439,6 @@ class TitanCostModel:
 
     def _on_vector(self, op: str, length: int, stride: int) -> None:
         self.vector_statement(self.cycles, ((op, stride),), length)
-
-    def _on_vector_reduce(self, op: str, length: int) -> None:
-        self.vector_statement(self.cycles, (("reduce", 1),), length)
 
     def _on_list_chase(self, count: int = 1) -> None:
         """Serial pointer chase of a parallelized list loop: one

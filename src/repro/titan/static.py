@@ -115,6 +115,9 @@ class StaticCostEstimator:
         self._latency = {kind: getattr(self.config, latency)
                          for kind, (_, latency, _)
                          in SCALAR_COSTS.items()}
+        # Inside the body of a ``do parallel`` loop that is no strip
+        # loop: runs execute it as one unit (see _do_loop_cycles).
+        self._in_unit = False
 
     # -- expressions ---------------------------------------------------
 
@@ -162,7 +165,7 @@ class StaticCostEstimator:
             pending = [stmt.target, stmt.value, stmt.mask]
         else:
             length = stmt.length
-            pending = [stmt.value]
+            pending = [value for _, value in stmt.terms()]
             if N.lives_in_memory(stmt.target.sym):
                 # The accumulator is read and written whatever the
                 # length.
@@ -262,10 +265,16 @@ class StaticCostEstimator:
         trips = known_trips if known_trips is not None \
             else self.assumed_trips
         setup = self.expr_cycles(loop.lo) + self.expr_cycles(loop.hi)
+        # A loop in the body of a parallel unit runs serially, whatever
+        # its flags, paying a branch per iteration and no increment,
+        # and no branch for the test that fails.
+        in_unit = self._in_unit
         if loop.vector:
             cycles, strips, elements, vectors = self._strips(
                 function, loop, scale, setup)
-            if loop.parallel:
+            if in_unit:
+                cycles += strips * latency["branch"]
+            elif loop.parallel:
                 cycles = setup + self._parallel(cycles - setup, strips,
                                                 loop.combines())
             if loops is not None:
@@ -284,14 +293,24 @@ class StaticCostEstimator:
                                       known_trips, cycles * scale,
                                       schedule=schedule))
             return cycles
-        body = self.block_cycles(function, loop.body, scale * trips,
-                                 loops)
-        inner = trips * (body + latency["intop"] + latency["branch"])
-        if loop.parallel:
-            cycles = setup + self._parallel(inner, trips)
+        unit = loop.parallel and not in_unit
+        self._in_unit = in_unit or unit
+        try:
+            body = self.block_cycles(function, loop.body, scale * trips,
+                                     loops)
+        finally:
+            self._in_unit = in_unit
+        if unit:
+            # Runs execute the parallel-only fallback's iterations as
+            # one unit, charging them no loop control.
+            cycles = setup + self._parallel(trips * body, trips)
+        elif in_unit:
+            cycles = setup + trips * (body + latency["branch"])
         else:
             # Runs also charge the loop test that fails.
-            cycles = setup + inner + latency["branch"]
+            cycles = setup + trips * (body + latency["intop"]
+                                      + latency["branch"]) \
+                + latency["branch"]
         if loops is not None:
             kind = "do-parallel" if loop.parallel else "do"
             loops.append(LoopCost(function, loop.line, kind,

@@ -30,9 +30,11 @@ def vector_instructions(stmt: N.Stmt) -> List[Tuple[str, int]]:
     ``VectorReduce`` issues, in issue order: the mask's instructions,
     then the value's, then the store op.  One instruction per load
     section not ``held`` and per *dataflow* operator (address arithmetic is free
-    vector addressing); a reduction is the single op ``"reduce"``."""
+    vector addressing); a reduction issues one op ``"reduce"`` per
+    term.  The one statement of what a reduction costs: the model,
+    the walk and generated code all charge this list."""
     if isinstance(stmt, N.VectorReduce):
-        return [("reduce", 1)]
+        return [("reduce", 1)] * (1 + len(stmt.chain))
     ops: List[Tuple[str, int]] = []
 
     def walk(expr: N.Expr) -> None:
@@ -91,8 +93,8 @@ def held_loads(loop: N.DoLoop, register_words: Optional[int] = None
       first (``budget``).
 
     Else ``first``: never read or stored before.  A reduction's
-    operands do not count as loads: it issues the one ``reduce``
-    instruction.  A section whose address or length reads memory is
+    operands do not count as loads: it issues one ``reduce``
+    instruction per term.  A section whose address or length reads memory is
     never held.  The vectorizer
     marks what this says (``Section.held``), the validator checks every
     mark against it, and engines and the static walk read the marks

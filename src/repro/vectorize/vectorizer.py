@@ -60,6 +60,7 @@ from ..obs.metrics import REGISTRY
 from ..obs.remarks import RemarkCollector
 from ..opt import utils
 from ..opt.fold import const_int_value, simplify
+from ..opt.if_convert import conditional_minmax
 from ..titan.config import TitanConfig
 from ..titan.static import ForkDecision, fork_decision
 from ..titan.vector_ops import HELD_OUTCOMES, held_loads
@@ -174,6 +175,8 @@ class Vectorizer:
         "statement-kind": "loop body contains a non-assignment "
                           "statement",
         "volatile": "loop body references a volatile object",
+        "reduction-shape": "an accumulation is not a reduction the "
+                           "vectorizer recognizes",
     }
 
     def __init__(self, symtab: SymbolTable,
@@ -231,7 +234,7 @@ class Vectorizer:
 
     def _process_loop(self, loop: N.DoLoop,
                       owner: List[N.Stmt]) -> None:
-        reason = self._reject_reason(loop)
+        reason, cause = self._reject_reason(loop)
         policy = AliasPolicy(assume_no_alias=(
             self.options.assume_no_alias
             or "safe" in loop.pragmas or "vector" in loop.pragmas
@@ -246,10 +249,7 @@ class Vectorizer:
                     and self.options.parallelize:
                 if self._try_parallel_only(loop, policy):
                     return
-            self.stats.reject(loop.sid, reason, line=loop.line,
-                              detail=self.REJECT_MESSAGES[reason])
-            self._remark_missed(loop, reason,
-                                self.REJECT_MESSAGES[reason])
+            self._reject(loop, reason, cause)
             return
         self._forward_local_scalars(loop, policy)
         graph = DependenceGraph(loop, policy)
@@ -266,10 +266,13 @@ class Vectorizer:
                 adjacency[edge.dst].add(edge.src)
         sccs = strongly_connected_components(len(body), adjacency)
         plan: List[Tuple[str, List[int]]] = []
+        # Why an accumulation in a cyclic component is no reduction.
+        causes: List[str] = []
         for comp in sccs:
             if self._component_vectorizable(comp, body, graph):
                 plan.append(("vector", comp))
-            elif self._component_reduction(comp, body, graph, loop):
+            elif self._component_reduction(comp, body, graph, loop,
+                                           causes):
                 plan.append(("reduce", comp))
             elif plan and plan[-1][0] == "seq":
                 plan[-1][1].extend(comp)
@@ -279,6 +282,9 @@ class Vectorizer:
             if self.options.parallelize \
                     and self._try_parallel_only(loop, policy,
                                                 graph=graph):
+                return
+            if causes:
+                self._reject(loop, "reduction-shape", causes[0])
                 return
             blocking = self._blocking_dependence(body, graph)
             detail = self._describe_recurrence(body, graph)
@@ -329,6 +335,16 @@ class Vectorizer:
             vector_statements=n_vec, sequential_statements=n_seq,
             masked_statements=n_masked, parallel=parallel,
             vector_length=self.options.vector_length)
+
+    def _reject(self, loop: N.DoLoop, reason: str,
+                cause: str = "") -> None:
+        """Record and remark a loop rejected for ``reason``, naming its
+        specific ``cause`` when there is one."""
+        detail = self.REJECT_MESSAGES[reason]
+        if cause:
+            detail = f"{detail}: {cause}"
+        self.stats.reject(loop.sid, reason, line=loop.line, detail=detail)
+        self._remark_missed(loop, reason, detail)
 
     def _remark_missed(self, loop: N.DoLoop, reason: str,
                        detail: str) -> None:
@@ -512,32 +528,44 @@ class Vectorizer:
 
     # -- eligibility --------------------------------------------------------
 
-    def _reject_reason(self, loop: N.DoLoop) -> Optional[str]:
+    def _reject_reason(self, loop: N.DoLoop
+                       ) -> Tuple[Optional[str], str]:
+        """Why ``loop`` is not examined further, if it is not, and the
+        specific cause where the reason has one."""
         if not (N.is_const(loop.lo, 0) and loop.step == 1):
-            return "not-normalized"
+            return "not-normalized", ""
         for stmt in loop.body:
             if isinstance(stmt, N.IfStmt):
-                # If-conversion already ran (and rejected this branch)
-                # when the pipeline says so — report the precise miss.
-                return "not-if-convertible" \
-                    if self.options.if_converted else "control-flow"
+                if not self.options.if_converted:
+                    return "control-flow", ""
+                # If-conversion already ran and rejected this branch —
+                # report the precise miss: a conditional min/max it
+                # could not take, or the branch itself.
+                if len(stmt.then) == 1 and not stmt.otherwise \
+                        and isinstance(stmt.then[0], N.Assign):
+                    _, cause = conditional_minmax(
+                        stmt.cond, stmt.then[0].value,
+                        stmt.then[0].target)
+                    if cause:
+                        return "reduction-shape", cause
+                return "not-if-convertible", ""
             if isinstance(stmt, (N.WhileLoop, N.DoLoop)):
-                return "control-flow"
+                return "control-flow", ""
             if isinstance(stmt, (N.Goto, N.LabelStmt, N.Return)):
-                return "irregular-flow"
+                return "irregular-flow", ""
             if isinstance(stmt, N.CallStmt):
-                return "call"
+                return "call", ""
             if not isinstance(stmt, N.Assign):
-                return "statement-kind"
+                return "statement-kind", ""
             if isinstance(stmt.value, N.CallExpr):
-                return "call"
+                return "call", ""
             # The target walk covers volatile refs in subscript
             # expressions too (`a[v] = x` with volatile v), not just a
             # volatile target object itself.
             if utils.expr_has_volatile(stmt.value) \
                     or utils.expr_has_volatile(stmt.target):
-                return "volatile"
-        return None
+                return "volatile", ""
+        return None, ""
 
     def _component_vectorizable(self, comp: List[int],
                                 body: List[N.Stmt],
@@ -559,9 +587,11 @@ class Vectorizer:
         return self._stmt_sections_ok(stmt, graph)
 
     def _component_reduction(self, comp: List[int], body: List[N.Stmt],
-                             graph: DependenceGraph,
-                             loop: N.DoLoop) -> bool:
-        """Is this component a single accumulation ``s = s ⊕ E(i)``?
+                             graph: DependenceGraph, loop: N.DoLoop,
+                             causes: List[str]) -> bool:
+        """Is this component a single accumulation ``s = s ⊕ E(i)`` or
+        a chain of them (:func:`reduction_terms`)?  An accumulation that
+        is not one appends why to ``causes``.
 
         The only dependences allowed are the statement's own carried
         scalar self-dependence (the accumulator) — anything else (a
@@ -577,10 +607,11 @@ class Vectorizer:
         sym = stmt.target.sym
         if sym == loop.var or sym.is_volatile or sym.address_taken:
             return False
-        parsed = self._reduction_shape(stmt.value, sym)
-        if parsed is None:
+        terms, cause = reduction_terms(stmt.value, stmt.target)
+        if terms is None:
+            if cause:
+                causes.append(cause)
             return False
-        _, expr = parsed
         # Beyond the accumulator's own scalar self-dependence there
         # must be nothing carried into/out of this statement.
         for edge in graph.edges:
@@ -590,34 +621,14 @@ class Vectorizer:
                     continue
                 return False
         invariants = self._loop_invariants(graph)
-        if not self._expr_sections_ok(expr, loop.var, invariants,
-                                      graph):
+        if not all(self._expr_sections_ok(expr, loop.var, invariants,
+                                          graph) for _, expr in terms):
             return False
-        # A loop-invariant summand (`s += B[0]`) has no vector section
-        # to reduce over; leave it to the scalar pipeline.
+        # Terms with no vector section (`s += B[0]`, `s += i`) have
+        # nothing to reduce over; leave them to the scalar pipeline.
         return any(isinstance(e, N.Mem)
                    and _coeff_of(e.addr, loop.var) != 0
-                   for e in N.walk_expr(expr))
-
-    @staticmethod
-    def _reduction_shape(value: N.Expr,
-                         sym) -> Optional[Tuple[str, N.Expr]]:
-        """Match ``s + E``, ``E + s``, ``min(s,E)``, ``max(s,E)``;
-        E must not read s."""
-        if not isinstance(value, N.BinOp) \
-                or value.op not in ("+", "min", "max"):
-            return None
-        left, right = value.left, value.right
-        if isinstance(left, N.VarRef) and left.sym == sym:
-            expr = right
-        elif isinstance(right, N.VarRef) and right.sym == sym:
-            expr = left
-        else:
-            return None
-        if any(isinstance(e, N.VarRef) and e.sym == sym
-               for e in N.walk_expr(expr)):
-            return None
-        return value.op, expr
+                   for _, expr in terms for e in N.walk_expr(expr))
 
     def _stmt_sections_ok(self, stmt: N.Assign,
                           graph: DependenceGraph) -> bool:
@@ -974,13 +985,15 @@ class Vectorizer:
 
     def _reduce_stmt(self, stmt: N.Assign, loop_var: Symbol,
                      start: N.Expr, length: N.Expr) -> N.VectorReduce:
-        op, expr = self._reduction_shape(stmt.value, stmt.target.sym)
-        value = self._value_to_sections(expr, loop_var, start, length)
+        terms, _ = reduction_terms(stmt.value, stmt.target)
+        (op, value), *chain = [
+            (op, self._value_to_sections(expr, loop_var, start, length))
+            for op, expr in terms]
         return N.VectorReduce(
             target=N.VarRef(sym=stmt.target.sym,
                             ctype=stmt.target.ctype),
             op=op, value=value, length=N.clone_expr(length),
-            line=stmt.line)
+            chain=tuple(chain), line=stmt.line)
 
     def _vector_stmt(self, stmt: N.Assign, loop_var: Symbol,
                      start: N.Expr, length: N.Expr) -> N.VectorAssign:
@@ -1080,6 +1093,76 @@ class Vectorizer:
                 f"privatized per iteration", stmt=loop,
                 privatized=len(privatizable))
         return True
+
+
+def reduction_terms(value: N.Expr, target: N.VarRef
+                    ) -> Tuple[Optional[Tuple[Tuple[str, N.Expr], ...]],
+                               str]:
+    """The terms of the accumulation ``s = value`` (``s`` the scalar
+    ``target``), in the order a :class:`~repro.il.nodes.VectorReduce`
+    applies them: ``min(s, E)`` and ``max(s, E)`` — ``min(E, s)`` too
+    for integers, where a tie or a NaN cannot tell the operands apart
+    — and the left chain ``s ⊕₁ E₁ ⊕₂ … ⊕ₖ Eₖ`` of ``+`` and ``-``
+    (its innermost step may be ``E + s``), every step at ``s``'s type,
+    and no ``E`` reading ``s``.  Else None, and why not for the near
+    misses that have a cause to name ("" for any other recurrence):
+    another operator applied to ``s`` (``s = s * E``), a chain computed
+    at another type (a ``float`` sum of ``double`` terms rounds once
+    per iteration, not once per term), ``max(E, s)`` over floats."""
+    sym, ctype = target.sym, target.ctype
+    name = sym.name
+
+    def is_target(expr: N.Expr) -> bool:
+        return isinstance(expr, N.VarRef) and expr.sym == sym
+
+    if isinstance(value, N.BinOp) and value.op in ("min", "max"):
+        if is_target(value.left):
+            terms = [(value.op, value.right)]
+        elif is_target(value.right) and ctype.is_integer:
+            terms = [(value.op, value.left)]
+        elif is_target(value.right):
+            return None, f"{value.op}(E, {name}) keeps E on a tie or " \
+                         f"a NaN where the reduction keeps {name}"
+        else:
+            return None, ""
+    elif isinstance(value, N.BinOp) and value.op not in ("+", "-") \
+            and (is_target(value.left) or is_target(value.right)):
+        return None, f"operator '{value.op}' is not +, -, min or max"
+    else:
+        terms, node = [], value
+        while isinstance(node, N.BinOp) and node.op in ("+", "-") \
+                and node.ctype.compatible(ctype):
+            if is_target(node.left):
+                terms.append((node.op, node.right))
+                break
+            if node.op == "+" and is_target(node.right):
+                terms.append((node.op, node.left))
+                break
+            terms.append((node.op, node.right))
+            node = node.left
+        else:
+            if isinstance(value, N.Cast) and _spine_reaches(
+                    value.operand, sym):
+                return None, f"the chain of {ctype} {name} is " \
+                             f"computed at {value.operand.ctype}"
+            return None, ""
+    if any(sym in N.facts(expr).reads for _, expr in terms):
+        return None, ""
+    return tuple(reversed(terms)), ""
+
+
+def _spine_reaches(expr: N.Expr, sym: Symbol) -> bool:
+    """Does the left spine of ``+``/``-`` steps (and conversions)
+    under ``expr`` end in a read of ``sym``?"""
+    while True:
+        if isinstance(expr, N.Cast):
+            expr = expr.operand
+        elif isinstance(expr, N.BinOp) and expr.op in ("+", "-"):
+            if isinstance(expr.right, N.VarRef) and expr.right.sym == sym:
+                return True
+            expr = expr.left
+        else:
+            return isinstance(expr, N.VarRef) and expr.sym == sym
 
 
 def private_scalars(fn: N.ILFunction,

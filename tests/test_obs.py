@@ -365,7 +365,7 @@ class TestVectorLengthChunking:
         b = TitanCostModel(TitanConfig(max_vector_length=32))
         for model in (a, b):
             model("vector", "+", 32, 1)
-            model("vector_reduce", "+", 32)
+            model("vector", "reduce", 32, 1)
         assert a.cycles == b.cycles
 
 

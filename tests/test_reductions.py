@@ -76,7 +76,9 @@ class TestRecognition:
         result = compile_c(src)
         assert not reduces(result)
 
-    def test_subtraction_not_recognized(self):
+    def test_subtraction_recognized(self):
+        # An element subtracted per step, not a negated one added: the
+        # two differ in a NaN's sign.
         src = """
         float total; float a[64];
         void f(int n) {
@@ -86,8 +88,74 @@ class TestRecognition:
             total = s;
         }
         """
+        (red,) = reduces(compile_c(src))
+        assert [op for op, _ in red.terms()] == ["-"]
+
+
+RED_C = """
+float a[1000], b[1000];
+float s, t, m;
+
+int main(void)
+{
+    int i;
+    for (i = 0; i < 1000; i++) {
+        a[i] = (i * 7) % 13 - 6;
+        b[i] = i & 3;
+    }
+    s = 0.0f;
+    t = 0.0f;
+    m = -100.0f;
+    for (i = 0; i < 1000; i++)
+        s = s - a[i];
+    for (i = 0; i < 1000; i++)
+        t = t + a[i]*b[i] + b[i];
+    for (i = 0; i < 1000; i++)
+        if (a[i] > m) m = a[i];
+    return (int) (s + t + m);
+}
+"""
+
+
+class TestShapes:
+    """The three shapes C programs write, each one ``VectorReduce``:
+    a subtraction, a chain (``(t + a*b) + b``: two terms, applied in
+    that order per element) and a conditional max, which
+    if-conversion turns into ``m = max(m, a[i])``."""
+
+    def test_red_c_loops_all_vectorize(self):
+        result = compile_c(RED_C)
+        outcomes = [o for o in result.vectorize_stats["main"].outcomes]
+        assert len(outcomes) == 4
+        assert all(o.vectorized for o in outcomes), outcomes
+        shapes = [[op for op, _ in red.terms()]
+                  for red in reduces(result, "main")]
+        assert shapes == [["-"], ["+", "+"], ["max"]]
+
+    def test_red_c_runs_like_the_scalar_loops(self):
+        assert_same_behaviour(RED_C, check_scalars=["s", "t", "m"])
+
+    def test_refused_shapes_name_their_cause(self):
+        src = """
+        float a[64]; double d[64];
+        float f(void) {
+            int i; float s, p, w, m;
+            s = 1.0f; p = 1.0f; w = 0.0f; m = 0.0f;
+            for (i = 0; i < 64; i++) p = p * a[i];
+            for (i = 0; i < 64; i++) w = w + a[i] + d[i];
+            for (i = 0; i < 64; i++) if (a[i] >= m) m = a[i];
+            return p + w + m;
+        }
+        """
         result = compile_c(src)
-        assert not reduces(result)
+        stats = result.vectorize_stats["f"]
+        assert stats.rejected == {"reduction-shape": 3}
+        details = [o.detail.split(": ", 1)[1] for o in stats.outcomes]
+        assert details == [
+            "operator '*' is not +, -, min or max",
+            "the chain of float w is computed at double",
+            "non-strict compare '>=': on a tie the update stores the "
+            "new value, min/max keeps m"]
 
 
 class TestSemantics:

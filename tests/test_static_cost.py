@@ -292,3 +292,108 @@ def test_statements_of_no_element():
     assert static_vector(program, config) == (0.0, 0.0)
     assert [(entry["cycles"], entry["chunks"]) for entry in
             report_entries(program, config)] == [(0.0, 0)] * 4
+
+
+BRANCHY = """int a[64], b[64], d[64];
+
+int main(void)
+{
+    int i, j;
+    for (i = 0; i < 64; i++)
+        a[i] = (i * 5) & 7;
+    for (i = 0; i < 64; i++) {
+        if (a[i] > 2)
+            b[i] = a[i] + 1;
+        else
+            b[i] = a[i] - 1;
+        for (j = 0; j < {inner}; j++)
+            d[i] = d[i] * 3 + j;
+    }
+    return b[3] + d[5];
+}
+"""
+
+
+def parallel_only_cases():
+    """The vectorizer's parallel-only fallback — an ``if``/``else``
+    loop compiled without if-conversion, 64 trips, run as one unit
+    with no loop control — and the same loop with a sequential DO loop
+    in its body, which runs without the increment or the exit branch
+    a DO loop pays elsewhere.  The fallback leaves the outer loop of
+    the second serial (its dependence graph does not see through the
+    inner loop), so it is marked ``do parallel`` by hand: its
+    iterations touch distinct elements."""
+    for inner in (0, 8):
+        for processors in (1, 2, 4):
+            options = CompilerOptions(if_convert=False,
+                                      processors=processors)
+            result = compile_c(BRANCHY.replace("{inner}", str(inner)),
+                               options)
+            loops = [stmt for stmt in result.program.functions[
+                "main"].body if isinstance(stmt, N.DoLoop)]
+            outer = loops[-1]
+            assert not outer.vector
+            assert outer.parallel == (inner == 0)
+            outer.parallel = True
+            yield (inner, processors), result, titan_config(options)
+
+
+def test_walk_prices_the_parallel_only_fallback_as_runs_do():
+    """The walk priced the fallback's iterations trips × (body + intop
+    + branch), and an unscheduled DO loop inside its body as it would
+    be outside: at 1 CPU, walk 3,017 against a run of 2,825 cycles
+    without the inner loop — 64 × (1 + 2) apart — and 7,241 against
+    7,049 with it scheduled.  Unscheduled (no schedules, walk and run
+    alike), the inner loop's intop per trip and exit branch count too:
+    14,921 against 14,089."""
+    for label, result, config in parallel_only_cases():
+        for schedules in (result.schedules, {}):
+            walk = StaticCostEstimator(
+                config, schedules=schedules).function_cycles(
+                    "main", result.program.functions["main"])
+            for engine in ("tree", "compiled"):
+                with TitanSimulator(result.program, config,
+                                    schedules=schedules,
+                                    engine=engine) as simulator:
+                    measured = simulator.run("main").cycles
+                assert walk == measured, (label, bool(schedules), engine)
+            if label == (0, 1):
+                assert walk == 2825
+
+
+def test_walk_of_transform_equals_measured():
+    """transform ends with ``s = s + ox[i] + oy[i] + oz[i] + ow[i]``,
+    one chained ``VectorReduce`` of four terms: the walk prices it
+    (one ``reduce`` per term) as runs charge it, and it is a fraction
+    of the recurrence-bound scalar loop it was — 18,181 cycles at
+    n = 256, VL 32, 2 CPUs (now at most 12,500), and 208,790 at
+    n = 4,096, VL 32, 4 CPUs (at most 100,000)."""
+    template = kernel_source("transform")
+    bounds = {(256, 32, 2): 12_500, (4096, 32, 4): 100_000}
+    for n in (256, 4096):
+        source = template.replace("{n}", str(n)).replace("{s}", "1")
+        for width in (32, 33, 128, 2048):
+            for processors in (1, 2, 4):
+                options = CompilerOptions(vector_length=width,
+                                          processors=processors)
+                config = titan_config(options)
+                result = compile_c(source, options)
+                main = result.program.functions["main"]
+                (chain,) = [stmt for stmt in main.all_statements()
+                            if isinstance(stmt, N.VectorReduce)]
+                assert len(chain.terms()) == 4
+                walk = StaticCostEstimator(
+                    config, schedules=result.schedules).function_cycles(
+                        "main", main)
+                label = (n, width, processors)
+                engines = ("tree", "compiled") if n == 256 \
+                    else ("compiled",)
+                for engine in engines:
+                    with TitanSimulator(result.program, config,
+                                        schedules=result.schedules,
+                                        engine=engine) as simulator:
+                        report = simulator.run("main")
+                    assert report.result == 6144 if n == 256 \
+                        else report.result == 98304, label
+                    assert walk == report.cycles, (label, engine)
+                assert walk <= bounds.get(label, walk), label

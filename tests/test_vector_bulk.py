@@ -309,11 +309,30 @@ def strip_programs(draw):
     return vp.program(body, {"rf": 0.25, "ri": 1}), run
 
 
+def _lone_strip_step_limit():
+    """One strip of a loop that cannot group (two reductions into
+    ``ri``), the step limit landing on its first reduction's tick: the
+    generated body left the length header's two integer operations
+    pending and the oracle had charged them."""
+    vp = vc.VectorProgram(vc.STRIP_ELEMS)
+
+    def reductions(strip):
+        return [strip.reduce("ri", "+", vc.binop(
+            "+", strip.section("ia"),
+            vc.binop("+", strip.section("ia"), vc.const(3, INT), INT),
+            INT)) for _ in range(2)]
+
+    loop = vp.strip_loop(1, 1, reductions, parallel=False)
+    return vp.program([loop], {"rf": 0.25, "ri": 1}), {
+        "parallel_order": "forward", "processors": 1, "max_steps": 5}
+
+
 class TestStripGroups:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(drawn=strip_programs(), costed=st.booleans())
+    @example(drawn=_lone_strip_step_limit(), costed=True)
     def test_grouped_strips_equal_the_oracle(self, drawn, costed):
         # Image bytes, outcome, steps, cycles, counters and breakdown
         # equal the oracle's per-strip run whether a group ran as one,
