@@ -32,7 +32,11 @@ transform: counted ``for`` loops (while→DO conversion, vectorization),
 guarded loop-body branches (if-conversion into masked/select vector
 statements), accumulations over int and float lanes in the shapes the
 vectorizer reduces (``s = s + E``, chains of ``+`` and ``-``,
-``s = s - E``, and the conditional min/max ``if (E > m) m = E;``),
+``s = s - E``, and the conditional min/max ``if (E > m) m = E;`` or
+``m = E > m ? E : m;``), loops whose trips straddle the vector length
+over the long arrays ``V``/``W``/``X`` (index-valued stores, re-reads
+of a just-stored section, a statement reading one section twice: what
+the vector register file holds),
 ``while``/``do-while`` with ``break``/``continue``
 (flow-graph paths),
 ``?:``/``&&``/``||`` with side effects (the paper's section 4
@@ -77,6 +81,10 @@ LOCAL_SCALARS = ["t0", "t1"]
 #: touch — sums ``r0``/``f0`` and min/max ``r1``/``f1`` — with their
 #: initial values.
 FLOAT_ARRAY = "F"
+#: Arrays of :data:`LONG_LENGTH` elements, declared (and folded into
+#: the checksum) only by programs with a register-file block.
+LONG_ARRAYS = ["V", "W", "X"]
+LONG_LENGTH = 100
 ACCUMULATORS = {"r0": ("int", "0"), "r1": ("int", "0"),
                 "f0": ("float", "0.0f"), "f1": ("float", "0.0f")}
 
@@ -93,6 +101,7 @@ class ProgramGenerator:
         self.opts = options or GeneratorOptions()
         self.size = self.rng.choice(self.opts.array_lengths)
         self.n_helpers = self.rng.randint(0, self.opts.max_helpers)
+        self.long_arrays = False
 
     # ------------------------------------------------------------------
     # Expressions
@@ -286,7 +295,9 @@ class ProgramGenerator:
             rel = self.rng.choice([">", "<"])
             cond = f"{value} {rel} {acc}" if self.rng.random() < 0.5 \
                 else f"{acc} {'<' if rel == '>' else '>'} {value}"
-            lines = [f"if ({cond}) {acc} = {value};"]
+            lines = [f"if ({cond}) {acc} = {value};"
+                     if self.rng.random() < 0.5
+                     else f"{acc} = {cond} ? {value} : {acc};"]
         else:
             acc = "f0" if floats else "r0"
             if shape == "plain":
@@ -306,6 +317,35 @@ class ProgramGenerator:
         lo, hi = self._bounds(forms)
         body = "\n".join(f"        {line}" for line in lines)
         return (f"    for (i = {lo}; i < {hi}; i++) {{\n"
+                f"{body}\n    }}")
+
+    def _register_block(self) -> str:
+        """A counted loop over the long arrays whose trip straddles the
+        vector length (33 or 100): several statements store
+        index-valued data (each lane's index computed again), later
+        ones read a section just stored, and one reads a section twice
+        (a product of it with itself, or a select over two arrays and
+        their differences)."""
+        self.long_arrays = True
+        trip = self.rng.choice([33, LONG_LENGTH])
+        names = self.rng.sample(LONG_ARRAYS, 3)
+        lines = []
+        for target in names[:self.rng.randint(1, 2)]:
+            lines.append(f"{target}[i] = {self.rng.randint(1, 9)} * i "
+                         f"% {self.rng.randint(5, 13)} - "
+                         f"{self.rng.randint(0, 6)};")
+        stored = [line.split("[", 1)[0] for line in lines]
+        x = self.rng.choice(stored)
+        y = self.rng.choice([name for name in LONG_ARRAYS if name != x])
+        if self.rng.random() < 0.5:
+            value = f"{x}[i] * {x}[i] - i"
+        else:
+            value = f"{x}[i] < {y}[i] ? {y}[i] - {x}[i] : {x}[i] - {y}[i]"
+        target = self.rng.choice([name for name in LONG_ARRAYS
+                                  if name not in stored] or names)
+        lines.append(f"{target}[i] = {value};")
+        body = "\n".join(f"        {line}" for line in lines)
+        return (f"    for (i = 0; i < {trip}; i++) {{\n"
                 f"{body}\n    }}")
 
     def _bounds(self, forms: List[str]) -> Tuple[int, int]:
@@ -417,6 +457,7 @@ class ProgramGenerator:
         block_makers = [self._for_block, self._for_block,
                         self._guarded_for_block,
                         self._accumulation_block,
+                        self._register_block,
                         self._while_block, self._do_while_block,
                         self._scalar_block, self._if_block]
         if self.n_helpers:
@@ -433,7 +474,9 @@ class ProgramGenerator:
             + [f"int {name} = {value};"
                for name, value in zip(GLOBAL_SCALARS, g_inits)]
             + [f"{ctype} {name} = {value};"
-               for name, (ctype, value) in ACCUMULATORS.items()])
+               for name, (ctype, value) in ACCUMULATORS.items()]
+            + [f"int {name}[{LONG_LENGTH}];" for name in LONG_ARRAYS
+               if self.long_arrays])
         init = (
             "    for (i = 0; i < %d; i++) {\n"
             "        A[i] = (i * 7) %% 13 - 6;\n"
@@ -451,8 +494,12 @@ class ProgramGenerator:
             "    chk = chk * 31 + t0 + t1;",
             "    chk = chk * 31 + r0 + r1 * 3;",
             "    chk = chk * 31 + (int) f0 + (int) f1 * 3;",
-            "    return chk;",
         ]
+        if self.long_arrays:
+            checksum += [
+                f"    for (i = 0; i < {LONG_LENGTH}; i++)",
+                "        chk = chk * 31 + V[i] + W[i] * 3 + X[i] * 7;"]
+        checksum.append("    return chk;")
         body = "\n".join(blocks)
         source = "\n".join(
             [decls, ""]

@@ -21,7 +21,10 @@ inline accounting, compared field by field with the tree oracle under
 the same model).  Under any other hook the fast engine runs the tree
 oracle itself, so there is nothing further to compare; pass
 ``engine="tree"`` to take the fast engine out of the loop when
-bisecting a failure.
+bisecting a failure.  A variant's first costed run is also held
+against the static walk of ``main`` (:func:`walk_mismatch`): the
+price the vectorizer decides forks and fusion by must be what runs
+are charged, or a ``walk`` divergence is reported.
 
 Exception classification is the second half of the oracle.  The
 diagnostic types in :data:`CLEAN_REJECTIONS` are the front end doing
@@ -45,13 +48,16 @@ from ..frontend.lower import LoweringError, compile_to_il
 from ..frontend.parser import ParseError
 from ..frontend.preprocessor import PreprocessorError
 from ..frontend.symtab import SymbolError
+from ..il import nodes as N
 from ..interp.interpreter import make_interpreter
 from ..jobs import TaskOutcome, run_ordered
 from ..obs.metrics import MetricsRegistry
+from ..opt.fold import static_trip_count
 from ..pipeline import CompilerOptions, compile_c, titan_config
 from ..sched.scheduler import schedule_program
 from ..titan.config import TitanConfig
 from ..titan.cost_model import TitanCostModel
+from ..titan.static import StaticCostEstimator
 from .generator import GeneratedProgram, GeneratorOptions, \
     generate_program
 
@@ -242,14 +248,13 @@ _COSTED_FIELDS = ("result", "stdout", "steps", "cycles", "counters",
                   "breakdown", "parallel_adjust")
 
 
-def run_costed(program, options: CompilerOptions, max_steps: int,
-               order: str = "forward", engine: str = "compiled+cost",
-               timings: Optional[dict] = None) -> Tuple[int, str]:
-    """The costed half: tree and fast engine, each under its own
-    :class:`TitanCostModel` (same configuration, same loop schedules).
-    Returns the fast engine's ``main()`` value and the name of the
-    first field it disagrees with the oracle on — exactly, cycles
-    included — or ``""``."""
+def _costed_runs(program, options: CompilerOptions, max_steps: int,
+                 order: str, engine: str,
+                 timings: Optional[dict]) -> tuple:
+    """Tree and fast engine, each under its own :class:`TitanCostModel`
+    (same configuration, same loop schedules): ``(oracle, fast,
+    name of the first field they disagree on or "", config,
+    schedules)``."""
     config = titan_config(options)
     schedules = schedule_program(program, config)
     name = engine.partition(_COSTED)[0]
@@ -259,7 +264,56 @@ def run_costed(program, options: CompilerOptions, max_steps: int,
                            order, name, timings, engine)
     differs = next((field for field, a, b
                     in zip(_COSTED_FIELDS, oracle, fast) if a != b), "")
+    return oracle, fast, differs, config, schedules
+
+
+def run_costed(program, options: CompilerOptions, max_steps: int,
+               order: str = "forward", engine: str = "compiled+cost",
+               timings: Optional[dict] = None) -> Tuple[int, str]:
+    """The costed half: returns the fast engine's ``main()`` value and
+    the name of the first field it disagrees with the oracle on —
+    exactly, cycles included — or ``""``."""
+    _, fast, differs, _, _ = _costed_runs(program, options, max_steps,
+                                          order, engine, timings)
     return fast[0], differs
+
+
+def walk_mismatch(program, config: TitanConfig, schedules: dict,
+                  cycles: float) -> str:
+    """Does the static walk of ``main`` price what a costed run of it
+    measured (``cycles``)?  ``""`` when it does, or when the walk cannot
+    know: ``main`` calls a function (the walk charges the call, the run
+    the callee too), has a loop without a constant trip, or a goto,
+    label or early return.  The walk is an upper bound where ``main``
+    has an ``if``, a select, scalar or vector, or a masked store (it
+    prices every arm and a masked store's value, where runs charge the
+    operands some lane reaches); elsewhere it must be exact.  Else
+    what differs."""
+    main = program.functions.get("main")
+    if main is None:
+        return ""
+    bounded = False
+    for stmt in main.all_statements():
+        kind = type(stmt)
+        if kind in (N.WhileLoop, N.ListParallelLoop, N.CallStmt,
+                    N.Goto, N.LabelStmt) \
+                or (kind is N.DoLoop and static_trip_count(stmt) is None) \
+                or (kind is N.Return and stmt is not main.body[-1]):
+            return ""
+        bounded = bounded or kind is N.IfStmt or (
+            kind is N.VectorAssign and stmt.mask is not None)
+        for top in N.stmt_exprs(stmt):
+            for node in N.walk_expr(top):
+                if type(node) is N.CallExpr:
+                    return ""
+                bounded = bounded or type(node) is N.Select
+    walk = StaticCostEstimator(config, schedules=schedules) \
+        .function_cycles("main", main)
+    if walk == cycles or (bounded and walk > cycles):
+        return ""
+    return (f"the static walk prices main at {walk:.0f} cycles, a "
+            f"costed run at {cycles:.0f}"
+            + (" (the walk must not be below it)" if bounded else ""))
 
 
 def run_source(source: str, name: str = "<fuzz>",
@@ -281,8 +335,9 @@ def run_source(source: str, name: str = "<fuzz>",
     fast engine against the oracle; ``engine="all"`` runs both
     halves of the fast engine over each variant (see
     :func:`resolve_engines`), and a failing run's variant name
-    carries a ``#engine`` suffix naming the half that disagreed.
-    Per-engine wall times accumulate in the result's
+    carries a ``#engine`` suffix naming the half that disagreed; a
+    costed run the static walk does not price is a divergence of phase
+    ``walk``.  Per-engine wall times accumulate in the result's
     ``engine_seconds``.
 
     ``check_passes`` compiles every variant with a
@@ -377,6 +432,7 @@ def _run_variant(source: str, name: str, point_name: str,
     orders = ("forward", "reverse", "shuffle") \
         if options.parallelize else ("forward",)
     engines = resolve_engines(engine)
+    walked = False
     for order in orders:
         for eng in engines:
             # The engine suffix only appears in multi-engine mode so
@@ -385,12 +441,19 @@ def _run_variant(source: str, name: str, point_name: str,
             label = (f"{point_name}@{order}#{eng}"
                      if len(engines) > 1
                      else f"{point_name}@{order}")
-            differs = ""
+            differs = mismatch = ""
             try:
                 if eng.endswith(_COSTED):
-                    value, differs = run_costed(
-                        compiled.program, options, max_steps, order,
-                        eng, timings)
+                    oracle, fast, differs, config, schedules = \
+                        _costed_runs(compiled.program, options,
+                                     max_steps, order, eng, timings)
+                    value = fast[0]
+                    if not (differs or walked):
+                        # Cycles do not depend on the order.
+                        walked = True
+                        mismatch = walk_mismatch(
+                            compiled.program, config, schedules,
+                            oracle[_COSTED_FIELDS.index("cycles")])
                 else:
                     value = _run_program(compiled.program, max_steps,
                                          order, eng, timings=timings)
@@ -405,6 +468,10 @@ def _run_variant(source: str, name: str, point_name: str,
                     phase="run",
                     error=f"cost model {differs} differs from the "
                           f"tree oracle's")
+            if mismatch:
+                return VariantResult(name=label, status="divergence",
+                                     value=value, phase="walk",
+                                     error=mismatch)
             if value != ref_value:
                 return VariantResult(name=label,
                                      status="divergence", value=value,

@@ -275,10 +275,11 @@ class Section(Expr):
     ``addr`` is the byte address of element 0 of the section; ``length``
     is the trip count; ``stride`` is in *elements* of ``ctype``.  This is
     the colon notation of the paper's vectorized output (section 9).
-    ``held``: an earlier statement of the same strip left this section
-    in the vector register file, so reading it issues no load
-    (:func:`repro.titan.vector_ops.held_loads` states when); engines
-    still read memory, which holds the same bytes.  Equality
+    ``held``: an earlier statement of the same strip or run of bare
+    vector statements, or an earlier read in the same statement, left
+    this section in the vector register file, so reading it issues no
+    load (:func:`repro.titan.vector_ops.held_loads` states when);
+    engines still read memory, which holds the same bytes.  Equality
     (:func:`expr_equal`) ignores the mark.
     """
 
@@ -310,19 +311,28 @@ class Iota(Expr):
     holds ``start + k``.  Only valid inside vector statements; the
     vectorizer materializes it when a loop index escapes memory
     addressing into the dataflow (most commonly an if-converted
-    boundary guard like ``i > 0`` becoming a store mask)."""
+    boundary guard like ``i > 0`` becoming a store mask).
+    ``held``: an equal index vector — same start, statement length
+    and type — computed earlier in the same strip or run of bare
+    vector statements is still in the vector register file, so this
+    one issues no instruction
+    (:func:`repro.titan.vector_ops.held_loads` states when); engines
+    still compute the lanes.  Equality (:func:`expr_equal`) ignores
+    the mark."""
 
     start: Expr = None  # type: ignore[assignment]
+    held: bool = False
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.start,)
 
     def replace_children(self, new: Sequence[Expr]) -> "Iota":
         (start,) = new
-        return Iota(start=start, ctype=self.ctype)
+        return Iota(start=start, held=self.held, ctype=self.ctype)
 
     def __repr__(self) -> str:
-        return f"Iota({self.start!r})"
+        held = ", held" if self.held else ""
+        return f"Iota({self.start!r}{held})"
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ def format_expr(expr: N.Expr, parent_prec: int = 0) -> str:
         return (f"[{format_expr(expr.addr)} : n={format_expr(expr.length)}"
                 f" : s={expr.stride}{held}]")
     if isinstance(expr, N.Iota):
-        return f"iota({format_expr(expr.start)})"
+        held = " : held" if expr.held else ""
+        return f"iota({format_expr(expr.start)}{held})"
     raise TypeError(f"unknown expression {expr!r}")
 
 

@@ -28,14 +28,17 @@ test suite re-validates after each pass:
    ``float`` constant is a float32 value, an ``int`` one is in range —
    NaN excepted.  A constant is what the machine would hold, so the
    folder and every engine read the same number.
-8. Every ``Section.held`` mark is justified: the section is a load of
-   a vector store in a strip loop's body, and the one rule of held
-   sections (:func:`repro.titan.vector_ops.held_loads`, without a
-   register budget) holds it — an equal section stored or loaded
-   earlier in the same strip, and no store that may overlap it, call
-   or write to what its address reads in between.  A pass that
-   reorders, deletes or rewrites a strip's statements cannot leave a
-   stale mark.
+8. Every ``Section.held`` and ``Iota.held`` mark is justified: the
+   section or index vector is an entry of a vector store — in a strip
+   loop's body or in a run of bare statements of any other statement
+   list — and the one rule of the vector register file
+   (:func:`repro.titan.vector_ops.held_loads`, without a register
+   budget) holds it: an equal section stored or loaded, or an equal
+   index vector computed, earlier in the same strip or run (or
+   earlier in the same statement), and no store that may overlap it,
+   call or write to what its address, start or length reads in
+   between.  A pass that reorders, deletes or rewrites a strip's or a
+   run's statements cannot leave a stale mark.
 9. A ``VectorReduce``'s terms are well-formed: pure expressions,
    some term reading a vector section (the others may be broadcasts
    or index vectors), each reduced with ``+``, ``-``, ``min`` or
@@ -45,9 +48,9 @@ test suite re-validates after each pass:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
-from ..titan.vector_ops import held_loads
+from ..titan.vector_ops import held_loads, held_scopes
 from . import nodes as N
 
 
@@ -106,8 +109,8 @@ def _check_section(section: N.Section, where: str) -> None:
             f"{section.addr.ctype}")
 
 
-def _check_sections(stmt: N.Stmt, fn_name: str,
-                    justified: Dict[int, tuple]) -> None:
+def _check_sections(stmt: N.Stmt, fn_name: str) -> int:
+    """Check the statement's sections; its ``held`` marks."""
     where = f"{type(stmt).__name__} (sid {stmt.sid}) in {fn_name}"
     held = 0
     for top in N.stmt_exprs(stmt):
@@ -115,12 +118,29 @@ def _check_sections(stmt: N.Stmt, fn_name: str,
             if isinstance(expr, N.Section):
                 _check_section(expr, where)
                 held += expr.held
-    if held and held != sum(
-            section.held and outcome == "held"
-            for section, outcome in justified.get(id(stmt), ())):
-        raise ILValidationError(
-            f"{where}: a section is marked held that no earlier "
-            "statement of its strip leaves in a vector register")
+            elif isinstance(expr, N.Iota):
+                held += expr.held
+    return held
+
+
+def _check_marks(fn: N.ILFunction,
+                 marked: List[Tuple[N.Stmt, int]]) -> None:
+    """Invariant 8 over ``marked``: vector statements and how many
+    held marks each carries."""
+    # Per vector store (by identity), its entries' outcomes under the
+    # rule of the vector register file.
+    justified: Dict[int, tuple] = {
+        id(stmt): entries for where, stmts in held_scopes(fn.body)
+        for stmt, entries in zip(stmts, held_loads(where)) if entries}
+    for stmt, held in marked:
+        if held != sum(
+                node.held and outcome == "held"
+                for node, outcome in justified.get(id(stmt), ())):
+            raise ILValidationError(
+                f"{type(stmt).__name__} (sid {stmt.sid}) in {fn.name}: "
+                "a section or index vector is marked held that nothing "
+                "earlier in its strip or run leaves in a vector "
+                "register")
 
 
 def _check_terms(stmt: N.VectorReduce) -> None:
@@ -143,10 +163,9 @@ def validate_function(fn: N.ILFunction) -> None:
     labels: Set[str] = set()
     gotos: List[str] = []
     sids: Set[int] = set()
-    # Per vector store of a strip loop's body (by identity, filled
-    # before the preorder walk reaches the body), its loads' outcomes
-    # under the rule of held sections.
-    justified: Dict[int, tuple] = {}
+    # Vector statements with a held mark: checked once the whole
+    # function is well-formed.
+    marked: List[Tuple[N.Stmt, int]] = []
     for stmt in fn.all_statements():
         if stmt.sid in sids:
             raise ILValidationError(
@@ -199,14 +218,12 @@ def validate_function(fn: N.ILFunction) -> None:
                     f"DoLoop variable {stmt.var.name} lives in memory")
             _check_pure(stmt.lo, top=False)
             _check_pure(stmt.hi, top=False)
-            if stmt.vector:
-                for sub, loads in zip(stmt.body, held_loads(stmt)):
-                    if loads:
-                        justified[id(sub)] = loads
         elif isinstance(stmt, N.Return) and stmt.value is not None:
             _check_pure(stmt.value, top=False)
         if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
-            _check_sections(stmt, fn.name, justified)
+            held = _check_sections(stmt, fn.name)
+            if held:
+                marked.append((stmt, held))
         if isinstance(stmt, N.ListParallelLoop):
             if not stmt.ptr.ctype.is_pointer:
                 raise ILValidationError(
@@ -225,6 +242,8 @@ def validate_function(fn: N.ILFunction) -> None:
         if label not in labels:
             raise ILValidationError(
                 f"goto to undefined label {label!r} in {fn.name}")
+    if marked:
+        _check_marks(fn, marked)
 
 
 def validate_unique_sids(program: N.ILProgram) -> None:

@@ -509,6 +509,21 @@ class _CodeGenerator:
         return [f"{name} = {value}" if name else value
                 for name, value in self._cost_updates(items)]
 
+    def _overflow_lines(self, starts: List[int]) -> List[str]:
+        """The charges of a batch of ticks that crossed the step
+        limit: the events pending before the batch, then those of each
+        node whose own tick stayed within it — the node of tick ``j``
+        (of ``len(starts)``) noted ``_items[starts[j]:starts[j + 1]]``
+        and ran when ``count - _ms <= len(starts) - 1 - j``."""
+        items, ticks = self._items, len(starts)
+        lines = self._cost_lines(items[:starts[0]])
+        for j in range(ticks - 1):
+            events = items[starts[j]:starts[j + 1]]
+            if events:
+                lines.append(f"if count - _ms <= {ticks - 1 - j}:")
+                lines.extend(_ind(self._cost_lines(events)))
+        return lines
+
     def _cost_sync(self, lines: List[str]) -> None:
         """Apply every pending event: ``lines`` is about to transfer
         control, or to run code that charges on its own."""
@@ -1703,19 +1718,29 @@ class _CodeGenerator:
         self._da = set(da_in)
         lines: List[str] = []
         pending = 0
+        # Per pending tick, where its node's events start in _items.
+        starts: List[int] = []
 
         def flush_ticks() -> None:
             # Batched ticks: one add + one check per side-effecting
             # node (plus the pure nodes since the last one).  On
             # overflow the crossing tick was max_steps + 1, which is
-            # exactly where _hit lands the shared cell.
+            # exactly where _hit lands the shared cell; first the
+            # events pending from nodes the oracle reached are
+            # charged, as it charged them while they ran.
             nonlocal pending
             if pending:
                 add = "count += 1" if pending == 1 \
                     else f"count += {pending}"
                 lines.append(add)
-                lines.append("if count > _ms: _hit(_ms + 1)")
+                if self._items:
+                    lines.append("if count > _ms:")
+                    lines.extend(_ind(self._overflow_lines(starts)
+                                      + ["_hit(_ms + 1)"]))
+                else:
+                    lines.append("if count > _ms: _hit(_ms + 1)")
                 pending = 0
+                starts.clear()
 
         node: Optional[FlowNode] = head
         first = True
@@ -1737,6 +1762,7 @@ class _CodeGenerator:
             first = False
             kind = node.kind
             pending += 1
+            starts.append(len(self._items))
             if kind in _PURE_KINDS:
                 node = node.succs[0] if node.succs else None
                 continue

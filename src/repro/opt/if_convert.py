@@ -110,6 +110,7 @@ class IfConverter:
             if merged is None:
                 continue
             utils.replace_stmt(body, stmt, merged)
+            merged = self._forward_minmax(body, merged)
             self.stats.converted += 1
             self.stats.statements += len(merged)
             if self.remarks is not None:
@@ -121,6 +122,47 @@ class IfConverter:
                     "if-convert", self._fn.name,
                     f"branch predicated into {what}", stmt=stmt,
                     statements=len(merged))
+
+    def _forward_minmax(self, body: List[N.Stmt],
+                        merged: List[N.Stmt]) -> List[N.Stmt]:
+        """The ternary spelling of a conditional min/max, ``m = E > m ?
+        E : m;``, is ``t = select(E > m, E, m); m = t;`` once merged:
+        when nothing else in the function reads the temporary ``t``,
+        the pair is ``m = max(m, E)`` (:func:`conditional_minmax`'s
+        rule, the same as for ``if (E > m) m = E;``).  ``merged``, or
+        the one statement replacing the pair."""
+        if len(merged) != 1 or not isinstance(merged[0].value, N.Select):
+            return merged
+        first = merged[0]
+        at = next(k for k, stmt in enumerate(body) if stmt is first)
+        later = body[at + 1] if at + 1 < len(body) else None
+        temp = first.target
+        if not isinstance(later, N.Assign) \
+                or not isinstance(later.target, N.VarRef) \
+                or not isinstance(later.value, N.VarRef) \
+                or not isinstance(temp, N.VarRef) \
+                or later.value.sym != temp.sym \
+                or N.lives_in_memory(temp.sym) \
+                or not temp.ctype.compatible(later.target.ctype):
+            return merged
+        select = first.value
+        shape, _ = conditional_minmax(select.cond, select.then,
+                                      later.target)
+        if shape is None \
+                or not N.expr_equal(select.otherwise, later.target) \
+                or any(temp.sym in utils.stmt_reads(stmt)
+                       for stmt in self._fn.all_statements()
+                       if stmt is not later):
+            return merged
+        op, value = shape
+        target = later.target
+        update = N.Assign(target=N.clone_expr(target),
+                          value=N.BinOp(op=op, left=N.clone_expr(target),
+                                        right=N.clone_expr(value),
+                                        ctype=target.ctype),
+                          line=later.line or first.line)
+        body[at:at + 2] = [update]
+        return [update]
 
     def _reject(self, reason: str, stmt: N.IfStmt) -> None:
         self.stats.reject(reason)

@@ -4,9 +4,10 @@ Which instructions a vector statement issues is decided by the IL
 alone, so both execution engines (which emit one ``"vector"`` cost
 event per instruction) and the static walk (:mod:`repro.titan.static`)
 read it from here; what each costs is
-:func:`repro.titan.cost_model.vector_prices`.  A load of a section an
-earlier statement of the same strip left in the vector register file
-(``Section.held``, decided by :func:`held_loads`) issues nothing.
+:func:`repro.titan.cost_model.vector_prices`.  A load of a section, or
+an index vector, that the vector register file still holds
+(``Section.held``, ``Iota.held``, decided by :func:`held_loads`)
+issues nothing.
 Imports nothing but the IL: the engines sit below the rest of
 ``titan/`` in the import graph.
 """
@@ -29,10 +30,11 @@ def vector_instructions(stmt: N.Stmt) -> List[Tuple[str, int]]:
     """``(op, stride)`` per vector instruction a ``VectorAssign`` or
     ``VectorReduce`` issues, in issue order: the mask's instructions,
     then the value's, then the store op.  One instruction per load
-    section not ``held`` and per *dataflow* operator (address arithmetic is free
-    vector addressing); a reduction issues one op ``"reduce"`` per
-    term.  The one statement of what a reduction costs: the model,
-    the walk and generated code all charge this list."""
+    section and per index vector not ``held`` and per *dataflow*
+    operator (address arithmetic is free vector addressing); a
+    reduction issues one op ``"reduce"`` per term.  The one statement
+    of what a vector statement issues: the model, the walk and
+    generated code all charge this list."""
     if isinstance(stmt, N.VectorReduce):
         return [("reduce", 1)] * (1 + len(stmt.chain))
     ops: List[Tuple[str, int]] = []
@@ -45,9 +47,10 @@ def vector_instructions(stmt: N.Stmt) -> List[Tuple[str, int]]:
         if isinstance(expr, N.Mem):
             return  # broadcast scalar load, evaluated once
         if isinstance(expr, N.Iota):
-            # One index-generation instruction; the scalar start is
-            # vector addressing, not dataflow.
-            ops.append(("int_op", 1))
+            # One index-generation instruction unless held; the scalar
+            # start is vector addressing, not dataflow.
+            if not expr.held:
+                ops.append(("int_op", 1))
             return
         if isinstance(expr, (N.BinOp, N.UnOp)):
             ops.append((expr.op if expr.ctype.is_float else "int_op", 1))
@@ -64,67 +67,119 @@ def vector_instructions(stmt: N.Stmt) -> List[Tuple[str, int]]:
     return ops
 
 
-# -- sections held in the vector register file -----------------------------
+# -- the vector register file -----------------------------------------------
 
-#: The outcomes of a section read again in a strip: held, or why not —
-#: a store that may overlap it (or a call, or a write to a variable its
-#: address or length reads) since it was last read or stored, a masked
-#: store to it, or the register budget.
+#: The outcomes of a section or index vector used again: held, or why
+#: not — a store that may overlap it (or a call, or a write to a
+#: variable its address, start or length reads) since it was last
+#: used or stored, a masked store to it, or the register budget.
 HELD_OUTCOMES = ("held", "overlap", "masked", "budget")
 
+#: The statements that end a run of bare vector statements: control
+#: enters or leaves the list there.
+_BARRIERS = (N.LabelStmt, N.Goto, N.Return)
 
-def held_loads(loop: N.DoLoop, register_words: Optional[int] = None
-               ) -> List[Tuple[Tuple[N.Section, str], ...]]:
-    """The one rule of held sections, over one strip of strip loop
-    ``loop``.  Per statement of its body, each load section of a
-    ``VectorAssign`` in issue order (:func:`vector_instructions`) with
-    its outcome: ``held`` when an earlier statement stored an equal
-    section — same address, length, stride and element type — without
-    a mask, or loaded one, and none of these came between:
+#: The "object" of an index vector: it reads no memory, so no store
+#: overlaps it.
+_REGISTER = "register"
+
+
+def held_loads(where, register_words: Optional[int] = None
+               ) -> List[Tuple[Tuple[N.Expr, str], ...]]:
+    """The one rule of the vector register file.  ``where`` is a strip
+    loop — its body is one run, priced per strip of the loop's step —
+    or any other statement list, split into *runs* of bare statements
+    at each statement with nested lists, label, goto or return; each
+    run is priced as one strip of its longest vector statement.  Per
+    statement of ``where``, each *entry* of a ``VectorAssign`` — load
+    section or index vector (``Iota``) — in issue order
+    (:func:`vector_instructions`: mask, then value) with its outcome:
+    ``held`` when earlier in the run (an earlier statement, or an
+    earlier entry of the same statement) an equal section — same
+    address, length, stride and element type — was stored without a
+    mask or loaded, or an equal index vector — same start, statement
+    length and type — was computed, and none of these came between:
 
     * a masked store to it (``masked``);
-    * any store that may overlap it, a call, or a write to a variable
-      its address or length reads (``overlap``).  Two sections are
-      disjoint only when each addresses a distinct global object;
+    * any store that may overlap a section, a call, or a write to a
+      variable its address, start or length reads (``overlap``).  Two
+      sections are disjoint only when each addresses a distinct global
+      object; an index vector reads no memory, so only a call or such
+      a write drops it;
     * the register budget: a file of ``register_words`` (None: no
-      bound) holds at most ⌊``register_words`` / strip⌋ − 1 sections
-      of the loop's strip at once — one is left for the statement
-      being computed — and drops the least recently read or written
-      first (``budget``).
+      bound) holds at most ⌊``register_words`` / strip⌋ − 1 entries
+      at once — one strip-sized slot is left for the statement being
+      computed — and drops the least recently used or stored first
+      (``budget``).  A run with a statement of unknown length holds
+      nothing under a bound.
 
-    Else ``first``: never read or stored before.  A reduction's
-    operands do not count as loads: it issues one ``reduce``
-    instruction per term.  A section whose address or length reads memory is
-    never held.  The vectorizer
-    marks what this says (``Section.held``), the validator checks every
+    Else ``first``: never used or stored before in the run.  Each entry
+    enters the file as it issues, each store after the statement's
+    entries.  A reduction's operands are not entries: it issues one
+    ``reduce`` instruction per term.  An entry whose address, start or
+    length reads memory is never held.  The vectorizer marks what this
+    says (``Section.held``, ``Iota.held``), the validator checks every
     mark against it, and engines and the static walk read the marks
     through :func:`vector_instructions`.  Compiles run it on every
-    strip loop they emit, so it makes few Python calls."""
-    # Equality key -> (base, reads) of each section in the register
-    # file, least recently used first; why each key that left, left.
-    live: Dict[tuple, Tuple[Optional[int], frozenset]] = {}
-    gone: Dict[tuple, str] = {}
-    limit = None if register_words is None \
-        else max(register_words // max(1, loop.step) - 1, 0)
-    body = loop.body
-    last = -1
-    for index, stmt in enumerate(body):
-        if type(stmt) is N.VectorAssign:
-            last = index
+    statement list they emit, so it makes few Python calls."""
+    if type(where) is N.DoLoop:
+        return _held_run(where.body, register_words, max(1, where.step))
+    out: List[Tuple[Tuple[N.Expr, str], ...]] = []
+    begin = 0
+    for index, stmt in enumerate(where):
+        if type(stmt).list_fields or isinstance(stmt, _BARRIERS):
+            if begin < index:
+                out += _held_run(where[begin:index], register_words)
+            out.append(())
+            begin = index + 1
+    if begin < len(where):
+        out += _held_run(where[begin:], register_words)
+    return out
 
-    def kill(base: Optional[int], why: str,
-             keep: Optional[tuple] = None) -> None:
-        """Drop what a store to object ``base`` (None: anywhere) may
-        overlap."""
+
+def held_scopes(where):
+    """Each ``(scope, statements)`` :func:`held_loads` runs over in
+    statement list ``where`` — every strip loop and every other
+    statement list, ``where`` last — nested ones first."""
+    stmts = where.body if type(where) is N.DoLoop else where
+    for stmt in stmts:
+        strips = type(stmt) is N.DoLoop and stmt.vector
+        for sub in stmt.substatements():
+            yield from held_scopes(stmt if strips else sub)
+    yield where, stmts
+
+
+def _held_run(run, register_words: Optional[int],
+              strip: Optional[int] = None
+              ) -> List[Tuple[Tuple[N.Expr, str], ...]]:
+    """:func:`held_loads` over one run of statements."""
+    if not any(type(stmt) is N.VectorAssign for stmt in run):
+        return [()] * len(run)
+    limit = None
+    if register_words is not None:
+        if strip is None:
+            lengths = [_const_length(stmt) for stmt in run
+                       if type(stmt) in (N.VectorAssign, N.VectorReduce)]
+            strip = 0 if None in lengths else max(lengths)
+        limit = max(register_words // strip - 1, 0) if strip > 0 else 0
+    # Equality key -> (object, reads) of each entry in the register
+    # file, least recently used first; why each key that left, left.
+    live: Dict[tuple, Tuple[object, frozenset]] = {}
+    gone: Dict[tuple, str] = {}
+
+    def kill(base, why: str, keep: Optional[tuple] = None) -> None:
+        """Drop the sections a store to object ``base`` (None:
+        anywhere) may overlap."""
         for key, (other, _) in list(live.items()):
-            if key != keep and (base is None or other is None
-                                or base == other):
+            if key != keep and other is not _REGISTER and (
+                    base is None or other is None or base == other):
                 del live[key]
                 gone[key] = why
 
     def write(sym) -> None:
-        """Drop what a write to scalar ``sym`` changes: sections whose
-        address or length read it, and what its storage may overlap."""
+        """Drop what a write to scalar ``sym`` changes: entries whose
+        address, start or length read it, and what its storage may
+        overlap."""
         for key, (_, reads) in list(live.items()):
             if sym.uid in reads:
                 del live[key]
@@ -133,9 +188,7 @@ def held_loads(loop: N.DoLoop, register_words: Optional[int] = None
             kill(sym.uid if sym.storage in N.STATIC_STORAGE else None,
                  "overlap")
 
-    def enter(key: Optional[tuple], base, reads) -> None:
-        if key is None:
-            return
+    def enter(key: tuple, base, reads) -> None:
         live.pop(key, None)
         gone.pop(key, None)
         live[key] = (base, reads)
@@ -145,28 +198,43 @@ def held_loads(loop: N.DoLoop, register_words: Optional[int] = None
                 del live[oldest]
                 gone[oldest] = "budget"
 
-    out: List[Tuple[Tuple[N.Section, str], ...]] = []
-    for index, stmt in enumerate(body):
+    out: List[Tuple[Tuple[N.Expr, str], ...]] = []
+    for stmt in run:
         kind = type(stmt)
         if kind is not N.VectorAssign:
             out.append(())
-            if live:
-                if kind is N.VectorReduce or (
-                        kind is N.Assign and type(stmt.target) is N.VarRef
-                        and type(stmt.value) is not N.CallExpr):
-                    write(stmt.target.sym)
-                else:  # a memory store, a call, anything else
-                    kill(None, "overlap")
+            if not live:
+                continue
+            if kind is N.VectorReduce or (
+                    kind is N.Assign and type(stmt.target) is N.VarRef
+                    and type(stmt.value) is not N.CallExpr):
+                write(stmt.target.sym)
+            elif kind is N.Assign and type(stmt.value) is not N.CallExpr:
+                kill(None, "overlap")  # a store to memory
+            else:  # a call: the callee may use the file
+                for key in live:
+                    gone[key] = "overlap"
+                live.clear()
             continue
-        loads = []
+        length = stmt.target.length
+        outcomes = []
         stack = [stmt.value]
         if stmt.mask is not None:
             stack.append(stmt.mask)
         while stack:
             expr = stack.pop()
             node = type(expr)
-            if node is N.Section:
-                loads.append(expr)
+            if node is N.Section or node is N.Iota:
+                key, base, reads = _shape(expr) if node is N.Section \
+                    else _index_shape(expr, length)
+                outcome = "first"
+                if key is not None:
+                    if key in live:
+                        outcome = "held"
+                    else:
+                        outcome = gone.get(key, "first")
+                    enter(key, base, reads)
+                outcomes.append((expr, outcome))
             elif node is N.BinOp:
                 stack.append(expr.right)
                 stack.append(expr.left)
@@ -176,32 +244,23 @@ def held_loads(loop: N.DoLoop, register_words: Optional[int] = None
                 stack.append(expr.otherwise)
                 stack.append(expr.then)
                 stack.append(expr.cond)
-        later = index < last
-        shapes = []
-        if later or live or gone:
-            shapes = [_shape(section) for section in loads]
-        outcomes = []
-        for k, section in enumerate(loads):
-            outcome = "first"
-            if shapes:
-                key = shapes[k][0]
-                if key in live:
-                    outcome = "held"
-                elif key is not None:
-                    outcome = gone.get(key, "first")
-            outcomes.append((section, outcome))
         out.append(tuple(outcomes))
-        if not later:
-            continue  # nothing after it reads the register file
-        for key, base, reads in shapes:
-            enter(key, base, reads)
         key, base, reads = _shape(stmt.target)
         if stmt.mask is not None:
             kill(base, "masked")
         else:
             kill(base, "overlap", keep=key)
-            enter(key, base, reads)
+            if key is not None:
+                enter(key, base, reads)
     return out
+
+
+def _const_length(stmt: N.Stmt) -> Optional[int]:
+    """A vector statement's length when it is a constant, else None."""
+    length = stmt.target.length if type(stmt) is N.VectorAssign \
+        else stmt.length
+    return length.value if type(length) is N.Const \
+        and type(length.value) is int else None
 
 
 def _shape(section: N.Section):
@@ -215,8 +274,32 @@ def _shape(section: N.Section):
     # Qualifiers aside, the element type (its kind, but for pointers).
     key: list = [type(ctype), getattr(ctype, "kind", ctype),
                  section.stride]
+    found = _key_terms(key, (section.length, section.addr))
+    if found is None:
+        return None, None, frozenset()
+    bases, reads, pointer = found
+    base = bases.pop() if len(bases) == 1 and not pointer else None
+    return tuple(key), base, frozenset(reads)
+
+
+def _index_shape(iota: N.Iota, length: N.Expr):
+    """``(key, base, reads)`` of an index vector in a statement of
+    ``length`` elements: its start, that length and its type are its
+    key; it reads no memory."""
+    ctype = iota.ctype
+    key: list = ["iota", type(ctype), getattr(ctype, "kind", ctype)]
+    found = _key_terms(key, (length, iota.start))
+    if found is None:
+        return None, None, frozenset()
+    return tuple(key), _REGISTER, frozenset(found[1])
+
+
+def _key_terms(key: list, exprs):
+    """Append to ``key`` the terms of the register-only expressions
+    ``exprs``; ``(global objects addressed, uids of the variables read,
+    whether a pointer is read)``, or None when one reads memory."""
     bases, reads, pointer = set(), set(), False
-    stack = [section.length, section.addr]
+    stack = list(exprs)
     while stack:
         expr = stack.pop()
         kind = type(expr)
@@ -225,7 +308,7 @@ def _shape(section: N.Section):
         elif kind is N.VarRef:
             sym = expr.sym
             if N.lives_in_memory(sym):
-                return None, None, frozenset()
+                return None
             pointer = pointer or isinstance(sym.ctype,
                                             (PointerType, ArrayType))
             reads.add(sym.uid)
@@ -246,6 +329,5 @@ def _shape(section: N.Section):
             key.append(("cast", expr.ctype))
             stack.append(expr.operand)
         else:  # a load, a call, a select: no register's address
-            return None, None, frozenset()
-    base = bases.pop() if len(bases) == 1 and not pointer else None
-    return tuple(key), base, frozenset(reads)
+            return None
+    return bases, reads, pointer

@@ -63,7 +63,7 @@ from ..opt.fold import const_int_value, simplify
 from ..opt.if_convert import conditional_minmax
 from ..titan.config import TitanConfig
 from ..titan.static import ForkDecision, fork_decision
-from ..titan.vector_ops import HELD_OUTCOMES, held_loads
+from ..titan.vector_ops import HELD_OUTCOMES, held_loads, held_scopes
 
 
 @dataclass
@@ -877,17 +877,19 @@ class Vectorizer:
                 outcome=reason)
         return None
 
-    def _hold(self, loop: N.DoLoop) -> tuple:
-        """Mark the sections strip loop ``loop`` holds in the vector
-        register file (:func:`~repro.titan.vector_ops.held_loads`),
-        clearing every other mark in its body; its loads' outcomes."""
+    def _hold(self, where) -> tuple:
+        """Mark what strip loop or statement list ``where`` holds in
+        the vector register file
+        (:func:`~repro.titan.vector_ops.held_loads`), clearing every
+        other mark of its vector stores; its entries' outcomes."""
         machine = self.options.config or TitanConfig()
-        outcomes = held_loads(loop, machine.vector_register_words)
-        for stmt, loads in zip(loop.body, outcomes):
-            for section, outcome in loads:
-                if section.held != (outcome == "held"):
+        outcomes = held_loads(where, machine.vector_register_words)
+        stmts = where.body if isinstance(where, N.DoLoop) else where
+        for stmt, entries in zip(stmts, outcomes):
+            for node, outcome in entries:
+                if node.held != (outcome == "held"):
                     marks = iter([outcome == "held"
-                                  for _, outcome in loads])
+                                  for _, outcome in entries])
                     if stmt.mask is not None:
                         stmt.mask = _with_marks(stmt.mask, marks)
                     stmt.value = _with_marks(stmt.value, marks)
@@ -897,27 +899,39 @@ class Vectorizer:
     def _report_held(self) -> None:
         """Mark every strip loop fusion left once more — a refused
         candidate's marks stay on the statements it shares with its
-        parts — then count its re-read sections by outcome, and name
-        what each loop holds in a remark."""
+        parts — and every run of bare vector statements, then count
+        re-used sections and index vectors by outcome, and name what
+        each strip loop or statement list holds in a remark."""
         counts: Dict[str, int] = {}
-        for source in self._strips.values():
+        for where, stmts in held_scopes(self._fn.body):
             names: List[str] = []
-            held = 0
-            for loads in self._hold(source.loop):
-                for section, outcome in loads:
+            loads = indices = 0
+            anchor = where if isinstance(where, N.DoLoop) else None
+            for stmt, entries in zip(stmts, self._hold(where)):
+                for node, outcome in entries:
                     if outcome in HELD_OUTCOMES:
                         counts[outcome] = counts.get(outcome, 0) + 1
-                    if outcome == "held":
-                        held += 1
-                        name = _section_name(section)
-                        if name not in names:
-                            names.append(name)
-            if held and self.remarks is not None:
+                    if outcome != "held":
+                        continue
+                    anchor = anchor or stmt
+                    if isinstance(node, N.Iota):
+                        indices += 1
+                        name = f"iota({format_expr(node.start)})"
+                    else:
+                        loads += 1
+                        name = _section_name(node)
+                    if name not in names:
+                        names.append(name)
+            if names and self.remarks is not None:
+                what = [f"{count} {noun}{'s' if count > 1 else ''}"
+                        for count, noun in ((loads, "load"),
+                                            (indices, "index vector"))
+                        if count]
                 self.remarks.analysis(
                     "vectorize", self._fn.name,
-                    f"{held} load{'s' if held > 1 else ''} read from "
-                    f"vector registers: {', '.join(names)}",
-                    stmt=source.loop, outcome="held", held=held)
+                    f"{' and '.join(what)} read from vector registers: "
+                    f"{', '.join(names)}",
+                    stmt=anchor, outcome="held", held=loads + indices)
         for outcome, count in counts.items():
             REGISTRY.counter("titancc_vector_held_loads_total",
                              {"outcome": outcome}).inc(count)
@@ -1284,14 +1298,20 @@ class _AllInvariants:
 
 
 def _with_marks(expr: N.Expr, marks) -> N.Expr:
-    """``expr`` with its load sections' ``held`` marks taken, in issue
-    order, from ``marks``; the same node where nothing changes."""
+    """``expr`` with its load sections' and index vectors' ``held``
+    marks taken, in issue order, from ``marks``; the same node where
+    nothing changes."""
     if isinstance(expr, N.Section):
         held = next(marks)
         if held == expr.held:
             return expr
         return N.Section(addr=expr.addr, length=expr.length,
                          stride=expr.stride, held=held, ctype=expr.ctype)
+    if isinstance(expr, N.Iota):
+        held = next(marks)
+        if held == expr.held:
+            return expr
+        return N.Iota(start=expr.start, held=held, ctype=expr.ctype)
     if isinstance(expr, (N.BinOp, N.UnOp, N.Cast, N.Select)):
         kids = expr.children()
         new = [_with_marks(kid, marks) for kid in kids]

@@ -3,15 +3,17 @@ is charged, never what it computes.
 
 In a strip loop's body, a section load is *held* when an earlier
 statement of the same strip stored an equal section without a mask or
-loaded one, and nothing since may have changed it
-(:func:`repro.titan.vector_ops.held_loads`); a held load issues no
-instruction.  Engines still read memory, whose bytes are what the
+loaded one (or the same statement loaded one before it), and nothing
+since may have changed it (:func:`repro.titan.vector_ops.held_loads`);
+a held load issues no instruction.  Engines still read memory, whose bytes are what the
 register holds, so the marked program must give what the same IL with
 its marks cleared gives — result, stdout and memory image — under every
 ``parallel_order``; the tree oracle and the compiled engine must agree
 on cycles and breakdown; and the static walk must price ``main`` at
-what a run measures.  The marks themselves are checked against the
-rule written out here a second way, scanning back from each load.
+what a run measures.  The marks themselves — of load sections and of
+the masks' index vectors — are checked against the rule written out a
+second way in :mod:`tests.test_register_file`, scanning back from each
+entry.
 
 The loops are :mod:`tests.test_fusion`'s, with masked stores and loads
 and stores through a pointer to one of the arrays among the
@@ -36,6 +38,8 @@ from repro.vectorize.vectorizer import VectorizeOptions, Vectorizer
 from tests.test_fusion import (ARRAYS, ORDERS, PROCESSORS, TRIPS,
                                VECTOR_LENGTHS, build, observe,
                                statements, strip_loops)
+from tests.test_register_file import (_cleared, cleared, expected_holds,
+                                      found_holds, lists_of)
 
 #: Every store and load may go through ``p``, which points at ``c``.
 NAMES = ARRAYS + ("p",)
@@ -80,113 +84,15 @@ def vectorized(lanes, trip: int, loops, width: int, processors: int):
     return program, config
 
 
-def _cleared(expr):
-    if expr is None:
-        return None
-    if isinstance(expr, N.Section):
-        return N.Section(addr=expr.addr, length=expr.length,
-                         stride=expr.stride, ctype=expr.ctype)
-    kids = expr.children()
-    if not kids:
-        return expr
-    return expr.replace_children([_cleared(kid) for kid in kids])
-
-
-def cleared(program: N.ILProgram) -> N.ILProgram:
-    """A copy of ``program`` with every held mark cleared."""
-    copy = N.copy_program(program)
-    for fn in copy.functions.values():
-        for stmt in fn.all_statements():
-            if isinstance(stmt, N.VectorAssign):
-                stmt.value = _cleared(stmt.value)
-                stmt.mask = _cleared(stmt.mask)
-    return copy
-
-
 def marks(program: N.ILProgram) -> List[bool]:
-    return [node.held for stmt in program.functions["main"]
-            .all_statements() if isinstance(stmt, N.VectorAssign)
-            for top in (stmt.mask, stmt.value) if top is not None
-            for node in N.walk_expr(top) if isinstance(node, N.Section)]
-
-
-# -- the rule, scanning back from each load ---------------------------------
-
-def _loads(expr) -> List[N.Section]:
-    """Load sections in issue order (mask first, then value)."""
-    if expr is None:
-        return []
-    if isinstance(expr, N.Section):
-        return [expr]
-    if isinstance(expr, (N.Mem, N.Iota)):
-        return []
-    return [section for kid in expr.children() for section in _loads(kid)]
-
-
-def _base(section: N.Section):
-    """The global array a section lies in, or None for any memory."""
-    names = [node for node in N.walk_expr(section.addr)
-             if isinstance(node, (N.AddrOf, N.VarRef))
-             and (isinstance(node, N.AddrOf) or node.ctype.is_pointer)]
-    if len(names) == 1 and isinstance(names[0], N.AddrOf):
-        return names[0].sym.name
-    return None
-
-
-def _same(a: N.Section, b: N.Section) -> bool:
-    return a.ctype == b.ctype and N.expr_equal(a, b)
-
-
-def _may_overlap(a: N.Section, b: N.Section) -> bool:
-    return _base(a) is None or _base(b) is None or _base(a) == _base(b)
-
-
-def _reads(section: N.Section):
-    return {node.sym for node in N.walk_expr(section)
-            if isinstance(node, N.VarRef)}
-
-
-def expected_holds(loop: N.DoLoop) -> List[bool]:
-    """Per load of the loop's vector stores, in issue order: does the
-    nearest earlier vector store of the strip that stores or loads an
-    equal section come with nothing between that may change it?"""
-    out = []
-    body = loop.body
-    for k, stmt in enumerate(body):
-        if not isinstance(stmt, N.VectorAssign):
-            continue
-        for load in _loads(stmt.mask) + _loads(stmt.value):
-            held = False
-            for prior in reversed(body[:k]):
-                if isinstance(prior, N.Assign):
-                    if prior.target.sym in _reads(load):
-                        break
-                    continue
-                if isinstance(prior, N.VectorReduce):
-                    # Its one instruction loads nothing to hold.
-                    if prior.target.sym in _reads(load):
-                        break
-                    continue
-                target = prior.target
-                if prior.mask is None and _same(load, target):
-                    held = True
-                    break
-                if _may_overlap(load, target):
-                    break
-                if any(_same(load, other) for other in
-                       _loads(prior.mask) + _loads(prior.value)):
-                    held = True
-                    break
-            out.append(held)
-    return out
+    return [held for stmts in lists_of(program)
+            for held in found_holds(stmts)]
 
 
 def assert_marks_follow_the_rule(program, width: int) -> None:
     for loop in strip_loops(program):
-        found = [node.held for stmt in loop.body
-                 if isinstance(stmt, N.VectorAssign)
-                 for node in _loads(stmt.mask) + _loads(stmt.value)]
-        expected = expected_holds(loop)
+        found = found_holds(loop.body)
+        expected = expected_holds(loop.body)
         if width < 2048:  # the register budget never binds
             assert found == expected, (found, expected)
         else:
@@ -278,10 +184,10 @@ def test_a_masked_store_drops_its_section():
     loop = _only_loop([[("store", "c", "+", "a", 0, "b"),
                         ("masked", "c", "-", "a", 0, "b"),
                         ("store", "d", "+", "c", 0, "a")]])
-    # The masked store's own loads are held; after it, c is not, while
-    # a still is.
-    assert _outcomes(loop) == ["first", "first", "held", "held",
-                               "masked", "held"]
+    # The masked store's own loads are held (its mask's index vector
+    # is computed first); after it, c is not, while a still is.
+    assert _outcomes(loop) == ["first", "first", "first", "held",
+                               "held", "masked", "held"]
 
 
 FIVE = """

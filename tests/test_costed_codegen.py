@@ -167,6 +167,20 @@ class TestConstructs:
                   " return s; }")
         _agree(compile_to_il(source, "<test>"))
 
+    @pytest.mark.parametrize("max_steps,cycles",
+                             [(3, 13), (4, 14), (5, 15), (6, 18)])
+    def test_step_limit_in_straight_line_code(self, max_steps, cycles):
+        # The register assigns batch their ticks with the store that
+        # follows them; a limit that lands inside the batch charges
+        # what the nodes it reached noted, as the oracle does.
+        source = ("int g; int main(void) { int ri; ri = g + 5;"
+                  " ri = ri - 3; ri = ri * 3; ri = ri * 3; g = ri;"
+                  " return ri; }")
+        fast = _agree(compile_c(source, CompilerOptions()).program,
+                      max_steps=max_steps)
+        assert fast["outcome"][0] == StepLimitExceeded.__name__
+        assert fast["cycles"] == cycles
+
     def test_memory_backed_local_vs_register(self):
         # Taking k's address moves it to memory: every read is a load,
         # every write a store; j stays a register and costs nothing.

@@ -156,6 +156,32 @@ class TestRunSource:
             {"tree", "compiled", "compiled+cost"}
         assert all(s > 0 for s in result.engine_seconds.values())
 
+    WALKED = ("int a[40]; int main(void) { int i; int s; s = 0;"
+              " for (i = 0; i < 40; i++) a[i] = i * 3;"
+              " for (i = 0; i < 40; i++) s = s + a[i];"
+              " return s; }\n")
+
+    def test_the_walk_prices_what_costed_runs_are_charged(
+            self, monkeypatch):
+        # Constant trips, no call: the walk of main must equal every
+        # costed run; one cycle off is a walk divergence.
+        from repro.titan.static import StaticCostEstimator
+        assert run_source(self.WALKED, engine="all").status == "ok"
+        walk = StaticCostEstimator.function_cycles
+        monkeypatch.setattr(
+            StaticCostEstimator, "function_cycles",
+            lambda self, *args: walk(self, *args) + 1)
+        result = run_source(self.WALKED, engine="all",
+                            bisect_failures=False)
+        assert result.status == "divergence"
+        (failed, *_) = result.failing_variants()
+        assert failed.phase == "walk" and failed.name.endswith(
+            "#compiled+cost"), failed
+        assert "the static walk prices main at" in failed.error
+        # Uncosted runs leave the walk alone.
+        assert run_source(self.WALKED, engine="compiled",
+                          bisect_failures=False).status == "ok"
+
 
 class TestReducer:
     def test_reduces_to_failing_core(self):

@@ -1,8 +1,9 @@
 """Reductions in the shapes C programs write run like the scalar loop.
 
 A chained accumulation ``s = s ± E₁ ± … ± Eₖ``, a subtraction
-``s = s - E`` and a conditional min/max ``if (E > m) m = E;`` each
-become one ``VectorReduce`` that applies its terms per element, in
+``s = s - E`` and a conditional min/max ``if (E > m) m = E;`` (or its
+ternary spelling ``m = E > m ? E : m;``) each become one
+``VectorReduce`` that applies its terms per element, in
 index order and then chain order.  Drawn here over int, float and
 double lanes, with NaNs (payload and sign), ±0 and ±inf in the data
 and in the initial accumulator, at every vector length × processor
@@ -56,9 +57,10 @@ def source(ctype: str, trip: int, shape: tuple, store: bool) -> str:
         for op, term in shape[1]:
             spine = f"{spine} {op} {term}"
         update = f"s = {spine};"
+    elif shape[2] == "if":
+        update = f"if ({shape[1]}) s = a[i];"
     else:
-        _, test = shape
-        update = f"if ({test}) s = a[i];"
+        update = f"s = {shape[1]} ? a[i] : s;"
     extra = "d[i] = a[i] + b[i];" if store else ""
     return f"""{ctype} a[{trip}], b[{trip}], c[{trip}], d[{trip}];
 {ctype} s0, r;
@@ -100,7 +102,7 @@ def cases(draw):
     else:
         test = draw(st.sampled_from(("a[i] > s", "s < a[i]", "a[i] < s",
                                      "s > a[i]")))
-        shape = ("minmax", test)
+        shape = ("minmax", test, draw(st.sampled_from(("if", "?:"))))
     small = st.integers(-50, 50).map(float if floats else int)
     pool = {"plain": small,
             "wrap": st.one_of(small, st.integers(2**31 - 64, 2**31 - 1),

@@ -135,6 +135,42 @@ class TestShapes:
     def test_red_c_runs_like_the_scalar_loops(self):
         assert_same_behaviour(RED_C, check_scalars=["s", "t", "m"])
 
+    TERNARY_C = """
+    float a[1000];
+    float u, v, w;
+
+    int main(void)
+    {
+        int i;
+        for (i = 0; i < 1000; i++)
+            a[i] = (i * 7) % 13 - 6;
+        u = -100.0f;
+        v = 100.0f;
+        w = 0.0f;
+        for (i = 0; i < 1000; i++)
+            u = a[i] > u ? a[i] : u;
+        for (i = 0; i < 1000; i++)
+            v = v > a[i] ? a[i] : v;
+        for (i = 0; i < 1000; i++)
+            w = w > a[i] ? w : a[i];
+        return (int) (u + v + w);
+    }
+    """
+
+    def test_the_ternary_update_is_a_min_or_max(self):
+        # ``u = E > u ? E : u`` and ``v = v > E ? E : v`` are the
+        # ``if`` spellings' max and min.  ``w = w > E ? w : E`` stores
+        # E on a tie, which max(w, E) does not: it stays a recurrence.
+        result = compile_c(self.TERNARY_C)
+        shapes = [[op for op, _ in red.terms()]
+                  for red in reduces(result, "main")]
+        assert shapes == [["max"], ["min"]]
+        assert [o.vectorized for o in
+                result.vectorize_stats["main"].outcomes] == [
+            True, True, True, False]
+        assert_same_behaviour(self.TERNARY_C,
+                              check_scalars=["u", "v", "w"])
+
     def test_refused_shapes_name_their_cause(self):
         src = """
         float a[64]; double d[64];
