@@ -16,9 +16,9 @@ machine (compile seconds, interpreter steps/sec) — they are reported
 for trend-watching but never fail the gate, with one exception:
 ``host_*speedup*`` ratios (compiled engine vs tree-walker) divide out
 machine speed, so they *are* gated, higher-is-better, with a looser
-tolerance (:data:`SPEEDUP_TOLERANCE`) that absorbs scheduler noise.
-The rule is ``repro.obs.diff.bench_direction``, which bench diffs read
-too.
+tolerance (``SPEEDUP_TOLERANCE``) that absorbs scheduler noise.  The
+rules are ``repro.obs.diff.bench_direction`` and
+``repro.obs.diff.metric_tolerance``, which bench diffs read too.
 
 A metric that moved in the *bad* direction by more than ``--tolerance``
 (relative, default 5%) is a regression and the gate exits non-zero —
@@ -54,17 +54,13 @@ from typing import Dict, Iterator, List, Tuple
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
-from repro.obs.diff import (HOST_PREFIX, INFORMATIONAL, LOWER,  # noqa: E402
-                            bench_direction, diff_benches)
+from repro.obs.diff import (LOWER, bench_direction,  # noqa: E402
+                            diff_benches, metric_tolerance)
 from repro.obs.log import Logger  # noqa: E402
 
 BENCH_SCHEMA = "titancc-bench/1"
 BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "baselines")
-#: Tolerance for host engine-speedup ratios; looser than the simulated
-#: metrics because even a ratio of two wall-clock times jitters with
-#: scheduler load.
-SPEEDUP_TOLERANCE = 0.35
 
 
 def default_current_dir() -> str:
@@ -104,21 +100,6 @@ def iter_metrics(doc: dict) -> Iterator[Tuple[str, str, float]]:
             if isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
                 yield variant, metric, float(value)
-
-
-def metric_tolerance(metric: str, tolerance: float) -> float:
-    """Effective tolerance for one metric; ``inf`` = informational.
-
-    Informational metrics (host wall clock) never gate.  The gated
-    host metrics, ``host_*speedup*`` ratios, gate with the looser
-    :data:`SPEEDUP_TOLERANCE` (they are machine-independent but still
-    jittery).  Everything else uses the command-line tolerance.
-    """
-    if bench_direction(metric) == INFORMATIONAL:
-        return float("inf")
-    if metric.startswith(HOST_PREFIX):
-        return max(tolerance, SPEEDUP_TOLERANCE)
-    return tolerance
 
 
 def relative_change(baseline: float, current: float) -> float:
@@ -251,9 +232,11 @@ def _explain_workloads() -> Dict[str, object]:
 
 def explain_failures(records: List[dict], baselines: Dict[str, dict],
                      current: Dict[str, dict], explain_dir: str,
-                     log: "Logger" = None) -> List[str]:
+                     log: "Logger" = None,
+                     tolerance: float = 0.05) -> List[str]:
     """Self-diagnose a red gate: for every regressed bench, write a
-    ``titancc-reportdiff/1`` baseline-vs-current diff, plus a
+    ``titancc-reportdiff/1`` baseline-vs-current diff, classified
+    under the gate's ``tolerance``, plus a
     ``titancc-attrib/1`` per-pass cycle waterfall for benches whose
     workload is registered.  Returns the paths written."""
     log = log or Logger("regress")
@@ -274,7 +257,7 @@ def explain_failures(records: List[dict], baselines: Dict[str, dict],
         if base_doc is not None and cur_doc is not None:
             doc = diff_benches(
                 base_doc, cur_doc, base_name=f"baseline/{name}",
-                other_name=f"current/{name}")
+                other_name=f"current/{name}", tolerance=tolerance)
             path = os.path.join(explain_dir,
                                 f"explain_{name}.diff.json")
             obs_schemas.write_json_artifact(path, doc)
@@ -365,7 +348,8 @@ def main(argv: List[str] = None) -> int:
             explain_dir = args.explain_dir or os.path.join(
                 current_dir, "explain")
             explain_failures(records, baselines, current,
-                             explain_dir, log=log_err)
+                             explain_dir, log=log_err,
+                             tolerance=args.tolerance)
         return 1
     log_out.info(f"OK — {checked} metric(s) within "
                  f"{args.tolerance * 100:.0f}% of baseline")

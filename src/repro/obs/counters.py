@@ -1,128 +1,134 @@
 """Per-pass statistics counters — the LLVM ``-stats`` layer.
 
-Every transforming pass in the pipeline already keeps a small stats
-dataclass (``WhileToDoStats``, ``IVSubStats``, ``VectorizeStats``, …).
-This module turns those into one uniform, machine-readable counter
-namespace, the way LLVM's ``STATISTIC(...)`` registrations all land in
-one ``-stats`` table: a counter is ``(pass, function, name) -> int``,
-harvested by introspecting the dataclass fields (every ``int`` field is
-a counter; every ``Dict[str, int]`` field — the ``rejected`` reason
-histograms — flattens to ``field.reason`` counters).
+Every transforming pass keeps a small stats dataclass
+(``WhileToDoStats``, ``IVSubStats``, ``VectorizeStats``, …), and
+``CompilationResult`` holds them in one table of :func:`stats_field`
+fields, in phase order, each naming its pass by the pass module's
+``PASS_NAME``.  A counter is ``(pass, function, name) -> int``, the
+way LLVM's ``STATISTIC(...)`` registrations all land in one
+``-stats`` table: every ``int`` field is a counter; every
+``Dict[str, int]`` field — the ``rejected`` reason histograms —
+flattens to ``field.reason`` counters.
 
-The :class:`CounterStore` is the single source of truth behind both the
-``--stats`` text output and the ``counters`` section of the JSON
-compilation report (``--report-json``).
+:func:`counter_records` is the report's ``counters`` section; the
+``--stats`` text, ``CompilationReport.counter`` and the
+``titancc_pass_events_total`` family all read those records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+from ..sched.scheduler import PASS_NAME as SCHEDULE
 
 # Program-wide counters use this pseudo-function name in exports.
 PROGRAM = "<program>"
 
 
-class CounterStore:
-    """Ordered collection of ``(pass, function, counter) -> int``."""
-
-    def __init__(self) -> None:
-        # Insertion-ordered: the pipeline registers counters in phase
-        # order, which is also the order the text report prints them.
-        self.values: Dict[Tuple[str, str, str], int] = {}
-
-    # -- registration --------------------------------------------------
-
-    def bump(self, pass_name: str, counter: str, n: int = 1,
-             function: str = "") -> None:
-        key = (pass_name, function, counter)
-        self.values[key] = self.values.get(key, 0) + n
-
-    def add_stats(self, pass_name: str, stats: object,
-                  function: str = "") -> None:
-        """Register every counter a pass-stats dataclass carries."""
-        if not dataclasses.is_dataclass(stats):
-            return
-        for field in dataclasses.fields(stats):
-            value = getattr(stats, field.name)
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, int):
-                self.bump(pass_name, field.name, value, function)
-            elif isinstance(value, dict):
-                for reason, count in value.items():
-                    if isinstance(count, int):
-                        self.bump(pass_name,
-                                  f"{field.name}.{reason}", count,
-                                  function)
-
-    # -- queries -------------------------------------------------------
-
-    def get(self, pass_name: str, counter: str,
-            function: str = None) -> int:
-        """One counter; ``function=None`` sums across functions."""
-        if function is not None:
-            return self.values.get((pass_name, function, counter), 0)
-        return sum(v for (p, _, c), v in self.values.items()
-                   if p == pass_name and c == counter)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Tuple[str, str, str, int]]:
-        for (p, fn, c), v in self.values.items():
-            yield p, fn, c, v
-
-    # -- export --------------------------------------------------------
-
-    def to_records(self) -> List[Dict[str, object]]:
-        """JSON-ready list of counter records (report ``counters``)."""
-        return [{"pass": p, "function": fn or PROGRAM, "counter": c,
-                 "value": v} for p, fn, c, v in self]
-
-    def format(self) -> str:
-        """The ``--stats`` text table: one line per (function, pass),
-        counters inline, zero-valued counters suppressed."""
-        grouped: Dict[Tuple[str, str], List[str]] = {}
-        for p, fn, c, v in self:
-            if v == 0:
-                continue
-            grouped.setdefault((fn, p), []).append(f"{c}={v}")
-        lines = []
-        for (fn, p), items in grouped.items():
-            prefix = f"{fn}.{p}" if fn else p
-            lines.append(f"{prefix}: {' '.join(items)}")
-        return "\n".join(lines)
+def stats_field(pass_name: str, **kwargs) -> dataclasses.Field:
+    """A ``CompilationResult`` field holding ``pass_name``'s
+    statistics: a stats object for a whole-program pass, else a dict
+    from function name to stats object."""
+    return dataclasses.field(metadata={"pass": pass_name}, **kwargs)
 
 
-#: (pass name, CompilationResult attribute) for the per-function stats
-#: dictionaries the pipeline aggregates.  Order mirrors phase order.
-PER_FUNCTION_STATS = (
-    ("while-to-do", "while_to_do_stats"),
-    ("cond-split", "cond_split_stats"),
-    ("ivsub", "ivsub_stats"),
-    ("constprop", "constprop_stats"),
-    ("dce", "dce_stats"),
-    ("if-convert", "if_convert_stats"),
-    ("vectorize", "vectorize_stats"),
-    ("list-parallel", "listparallel_stats"),
-    ("reg-pipeline", "regpipe_stats"),
-    ("strength-reduction", "strength_stats"),
-)
+def stats_fields(result) -> List[dataclasses.Field]:
+    """The statistics table: ``result``'s :func:`stats_field` fields."""
+    return [f for f in dataclasses.fields(result) if "pass" in f.metadata]
 
 
-def counters_from_result(result) -> CounterStore:
-    """Harvest every pass's counters from a ``CompilationResult``."""
-    store = CounterStore()
-    if result.inline_stats is not None:
-        store.add_stats("inline", result.inline_stats)
+def _counted(stats: object) -> Iterator[Tuple[str, object]]:
+    """``(field, value)`` for each counted field of a stats dataclass:
+    its ``int`` fields and its histograms."""
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, dict) or (isinstance(value, int)
+                                       and not isinstance(value, bool)):
+            yield f.name, value
+
+
+def stats_counters(stats: object) -> Iterator[Tuple[str, int]]:
+    """``(name, value)`` for every counter a stats dataclass carries,
+    a histogram entry as ``field.key``."""
+    for name, value in _counted(stats):
+        if isinstance(value, dict):
+            for key, count in value.items():
+                yield f"{name}.{key}", count
+        else:
+            yield name, value
+
+
+def merge_stats(into: object, stats: object) -> None:
+    """Add every counter of ``stats`` into ``into``, a stats object of
+    the same pass (another round's run over the same function)."""
+    for name, value in _counted(stats):
+        if isinstance(value, dict):
+            histogram = getattr(into, name)
+            for key, count in value.items():
+                histogram[key] = histogram.get(key, 0) + count
+        else:
+            setattr(into, name, getattr(into, name) + value)
+
+
+def counter_records(result) -> List[Dict[str, object]]:
+    """Every pass's counters in a ``CompilationResult``, JSON-ready:
+    whole-program passes first, then each function's passes in phase
+    order, then the loops scheduled."""
+    records: List[Dict[str, object]] = []
+
+    def add(pass_name: str, function: str, stats: object) -> None:
+        records.extend({"pass": pass_name, "function": function,
+                        "counter": name, "value": value}
+                       for name, value in stats_counters(stats))
+
+    per_function = []
+    for f in stats_fields(result):
+        stats = getattr(result, f.name)
+        if isinstance(stats, dict):
+            per_function.append((f.metadata["pass"], stats))
+        elif stats is not None:
+            add(f.metadata["pass"], PROGRAM, stats)
     for name in result.program.functions:
-        for pass_name, attr in PER_FUNCTION_STATS:
-            stats = getattr(result, attr).get(name)
-            if stats is not None:
-                store.add_stats(pass_name, stats, function=name)
-    store.bump("schedule", "loops_scheduled", len(result.schedules))
-    return store
+        for pass_name, by_function in per_function:
+            if name in by_function:
+                add(pass_name, name, by_function[name])
+    records.append({"pass": SCHEDULE, "function": PROGRAM,
+                    "counter": "loops_scheduled",
+                    "value": len(result.schedules)})
+    return records
+
+
+def counter_value(records: List[Dict[str, object]], pass_name: str,
+                  counter: str, function: Optional[str] = None) -> int:
+    """One counter; ``function=None`` sums across functions."""
+    return sum(r["value"] for r in records
+               if r["pass"] == pass_name and r["counter"] == counter
+               and function in (None, r["function"]))
+
+
+def format_counters(records: List[Dict[str, object]]) -> str:
+    """The ``--stats`` text table: one line per (function, pass),
+    counters inline, zero-valued counters suppressed."""
+    grouped: Dict[str, List[str]] = {}
+    for r in records:
+        if r["value"] == 0:
+            continue
+        prefix = r["pass"] if r["function"] == PROGRAM \
+            else f"{r['function']}.{r['pass']}"
+        grouped.setdefault(prefix, []).append(
+            f"{r['counter']}={r['value']}")
+    return "\n".join(f"{prefix}: {' '.join(items)}"
+                     for prefix, items in grouped.items())
+
+
+def record_pass_events(registry, records) -> None:
+    """Add counter records to a registry as
+    ``titancc_pass_events_total{pass, function, counter}``."""
+    for r in records:
+        registry.counter("titancc_pass_events_total", {
+            "pass": r["pass"], "function": r["function"],
+            "counter": r["counter"]}).inc(r["value"])
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,10 @@ def diff_reports(base: dict, other: dict,
 LOWER, HIGHER, INFORMATIONAL = "lower", "higher", "informational"
 #: Names of host wall-clock metrics start with this.
 HOST_PREFIX = "host_"
+#: Tolerance for host engine-speedup ratios; looser than the simulated
+#: metrics because even a ratio of two wall-clock times jitters with
+#: scheduler load.
+SPEEDUP_TOLERANCE = 0.35
 
 
 def bench_direction(metric: str) -> str:
@@ -241,11 +245,24 @@ def bench_direction(metric: str) -> str:
     return HIGHER
 
 
+def metric_tolerance(metric: str, tolerance: float) -> float:
+    """Effective tolerance for one metric, the gate's and
+    :func:`diff_benches`': ``inf`` for informational metrics, at least
+    :data:`SPEEDUP_TOLERANCE` for ``host_*speedup*`` ratios."""
+    if bench_direction(metric) == INFORMATIONAL:
+        return float("inf")
+    if metric.startswith(HOST_PREFIX):
+        return max(tolerance, SPEEDUP_TOLERANCE)
+    return tolerance
+
+
 def diff_benches(base: dict, other: dict,
                  base_name: str = "base",
-                 other_name: str = "other") -> dict:
+                 other_name: str = "other",
+                 tolerance: float = 0.0) -> dict:
     """Diff two ``titancc-bench/1`` documents into a
-    ``titancc-reportdiff/1`` document (``kind: "bench"``)."""
+    ``titancc-reportdiff/1`` document (``kind: "bench"``); a move
+    within :func:`metric_tolerance` is neutral, as to the gate."""
     schemas.validate_document(base)
     schemas.validate_document(other)
     entries: List[Dict[str, object]] = []
@@ -270,7 +287,8 @@ def diff_benches(base: dict, other: dict,
             direction = bench_direction(metric)
             entries.append(_classify_numeric(
                 name, b, o, None if direction == INFORMATIONAL
-                else direction == LOWER))
+                or abs(o - b) <= metric_tolerance(metric, tolerance)
+                * abs(b) else direction == LOWER))
     return _build_doc("bench", base_name, other_name, base, other,
                       entries)
 

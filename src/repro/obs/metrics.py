@@ -2,10 +2,10 @@
 fixed-bucket histograms.
 
 The :class:`MetricsRegistry` is the durable, *mergeable* layer above
-the per-run views PR 1–2 built: counters absorb the per-pass
-:class:`~repro.obs.counters.CounterStore`, histograms absorb span
-durations (:class:`SpanMetricsConsumer`), and a registry serializes to
-a canonical, sorted snapshot that
+the per-run views PR 1–2 built: counters take the per-pass counter
+records (:func:`~repro.obs.counters.record_pass_events`), histograms
+absorb span durations (:class:`SpanMetricsConsumer`), and a registry
+serializes to a canonical, sorted snapshot that
 
 * merges associatively and commutatively across processes (fuzz
   workers under ``--jobs N`` ship their snapshots to the parent, which
@@ -209,22 +209,6 @@ class MetricsRegistry:
         target = sanitize_name(name)
         return sum(m.value for (n, _), m in self._metrics.items()
                    if n == target and not isinstance(m, Histogram))
-
-    # -- absorption ----------------------------------------------------
-
-    def absorb_counters(self, store,
-                        family: str = "titancc_pass_events_total"
-                        ) -> None:
-        """Fold a per-pass :class:`~repro.obs.counters.CounterStore`
-        into one labeled counter family — the registry's pass-counter
-        source."""
-        from .counters import PROGRAM
-        for pass_name, function, counter, value in store:
-            self.counter(family, {
-                "pass": pass_name,
-                "function": function or PROGRAM,
-                "counter": counter,
-            }).inc(value)
 
     # -- serialization / merge ----------------------------------------
 

@@ -6,8 +6,8 @@ stream the compiler produces — the structured equivalent of LLVM's
 *performance model* is part of the compiler:
 
 * **counters** — the LLVM ``-stats``-style per-pass counter table
-  (:mod:`repro.obs.counters`), one record per (pass, function,
-  counter);
+  (:func:`repro.obs.counters.counter_records`), one record per (pass,
+  function, counter);
 * **remarks** — the PR 1 ``-Rpass``-style decision stream, serialized;
 * **loops** — the per-loop vectorization coverage table: every loop
   the vectorizer examined, its outcome (vectorized / parallelized /
@@ -48,7 +48,8 @@ from typing import Dict, List, Optional
 from ..titan.config import TitanConfig
 from ..titan.static import REPORTED_CONFIG, LoopCost, StaticCostEstimator
 from . import schemas
-from .counters import CounterStore, counters_from_result
+from .counters import (counter_records, counter_value,
+                       format_counters, record_pass_events)
 from .metrics import MetricsRegistry
 from .trace import jsonable
 
@@ -208,14 +209,14 @@ def pass_checks_section(checker) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def metrics_from_result(counters: CounterStore,
+def metrics_from_result(counters: List[Dict[str, object]],
                         loops: List[Dict[str, object]],
                         registry: MetricsRegistry) -> None:
     """Add a compile's pass counters (one labeled counter family) and
     its per-loop coverage and miss-reason counters to ``registry``.
     Span durations are not added: a session registry gets them live
     from its :class:`~repro.obs.metrics.SpanMetricsConsumer`."""
-    registry.absorb_counters(counters)
+    record_pass_events(registry, counters)
     for row in loops:
         registry.counter("titancc_loops_total", {
             "function": row["function"], "status": row["status"],
@@ -237,7 +238,7 @@ class CompilationReport:
 
     source: str
     options: Dict[str, object]
-    counters: CounterStore
+    counters: List[Dict[str, object]]
     remarks: List[object] = field(default_factory=list)
     loops: List[Dict[str, object]] = field(default_factory=list)
     dep_graphs: List[object] = field(default_factory=list)
@@ -257,7 +258,7 @@ class CompilationReport:
         return cls(
             source=filename or result.remarks.filename,
             options=dataclasses.asdict(result.options),
-            counters=counters_from_result(result),
+            counters=counter_records(result),
             remarks=list(result.remarks),
             loops=loop_coverage(result),
             dep_graphs=list(result.dep_graphs),
@@ -271,12 +272,12 @@ class CompilationReport:
 
     def counter(self, pass_name: str, counter: str,
                 function: str = None) -> int:
-        return self.counters.get(pass_name, counter, function)
+        return counter_value(self.counters, pass_name, counter, function)
 
     def format_stats(self) -> str:
         """The ``--stats`` text table (one source of truth: these are
         the same counters the JSON report carries)."""
-        return "/* pass statistics */\n" + self.counters.format()
+        return "/* pass statistics */\n" + format_counters(self.counters)
 
     # -- serialization -------------------------------------------------
 
@@ -285,7 +286,7 @@ class CompilationReport:
             "schema": self.schema,
             "source": self.source,
             "options": jsonable(self.options),
-            "counters": self.counters.to_records(),
+            "counters": [dict(r) for r in self.counters],
             "remarks": [
                 {"pass": r.pass_name, "kind": r.kind,
                  "function": r.function, "message": r.message,

@@ -37,17 +37,22 @@ from .frontend.lower import compile_to_il
 from .il import nodes as N
 from .il.printer import format_function, format_program
 from .il.validate import validate_program, validate_unique_sids
+from .inline import inliner
 from .inline.database import InlineDatabase
 from .inline.inliner import InlineOptions, InlineStats, inline_program
+from .obs.counters import merge_stats, stats_field, stats_fields
 from .obs.remarks import RemarkCollector
 from .obs.trace import PassTracer, TraceEvent
-from .opt import utils
+from .opt import (cond_split, constprop, deadcode, if_convert, ivsub,
+                  regpipe, strength, utils, while_to_do)
 from .opt.constprop import ConstPropStats, propagate_constants
 from .opt.deadcode import DCEStats, eliminate_dead_code
 from .opt.forward_sub import forward_substitute
 from .opt.ivsub import IVSubStats, InductionVariableSubstitution
 from .opt.while_to_do import WhileToDo, WhileToDoStats
+from .sched.scheduler import LoopScheduler
 from .titan.config import TitanConfig
+from .vectorize import listparallel, vectorizer
 from .vectorize.vectorizer import (VectorizeOptions, VectorizeStats,
                                    Vectorizer)
 
@@ -154,23 +159,34 @@ class CompilationResult:
     program: N.ILProgram
     options: CompilerOptions
     stages: List[StageDump] = field(default_factory=list)
-    inline_stats: Optional[InlineStats] = None
-    while_to_do_stats: Dict[str, WhileToDoStats] = field(
-        default_factory=dict)
-    ivsub_stats: Dict[str, IVSubStats] = field(default_factory=dict)
-    constprop_stats: Dict[str, ConstPropStats] = field(
-        default_factory=dict)
-    dce_stats: Dict[str, DCEStats] = field(default_factory=dict)
-    vectorize_stats: Dict[str, VectorizeStats] = field(
-        default_factory=dict)
-    if_convert_stats: Dict[str, object] = field(default_factory=dict)
-    regpipe_stats: Dict[str, object] = field(default_factory=dict)
-    strength_stats: Dict[str, object] = field(default_factory=dict)
+    # The statistics table: one field per pass, in phase order, naming
+    # its pass.  The report's counters, the mid-end snapshot and
+    # ``_merge`` read it (``repro.obs.counters.stats_fields``).
+    inline_stats: Optional[InlineStats] = stats_field(
+        inliner.PASS_NAME, default=None)
+    while_to_do_stats: Dict[str, WhileToDoStats] = stats_field(
+        while_to_do.PASS_NAME, default_factory=dict)
+    cond_split_stats: Dict[str, object] = stats_field(
+        cond_split.PASS_NAME, default_factory=dict)
+    ivsub_stats: Dict[str, IVSubStats] = stats_field(
+        ivsub.PASS_NAME, default_factory=dict)
+    constprop_stats: Dict[str, ConstPropStats] = stats_field(
+        constprop.PASS_NAME, default_factory=dict)
+    dce_stats: Dict[str, DCEStats] = stats_field(
+        deadcode.PASS_NAME, default_factory=dict)
+    if_convert_stats: Dict[str, object] = stats_field(
+        if_convert.PASS_NAME, default_factory=dict)
+    vectorize_stats: Dict[str, VectorizeStats] = stats_field(
+        vectorizer.PASS_NAME, default_factory=dict)
+    listparallel_stats: Dict[str, object] = stats_field(
+        listparallel.PASS_NAME, default_factory=dict)
+    regpipe_stats: Dict[str, object] = stats_field(
+        regpipe.PASS_NAME, default_factory=dict)
+    strength_stats: Dict[str, object] = stats_field(
+        strength.PASS_NAME, default_factory=dict)
     # Loop schedules (sid -> LoopSchedule) captured pre-strength-
     # reduction; feed these to TitanSimulator(schedules=...).
     schedules: Dict[int, object] = field(default_factory=dict)
-    listparallel_stats: Dict[str, object] = field(default_factory=dict)
-    cond_split_stats: Dict[str, object] = field(default_factory=dict)
     # Observability: always collected (negligible cost, no output
     # unless asked for).  ``remarks`` is the per-decision stream the
     # CLI prints under --remarks; ``trace`` holds per-phase wall-time
@@ -211,11 +227,6 @@ class CompilationResult:
         return format_function(self.program.functions[name])
 
 
-#: The result fields the mid end fills with per-pass statistics.
-_MID_END_STATS = ("inline_stats", "while_to_do_stats", "cond_split_stats",
-                  "ivsub_stats", "constprop_stats", "dce_stats")
-
-
 @dataclass
 class MidEnd:
     """A compile as the scalar rounds leave it — the state a back end
@@ -245,8 +256,8 @@ class MidEnd:
             remarks=list(result.remarks),
             spans=[(e.name, e.cat, dict(e.args))
                    for e in result.trace.events],
-            stats=pickle.dumps({name: getattr(result, name)
-                                for name in _MID_END_STATS},
+            stats=pickle.dumps({f.name: getattr(result, f.name)
+                                for f in stats_fields(result)},
                                pickle.HIGHEST_PROTOCOL),
             analysis_solves=Counter(result.analysis_solves),
             pass_iterations=Counter(result.pass_iterations),
@@ -426,15 +437,13 @@ class TitanCompiler:
                 args["loops_exported"] = len(result.dep_graphs)
         if opts.vectorize:
             if opts.if_convert:
-                from .opt.if_convert import if_convert_function
                 with trace.span("if-convert") as args:
                     for name, fn in program.functions.items():
                         with self._pass("if-convert", program, name):
-                            istats = if_convert_function(
+                            istats = if_convert.if_convert_function(
                                 fn, remarks=remarks)
                             self._examined(name, istats.examined)
-                        _merge(result.if_convert_stats, name, istats,
-                               ("examined", "converted", "statements"))
+                        _merge(result.if_convert_stats, name, istats)
                     args["ifs_converted"] = sum(
                         s.converted
                         for s in result.if_convert_stats.values())
@@ -447,10 +456,8 @@ class TitanCompiler:
             with trace.span("vectorize") as args:
                 for name, fn in program.functions.items():
                     with self._pass("vectorize", program, name):
-                        vectorizer = Vectorizer(program.symtab,
-                                                voptions,
-                                                remarks=remarks)
-                        stats = vectorizer.run(fn)
+                        stats = Vectorizer(program.symtab, voptions,
+                                           remarks=remarks).run(fn)
                         self._examined(name, stats.loops_examined)
                         result.vectorize_stats[name] = stats
                 args["loops_vectorized"] = sum(
@@ -466,11 +473,10 @@ class TitanCompiler:
             validate_unique_sids(program)
             self._dump(result, "vectorize")
         if opts.parallelize_lists:
-            from .vectorize.listparallel import ListParallelizer
             with trace.span("list-parallel") as args:
                 for name, fn in program.functions.items():
                     with self._pass("list-parallel", program, name):
-                        parallelizer = ListParallelizer()
+                        parallelizer = listparallel.ListParallelizer()
                         parallelizer.run(fn)
                         self._examined(
                             name, parallelizer.stats.loops_examined)
@@ -479,15 +485,12 @@ class TitanCompiler:
                 args["statements"] = _program_statements(program)
             self._dump(result, "list-parallel")
         if opts.reg_pipeline or opts.strength_reduction:
-            from .opt.regpipe import RegisterPipelining
-            from .opt.strength import StrengthReduction
-            from .sched.scheduler import LoopScheduler
             if opts.reg_pipeline:
                 with trace.span("reg-pipeline") as args:
                     for name, fn in program.functions.items():
                         with self._pass("reg-pipeline", program, name):
-                            pipe = RegisterPipelining(program.symtab,
-                                                      remarks=remarks)
+                            pipe = regpipe.RegisterPipelining(
+                                program.symtab, remarks=remarks)
                             pipe.run(fn)
                             self._examined(name,
                                            pipe.stats.loops_examined)
@@ -511,8 +514,8 @@ class TitanCompiler:
                 with trace.span("strength-reduction") as args:
                     for name, fn in program.functions.items():
                         with self._pass("strength", program, name):
-                            red = StrengthReduction(program.symtab,
-                                                    remarks=remarks)
+                            red = strength.StrengthReduction(
+                                program.symtab, remarks=remarks)
                             red.run(fn)
                             self._examined(name,
                                            red.stats.loops_examined)
@@ -576,16 +579,13 @@ class TitanCompiler:
                                        strict=opts.strict_while_conversion,
                                        remarks=remarks).run(fn)
                     analyses.invalidate(wstats.changed)
-                _merge(result.while_to_do_stats, name, wstats,
-                       ("examined", "converted"))
+                _merge(result.while_to_do_stats, name, wstats)
                 if opts.split_termination:
-                    from .opt.cond_split import TerminationSplitter
                     with self._pass("cond-split", program, name, round_no):
-                        splitter = TerminationSplitter(program.symtab)
-                        sstats = splitter.run(fn)
+                        sstats = cond_split.TerminationSplitter(
+                            program.symtab).run(fn)
                         analyses.invalidate(sstats.changed)
-                    _merge(result.cond_split_stats, name, sstats,
-                           ("examined", "split"))
+                    _merge(result.cond_split_stats, name, sstats)
                 with self._pass("ivsub", program, name, round_no):
                     istats = InductionVariableSubstitution(
                         program.symtab, remarks=remarks).run(fn)
@@ -594,17 +594,13 @@ class TitanCompiler:
                 for sweeps, capped in istats.forward_sub_runs:
                     result.note_iterations("forward-sub", name, sweeps,
                                            capped)
-                _merge(result.ivsub_stats, name, istats,
-                       ("loops", "ivs_substituted", "sweeps", "backtracks",
-                        "substitutions"))
+                _merge(result.ivsub_stats, name, istats)
                 with self._pass("constprop", program, name, round_no):
                     cstats = propagate_constants(fn, program.globals,
                                                  analyses=analyses)
                 result.note_iterations("constprop", name, cstats.rounds,
                                        cstats.capped)
-                _merge(result.constprop_stats, name, cstats,
-                       ("rounds", "constants_propagated", "branches_folded",
-                        "loops_deleted", "statements_deleted"))
+                _merge(result.constprop_stats, name, cstats)
                 with self._pass("forward-sub", program, name, round_no):
                     analyses.expressions_rewritten(
                         _copy_propagate(fn, result))
@@ -612,10 +608,7 @@ class TitanCompiler:
                     dstats = eliminate_dead_code(fn, program.globals, analyses)
                 result.note_iterations("deadcode", name, dstats.iterations,
                                        dstats.capped)
-                _merge(result.dce_stats, name, dstats,
-                       ("assignments_removed", "labels_removed",
-                        "empty_ifs_removed", "unreachable_removed",
-                        "iterations"))
+                _merge(result.dce_stats, name, dstats)
 
     def _dump(self, result: CompilationResult, stage: str) -> None:
         if self.options.dump_stages:
@@ -643,18 +636,12 @@ def _program_statements(program: N.ILProgram) -> int:
                for _ in fn.all_statements())
 
 
-def _merge(store: Dict[str, object], name: str, stats: object,
-           fields: tuple) -> None:
-    prior = store.get(name)
-    if prior is None:
-        store[name] = stats
-        return
-    for field_name in fields:
-        setattr(prior, field_name,
-                getattr(prior, field_name) + getattr(stats, field_name))
-    if hasattr(stats, "rejected") and hasattr(prior, "rejected"):
-        for key, value in stats.rejected.items():
-            prior.rejected[key] = prior.rejected.get(key, 0) + value
+def _merge(store: Dict[str, object], name: str, stats: object) -> None:
+    """Record a pass's run over function ``name``, adding its counters
+    to an earlier round's."""
+    prior = store.setdefault(name, stats)
+    if prior is not stats:
+        merge_stats(prior, stats)
 
 
 def compile_c(source: str, options: Optional[CompilerOptions] = None,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.counters import PROGRAM, CounterStore
+from repro.obs.counters import PROGRAM, record_pass_events
 from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
                                Histogram, MetricsRegistry,
                                SpanMetricsConsumer, sanitize_name)
@@ -180,19 +180,24 @@ class TestPrometheus:
 
 
 class TestAbsorption:
-    def test_absorb_counters_labels_pass_function_counter(self):
-        store = CounterStore()
-        store.bump("vectorize", "loops_vectorized", 2,
-                   function="daxpy")
-        store.bump("fold", "folded", 5)
+    def test_pass_events_label_pass_function_counter(self):
         registry = MetricsRegistry()
-        registry.absorb_counters(store)
+        record_pass_events(registry, [
+            {"pass": "vectorize", "function": "daxpy",
+             "counter": "loops_vectorized", "value": 2},
+            {"pass": "fold", "function": PROGRAM,
+             "counter": "folded", "value": 5},
+            {"pass": "fold", "function": PROGRAM,
+             "counter": "cold", "value": 0}])
         assert registry.value("titancc_pass_events_total", {
             "pass": "vectorize", "function": "daxpy",
             "counter": "loops_vectorized"}) == 2
         assert registry.value("titancc_pass_events_total", {
             "pass": "fold", "function": PROGRAM,
             "counter": "folded"}) == 5
+        # Zero-valued counters are exported too.
+        assert 'counter="cold",function="<program>",pass="fold"} 0' \
+            in registry.format_prometheus()
 
     def test_span_metrics_consumer_counts_and_times(self):
         registry = MetricsRegistry()

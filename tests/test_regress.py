@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from repro.obs.diff import SPEEDUP_TOLERANCE
+
 _BENCH_DIR = os.path.join(os.path.dirname(__file__), "..",
                           "benchmarks")
 
@@ -156,7 +158,7 @@ class TestRegressGate:
         cur = tmp_path / "cur"
         _write_bench(base, "b", {"full": {
             "host_engine_speedup_steps": 12.0}})
-        within = 12.0 * (1 - regress.SPEEDUP_TOLERANCE) + 0.1
+        within = 12.0 * (1 - SPEEDUP_TOLERANCE) + 0.1
         _write_bench(cur, "b", {"full": {
             "host_engine_speedup_steps": within}})
         assert regress.main(["--current", str(cur),
@@ -179,7 +181,7 @@ class TestRegressGate:
             == float("inf")
         assert regress.metric_tolerance(
             "host_engine_speedup_steps", 0.05) \
-            == regress.SPEEDUP_TOLERANCE
+            == SPEEDUP_TOLERANCE
 
     def test_attrib_cycles_are_lower_is_better(self, regress):
         # A name *containing* cycles is a cycle count: +10 % fails the
@@ -300,6 +302,26 @@ class TestRegressGate:
             open(explain / "explain_e2_daxpy.attrib.json").read())
         assert attrib_doc["schema"] == "titancc-attrib/1"
         assert attrib_doc["totals"]["exact"] is True
+
+    def test_explain_names_the_metric_the_gate_failed(self, regress,
+                                                      tmp_path):
+        """A host speedup ratio 20 % down is within its 35 % tolerance,
+        so the gate passes it; the explain diff must not call it the
+        worst regression ahead of the 6 % cycles rise that failed."""
+        base = tmp_path / "base"
+        cur = tmp_path / "cur"
+        _write_bench(base, "b", {"full": {
+            "cycles": 100.0, "host_engine_speedup_steps": 10.0}})
+        _write_bench(cur, "b", {"full": {
+            "cycles": 106.0, "host_engine_speedup_steps": 8.0}})
+        assert regress.main(["--current", str(cur),
+                             "--baselines", str(base),
+                             "--explain", "--quiet"]) == 1
+        diff_doc = json.loads(
+            open(cur / "explain" / "explain_b.diff.json").read())
+        assert diff_doc["summary"]["worst_regression"] == "full.cycles"
+        assert [entry["metric"] for entry in
+                diff_doc["classified"]["regressions"]] == ["full.cycles"]
 
     def test_explain_without_failure_writes_nothing(self, regress,
                                                     tmp_path):

@@ -1,5 +1,5 @@
 """Tests for the machine-readable compilation report: the counter
-store, the --report-json document, dependence-graph export (DOT and
+records, the --report-json document, dependence-graph export (DOT and
 JSON, with goldens), Titan utilization, and JSON hardening."""
 
 import json
@@ -8,15 +8,24 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.counters import (CounterStore, PROGRAM,
-                                counters_from_result)
+from repro.il import nodes as N
+from repro.inline import inliner
+from repro.obs.counters import (PROGRAM, counter_records, counter_value,
+                                format_counters, stats_fields)
 from repro.obs.depviz import LoopDepExport, collect_program_graphs
 from repro.obs.report import (REPORT_SCHEMA, CompilationReport,
                               loop_coverage)
 from repro.obs.trace import jsonable
-from repro.pipeline import CompilerOptions, compile_c, titan_config
+from repro.opt import (cond_split, constprop, deadcode, if_convert, ivsub,
+                       regpipe, strength, while_to_do)
+from repro.opt.deadcode import DCEStats
+from repro.opt.while_to_do import WhileToDoStats
+from repro.pipeline import (CompilerOptions, TitanCompiler, _merge,
+                            compile_c, titan_config)
+from repro.service.protocol import canonicalize_report
 from repro.titan.config import TitanConfig
 from repro.titan.simulator import TitanSimulator
+from repro.vectorize import listparallel, vectorizer
 
 DAXPY_AND_RECURRENCE = """
 double X[100], Y[100];
@@ -72,49 +81,91 @@ def _report(source=DAXPY_AND_RECURRENCE, options=None, run=None):
 # ---------------------------------------------------------------------------
 
 
+def _records(*triples):
+    """Counter records for ``(pass, function, counter, value)``."""
+    return [{"pass": p, "function": fn, "counter": c, "value": v}
+            for p, fn, c, v in triples]
+
+
 class TestCounters:
-    def test_bump_and_get(self):
-        store = CounterStore()
-        store.bump("p", "c", 2, function="f")
-        store.bump("p", "c", 3, function="g")
-        assert store.get("p", "c", "f") == 2
-        assert store.get("p", "c") == 5  # sums across functions
-        assert store.get("p", "absent") == 0
+    def test_counter_value_sums_across_functions(self):
+        records = _records(("p", "f", "c", 2), ("p", "g", "c", 3))
+        assert counter_value(records, "p", "c", "f") == 2
+        assert counter_value(records, "p", "c") == 5
+        assert counter_value(records, "p", "absent") == 0
 
     def test_while_to_do_counter_moves(self):
         """E4-style input: the conversion counter must register."""
-        store = counters_from_result(compile_c(WHILE_IDIOM))
-        assert store.get("while-to-do", "converted", "f") >= 1
-        assert store.get("while-to-do", "examined", "f") >= 1
+        records = counter_records(compile_c(WHILE_IDIOM))
+        assert counter_value(records, "while-to-do", "converted", "f") >= 1
+        assert counter_value(records, "while-to-do", "examined", "f") >= 1
 
     def test_ivsub_counter_moves(self):
         """E5-style input: pointer-bump IVs get substituted."""
-        store = counters_from_result(compile_c(IVSUB_IDIOM))
-        assert store.get("ivsub", "ivs_substituted", "f") >= 2
+        records = counter_records(compile_c(IVSUB_IDIOM))
+        assert counter_value(records, "ivsub", "ivs_substituted",
+                             "f") >= 2
 
     def test_rejected_histogram_flattens(self):
-        store = counters_from_result(
-            compile_c(DAXPY_AND_RECURRENCE))
-        assert store.get("vectorize", "rejected.recurrence",
-                         "recur") == 1
+        records = counter_records(compile_c(DAXPY_AND_RECURRENCE))
+        assert counter_value(records, "vectorize",
+                             "rejected.recurrence", "recur") == 1
 
     def test_records_are_json_ready(self):
-        store = counters_from_result(compile_c(WHILE_IDIOM))
-        records = store.to_records()
+        records = counter_records(compile_c(WHILE_IDIOM))
         assert records, "no counters harvested"
         for record in records:
             assert set(record) == {"pass", "function", "counter",
                                    "value"}
         # Program-wide counters (inline) use the pseudo-function.
         assert any(r["function"] == PROGRAM for r in records)
+        assert json.loads(json.dumps(records)) == records
 
     def test_format_suppresses_zeros(self):
-        store = CounterStore()
-        store.bump("p", "hot", 1, function="f")
-        store.bump("p", "cold", 0, function="f")
-        text = store.format()
-        assert "hot=1" in text
-        assert "cold" not in text
+        text = format_counters(_records(("p", "f", "hot", 1),
+                                        ("p", "f", "cold", 0)))
+        assert text == "f.p: hot=1"
+
+    def test_records_follow_the_stats_table(self):
+        """Each pass is named by its module's ``PASS_NAME``; records
+        run inline first, each function's passes in phase order, then
+        the loops scheduled."""
+        result = compile_c(DAXPY_AND_RECURRENCE)
+        table = [f.metadata["pass"] for f in stats_fields(result)]
+        assert table == [inliner.PASS_NAME, while_to_do.PASS_NAME,
+                         cond_split.PASS_NAME, ivsub.PASS_NAME,
+                         constprop.PASS_NAME, deadcode.PASS_NAME,
+                         if_convert.PASS_NAME, vectorizer.PASS_NAME,
+                         listparallel.PASS_NAME, regpipe.PASS_NAME,
+                         strength.PASS_NAME]
+        records = counter_records(result)
+        order = []
+        for r in records:
+            if (r["function"], r["pass"]) not in order:
+                order.append((r["function"], r["pass"]))
+        ran = [p for p in table if p != listparallel.PASS_NAME]
+        assert order == [(PROGRAM, "inline")] + [
+            (fn, p) for fn in ("daxpy", "recur", "main")
+            for p in ran[1:]] + [(PROGRAM, "schedule")]
+        assert {"deadcode", "strength"} <= {r["pass"] for r in records}
+
+    def test_rounds_merge_every_counter(self):
+        """A pass's second round adds every ``int`` field and every
+        histogram entry to the first's; flags keep the first round's."""
+        first = WhileToDoStats(examined=2, converted=1,
+                               rejected={"bound-varies": 1})
+        _merge(store := {}, "f", first)
+        _merge(store, "f", WhileToDoStats(
+            examined=1, rejected={"bound-varies": 2,
+                                  "condition-shape": 1}))
+        assert store["f"] is first
+        assert (first.examined, first.converted) == (3, 1)
+        assert first.rejected == {"bound-varies": 3,
+                                  "condition-shape": 1}
+        capped = DCEStats(iterations=2, capped=True)
+        _merge(store, "g", capped)
+        _merge(store, "g", DCEStats(iterations=1, capped=False))
+        assert (capped.iterations, capped.capped) == (3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +261,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("fixture", ["daxpy_o0", "daxpy_full"])
-def test_committed_fixture_titan_section_reproduces(fixture):
+def test_committed_fixture_reproduces(fixture):
     """Recompiling ``examples/daxpy.c`` with a committed report's own
-    options and running ``main`` gives its ``titan`` section byte for
-    byte — the static estimate and the measured split."""
+    options and running ``main`` gives the whole report byte for byte
+    once wall-clock times are stripped, key order included.  Sids are
+    reset first: an earlier compile in the same process would shift
+    the remarks' and loops' sids."""
     with open(os.path.join(ROOT, "benchmarks", "reports",
                            f"{fixture}.report.json")) as handle:
         committed = json.load(handle)
@@ -221,17 +274,16 @@ def test_committed_fixture_titan_section_reproduces(fixture):
         source = handle.read()
     options = CompilerOptions(**committed["options"])
     config = titan_config(options)
-    result = compile_c(source, options)
+    N.reset_sids()
+    result = TitanCompiler(options).compile(source, committed["source"])
     titan_report = TitanSimulator(
         result.program, config,
         schedules=result.schedules or None).run("main")
     report = CompilationReport.from_result(
         result, titan_report=titan_report, config=config)
-    titan = json.loads(report.to_json())["titan"]
-    for part in ("static", "measured"):
-        assert json.dumps(titan[part]) == \
-            json.dumps(committed["titan"][part]), part
-    assert titan == committed["titan"]
+    fresh = canonicalize_report(json.loads(report.to_json()))
+    expected = canonicalize_report(committed)
+    assert json.dumps(fresh) == json.dumps(expected)
 
 
 def loop_coverage_rows(report):
