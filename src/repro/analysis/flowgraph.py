@@ -371,6 +371,9 @@ def node_uses(node: FlowNode,
         elif isinstance(stmt.target, N.Section):
             scan(stmt.target.addr)
             scan(stmt.target.length)
+            # So is a masked store's mask, evaluated for every lane.
+            if stmt.mask is not None:
+                scan(stmt.mask)
     elif node.kind == "assign" and isinstance(stmt, N.VectorReduce):
         for _, value in stmt.terms():
             scan(value)

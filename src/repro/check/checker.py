@@ -45,13 +45,14 @@ def pass_registry() -> Dict[str, str]:
     exports.  This is the vocabulary culprit reports speak."""
     from ..inline import inliner
     from ..opt import (cond_split, constprop, deadcode, fold,
-                       forward_sub, if_convert, ivsub, regpipe,
+                       forward_sub, if_convert, ivsub, promote, regpipe,
                        strength, unreachable, while_to_do)
     from ..sched import scheduler
     from ..vectorize import listparallel, vectorizer
     modules = (while_to_do, ivsub, constprop, fold, forward_sub,
                deadcode, unreachable, cond_split, if_convert, inliner,
-               vectorizer, listparallel, regpipe, strength, scheduler)
+               vectorizer, listparallel, regpipe, scheduler, promote,
+               strength)
     registry = {"front-end": "front end: preprocess, parse, lower"}
     for module in modules:
         registry[module.PASS_NAME] = module.PASS_DESCRIPTION

@@ -217,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # sequential run.
                 stats = ReduceStats()
                 with telemetry.span("reduce", cat="fuzz",
-                                    name=failure.name) as targs:
+                                    program=failure.name) as targs:
                     minimized = reduce_result(
                         failure,
                         lambda text: run_source(

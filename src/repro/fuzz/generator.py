@@ -41,7 +41,9 @@ the vector register file holds),
 (flow-graph paths),
 ``?:``/``&&``/``||`` with side effects (the paper's section 4
 rewrites), pointer-bump loops (IV substitution, strength reduction),
-and small helper functions (the inliner).
+global scalars held in registers across loops or, their address taken
+and stored through, kept in memory, and small helper functions (the
+inliner).
 
 Everything is driven by one ``random.Random(seed)`` — the same seed
 always yields byte-identical source.
@@ -348,6 +350,32 @@ class ProgramGenerator:
         return (f"    for (i = 0; i < {trip}; i++) {{\n"
                 f"{body}\n    }}")
 
+    def _global_block(self) -> str:
+        """A counted loop over a global scalar: either its address
+        taken (``p = &gK``) and stored through ``p`` in a loop that
+        also reads it — a global no register may hold — or read only
+        in an if-converted guard, whose store mask then reads it."""
+        forms: List[str] = []
+        name = self.rng.choice(GLOBAL_SCALARS)
+        target = self.rng.choice(ARRAYS)
+        sub = self._subscript(forms)
+        value = self._expr(1, "i", forms, calls_ok=False)
+        if self.rng.random() < 0.5:
+            prelude = [f"p = &{name};"]
+            lines = [f"{target}[{sub}] = {value} + {name};",
+                     f"*p = *p + {self._array_read(forms)};"]
+            if self.rng.random() < 0.5:
+                lines.reverse()
+        else:
+            prelude = []
+            op = self.rng.choice(["<", ">", "==", "!="])
+            lines = [f"if ({self._array_read(forms)} {op} {name})",
+                     f"    {target}[{sub}] = {value};"]
+        lo, hi = self._bounds(forms)
+        body = "\n".join(f"        {line}" for line in lines)
+        return "".join(f"    {line}\n" for line in prelude) + (
+            f"    for (i = {lo}; i < {hi}; i++) {{\n{body}\n    }}")
+
     def _bounds(self, forms: List[str]) -> Tuple[int, int]:
         lo, hi = 0, self.size
         for form in forms:
@@ -458,6 +486,7 @@ class ProgramGenerator:
                         self._guarded_for_block,
                         self._accumulation_block,
                         self._register_block,
+                        self._global_block,
                         self._while_block, self._do_while_block,
                         self._scalar_block, self._if_block]
         if self.n_helpers:

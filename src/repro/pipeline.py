@@ -44,7 +44,7 @@ from .obs.counters import merge_stats, stats_field, stats_fields
 from .obs.remarks import RemarkCollector
 from .obs.trace import PassTracer, TraceEvent
 from .opt import (cond_split, constprop, deadcode, if_convert, ivsub,
-                  regpipe, strength, utils, while_to_do)
+                  promote, regpipe, strength, utils, while_to_do)
 from .opt.constprop import ConstPropStats, propagate_constants
 from .opt.deadcode import DCEStats, eliminate_dead_code
 from .opt.forward_sub import forward_substitute
@@ -52,6 +52,7 @@ from .opt.ivsub import IVSubStats, InductionVariableSubstitution
 from .opt.while_to_do import WhileToDo, WhileToDoStats
 from .sched.scheduler import LoopScheduler
 from .titan.config import TitanConfig
+from .titan.static import StaticCostEstimator
 from .vectorize import listparallel, vectorizer
 from .vectorize.vectorizer import (VectorizeOptions, VectorizeStats,
                                    Vectorizer)
@@ -182,6 +183,8 @@ class CompilationResult:
         listparallel.PASS_NAME, default_factory=dict)
     regpipe_stats: Dict[str, object] = stats_field(
         regpipe.PASS_NAME, default_factory=dict)
+    promote_stats: Dict[str, object] = stats_field(
+        promote.PASS_NAME, default_factory=dict)
     strength_stats: Dict[str, object] = stats_field(
         strength.PASS_NAME, default_factory=dict)
     # Loop schedules (sid -> LoopSchedule) captured pre-strength-
@@ -510,6 +513,23 @@ class TitanCompiler:
                         scheduler.run(fn)
                 result.schedules = scheduler.schedules
                 args["loops_scheduled"] = len(result.schedules)
+            if opts.reg_pipeline:
+                with trace.span("promote") as args:
+                    candidates = promote.promotable_globals(program)
+                    estimator = StaticCostEstimator(
+                        titan_config(opts), schedules=result.schedules)
+                    for name, fn in program.functions.items():
+                        with self._pass("promote", program, name):
+                            promotion = promote.GlobalPromotion(
+                                program.symtab, candidates, estimator,
+                                remarks=remarks)
+                            promotion.run(fn)
+                            self._examined(
+                                name, promotion.stats.loops_promoted)
+                            result.promote_stats[name] = promotion.stats
+                    args["globals_held"] = sum(
+                        s.globals_held
+                        for s in result.promote_stats.values())
             if opts.strength_reduction:
                 with trace.span("strength-reduction") as args:
                     for name, fn in program.functions.items():

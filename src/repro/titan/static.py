@@ -21,8 +21,9 @@ its prices whether two strip loops fuse.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from ..opt.fold import const_int_value, static_trip_count
 from ..sched.scheduler import LoopSchedule
@@ -115,6 +116,9 @@ class StaticCostEstimator:
         self._latency = {kind: getattr(self.config, latency)
                          for kind, (_, latency, _)
                          in SCALAR_COSTS.items()}
+        # Variables living in memory that the walk prices as registers
+        # (see register_price).
+        self._registers: FrozenSet[Symbol] = frozenset()
         # Inside the body of a ``do parallel`` loop that is no strip
         # loop: runs execute it as one unit (see _do_loop_cycles).
         self._in_unit = False
@@ -135,7 +139,8 @@ class StaticCostEstimator:
             if kind is N.Mem:
                 total += latency["load"]
             elif kind is N.VarRef:
-                if N.lives_in_memory(expr.sym):
+                if N.lives_in_memory(expr.sym) \
+                        and expr.sym not in self._registers:
                     total += latency["load"]
             elif kind is N.BinOp or kind is N.UnOp or kind is N.Select:
                 # A select is charged like the operator it is; the
@@ -166,7 +171,8 @@ class StaticCostEstimator:
         else:
             length = stmt.length
             pending = [value for _, value in stmt.terms()]
-            if N.lives_in_memory(stmt.target.sym):
+            if N.lives_in_memory(stmt.target.sym) \
+                    and stmt.target.sym not in self._registers:
                 # The accumulator is read and written whatever the
                 # length.
                 total = self._latency["load"] + self._latency["store"]
@@ -202,7 +208,8 @@ class StaticCostEstimator:
             if isinstance(stmt.target, N.Mem):
                 cycles += self.expr_cycles(stmt.target.addr) \
                     + latency["store"]
-            elif N.lives_in_memory(stmt.target.sym):
+            elif N.lives_in_memory(stmt.target.sym) \
+                    and stmt.target.sym not in self._registers:
                 cycles += latency["store"]
             return cycles
         if isinstance(stmt, (N.VectorAssign, N.VectorReduce)):
@@ -353,6 +360,22 @@ class StaticCostEstimator:
                       for stmt in loop.body)
         return serial, setup + self._parallel(serial - setup, strips,
                                               reduces)
+
+    def register_price(self, function: str, loop: N.Stmt,
+                       registers: FrozenSet[Symbol] = frozenset(),
+                       written: int = 0):
+        """Loop ``loop`` run once with the variables ``registers``,
+        which live in memory, held in registers across it: a load of
+        each before the loop, the loop reading and writing registers
+        instead, and a store after it of the ``written`` ones the loop
+        changes.  With no registers, the loop's own price."""
+        self._registers = registers
+        try:
+            cycles = self.stmt_cycles(function, loop, 1, None)
+        finally:
+            self._registers = frozenset()
+        return cycles + len(registers) * self._latency["load"] \
+            + written * self._latency["store"]
 
     def block_cycles(self, function: str, stmts: List[N.Stmt],
                      scale, loops: Optional[List[LoopCost]]):

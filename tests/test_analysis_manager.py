@@ -305,11 +305,36 @@ def assert_same_chains(held, fresh):
                        for d in fresh.defs_reaching(b, loc))
 
 
+def reference_uses(node, aliased):
+    """What ``node`` reads.  An assignment's reads come from the
+    statement schema, not from ``node_uses``: every expression the
+    statement evaluates — a store target's address and length, a
+    masked store's mask, every term — and a reduction's accumulator;
+    a load or call reads memory, a call every aliased symbol."""
+    stmt = node.stmt
+    if node.kind != "assign":
+        return node_uses(node, aliased)
+    uses = set()
+    for expr in N.stmt_exprs(stmt):
+        parts = expr.children() if expr is getattr(stmt, stmt.store_field) \
+            else (expr,)
+        for part in parts:
+            reads, _, flags = N.facts(part)
+            uses |= reads
+            if flags & (N.HAS_LOAD | N.HAS_CALL):
+                uses.add(MEMORY)
+            if flags & N.HAS_CALL:
+                uses |= aliased
+    if isinstance(stmt, N.VectorReduce):
+        uses.add(stmt.target.sym)
+    return uses
+
+
 def reference_live_out(graph):
     """Set-based round-robin liveness: the textbook solver the bitmask
     worklist replaced, kept as the oracle."""
     aliased = aliased_symbols(graph.fn)
-    uses = {n: node_uses(n, aliased) for n in graph.nodes}
+    uses = {n: reference_uses(n, aliased) for n in graph.nodes}
     kill = {n: set() for n in graph.nodes}
     for n in graph.nodes:
         if n.kind in ("do_init", "do_step"):
@@ -338,8 +363,11 @@ def check_liveness_against_reference(program):
         graph = FlowGraph(fn)
         liveness = Liveness(graph, program.globals)
         expected = reference_live_out(graph)
+        # Every location either side names: one only the reference
+        # reads must not go missing.
+        named = locations(graph).union(*expected.values())
         for node in graph.nodes:
-            for loc in locations(graph):
+            for loc in named:
                 if loc is not MEMORY:
                     assert liveness.is_live_after(node, loc) == \
                         (loc in expected[node]), (fn.name, node, loc)
@@ -422,6 +450,30 @@ class TestAgainstFreshAndReference:
         result, checker = compile_checked(source)
         check_liveness_against_reference(result.program)
         assert checker.compared > 0
+
+    def test_a_masked_store_reads_its_mask(self):
+        """``t`` is read only by the mask the vectorizer makes of ``if
+        (A[i] == t - 3)``: live up to that store, in the holder's
+        liveness as in the reference's."""
+        source = """
+        int A[64], B[64];
+        int g = 3;
+        int main(void) {
+            int i, t;
+            t = g * g + 1;
+            g = 7;
+            for (i = 0; i < 64; i++)
+                if (A[i] == t - 3)
+                    B[i] = 5;
+            return g;
+        }
+        """
+        result, _ = compile_checked(source)
+        masks = [stmt for stmt in result.program.functions["main"]
+                 .all_statements() if isinstance(stmt, N.VectorAssign)
+                 and stmt.mask is not None]
+        assert masks
+        check_liveness_against_reference(result.program)
 
     def test_boundary_checker_catches_a_silent_mutation(self):
         """The check is sharp: a pass-like edit that is not reported

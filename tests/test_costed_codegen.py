@@ -446,7 +446,7 @@ class TestRepeatedRuns:
                     steps = simulator.interpreter.steps
                     second = simulator.run("main")
                     assert simulator.interpreter.steps == 2 * steps
-                assert second.cycles == first.cycles == 2313.0
+                assert second.cycles == first.cycles == 2244.0
                 assert second.counters == first.counters == snapshot
                 assert second.breakdown == first.breakdown
                 if profile:

@@ -172,3 +172,31 @@ class TestSemantics:
         }
         """
         assert_same_behaviour(src, check_scalars=["out"])
+
+    def test_a_scalar_read_only_in_a_store_mask_stays_live(self):
+        """If-conversion and the vectorizer turn ``if (A[i] == t - 3)
+        B[i] = 5;`` into a masked store whose mask alone reads ``t``:
+        the final DCE must count that read (it once deleted ``t = g *
+        g + 1`` and the run read ``t`` uninitialized)."""
+        src = """
+        int A[64], B[64];
+        int g = 3;
+        int main(void) {
+            int i, t, s;
+            for (i = 0; i < 64; i++) {
+                A[i] = i & 15;
+                B[i] = 0;
+            }
+            t = g * g + 1;
+            g = 7;
+            for (i = 0; i < 64; i++)
+                if (A[i] == t - 3)
+                    B[i] = 5;
+            s = 0;
+            for (i = 0; i < 64; i++)
+                s = s + B[i] * (i + 1);
+            return s + g;
+        }
+        """
+        assert_same_behaviour(src, check_arrays=[("B", 64)],
+                              check_scalars=["g"])

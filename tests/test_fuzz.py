@@ -295,6 +295,47 @@ class TestCLI:
         assert any(r["message"] == "progress" for r in records)
 
 
+class TestFailureArtifacts:
+    def test_a_failure_is_reduced_and_written(self, tmp_path,
+                                              monkeypatch):
+        """A batch that finds a failure minimizes it, writes its
+        reproducer and records the reduction, and exits non-zero —
+        in process, with the harness made to fail on one line."""
+        from repro.fuzz import __main__ as cli
+        from repro.fuzz.harness import (DifferentialResult, FuzzReport,
+                                        VariantResult)
+        source = ("int main(void)\n{\n    int x, y;\n    y = 2;\n"
+                  "    x = 1;\n    return x + y;\n}\n")
+
+        def outcome(text, **options):
+            status = "divergence" if "x = 1;" in text else "ok"
+            return DifferentialResult(
+                name="gen_0003", source=text, status=status, seed=3,
+                variants=[VariantResult(name="full", status=status,
+                                        phase="run",
+                                        error_type="Mismatch")])
+
+        monkeypatch.setattr(cli, "fuzz", lambda seed, count, **options:
+                            FuzzReport(seed=seed, count=count,
+                                       divergences=1,
+                                       failures=[outcome(source)]))
+        monkeypatch.setattr(cli, "run_source", outcome)
+        status = cli.main(["--seed", "3", "--count", "1", "--quiet",
+                           "--out", str(tmp_path)])
+        assert status == 1
+        reproducer = (tmp_path / "repro_gen_0003.c").read_text()
+        assert reproducer.startswith("// fuzz reproducer gen_0003: "
+                                     "divergence:run:Mismatch")
+        assert "x = 1;" in reproducer and "y = 2;" not in reproducer
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["divergences"] == 1
+        (reduction,) = summary["reductions"]
+        assert reduction["name"] == "gen_0003"
+        assert reduction["lines_after"] < reduction["lines_before"]
+        assert summary["reproducers"] == [
+            str(tmp_path / "repro_gen_0003.c")]
+
+
 class TestParallelFuzz:
     def test_seed_chunks_partition(self):
         assert seed_chunks(0, 10, 4) == [(0, 3), (3, 3), (6, 2),

@@ -17,7 +17,7 @@ from repro.obs.report import (REPORT_SCHEMA, CompilationReport,
                               loop_coverage)
 from repro.obs.trace import jsonable
 from repro.opt import (cond_split, constprop, deadcode, if_convert, ivsub,
-                       regpipe, strength, while_to_do)
+                       promote, regpipe, strength, while_to_do)
 from repro.opt.deadcode import DCEStats
 from repro.opt.while_to_do import WhileToDoStats
 from repro.pipeline import (CompilerOptions, TitanCompiler, _merge,
@@ -137,7 +137,7 @@ class TestCounters:
                          constprop.PASS_NAME, deadcode.PASS_NAME,
                          if_convert.PASS_NAME, vectorizer.PASS_NAME,
                          listparallel.PASS_NAME, regpipe.PASS_NAME,
-                         strength.PASS_NAME]
+                         promote.PASS_NAME, strength.PASS_NAME]
         records = counter_records(result)
         order = []
         for r in records:

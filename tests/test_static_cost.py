@@ -215,20 +215,27 @@ def test_walk_of_forked_reductions_equals_measured(kernel):
 def test_walk_prices_global_scalars_as_runs_do():
     """clamp reads its bounds ``lo`` and ``hi``, globals, once per strip
     of each masked store, and ``main`` writes them: runs charge a load
-    per read and a store per write, and so does the walk.  On E19's
-    probe grid (n = 4,096: every strip full, so some lane of each mask
-    is set) walk == run — 5,638 cycles apart at VL 32, 1 CPU, when the
+    per read and a store per write, and so does the walk.  With the
+    section 6 passes off the bounds stay in memory.  On E19's probe
+    grid (n = 4,096: every strip full, so some lane of each mask is
+    set) walk == run — 5,638 cycles apart at VL 32, 1 CPU, when the
     walk read globals for free.  At n = 100 and VL 32 the last strip
     holds elements 96..99, whose values 0..3 never exceed ``hi``: no
     lane evaluates the masked value, so the run does not load ``hi``
     there, which the walk — pricing what some lane may reach — counts:
-    one load apart."""
+    one load apart.  At default options each strip loop holds ``lo``
+    and ``hi`` in registers (``opt/promote.py``): a load of each
+    before the loop, none in it, so walk == run at n = 100 too."""
     template = kernel_source("clamp")
-    for n, width, processors, gap in ((4096, 32, 1, 0), (4096, 64, 2, 0),
-                                      (4096, 128, 4, 0), (100, 32, 1, 11)):
+    for n, width, processors, pipeline, gap in (
+            (4096, 32, 1, False, 0), (4096, 64, 2, False, 0),
+            (4096, 128, 4, False, 0), (100, 32, 1, False, 11),
+            (4096, 32, 1, True, 0), (4096, 64, 2, True, 0),
+            (4096, 128, 4, True, 0), (100, 32, 1, True, 0)):
         source = template.replace("{n}", str(n)).replace("{s}", "0")
         options = CompilerOptions(vector_length=width,
-                                  processors=processors)
+                                  processors=processors,
+                                  reg_pipeline=pipeline)
         config = titan_config(options)
         result = compile_c(source, options)
         walk = StaticCostEstimator(
@@ -239,8 +246,12 @@ def test_walk_prices_global_scalars_as_runs_do():
                                 schedules=result.schedules,
                                 engine=engine) as simulator:
                 measured = simulator.run("main").cycles
-            assert walk - measured == gap, (n, width, processors, engine)
-    assert gap == config.load_latency
+            assert walk - measured == gap, (n, width, processors,
+                                            pipeline, engine)
+        held = sum(stats.globals_held
+                   for stats in result.promote_stats.values())
+        assert held == (4 if pipeline else 0)
+    assert config.load_latency == 11
 
 
 def test_forked_reductions_meet_their_cycle_targets():

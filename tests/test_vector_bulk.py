@@ -476,9 +476,14 @@ class TestFloat32Sums:
     program = None
 
     def _observe(self, engine, lanes, start):
+        # The section 6 passes off: the strip length reads the global
+        # ``n`` from memory, so the loop runs strip by strip.  Held in
+        # a register, ``n`` would let its strips run as one strip
+        # group (``interp/strips.py``), which steps once per group.
         if TestFloat32Sums.program is None:
             TestFloat32Sums.program = compile_c(
-                SUM_SOURCE, CompilerOptions(vector_length=32)).program
+                SUM_SOURCE, CompilerOptions(vector_length=32,
+                                            reg_pipeline=False)).program
         return _observe_sum(self.program, "<f", engine, lanes, start)
 
     @settings(max_examples=150, deadline=None)
