@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import schemas, telemetry
-from repro.obs.metrics import MetricsRegistry, SpanMetricsConsumer
+from repro.obs import schemas
 from repro.pipeline import CompilationResult, CompilerOptions, compile_c
 from repro.titan.config import TitanConfig
 from repro.titan.simulator import TitanReport, TitanSimulator
@@ -105,35 +104,22 @@ def compile_and_simulate(source: str, entry: str,
                          profile: bool = False,
                          engine: str = "compiled",
                          record: Optional[str] = None) -> TitanReport:
-    # Recorded runs attach a span-metrics consumer to the telemetry
-    # session, so the BENCH document carries compile/run span
-    # histograms next to the host_* scalars.
-    registry = MetricsRegistry() if record else None
-    session = telemetry.session(SpanMetricsConsumer(registry)) \
-        if registry is not None else None
-    if session is not None:
-        session.__enter__()
-    try:
-        compile_start = time.perf_counter()
-        result = compile_c(source, options)
-        compile_seconds = time.perf_counter() - compile_start
-        if use_scheduler is None:
-            use_scheduler = options.reg_pipeline \
-                or options.strength_reduction
-        sim = TitanSimulator(result.program, config or TitanConfig(),
-                             use_scheduler=use_scheduler,
-                             schedules=result.schedules or None,
-                             profile=profile, engine=engine)
-        for name, values in (arrays or {}).items():
-            sim.set_global_array(name, values)
-        for name, value in (scalars or {}).items():
-            sim.set_global_scalar(name, value)
-        run_start = time.perf_counter()
-        report = sim.run(entry)
-        run_seconds = time.perf_counter() - run_start
-    finally:
-        if session is not None:
-            session.__exit__(None, None, None)
+    compile_start = time.perf_counter()
+    result = compile_c(source, options)
+    compile_seconds = time.perf_counter() - compile_start
+    if use_scheduler is None:
+        use_scheduler = options.reg_pipeline or options.strength_reduction
+    sim = TitanSimulator(result.program, config or TitanConfig(),
+                         use_scheduler=use_scheduler,
+                         schedules=result.schedules or None,
+                         profile=profile, engine=engine)
+    for name, values in (arrays or {}).items():
+        sim.set_global_array(name, values)
+    for name, value in (scalars or {}).items():
+        sim.set_global_scalar(name, value)
+    run_start = time.perf_counter()
+    report = sim.run(entry)
+    run_seconds = time.perf_counter() - run_start
     if record:
         bench_name, _, variant = record.partition("/")
         # Host-side throughput telemetry rides along with the simulated
@@ -147,30 +133,9 @@ def compile_and_simulate(source: str, entry: str,
             host["host_steps_per_sec"] = \
                 sim.interpreter.steps / run_seconds
             host["host_cycles_per_sec"] = report.cycles / run_seconds
-        host["host_span_seconds"] = span_histograms(registry)
         record_bench(bench_name, variant or "default",
                      report=report, result=result, metrics=host)
     return report
-
-
-def span_histograms(registry: MetricsRegistry) -> Dict[str, dict]:
-    """``span name -> {count, sum, buckets}`` from a session registry's
-    ``titancc_span_seconds`` family.  Embedded per-variant in the BENCH
-    document; regress.py gates only numeric scalars, so these ride as
-    informational structure for the dashboard's trend views."""
-    out: Dict[str, dict] = {}
-    for name, key, metric in registry:
-        if name != "titancc_span_seconds" \
-                or metric.kind != "histogram":
-            continue
-        labels = dict(key)
-        out[labels.get("name", "?")] = {
-            "count": metric.count,
-            "sum": metric.sum,
-            "buckets": list(metric.buckets),
-            "counts": list(metric.counts),
-        }
-    return out
 
 
 def hottest_loop(report: TitanReport) -> str:

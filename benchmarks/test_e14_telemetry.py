@@ -1,10 +1,9 @@
-"""E14 — telemetry overhead and the session dashboard.
+"""E14 — telemetry overhead.
 
 Not a paper claim: this experiment gates the unified-telemetry layer
 itself.  Observability is only free if the *disabled* path really is
 observation-free and the *enabled* path costs little enough to leave
-on for whole sessions, so E14 measures both on a step-dense workload
-and proves the session artifacts render:
+on for whole sessions, so E14 measures both on a step-dense workload:
 
 * telemetry off (the default: no session consumers) must record
   exactly zero spans — the structural observation-free guarantee —
@@ -12,13 +11,14 @@ and proves the session artifacts render:
 * telemetry on (span-metrics consumer + JSONL event log attached)
   must keep ``host_telemetry_speedup`` = on/off near 1.0 — the
   regression gate holds the ratio (machine-independent) while the
-  in-test assertion bounds one run's overhead at 25%;
-* the span *counts* either way are deterministic, so they gate
-  exactly;
-* the session directory the enabled run produced must render to a
-  non-trivial HTML dashboard.
+  in-test assertion bounds the overhead at 25%.  Off and on take
+  turns, best of each kept, so both sides see the same host;
+* the span *counts* of one enabled turn are deterministic, so they
+  gate exactly, and the turn's ``events.jsonl`` must hold the
+  compile's phase spans.
 """
 
+import json
 import os
 import tempfile
 import time
@@ -26,15 +26,16 @@ import time
 from harness import O0, Row, print_table, record_bench
 from repro.interp import make_interpreter
 from repro.obs import telemetry
-from repro.obs.dashboard import SessionData, main as dashboard_main
 from repro.obs.metrics import MetricsRegistry, SpanMetricsConsumer
 from repro.obs.telemetry import EventLogWriter
 from repro.pipeline import compile_c
 from repro.workloads.stencils import backsolve
 
 REPS = 3
+TURNS = 3
 N = 192
-MAX_OVERHEAD = 0.25  # enabled-path ceiling for this one run
+MAX_OVERHEAD = 0.25  # enabled-path ceiling
+COMPILE_SPAN_CATS = ("phase", "pass", "analysis")
 
 
 def _setup(interp):
@@ -44,9 +45,10 @@ def _setup(interp):
     interp.set_global_scalar("n", N)
 
 
-def _steps_per_sec(program):
-    """Best-of-REPS steady-state steps/sec under whatever telemetry
-    session is currently active."""
+def _steps_per_sec(source):
+    """Compile at O0, then best-of-REPS steady-state steps/sec, under
+    whatever telemetry session is currently active."""
+    program = compile_c(source, O0).program
     interp = make_interpreter(program, engine="compiled",
                               max_steps=500_000_000)
     _setup(interp)
@@ -62,30 +64,47 @@ def _steps_per_sec(program):
     return best
 
 
-def test_e14_telemetry_overhead_and_dashboard():
+def _compile_span_names(events_path):
+    """Names of the compile-side span lines in one ``events.jsonl``."""
+    with open(events_path) as handle:
+        events = [json.loads(line) for line in handle]
+    return {event["name"] for event in events
+            if event["type"] == "span"
+            and event["cat"] in COMPILE_SPAN_CATS}
+
+
+def test_e14_telemetry_overhead():
     assert not telemetry.enabled(), \
         "telemetry session leaked in from another test"
     source = backsolve(N)
+    off_steps = on_steps = 0.0
+    observation_free = True
+    span_counts = []
+    with tempfile.TemporaryDirectory(prefix="titancc-e14-") as scratch:
+        events_path = os.path.join(scratch, "events.jsonl")
+        # Taking turns, off then on, so both rates see the same host.
+        for _ in range(TURNS):
+            # --- disabled: the default path must record nothing at
+            # all.  The global Telemetry has no consumers, so span()
+            # yields without ever reading the clock; enabled() staying
+            # false across the compile and the timed runs is the
+            # observation-free contract.
+            off_steps = max(off_steps, _steps_per_sec(source))
+            observation_free &= not telemetry.enabled()
 
-    # --- disabled: the default path must record nothing at all.  The
-    # global Telemetry has no consumers, so span() yields without ever
-    # reading the clock; enabled() staying false across the compile
-    # and the timed runs is the observation-free contract.
-    program = compile_c(source, O0).program
-    off_steps = _steps_per_sec(program)
-    observation_free = not telemetry.enabled()
-
-    # --- enabled: compile + REPS+1 runs inside a live session that
-    # both aggregates metrics and streams the JSONL event log.
-    session_dir = tempfile.mkdtemp(prefix="titancc-e14-")
-    registry = MetricsRegistry()
-    writer = EventLogWriter(os.path.join(session_dir, "events.jsonl"))
-    with telemetry.session(SpanMetricsConsumer(registry), writer):
-        program_on = compile_c(source, O0).program
-        on_steps = _steps_per_sec(program_on)
-        writer.write_metrics(registry)
-    writer.close()
-    enabled_spans = int(registry.sum_values("titancc_spans_total"))
+            # --- enabled: compile + REPS+1 runs inside a fresh live
+            # session that both aggregates metrics and streams the
+            # JSONL event log.
+            registry = MetricsRegistry()
+            writer = EventLogWriter(events_path)
+            with telemetry.session(SpanMetricsConsumer(registry), writer):
+                on_steps = max(on_steps, _steps_per_sec(source))
+                writer.write_metrics(registry)
+            writer.close()
+            span_counts.append(
+                int(registry.sum_values("titancc_spans_total")))
+        compile_spans = _compile_span_names(events_path)
+    enabled_spans = span_counts[-1]
 
     speedup = on_steps / off_steps if off_steps else 0.0
     record_bench("e14_telemetry", "engine", metrics={
@@ -105,24 +124,18 @@ def test_e14_telemetry_overhead_and_dashboard():
         Row("enabled overhead",
             f"<={MAX_OVERHEAD:.0%}", f"{1 - speedup:.1%}",
             speedup >= 1 - MAX_OVERHEAD),
+        Row("compile spans in events.jsonl", "phase",
+            ", ".join(sorted(compile_spans)) or "NONE",
+            bool(compile_spans)),
     ]
-
-    # --- the session dir renders to a real dashboard.
-    assert dashboard_main([session_dir]) == 0
-    html_path = os.path.join(session_dir, "dashboard.html")
-    with open(html_path) as handle:
-        html = handle.read()
-    rendered = "Pass wall time" in html and "spans recorded" in html
-    rows.append(Row("dashboard renders", "sections",
-                    "yes" if rendered else "NO", rendered))
-    print_table("E14: telemetry overhead + dashboard", rows)
+    print_table("E14: telemetry overhead", rows)
 
     assert observation_free
-    # Session-side sanity: the compile's phase spans and the engine
-    # runs all landed.
+    # Session-side sanity: every enabled turn recorded the same spans,
+    # the compile's phase spans and the engine runs among them.
+    assert len(set(span_counts)) == 1, span_counts
     assert enabled_spans > REPS
-    data = SessionData(session_dir)
-    assert data.pass_walltimes(), "no compile spans in event log"
+    assert compile_spans, "no compile spans in event log"
     assert speedup >= 1 - MAX_OVERHEAD, \
         f"telemetry-enabled run lost {1 - speedup:.1%} throughput"
     assert all(r.ok for r in rows)

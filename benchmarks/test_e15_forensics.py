@@ -19,8 +19,7 @@ and its value rests on three properties measured here:
 * **self-diagnosis** — an injected regression must make
   ``regress.py --explain`` exit non-zero and write a valid
   ``titancc-reportdiff/1`` naming the regressed metric plus a
-  ``titancc-attrib/1`` waterfall, and the session dashboard must
-  render that waterfall from the same directory.
+  ``titancc-attrib/1`` waterfall whose deltas sum exactly.
 
 The attribution step counts and final cycle totals are deterministic
 (static estimator over deterministic pipelines), so they gate exactly.
@@ -37,7 +36,6 @@ import time
 from harness import FULL, Row, print_table, record_bench
 from repro.obs import schemas
 from repro.obs.attrib import CycleAttributor
-from repro.obs.dashboard import SessionData, render
 from repro.pipeline import compile_c
 from repro.workloads.blas import caller_program
 from repro.workloads.stencils import backsolve
@@ -62,12 +60,9 @@ def _attribute(source, label):
 
 
 def _compile_seconds(source, hooks):
-    best = float("inf")
-    for _ in range(REPS):
-        start = time.perf_counter()
-        compile_c(source, FULL, hooks=list(hooks))
-        best = min(best, time.perf_counter() - start)
-    return best
+    start = time.perf_counter()
+    compile_c(source, FULL, hooks=hooks)
+    return time.perf_counter() - start
 
 
 def test_e15_forensics_attribution_and_explain():
@@ -92,18 +87,20 @@ def test_e15_forensics_attribution_and_explain():
     compile_c(daxpy, FULL)
     observation_free = "repro.obs.attrib" not in sys.modules
 
-    # --- enabled overhead: hooked vs bare compile time, best-of-REPS.
-    # The ratio divides out machine speed, so regress.py gates it
-    # (speedup rule, higher is better).
-    off_seconds = _compile_seconds(daxpy, ())
-    on_seconds = _compile_seconds(
-        daxpy, (CycleAttributor(source="overhead"),))
+    # --- enabled overhead: hooked vs bare compile time, best-of-REPS
+    # each, taken in turns so both sides see the same host.  The ratio
+    # divides out machine speed, so regress.py gates it (speedup rule,
+    # higher is better).
+    off_seconds = on_seconds = float("inf")
+    for _ in range(REPS):
+        off_seconds = min(off_seconds, _compile_seconds(daxpy, []))
+        on_seconds = min(on_seconds, _compile_seconds(
+            daxpy, [CycleAttributor(source="overhead")]))
     speedup = off_seconds / on_seconds if on_seconds else 0.0
 
     # --- injected regression: baseline says 100 cycles, current says
-    # 200, so the gate must go red, --explain must name the metric, and
-    # the dashboard must render the attribution waterfall from the very
-    # directory --explain populated.
+    # 200, so the gate must go red, and --explain must name the metric
+    # and write an exact attribution waterfall.
     regress = _load_regress()
     scratch = tempfile.mkdtemp(prefix="titancc-e15-")
     try:
@@ -139,11 +136,6 @@ def test_e15_forensics_attribution_and_explain():
         worst = diff_doc["summary"]["worst_regression"] or ""
         explain_ok = (rc == 1 and "cycles" in worst
                       and attrib_doc["totals"]["exact"] is True)
-
-        # --- the dashboard renders the waterfall panel from that real
-        # (explain-populated) session directory.
-        html = render(SessionData(cur_dir))
-        dashboard_ok = "Cycle attribution — e2_daxpy" in html
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -176,8 +168,6 @@ def test_e15_forensics_attribution_and_explain():
             f"{1 - speedup:.1%}", speedup >= 1 - MAX_OVERHEAD),
         Row("--explain names regressed metric", "cycles",
             worst or "(none)", explain_ok),
-        Row("dashboard attribution panel", "render",
-            "yes" if dashboard_ok else "NO", dashboard_ok),
     ]
     print_table("E15: compilation forensics", rows)
 
@@ -186,5 +176,4 @@ def test_e15_forensics_attribution_and_explain():
     assert speedup >= 1 - MAX_OVERHEAD, \
         f"attribution-enabled compile lost {1 - speedup:.1%}"
     assert explain_ok
-    assert dashboard_ok
     assert all(r.ok for r in rows)

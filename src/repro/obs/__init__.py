@@ -1,8 +1,7 @@
 """Observability: telemetry spans, metrics, remarks, tracing,
-profiling, structured logging, and the session dashboard.
+profiling and structured logging.
 
-The unified-telemetry stack (this PR's layer above PR 1–2's per-run
-views):
+The unified-telemetry stack, over the per-run views below:
 
 * :mod:`.telemetry` — hierarchical, context-local spans over the
   front end, every pipeline pass, dependence analysis, the inliner,
@@ -14,17 +13,15 @@ views):
 * :mod:`.schemas` — the one registry of every JSON artifact schema
   tag, plus validated atomic artifact writing;
 * :mod:`.log` — structured stderr/JSONL logger for driver programs;
-* :mod:`.dashboard` — static HTML session dashboard
-  (``python -m repro.obs.dashboard SESSION_DIR``);
 * :mod:`.attrib` / :mod:`.diff` — cycle waterfalls and report/bench
   diffs (a baseline's earlier values are its git history).
 
-The per-run layers, as before (all off by default):
+The per-run layers (all off by default):
 
 * :mod:`.remarks` — LLVM-style per-decision remarks from every
   transforming pass (``--remarks``);
-* :mod:`.trace` — wall-time + work spans per pipeline phase (now a
-  telemetry consumer), exported as Chrome trace-event JSON
+* :mod:`.trace` — wall-time + work spans per pipeline phase (a telemetry
+  consumer), exported as Chrome trace-event JSON
   (``--trace-json``);
 * :mod:`.profiler` — per-loop / per-function cycle attribution inside
   the Titan simulator (``--profile``).

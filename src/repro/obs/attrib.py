@@ -38,8 +38,7 @@ one either side of a pass, so deltas still mean "what this pass
 did".
 
 Artifact: schema ``titancc-attrib/1`` (``--attrib-json``); the human
-waterfall prints with ``--attrib``.  The dashboard renders the same
-document as its attribution-waterfall panel.
+waterfall prints with ``--attrib``.
 """
 
 from __future__ import annotations

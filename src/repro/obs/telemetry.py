@@ -18,7 +18,7 @@ Consumers subscribe to *finished* spans:
   before;
 * :class:`EventLogWriter` streams spans (and metric snapshots, and
   structured log records) as ``titancc-events/1`` JSONL — the session
-  artifact the dashboard renders;
+  artifact (``events.jsonl``);
 * :class:`~repro.obs.metrics.SpanMetricsConsumer` folds span durations
   into registry histograms.
 
@@ -267,7 +267,7 @@ class EventLogWriter:
     One JSON object per line; every line carries the schema tag and a
     ``type`` (``span`` | ``metrics`` | ``log`` | ``worker`` | …), so a
     consumer can dispatch line-by-line without framing.  This is the
-    session artifact (``events.jsonl``) the dashboard renders.
+    session artifact (``events.jsonl``).
     """
 
     def __init__(self, stream_or_path, clock=time.perf_counter):

@@ -202,8 +202,8 @@ class LoopScheduler:
         counts = OpCounts()
         if isinstance(stmt, N.Assign):
             counts.add_expr(stmt.value)
-        return counts.fp_ops * cfg.fp_latency \
-            + min(counts.loads, 1) * 0  # loads prefetchable in steady state
+        # Loads add nothing: they are prefetchable in steady state.
+        return counts.fp_ops * cfg.fp_latency
 
 
 def schedule_program(program: N.ILProgram,

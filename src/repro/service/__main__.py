@@ -8,9 +8,9 @@ duplicates and share catalogs; a malformed JSON line yields an
 ``invalid`` error response in its slot rather than killing the loop.
 
 ``--metrics-prom`` and ``--events-jsonl`` export the service-side
-telemetry (request counters, cache hit/miss/eviction events, request
-latency histograms, per-worker throughput) for the dashboard's
-service panel.
+telemetry: request counters, cache hit/miss/eviction events and
+request latency histograms, plus one ``service_worker`` line per
+worker (requests, seconds) in the event log.
 """
 
 from __future__ import annotations

@@ -343,9 +343,24 @@ def stage_work():
                         for name, value in sorted(hits.items())}}
 
 
+def stage_work_in_fresh_process(seed):
+    """:func:`stage_work` in a new interpreter under ``PYTHONHASHSEED``
+    *seed*: what ran earlier in this session cannot move its count."""
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.join(ROOT, "src"), ROOT]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from tests.test_stage_cache import "
+         "stage_work; print(json.dumps(stage_work()))"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+        check=True).stdout
+    return json.loads(out)
+
+
 @pytest.fixture(scope="module")
 def work():
-    return stage_work()
+    return stage_work_in_fresh_process("0")
 
 
 class TestWork:
@@ -360,16 +375,5 @@ class TestWork:
         assert hit["python"] <= PYTHON_CALLS_PER_HIT, hit
 
     def test_the_counts_repeat_across_hash_seeds(self, work):
-        runs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(
-                           [os.path.join(ROOT, "src"), ROOT]))
-            out = subprocess.run(
-                [sys.executable, "-c",
-                 "import json; from tests.test_stage_cache import "
-                 "stage_work; print(json.dumps(stage_work()))"],
-                cwd=ROOT, env=env, capture_output=True, text=True,
-                check=True).stdout
-            runs.append(json.loads(out))
+        runs = [stage_work_in_fresh_process(seed) for seed in ("0", "1")]
         assert runs[0] == runs[1] == work
